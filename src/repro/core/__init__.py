@@ -12,16 +12,17 @@
   balancing (§3.5).
 * :mod:`repro.core.api` -- the :class:`Rhino` facade a host SPE talks to.
 * :mod:`repro.core.quorum` -- the quorum-replicated control plane: journal
-  SMR, deterministic elections, epoch fencing, joint-consensus membership.
+  SMR, deterministic elections, epoch fencing, joint-consensus membership;
+  :mod:`repro.core.journal` is its log and :mod:`repro.core.failover` the
+  takeover after a leader is lost.
 """
 
 from repro.common.errors import StaleEpochError
 from repro.core.api import Rhino, RhinoConfig
-from repro.core.quorum import ControlGroup, QuorumFailoverManager
+from repro.core.quorum import ControlGroup
 
 __all__ = [
     "ControlGroup",
-    "QuorumFailoverManager",
     "Rhino",
     "RhinoConfig",
     "StaleEpochError",

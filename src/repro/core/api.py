@@ -67,7 +67,6 @@ class RhinoConfig:
         handover_retry_attempts=1,
         handover_retry_delay=0.5,
         anti_entropy_interval=None,
-        control_replicas=1,
         pipelined_handover=False,
         handover_chunk_bytes=64 * 1024 * 1024,
         handover_parallel_streams=4,
@@ -113,10 +112,6 @@ class RhinoConfig:
             raise ProtocolError(
                 f"anti_entropy_interval must be > 0 or None, "
                 f"got {anti_entropy_interval}"
-            )
-        if not isinstance(control_replicas, int) or control_replicas < 1:
-            raise ProtocolError(
-                f"control_replicas must be an int >= 1, got {control_replicas}"
             )
         if handover_chunk_bytes <= 0:
             raise ProtocolError(
@@ -178,12 +173,6 @@ class RhinoConfig:
         #: Period of the background reconciler restoring replica
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
-        #: Coordinator replicas in the quorum control group.  1 (the
-        #: default) keeps the pre-quorum control plane bit-identical:
-        #: either no fault tolerance at all, or the single-standby
-        #: failover of enable_failover().  >= 2 opts a scenario into
-        #: enable_control_group().
-        self.control_replicas = control_replicas
         #: Fluid handover (Megaphone-style pipelined migration).  Off by
         #: default: the all-at-once transfer behind the barrier stays
         #: bit-identical.  On, the transfer phase pre-copies chunked state
@@ -345,11 +334,10 @@ class Rhino:
         self._reconciling = set()
         self._anti_entropy_proc = None
         self._attached = False
-        #: Control-plane crash tolerance (default off; see enable_failover).
-        self.failover = None
-        self.journal = None
-        #: Quorum-replicated control plane (default off; see
-        #: enable_control_group).
+        #: The quorum-replicated control plane (see enable_control_group):
+        #: the one handle on its journal (``.journal``) and takeover
+        #: lifecycle (``.failover``).  ``None`` is the paper's single
+        #: unreplicated coordinator, which journals nothing.
         self.control_group = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -427,47 +415,7 @@ class Rhino:
         self.replication_manager.build_groups(instances, sizes)
         self._journal_groups()
 
-    # -- control-plane crash tolerance --------------------------------------------
-
-    def enable_failover(self, primary, standby, detector=None, detection_delay=0.5):
-        """Make the control plane crash-tolerant (default off).
-
-        Creates a :class:`~repro.core.journal.ControlJournal` on
-        ``primary``'s simulated disk (mirrored to ``standby``) and a
-        :class:`~repro.core.failover.FailoverManager` that takes over on a
-        ``coordinator-crash`` fault.  When a ``detector`` is given its
-        verdicts are journaled too, so the standby inherits the suspicion
-        state.  Returns the FailoverManager.
-
-        Not supported with ``use_dfs``: the DFS variant's restore path
-        reads per-instance checkpoint handles out of the coordinator's
-        completed records, which only journal metadata (offsets/cutoffs).
-        """
-        if self.config.use_dfs:
-            raise ProtocolError(
-                "coordinator failover is not supported with use_dfs"
-            )
-        if self.failover is not None:
-            return self.failover
-        from repro.core.failover import FailoverManager
-        from repro.core.journal import ControlJournal
-
-        self.journal = ControlJournal(self.sim, primary, standby, self.cluster)
-        self.job.coordinator.journal = self.journal
-        self.handover_manager.journal = self.journal
-        self.failover = FailoverManager(
-            self.sim,
-            self,
-            self.journal,
-            primary,
-            standby,
-            detection_delay=detection_delay,
-        )
-        if detector is not None:
-            self.failover.watch_detector(detector)
-        # Baseline records: the current replica-group map.
-        self._journal_groups()
-        return self.failover
+    # -- control-plane fault tolerance ----------------------------------------------
 
     def enable_control_group(
         self,
@@ -482,21 +430,20 @@ class Rhino:
         commits every record through a majority of the group, with
         deterministic leader election, monotonic epoch fencing, and
         joint-consensus membership change (see ``repro.core.quorum``).
-        ``members[0]`` is the initial leader.  Returns the ControlGroup.
+        ``members[0]`` is the initial leader.  When a ``detector`` is given
+        its verdicts are journaled too, so a new leader inherits the
+        suspicion state.  Returns the ControlGroup.
 
-        Mutually exclusive with :meth:`enable_failover` (the quorum group
-        subsumes the single-standby failover) and, like it, unsupported
-        with ``use_dfs``.
+        Not supported with ``use_dfs``: the DFS variant's restore path
+        reads per-instance checkpoint handles out of the coordinator's
+        completed records, which only journal metadata (offsets/cutoffs).
         """
         if self.config.use_dfs:
             raise ProtocolError(
                 "a control group is not supported with use_dfs"
             )
-        if self.failover is not None:
-            raise ProtocolError(
-                "control plane already configured; enable_control_group "
-                "and enable_failover are mutually exclusive"
-            )
+        if self.control_group is not None:
+            raise ProtocolError("control plane already configured")
         from repro.core.quorum import ControlGroup
 
         group = ControlGroup(
@@ -507,12 +454,10 @@ class Rhino:
             heartbeat_interval=heartbeat_interval,
         )
         self.control_group = group
-        self.journal = group.journal
         self.job.coordinator.journal = group.journal
-        self.handover_manager.journal = group.journal
-        self.failover = group.failover
         if detector is not None:
-            self.failover.watch_detector(detector)
+            group.failover.watch_detector(detector)
+        # Baseline record: the current replica-group map.
         self._journal_groups()
         group.start()
         return group
@@ -530,10 +475,10 @@ class Rhino:
             self.control_group.check_fence(token)
 
     def _journal_groups(self):
-        """WAL the current replica-group map (no-op when failover is off)."""
-        if self.journal is None:
+        """WAL the current replica-group map (no-op without a control group)."""
+        if self.control_group is None:
             return
-        self.journal.append(
+        self.control_group.journal.append(
             "groups.assigned",
             groups={
                 instance_id: [m.name for m in group.chain]
@@ -544,9 +489,10 @@ class Rhino:
         )
 
     def _await_control_plane(self):
-        """Block a client request while the coordinator is failing over."""
-        while self.failover is not None and self.failover.down:
-            yield self.failover.available
+        """Block a client request while the control group has no leader."""
+        group = self.control_group
+        while group is not None and group.failover.down:
+            yield group.failover.available
 
     # -- proactive replication ----------------------------------------------------
 
@@ -614,8 +560,8 @@ class Rhino:
             process = self.sim.process(
                 self._execute_plans(plans, token), name="rhino-plans"
             )
-            if self.failover is not None:
-                self.failover.track(process)
+            if self.control_group is not None:
+                self.control_group.failover.track(process)
             return Reconfiguration(self, "plans", process)
         kind = plan_or_kind
         if kind == "failure":
@@ -657,8 +603,8 @@ class Rhino:
                 f"{', '.join(self.RECONFIGURE_KINDS)}, a HandoverPlan, or a "
                 f"list of HandoverPlans"
             )
-        if self.failover is not None:
-            self.failover.track(process)
+        if self.control_group is not None:
+            self.control_group.failover.track(process)
         return Reconfiguration(self, kind, process)
 
     @staticmethod

@@ -1,27 +1,32 @@
-"""Standby coordinator failover: bounded-MTTR recovery of the control plane.
+"""Control-plane takeover: bounded-MTTR recovery after a leader is deposed.
 
 The paper's managers (§3.3) run on a single coordinator; a crash there
 would strand every in-flight handover, replication epoch, and checkpoint.
 Reconfigurable-SMR systems solve this by making the configuration manager
-itself a journaled, replicated service (Bortnikov et al.); this module is
-that pattern on the virtual clock:
+itself a journaled, replicated service (Bortnikov et al.).  The
+:class:`~repro.core.quorum.ControlGroup` is that service; this module is
+what happens when its leader is lost, on the virtual clock:
 
-1. **Crash** (``coordinator-crash`` fault): the primary's control-plane
-   *service* dies -- the machine keeps running the data plane.  The
-   checkpoint coordinator is fenced, the journal is fenced, and every
+1. **Halt** (:meth:`FailoverManager.depose`): the leader's control-plane
+   *service* dies or loses its quorum lease -- the machine keeps running
+   the data plane.  The epoch is bumped (the fencing point), the
+   checkpoint coordinator and the journal are fenced, and every
    control-plane driver process (handover drivers, reconfiguration
    drivers) is killed mid-protocol.  Worker-side protocol code (marker
    alignment, state rendezvous) keeps running; its acknowledgments simply
    reach a dead coordinator.
-2. **Detect**: the standby notices the lost lease after
-   ``detection_delay`` of virtual time.
-3. **Replay**: the standby reads the journal from its local mirror
-   (simulated disk read of every durable byte) and folds it into a
-   :class:`~repro.core.journal.RecoveredControlState`.  Replay
-   completeness is self-checked: the recovered state must equal the live
-   snapshot captured at the crash instant (stored in ``replay_checks``,
-   asserted by tests).
-4. **Resume**: each in-flight reconfiguration is deterministically
+2. **Elect**: after the detection delay the survivors elect the member
+   with the highest synced seq that can assemble a quorum; with no such
+   member the control plane stays unavailable until the fault heals.
+3. **Truncate**: records the deposed leader never replicated to the
+   winner exist only on the deposed disk and are dropped from the log.
+4. **Replay**: the winner reads the journal from its local disk
+   (simulated disk read of every byte) and folds it into a
+   :class:`~repro.core.journal.RecoveredControlState`.  When nothing was
+   truncated, replay completeness is self-checked: the recovered state
+   must equal the live snapshot captured at the crash instant (stored in
+   ``replay_checks``, asserted by tests).
+5. **Resume**: each in-flight reconfiguration is deterministically
    resolved by the decision table in :meth:`_resume_inflight` --
    committed if fully acknowledged, otherwise aborted through the
    existing :class:`HandoverAborted` rollback and (for failure
@@ -58,39 +63,38 @@ COORDINATOR = _CoordinatorSentinel()
 
 
 class FailoverManager:
-    """Owns the crash/failover lifecycle of the control plane."""
+    """Owns the depose/takeover lifecycle of a :class:`ControlGroup`."""
 
-    def __init__(self, sim, rhino, journal, primary, standby, detection_delay=0.5):
+    def __init__(self, sim, rhino, group):
         self.sim = sim
         self.rhino = rhino
-        self.journal = journal
-        #: Machine hosting the active coordinator's control plane.
-        self.primary = primary
-        #: Machine holding the journal mirror; takes over on crash.
-        self.standby = standby
-        self.detection_delay = detection_delay
+        self.group = group
+        self.journal = group.journal
         self.down = False
-        #: Event that succeeds when the standby finishes taking over;
+        #: Event that succeeds when the new leader finishes taking over;
         #: gated client requests wait on it.
         self.available = None
-        #: Live reconfiguration driver processes (killed on crash).
+        #: Live reconfiguration driver processes (killed on deposition).
         self.drivers = []
         #: Machine names the failure detector currently suspects.
         self.suspected = set()
-        #: One dict per completed failover: detect/replay/resume/total
-        #: durations in virtual seconds.
+        #: One dict per completed takeover: detect/replay/resume/total
+        #: durations in virtual seconds, plus the new epoch and leader.
         self.history = []
-        #: One (replayed, snapshot) ``to_dict()`` pair per failover -- the
-        #: replay-completeness oracle asserted by tests.
+        #: One (replayed, snapshot) ``to_dict()`` pair per takeover that
+        #: truncated nothing -- the replay-completeness oracle asserted by
+        #: tests.
         self.replay_checks = []
-        self.crashes = 0
-        self.rejoins = 0
+        #: Takeovers whose replay could not be checked against the crash
+        #: snapshot because the deposed leader's uncommitted suffix was
+        #: truncated (the live snapshot legitimately ran ahead of the log).
+        self.truncated_takeovers = 0
         self.snapshot_at_crash = None
 
     # -- wiring ---------------------------------------------------------------
 
     def track(self, process):
-        """Register a reconfiguration driver (killed if the primary dies)."""
+        """Register a reconfiguration driver (killed if the leader dies)."""
         self.drivers = [p for p in self.drivers if p.is_alive]
         self.drivers.append(process)
 
@@ -112,10 +116,14 @@ class FailoverManager:
             "detector.verdict", machine=machine.name, verdict="clear"
         )
 
-    # -- the crash ------------------------------------------------------------
+    # -- halt -----------------------------------------------------------------
 
-    def crash(self):
-        """Kill the control plane on the primary; the standby takes over.
+    def depose(self, fault_time, initial_wait):
+        """The leader is gone: fence its epoch and start the takeover.
+
+        ``fault_time`` is when the leader was actually lost (the takeover's
+        detect phase is measured from it); ``initial_wait`` is how much of
+        the detection delay is still to elapse before the survivors elect.
 
         Safe to call from inside a journal listener (i.e. from within one
         of the driver processes being killed): interrupts are scheduled,
@@ -123,20 +131,32 @@ class FailoverManager:
         wait point.
         """
         if self.down:
-            return  # already down; a second crash mid-takeover is a no-op
-        self.crashes += 1
+            return None  # a second fault mid-takeover changes nothing
+        group = self.group
+        # The fencing point: every command stamped before this instant is
+        # from a deposed epoch.
+        group.epoch += 1
+        storage = getattr(self.rhino, "dfs_storage", None)
+        if storage is not None and getattr(storage, "dfs", None) is not None:
+            # Fence shared external storage too: a deposed leader's
+            # buffered checkpoint/repair writes must not land later.
+            storage.dfs.set_fence(group.epoch)
         # Snapshot first: the oracle is the live state at the instant the
-        # coordinator died, before the crash wipes volatile memory.
+        # leader died, before the crash wipes volatile memory.
         self.snapshot_at_crash = ControlJournal.snapshot_live(self.rhino)
         self.down = True
         self.available = self.sim.event()
         if self.sim.tracer.enabled:
             self.sim.tracer.event(
-                "failover.crash", track="failover", primary=self.primary.name
+                "failover.crash",
+                track="failover",
+                primary=group.leader.name,
+                epoch=group.epoch,
             )
         self._halt_control_plane()
         takeover = self.sim.process(
-            self._failover(), name=f"failover:{self.standby.name}"
+            self._takeover(fault_time, initial_wait),
+            name=f"failover:epoch-{group.epoch}",
         )
         takeover.defused = True
         return takeover
@@ -145,7 +165,7 @@ class FailoverManager:
         """Fence the journal and coordinator; kill every driver mid-protocol."""
         self.journal.fenced = True
         self.rhino.job.coordinator.crash()
-        cause = ("coordinator-crash", self.primary.name)
+        cause = ("control-crash", self.group.leader.name)
         for entry in list(self.rhino.handover_manager._inflight.values()):
             process = entry.process
             if process is not None and process.is_alive:
@@ -157,56 +177,90 @@ class FailoverManager:
                 process.interrupt(cause)
         self.drivers = []
 
-    def rejoin(self):
-        """The crashed coordinator host rejoined (fault reverted).
+    # -- elect, truncate, replay, resume ------------------------------------------
 
-        Pure bookkeeping: the standby already took over; the rejoined
-        control plane becomes the new standby (the role swap happened at
-        takeover), so nothing moves back.
-        """
-        self.rejoins += 1
-
-    # -- the takeover ----------------------------------------------------------
-
-    def _failover(self):
-        start = self.sim.now
+    def _takeover(self, fault_time, initial_wait):
+        group = self.group
         tracer = self.sim.tracer
-        root = tracer.span("failover", track="failover", standby=self.standby.name)
+        root = tracer.span("failover", track="failover", epoch=group.epoch)
 
-        # Phase 1: the standby's lease on the primary expires.
+        # Phase 1: the survivors notice the lost lease and elect.
         detect_span = tracer.span(
             "failover.detect", track="failover", parent=root
         )
-        yield self.sim.timeout(self.detection_delay)
-        detect_span.finish()
-        detect = self.sim.now - start
+        if initial_wait > 0:
+            yield self.sim.timeout(initial_wait)
+        candidate = group._elect()
+        while candidate is None:
+            # No member can assemble a quorum (e.g. a partition split the
+            # group three ways): the control plane stays unavailable until
+            # the fault heals.  Gated clients wait on ``available``.
+            yield self.sim.timeout(group.heartbeat_interval)
+            candidate = group._elect()
+        detect_span.finish(leader=candidate.name)
+        detect = self.sim.now - fault_time
+        group.elections += 1
+        if tracer.enabled:
+            tracer.event(
+                "control.election",
+                track="failover",
+                epoch=group.epoch,
+                leader=candidate.name,
+                synced=candidate.synced_seq,
+            )
+        start = self.sim.now
 
-        # Phase 2: read the mirrored journal and fold it back into state.
+        # Phase 2: drop the uncommitted suffix, read the winner's log and
+        # fold it back into state.
         replay_span = tracer.span(
             "failover.replay", track="failover", parent=root
         )
-        if self.journal.durable_bytes > 0 and self.standby.alive:
+        truncated_before = self.journal.truncated_records
+        # Records the deposed leader never replicated to the winner exist
+        # only on the deposed disk: they are not part of the new epoch.
+        self.journal.truncate_to(
+            max(candidate.synced_seq, group.committed_seq)
+        )
+        if self.journal.durable_bytes > 0 and candidate.machine.alive:
             try:
-                yield self.standby.disk_read(
+                yield candidate.machine.disk_read(
                     self.journal.durable_bytes, tag="journal-replay"
                 )
             except Exception:  # noqa: BLE001 - I/O cost modeling only
                 pass
-        state = self.journal.replay()
-        self.replay_checks.append(
-            (state.to_dict(), self.snapshot_at_crash.to_dict())
-        )
-        # Unfence before restoring: the takeover's own transitions (abort
-        # records for stranded checkpoints and handovers) must be WAL'd so
-        # a *second* crash replays to the post-takeover state.
+        # Seat the new leader before unfencing so the takeover's own
+        # transitions (abort records for stranded checkpoints and
+        # handovers) flush through the new leader's disk and a *second*
+        # crash replays to the post-takeover state.
+        group.leader = candidate
         self.journal.fenced = False
+        # The new leader's first record announces its epoch (the SMR
+        # equivalent of Raft's term no-op): replay reconstructs the epoch
+        # from the log alone.
+        self.journal.append(
+            "control.epoch", epoch=group.epoch, leader=candidate.name
+        )
+        state = self.journal.replay()
+        truncated = self.journal.truncated_records - truncated_before
+        if truncated == 0:
+            self.replay_checks.append(
+                (state.to_dict(), self.snapshot_at_crash.to_dict())
+            )
+        else:
+            # The crash snapshot saw uncommitted transitions that the new
+            # epoch's log (correctly) does not contain; end-state
+            # invariants and the linearizability checker cover this case.
+            self.truncated_takeovers += 1
+        group._reconcile_membership(state)
         self.rhino.job.coordinator.restore_from_journal(state)
         self._restore_groups(state)
         self._reconcile_detector(state)
         replay_span.finish(
-            records=len(self.journal.records), bytes=self.journal.durable_bytes
+            records=len(self.journal.records),
+            bytes=self.journal.durable_bytes,
+            truncated=truncated,
         )
-        replay = self.sim.now - start - detect
+        replay = self.sim.now - start
 
         # Phase 3: resolve every stranded reconfiguration and repair
         # redundancy broken during the outage.
@@ -214,6 +268,7 @@ class FailoverManager:
             "failover.resume", track="failover", parent=root
         )
         yield from self._resume_inflight(state)
+        self._drop_unjournaled_inflight(state)
         yield from self._repair_replication()
         if self.rhino.config.anti_entropy_interval is not None:
             kick = self.sim.process(
@@ -228,25 +283,32 @@ class FailoverManager:
         self.rhino._journal_groups()
         self.rhino.job.coordinator.restore_service()
         resume_span.finish()
-        resume = self.sim.now - start - detect - replay
+        resume = self.sim.now - start - replay
 
-        # Role swap: the standby is the new primary; the crashed host
-        # becomes the mirror target once it rejoins.
-        self.primary, self.standby = self.standby, self.primary
-        self.journal.host, self.journal.standby = (
-            self.journal.standby,
-            self.journal.host,
-        )
-        total = self.sim.now - start
+        total = detect + replay + resume
         self.history.append(
-            {"detect": detect, "replay": replay, "resume": resume, "total": total}
+            {
+                "detect": detect,
+                "replay": replay,
+                "resume": resume,
+                "total": total,
+                "epoch": group.epoch,
+                "leader": candidate.name,
+            }
         )
         self.journal.append(
-            "failover.complete", primary=self.primary.name, seconds=total
+            "failover.complete",
+            primary=candidate.name,
+            seconds=total,
+            epoch=group.epoch,
         )
-        root.finish(status="completed")
+        root.finish(status="completed", leader=candidate.name)
         self.down = False
         self.available.succeed()
+        if group.joint is not None:
+            # The deposed leader died mid-membership-change; the journaled
+            # joint record tells the new leader to finish the job.
+            group.resume_membership_change()
 
     def _restore_groups(self, state):
         """Rebuild the Replication Manager's groups from the journal."""
@@ -364,6 +426,21 @@ class FailoverManager:
                     # anti-entropy pass) picks the machine up again.
                     pass
 
+    def _drop_unjournaled_inflight(self, state):
+        """Roll back live entries whose ``accepted`` record was truncated.
+
+        Such a driver was blocked awaiting commit (it cannot proceed past
+        ``accepted`` without one) and died with the deposed leader, so no
+        shared state was touched: popping the entry is the whole rollback.
+        """
+        hm = self.rhino.handover_manager
+        for reconfig_id in sorted(hm._inflight):
+            if reconfig_id in state.in_flight:
+                continue
+            entry = hm._inflight[reconfig_id]
+            if entry.execution is None:
+                hm._pop_entry(entry)
+
     def _repair_replication(self):
         """Repair chains that lost members while the coordinator was down."""
         dead = []
@@ -378,7 +455,4 @@ class FailoverManager:
 
     def __repr__(self):
         state = "down" if self.down else "up"
-        return (
-            f"<FailoverManager primary={self.primary.name} "
-            f"standby={self.standby.name} {state}>"
-        )
+        return f"<FailoverManager leader={self.group.leader.name} {state}>"

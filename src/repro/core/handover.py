@@ -151,7 +151,7 @@ class HandoverExecution:
         #: per-instance fetch/load spans nest under it.
         self.root_span = None
         #: Optional callback(instance_id) fired on every ack -- the
-        #: Handover Manager journals acks through it when failover is on.
+        #: Handover Manager journals acks through it under a control group.
         self.on_ack = None
 
     def state_ready_event(self, plan):

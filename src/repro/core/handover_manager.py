@@ -55,8 +55,8 @@ def _split_bytes(nbytes, cap):
 class _Inflight:
     """Control-plane view of one accepted-but-unresolved reconfiguration.
 
-    Tracked only when failover is enabled; the standby's decision table
-    walks these entries after a coordinator crash.
+    Tracked only under a control group; the takeover's decision table
+    walks these entries after the leader is deposed.
     """
 
     __slots__ = (
@@ -79,8 +79,8 @@ class _Inflight:
         self.execution = None
         #: The driver Process running _execute (interrupted on crash).
         self.process = None
-        #: The journaled ``handover.accepted`` record; under a quorum
-        #: control plane the driver blocks until it commits.
+        #: The journaled ``handover.accepted`` record; the driver blocks
+        #: until it commits.
         self.accepted_record = None
 
     def to_state(self):
@@ -108,9 +108,8 @@ class HandoverManager:
         self.rhino = rhino
         self._executions = {}  # handover_id -> HandoverExecution
         self.reports = []
-        #: Optional ControlJournal; when set, every protocol transition is
-        #: WAL'd and in-flight reconfigurations are tracked in _inflight.
-        self.journal = None
+        #: Under a control group every protocol transition is journaled
+        #: and in-flight reconfigurations are tracked here.
         self._inflight = {}  # reconfig_id -> _Inflight
         self._reconfig_ids = 0
         #: Per-manager handover ids: two runs in one interpreter must
@@ -121,12 +120,12 @@ class HandoverManager:
     # -- journaling ------------------------------------------------------------
 
     def _journal(self, entry, kind, **payload):
-        """Record a protocol transition (no-op when failover is off).
+        """Record a protocol transition (no-op without a control group).
 
         Updates the live entry's phase at the same point the record is
         appended, so journal replay reproduces the live phase exactly.
-        Returns the appended record (None when journaling is off or the
-        journal is fenced) so callers can wait on its quorum commit.
+        Returns the appended record (None when the journal is fenced) so
+        callers can wait on its quorum commit.
         """
         if entry is None:
             return None
@@ -135,9 +134,9 @@ class HandoverManager:
             entry.phase = phase
             if payload.get("handover") is not None:
                 entry.handover_id = payload["handover"]
-        if self.journal is not None:
-            return self.journal.append(kind, reconfig=entry.reconfig_id, **payload)
-        return None
+        return self.rhino.control_group.journal.append(
+            kind, reconfig=entry.reconfig_id, **payload
+        )
 
     def _entry_of(self, execution):
         for entry in self._inflight.values():
@@ -157,7 +156,7 @@ class HandoverManager:
     def execute(self, plans, trigger_time=None):
         """Run one reconfiguration; returns a Process yielding the report."""
         entry = None
-        if self.journal is not None:
+        if self.rhino.control_group is not None:
             trigger_time = self.sim.now if trigger_time is None else trigger_time
             self._reconfig_ids += 1
             entry = _Inflight(self._reconfig_ids, plans, trigger_time)
@@ -183,8 +182,8 @@ class HandoverManager:
             result = yield from self._execute_inner(plans, trigger_time, entry)
             return result
         except Interrupt:
-            # A coordinator crash killed this driver mid-protocol.  The
-            # entry stays in _inflight: the standby's decision table owns
+            # A leader deposition killed this driver mid-protocol.  The
+            # entry stays in _inflight: the takeover's decision table owns
             # its resolution after journal replay.
             raise
         except BaseException:
@@ -200,8 +199,8 @@ class HandoverManager:
             self.job.coordinator.resume()
 
     def _execute_inner(self, plans, trigger_time, entry=None):
-        group = self.journal.group if self.journal is not None else None
-        if group is not None and entry is not None:
+        group = self.rhino.control_group
+        if entry is not None:
             # Quorum commit-wait: a leader cut off from its majority stalls
             # here -- before suspending the coordinator or touching any
             # shared state -- so a deposed primary's accepted-but-never-
@@ -841,7 +840,7 @@ class HandoverManager:
 
     def on_marker(self, instance, marker):
         """The engine-invoked handler run at each instance's alignment point."""
-        group = self.journal.group if self.journal is not None else None
+        group = self.rhino.control_group
         if (
             group is not None
             and marker.epoch is not None
@@ -1265,8 +1264,14 @@ class HandoverManager:
 
     def _rollback_plan(self, plan, execution):
         origin = self.job.instances.get((plan.op_name, plan.origin_index))
+        # A failure recovery has no origin to fall back to: the instance at
+        # the origin index is the *empty replacement* (also the target).
+        # It must keep its hold-all filter until a retry restores the
+        # checkpoint; an origin-style filter would let records from
+        # already-rewound sources flow into the empty state.
         origin_alive = (
-            origin is not None
+            not plan.replace_origin
+            and origin is not None
             and origin.machine.alive
             and getattr(origin, "state", None) is not None
         )

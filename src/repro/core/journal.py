@@ -14,19 +14,21 @@ logs every transition of that state as a small typed record:
 * ``detector.verdict`` (failure-detector suspicion flips)
 * ``failover.complete`` (informational)
 
-Appends are durable immediately in the model (the in-memory record list
-is the authoritative WAL, standing in for a DFS file), while the *cost*
-of durability is charged asynchronously: a demand-driven flusher process
-writes the dirty bytes through the coordinator host's simulated disk and
-mirrors them over the simulated network to the standby's disk, so journal
-traffic competes with the data plane for real bandwidth.
+The journal belongs to a :class:`~repro.core.quorum.ControlGroup`.  The
+in-memory record list is the leader's log; a demand-driven flusher process
+writes each batch through the leader's simulated disk and ships it over
+the simulated network to every reachable follower's disk, so journal
+traffic competes with the data plane for real bandwidth.  Per-member sync
+progress feeds the group's commit rule: a record counts as durable once a
+majority holds it, and a newly elected leader truncates whatever the
+deposed one never replicated.
 
 :meth:`ControlJournal.replay` folds the records into a
 :class:`RecoveredControlState` -- a pure, canonically serializable value
 object.  Replaying the same journal twice is bit-identical, and replaying
 at crash time reproduces the live manager state exactly
 (:meth:`snapshot_live` builds the same structure from the live objects,
-which the failover asserts against in tests).
+which every takeover that truncated nothing is checked against).
 """
 
 import json
@@ -64,13 +66,12 @@ class JournalRecord:
 
     __slots__ = ("seq", "time", "kind", "payload", "nbytes", "epoch", "crc32")
 
-    def __init__(self, seq, time, kind, payload, overhead=64, epoch=0):
+    def __init__(self, seq, time, kind, payload, epoch, overhead=64):
         self.seq = seq
         self.time = time
         self.kind = kind
         self.payload = payload
-        #: Leader epoch the record was appended under (0 = unreplicated
-        #: legacy control plane).
+        #: Leader epoch the record was appended under.
         self.epoch = epoch
         #: Modeled serialized size: framing overhead plus the payload's
         #: canonical JSON length (deterministic, no wall-clock input).
@@ -122,7 +123,7 @@ class RecoveredControlState:
         self.replica_groups = {}  # instance_id -> [machine names]
         self.in_flight = {}  # reconfig_id -> reconfiguration dict
         self.suspected = []  # machine names under suspicion
-        self.epoch = 0  # leader epoch (0 = unreplicated control plane)
+        self.epoch = 0  # leader epoch of the newest control.epoch record
         self.control_members = []  # control-group member machine names
         self.joint = None  # in-flight membership change, if any
 
@@ -164,50 +165,45 @@ class RecoveredControlState:
 class ControlJournal:
     """Write-ahead log of control-plane state on simulated storage."""
 
-    def __init__(self, sim, host, standby, cluster, record_overhead=64):
+    def __init__(self, sim, cluster, group, record_overhead=64):
         self.sim = sim
-        #: The machine whose disk takes the primary journal writes.
-        self.host = host
-        #: The standby coordinator's machine; appends are mirrored to it.
-        self.standby = standby
         self.cluster = cluster
+        #: The :class:`~repro.core.quorum.ControlGroup` this journal
+        #: replicates through: it stamps the epoch, names the leader and
+        #: followers the flusher writes to, and owns the commit rule.
+        self.group = group
         self.record_overhead = record_overhead
         self.records = []
         #: Synchronous append listeners (fault injection hooks, tests).
         self.listeners = []
-        #: Bytes appended (durable in the model the instant they append).
+        #: Bytes in the leader's log.
         self.durable_bytes = 0
         #: Bytes whose I/O cost has been charged by the flusher.
         self.flushed_bytes = 0
         self.flushes = 0
-        self._dirty = 0
         self._flusher = None
-        #: The quorum :class:`~repro.core.quorum.ControlGroup` this journal
-        #: replicates through, or ``None`` for the legacy primary->standby
-        #: mirror.  With no group attached every code path below is the
-        #: pre-quorum one, byte for byte.
-        self.group = None
-        #: Records appended but not yet replicated by the quorum flusher.
+        #: Records appended but not yet replicated by the flusher.
         self._pending = []
         #: Records dropped by torn-tail truncation on verified reads plus
         #: uncommitted-suffix truncation at leader takeover.
         self.truncated_records = 0
-        #: Fenced between a coordinator crash and the standby's takeover:
-        #: a dead coordinator journals nothing, so appends attempted by
-        #: still-running worker-side protocol code are dropped, keeping
-        #: replay-at-failover equal to the crash-instant snapshot.
+        #: Fenced between a leader's deposition and its successor's
+        #: takeover: a dead coordinator journals nothing, so appends
+        #: attempted by still-running worker-side protocol code are
+        #: dropped, keeping replay-at-takeover equal to the crash-instant
+        #: snapshot.
         self.fenced = False
 
     # -- appending ------------------------------------------------------------
 
     def append(self, kind, **payload):
-        """Append one record; returns it.
+        """Append one record to the leader's log; returns it.
 
-        The record is durable immediately (the WAL is authoritative); its
-        I/O cost is charged asynchronously by the flusher.  Listeners fire
-        synchronously after the append -- a listener may crash the control
-        plane, which is exactly how the phase-targeted chaos tests land a
-        coordinator death on a specific protocol transition.
+        The record's replication (and the I/O it costs) is the flusher's
+        job; callers that need it durable wait on the group's commit.
+        Listeners fire synchronously after the append -- a listener may
+        kill the leader, which is exactly how the phase-targeted chaos
+        tests land a control-plane death on a specific protocol transition.
         """
         if self.fenced:
             return None
@@ -216,15 +212,15 @@ class ControlJournal:
             self.sim.now,
             kind,
             payload,
+            self.group.epoch,
             overhead=self.record_overhead,
-            epoch=self.group.epoch if self.group is not None else 0,
         )
         self.records.append(record)
         self.durable_bytes += record.nbytes
-        self._dirty += record.nbytes
-        if self.group is not None:
-            self._pending.append(record)
-        self._ensure_flusher()
+        self._pending.append(record)
+        if self._flusher is None or not self._flusher.is_alive:
+            self._flusher = self.sim.process(self._flush(), name="journal-flush")
+            self._flusher.defused = True
         if self.sim.tracer.enabled:
             self.sim.tracer.event(
                 "journal.append", track="failover", kind=kind, seq=record.seq
@@ -233,48 +229,19 @@ class ControlJournal:
             listener(record)
         return record
 
-    def _ensure_flusher(self):
-        if self._flusher is None or not self._flusher.is_alive:
-            body = self._flush() if self.group is None else self._flush_quorum()
-            self._flusher = self.sim.process(body, name="journal-flush")
-            self._flusher.defused = True
-
     def _flush(self):
         # Group commit: every append made while the previous batch was in
-        # flight is folded into the next one.
-        while self._dirty > 0:
-            batch, self._dirty = self._dirty, 0
-            self.flushes += 1
-            try:
-                if self.host.alive:
-                    yield self.host.disk_write(batch, tag="control-journal")
-                if (
-                    self.standby is not None
-                    and self.standby is not self.host
-                    and self.standby.alive
-                ):
-                    yield self.cluster.transfer(
-                        self.host, self.standby, batch, tag="control-journal"
-                    )
-                    yield self.standby.disk_write(batch, tag="control-journal")
-            except Exception:  # noqa: BLE001 - I/O cost modeling only
-                # A dead or unreachable endpoint mid-flush: the WAL itself
-                # is already durable; only the cost model is cut short.
-                pass
-            self.flushed_bytes += batch
-
-    def _flush_quorum(self):
-        # Quorum replication: each batch is written to the leader's disk,
-        # then shipped to every reachable follower and written to its disk.
-        # Per-member sync progress feeds the group's commit rule -- a record
-        # is committed once a majority (of every active configuration) has
-        # synced it.  Unreachable followers are skipped, stay behind, and
-        # are caught up later by the group's resync process.
+        # flight is folded into the next one.  Each batch is written to the
+        # leader's disk, then shipped to every reachable follower and
+        # written to its disk.  Per-member sync progress feeds the group's
+        # commit rule -- a record is committed once a majority (of every
+        # active configuration) has synced it.  Unreachable followers are
+        # skipped, stay behind, and are caught up later by the group's
+        # resync process.
         while self._pending:
             batch, self._pending = self._pending, []
             nbytes = sum(record.nbytes for record in batch)
             top_seq = batch[-1].seq
-            self._dirty = 0
             self.flushes += 1
             group = self.group
             leader = group.leader
@@ -348,9 +315,7 @@ class ControlJournal:
         raises :class:`CorruptionError`.
         """
         if committed_seq is None:
-            committed_seq = (
-                self.group.committed_seq if self.group is not None else 0
-            )
+            committed_seq = self.group.committed_seq
         for index, record in enumerate(self.records):
             try:
                 record.verify()
@@ -461,7 +426,7 @@ class ControlJournal:
 
         Built from the coordinator, the Replication Manager, and the
         Handover Manager directly -- the oracle that journal replay must
-        reproduce (asserted at every failover and in tests).
+        reproduce (checked at every takeover that truncated nothing).
         """
         state = RecoveredControlState()
         coordinator = rhino.job.coordinator
@@ -487,17 +452,15 @@ class ControlJournal:
             rhino.handover_manager._inflight.items()
         ):
             state.in_flight[reconfig_id] = entry.to_state()
-        if rhino.failover is not None:
-            state.suspected = sorted(rhino.failover.suspected)
-        group = getattr(rhino, "control_group", None)
-        if group is not None:
-            state.epoch = group.epoch
-            state.control_members = group.member_names()
-            state.joint = group.joint_state()
+        group = rhino.control_group
+        state.suspected = sorted(group.failover.suspected)
+        state.epoch = group.epoch
+        state.control_members = group.member_names()
+        state.joint = group.joint_state()
         return state
 
     def __repr__(self):
         return (
             f"<ControlJournal {len(self.records)} records "
-            f"{self.durable_bytes} B on {self.host.name}>"
+            f"{self.durable_bytes} B led by {self.group.leader.name}>"
         )

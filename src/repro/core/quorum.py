@@ -1,22 +1,22 @@
 """Quorum-replicated control plane: journal SMR, elections, epoch fencing.
 
-PR 5 made the control plane crash-tolerant with a single standby mirror.
-This module is the production-scale shape from the ROADMAP: the control
-plane as a replicated state machine.  A :class:`ControlGroup` of N
-coordinator replicas sequences every :class:`~repro.core.journal.ControlJournal`
-record through a majority quorum (stream-based SMR, Lawniczak & Distler),
-elects leaders deterministically, fences deposed leaders with monotonic
-epochs, and reconfigures its own membership with a joint-consensus
-two-phase change (Bortnikov et al.).
+The control plane as a replicated state machine, and the only way to make
+it fault tolerant.  A :class:`ControlGroup` of N coordinator replicas
+sequences every :class:`~repro.core.journal.ControlJournal` record through
+a majority quorum (stream-based SMR, Lawniczak & Distler), elects leaders
+deterministically, fences deposed leaders with monotonic epochs, and
+reconfigures its own membership with a joint-consensus two-phase change
+(Bortnikov et al.).  What happens between a leader's loss and its
+successor's first command is :mod:`repro.core.failover`.
 
-**Commit rule.**  The leader appends records locally (the in-memory WAL
-stays authoritative, as in PR 5); the journal's quorum flusher writes each
-batch to the leader's disk and ships it to every reachable follower.  A
-record is *committed* once a majority of every active configuration has
-synced it (the leader counts itself after its local disk write).  Client-
-visible protocol boundaries -- a handover's ``accepted`` record, the
-membership ``joint`` record -- block on commit, so a leader partitioned
-from every quorum stalls before touching shared state.
+**Commit rule.**  The leader appends records to its in-memory log; the
+journal's flusher writes each batch to the leader's disk and ships it to
+every reachable follower.  A record is *committed* once a majority of
+every active configuration has synced it (the leader counts itself after
+its local disk write).  Client-visible protocol boundaries -- a
+handover's ``accepted`` record, the membership ``joint`` record -- block
+on commit, so a leader partitioned from every quorum stalls before
+touching shared state.
 
 **Election.**  A member may lead if a majority of every active
 configuration is up and can reach it.  Among eligible candidates the one
@@ -46,7 +46,7 @@ from repro.common.errors import ProtocolError, StaleEpochError
 from repro.core.failover import FailoverManager
 from repro.core.journal import ControlJournal
 
-__all__ = ["ControlGroup", "ControlMember", "QuorumFailoverManager", "StaleEpochError"]
+__all__ = ["ControlGroup", "ControlMember", "StaleEpochError"]
 
 
 class ControlMember:
@@ -60,7 +60,7 @@ class ControlMember:
         self.index = index
         #: The control-plane *service* on this machine is running (the
         #: machine itself may serve the data plane while the service is
-        #: down, exactly like the PR 5 coordinator-crash fault).
+        #: down).
         self.service_up = True
         #: Highest journal seq this replica has durably synced.
         self.synced_seq = 0
@@ -98,8 +98,7 @@ class ControlGroup:
         self._next_index = 0
         self.members = [self._member_for(m) for m in machines]
         self.leader = self.members[0]
-        #: Monotonic leader epoch; bumped at every deposition.  Epoch 0 is
-        #: reserved for the unreplicated legacy control plane.
+        #: Monotonic leader epoch; bumped at every deposition.
         self.epoch = 1
         #: In-flight joint-consensus membership change, or ``None``.
         self.joint = None
@@ -111,19 +110,9 @@ class ControlGroup:
         self.fencing_rejections = 0
         self.elections = 0
         self.rejoins = 0
-        self.journal = ControlJournal(
-            sim, machines[0], machines[1], self.cluster
-        )
-        self.journal.group = self
-        self.failover = QuorumFailoverManager(
-            sim,
-            rhino,
-            self.journal,
-            machines[0],
-            machines[1],
-            detection_delay=detection_delay,
-            group=self,
-        )
+        self.journal = ControlJournal(sim, self.cluster, self)
+        #: The takeover lifecycle: halt, elect, truncate, replay, resume.
+        self.failover = FailoverManager(sim, rhino, self)
         self._commit_waiters = []
         self._monitor = None
         self._suspect_since = None
@@ -315,7 +304,7 @@ class ControlGroup:
                     # The lease expired: the leader self-fences and the
                     # survivors elect.  Detection time was consumed here,
                     # so the takeover does not sleep again.
-                    self._begin_outage(fault_time=fault_time, initial_wait=0.0)
+                    self.failover.depose(fault_time=fault_time, initial_wait=0.0)
                     continue
             self._kick_resyncs()
 
@@ -374,10 +363,10 @@ class ControlGroup:
             self.sim.tracer.event(
                 "control.member-crash", track="failover", member=name
             )
-        if member is self.leader and not self.failover.down:
+        if member is self.leader:
             # A dead leader service fences instantly; followers notice
             # after the detection delay, then elect.
-            self._begin_outage(
+            self.failover.depose(
                 fault_time=self.sim.now, initial_wait=self.detection_delay
             )
 
@@ -395,55 +384,6 @@ class ControlGroup:
                 "control.member-rejoin", track="failover", member=name
             )
         # The monitor resyncs it; a rejoined ex-leader is a follower now.
-
-    # -- deposition and takeover -----------------------------------------------
-
-    def _begin_outage(self, fault_time, initial_wait):
-        if self.failover.down:
-            return
-        # The fencing point: every command stamped before this instant is
-        # from a deposed epoch.
-        self.epoch += 1
-        storage = getattr(self.rhino, "dfs_storage", None)
-        if storage is not None and getattr(storage, "dfs", None) is not None:
-            # Fence shared external storage too: a deposed leader's
-            # buffered checkpoint/repair writes must not land later.
-            storage.dfs.set_fence(self.epoch)
-        self.failover.begin_outage()
-        takeover = self.sim.process(
-            self._takeover(fault_time, initial_wait),
-            name=f"failover:epoch-{self.epoch}",
-        )
-        takeover.defused = True
-        return takeover
-
-    def _takeover(self, fault_time, initial_wait):
-        tracer = self.sim.tracer
-        root = tracer.span("failover", track="failover", epoch=self.epoch)
-        detect_span = tracer.span(
-            "failover.detect", track="failover", parent=root
-        )
-        if initial_wait > 0:
-            yield self.sim.timeout(initial_wait)
-        candidate = self._elect()
-        while candidate is None:
-            # No member can assemble a quorum (e.g. a partition split the
-            # group three ways): the control plane stays unavailable until
-            # the fault heals.  Gated clients wait on ``available``.
-            yield self.sim.timeout(self.heartbeat_interval)
-            candidate = self._elect()
-        detect_span.finish(leader=candidate.name)
-        detect = self.sim.now - fault_time
-        self.elections += 1
-        if tracer.enabled:
-            tracer.event(
-                "control.election",
-                track="failover",
-                epoch=self.epoch,
-                leader=candidate.name,
-                synced=candidate.synced_seq,
-            )
-        yield from self.failover.complete_takeover(candidate, detect, root)
 
     # -- epoch fencing ----------------------------------------------------------
 
@@ -517,12 +457,19 @@ class ControlGroup:
             )
         old = list(self.members)
         new = [self._member_for(m) for m in machines]
-        record = self.journal.append(
+        # Enter the joint configuration before journaling it (like a
+        # handover entry's phase): a kill landing on this very record
+        # snapshots live state that already matches what replay will see.
+        self.joint = {
+            "old": old,
+            "new": new,
+            "seq": len(self.journal.records) + 1,
+        }
+        self.journal.append(
             "control.member-joint",
             old=[m.name for m in old],
             new=[m.name for m in new],
         )
-        self.joint = {"old": old, "new": new, "seq": record.seq}
         if self.sim.tracer.enabled:
             self.sim.tracer.event(
                 "control.member-joint",
@@ -612,173 +559,3 @@ class ControlGroup:
             f"<ControlGroup n={len(self.members)} epoch={self.epoch} "
             f"leader={self.leader.name} committed={self.committed_seq}>"
         )
-
-
-class QuorumFailoverManager(FailoverManager):
-    """Election-driven takeover for a :class:`ControlGroup`.
-
-    Reuses the PR 5 replay/restore/resume machinery; what changes is who
-    takes over (the election winner, not a fixed standby), the epoch bump,
-    and uncommitted-suffix truncation before replay.
-    """
-
-    def __init__(
-        self, sim, rhino, journal, primary, standby, detection_delay, group
-    ):
-        super().__init__(
-            sim, rhino, journal, primary, standby, detection_delay
-        )
-        self.group = group
-        #: Takeovers whose replay could not be checked against the crash
-        #: snapshot because the deposed leader's uncommitted suffix was
-        #: truncated (the live snapshot legitimately ran ahead of the log).
-        self.truncated_takeovers = 0
-        #: Member killed via the legacy ``crash()`` verb, restarted by
-        #: ``rejoin()`` (the coordinator-crash fault's revert path).
-        self._legacy_crashed = None
-
-    def crash(self):
-        """Legacy entry point (``coordinator-crash``): kill the leader."""
-        name = self.group.leader.name
-        self._legacy_crashed = name
-        return self.group.crash_member(name)
-
-    def rejoin(self):
-        """Revert of the legacy crash: restart the member it killed."""
-        name, self._legacy_crashed = self._legacy_crashed, None
-        if name is not None:
-            self.group.restart_member(name)
-        self.rejoins += 1
-
-    def begin_outage(self):
-        """Fence the deposed leader; the election picks the successor."""
-        if self.down:
-            return
-        self.crashes += 1
-        self.snapshot_at_crash = ControlJournal.snapshot_live(self.rhino)
-        self.down = True
-        self.available = self.sim.event()
-        if self.sim.tracer.enabled:
-            self.sim.tracer.event(
-                "failover.crash",
-                track="failover",
-                primary=self.primary.name,
-                epoch=self.group.epoch,
-            )
-        self._halt_control_plane()
-
-    def complete_takeover(self, candidate, detect, root):
-        """Replay, restore, and resume on the election winner."""
-        group = self.group
-        start = self.sim.now
-        tracer = self.sim.tracer
-
-        replay_span = tracer.span(
-            "failover.replay", track="failover", parent=root
-        )
-        truncated_before = self.journal.truncated_records
-        # Records the deposed leader never replicated to the winner exist
-        # only on the deposed disk: they are not part of the new epoch.
-        self.journal.truncate_to(
-            max(candidate.synced_seq, group.committed_seq)
-        )
-        if self.journal.durable_bytes > 0 and candidate.machine.alive:
-            try:
-                yield candidate.machine.disk_read(
-                    self.journal.durable_bytes, tag="journal-replay"
-                )
-            except Exception:  # noqa: BLE001 - I/O cost modeling only
-                pass
-        # Seat the new leader before unfencing so the takeover's own
-        # records flush through the new leader's disk.
-        group.leader = candidate
-        self.primary = candidate.machine
-        others = [m for m in group.all_members() if m is not candidate]
-        self.standby = others[0].machine if others else candidate.machine
-        self.journal.host = self.primary
-        self.journal.standby = self.standby
-        self.journal.fenced = False
-        # The new leader's first record announces its epoch (the SMR
-        # equivalent of Raft's term no-op): replay reconstructs the epoch
-        # from the log alone.
-        self.journal.append(
-            "control.epoch", epoch=group.epoch, leader=candidate.name
-        )
-        state = self.journal.replay()
-        truncated = self.journal.truncated_records - truncated_before
-        if truncated == 0:
-            self.replay_checks.append(
-                (state.to_dict(), self.snapshot_at_crash.to_dict())
-            )
-        else:
-            # The crash snapshot saw uncommitted transitions that the new
-            # epoch's log (correctly) does not contain; end-state
-            # invariants and the linearizability checker cover this case.
-            self.truncated_takeovers += 1
-        group._reconcile_membership(state)
-        self.rhino.job.coordinator.restore_from_journal(state)
-        self._restore_groups(state)
-        self._reconcile_detector(state)
-        replay_span.finish(
-            records=len(self.journal.records),
-            bytes=self.journal.durable_bytes,
-            truncated=truncated,
-        )
-        replay = self.sim.now - start
-
-        resume_span = tracer.span(
-            "failover.resume", track="failover", parent=root
-        )
-        yield from self._resume_inflight(state)
-        self._drop_unjournaled_inflight(state)
-        yield from self._repair_replication()
-        if self.rhino.config.anti_entropy_interval is not None:
-            kick = self.sim.process(
-                self.rhino._reconcile_pass_process(),
-                name="anti-entropy:failover",
-            )
-            kick.defused = True
-        self.rhino._journal_groups()
-        self.rhino.job.coordinator.restore_service()
-        resume_span.finish()
-        resume = self.sim.now - start - replay
-
-        total = detect + replay + resume
-        self.history.append(
-            {
-                "detect": detect,
-                "replay": replay,
-                "resume": resume,
-                "total": total,
-                "epoch": group.epoch,
-                "leader": candidate.name,
-            }
-        )
-        self.journal.append(
-            "failover.complete",
-            primary=self.primary.name,
-            seconds=total,
-            epoch=group.epoch,
-        )
-        root.finish(status="completed", leader=candidate.name)
-        self.down = False
-        self.available.succeed()
-        if group.joint is not None:
-            # The deposed leader died mid-membership-change; the journaled
-            # joint record tells the new leader to finish the job.
-            group.resume_membership_change()
-
-    def _drop_unjournaled_inflight(self, state):
-        """Roll back live entries whose ``accepted`` record was truncated.
-
-        Such a driver was blocked awaiting commit (it cannot proceed past
-        ``accepted`` without one) and died with the deposed leader, so no
-        shared state was touched: popping the entry is the whole rollback.
-        """
-        hm = self.rhino.handover_manager
-        for reconfig_id in sorted(hm._inflight):
-            if str(reconfig_id) in state.in_flight or reconfig_id in state.in_flight:
-                continue
-            entry = hm._inflight[reconfig_id]
-            if entry.execution is None:
-                hm._pop_entry(entry)

@@ -104,7 +104,9 @@ class ScenarioResult:
 
         Byte/chunk/round counters sum across the scenario's handovers;
         per-phase durations report the slowest handover (matching
-        ``handover_seconds``).  All-zero when no handover ran.
+        ``handover_seconds``).  All-zero when no handover ran; the
+        Flink/Megaphone baselines' reports carry no phase accounting and
+        are skipped.
         """
         phases = {
             "precopy_bytes": 0,
@@ -117,6 +119,8 @@ class ScenarioResult:
             "cutover_seconds": 0.0,
         }
         for report in self.handovers:
+            if not hasattr(report, "phase_breakdown"):
+                continue
             for key, value in report.phase_breakdown().items():
                 if key.endswith("_seconds"):
                     phases[key] = max(phases[key], value)

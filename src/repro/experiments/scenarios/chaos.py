@@ -27,7 +27,6 @@ from repro.engine.records import Record
 from repro.faults import (
     ALL_KINDS,
     CONTROL_KINDS,
-    COORDINATOR_CRASH,
     ChaosController,
     FaultPlan,
     check_all,
@@ -64,9 +63,11 @@ class ChaosRunResult:
         self.violations = violations
         self.mttr_samples = mttr_samples
         self.duration = duration
-        #: Per-failover detect/replay/resume/total dicts (failover runs).
+        #: Per-takeover detect/replay/resume/total dicts (control_replicas
+        #: runs).
         self.failover_stats = failover_stats or []
-        #: (replayed, snapshot) state-dict pairs per failover.
+        #: (replayed, snapshot) state-dict pairs, one per takeover that
+        #: truncated nothing.
         self.replay_checks = replay_checks or []
         #: Quorum control-plane counters (epoch, elections, truncations,
         #: fencing rejections); None outside control_replicas runs.
@@ -132,13 +133,10 @@ def run_chaos(
     tracer=None,
     max_sim_time=120.0,
     dense=False,
-    coordinator_failover=False,
-    crash_at_record=None,
-    crash_at_time=None,
     rebalance_at=None,
     artifacts_dir=None,
     control_replicas=None,
-    control_kill_at_record=None,
+    control_kill_at=None,
     control_kill_count=1,
     control_heal_after=2.0,
     membership_change_at=None,
@@ -154,15 +152,10 @@ def run_chaos(
     ``dense=True`` runs the flow scheduler's dense reference solver;
     results must be identical (see the solver equivalence tests).
 
-    ``coordinator_failover=True`` enables the journaled control plane
-    (primary on w0, standby on w1) and -- unless ``kinds`` is given --
-    adds the ``coordinator-crash`` fault kind to the generated plan.
-    ``crash_at_record`` crashes the coordinator synchronously at the
-    first journal record of that kind (phase-targeted chaos);
-    ``crash_at_time`` at a fixed virtual time.  ``rebalance_at`` issues a
-    planned rebalance of the counter operator at that virtual time -- the
-    only reconfiguration kind whose handover drains a *live* origin, so
-    phase-targeted crashes can land on ``handover.origin-drained``.
+    ``rebalance_at`` issues a planned rebalance of the counter operator at
+    that virtual time -- the only reconfiguration kind whose handover
+    drains a *live* origin, so phase-targeted kills can land on
+    ``handover.origin-drained``.
     ``artifacts_dir`` dumps
     the fault plan and a Chrome trace there whenever an invariant fails
     (re-running the seed traced if this run was not), so broken seeds
@@ -173,10 +166,12 @@ def run_chaos(
     ``control_replicas=N`` (N >= 2) replicates the control plane across a
     quorum of the first N workers (all protected from worker faults) and
     adds the ``control-crash`` / ``control-partition`` kinds to generated
-    plans.  ``control_kill_at_record`` kills a minority of
-    ``control_kill_count`` replicas -- leader first -- synchronously at
-    the first journal record of that kind, restarting them
-    ``control_heal_after`` seconds later.  ``membership_change_at``
+    plans.  ``control_kill_at`` kills a minority of ``control_kill_count``
+    replicas -- leader first -- and restarts them ``control_heal_after``
+    seconds later: given a journal record kind (a string) the kill lands
+    synchronously on the first record of that kind (phase-targeted
+    chaos), given a number it lands at that virtual time (e.g. the
+    midpoint of a chain-replication hop).  ``membership_change_at``
     replaces the group's last non-leader member with a spare worker at
     that virtual time (joint consensus, possibly overlapping the kills).
 
@@ -252,24 +247,14 @@ def run_chaos(
     detector.start()
     rhino.enable_failure_detection(detector)
 
-    failover = None
     group = None
     if control_replicas is not None:
-        if coordinator_failover:
-            raise ValueError(
-                "control_replicas subsumes coordinator_failover; pick one"
-            )
         if not 2 <= control_replicas <= len(workers):
             raise ValueError(
                 f"control_replicas must be in [2, {len(workers)}]"
             )
         group = rhino.enable_control_group(
             workers[:control_replicas], detector=detector
-        )
-        failover = rhino.failover
-    elif coordinator_failover:
-        failover = rhino.enable_failover(
-            primary=workers[0], standby=workers[1], detector=detector
         )
 
     queued = set()
@@ -310,8 +295,6 @@ def run_chaos(
     # -- fault plan + workload --------------------------------------------
     if kinds is None and group is not None:
         kinds = ALL_KINDS + CONTROL_KINDS
-    elif kinds is None and coordinator_failover:
-        kinds = ALL_KINDS + (COORDINATOR_CRASH,)
     control_members = () if group is None else tuple(group.member_names())
     if group is not None:
         # Control members keep serving the data plane but are protected
@@ -339,34 +322,9 @@ def run_chaos(
         coordinator_host=None if group is not None else workers[0].name,
         control_members=control_members if group is not None else None,
     )
-    controller = ChaosController(
-        sim, cluster, plan, control_plane=failover, control_group=group
-    )
+    controller = ChaosController(sim, cluster, plan, control_group=group)
     controller.start()
 
-    # Phase-targeted crashes: kill the coordinator exactly when the
-    # protocol journals its first record of the requested kind, or at a
-    # fixed virtual time (e.g. the midpoint of a chain-replication hop).
-    if crash_at_record is not None:
-        if failover is None:
-            raise ValueError("crash_at_record requires coordinator_failover")
-
-        def _crash_listener(record):
-            if record.kind == crash_at_record:
-                rhino.journal.listeners.remove(_crash_listener)
-                failover.crash()
-
-        rhino.journal.listeners.append(_crash_listener)
-    if crash_at_time is not None:
-        if failover is None:
-            raise ValueError("crash_at_time requires coordinator_failover")
-
-        def _timed_crash():
-            yield sim.timeout(crash_at_time)
-            failover.crash()
-
-        timed = sim.process(_timed_crash(), name="chaos-timed-crash")
-        timed.defused = True
     if rebalance_at is not None:
 
         def _planned_rebalance():
@@ -381,9 +339,9 @@ def run_chaos(
         planned = sim.process(_planned_rebalance(), name="chaos-planned-rebalance")
         planned.defused = True
 
-    if control_kill_at_record is not None:
+    if control_kill_at is not None:
         if group is None:
-            raise ValueError("control_kill_at_record requires control_replicas")
+            raise ValueError("control_kill_at requires control_replicas")
         minority = (control_replicas - 1) // 2
         if not 1 <= control_kill_count <= minority:
             raise ValueError(
@@ -391,10 +349,7 @@ def run_chaos(
                 f"[1, {minority}] for {control_replicas} replicas"
             )
 
-        def _control_kill_listener(record):
-            if record.kind != control_kill_at_record:
-                return
-            rhino.journal.listeners.remove(_control_kill_listener)
+        def _control_kill():
             # Leader first: the kill that actually forces an election.
             victims = [group.leader.name]
             for member in group.members:
@@ -413,7 +368,23 @@ def run_chaos(
             heal = sim.process(_heal(), name="chaos-control-heal")
             heal.defused = True
 
-        rhino.journal.listeners.append(_control_kill_listener)
+        if isinstance(control_kill_at, str):
+            # Phase-targeted: kill exactly when the protocol journals its
+            # first record of the requested kind.
+            def _control_kill_listener(record):
+                if record.kind == control_kill_at:
+                    group.journal.listeners.remove(_control_kill_listener)
+                    _control_kill()
+
+            group.journal.listeners.append(_control_kill_listener)
+        else:
+
+            def _timed_control_kill():
+                yield sim.timeout(control_kill_at)
+                _control_kill()
+
+            timed = sim.process(_timed_control_kill(), name="chaos-control-kill")
+            timed.defused = True
     if membership_change_at is not None:
         if group is None:
             raise ValueError("membership_change_at requires control_replicas")
@@ -462,7 +433,6 @@ def run_chaos(
             controller.done
             and not pending
             and not queued
-            and (failover is None or not failover.down)
             and (group is None or group.stable())
             and not rhino.handover_manager._inflight
             and not any(
@@ -474,7 +444,11 @@ def run_chaos(
         )
         if drained:
             break
-        sim.run(until=sim.now + 1.0)
+        # Poll off the checkpoint grid: a whole-second step from a
+        # whole-second start lands every poll on the instant the
+        # coordinator journals ``checkpoint.triggered``, so the group
+        # would never be seen ``stable()``.
+        sim.run(until=sim.now + 0.25)
     duration = sim.now
     if group is not None:
         group.stop()
@@ -533,13 +507,10 @@ def run_chaos(
                 tracer=retrace,
                 max_sim_time=max_sim_time,
                 dense=dense,
-                coordinator_failover=coordinator_failover,
-                crash_at_record=crash_at_record,
-                crash_at_time=crash_at_time,
                 rebalance_at=rebalance_at,
                 artifacts_dir=False,  # no recursive artifact dumps
                 control_replicas=control_replicas,
-                control_kill_at_record=control_kill_at_record,
+                control_kill_at=control_kill_at,
                 control_kill_count=control_kill_count,
                 control_heal_after=control_heal_after,
                 membership_change_at=membership_change_at,
@@ -547,8 +518,10 @@ def run_chaos(
                 handover_chunk_bytes=handover_chunk_bytes,
             )
             write_chrome_trace(retrace, trace_path)
-    control_stats = None
+    control_stats = failover_stats = replay_checks = None
     if group is not None:
+        failover_stats = list(group.failover.history)
+        replay_checks = list(group.failover.replay_checks)
         control_stats = {
             "replicas": control_replicas,
             "epoch": group.epoch,
@@ -558,7 +531,7 @@ def run_chaos(
             "committed_seq": group.committed_seq,
             "fencing_rejections": group.fencing_rejections,
             "truncated_records": group.journal.truncated_records,
-            "truncated_takeovers": failover.truncated_takeovers,
+            "truncated_takeovers": group.failover.truncated_takeovers,
         }
     return ChaosRunResult(
         seed,
@@ -568,8 +541,8 @@ def run_chaos(
         violations,
         mttr_samples,
         duration,
-        failover_stats=list(failover.history) if failover is not None else [],
-        replay_checks=list(failover.replay_checks) if failover is not None else [],
+        failover_stats=failover_stats,
+        replay_checks=replay_checks,
         control_stats=control_stats,
     )
 
@@ -633,7 +606,7 @@ def run_control_quorum_sweep(
             seed,
             machines=machines if machines is not None else replicas + 4,
             control_replicas=replicas,
-            control_kill_at_record=phase,
+            control_kill_at=phase,
             control_kill_count=kill_count,
             membership_change_at=4.0 if with_change else None,
             rebalance_at=rebalance_at,

@@ -24,8 +24,6 @@ from repro.faults.plan import (
     SLOW_LINK,
     LOSSY_LINK,
     DISK_STALL,
-    COORDINATOR_CRASH,
-    COORDINATOR_TARGET,
     CONTROL_CRASH,
     CONTROL_PARTITION,
     CONTROL_KINDS,
@@ -54,8 +52,6 @@ __all__ = [
     "SLOW_LINK",
     "LOSSY_LINK",
     "DISK_STALL",
-    "COORDINATOR_CRASH",
-    "COORDINATOR_TARGET",
     "CONTROL_CRASH",
     "CONTROL_PARTITION",
     "CONTROL_KINDS",

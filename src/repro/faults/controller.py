@@ -22,8 +22,6 @@ from repro.faults.plan import (
     SLOW_LINK,
     LOSSY_LINK,
     DISK_STALL,
-    COORDINATOR_CRASH,
-    COORDINATOR_TARGET,
     CONTROL_CRASH,
     CONTROL_PARTITION,
 )
@@ -32,18 +30,16 @@ from repro.faults.plan import (
 class ChaosController:
     """Executes one :class:`FaultPlan` against a cluster.
 
-    ``control_plane`` is the :class:`~repro.core.failover.FailoverManager`
-    required to execute ``coordinator-crash`` events; a plan containing
-    one fails loudly without it instead of silently no-opping.
     ``control_group`` is the :class:`~repro.core.quorum.ControlGroup`
-    required the same way by ``control-crash`` / ``control-partition``.
+    required to execute ``control-crash`` / ``control-partition`` events;
+    a plan containing one fails loudly without it instead of silently
+    no-opping.
     """
 
-    def __init__(self, sim, cluster, plan, control_plane=None, control_group=None):
+    def __init__(self, sim, cluster, plan, control_group=None):
         self.sim = sim
         self.cluster = cluster
         self.plan = plan
-        self.control_plane = control_plane
         self.control_group = control_group
         #: (time, kind, targets, phase) tuples, phase in {"inject", "revert"}.
         self.log = []
@@ -100,21 +96,9 @@ class ChaosController:
         return self.control_group
 
     def _machines(self, event):
-        return [
-            self.cluster.machines[name]
-            for name in event.targets
-            if name != COORDINATOR_TARGET
-        ]
+        return [self.cluster.machines[name] for name in event.targets]
 
     def _inject(self, event):
-        if event.kind == COORDINATOR_CRASH:
-            if self.control_plane is None:
-                raise SimulationError(
-                    "coordinator-crash fault without a control_plane: pass "
-                    "ChaosController(..., control_plane=rhino.enable_failover(...))"
-                )
-            self.control_plane.crash()
-            return
         if event.kind in (CONTROL_CRASH, CONTROL_PARTITION):
             group = self._require_group(event)
             if event.kind == CONTROL_CRASH:
@@ -143,9 +127,6 @@ class ChaosController:
                 self.cluster.stall_disk(machine, scale=event.params.get("scale", 0.0))
 
     def _revert(self, event):
-        if event.kind == COORDINATOR_CRASH:
-            self.control_plane.rejoin()
-            return
         if event.kind in (CONTROL_CRASH, CONTROL_PARTITION):
             group = self._require_group(event)
             if event.kind == CONTROL_CRASH:

@@ -123,19 +123,19 @@ def check_drained(sim, cluster, fabric=None):
 
 
 def check_control_plane_recovered(rhino):
-    """After a coordinator crash, the control plane must be whole again.
+    """After a leader loss, the control plane must be whole again.
 
-    The standby finished its takeover (not ``down``), every in-flight
+    The new leader finished its takeover (not ``down``), every in-flight
     reconfiguration was resolved (committed or aborted -- none stranded),
-    and the active coordinator is unfenced.  A no-op when failover was
-    never enabled.
+    and the active coordinator is unfenced.  A no-op without a control
+    group.
     """
-    failover = getattr(rhino, "failover", None)
-    if failover is None:
+    group = rhino.control_group
+    if group is None:
         return
-    if failover.down:
+    if group.failover.down:
         raise InvariantViolation(
-            "control plane still down: coordinator failover never completed"
+            "control plane still down: the takeover never completed"
         )
     stranded = sorted(rhino.handover_manager._inflight)
     if stranded:
@@ -153,10 +153,10 @@ def check_journal_linearizable(journal):
       truncated suffix re-uses seqs but never reorders the survivors);
     * every record's CRC verifies (the history read back is the history
       written);
-    * under a quorum group the commit order equals the log order: the
-      commit log's seqs are exactly ``1..committed_seq`` in order and its
-      epochs never decrease -- no record commits "before" its
-      predecessor, across any number of leader changes.
+    * the commit order equals the log order: the group's commit log's
+      seqs are exactly ``1..committed_seq`` in order and its epochs never
+      decrease -- no record commits "before" its predecessor, across any
+      number of leader changes.
     """
     last_time = float("-inf")
     last_epoch = 0
@@ -178,9 +178,7 @@ def check_journal_linearizable(journal):
         record.verify()
         last_time = record.time
         last_epoch = record.epoch
-    group = getattr(journal, "group", None)
-    if group is None:
-        return
+    group = journal.group
     if group.committed_seq > len(journal.records):
         raise InvariantViolation(
             f"committed_seq {group.committed_seq} beyond journal tail "

@@ -18,30 +18,20 @@ SLOW_LINK = "slow-link"
 LOSSY_LINK = "lossy-link"
 DISK_STALL = "disk-stall"
 
-#: Worker fault kinds.  Deliberately excludes :data:`COORDINATOR_CRASH`:
+#: Worker fault kinds.  Deliberately excludes :data:`CONTROL_KINDS`:
 #: adding a kind here would change the RNG draws of every existing seeded
-#: plan, so coordinator faults are opt-in via an explicit ``kinds=``.
+#: plan, so control-plane faults are opt-in via an explicit ``kinds=``.
 ALL_KINDS = (CRASH_RESTART, PARTITION, SLOW_LINK, LOSSY_LINK, DISK_STALL)
 
-#: Control-plane fault: kill the coordinator (journal + standby failover).
-COORDINATOR_CRASH = "coordinator-crash"
-
-#: Pseudo-target of coordinator faults -- the control plane is a service,
-#: not a machine; worker-kind semantics (ports down, disks wiped) do not
-#: apply to it.
-COORDINATOR_TARGET = "coordinator"
-
-#: Quorum control-plane faults (PR 8).  ``control-crash`` kills the
-#: control *service* on one replica (the machine keeps serving the data
-#: plane); ``control-partition`` isolates the replica's machine from the
-#: rest of the cluster.  Both target control-group member machines by
-#: name.  Like :data:`COORDINATOR_CRASH` they are deliberately excluded
-#: from :data:`ALL_KINDS` so existing seeded plans keep their RNG draws.
+#: Control-plane faults.  ``control-crash`` kills the control *service* on
+#: one replica (the machine keeps serving the data plane);
+#: ``control-partition`` isolates the replica's machine from the rest of
+#: the cluster.  Both target control-group member machines by name.
 CONTROL_CRASH = "control-crash"
 CONTROL_PARTITION = "control-partition"
 CONTROL_KINDS = (CONTROL_CRASH, CONTROL_PARTITION)
 
-KNOWN_KINDS = ALL_KINDS + (COORDINATOR_CRASH,) + CONTROL_KINDS
+KNOWN_KINDS = ALL_KINDS + CONTROL_KINDS
 
 
 class FaultEvent:
@@ -124,14 +114,13 @@ class FaultPlan:
         return max(e.time + e.duration for e in self.events)
 
     def validate(self, machine_names=None, coordinator_host=None, control_members=None):
-        """Check (and normalize) targets against the cluster layout.
+        """Check targets against the cluster layout.
 
         Worker-kind events assume worker semantics -- ports down, disks
-        wiped, partitions -- which silently no-op (or worse, kill the
-        observer) when aimed at the coordinator's host, so such events are
-        *rejected*.  A ``coordinator-crash`` naming the coordinator's host
-        machine is *remapped* to the :data:`COORDINATOR_TARGET`
-        pseudo-target, and one naming any other worker is rejected.
+        wiped, partitions -- which kill the observer when aimed at the
+        unreplicated coordinator's host (the failure detector's vantage
+        machine), so such events are *rejected*; control-plane faults need
+        a control group and the :data:`CONTROL_KINDS`.
 
         With ``control_members`` (the quorum control group's machine
         names), :data:`CONTROL_KINDS` events must target members, and any
@@ -157,32 +146,13 @@ class FaultPlan:
                             f"{sorted(members)}"
                         )
                 continue
-            if event.kind == COORDINATOR_CRASH:
-                remapped = []
-                for target in event.targets:
-                    if target == COORDINATOR_TARGET:
-                        remapped.append(target)
-                    elif coordinator_host is not None and target == coordinator_host:
-                        remapped.append(COORDINATOR_TARGET)
-                    else:
-                        raise SimulationError(
-                            f"{event!r}: coordinator-crash targets "
-                            f"{target!r}, which is not the coordinator "
-                            f"(host {coordinator_host!r})"
-                        )
-                event.targets = remapped
-                continue
             for target in event.targets:
                 if coordinator_host is not None and target == coordinator_host:
                     raise SimulationError(
                         f"{event!r}: worker fault {event.kind!r} targets the "
-                        f"coordinator host {coordinator_host!r}; use the "
-                        f"{COORDINATOR_CRASH!r} kind for control-plane faults"
-                    )
-                if target == COORDINATOR_TARGET:
-                    raise SimulationError(
-                        f"{event!r}: worker fault {event.kind!r} cannot "
-                        f"target the coordinator pseudo-target"
+                        f"coordinator host {coordinator_host!r}; control-"
+                        f"plane faults need a control group and the "
+                        f"{CONTROL_KINDS!r} kinds"
                     )
                 if known is not None and target not in known:
                     raise SimulationError(
@@ -277,12 +247,7 @@ class FaultPlan:
             kind = rng.choice(list(kinds))
             target = rng.choice(eligible)
             duration = rng.uniform(min_duration, max_duration)
-            if kind == COORDINATOR_CRASH:
-                # The control plane is a service, not a machine; the drawn
-                # worker target is discarded (drawing it anyway keeps the
-                # RNG stream aligned across kind sets).
-                target = COORDINATOR_TARGET
-            elif kind in CONTROL_KINDS:
+            if kind in CONTROL_KINDS:
                 # Map the drawn worker onto a control member: the draw
                 # itself is kept so adding control kinds never perturbs
                 # the schedule of the other kinds.

@@ -296,6 +296,9 @@ class LSMStore:
         existing = {t.table_id: t for t in self.tables}
         for table in tables:
             table.verify()  # ranged ingest checksums every foreign file
+            # Later writes must outrank the ingested entries, or dirty
+            # tracking (since_seq) would read them as older than the ingest.
+            self._seq = max(self._seq, table.max_seq)
             current = existing.get(table.table_id)
             if current is None:
                 view = GroupSlice(table, ranges) if ranges is not None else table
@@ -313,6 +316,8 @@ class LSMStore:
         """
         for table in tables:
             table.verify()  # a corrupt replica must not restore silently
+            # Writes after the restore must outrank the restored entries.
+            self._seq = max(self._seq, table.max_seq)
         self.memtable.clear()
         self.tables = list(tables)
         self.uncheckpointed = []

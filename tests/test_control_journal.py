@@ -1,17 +1,17 @@
 """Unit tests for the control journal, block checksums, and fault-plan
-validation (PR 5 satellites a + b and the journal half of the tentpole)."""
+validation."""
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.common.errors import CorruptionError, SimulationError
 from repro.core.journal import ControlJournal, plan_to_dict
+from repro.core.quorum import ControlMember
 from repro.core.migration import FAILURE, HandoverPlan
 from repro.core.replication import ReplicaStore
 from repro.faults import (
     ALL_KINDS,
-    COORDINATOR_CRASH,
-    COORDINATOR_TARGET,
+    CONTROL_KINDS,
     KNOWN_KINDS,
     CRASH_RESTART,
     FaultEvent,
@@ -119,14 +119,11 @@ class TestReplicaVerifyOnRead:
 
 class TestFaultPlanValidation:
     def test_known_kinds_extend_worker_kinds(self):
-        # COORDINATOR_CRASH and the control kinds must stay out of
-        # ALL_KINDS: adding them would shift the RNG draws of every
-        # existing seeded plan.
-        from repro.faults.plan import CONTROL_KINDS
-
-        assert COORDINATOR_CRASH not in ALL_KINDS
+        # The control kinds must stay out of ALL_KINDS: adding them would
+        # shift the RNG draws of every existing seeded plan.
         assert not set(CONTROL_KINDS) & set(ALL_KINDS)
-        assert KNOWN_KINDS == ALL_KINDS + (COORDINATOR_CRASH,) + CONTROL_KINDS
+        assert KNOWN_KINDS == ALL_KINDS + CONTROL_KINDS
+        assert len(KNOWN_KINDS) == 7
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimulationError):
@@ -137,41 +134,10 @@ class TestFaultPlanValidation:
         with pytest.raises(SimulationError):
             plan.validate(["w-0", "w-1"], coordinator_host="w-0")
 
-    def test_worker_fault_on_pseudo_target_rejected(self):
-        plan = FaultPlan(
-            [FaultEvent(1.0, CRASH_RESTART, [COORDINATOR_TARGET], 1.0)]
-        )
-        with pytest.raises(SimulationError):
-            plan.validate(["w-0", "w-1"], coordinator_host="w-0")
-
-    def test_coordinator_crash_on_host_is_remapped(self):
-        plan = FaultPlan([FaultEvent(1.0, COORDINATOR_CRASH, ["w-0"], 1.0)])
-        plan.validate(["w-0", "w-1"], coordinator_host="w-0")
-        assert plan.events[0].targets == [COORDINATOR_TARGET]
-
-    def test_coordinator_crash_on_worker_rejected(self):
-        plan = FaultPlan([FaultEvent(1.0, COORDINATOR_CRASH, ["w-1"], 1.0)])
-        with pytest.raises(SimulationError):
-            plan.validate(["w-0", "w-1"], coordinator_host="w-0")
-
     def test_unknown_target_rejected(self):
         plan = FaultPlan([FaultEvent(1.0, CRASH_RESTART, ["w-9"], 1.0)])
         with pytest.raises(SimulationError):
             plan.validate(["w-0", "w-1"])
-
-    def test_generated_coordinator_crash_targets_the_sentinel(self):
-        plan = FaultPlan.generate(
-            1, ["w-0", "w-1", "w-2"], count=16, kinds=KNOWN_KINDS,
-            protect=("w-0",), control_members=("w-1", "w-2"),
-        )
-        crashes = [e for e in plan if e.kind == COORDINATOR_CRASH]
-        assert crashes, "16 draws over 8 kinds should hit coordinator-crash"
-        assert all(e.targets == [COORDINATOR_TARGET] for e in crashes)
-        plan.validate(
-            ["w-0", "w-1", "w-2"],
-            coordinator_host="w-0",
-            control_members=("w-1", "w-2"),
-        )
 
     def test_plan_round_trips_through_dict(self):
         plan = FaultPlan.generate(3, ["w-0", "w-1"], count=3)
@@ -180,6 +146,24 @@ class TestFaultPlanValidation:
 
 
 # -- the journal itself -------------------------------------------------------
+
+
+class FakeGroup:
+    """The slice of a ControlGroup the journal talks to: two healthy
+    replicas, no rhino, and no bootstrap records in the log."""
+
+    def __init__(self, machines):
+        self.members = [ControlMember(m, i) for i, m in enumerate(machines)]
+        self.leader = self.members[0]
+        self.epoch = 1
+        self.committed_seq = 0
+        self.commit_log = []
+
+    def replication_targets(self):
+        return self.members
+
+    def mark_synced(self, member, seq):
+        member.synced_seq = max(member.synced_seq, seq)
 
 
 def journal_env():
@@ -197,21 +181,24 @@ def journal_env():
         disk_capacity=64 * 1024**3,
         network_latency=0.0005,
     )
-    journal = ControlJournal(sim, machines[0], machines[1], cluster)
+    journal = ControlJournal(sim, cluster, FakeGroup(machines))
     return sim, journal, machines
 
 
 class TestControlJournal:
-    def test_append_is_durable_and_flushed_asynchronously(self):
+    def test_append_is_replicated_asynchronously_to_every_member(self):
         sim, journal, _ = journal_env()
         first = journal.append("checkpoint.triggered", checkpoint=1, expected=[])
         second = journal.append("checkpoint.aborted", checkpoint=1)
         assert (first.seq, second.seq) == (1, 2)
+        assert (first.epoch, second.epoch) == (1, 1)
         assert journal.durable_bytes == first.nbytes + second.nbytes
         assert journal.flushed_bytes == 0  # cost not yet charged
+        assert [m.synced_seq for m in journal.group.members] == [0, 0]
         sim.run(until=1.0)
         assert journal.flushed_bytes == journal.durable_bytes
         assert journal.flushes >= 1
+        assert [m.synced_seq for m in journal.group.members] == [2, 2]
 
     def test_fenced_journal_drops_appends(self):
         _, journal, _ = journal_env()

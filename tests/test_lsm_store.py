@@ -188,6 +188,25 @@ class TestCheckpoints:
         assert replica.get(2, "b") == "y"
         assert replica.total_bytes == 20
 
+    @pytest.mark.parametrize("install", ("restore", "ingest_tables"))
+    def test_writes_after_restore_or_ingest_outrank_installed_tables(
+        self, store, install
+    ):
+        # A handover target later becomes a fluid-handover origin: a write
+        # made after the install must read as dirty against a cutoff taken
+        # before it, and the installed rows must not.
+        for i in range(5):
+            store.put(1, f"k{i}", i, nbytes=10)
+        checkpoint, _ = store.checkpoint(1)
+
+        fresh = LSMStore("fresh")
+        getattr(fresh, install)(checkpoint.full_tables)
+        cutoff = fresh.current_seq
+        assert cutoff == store.current_seq
+        fresh.put(1, "new", "v", nbytes=7)
+        assert fresh.dirty_bytes_in_groups(0, 8, since_seq=cutoff) == 7
+        assert fresh.extract_groups(0, 8, since_seq=cutoff) == [(1, "new", "v")]
+
 
 class TestRangedIngest:
     def test_ingest_restricted_to_moved_ranges(self):

@@ -86,13 +86,24 @@ class TestRunScenario:
         assert result.invariants["exactly-once-weighted"] == "ok"
         assert result.ok, result.invariants
 
-    def test_result_to_dict_is_json_ready(self):
+    @pytest.mark.parametrize("sut", ("rhino", "flink", "megaphone"))
+    def test_result_to_dict_is_json_ready(self, sut):
         import json
 
-        result = run_scenario(quick_scenario(name="json"))
+        # With a handover: the baselines' reports have no phase breakdown.
+        result = run_scenario(
+            quick_scenario(
+                name="json",
+                sut=sut,
+                actions=[{"at": 10.0, "kind": "drain", "params": {"machine": -1}}],
+            )
+        )
+        assert len(result.handovers) >= 1
         dumped = json.loads(json.dumps(result.to_dict()))
         assert dumped["name"] == "json"
         assert dumped["invariants"]["drained"] == "ok"
+        assert dumped["handovers"] == len(result.handovers)
+        assert dumped["handover_phases"]["cutover_seconds"] >= 0.0
 
 
 class TestMillionUserAcceptance:
