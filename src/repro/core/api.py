@@ -57,8 +57,6 @@ class RhinoConfig:
         local_fetch_seconds=0.2,
         state_load_seconds=1.3,
         handover_timeout=3600.0,
-        auto_repair_chains=True,
-        checkpoint_drain_timeout=10.0,
         retry_attempts=1,
         retry_base_delay=0.05,
         retry_max_delay=2.0,
@@ -67,10 +65,7 @@ class RhinoConfig:
         handover_retry_attempts=1,
         handover_retry_delay=0.5,
         anti_entropy_interval=None,
-        pipelined_handover=False,
         handover_chunk_bytes=64 * 1024 * 1024,
-        handover_parallel_streams=4,
-        handover_delta_rounds=3,
         handover_delta_threshold_bytes=1 * 1024 * 1024,
         handover_migration_rate=None,
     ):
@@ -90,7 +85,6 @@ class RhinoConfig:
             ("scheduling_delay", scheduling_delay),
             ("local_fetch_seconds", local_fetch_seconds),
             ("state_load_seconds", state_load_seconds),
-            ("checkpoint_drain_timeout", checkpoint_drain_timeout),
         ):
             if value < 0:
                 raise ProtocolError(f"{name} must be >= 0, got {value}")
@@ -116,18 +110,6 @@ class RhinoConfig:
         if handover_chunk_bytes <= 0:
             raise ProtocolError(
                 f"handover_chunk_bytes must be > 0, got {handover_chunk_bytes}"
-            )
-        if not isinstance(handover_parallel_streams, int) or (
-            handover_parallel_streams < 1
-        ):
-            raise ProtocolError(
-                f"handover_parallel_streams must be an int >= 1, "
-                f"got {handover_parallel_streams}"
-            )
-        if not isinstance(handover_delta_rounds, int) or handover_delta_rounds < 0:
-            raise ProtocolError(
-                f"handover_delta_rounds must be an int >= 0, "
-                f"got {handover_delta_rounds}"
             )
         if handover_delta_threshold_bytes < 0:
             raise ProtocolError(
@@ -155,10 +137,6 @@ class RhinoConfig:
         #: Opening table files + manifest processing -- Table 1's ~1.3 s.
         self.state_load_seconds = state_load_seconds
         self.handover_timeout = handover_timeout
-        self.auto_repair_chains = auto_repair_chains
-        #: Grace period for an in-flight checkpoint before a handover
-        #: aborts it (it may be unable to complete after a failure).
-        self.checkpoint_drain_timeout = checkpoint_drain_timeout
         #: Hardening knobs.  All defaults leave behavior bit-identical to
         #: pre-chaos: one attempt means no retry, no backoff, no RNG draws;
         #: None disables the anti-entropy reconciler.
@@ -173,19 +151,12 @@ class RhinoConfig:
         #: Period of the background reconciler restoring replica
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
-        #: Fluid handover (Megaphone-style pipelined migration).  Off by
-        #: default: the all-at-once transfer behind the barrier stays
-        #: bit-identical.  On, the transfer phase pre-copies chunked state
-        #: in the background, runs bounded delta catch-up rounds, and only
-        #: takes the barrier for the final small delta.
-        self.pipelined_handover = pipelined_handover
+        # Fluid handover onto a cold target (core/fluid.py): chunked
+        # background pre-copy, bounded delta catch-up rounds, and only the
+        # final small delta behind the barrier.
         #: Transfer-chunk byte cap (per key group by default; one group
         #: larger than the cap splits into sub-chunks).
         self.handover_chunk_bytes = handover_chunk_bytes
-        #: Concurrent migration streams per plan during pre-copy/delta.
-        self.handover_parallel_streams = handover_parallel_streams
-        #: Maximum delta catch-up rounds before taking the barrier anyway.
-        self.handover_delta_rounds = handover_delta_rounds
         #: Stop catching up once the remaining dirty bytes drop below this
         #: (the rest ships under the barrier).
         self.handover_delta_threshold_bytes = handover_delta_threshold_bytes
@@ -735,15 +706,14 @@ class Rhino:
             # The machine held only replicas (and possibly stateless
             # instances): no handover, just repair the chains (§4.2.3).
             self.job.coordinator.resume()
-        if self.config.auto_repair_chains:
-            # Chain repair is background work: processing has already
-            # resumed, and the bulk copies only restore redundancy.
-            repair = self.sim.process(
-                self._repair_chains(failed_machine, token),
-                name=f"chain-repair:{failed_machine.name}",
-            )
-            repair.defused = True
-            self.repairs.append(repair)
+        # Chain repair is background work: processing has already
+        # resumed, and the bulk copies only restore redundancy.
+        repair = self.sim.process(
+            self._repair_chains(failed_machine, token),
+            name=f"chain-repair:{failed_machine.name}",
+        )
+        repair.defused = True
+        self.repairs.append(repair)
         return report
 
     def _replan_failure(self, plans):

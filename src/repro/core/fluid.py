@@ -1,23 +1,38 @@
-"""Fluid (pipelined) state handover primitives.
+"""Fluid state handover: what moves before the barrier.
 
 Megaphone-style migration (PAPERS.md) bounds the latency spike of a
 reconfiguration by moving state in small chunks while the origin keeps
 processing, instead of shipping one bulk copy behind the alignment
-barrier.  This module holds the pure planning/pacing pieces:
+barrier.  A handover onto a *cold* target (a live worker on another
+machine that holds no complete replica of the origin) runs
+:func:`precopy` first; every other handover has nothing to pre-copy and
+goes straight to the barrier.
 
 * :func:`plan_chunks` splits a plan's migrated key-group ranges into
   :class:`StateChunk` units -- per key group by default, packed up to a
   byte cap, with oversized single groups split into sub-chunks.
 * :class:`TokenBucket` paces migration streams on the virtual clock so
   background copies never take more than their bandwidth budget.
-* :class:`PrecopyOutcome` carries one plan's pre-copy/delta accounting
-  from the background phase to the cutover barrier.
+* :func:`precopy` snapshots each cold plan's origin, ships the snapshot
+  in chunks over parallel streams, and runs bounded delta catch-up
+  rounds; its :class:`PrecopyOutcome` tells the barrier how little is
+  left to ship.
 
-The Handover Manager drives the protocol itself (pre-copy, bounded delta
-catch-up rounds, final cutover); see ``handover_manager.py``.
+The Handover Manager runs the barrier protocol itself; see
+``handover_manager.py``.
 """
 
 from repro.common.errors import SimulationError
+from repro.core import migration
+from repro.core.handover import HandoverAborted
+from repro.faults.retry import with_retry
+from repro.sim.flows import TransferFailed
+from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
+
+#: Concurrent migration streams per plan during pre-copy/delta.
+PARALLEL_STREAMS = 4
+#: Maximum delta catch-up rounds before taking the barrier anyway.
+DELTA_ROUNDS = 3
 
 
 class StateChunk:
@@ -157,3 +172,307 @@ class PrecopyOutcome:
             f"{self.precopy_chunks} chunks "
             f"delta={self.delta_bytes} B/{self.delta_rounds} rounds>"
         )
+
+
+# -- pre-copy / delta catch-up (runs before the barrier) ---------------------
+
+
+def precopy(rhino, handover_id, plans, root):
+    """Chunked background pre-copy plus bounded delta catch-up.
+
+    Runs one background process per plan whose target is cold: snapshot
+    the origin's state, ship it in chunks over parallel streams while the
+    origin keeps processing, then repeatedly ship what was dirtied since
+    the previous snapshot until the remainder is small (or the round
+    budget is spent, or the dirty set stops shrinking).  Returns
+    ``({id(plan): PrecopyOutcome}, started)``; a plan without an outcome
+    (nothing to pre-copy, or degraded by a transfer failure) ships
+    whatever its target lacks at the barrier, and ``started`` says
+    whether any background phase ran at all.
+
+    Nothing is pre-copied for failure recovery (the origin is dead; state
+    restores from a replica), the DFS variant (state moves through the
+    DFS), a same-machine move (tables are shared on disk), or a target
+    that already holds a complete replica (proactive replication already
+    paid: only the last delta is missing).
+    """
+    sim, job = rhino.sim, rhino.job
+    if rhino.config.use_dfs or plans[0].reason == migration.FAILURE:
+        return {}, False
+    run = _Precopy(rhino, handover_id, root)
+    cold = []  # (origin, plan) of every plan whose target is cold
+    for plan in plans:
+        origin = job.instances.get((plan.op_name, plan.origin_index))
+        target_machine = plan.target_machine
+        if (
+            origin is None
+            or getattr(origin, "state", None) is None
+            or not origin.machine.alive
+            or target_machine is None
+            or target_machine is origin.machine
+            or not target_machine.alive
+            or rhino.replicator.store_on(target_machine).has_complete(
+                origin.instance_id
+            )
+        ):
+            continue
+        cold.append((origin, plan))
+    if not cold:
+        return {}, False
+    yield sim.all_of(
+        [
+            sim.process(
+                run.plan(plan, origin),
+                name=f"handover-precopy:{origin.instance_id}",
+            )
+            for origin, plan in cold
+        ]
+    )
+    # Pre-copy is best-effort (a degraded plan ships everything at the
+    # barrier), but a participant of *any* plan -- cold or not -- that
+    # died meanwhile can no longer complete the protocol at all, and the
+    # execution is not registered yet for on_machine_failure to abort it:
+    # abort now, before the coordinator is suspended, so the
+    # re-plan-and-retry loop picks a live target.
+    for plan in plans:
+        origin = job.instances.get((plan.op_name, plan.origin_index))
+        for machine in (origin and origin.machine, plan.target_machine):
+            if machine is not None and not machine.alive:
+                raise HandoverAborted(handover_id, machine)
+    return run.outcomes, True
+
+
+class _Precopy:
+    """One handover's background phase: what all its plans' streams share."""
+
+    def __init__(self, rhino, handover_id, root):
+        self.rhino = rhino
+        self.sim = rhino.sim
+        self.handover_id = handover_id
+        self.root = root
+        rate = rhino.config.handover_migration_rate
+        #: Paces every stream of every plan; None = unpaced.
+        self.bucket = TokenBucket(self.sim, rate) if rate is not None else None
+        #: id(plan) -> PrecopyOutcome of the plans that did not degrade.
+        self.outcomes = {}
+
+    def plan(self, plan, origin):
+        sim, config, handover_id = self.sim, self.rhino.config, self.handover_id
+        store = origin.state.store
+        target_machine = plan.target_machine
+        replica = self.rhino.replicator.store_on(target_machine)
+        span = sim.tracer.span(
+            "handover.precopy",
+            track="handover",
+            parent=self.root,
+            handover=handover_id,
+            instance=origin.instance_id,
+            **plan.trace_tags(),
+        )
+        outcome = PrecopyOutcome()
+        started = sim.now
+        try:
+            # Snapshot: freeze the memtable so the shipped set is a
+            # consistent prefix (everything at or below cutoff_seq); the
+            # origin keeps writing into a fresh memtable meanwhile.
+            cutoff_seq, tables, cutoff_ts, progress = yield from _snapshot_origin(
+                origin, "handover-precopy"
+            )
+            # Only the migrating ranges are pre-copied: a rebalance that
+            # moves half the origin's virtual nodes must not pay to ship
+            # the half that stays behind.
+            ranges = [(lo, hi) for lo, hi in plan.vnodes]
+            sizes = {}
+            for lo, hi in ranges:
+                for group in range(lo, hi):
+                    size = sum(t.bytes_in_groups(group, group + 1) for t in tables)
+                    if size:
+                        sizes[group] = size
+            chunks = plan_chunks(sizes, ranges, config.handover_chunk_bytes)
+            shipped = yield from self.ship(
+                origin.machine, target_machine, chunks, span, "precopy"
+            )
+            # Install the snapshot only after its bytes landed: a kill
+            # mid-stream must not leave a holding claiming state the
+            # target never received.
+            replica.ingest_full(
+                store.name,
+                tables,
+                CheckpointManifest([t.table_id for t in tables], shipped),
+                ("precopy", handover_id, plan.origin_index),
+                cutoff_ts=cutoff_ts,
+                origin_progress=progress,
+            )
+            outcome.cutoff_seq = cutoff_seq
+            outcome.precopy_bytes = shipped
+            outcome.precopy_chunks = len(chunks)
+            outcome.precopy_seconds = sim.now - started
+            delta_started = sim.now
+            prev_dirty = None
+            for round_no in range(1, DELTA_ROUNDS + 1):
+                dirty_sizes = {}
+                for lo, hi in ranges:
+                    for group in range(lo, hi):
+                        size = store.dirty_bytes_in_groups(
+                            group, group + 1, outcome.cutoff_seq
+                        )
+                        if size:
+                            dirty_sizes[group] = size
+                total_dirty = sum(dirty_sizes.values())
+                # Termination rule: the remainder is small enough for the
+                # barrier, or catch-up stopped gaining on the write rate.
+                if total_dirty <= config.handover_delta_threshold_bytes:
+                    break
+                if prev_dirty is not None and total_dirty >= prev_dirty:
+                    break
+                prev_dirty = total_dirty
+                delta_span = sim.tracer.span(
+                    "handover.delta",
+                    track="handover",
+                    parent=span,
+                    handover=handover_id,
+                    instance=origin.instance_id,
+                    round=round_no,
+                    dirty_bytes=total_dirty,
+                )
+                cutoff_seq, tables, cutoff_ts, progress = yield from (
+                    _snapshot_origin(origin, "handover-delta")
+                )
+                chunks = plan_chunks(dirty_sizes, ranges, config.handover_chunk_bytes)
+                shipped = yield from self.ship(
+                    origin.machine, target_machine, chunks, delta_span, "delta"
+                )
+                _install_delta_snapshot(
+                    sim,
+                    replica,
+                    store.name,
+                    tables,
+                    ("precopy", handover_id, plan.origin_index, round_no),
+                    cutoff_ts,
+                    progress,
+                )
+                outcome.cutoff_seq = cutoff_seq
+                outcome.delta_bytes += shipped
+                outcome.delta_rounds = round_no
+                delta_span.finish(bytes=shipped)
+            outcome.delta_seconds = sim.now - delta_started
+            self.outcomes[id(plan)] = outcome
+            span.finish(
+                bytes=outcome.precopy_bytes + outcome.delta_bytes,
+                chunks=outcome.precopy_chunks,
+                rounds=outcome.delta_rounds,
+            )
+        except TransferFailed:
+            # Degraded: a stream failed past the retry budget (dead or
+            # unreachable peer).  No outcome is recorded -- the barrier ships
+            # everything the target lacks (or the handover aborts if the peer
+            # actually died; precopy() checks liveness).
+            span.finish(status="degraded")
+
+    def ship(self, src, dst, chunks, parent, phase):
+        """Move ``chunks`` from ``src`` to ``dst`` over parallel streams.
+
+        Streams pull from a shared queue (work-stealing, so one slow
+        chunk never stalls the rest), pace themselves through the shared
+        token bucket, and retry individual chunks under the replicator's
+        policy.  A chunk failing past its retries stops all streams and
+        re-raises -- the caller degrades the plan.  Returns shipped bytes.
+        """
+        sim, rhino, bucket = self.sim, self.rhino, self.bucket
+        tracer = sim.tracer
+        queue = [chunk for chunk in chunks if chunk.nbytes > 0]
+        if not queue:
+            return 0
+        streams = min(PARALLEL_STREAMS, len(queue))
+        tag = f"handover-{phase}"
+        failures = []
+        shipped = [0]
+
+        def stream(stream_no):
+            while queue and not failures:
+                chunk = queue.pop(0)
+                chunk_span = tracer.span(
+                    "handover.chunk",
+                    track="handover",
+                    parent=parent,
+                    handover=self.handover_id,
+                    phase=phase,
+                    stream=stream_no,
+                    lo=chunk.lo,
+                    hi=chunk.hi,
+                    bytes=chunk.nbytes,
+                )
+                try:
+                    if bucket is not None:
+                        yield from bucket.acquire(chunk.nbytes)
+                    yield from with_retry(
+                        sim,
+                        lambda size=chunk.nbytes: rhino.cluster.transfer(
+                            src, dst, size, tag=tag
+                        ),
+                        rhino.replicator.retry,
+                        describe=tag,
+                    )
+                    if not dst.alive:
+                        raise TransferFailed(f"{dst.name} died mid-{phase}")
+                    yield dst.disk_write(chunk.nbytes, tag=tag)
+                except TransferFailed as exc:
+                    # Captured, not raised: a failed child process with no
+                    # consumer would crash the kernel; the parent re-raises
+                    # once every stream has stopped.
+                    failures.append(exc)
+                    chunk_span.finish(status="failed")
+                    return
+                shipped[0] += chunk.nbytes
+                chunk_span.finish()
+
+        procs = [
+            sim.process(stream(n), name=f"handover-{phase}-stream{n}")
+            for n in range(streams)
+        ]
+        yield sim.all_of(procs)
+        if failures:
+            raise failures[0]
+        return shipped[0]
+
+
+def _snapshot_origin(origin, tag):
+    """Freeze the origin's memtable; returns (seq, tables, cutoff, progress).
+
+    Everything is captured synchronously at the flush instant -- the
+    disk charge for the flushed run happens after, so records the
+    origin processes while the write is in flight land beyond the
+    returned cutoff (in the next snapshot's delta).
+    """
+    store = origin.state.store
+    if not origin.machine.alive:
+        raise TransferFailed(f"origin {origin.machine.name} is dead")
+    cutoff_seq = store.current_seq
+    cutoff_ts = origin.last_record_ts
+    progress = dict(origin.origin_progress)
+    flushed = store.flush()
+    tables = list(store.tables)
+    if flushed is not None:
+        yield origin.machine.disk_write(flushed.size_bytes, tag=tag)
+    return cutoff_seq, tables, cutoff_ts, progress
+
+
+def _install_delta_snapshot(
+    sim, replica, store_name, tables, checkpoint_id, cutoff_ts, progress
+):
+    """Advance a pre-copy holding to a newer origin snapshot."""
+    holding = replica.holdings.get(store_name)
+    held = set(holding.tables) if holding is not None else set()
+    fresh = [t for t in tables if t.table_id not in held]
+    total = sum(t.size_bytes for t in tables)
+    checkpoint = Checkpoint(
+        checkpoint_id,
+        store_name,
+        CheckpointManifest([t.table_id for t in tables], total),
+        delta_tables=fresh,
+        full_tables=list(tables),
+        created_at=sim.now,
+    )
+    checkpoint.cutoff_ts = cutoff_ts
+    checkpoint.origin_progress = progress
+    replica.ingest(checkpoint)

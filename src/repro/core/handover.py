@@ -83,9 +83,8 @@ class HandoverReport:
         self.migrated_bytes = 0
         #: Modeled bytes of state that changed ownership.
         self.moved_state_bytes = 0
-        #: Fluid-handover phase accounting.  On the all-at-once path the
-        #: pre-copy/delta fields stay zero and the whole transfer counts
-        #: as cutover (everything ships behind the barrier).
+        #: Phase accounting.  Without a pre-copy the pre-copy/delta fields
+        #: stay zero; whatever ships behind the barrier counts as cutover.
         self.precopy_bytes = 0
         self.precopy_chunks = 0
         self.precopy_seconds = 0.0
@@ -143,8 +142,8 @@ class HandoverExecution:
         #: Plans whose origin completed its routine (checkpoint taken,
         #: ownership dropped); used by abort rollback.
         self.origin_completed = {}
-        #: id(plan) -> PrecopyOutcome of the fluid pre-copy phase (empty
-        #: on the all-at-once path); origins read their cutoff seq here.
+        #: id(plan) -> PrecopyOutcome of the plans that were pre-copied;
+        #: origins read their cutoff seq here.
         self.precopy = {}
         self.aborted = False
         #: The root trace span of this handover (NULL_SPAN when untraced);

@@ -5,7 +5,8 @@ reconfiguration: it suspends checkpointing, prepares targets, injects the
 handover marker at every source, brokers the state rendezvous between
 origins and targets, collects acknowledgments from every instance, and
 produces the scheduling / state-fetching / state-loading breakdown of
-Table 1.
+Table 1.  What happens *before* the barrier -- the background pre-copy
+of a cold target -- lives in ``fluid.py``.
 """
 
 from repro.common.errors import ProtocolError
@@ -18,15 +19,17 @@ from repro.engine.instance import (
     ReplayFilter,
     SourceInstance,
 )
-from repro.core import migration
-from repro.core.fluid import PrecopyOutcome, TokenBucket, plan_chunks
+from repro.core import fluid, migration
 from repro.core.handover import (
     HandoverAborted,
     HandoverExecution,
     HandoverMarker,
 )
 from repro.core.journal import plan_to_dict
-from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
+
+#: Grace period for an in-flight checkpoint before a handover aborts it
+#: (it may be unable to complete after a failure).
+CHECKPOINT_DRAIN_TIMEOUT = 10.0
 
 #: Journal record kinds that advance an in-flight entry's phase, in
 #: protocol order.  Mirrored by journal replay so the live phase and the
@@ -210,6 +213,8 @@ class HandoverManager:
         config = self.rhino.config
         coordinator = self.job.coordinator
         tracer = self.sim.tracer
+        self._handover_ids += 1
+        handover_id = self._handover_ids
         # The handover's trace: one root span spanning the whole
         # reconfiguration plus two contiguous top-level phases --
         # "scheduling" (trigger -> markers injected, Table 1's first row)
@@ -221,52 +226,25 @@ class HandoverManager:
             start=trigger_time,
             kind=plans[0].reason,
             plans=len(plans),
+            handover=handover_id,
         )
-        # Fluid handover: pre-copy chunked state in the background *before*
-        # the barrier, while origins keep processing.  Not applicable to
-        # failure recovery (the origin is dead; state restores from a
-        # replica) or the DFS variant (state moves through the DFS).
-        pipelined = (
-            config.pipelined_handover
-            and not config.use_dfs
-            and plans[0].reason != migration.FAILURE
-        )
-        handover_id = None
-        precopy_outcomes = {}
         scheduling_span = None
         transfer_span = None
         try:
-            if pipelined:
-                # Allocate the id up front so pre-copy spans and synthetic
-                # replica checkpoints can reference it.
-                self._handover_ids += 1
-                handover_id = self._handover_ids
-                root.annotate(handover=handover_id)
-                precopy_outcomes = yield from self._precopy(
-                    handover_id, plans, root
-                )
-                # Pre-copy is best-effort (a degraded plan falls back to
-                # the bulk path at cutover), but a participant that *died*
-                # during it can no longer complete the protocol at all:
-                # abort now, before suspending the coordinator, so the
-                # re-plan-and-retry loop picks a live target.
-                for plan in plans:
-                    origin = self.job.instances.get(
-                        (plan.op_name, plan.origin_index)
-                    )
-                    if origin is not None and not origin.machine.alive:
-                        raise HandoverAborted(handover_id, origin.machine)
-                    if (
-                        plan.target_machine is not None
-                        and not plan.target_machine.alive
-                    ):
-                        raise HandoverAborted(handover_id, plan.target_machine)
-            scheduling_start = self.sim.now if pipelined else trigger_time
+            # A cold target gets its state pre-copied in the background
+            # *before* the barrier, while origins keep processing.
+            precopy_outcomes, precopied = yield from fluid.precopy(
+                self.rhino, handover_id, plans, root
+            )
+            # Table 1's "scheduling" row runs from the trigger (so it
+            # includes the quorum commit-wait) unless a pre-copy came first.
+            scheduling_start = self.sim.now if precopied else trigger_time
             scheduling_span = tracer.span(
                 "handover.scheduling",
                 track="handover",
                 parent=root,
                 start=scheduling_start,
+                handover=handover_id,
             )
             coordinator.suspend()
             # Let an in-flight checkpoint drain, but only briefly: after a
@@ -277,16 +255,11 @@ class HandoverManager:
             while coordinator.checkpoint_in_flight:
                 yield self.sim.timeout(0.25)
                 waited += 0.25
-                if waited >= config.checkpoint_drain_timeout:
+                if waited >= CHECKPOINT_DRAIN_TIMEOUT:
                     coordinator.abort_all_pending()
                     break
 
-            if handover_id is None:
-                self._handover_ids += 1
-                handover_id = self._handover_ids
-                root.annotate(handover=handover_id)
             reason = plans[0].reason
-            scheduling_span.annotate(handover=handover_id)
             # Spawn rescale targets before the marker flows so their channels
             # exist and post-marker records buffer at them.
             for plan in plans:
@@ -419,287 +392,6 @@ class HandoverManager:
             if root.is_open:
                 root.finish(status="aborted")
 
-    # -- fluid pre-copy / delta catch-up (runs before the barrier) ----------------
-
-    def _precopy(self, handover_id, plans, root):
-        """Chunked background pre-copy plus bounded delta catch-up.
-
-        Runs one background process per eligible plan: snapshot the
-        origin's state, ship it in chunks over parallel streams while the
-        origin keeps processing, then repeatedly ship what was dirtied
-        since the previous snapshot until the remainder is small (or the
-        round budget is spent, or the dirty set stops shrinking).  Returns
-        ``{id(plan): PrecopyOutcome}``; plans without an outcome (skipped
-        or degraded by a transfer failure) take the bulk path at cutover.
-        """
-        config = self.rhino.config
-        bucket = None
-        if config.handover_migration_rate is not None:
-            bucket = TokenBucket(self.sim, config.handover_migration_rate)
-        outcomes = {}
-        procs = []
-        for plan in plans:
-            origin = self.job.instances.get((plan.op_name, plan.origin_index))
-            target_machine = plan.target_machine
-            if (
-                origin is None
-                or getattr(origin, "state", None) is None
-                or not origin.machine.alive
-                or target_machine is None
-                or target_machine is origin.machine
-                or not target_machine.alive
-            ):
-                continue
-            if self.rhino.replicator.store_on(target_machine).has_complete(
-                origin.instance_id
-            ):
-                # Proactive replication already paid: the cutover ships
-                # only the last delta, nothing to pre-copy.
-                continue
-            procs.append(
-                self.sim.process(
-                    self._precopy_plan(
-                        handover_id, plan, origin, bucket, outcomes, root
-                    ),
-                    name=f"handover-precopy:{origin.instance_id}",
-                )
-            )
-        if procs:
-            yield self.sim.all_of(procs)
-        return outcomes
-
-    def _precopy_plan(self, handover_id, plan, origin, bucket, outcomes, root):
-        config = self.rhino.config
-        store = origin.state.store
-        target_machine = plan.target_machine
-        replica = self.rhino.replicator.store_on(target_machine)
-        span = self.sim.tracer.span(
-            "handover.precopy",
-            track="handover",
-            parent=root,
-            handover=handover_id,
-            instance=origin.instance_id,
-            **plan.trace_tags(),
-        )
-        outcome = PrecopyOutcome()
-        started = self.sim.now
-        try:
-            # Snapshot: freeze the memtable so the shipped set is a
-            # consistent prefix (everything at or below cutoff_seq); the
-            # origin keeps writing into a fresh memtable meanwhile.
-            cutoff_seq, tables, cutoff_ts, progress = yield from (
-                self._snapshot_origin(origin, "handover-precopy")
-            )
-            # Only the migrating ranges are pre-copied: a rebalance that
-            # moves half the origin's virtual nodes must not pay to ship
-            # the half that stays behind.
-            ranges = [(lo, hi) for lo, hi in plan.vnodes]
-            sizes = {}
-            for lo, hi in ranges:
-                for group in range(lo, hi):
-                    size = sum(t.bytes_in_groups(group, group + 1) for t in tables)
-                    if size:
-                        sizes[group] = size
-            chunks = plan_chunks(sizes, ranges, config.handover_chunk_bytes)
-            shipped = yield from self._ship_chunks(
-                origin.machine,
-                target_machine,
-                chunks,
-                bucket,
-                span,
-                "precopy",
-                handover_id,
-            )
-            # Install the snapshot only after its bytes landed: a kill
-            # mid-stream must not leave a holding claiming state the
-            # target never received.
-            replica.ingest_full(
-                store.name,
-                tables,
-                CheckpointManifest([t.table_id for t in tables], shipped),
-                ("precopy", handover_id, plan.origin_index),
-                cutoff_ts=cutoff_ts,
-                origin_progress=progress,
-            )
-            outcome.cutoff_seq = cutoff_seq
-            outcome.precopy_bytes = shipped
-            outcome.precopy_chunks = len(chunks)
-            outcome.precopy_seconds = self.sim.now - started
-            delta_started = self.sim.now
-            prev_dirty = None
-            for round_no in range(1, config.handover_delta_rounds + 1):
-                dirty_sizes = {}
-                for lo, hi in ranges:
-                    for group in range(lo, hi):
-                        size = store.dirty_bytes_in_groups(
-                            group, group + 1, outcome.cutoff_seq
-                        )
-                        if size:
-                            dirty_sizes[group] = size
-                total_dirty = sum(dirty_sizes.values())
-                # Termination rule: the remainder is small enough for the
-                # barrier, or catch-up stopped gaining on the write rate.
-                if total_dirty <= config.handover_delta_threshold_bytes:
-                    break
-                if prev_dirty is not None and total_dirty >= prev_dirty:
-                    break
-                prev_dirty = total_dirty
-                delta_span = self.sim.tracer.span(
-                    "handover.delta",
-                    track="handover",
-                    parent=span,
-                    handover=handover_id,
-                    instance=origin.instance_id,
-                    round=round_no,
-                    dirty_bytes=total_dirty,
-                )
-                cutoff_seq, tables, cutoff_ts, progress = yield from (
-                    self._snapshot_origin(origin, "handover-delta")
-                )
-                chunks = plan_chunks(
-                    dirty_sizes, ranges, config.handover_chunk_bytes
-                )
-                shipped = yield from self._ship_chunks(
-                    origin.machine,
-                    target_machine,
-                    chunks,
-                    bucket,
-                    delta_span,
-                    "delta",
-                    handover_id,
-                )
-                self._install_delta_snapshot(
-                    replica,
-                    store.name,
-                    tables,
-                    ("precopy", handover_id, plan.origin_index, round_no),
-                    cutoff_ts,
-                    progress,
-                )
-                outcome.cutoff_seq = cutoff_seq
-                outcome.delta_bytes += shipped
-                outcome.delta_rounds = round_no
-                delta_span.finish(bytes=shipped)
-            outcome.delta_seconds = self.sim.now - delta_started
-            outcomes[id(plan)] = outcome
-            span.finish(
-                bytes=outcome.precopy_bytes + outcome.delta_bytes,
-                chunks=outcome.precopy_chunks,
-                rounds=outcome.delta_rounds,
-            )
-        except TransferFailed:
-            # Degraded: a stream failed past the retry budget (dead or
-            # unreachable peer).  No outcome is recorded -- the cutover
-            # falls back to the all-at-once bulk path (or aborts if the
-            # peer actually died; the caller checks liveness).
-            span.finish(status="degraded")
-
-    def _snapshot_origin(self, origin, tag):
-        """Freeze the origin's memtable; returns (seq, tables, cutoff, progress).
-
-        Everything is captured synchronously at the flush instant -- the
-        disk charge for the flushed run happens after, so records the
-        origin processes while the write is in flight land beyond the
-        returned cutoff (in the next snapshot's delta).
-        """
-        store = origin.state.store
-        if not origin.machine.alive:
-            raise TransferFailed(f"origin {origin.machine.name} is dead")
-        cutoff_seq = store.current_seq
-        cutoff_ts = origin.last_record_ts
-        progress = dict(origin.origin_progress)
-        flushed = store.flush()
-        tables = list(store.tables)
-        if flushed is not None:
-            yield origin.machine.disk_write(flushed.size_bytes, tag=tag)
-        return cutoff_seq, tables, cutoff_ts, progress
-
-    def _install_delta_snapshot(
-        self, replica, store_name, tables, checkpoint_id, cutoff_ts, progress
-    ):
-        """Advance a pre-copy holding to a newer origin snapshot."""
-        holding = replica.holdings.get(store_name)
-        held = set(holding.tables) if holding is not None else set()
-        fresh = [t for t in tables if t.table_id not in held]
-        total = sum(t.size_bytes for t in tables)
-        checkpoint = Checkpoint(
-            checkpoint_id,
-            store_name,
-            CheckpointManifest([t.table_id for t in tables], total),
-            delta_tables=fresh,
-            full_tables=list(tables),
-            created_at=self.sim.now,
-        )
-        checkpoint.cutoff_ts = cutoff_ts
-        checkpoint.origin_progress = progress
-        replica.ingest(checkpoint)
-
-    def _ship_chunks(self, src, dst, chunks, bucket, parent, phase, handover_id):
-        """Move ``chunks`` from ``src`` to ``dst`` over parallel streams.
-
-        Streams pull from a shared queue (work-stealing, so one slow
-        chunk never stalls the rest), pace themselves through the shared
-        token bucket, and retry individual chunks under the replicator's
-        policy.  A chunk failing past its retries stops all streams and
-        re-raises -- the caller degrades the plan.  Returns shipped bytes.
-        """
-        tracer = self.sim.tracer
-        queue = [chunk for chunk in chunks if chunk.nbytes > 0]
-        if not queue:
-            return 0
-        config = self.rhino.config
-        streams = max(1, min(config.handover_parallel_streams, len(queue)))
-        tag = f"handover-{phase}"
-        failures = []
-        shipped = [0]
-
-        def stream(stream_no):
-            while queue and not failures:
-                chunk = queue.pop(0)
-                chunk_span = tracer.span(
-                    "handover.chunk",
-                    track="handover",
-                    parent=parent,
-                    handover=handover_id,
-                    phase=phase,
-                    stream=stream_no,
-                    lo=chunk.lo,
-                    hi=chunk.hi,
-                    bytes=chunk.nbytes,
-                )
-                try:
-                    if bucket is not None:
-                        yield from bucket.acquire(chunk.nbytes)
-                    yield from with_retry(
-                        self.sim,
-                        lambda size=chunk.nbytes: self.job.cluster.transfer(
-                            src, dst, size, tag=tag
-                        ),
-                        self.rhino.replicator.retry,
-                        describe=tag,
-                    )
-                    if not dst.alive:
-                        raise TransferFailed(f"{dst.name} died mid-{phase}")
-                    yield dst.disk_write(chunk.nbytes, tag=tag)
-                except TransferFailed as exc:
-                    # Captured, not raised: a failed child process with no
-                    # consumer would crash the kernel; the parent re-raises
-                    # once every stream has stopped.
-                    failures.append(exc)
-                    chunk_span.finish(status="failed")
-                    return
-                shipped[0] += chunk.nbytes
-                chunk_span.finish()
-
-        procs = [
-            self.sim.process(stream(n), name=f"handover-{phase}-stream{n}")
-            for n in range(streams)
-        ]
-        yield self.sim.all_of(procs)
-        if failures:
-            raise failures[0]
-        return shipped[0]
-
     def _prepare_failure_state(self, plans, execution):
         """Resolve the restore source for each failed instance.
 
@@ -755,33 +447,12 @@ class HandoverManager:
         operators; recovered instances carry their restored checkpoint's
         frontier, survivors are consulted live.
         """
-        num_groups = self.job.config.num_key_groups
         fresh = {}  # (op_name, group) -> (origin_progress, cutoff)
         for plan, (cutoff, progress) in zip(plans, restore_meta):
             for lo, hi in plan.vnodes:
                 for group in range(lo, hi):
                     fresh[(plan.op_name, group)] = (progress, cutoff)
-        consumers_by_group = {}
-        for op_name, assignment in self.job.assignments.items():
-            for group in range(num_groups):
-                instance = self.job.instances.get(
-                    (op_name, assignment.owner_of(group))
-                )
-                if instance is None or instance.state is None:
-                    continue
-                entry = fresh.get((op_name, group))
-                if entry is not None:
-                    progress, cutoff = entry
-                    consumers_by_group.setdefault(group, []).append(
-                        (instance, progress, cutoff)
-                    )
-                else:
-                    consumers_by_group.setdefault(group, []).append(
-                        (instance, None, None)
-                    )
-        return ConsumerDrivenReplayFilter(
-            num_groups, consumers_by_group, epoch=self.sim.now
-        )
+        return self._consumer_filter_with_fresh(fresh)
 
     def _newest_record_with(self, instance_id):
         """Newest completed checkpoint that covers ``instance_id``.
@@ -878,17 +549,18 @@ class HandoverManager:
 
         if isinstance(instance, OperatorInstance):
             is_failure = any(p.reason == migration.FAILURE for p in marker.plans)
-            is_target_here = any(
-                plan.op_name == instance.op.name
+            target_of = [
+                plan
+                for plan in marker.plans
+                if plan.op_name == instance.op.name
                 and plan.target_index == instance.index
                 and (
                     plan.spawn_target
                     or plan.replace_origin
                     or plan.reason == migration.REBALANCE
                 )
-                for plan in marker.plans
-            )
-            if is_failure and instance.state is not None and not is_target_here:
+            ]
+            if is_failure and instance.state is not None and not target_of:
                 # Survivors deduplicate the upcoming replay against their
                 # exact per-source progress frontier.  Refreshed on *every*
                 # failure: a stale filter from an earlier recovery would
@@ -907,11 +579,7 @@ class HandoverManager:
                     and not plan.replace_origin
                 ):
                     yield from self._origin_steps(instance, plan, execution)
-                if instance.index == plan.target_index and (
-                    plan.spawn_target
-                    or plan.replace_origin
-                    or plan.reason == migration.REBALANCE
-                ):
+                if plan in target_of:
                     yield from self._target_steps(instance, plan, execution)
         execution.ack(instance.instance_id)
 
@@ -920,19 +588,13 @@ class HandoverManager:
     def _origin_steps(self, instance, plan, execution):
         config = self.rhino.config
         outcome = execution.precopy.get(id(plan))
-        final_delta = 0
+        dirty = 0
         if outcome is not None:
-            # Fluid handover: measure what is still dirty since the last
-            # pre-copy/delta snapshot *at barrier entry* -- that, not the
-            # full state, is all the cutover has to ship.
+            # Measured *at barrier entry*: what the migrating ranges
+            # dirtied since the last pre-copy/delta snapshot.
             store = instance.state.store
-            ranges = store.owned_ranges()
-            if ranges is None:
-                ranges = [(0, self.job.config.num_key_groups)]
-            for lo, hi in ranges:
-                final_delta += store.dirty_bytes_in_groups(
-                    lo, hi, outcome.cutoff_seq
-                )
+            for lo, hi in plan.vnodes:
+                dirty += store.dirty_bytes_in_groups(lo, hi, outcome.cutoff_seq)
         checkpoint = yield from instance.state.checkpoint(
             ("handover", execution.handover_id, instance.index)
         )
@@ -962,28 +624,23 @@ class HandoverManager:
             )
         else:
             target_machine = plan.target_machine
-            if target_machine is instance.machine:
-                transferred = 0  # intra-worker move: tables shared on disk
-            else:
+            # An intra-worker move ships nothing: tables are shared on disk.
+            if target_machine is not instance.machine:
+                # What crosses the barrier is what the target lacks: the
+                # dirty remainder when a pre-copied holding is (still) there
+                # -- it vanishes if the target restarted with wiped disks --
+                # the checkpoint's delta on a replica holder, else everything.
                 replica = self.rhino.replicator.store_on(target_machine)
-                # The pre-copied holding may have vanished between the
-                # background phase and the barrier (target restarted with
-                # wiped disks): fall back to the bulk path then.
-                holding = (
-                    replica.holdings.get(instance.instance_id)
-                    if outcome is not None
-                    else None
+                precopied = (
+                    outcome is not None
+                    and instance.instance_id in replica.holdings
                 )
+                replica.ingest(checkpoint)
+                tag = "handover-migration"
                 cutover_span = None
-                if holding is not None:
-                    # Fluid cutover: the snapshot chain is already on the
-                    # target; only the final (small) dirty delta crosses
-                    # the barrier.
-                    replica.ingest(checkpoint)
-                    for table in checkpoint.full_tables:
-                        if table.table_id not in holding.tables:
-                            holding.tables[table.table_id] = table
-                    transferred = final_delta
+                if precopied:
+                    transferred = dirty
+                    tag = "handover-cutover"
                     cutover_span = self.sim.tracer.span(
                         "handover.cutover",
                         track="handover",
@@ -993,62 +650,42 @@ class HandoverManager:
                         bytes=transferred,
                         **plan.trace_tags(),
                     )
+                elif replica.has_complete(instance.instance_id):
+                    transferred = checkpoint.delta_bytes
                 else:
-                    replica.ingest(checkpoint)
-                    if replica.has_complete(instance.instance_id):
-                        # Proactive replication paid off: only the delta
-                        # moves.
-                        transferred = checkpoint.delta_bytes
-                    else:
-                        # Cold target (horizontal scaling): bulk copy.
-                        transferred = checkpoint.total_bytes
-                        replica.ingest_full(
-                            instance.instance_id,
-                            checkpoint.full_tables,
-                            checkpoint.manifest,
-                            checkpoint.checkpoint_id,
-                            cutoff_ts=checkpoint.cutoff_ts,
-                            origin_progress=checkpoint.origin_progress,
-                        )
+                    transferred = checkpoint.total_bytes
+                # With those bytes shipped the holding is the checkpoint.
+                replica.ingest_full(
+                    instance.instance_id,
+                    checkpoint.full_tables,
+                    checkpoint.manifest,
+                    checkpoint.checkpoint_id,
+                    cutoff_ts=checkpoint.cutoff_ts,
+                    origin_progress=checkpoint.origin_progress,
+                )
                 if transferred > 0:
+                    # Chunk-granular and resumable: a retry after a
+                    # transient fault resends only unfinished chunks.
+                    xfer = self.job.cluster.chunked_transfer(
+                        instance.machine,
+                        target_machine,
+                        _split_bytes(transferred, config.handover_chunk_bytes),
+                        tag=tag,
+                    )
                     try:
-                        if cutover_span is not None:
-                            # Chunk-granular and resumable: a retry after
-                            # a transient fault resends only unfinished
-                            # chunks, not the whole delta.
-                            xfer = self.job.cluster.chunked_transfer(
-                                instance.machine,
-                                target_machine,
-                                _split_bytes(
-                                    transferred, config.handover_chunk_bytes
-                                ),
-                                tag="handover-cutover",
-                            )
-                            yield from with_retry(
-                                self.sim,
-                                xfer.process,
-                                self.rhino.replicator.retry,
-                                describe="handover-cutover",
-                            )
-                        else:
-                            yield from with_retry(
-                                self.sim,
-                                lambda: self.job.cluster.transfer(
-                                    instance.machine,
-                                    target_machine,
-                                    transferred,
-                                    tag="handover-migration",
-                                ),
-                                self.rhino.replicator.retry,
-                                describe="handover-migration",
-                            )
+                        yield from with_retry(
+                            self.sim,
+                            xfer.process,
+                            self.rhino.replicator.retry,
+                            describe=tag,
+                        )
                         yield target_machine.disk_write(
                             transferred, tag="handover-migration"
                         )
                     except TransferFailed:
-                        # The target worker died (or stayed unreachable past
-                        # the retry budget) mid-transfer: keep our state;
-                        # the abort rollback re-adopts the vnodes.
+                        # The target worker died (or stayed unreachable
+                        # past the retry budget) mid-transfer: keep our
+                        # state; the abort rollback re-adopts the vnodes.
                         if cutover_span is not None:
                             cutover_span.finish(status="port-failed")
                         fetch_span.finish(status="port-failed")
@@ -1073,8 +710,7 @@ class HandoverManager:
         )
         execution.report.migrated_bytes += transferred
         # Phase accounting: whatever an origin ships behind the barrier is
-        # "cutover" -- the full state on the all-at-once path, only the
-        # final dirty delta on the fluid path.
+        # "cutover".
         execution.report.cutover_bytes += transferred
         execution.report.cutover_seconds = max(
             execution.report.cutover_seconds, self.sim.now - fetch_start
@@ -1191,12 +827,7 @@ class HandoverManager:
         :class:`HandoverAborted` and may retry.
         """
         for execution in list(self._executions.values()):
-            critical = any(
-                plan.target_machine is machine
-                or self._origin_machine(plan) is machine
-                for plan in execution.plans
-            )
-            if critical and not execution.aborted:
+            if self._critical_to(execution, machine) and not execution.aborted:
                 self._abort_execution(execution, machine)
             else:
                 for instance in self.job.all_instances():
@@ -1213,13 +844,16 @@ class HandoverManager:
         caller simply re-plans and retries the aborted handover.
         """
         for execution in list(self._executions.values()):
-            critical = any(
-                plan.target_machine is machine
-                or self._origin_machine(plan) is machine
-                for plan in execution.plans
-            )
-            if critical and not execution.aborted:
+            if self._critical_to(execution, machine) and not execution.aborted:
                 self._abort_execution(execution, machine)
+
+    def _critical_to(self, execution, machine):
+        """True when ``machine`` hosts the target or origin of a plan."""
+        return any(
+            plan.target_machine is machine
+            or self._origin_machine(plan) is machine
+            for plan in execution.plans
+        )
 
     def _origin_machine(self, plan):
         instance = self.job.instances.get((plan.op_name, plan.origin_index))
@@ -1385,16 +1019,10 @@ class HandoverManager:
                 )
                 if instance is None or instance.state is None:
                     continue
-                entry = fresh.get((op_name, group))
-                if entry is not None:
-                    progress, cutoff = entry
-                    consumers_by_group.setdefault(group, []).append(
-                        (instance, progress, cutoff)
-                    )
-                else:
-                    consumers_by_group.setdefault(group, []).append(
-                        (instance, None, None)
-                    )
+                progress, cutoff = fresh.get((op_name, group), (None, None))
+                consumers_by_group.setdefault(group, []).append(
+                    (instance, progress, cutoff)
+                )
         return ConsumerDrivenReplayFilter(
             num_groups, consumers_by_group, epoch=self.sim.now
         )

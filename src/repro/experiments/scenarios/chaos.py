@@ -140,7 +140,6 @@ def run_chaos(
     control_kill_count=1,
     control_heal_after=2.0,
     membership_change_at=None,
-    pipelined_handover=False,
     handover_chunk_bytes=64 * 1024 * 1024,
 ):
     """One seeded chaos run; returns a :class:`ChaosRunResult`.
@@ -175,11 +174,7 @@ def run_chaos(
     replaces the group's last non-leader member with a spare worker at
     that virtual time (joint consensus, possibly overlapping the kills).
 
-    ``pipelined_handover=True`` runs every handover through the fluid
-    protocol (chunked pre-copy + delta catch-up + chunked cutover, capped
-    at ``handover_chunk_bytes`` per chunk), so fault plans exercise kills
-    and partitions during the pre-copy/delta/cutover phases.  The default
-    ``False`` keeps the all-at-once transfer bit-identical.
+    ``handover_chunk_bytes`` caps the chunks a handover ships state in.
     """
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("CHAOS_ARTIFACTS_DIR") or None
@@ -230,7 +225,6 @@ def run_chaos(
             handover_retry_attempts=4,
             handover_retry_delay=0.5,
             anti_entropy_interval=1.0,
-            pipelined_handover=pipelined_handover,
             handover_chunk_bytes=handover_chunk_bytes,
         ),
     ).attach()
@@ -514,7 +508,6 @@ def run_chaos(
                 control_kill_count=control_kill_count,
                 control_heal_after=control_heal_after,
                 membership_change_at=membership_change_at,
-                pipelined_handover=pipelined_handover,
                 handover_chunk_bytes=handover_chunk_bytes,
             )
             write_chrome_trace(retrace, trace_path)

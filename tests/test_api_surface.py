@@ -80,7 +80,6 @@ class TestRhinoConfig:
             {"scheduling_delay": -0.1},
             {"local_fetch_seconds": -1},
             {"state_load_seconds": -1},
-            {"checkpoint_drain_timeout": -1},
             {"handover_timeout": 0},
         ],
     )
@@ -106,6 +105,35 @@ class TestRhinoConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ProtocolError, match="replication_factr"):
             RhinoConfig.from_dict({"replication_factr": 2})
+
+    def test_from_dict_rejects_a_removed_option(self):
+        with pytest.raises(ProtocolError, match="pipelined_handover"):
+            RhinoConfig.from_dict({"pipelined_handover": True})
+
+    def test_field_set_is_pinned(self):
+        """A new knob is a reviewed decision: it has to edit this set."""
+        assert set(RhinoConfig().to_dict()) == {
+            "replication_factor",
+            "use_dfs",
+            "dfs_storage",
+            "block_size",
+            "credit_window_bytes",
+            "scheduling_delay",
+            "local_fetch_seconds",
+            "state_load_seconds",
+            "handover_timeout",
+            "retry_attempts",
+            "retry_base_delay",
+            "retry_max_delay",
+            "retry_jitter",
+            "retry_seed",
+            "handover_retry_attempts",
+            "handover_retry_delay",
+            "anti_entropy_interval",
+            "handover_chunk_bytes",
+            "handover_delta_threshold_bytes",
+            "handover_migration_rate",
+        }
 
     def test_from_dict_validates(self):
         with pytest.raises(ProtocolError):

@@ -1,12 +1,11 @@
-"""Fluid (pipelined) handover: chunk planning, pacing, resumable
-transfers, chunked-extraction properties, protocol equivalence, and
-failure regressions.
+"""Fluid handover: chunk planning, pacing, resumable transfers,
+chunked-extraction properties, the transfer protocol, and failure
+regressions.
 
-The fluid protocol (chunked pre-copy + delta catch-up + chunked cutover)
-is off by default; these tests pin both halves of that contract: the
-default path stays identical to the all-at-once transfer, and the
-pipelined path reaches the same final state while shipping almost
-everything before the barrier.
+What crosses the barrier is what the target lacks: a cold target is
+pre-copied in chunks with delta catch-up and cuts over with the dirty
+remainder; a replica holder receives the checkpoint delta; a degraded
+pre-copy ships everything at the barrier.
 """
 
 import pytest
@@ -20,6 +19,7 @@ from repro.core.handover import HandoverReport
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.engine.partitioning import key_group_of
 from repro.experiments.preload import preload_state
 from repro.experiments.scenarios.chaos import run_chaos, run_chaos_sweep
 from repro.obs.tracer import Tracer
@@ -27,7 +27,6 @@ from repro.sim import Simulator
 from repro.storage.kvs import LSMStore
 
 from tests.engine_fixtures import EngineEnv, live_feeder
-from tests.test_chaos import canonical_trace
 
 KEYS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
 
@@ -275,19 +274,30 @@ class TestChunkedExtractionProperties:
         assert {(g, k): v for g, k, v in dst.extract_groups(0, GROUPS)} == expected
 
 
-# -- protocol equivalence ----------------------------------------------------
+# -- the transfer protocol ---------------------------------------------------
 
 
 def fluid_scenario(
-    pipelined, state_bytes=256 * 1024 * 1024, tracer=None, **rhino_kwargs
+    state_bytes=256 * 1024 * 1024,
+    tracer=None,
+    keys=KEYS,
+    **rhino_kwargs,
 ):
-    """A rebalance under steady load; returns (final counts, report)."""
+    """A rebalance onto a cold target under steady load.
+
+    Returns (final counts, report, job).
+    """
     env = EngineEnv(machines=4, tracer=tracer)
     env.topic("events", 2)
     graph = StreamGraph("fluid")
     graph.source("src", topic="events", parallelism=2)
     graph.operator(
-        "count", StatefulCounterLogic, 2, inputs=[("src", "hash")], stateful=True
+        "count",
+        StatefulCounterLogic,
+        2,
+        inputs=[("src", "hash")],
+        stateful=True,
+        measure_latency=True,
     )
     graph.sink("out", inputs=[("count", "forward")])
     config = JobConfig(
@@ -298,6 +308,7 @@ def fluid_scenario(
         source_idle_timeout=0.05,
     )
     job = env.job(graph, config=config).start()
+    rhino_kwargs.setdefault("handover_chunk_bytes", 16 * 1024 * 1024)
     rhino = Rhino(
         job,
         env.cluster,
@@ -305,51 +316,38 @@ def fluid_scenario(
             scheduling_delay=0.1,
             local_fetch_seconds=0.01,
             state_load_seconds=0.05,
-            pipelined_handover=pipelined,
-            handover_chunk_bytes=16 * 1024 * 1024,
             **rhino_kwargs,
         ),
     ).attach()
-    live_feeder(env, "events", KEYS, count=200, interval=0.02)
+    live_feeder(env, "events", keys, count=200, interval=0.02)
     env.run(until=1.0)
     preload_state(job, "count", state_bytes)
     env.run(until=2.0)
     handover = rhino.rebalance("count", [(0, 1)])
     report = env.sim.run(until=handover)
-    env.run(until=12.0)
+    env.run(until=max(12.0, env.sim.now + 5.0))
     finals = {}
     for key, _t, value, _w in job.sink_results("out"):
         finals[key] = max(finals.get(key, 0), value)
-    return finals, report
+    return finals, report, job
 
 
-class TestProtocolEquivalence:
-    def test_pipelined_reaches_the_same_final_state_as_bulk(self):
-        bulk_counts, bulk_report = fluid_scenario(False)
-        fluid_counts, fluid_report = fluid_scenario(True)
-        expected = {key: 200 // len(KEYS) for key in KEYS}
-        assert bulk_counts == expected
-        assert fluid_counts == expected
-        # The bulk leg ships everything at the barrier; the fluid leg
-        # pre-copies it and cuts over with a tiny delta.
-        assert bulk_report.precopy_bytes == 0
-        assert bulk_report.cutover_bytes == bulk_report.migrated_bytes > 0
-        assert fluid_report.precopy_bytes > 0
-        assert fluid_report.precopy_chunks > 1
-        assert fluid_report.cutover_bytes < bulk_report.cutover_bytes // 100
+class TestFluidTransfer:
+    def test_cold_target_is_precopied_and_cuts_over_with_a_tiny_delta(self):
+        counts, report, _job = fluid_scenario()
+        assert counts == {key: 200 // len(KEYS) for key in KEYS}
+        assert report.precopy_bytes > 0
+        assert report.precopy_chunks > 1
+        assert report.cutover_bytes < report.migrated_bytes // 100
 
     def test_delta_rounds_run_under_write_pressure(self):
-        _counts, report = fluid_scenario(
-            True,
-            handover_delta_threshold_bytes=0,
-            handover_delta_rounds=3,
-        )
+        _counts, report, _job = fluid_scenario(handover_delta_threshold_bytes=0)
         assert report.delta_rounds >= 1
         assert report.delta_bytes > 0
         assert report.delta_seconds > 0
 
     def test_phase_breakdown_is_complete_and_consistent(self):
-        _counts, report = fluid_scenario(True)
+        _counts, report, _job = fluid_scenario()
         phases = report.phase_breakdown()
         assert set(phases) == {
             "precopy_bytes",
@@ -366,59 +364,62 @@ class TestProtocolEquivalence:
             == report.migrated_bytes
         )
 
-    def test_report_defaults_keep_bulk_runs_all_cutover(self):
+    def test_report_defaults_to_all_zero_phases(self):
         report = HandoverReport(1, "rebalance")
         phases = report.phase_breakdown()
         assert all(value == 0 for value in phases.values())
 
+    def test_cutover_ships_only_dirty_bytes_of_the_migrating_ranges(self):
+        """Writes to the half of the origin that stays behind must not
+        grow the barrier's transfer: the target never receives them."""
+        candidates = [f"stay-{i}" for i in range(200)]
+        # Instance 0 owns key groups [0, 16); the rebalance moves [0, 8).
+        staying = [k for k in candidates if 8 <= key_group_of(k, 32) < 16][:8]
+        assert len(staying) == 8
+        counts, report, job = fluid_scenario(keys=staying)
+        assert counts == {key: 200 // len(staying) for key in staying}
+        origin = job.instance("count", 0)
+        assert origin.state.owned_ranges() == [(8, 16)]
+        assert report.precopy_bytes > 0
+        assert report.cutover_bytes == 0
 
-class TestDefaultOffIdentity:
-    """Pipelining off (the default) must not perturb the event schedule."""
-
-    def test_default_trace_has_no_fluid_spans_and_replays_identically(self):
-        runs = []
-        for _ in range(2):
-            tracer = Tracer()
-            result = run_chaos(seed=5, fault_count=2, rebalance_at=2.0,
-                               tracer=tracer)
-            assert result.ok
-            runs.append(canonical_trace(tracer))
-            names = {s.name for s in tracer.spans}
-            assert "handover.precopy" not in names
-            assert "handover.delta" not in names
-        assert runs[0] == runs[1]
-
-    def test_explicit_false_matches_the_default(self):
-        default_tracer, explicit_tracer = Tracer(), Tracer()
-        run_chaos(seed=5, fault_count=2, rebalance_at=2.0, tracer=default_tracer)
-        run_chaos(
-            seed=5,
-            fault_count=2,
-            rebalance_at=2.0,
-            tracer=explicit_tracer,
-            pipelined_handover=False,
+    def test_8gb_cold_rebalance_has_no_latency_spike(self):
+        """The 8 GB rebalance the retired bench_handover.py measured:
+        the origin keeps processing while half its state streams out, so
+        per-record latency in the migration window stays at steady state."""
+        state_bytes = 8 * 1024**3
+        _counts, report, job = fluid_scenario(
+            state_bytes=state_bytes, handover_chunk_bytes=64 * 1024 * 1024
         )
-        assert canonical_trace(default_tracer) == canonical_trace(explicit_tracer)
+        latency = job.metrics.latency
+        window_end = report.completed_at + 5.0
+        assert report.total_seconds == pytest.approx(6.191, abs=5e-4)
+        # No spike: the window's maximum stays below steady-state p99.
+        assert latency.maximum(2.0, window_end) == pytest.approx(0.0495, abs=5e-5)
+        assert latency.percentile(0.99, 0.0, 2.0) == pytest.approx(0.0505, abs=5e-5)
+        assert report.precopy_chunks == 34
+        # Instance 0 holds half the state and moves half of that.
+        assert report.migrated_bytes == pytest.approx(state_bytes // 4, rel=1e-6)
 
-    def test_pipelined_trace_contains_the_fluid_phases(self):
+    def test_cold_target_trace_contains_the_fluid_phases(self):
         tracer = Tracer()
-        counts, _report = fluid_scenario(True, tracer=tracer)
+        counts, report, _job = fluid_scenario(tracer=tracer)
         assert counts  # the run converged
         names = {s.name for s in tracer.spans}
         assert "handover.precopy" in names
         assert "handover.chunk" in names
-        assert "handover.cutover" in names
+        [cutover] = [s for s in tracer.spans if s.name == "handover.cutover"]
+        assert cutover.tags["bytes"] == report.cutover_bytes
 
     def test_warm_replicated_target_skips_the_precopy(self):
         """With proactive replication already holding the target's copy,
-        the fluid protocol correctly ships nothing in the background."""
+        nothing ships in the background: only the last delta is missing."""
         tracer = Tracer()
         result = run_chaos(
             seed=5,
             fault_count=0,
             rebalance_at=2.0,
             tracer=tracer,
-            pipelined_handover=True,
             handover_chunk_bytes=1024,
         )
         assert result.ok
@@ -428,8 +429,8 @@ class TestDefaultOffIdentity:
 # -- failure during the fluid phases -----------------------------------------
 
 
-def abort_setup(**rhino_kwargs):
-    env = EngineEnv(machines=5)
+def abort_setup(tracer=None, **rhino_kwargs):
+    env = EngineEnv(machines=5, tracer=tracer)
     env.topic("events", 2)
     graph = StreamGraph("fluid-abort")
     graph.source("src", topic="events", parallelism=2)
@@ -453,13 +454,25 @@ def abort_setup(**rhino_kwargs):
             scheduling_delay=0.2,
             local_fetch_seconds=0.1,
             state_load_seconds=0.2,
-            pipelined_handover=True,
             # Pace the pre-copy to a crawl so a kill reliably lands inside it.
             handover_migration_rate=64.0,
             **rhino_kwargs,
         ),
     ).attach()
     return env, job, rhino
+
+
+#: The counter instance whose migrating half (key groups [8, 12)) holds
+#: keys: alpha and bravo, 64 B each -- one second of pre-copy at 64 B/s.
+ORIGIN_INDEX = 1
+
+
+def degraded_precopies(tracer):
+    return [
+        span
+        for span in tracer.spans
+        if span.name == "handover.precopy" and span.tags.get("status") == "degraded"
+    ]
 
 
 def cold_target_index(job, rhino, origin):
@@ -498,15 +511,25 @@ def expected_counts(total=300):
     return expected
 
 
+def start_cold_rebalance(also=()):
+    """Two seconds of feed, then a rebalance onto a cold target (started,
+    not awaited; ``also`` = further (origin, target) pairs of the same
+    handover).  Returns (env, job, rhino, tracer, origin, target,
+    handover)."""
+    tracer = Tracer()
+    env, job, rhino = abort_setup(tracer)
+    live_feeder(env, "events", KEYS, count=300, interval=0.02)
+    env.run(until=2.0)
+    origin = job.instance("count", ORIGIN_INDEX)
+    target_index = cold_target_index(job, rhino, origin)
+    handover = rhino.rebalance("count", [(ORIGIN_INDEX, target_index), *also])
+    target = job.instance("count", target_index)
+    return env, job, rhino, tracer, origin, target, handover
+
+
 class TestDeathMidPrecopy:
     def run_scenario(self, victim, kill_delay=0.5):
-        env, job, rhino = abort_setup()
-        live_feeder(env, "events", KEYS, count=300, interval=0.02)
-        env.run(until=2.0)
-        origin = job.instance("count", 0)
-        target_index = cold_target_index(job, rhino, origin)
-        target = job.instance("count", target_index)
-        handover = rhino.rebalance("count", [(0, target_index)])
+        env, job, rhino, tracer, origin, target, handover = start_cold_rebalance()
         handover.defused = True
         doomed = origin if victim == "origin" else target
 
@@ -516,6 +539,7 @@ class TestDeathMidPrecopy:
 
         env.sim.process(killer())
         env.run(until=8.0)
+        assert degraded_precopies(tracer), "the kill must land mid-pre-copy"
         return env, job, rhino, handover, doomed
 
     def test_origin_death_mid_precopy_fails_the_handover(self):
@@ -538,16 +562,61 @@ class TestDeathMidPrecopy:
         env.run(until=40.0)
         assert final_counts(job) == expected_counts()
 
+    def test_death_of_a_warm_plans_origin_mid_precopy_aborts_promptly(self):
+        """A handover mixing a cold and a warm plan: the warm plan's origin
+        dies while the cold plan pre-copies.  No execution is registered
+        yet, so only the post-pre-copy liveness check can abort it."""
+        env, job, rhino, _tracer, origin, target, handover = start_cold_rebalance(
+            also=[(0, ORIGIN_INDEX)]
+        )
+        handover.defused = True
+        bystander = job.instance("count", 0)
+        assert bystander.machine not in (origin.machine, target.machine)
 
-# -- the pipelined chaos sweep -----------------------------------------------
+        def killer():
+            yield env.sim.timeout(0.5)
+            env.cluster.kill(bystander.machine)
+
+        env.sim.process(killer())
+        env.run(until=8.0)
+        assert handover.triggered and not handover.ok
+        assert not rhino.handover_manager._executions
+        assert not job.coordinator._suspended
 
 
-class TestPipelinedChaosSmoke:
-    def test_pipelined_fault_run_converges_exactly_once(self):
+class TestDegradedPrecopy:
+    def test_partition_mid_precopy_ships_everything_at_the_barrier(self):
+        """A pre-copy cut off from its target degrades; the handover still
+        completes, with the barrier shipping all the target lacks."""
+        env, job, rhino, tracer, origin, target, handover = start_cold_rebalance()
+
+        def cut_and_heal():
+            # The second chunk leaves the token bucket 1.0 s in.
+            yield env.sim.timeout(0.5)
+            env.cluster.partition([[origin.machine.name], [target.machine.name]])
+            yield env.sim.timeout(0.6)
+            env.cluster.heal()
+
+        env.sim.process(cut_and_heal())
+        report = env.sim.run(until=handover)
+        env.run(until=40.0)
+        assert degraded_precopies(tracer)
+        assert report.precopy_bytes == 0
+        assert report.cutover_bytes == report.migrated_bytes > 0
+        assert final_counts(job) == expected_counts()
+
+
+# -- the chaos sweep with a planned warm-target rebalance --------------------
+#
+# tests/test_chaos.py has no rebalance; here every seed also rebalances
+# the counter onto a replica holder inside the fault window.
+
+
+class TestRebalanceChaosSmoke:
+    def test_fault_run_with_a_rebalance_converges_exactly_once(self):
         result = run_chaos(
             seed=0,
             rebalance_at=2.0,
-            pipelined_handover=True,
             handover_chunk_bytes=1024 * 1024,
         )
         assert result.violations == []
@@ -555,13 +624,12 @@ class TestPipelinedChaosSmoke:
 
 
 @pytest.mark.chaos
-class TestPipelinedChaosSweep:
+class TestRebalanceChaosSweep:
     def test_sweep_of_25_seeds_passes_all_invariants(self):
         results = run_chaos_sweep(
             range(25),
             rebalance_at=2.0,
-            pipelined_handover=True,
             handover_chunk_bytes=1024 * 1024,
         )
         failures = [r.row() for r in results if not r.ok]
-        assert not failures, f"pipelined chaos sweep failures: {failures}"
+        assert not failures, f"rebalance chaos sweep failures: {failures}"
