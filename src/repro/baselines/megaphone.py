@@ -18,6 +18,8 @@ Table 1).  This model reproduces both behaviours:
 """
 
 from repro.common.errors import OutOfMemoryError, ProtocolError
+from repro.engine.partitioning import key_group_of
+from repro.engine.records import RecordBatch
 
 
 class MegaphoneConfig:
@@ -94,8 +96,6 @@ class Megaphone:
 
     def _reroute_record(self, instance, record):
         """Hand an in-flight record of a migrated bin to its new owner."""
-        from repro.engine.partitioning import key_group_of
-
         op_name = instance.op.name
         assignment = self.job.assignments.get(op_name)
         if assignment is None:
@@ -103,7 +103,7 @@ class Megaphone:
         group = key_group_of(record.key, self.job.config.num_key_groups)
         owner = self.job.instances.get((op_name, assignment.owner_of(group)))
         if owner is not None and owner is not instance and owner.machine.alive:
-            owner._queue.put(("record", None, record))
+            owner._queue.put(("batch", None, RecordBatch([record])))
 
     def _memory_monitor(self, interval):
         while self.failed is None:

@@ -4,7 +4,7 @@ This is the Flink stand-in that Rhino attaches to.  It satisfies the host
 system requirements of §3.4:
 
 * **R1 streaming dataflow paradigm** -- batch-at-a-time processing (a
-  :class:`RecordBatch` is the unit of transfer since PR 6) with control
+  :class:`RecordBatch` is the only data element a channel carries) with control
   events (checkpoint barriers, handover markers, watermarks) flowing
   along FIFO channels from the sources between batches.
 * **R2 consistent hashing with virtual nodes** -- keys hash to one of 2^15

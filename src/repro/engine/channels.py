@@ -1,21 +1,18 @@
 """Inter-operator channels, routing, and the exchange fabric.
 
-Channels are durable, bounded, FIFO queues of stream elements (records and
-control events), matching the channel model of §2.1.  Remote channels
-charge their bytes to the network through the :class:`ExchangeFabric`,
-which aggregates the data-plane traffic of each machine pair into periodic
-fluid flows -- so state-migration and replication flows contend with data
-exchange on the NICs (the interaction behind Figure 5) without simulating
-per-buffer packets.
+Channels are durable, bounded, FIFO queues of stream elements (record
+batches and control events), matching the channel model of §2.1.  Remote
+channels charge their bytes to the network through the
+:class:`ExchangeFabric`, which aggregates the data-plane traffic of each
+machine pair into periodic fluid flows -- so state-migration and
+replication flows contend with data exchange on the NICs (the interaction
+behind Figure 5) without simulating per-buffer packets.
 """
-
-import warnings
 
 from repro.common.errors import EngineError
 from repro.sim.flows import TransferFailed
 from repro.sim.resources import Store
 from repro.engine.records import (
-    Record,
     RecordBatch,
     Watermark,
     AlignedMarker,
@@ -26,44 +23,11 @@ from repro.engine.records import (
 DEFAULT_CAPACITY_BATCHES = 64
 
 
-def _resolve_capacity(legacy_positional, capacity, capacity_batches, where):
-    """Fold the legacy element-denominated ``capacity`` into batches.
-
-    The data plane is batch-denominated since PR 6: capacity is a count of
-    *batches* (elements, for control events) a channel buffers.  The old
-    positional/keyword ``capacity`` int is accepted but warned about; its
-    value is reused verbatim under the new denomination.
-    """
-    if legacy_positional:
-        if len(legacy_positional) > 1 or capacity is not None or capacity_batches is not None:
-            raise TypeError(f"{where}: too many capacity arguments")
-        warnings.warn(
-            f"{where}: positional capacity is deprecated; pass the"
-            " keyword-only, batch-denominated capacity_batches= instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return legacy_positional[0]
-    if capacity is not None:
-        if capacity_batches is not None:
-            raise TypeError(f"{where}: pass capacity_batches= only")
-        warnings.warn(
-            f"{where}: capacity= is deprecated; channel depth is"
-            " batch-denominated, pass capacity_batches= instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return capacity
-    return DEFAULT_CAPACITY_BATCHES if capacity_batches is None else capacity_batches
-
-
 class Channel:
     """A FIFO stream between one producer instance and one consumer instance.
 
-    Depth is measured in *stream elements*: record batches and control
-    events.  ``capacity_batches`` is keyword-only; the pre-batching
-    ``capacity`` int (element-denominated) is accepted with a
-    :class:`DeprecationWarning`.
+    Depth (``capacity_batches``) is measured in *stream elements*: record
+    batches and control events.
     """
 
     def __init__(
@@ -73,21 +37,15 @@ class Channel:
         src_instance,
         dst_instance,
         input_index=0,
-        *legacy,
-        capacity_batches=None,
-        capacity=None,
+        *,
+        capacity_batches=DEFAULT_CAPACITY_BATCHES,
     ):
         self.sim = sim
         self.name = name
         self.src_instance = src_instance
         self.dst_instance = dst_instance
         self.input_index = input_index
-        self.store = Store(
-            sim,
-            capacity=_resolve_capacity(
-                legacy, capacity, capacity_batches, "Channel()"
-            ),
-        )
+        self.store = Store(sim, capacity=capacity_batches)
 
     @property
     def src_machine(self):
@@ -287,11 +245,11 @@ class ExchangeFabric:
         data plane drained" unobservable.
         """
         return sum(
-            len(element) if isinstance(element, RecordBatch) else 1
+            len(element)
             for by_dst in self._pending.values()
             for items in by_dst.values()
             for _channel, element in items
-            if isinstance(element, (Record, RecordBatch))
+            if isinstance(element, RecordBatch)
         )
 
     def _release_credit(self, src, dst, nbytes):
@@ -311,8 +269,7 @@ class Router:
     (:meth:`emit_batch`): a ``hash`` edge partitions the whole batch by
     key group in one pass over its rows and ships one sub-batch per
     consumer; a ``forward`` edge ships the batch unsplit to the pinned
-    consumer ``i % n``.  Per-record :meth:`emit` survives as the
-    deprecated compat path.
+    consumer ``i % n``.
 
     * ``hash`` edges route by key group through the edge's shared
       :class:`KeyGroupAssignment` -- the handover protocol rewires
@@ -342,12 +299,8 @@ class Router:
         if self.assignment is not None:
             self.assignment.reassign(lo, hi, new_owner)
 
-    def connect(self, dst_instance, *legacy, capacity_batches=None, capacity=None):
-        """Create a channel to a consumer instance and attach it.
-
-        ``capacity_batches`` is keyword-only and batch-denominated; the
-        old element-denominated ``capacity`` int is accepted-but-warned.
-        """
+    def connect(self, dst_instance, *, capacity_batches=DEFAULT_CAPACITY_BATCHES):
+        """Create a channel to a consumer instance and attach it."""
         name = (
             f"{self.src_instance.instance_id}->{dst_instance.instance_id}"
             f":{self.edge.name}"
@@ -358,9 +311,7 @@ class Router:
             self.src_instance,
             dst_instance,
             input_index=self.edge.input_index,
-            capacity_batches=_resolve_capacity(
-                legacy, capacity, capacity_batches, "Router.connect()"
-            ),
+            capacity_batches=capacity_batches,
         )
         self.channels[dst_instance.index] = channel
         self._forward_target = None
@@ -417,31 +368,6 @@ class Router:
                 f"no channel to instance {target} on edge {self.edge.name}"
             )
         return channel
-
-    def emit(self, record):
-        """Deprecated: route one record; returns the credit event.
-
-        The data plane moves :class:`RecordBatch` elements; single-record
-        emission survives only as the compat path (and as the explicit
-        record-denominated baseline, see ``JobConfig.data_plane``).
-        """
-        warnings.warn(
-            "Router.emit() pushes single records through the batched data"
-            " plane; build a RecordBatch and call Router.emit_batch()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._emit_record(record)
-
-    def _emit_record(self, record):
-        """Record-compat routing: one record as one fabric element."""
-        if self.edge.partitioning == "hash":
-            target = self.assignment.route_key(record.key)
-        elif self.edge.partitioning == "forward":
-            target = None
-        else:
-            raise EngineError(f"unknown partitioning {self.edge.partitioning}")
-        return self.fabric.send(self._target_channel(target), record)
 
     def broadcast(self, control_event):
         """Send a control event on every channel; returns events to wait on."""

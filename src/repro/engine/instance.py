@@ -4,9 +4,9 @@ Each logical operator runs as ``parallelism`` instances.  An instance:
 
 * reads elements from its inbound channels through per-channel reader
   processes feeding one gate queue (batches keep per-channel FIFO order);
-  record *batches* are the unit of transfer -- the instance drains its
-  channels batch-at-a-time and calls ``OperatorLogic.process_batch`` once
-  per batch (single records remain accepted for compat and test paths);
+  a :class:`RecordBatch` is the only data element a channel carries --
+  the instance drains its channels batch-at-a-time and calls
+  ``OperatorLogic.process_batch`` once per batch;
 * performs **epoch alignment** for :class:`AlignedMarker` subclasses --
   when a marker arrives on one channel, that channel is blocked (records
   buffer in the channel) until the marker has arrived on every inbound
@@ -175,22 +175,7 @@ class InstanceBase:
                 yield wait
 
     def emit(self, records):
-        """Process generator: route records downstream, honoring credit.
-
-        Wraps the records into one :class:`RecordBatch` per call; under
-        the record-denominated compat plane (``JobConfig.data_plane ==
-        "record"``) each record travels as its own fabric element,
-        reproducing the pre-batching data plane exactly.
-        """
-        if self.job.config.data_plane == "record":
-            waits = []
-            for record in records:
-                for router in self.output_routers:
-                    waits.append(router._emit_record(record))
-            for wait in waits:
-                if not wait.triggered:
-                    yield wait
-            return
+        """Process generator: route records downstream as one batch."""
         records = records if isinstance(records, list) else list(records)
         if records:
             yield from self.emit_batch(RecordBatch(records))
@@ -318,7 +303,11 @@ class OperatorInstance(InstanceBase):
                     )
                     self._maybe_advance_watermark()
                 else:
-                    yield self._queue.put(("record", channel, element))
+                    raise EngineError(
+                        f"channel {channel.name} carried a"
+                        f" {type(element).__name__}; a channel carries only"
+                        " RecordBatch, Watermark and AlignedMarker elements"
+                    )
         except (Interrupt, StoreClosed):
             return
 
@@ -374,8 +363,6 @@ class OperatorInstance(InstanceBase):
             kind, channel, payload = yield self._queue.get()
             if kind == "batch":
                 yield from self._handle_batch(channel, payload)
-            elif kind == "record":
-                yield from self._handle_record(channel, payload)
             elif kind == "watermark":
                 yield from self._handle_watermark(payload)
             elif kind == "marker":
@@ -384,10 +371,9 @@ class OperatorInstance(InstanceBase):
     def _handle_batch(self, channel, batch):
         """Drain one inbound batch: filter, process, charge CPU once.
 
-        The per-batch analogue of :meth:`_handle_record`: replay
-        deduplication and ownership checks stay per-record (their
-        semantics are per-record), but the logic call, the CPU charge,
-        and the downstream emission happen once per batch.
+        Replay deduplication and ownership checks are per record (their
+        semantics are per-record); the logic call, the CPU charge and the
+        downstream emission happen once per batch.
         """
         records = batch.records
         if self.replay_filter is not None:
@@ -453,47 +439,6 @@ class OperatorInstance(InstanceBase):
                 )
             if len(outputs):
                 yield from self.emit_batch(outputs)
-        if self.state is not None and self.state.store.needs_flush:
-            yield from self.state.maintenance()
-
-    def _handle_record(self, channel, record):
-        if self.replay_filter is not None and not self.replay_filter.should_process(
-            record
-        ):
-            self.records_skipped += 1
-            return
-        if self.state is not None and self.state.store.owned is not None:
-            group = key_group_of(record.key, self.job.config.num_key_groups)
-            if not self.state.store.owns(group):
-                # Transient misrouting: Megaphone's fluid migration hands
-                # the record to its new owner; otherwise (an aborted
-                # handover's epoch boundary) the record is dropped here and
-                # recovered by the abort's replay.
-                if self.job.misroute_handler is not None:
-                    self.job.misroute_handler(self, record)
-                else:
-                    self.records_misrouted += 1
-                return
-        side = channel.input_index if channel is not None else 0
-        outputs = list(self.logic.process(record, side=side))
-        cost = record.weight * self.op.cpu_per_record
-        if cost > 0:
-            yield from self.machine.compute(cost)
-        self.records_processed += 1
-        self.weighted_records_processed += record.weight
-        if record.timestamp > self.last_record_ts:
-            self.last_record_ts = record.timestamp
-        if record.origin is not None:
-            self.origin_progress[record.origin] = record.timestamp
-        if self.op.measure_latency and not self._is_recovery_reprocessing(record):
-            self.job.metrics.sample_latency(
-                self.sim.now,
-                self.sim.now - record.timestamp,
-                self.op.name,
-                record.weight,
-            )
-        if outputs:
-            yield from self.emit(outputs)
         if self.state is not None and self.state.store.needs_flush:
             yield from self.state.maintenance()
 

@@ -32,51 +32,29 @@ class JobConfig:
         memtable_limit=64 * 1024 * 1024,
         compaction_trigger=8,
         exchange_interval=0.25,
-        channel_capacity=1024,
         channel_capacity_batches=64,
         source_max_poll=64,
         watermark_interval=1.0,
         source_idle_timeout=0.2,
         source_rate_limit=None,
-        data_plane="batch",
     ):
-        if data_plane not in ("batch", "record"):
-            raise EngineError(f"unknown data plane {data_plane!r}")
         self.num_key_groups = num_key_groups
         self.virtual_node_count = virtual_node_count
         self.checkpoint_interval = checkpoint_interval
         self.memtable_limit = memtable_limit
         self.compaction_trigger = compaction_trigger
         self.exchange_interval = exchange_interval
-        #: Legacy element-denominated channel depth; governs channels only
-        #: under the ``record`` data plane, where every element is one
-        #: record.  Sized like Flink's floating buffer pool: large enough
-        #: to absorb the backlog that piles up behind an
-        #: aligning/recovering instance, so one slow channel does not
-        #: head-of-line block the machine's exchange agent.
-        self.channel_capacity = channel_capacity
-        #: Batches per inbound channel under the (default) ``batch`` data
-        #: plane; each batch carries up to ``source_max_poll`` records at
-        #: the source, so the absorbed backlog matches the old
-        #: element-denominated default.
+        #: Batches per inbound channel.  Sized like Flink's floating
+        #: buffer pool (each batch carries up to ``source_max_poll``
+        #: records at the source): large enough to absorb the backlog that
+        #: piles up behind an aligning/recovering instance, so one slow
+        #: channel does not head-of-line block the machine's exchange agent.
         self.channel_capacity_batches = channel_capacity_batches
         self.source_max_poll = source_max_poll
         self.watermark_interval = watermark_interval
         self.source_idle_timeout = source_idle_timeout
         #: Per-source-instance sustainable throughput cap (bytes/second).
         self.source_rate_limit = source_rate_limit
-        #: ``"batch"`` (the default): RecordBatch is the unit of transfer
-        #: end to end.  ``"record"``: the pre-batching per-record plane,
-        #: kept as the measurable baseline and the compat path for the
-        #: batch-vs-record equivalence property tests.
-        self.data_plane = data_plane
-
-    @property
-    def connect_capacity(self):
-        """Channel depth for new connections, in the plane's denomination."""
-        if self.data_plane == "record":
-            return self.channel_capacity
-        return self.channel_capacity_batches
 
 
 class _EdgeRuntime:
@@ -240,7 +218,7 @@ class Job:
             runtime.routers[src_index] = router
             for dst_index in range(downstream_op.parallelism):
                 dst_instance = self.instances[(spec.downstream, dst_index)]
-                router.connect(dst_instance, capacity_batches=self.config.connect_capacity)
+                router.connect(dst_instance, capacity_batches=self.config.channel_capacity_batches)
 
     # -- runtime control ---------------------------------------------------------
 
@@ -330,7 +308,7 @@ class Job:
         # Inbound: every upstream router connects a channel to it.
         for runtime in self.edge_runtimes(downstream=op_name):
             for router in runtime.routers.values():
-                router.connect(instance, capacity_batches=self.config.connect_capacity)
+                router.connect(instance, capacity_batches=self.config.channel_capacity_batches)
         # Outbound: it gets a router per outbound edge.
         for runtime in self.edge_runtimes(upstream=op_name):
             router = Router(self.sim, self.fabric, runtime.edge, instance)
@@ -340,7 +318,7 @@ class Job:
             for dst_index in range(downstream_op.parallelism):
                 dst = self.instances.get((runtime.spec.downstream, dst_index))
                 if dst is not None:
-                    router.connect(dst, capacity_batches=self.config.connect_capacity)
+                    router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
         instance.start()
         return instance
 
@@ -393,7 +371,7 @@ class Job:
                     old_channel = router.channels.get(index)
                     if old_channel is not None:
                         router.disconnect(index)
-                    router.connect(instance, capacity_batches=self.config.connect_capacity)
+                    router.connect(instance, capacity_batches=self.config.channel_capacity_batches)
         for runtime in self.edge_runtimes(upstream=op_name):
             router = Router(self.sim, self.fabric, runtime.edge, instance)
             instance.add_output_router(router)
@@ -402,5 +380,5 @@ class Job:
             for dst_index in range(downstream_op.parallelism):
                 dst = self.instances.get((runtime.spec.downstream, dst_index))
                 if dst is not None:
-                    router.connect(dst, capacity_batches=self.config.connect_capacity)
+                    router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
         return instance

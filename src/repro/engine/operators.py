@@ -5,13 +5,12 @@ A :class:`LogicalOperator` describes one vertex of the query; each of its
 Logic objects see the world through an :class:`InstanceContext` -- keyed
 state, key-group math, and the simulated clock.
 
-**The primary interface is batch-at-a-time**: the instance pulls one
+**The interface is batch-at-a-time**: the instance pulls one
 :class:`~repro.engine.records.RecordBatch` off its gate queue and calls
-:meth:`OperatorLogic.process_batch` once per batch.  Per-record
-:meth:`OperatorLogic.process` remains the compat path -- the default
-``process_batch`` falls back to it row by row, so existing logics keep
-working unchanged -- and :class:`LegacyRecordLogic` adapts any bare
-per-record callable/object into the batched lifecycle.
+:meth:`OperatorLogic.process_batch` once per batch.  A logic whose
+semantics are per record (windows, joins, sessions) defines
+:meth:`OperatorLogic.process` instead and inherits the row-by-row
+``process_batch``.
 """
 
 from repro.engine.records import Record, RecordBatch
@@ -74,10 +73,13 @@ class OperatorLogic:
        from keyed state after a restore or handover;
     5. ``close`` ends the stream.
 
-    Per-record ``process`` is the compat path: logics that only define it
-    keep working -- the default ``process_batch`` iterates the batch and
-    delegates row by row.  Override ``process_batch`` to amortize Python
-    per-record overhead (state lookups, output assembly) across the batch.
+    The default ``process_batch`` iterates the batch and delegates row by
+    row to ``process``: the window, join and session logics
+    (:mod:`repro.engine.windows`, :mod:`repro.nexmark.extra_queries`) are
+    written per record and unit-tested that way.  Override
+    ``process_batch`` to amortize Python per-record overhead (state
+    lookups, output assembly) across the batch; a logic that does so
+    needs no ``process``.
     """
 
     def open(self, ctx):
@@ -88,7 +90,7 @@ class OperatorLogic:
         """Consume one batch; returns an iterable of output records.
 
         The default delegates to per-record :meth:`process`, preserving
-        row order, so per-record logics are batch logics automatically.
+        row order.
         """
         outputs = []
         process = self.process
@@ -97,7 +99,7 @@ class OperatorLogic:
         return outputs
 
     def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
+        """Consume one record; yields any output records."""
         return ()
 
     def on_watermark(self, watermark):
@@ -124,57 +126,6 @@ class OperatorLogic:
         return ()
 
 
-class LegacyRecordLogic(OperatorLogic):
-    """Adapter: run a bare per-record processor on the batched plane.
-
-    Wraps either an ``OperatorLogic``-shaped object (``process``/
-    ``on_watermark``/``rebuild`` are forwarded when present) or a plain
-    callable ``record -> iterable-of-records``.  Use it to migrate
-    pre-batching user logics without touching their code:
-
-        graph.operator("legacy", lambda: LegacyRecordLogic(my_fn), ...)
-    """
-
-    def __init__(self, wrapped):
-        self.wrapped = wrapped
-
-    def open(self, ctx):
-        """Bind the logic (and the wrapped object, if it binds) to ctx."""
-        super().open(ctx)
-        inner_open = getattr(self.wrapped, "open", None)
-        if inner_open is not None:
-            inner_open(ctx)
-
-    def process(self, record, side=0):
-        """Forward one record to the wrapped processor."""
-        inner = getattr(self.wrapped, "process", None)
-        if inner is not None:
-            return inner(record, side=side)
-        return self.wrapped(record)
-
-    def on_watermark(self, watermark):
-        """Forward event-time progress when the wrapped object reacts."""
-        inner = getattr(self.wrapped, "on_watermark", None)
-        return inner(watermark) if inner is not None else ()
-
-    def rebuild(self, group_ranges):
-        """Forward index rebuilds when the wrapped object keeps indexes."""
-        inner = getattr(self.wrapped, "rebuild", None)
-        if inner is not None:
-            inner(group_ranges)
-
-    def absorb(self, group_ranges):
-        """Forward incremental indexing when the wrapped object keeps indexes."""
-        inner = getattr(self.wrapped, "absorb", None)
-        if inner is not None:
-            inner(group_ranges)
-
-    def close(self):
-        """Forward the close to the wrapped object."""
-        inner = getattr(self.wrapped, "close", None)
-        return inner() if inner is not None else ()
-
-
 class MapLogic(OperatorLogic):
     """Stateless 1-to-1 transformation."""
 
@@ -189,13 +140,6 @@ class MapLogic(OperatorLogic):
             for r in batch.records
         ]
 
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        value = self.fn(record.value)
-        yield Record(
-            record.key, record.timestamp, value, nbytes=record.nbytes, weight=record.weight
-        )
-
 
 class FilterLogic(OperatorLogic):
     """Stateless predicate filter."""
@@ -208,11 +152,6 @@ class FilterLogic(OperatorLogic):
         predicate = self.predicate
         return [r for r in batch.records if predicate(r.value)]
 
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        if self.predicate(record.value):
-            yield record
-
 
 class PassThroughLogic(OperatorLogic):
     """Identity (useful as a routing/measurement stage)."""
@@ -220,10 +159,6 @@ class PassThroughLogic(OperatorLogic):
     def process_batch(self, batch, side=0):
         """Forward the batch object untouched (zero-copy identity)."""
         return batch
-
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        yield record
 
 
 class CollectSinkLogic(OperatorLogic):
@@ -247,16 +182,6 @@ class CollectSinkLogic(OperatorLogic):
             )
         return ()
 
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        self.result_count += 1
-        self.weighted_count += record.weight
-        if len(self.results) < self.keep:
-            self.results.append(
-                (record.key, record.timestamp, record.value, record.weight)
-            )
-        return ()
-
 
 class StatefulCounterLogic(OperatorLogic):
     """A minimal keyed counter: the read-modify-write pattern in isolation.
@@ -273,8 +198,8 @@ class StatefulCounterLogic(OperatorLogic):
         Repeated keys inside the batch read from a local cache instead of
         the LSM store; every intermediate version is still written through
         :meth:`~repro.engine.state.KeyedStateBackend.put_batch`, so the
-        resulting state entries (values, sequence numbers, byte
-        accounting) are bit-identical to the per-record path.
+        state entries (values, sequence numbers, byte accounting) are
+        those of one ``put`` per row.
         """
         state = self.ctx.state
         key_group = self.ctx.key_group
@@ -295,13 +220,3 @@ class StatefulCounterLogic(OperatorLogic):
             )
         state.put_batch(puts)
         return outputs
-
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        group = self.ctx.key_group(record.key)
-        current = self.ctx.state.get(group, record.key) or 0
-        updated = current + record.weight
-        self.ctx.state.put(group, record.key, updated, nbytes=record.nbytes)
-        yield Record(
-            record.key, record.timestamp, updated, nbytes=16, weight=record.weight
-        )

@@ -1,12 +1,9 @@
 """Stream elements: records, record batches, watermarks, and markers.
 
-Since PR 6 the *unit of transfer* on the data plane is the
-:class:`RecordBatch` -- routers partition whole batches, the exchange
-fabric ships one element per batch, and operator instances drain their
-channels batch-at-a-time.  Single :class:`Record` elements remain legal
-stream elements (the record-compat data plane, direct test injection, and
-Megaphone's per-record rerouting all use them), but every internal hot
-path moves batches.
+The *unit of transfer* on the data plane is the :class:`RecordBatch` --
+routers partition whole batches, the exchange fabric ships one element
+per batch, and operator instances drain their channels batch-at-a-time.
+A :class:`Record` is a row of a batch, never a stream element of its own.
 """
 
 

@@ -47,13 +47,6 @@ class TransactionalSinkLogic(OperatorLogic):
         )
         return ()
 
-    def process(self, record, side=0):
-        """Compat path: consume one record; yields any output records."""
-        self._pending.append(
-            (record.key, record.timestamp, record.value, record.weight)
-        )
-        return ()
-
     def on_barrier(self, checkpoint_id):
         """Pre-commit: the pending transaction rides with the checkpoint."""
         if self._pending:

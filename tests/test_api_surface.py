@@ -140,6 +140,31 @@ class TestRhinoConfig:
             RhinoConfig.from_dict({"replication_factor": -3})
 
 
+class TestJobConfig:
+    def test_field_set_is_pinned(self):
+        """A new knob is a reviewed decision: it has to edit this list."""
+        assert sorted(vars(JobConfig())) == [
+            "channel_capacity_batches",
+            "checkpoint_interval",
+            "compaction_trigger",
+            "exchange_interval",
+            "memtable_limit",
+            "num_key_groups",
+            "source_idle_timeout",
+            "source_max_poll",
+            "source_rate_limit",
+            "virtual_node_count",
+            "watermark_interval",
+        ]
+
+    @pytest.mark.parametrize(
+        "removed", [{"data_plane": "record"}, {"channel_capacity": 1}]
+    )
+    def test_removed_options_are_type_errors(self, removed):
+        with pytest.raises(TypeError):
+            JobConfig(**removed)
+
+
 class TestReconfigure:
     def test_unknown_kind(self):
         env = make_env()

@@ -2,11 +2,8 @@
 
 The data plane is batch-denominated: routers emit :class:`RecordBatch`
 elements, channel capacity counts batches, and the fabric ships one
-element per batch.  The legacy per-record / element-denominated API is
-covered by the deprecation tests at the bottom.
+element per batch.
 """
-
-import warnings
 
 import pytest
 
@@ -123,9 +120,8 @@ class TestLocalDelivery:
             batch_of(*[Record(f"k{i}", float(i), nbytes=10) for i in range(5)]),
         )
         fabric.send(channel, Watermark(5.0))
-        fabric.send(channel, Record("solo", 6.0, nbytes=10))
-        # 5 records in the batch + 1 bare record; the watermark is control.
-        assert fabric.pending_elements == 6
+        # 5 records in the batch; the watermark is control.
+        assert fabric.pending_elements == 5
         sim.run(until=1.0)
         assert fabric.pending_elements == 0
 
@@ -259,55 +255,14 @@ class TestRouter:
         assert len(router.channels[1].store) == 1  # 1 % 2 == 1
         assert router.channels[1].store.items[0] is batch  # shipped unsplit
 
-
-class TestDeprecatedRecordApi:
-    """The pre-batching API: accepted, warned about, still correct."""
-
-    def test_router_emit_warns_and_routes(self, env):
-        sim, _cluster, machines, fabric = env
-        edge = make_edge(num_groups=8, parallelism=2)
-        router = Router(sim, fabric, edge, FakeInstance("s[0]", 0, machines[0]))
-        router.connect(FakeInstance("d[0]", 0, machines[0]))
-        router.connect(FakeInstance("d[1]", 1, machines[0]))
-        with pytest.warns(DeprecationWarning, match="emit_batch"):
-            router.emit(Record("some-key", 0.0))
-        owner = router.assignment.owner_of(key_group_of("some-key", 8))
-        assert len(router.channels[owner].store) == 1
-
-    def test_channel_capacity_kwarg_warns_and_is_reused(self, env):
-        sim, _cluster, machines, _fabric = env
-        src = FakeInstance("s[0]", 0, machines[0])
-        dst = FakeInstance("d[0]", 0, machines[0])
-        with pytest.warns(DeprecationWarning, match="capacity_batches"):
-            channel = Channel(sim, "c", src, dst, capacity=7)
-        assert channel.store.capacity == 7
-
-    def test_channel_positional_capacity_warns(self, env):
-        sim, _cluster, machines, _fabric = env
-        src = FakeInstance("s[0]", 0, machines[0])
-        dst = FakeInstance("d[0]", 0, machines[0])
-        with pytest.warns(DeprecationWarning, match="positional"):
-            channel = Channel(sim, "c", src, dst, 0, 9)
-        assert channel.store.capacity == 9
-
-    def test_connect_capacity_kwarg_warns(self, env):
+    def test_connect_capacity_is_batch_denominated(self, env):
         sim, _cluster, machines, fabric = env
         edge = make_edge(partitioning="forward")
         router = Router(sim, fabric, edge, FakeInstance("s[0]", 0, machines[0]))
-        with pytest.warns(DeprecationWarning, match="capacity_batches"):
-            channel = router.connect(FakeInstance("d[0]", 0, machines[0]), capacity=11)
-        assert channel.store.capacity == 11
-
-    def test_batch_api_does_not_warn(self, env):
-        sim, _cluster, machines, fabric = env
-        edge = make_edge(partitioning="forward")
-        router = Router(sim, fabric, edge, FakeInstance("s[0]", 0, machines[0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            channel = router.connect(
-                FakeInstance("d[0]", 0, machines[0]), capacity_batches=5
-            )
-            router.emit_batch(batch_of(Record("k", 0.0)))
+        channel = router.connect(
+            FakeInstance("d[0]", 0, machines[0]), capacity_batches=5
+        )
+        router.emit_batch(batch_of(Record("k", 0.0)))
         assert channel.store.capacity == 5
         assert len(channel.store) == 1
 
@@ -318,9 +273,16 @@ class TestDeprecatedRecordApi:
         channel = Channel(sim, "c", src, dst)
         assert channel.store.capacity == DEFAULT_CAPACITY_BATCHES
 
-    def test_conflicting_capacity_kwargs_raise(self, env):
-        sim, _cluster, machines, _fabric = env
+    def test_removed_capacity_spellings_are_type_errors(self, env):
+        sim, _cluster, machines, fabric = env
         src = FakeInstance("s[0]", 0, machines[0])
         dst = FakeInstance("d[0]", 0, machines[0])
+        router = Router(sim, fabric, make_edge(partitioning="forward"), src)
         with pytest.raises(TypeError):
-            Channel(sim, "c", src, dst, capacity=5, capacity_batches=5)
+            Channel(sim, "c", src, dst, capacity=7)
+        with pytest.raises(TypeError):
+            Channel(sim, "c", src, dst, 0, 9)
+        with pytest.raises(TypeError):
+            router.connect(dst, capacity=11)
+        with pytest.raises(TypeError):
+            router.connect(dst, 11)

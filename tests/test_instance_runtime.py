@@ -1,12 +1,21 @@
 """Unit tests for instance-level machinery: alignment, watermarks, filters."""
 
+import re
+
 import pytest
 
+from repro.common.errors import EngineError
 from repro.engine.graph import StreamGraph
 from repro.engine.instance import ReplayFilter
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
-from repro.engine.records import CheckpointBarrier, EndOfStream, Record, Watermark
+from repro.engine.records import (
+    CheckpointBarrier,
+    EndOfStream,
+    Record,
+    RecordBatch,
+    Watermark,
+)
 
 from tests.engine_fixtures import EngineEnv
 
@@ -80,7 +89,9 @@ class TestAlignment:
         channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
         barrier = CheckpointBarrier(99, env.sim.now)
         channel_a.store.put(barrier)
-        channel_a.store.put(Record("after-barrier", env.sim.now, nbytes=8))
+        channel_a.store.put(
+            RecordBatch([Record("after-barrier", env.sim.now, nbytes=8)])
+        )
         env.run(until=2.0)
         # The post-barrier record must not have been processed yet.
         assert instance.records_processed == 0
@@ -97,7 +108,7 @@ class TestAlignment:
         env.run(until=1.0)
         instance = job.operator_instances("op")[0]
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
-        channel_a.store.put(Record("before", env.sim.now, nbytes=8))
+        channel_a.store.put(RecordBatch([Record("before", env.sim.now, nbytes=8)]))
         channel_a.store.put(CheckpointBarrier(7, env.sim.now))
         env.run(until=2.0)
         assert instance.records_processed == 1
@@ -130,6 +141,23 @@ class TestAlignment:
         instance.detach_input(channel_b)
         env.run(until=2.5)
         assert not instance._alignments
+
+
+class TestChannelBoundary:
+    def test_bare_record_on_a_channel_is_a_typed_error(self):
+        """A channel carries batches and control events, nothing else."""
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env).start()
+        env.run(until=1.0)
+        instance = job.operator_instances("op")[0]
+        channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
+        channel_a.store.put(Record("bare", env.sim.now, nbytes=8))
+        expected = re.escape(f"channel {channel_a.name} carried a Record;")
+        with pytest.raises(EngineError, match=expected):
+            env.run(until=2.0)
+        assert instance.records_processed == 0
 
 
 class TestWatermarkAggregation:
