@@ -103,7 +103,7 @@ class Megaphone:
         group = key_group_of(record.key, self.job.config.num_key_groups)
         owner = self.job.instances.get((op_name, assignment.owner_of(group)))
         if owner is not None and owner is not instance and owner.machine.alive:
-            owner._queue.put(("batch", None, RecordBatch([record])))
+            owner.enqueue("batch", None, RecordBatch([record]))
 
     def _memory_monitor(self, interval):
         while self.failed is None:

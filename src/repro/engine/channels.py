@@ -1,7 +1,9 @@
 """Inter-operator channels, routing, and the exchange fabric.
 
-Channels are durable, bounded, FIFO queues of stream elements (record
-batches and control events), matching the channel model of §2.1.  Remote
+Channels are durable, bounded, FIFO streams of elements (record batches
+and control events), matching the channel model of §2.1.  A channel hands
+each element to its consumer by direct call and buffers only while the
+consumer holds it *blocked* behind an aligned marker.  Remote
 channels charge their bytes to the network through the
 :class:`ExchangeFabric`, which aggregates the data-plane traffic of each
 machine pair into periodic fluid flows -- so state-migration and
@@ -9,9 +11,10 @@ replication flows contend with data exchange on the NICs (the interaction
 behind Figure 5) without simulating per-buffer packets.
 """
 
+from collections import deque
+
 from repro.common.errors import EngineError
 from repro.sim.flows import TransferFailed
-from repro.sim.resources import Store
 from repro.engine.records import (
     RecordBatch,
     Watermark,
@@ -26,8 +29,13 @@ DEFAULT_CAPACITY_BATCHES = 64
 class Channel:
     """A FIFO stream between one producer instance and one consumer instance.
 
-    Depth (``capacity_batches``) is measured in *stream elements*: record
-    batches and control events.
+    An open channel delivers by direct call: :meth:`put` hands the element
+    to the consumer's ``add_input`` and nothing is queued here.  The
+    consumer blocks the channel (:meth:`block`) when an aligned marker
+    arrives on it; from then on elements are *held* in arrival order -- up
+    to ``capacity_batches`` of them (record batches and control events
+    alike), after which ``put`` hands the shipper an event to wait on --
+    until the consumer calls :meth:`release`.
     """
 
     def __init__(
@@ -45,7 +53,11 @@ class Channel:
         self.src_instance = src_instance
         self.dst_instance = dst_instance
         self.input_index = input_index
-        self.store = Store(sim, capacity=capacity_batches)
+        self.capacity_batches = capacity_batches
+        self.blocked = False
+        #: Elements that arrived while blocked, oldest first.
+        self.held = deque()
+        self._putters = deque()  # (event, element) beyond capacity
 
     @property
     def src_machine(self):
@@ -56,6 +68,49 @@ class Channel:
     def dst_machine(self):
         """Machine of the consuming instance."""
         return self.dst_instance.machine
+
+    def put(self, element):
+        """Deliver ``element`` in FIFO order.
+
+        Returns ``None`` when the element was accepted (delivered, or held
+        behind the marker); an event to yield on only when the channel is
+        blocked *and* full -- it fires once a release made room.
+        """
+        if not self.blocked:
+            self.dst_instance.add_input(self, element)
+        elif len(self.held) < self.capacity_batches:
+            self.held.append(element)
+        else:
+            accepted = self.sim.event()
+            self._putters.append((accepted, element))
+            return accepted
+        return None
+
+    def block(self):
+        """Hold everything that arrives from now on (marker alignment)."""
+        self.blocked = True
+
+    def release(self):
+        """Reopen the channel and deliver what queued behind the marker.
+
+        Held elements go first, then the waiting putters' -- FIFO across
+        both.  Delivery stops the moment the consumer re-blocks the channel
+        (the next marker was among the held elements); putters are then
+        admitted only into the room the drain made.
+        """
+        self.blocked = False
+        held = self.held
+        add_input = self.dst_instance.add_input
+        while held and not self.blocked:
+            add_input(self, held.popleft())
+        putters = self._putters
+        while putters and (not self.blocked or len(held) < self.capacity_batches):
+            accepted, element = putters.popleft()
+            if self.blocked:
+                held.append(element)
+            else:
+                add_input(self, element)
+            accepted.succeed()
 
     def __repr__(self):
         return f"<Channel {self.name}>"
@@ -73,7 +128,7 @@ class ExchangeFabric:
     :attr:`pending_elements` count the *records* inside batches so flow
     control and chaos invariants keep exact record counts.
 
-    Backpressure: delivery blocks on full channel stores, and producers
+    Backpressure: delivery blocks on a full (blocked) channel, and producers
     block once a machine pair exceeds ``credit_bytes`` in flight --
     credit-based flow control like the paper's replication runtime uses,
     applied to the data plane.  Credit is accounted in bytes per batch.
@@ -94,10 +149,11 @@ class ExchangeFabric:
         self.replay_epoch = 0
 
     def send(self, channel, element):
-        """Enqueue ``element`` on ``channel``; returns an event to yield on.
+        """Enqueue ``element`` on ``channel``.
 
-        The event is already triggered when there is credit; it blocks the
-        producer when the pair's in-flight bytes exceed the credit window.
+        Returns ``None`` when the producer may carry on, an event to yield
+        on when it must wait: the pair's in-flight bytes exceed the credit
+        window, or a local channel is blocked and full.
         """
         src = channel.src_machine
         dst = channel.dst_machine
@@ -105,11 +161,9 @@ class ExchangeFabric:
             # Receiver is gone: the element is lost in flight (upstream
             # backup replays it after recovery).
             self.dropped_elements += element_record_count(element)
-            done = self.sim.event()
-            done.succeed()
-            return done
+            return None
         if src is dst:
-            return channel.store.put(element)
+            return channel.put(element)
         self._pending.setdefault(src, {}).setdefault(dst, []).append(
             (channel, element)
         )
@@ -119,12 +173,11 @@ class ExchangeFabric:
             self._agents[src] = self.sim.process(
                 self._agent(src), name=f"fabric:{src.name}"
             )
-        done = self.sim.event()
         if self._pending_bytes[pair] <= self.credit_bytes:
-            done.succeed()
-        else:
-            self._credit_waiters.setdefault(pair, []).append(done)
-        return done
+            return None
+        credit = self.sim.event()
+        self._credit_waiters.setdefault(pair, []).append(credit)
+        return credit
 
     def _agent(self, src):
         while src.alive:
@@ -229,7 +282,9 @@ class ExchangeFabric:
                     return
         for channel, element in items:
             if channel.dst_machine is not None and channel.dst_machine.alive:
-                yield channel.store.put(element)
+                full = channel.put(element)
+                if full is not None:
+                    yield full
             else:
                 self.dropped_elements += element_record_count(element)
         self._release_credit(src, dst, nbytes)
@@ -260,6 +315,11 @@ class ExchangeFabric:
             waiter = waiters.pop(0)
             if not waiter.triggered:
                 waiter.succeed()
+
+
+def _waits(sent):
+    """The events among ``send`` results (``None`` = nothing to wait for)."""
+    return [wait for wait in sent if wait is not None]
 
 
 class Router:
@@ -324,7 +384,7 @@ class Router:
         self._forward_target = None
 
     def emit_batch(self, batch):
-        """Route a :class:`RecordBatch`; returns credit events to yield on.
+        """Route a :class:`RecordBatch`; returns the events to yield on.
 
         Hash edges partition the batch by key group in a single pass over
         its rows and ship one sub-batch per distinct consumer; forward
@@ -332,7 +392,7 @@ class Router:
         the rows is preserved.
         """
         if self.edge.partitioning == "forward":
-            return [self.fabric.send(self._target_channel(None), batch)]
+            return _waits([self.fabric.send(self._target_channel(None), batch)])
         if self.edge.partitioning != "hash":
             raise EngineError(f"unknown partitioning {self.edge.partitioning}")
         route = self.assignment.route_key
@@ -348,11 +408,11 @@ class Router:
             # One consumer owns every row: ship the original batch object
             # (its metadata is already computed).
             target = next(iter(buckets))
-            return [self.fabric.send(self._target_channel(target), batch)]
-        return [
+            return _waits([self.fabric.send(self._target_channel(target), batch)])
+        return _waits(
             self.fabric.send(self._target_channel(target), RecordBatch(rows))
             for target, rows in buckets.items()
-        ]
+        )
 
     def _target_channel(self, target):
         """Resolve a consumer index (None = forward pin) to its channel."""
@@ -371,10 +431,10 @@ class Router:
 
     def broadcast(self, control_event):
         """Send a control event on every channel; returns events to wait on."""
-        return [
+        return _waits(
             self.fabric.send(channel, control_event)
             for _index, channel in sorted(self.channels.items())
-        ]
+        )
 
 
 class Edge:

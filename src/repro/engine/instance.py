@@ -2,15 +2,15 @@
 
 Each logical operator runs as ``parallelism`` instances.  An instance:
 
-* reads elements from its inbound channels through per-channel reader
-  processes feeding one gate queue (batches keep per-channel FIFO order);
-  a :class:`RecordBatch` is the only data element a channel carries --
-  the instance drains its channels batch-at-a-time and calls
-  ``OperatorLogic.process_batch`` once per batch;
+* receives elements from its inbound channels by direct call
+  (:meth:`OperatorInstance.add_input`) into one gate queue (batches keep
+  per-channel FIFO order); a :class:`RecordBatch` is the only data element
+  a channel carries -- the main loop drains everything ready in one
+  activation and calls ``OperatorLogic.process_batch`` once per batch;
 * performs **epoch alignment** for :class:`AlignedMarker` subclasses --
   when a marker arrives on one channel, that channel is blocked (records
   buffer in the channel) until the marker has arrived on every inbound
-  channel, at which point the marker is acted upon exactly once (§4.1.1);
+  channel *and* has been acted upon, exactly once (§4.1.1);
 * charges CPU per processed record, maintains keyed state, and emits
   outputs through per-edge routers.
 
@@ -18,10 +18,12 @@ Rhino's handover protocol plugs in through ``job.marker_handlers``: the
 engine aligns any marker type, then dispatches to the registered handler.
 """
 
+from collections import deque
+
 from repro.common.errors import EngineError
 from repro.common.ranges import RangeSet
 from repro.sim.kernel import Interrupt
-from repro.sim.resources import Store, StoreClosed
+from repro.sim.resources import Store
 from repro.engine.operators import InstanceContext
 from repro.engine.partitioning import key_group_of
 from repro.engine.records import (
@@ -202,8 +204,6 @@ class InstanceBase:
             yield from self._run()
         except Interrupt:
             self.running = False
-        except StoreClosed:
-            self.running = False
 
     def stop(self):
         """Stop the background process (no-op if not running)."""
@@ -227,8 +227,10 @@ class OperatorInstance(InstanceBase):
         super().__init__(sim, job, op, index, machine)
         self.logic = op.logic_factory()
         self.inputs = []
-        self._queue = Store(sim)  # unbounded; backpressure lives in channels
-        self._readers = {}
+        #: The gate: (kind, channel, payload) entries ready for the main
+        #: loop.  Unbounded; backpressure lives in blocked channels.
+        self._gate = deque()
+        self._wakeup = None  # pending event while the main loop idles
         self._channel_watermarks = {}
         self._watermark = float("-inf")
         self._alignments = {}
@@ -261,14 +263,9 @@ class OperatorInstance(InstanceBase):
     # -- inputs -----------------------------------------------------------
 
     def attach_input(self, channel):
-        """Wire an inbound channel and start reading it."""
+        """Wire an inbound channel; it delivers through :meth:`add_input`."""
         self.inputs.append(channel)
         self._channel_watermarks[channel] = float("-inf")
-        reader = self.sim.process(
-            self._reader(channel), name=f"reader:{channel.name}"
-        )
-        self.machine.register_process(reader)
-        self._readers[channel] = reader
 
     def detach_input(self, channel):
         """Remove a channel (its upstream died or was rewired away)."""
@@ -276,76 +273,88 @@ class OperatorInstance(InstanceBase):
             return
         self.inputs.remove(channel)
         self._channel_watermarks.pop(channel, None)
-        reader = self._readers.pop(channel, None)
-        if reader is not None and reader.is_alive:
-            reader.defused = True
-            reader.interrupt("detached")
+        channel.block()  # for good: nothing it still carries is delivered
         for alignment in self._alignments.values():
             alignment["pending"].discard(channel)
+            if channel in alignment["blocked"]:
+                alignment["blocked"].remove(channel)
             # The detach may complete an in-flight alignment.
             if not alignment["pending"] and not alignment["enqueued"]:
                 alignment["enqueued"] = True
-                self._queue.put(("marker", None, alignment["marker"]))
+                self.enqueue("marker", None, alignment["marker"])
 
-    def _reader(self, channel):
-        try:
-            while True:
-                element = yield channel.store.get()
-                if isinstance(element, RecordBatch):
-                    yield self._queue.put(("batch", channel, element))
-                elif isinstance(element, AlignedMarker):
-                    release = self._marker_arrived(channel, element)
-                    if release is not None:
-                        yield release  # buffer this channel until aligned
-                elif isinstance(element, Watermark):
-                    self._channel_watermarks[channel] = max(
-                        self._channel_watermarks[channel], element.timestamp
-                    )
-                    self._maybe_advance_watermark()
-                else:
-                    raise EngineError(
-                        f"channel {channel.name} carried a"
-                        f" {type(element).__name__}; a channel carries only"
-                        " RecordBatch, Watermark and AlignedMarker elements"
-                    )
-        except (Interrupt, StoreClosed):
-            return
+    def add_input(self, channel, element):
+        """Accept one element from ``channel`` (called by ``Channel.put``).
+
+        Only enqueues -- the main loop does the processing -- so a local
+        send can never recurse into operator logic.
+        """
+        if isinstance(element, RecordBatch):
+            self.enqueue("batch", channel, element)
+        elif isinstance(element, AlignedMarker):
+            self._marker_arrived(channel, element)
+        elif isinstance(element, Watermark):
+            self._channel_watermarks[channel] = max(
+                self._channel_watermarks[channel], element.timestamp
+            )
+            self._maybe_advance_watermark()
+        else:
+            raise EngineError(
+                f"channel {channel.name} carried a"
+                f" {type(element).__name__}; a channel carries only"
+                " RecordBatch, Watermark and AlignedMarker elements"
+            )
+
+    def enqueue(self, kind, channel, payload):
+        """Append to the gate queue and wake the main loop if it idles."""
+        self._gate.append((kind, channel, payload))
+        wakeup = self._wakeup
+        if wakeup is not None:
+            self._wakeup = None
+            wakeup.succeed()
 
     def _maybe_advance_watermark(self):
         candidate = min(self._channel_watermarks.values())
         if candidate > self._watermark:
             self._watermark = candidate
-            self._queue.put(("watermark", None, Watermark(candidate)))
+            self.enqueue("watermark", None, Watermark(candidate))
 
     def cancel_alignment(self, marker_id):
         """Abort an in-flight alignment (its checkpoint was aborted).
 
         Late copies of the marker are swallowed; blocked channels resume.
         Without this, barriers of a checkpoint whose participant died
-        would block channel readers forever.
+        would block their channels forever.
         """
         self._cancelled_markers.add(marker_id)
-        alignment = self._alignments.pop(marker_id, None)
-        if alignment is not None and not alignment["release"].triggered:
-            alignment["release"].succeed()
+        self._release_alignment(marker_id)
 
     def _marker_arrived(self, channel, marker):
+        """Block ``channel`` until the marker was seen on every input and
+        handled (or cancelled); the last arrival enqueues it."""
         if marker.marker_id in self._cancelled_markers:
-            return None  # swallow: every instance was told to cancel
+            return  # swallow: every instance was told to cancel
         alignment = self._alignments.get(marker.marker_id)
         if alignment is None:
             alignment = {
                 "pending": set(self.inputs),
-                "release": self.sim.event(),
+                "blocked": [],  # in arrival order, released in that order
                 "marker": marker,
                 "enqueued": False,
             }
             self._alignments[marker.marker_id] = alignment
+        channel.block()
+        alignment["blocked"].append(channel)
         alignment["pending"].discard(channel)
         if not alignment["pending"] and not alignment["enqueued"]:
             alignment["enqueued"] = True
-            self._queue.put(("marker", None, marker))
-        return alignment["release"]
+            self.enqueue("marker", None, marker)
+
+    def _release_alignment(self, marker_id):
+        alignment = self._alignments.pop(marker_id, None)
+        if alignment is not None:
+            for channel in alignment["blocked"]:
+                channel.release()
 
     # -- main loop ------------------------------------------------------------
 
@@ -359,8 +368,13 @@ class OperatorInstance(InstanceBase):
                 ranges = [(0, self.job.config.num_key_groups)]
             self.logic.rebuild(ranges)
         self.running = True
+        gate = self._gate
         while self.running:
-            kind, channel, payload = yield self._queue.get()
+            if not gate:
+                self._wakeup = self.sim.event()
+                yield self._wakeup
+                continue
+            kind, channel, payload = gate.popleft()
             if kind == "batch":
                 yield from self._handle_batch(channel, payload)
             elif kind == "watermark":
@@ -473,12 +487,7 @@ class OperatorInstance(InstanceBase):
                 yield from self.broadcast(marker)  # pass-through
             else:
                 yield from handler(self, marker)
-        self._release_alignment(marker)
-
-    def _release_alignment(self, marker):
-        alignment = self._alignments.pop(marker.marker_id, None)
-        if alignment is not None and not alignment["release"].triggered:
-            alignment["release"].succeed()
+        self._release_alignment(marker.marker_id)
 
     def _handle_barrier(self, barrier):
         # Forward first so downstream alignment overlaps our snapshot.

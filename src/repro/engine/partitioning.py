@@ -8,6 +8,8 @@ migrate.  Reassigning a virtual node moves its key groups -- and therefore
 its records and state -- to another instance without touching the rest.
 """
 
+from itertools import groupby
+
 from repro.common.errors import EngineError
 from repro.common.ranges import RangeSet
 from repro.common.rng import stable_hash
@@ -67,6 +69,10 @@ class KeyGroupAssignment:
     instance (§4.1.2 step 3, first routine).
     """
 
+    #: Cached maximal ``(lo, hi, owner)`` runs of ``_owner``; ``None`` until
+    #: first asked for and again after every :meth:`reassign`.
+    _runs = None
+
     def __init__(self, num_groups, parallelism):
         self.num_groups = num_groups
         self._owner = []
@@ -101,38 +107,47 @@ class KeyGroupAssignment:
         """Move key groups [lo, hi) to ``new_owner``."""
         if not 0 <= lo < hi <= self.num_groups:
             raise EngineError(f"invalid key-group range [{lo}, {hi})")
-        for group in range(lo, hi):
-            self._owner[group] = new_owner
+        self._owner[lo:hi] = [new_owner] * (hi - lo)
+        self._runs = None
+
+    def _owner_runs(self):
+        """Maximal ``(lo, hi, owner)`` runs in group order: one pass over
+        the key groups, cached until the next :meth:`reassign`."""
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = []
+            lo = 0
+            for owner, members in groupby(self._owner):
+                hi = lo + len(list(members))
+                runs.append((lo, hi, owner))
+                lo = hi
+        return runs
 
     def ranges_of(self, instance_index):
         """The RangeSet of key groups owned by ``instance_index``."""
-        ranges = RangeSet()
-        start = None
-        for group, owner in enumerate(self._owner):
-            if owner == instance_index and start is None:
-                start = group
-            elif owner != instance_index and start is not None:
-                ranges.add(start, group)
-                start = None
-        if start is not None:
-            ranges.add(start, self.num_groups)
-        return ranges
+        return RangeSet(
+            (lo, hi)
+            for lo, hi, owner in self._owner_runs()
+            if owner == instance_index
+        )
 
     def owners(self):
         """The set of instance indexes owning at least one group."""
-        return set(self._owner)
+        return {owner for _lo, _hi, owner in self._owner_runs()}
 
     def group_counts(self):
         """{instance_index: number of owned key groups}."""
         counts = {}
-        for owner in self._owner:
-            counts[owner] = counts.get(owner, 0) + 1
+        for lo, hi, owner in self._owner_runs():
+            counts[owner] = counts.get(owner, 0) + hi - lo
         return counts
 
     def copy(self):
-        """An independent copy."""
+        """An independent copy (the run cache is shared until either side
+        reassigns, which replaces its own reference only)."""
         clone = KeyGroupAssignment.__new__(KeyGroupAssignment)
         clone.num_groups = self.num_groups
         clone._owner = list(self._owner)
         clone.parallelism = self.parallelism
+        clone._runs = self._runs
         return clone

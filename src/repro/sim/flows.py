@@ -226,7 +226,7 @@ class FlowScheduler:
                     return event
         latency = latency + sum(p.extra_latency for p in ports)
         if nbytes <= _EPSILON_BYTES:
-            self.sim.process(self._complete_after(event, latency, nbytes))
+            self._complete_after(event, latency, nbytes)
             return event
         self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
@@ -344,10 +344,16 @@ class FlowScheduler:
     # -- shared internals ----------------------------------------------
 
     def _complete_after(self, event, latency, nbytes):
+        """Succeed ``event`` with ``nbytes`` once ``latency`` has passed."""
+
+        def complete(_timer=None):
+            if not event.triggered:
+                event.succeed(nbytes)
+
         if latency > 0:
-            yield self.sim.timeout(latency)
-        if not event.triggered:
-            event.succeed(nbytes)
+            self.sim.timeout(latency).callbacks.append(complete)
+        else:
+            complete()
 
     def _advance(self):
         """Account bytes moved since the last update at current rates."""
@@ -374,9 +380,7 @@ class FlowScheduler:
         if finished:
             for flow in finished:
                 self._remove_flow(flow)
-                self.sim.process(
-                    self._complete_after(flow.event, flow.latency, flow.remaining)
-                )
+                self._complete_after(flow.event, flow.latency, flow.remaining)
 
     def _advance_dense(self, elapsed):
         finished = []
@@ -389,9 +393,7 @@ class FlowScheduler:
                 finished.append(flow)
         for flow in finished:
             del self._flows[flow.flow_id]
-            self.sim.process(
-                self._complete_after(flow.event, flow.latency, flow.remaining)
-            )
+            self._complete_after(flow.event, flow.latency, flow.remaining)
 
     # -- incremental engine --------------------------------------------
 

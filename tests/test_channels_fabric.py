@@ -2,7 +2,8 @@
 
 The data plane is batch-denominated: routers emit :class:`RecordBatch`
 elements, channel capacity counts batches, and the fabric ships one
-element per batch.
+element per batch.  A channel delivers by direct call into its consumer's
+``add_input`` and buffers only while blocked behind an aligned marker.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.engine.channels import (
     Router,
 )
 from repro.engine.partitioning import KeyGroupAssignment, key_group_of
-from repro.engine.records import Record, RecordBatch, Watermark
+from repro.engine.records import CheckpointBarrier, Record, RecordBatch, Watermark
 from repro.sim import Simulator
 from repro.cluster import Cluster
 
@@ -26,9 +27,16 @@ class FakeInstance:
         self.index = index
         self.machine = machine
         self.attached = []
+        self.delivered = []  # (channel, element) in delivery order
 
     def attach_input(self, channel):
         self.attached.append(channel)
+
+    def add_input(self, channel, element):
+        self.delivered.append((channel, element))
+
+    def received(self, channel):
+        return [element for ch, element in self.delivered if ch is channel]
 
 
 def batch_of(*records):
@@ -57,8 +65,8 @@ class TestLocalDelivery:
         dst = FakeInstance("dst[0]", 0, machines[0])
         channel = Channel(sim, "c", src, dst)
         done = fabric.send(channel, batch_of(Record("k", 0.0, nbytes=100)))
-        assert done.triggered
-        assert len(channel.store) == 1
+        assert done is None  # nothing to wait for
+        assert len(dst.received(channel)) == 1
 
     def test_remote_send_delivers_after_flush(self, env):
         sim, _cluster, machines, fabric = env
@@ -66,9 +74,9 @@ class TestLocalDelivery:
         dst = FakeInstance("dst[0]", 0, machines[1])
         channel = Channel(sim, "c", src, dst)
         fabric.send(channel, batch_of(Record("k", 0.0, nbytes=100)))
-        assert len(channel.store) == 0  # pending in the fabric
+        assert dst.received(channel) == []  # pending in the fabric
         sim.run(until=1.0)
-        assert len(channel.store) == 1
+        assert len(dst.received(channel)) == 1
 
     def test_per_channel_order_preserved_across_flushes(self, env):
         sim, _cluster, machines, fabric = env
@@ -78,7 +86,7 @@ class TestLocalDelivery:
         for i in range(10):
             fabric.send(channel, batch_of(Record(f"k{i}", float(i), nbytes=10)))
         sim.run(until=2.0)
-        values = [element.records[0].key for element in channel.store.items]
+        values = [element.records[0].key for element in dst.received(channel)]
         assert values == [f"k{i}" for i in range(10)]
 
     def test_send_to_dead_machine_drops_batch_records(self, env):
@@ -90,7 +98,7 @@ class TestLocalDelivery:
         done = fabric.send(
             channel, batch_of(Record("a", 0.0, nbytes=10), Record("b", 0.0, nbytes=10))
         )
-        assert done.triggered
+        assert done is None
         # Drop accounting counts the records inside the batch, not elements.
         assert fabric.dropped_elements == 2
 
@@ -108,7 +116,7 @@ class TestLocalDelivery:
         sim.process(killer())
         sim.run(until=5.0)
         assert fabric.dropped_elements >= 1
-        assert len(channel.store) == 0
+        assert dst.received(channel) == []
 
     def test_pending_elements_counts_records_inside_batches(self, env):
         sim, _cluster, machines, fabric = env
@@ -126,6 +134,96 @@ class TestLocalDelivery:
         assert fabric.pending_elements == 0
 
 
+class BlockingInstance(FakeInstance):
+    """Blocks a channel when a barrier arrives on it, like the real gate."""
+
+    def add_input(self, channel, element):
+        super().add_input(channel, element)
+        if isinstance(element, CheckpointBarrier):
+            channel.block()
+
+
+class TestBlockRelease:
+    def make(self, env, capacity_batches=3):
+        sim, _cluster, machines, _fabric = env
+        src = FakeInstance("src[0]", 0, machines[0])
+        dst = BlockingInstance("dst[0]", 0, machines[0])
+        return sim, dst, Channel(sim, "c", src, dst, capacity_batches=capacity_batches)
+
+    def test_open_channel_delivers_by_direct_call_and_holds_nothing(self, env):
+        _sim, dst, channel = self.make(env)
+        batch = batch_of(Record("k", 0.0))
+        assert channel.put(batch) is None
+        assert dst.delivered == [(channel, batch)]
+        assert not channel.held
+
+    def test_blocked_channel_holds_capacity_then_hands_out_an_event(self, env):
+        sim, dst, channel = self.make(env, capacity_batches=3)
+        channel.block()
+        for i in range(3):
+            assert channel.put(Watermark(float(i))) is None
+        assert dst.delivered == [] and len(channel.held) == 3
+        full = channel.put(Watermark(3.0))
+        assert full is not None and not full.triggered
+        sim.run(until=1.0)
+        assert not full.triggered  # only a release makes room
+        channel.release()
+        assert full.triggered
+        assert [e.timestamp for e in dst.received(channel)] == [0.0, 1.0, 2.0, 3.0]
+        assert not channel.held and not channel.blocked
+
+    def test_release_is_fifo_across_held_elements_and_blocked_putters(self, env):
+        _sim, dst, channel = self.make(env, capacity_batches=2)
+        assert channel.put(CheckpointBarrier(1, 0.0)) is None  # blocks
+        assert channel.blocked
+        assert channel.put(Watermark(1.0)) is None
+        assert channel.put(Watermark(2.0)) is None
+        waits = [channel.put(Watermark(3.0)), channel.put(Watermark(4.0))]
+        assert all(w is not None and not w.triggered for w in waits)
+        channel.release()
+        assert all(w.triggered for w in waits)
+        assert [e.timestamp for e in dst.received(channel)[1:]] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_release_stops_at_the_next_marker_and_reblocks(self, env):
+        _sim, dst, channel = self.make(env, capacity_batches=3)
+        channel.put(CheckpointBarrier(1, 0.0))
+        channel.put(Watermark(1.0))
+        channel.put(CheckpointBarrier(2, 0.0))
+        channel.put(Watermark(2.0))  # capacity reached
+        first, second = channel.put(Watermark(3.0)), channel.put(Watermark(4.0))
+        channel.release()
+        # Delivered up to and including barrier 2, which re-blocked the
+        # channel mid-drain; the rest stays held, in order.
+        assert [type(e).__name__ for e in dst.received(channel)] == [
+            "CheckpointBarrier", "Watermark", "CheckpointBarrier",
+        ]
+        assert channel.blocked
+        # The drain made room for both waiting putters, behind watermark 2.
+        assert first.triggered and second.triggered
+        assert [e.timestamp for e in channel.held] == [2.0, 3.0, 4.0]
+        assert channel.put(Watermark(5.0)) is not None  # full again
+        channel.release()
+        assert [e.timestamp for e in dst.received(channel)[3:]] == [2.0, 3.0, 4.0, 5.0]
+
+    def test_shipper_waits_on_a_full_blocked_channel(self, env):
+        sim, _cluster, machines, fabric = env
+        src = FakeInstance("src[0]", 0, machines[0])
+        dst = BlockingInstance("dst[0]", 0, machines[1])
+        channel = Channel(sim, "c", src, dst, capacity_batches=1)
+        channel.block()
+        for i in range(3):
+            fabric.send(channel, batch_of(Record(f"k{i}", float(i), nbytes=10)))
+        sim.run(until=1.0)
+        # One element held, the shipper parked on the second; its credit
+        # stays charged until everything was accepted.
+        assert len(channel.held) == 1 and dst.delivered == []
+        assert fabric._pending_bytes[(machines[0], machines[1])] == 30
+        channel.release()
+        sim.run(until=2.0)
+        assert [e.records[0].key for e in dst.received(channel)] == ["k0", "k1", "k2"]
+        assert fabric._pending_bytes[(machines[0], machines[1])] == 0
+
+
 class TestCredit:
     def test_producer_blocks_beyond_credit(self, env):
         sim, _cluster, machines, fabric = env
@@ -135,7 +233,7 @@ class TestCredit:
         channel = Channel(sim, "c", src, dst, capacity_batches=1000)
         first = fabric.send(channel, batch_of(Record("a", 0.0, nbytes=100)))
         second = fabric.send(channel, batch_of(Record("b", 0.0, nbytes=100)))
-        assert first.triggered
+        assert first is None
         assert not second.triggered  # over the credit window
         sim.run(until=2.0)
         assert second.triggered  # flushed, credit released
@@ -151,7 +249,7 @@ class TestCredit:
         done = fabric.send(
             channel, batch_of(*[Record(f"k{i}", 0.0, nbytes=50) for i in range(3)])
         )
-        assert done.triggered
+        assert done is None
 
 
 class TestRouter:
@@ -167,8 +265,8 @@ class TestRouter:
         router.emit_batch(batch_of(Record("some-key", 0.0)))
         group = key_group_of("some-key", 8)
         expected = router.assignment.owner_of(group)
-        target_store = router.channels[expected].store
-        assert len(target_store) == 1
+        target = (dst0, dst1)[expected]
+        assert len(target.received(router.channels[expected])) == 1
 
     def test_emit_batch_partitions_by_key_group(self, env):
         sim, _cluster, machines, fabric = env
@@ -182,11 +280,12 @@ class TestRouter:
         router.emit_batch(RecordBatch(records))
         delivered = {}
         for index, channel in router.channels.items():
-            for element in channel.store.items:
+            elements = (dst0, dst1)[index].received(channel)
+            for element in elements:
                 assert isinstance(element, RecordBatch)
-                # Each consumer gets at most ONE sub-batch per emitted batch.
                 delivered.setdefault(index, []).extend(element.records)
-            assert len(channel.store.items) <= 1
+            # Each consumer gets at most ONE sub-batch per emitted batch.
+            assert len(elements) <= 1
         for index, rows in delivered.items():
             for record in rows:
                 assert router.assignment.owner_of(key_group_of(record.key, 8)) == index
@@ -196,14 +295,15 @@ class TestRouter:
         sim, _cluster, machines, fabric = env
         edge = make_edge(num_groups=8, parallelism=2)
         router = Router(sim, fabric, edge, FakeInstance("s[0]", 0, machines[0]))
-        router.connect(FakeInstance("d[0]", 0, machines[0]))
-        router.connect(FakeInstance("d[1]", 1, machines[0]))
+        targets = [FakeInstance(f"d[{i}]", i, machines[0]) for i in range(2)]
+        for target in targets:
+            router.connect(target)
         group = key_group_of("pinned", 8)
         owner = router.assignment.owner_of(group)
         batch = batch_of(Record("pinned", 0.0), Record("pinned", 1.0))
         router.emit_batch(batch)
         # The original batch object is reused, no re-slicing.
-        assert router.channels[owner].store.items[0] is batch
+        assert targets[owner].received(router.channels[owner])[0] is batch
 
     def test_reassign_changes_routing(self, env):
         sim, _cluster, machines, fabric = env
@@ -216,8 +316,8 @@ class TestRouter:
         router.connect(dst1)
         router.reassign(0, 8, 1)  # everything to instance 1
         router.emit_batch(batch_of(Record("any-key", 0.0)))
-        assert len(router.channels[1].store) == 1
-        assert len(router.channels[0].store) == 0
+        assert len(dst1.delivered) == 1
+        assert dst0.delivered == []
 
     def test_router_copy_is_private(self, env):
         """Two routers of the same edge rewire independently."""
@@ -239,7 +339,7 @@ class TestRouter:
             router.connect(target)
         router.broadcast(Watermark(5.0))
         for index in range(3):
-            assert len(router.channels[index].store) == 1
+            assert [e.timestamp for _c, e in targets[index].delivered] == [5.0]
 
     def test_forward_partitioning_pins_by_index(self, env):
         sim, _cluster, machines, fabric = env
@@ -252,26 +352,25 @@ class TestRouter:
         router.connect(dst1)
         batch = batch_of(Record("k", 0.0))
         router.emit_batch(batch)
-        assert len(router.channels[1].store) == 1  # 1 % 2 == 1
-        assert router.channels[1].store.items[0] is batch  # shipped unsplit
+        assert dst0.delivered == []  # 1 % 2 == 1
+        assert dst1.delivered == [(router.channels[1], batch)]  # shipped unsplit
 
     def test_connect_capacity_is_batch_denominated(self, env):
         sim, _cluster, machines, fabric = env
         edge = make_edge(partitioning="forward")
         router = Router(sim, fabric, edge, FakeInstance("s[0]", 0, machines[0]))
-        channel = router.connect(
-            FakeInstance("d[0]", 0, machines[0]), capacity_batches=5
-        )
+        dst = FakeInstance("d[0]", 0, machines[0])
+        channel = router.connect(dst, capacity_batches=5)
         router.emit_batch(batch_of(Record("k", 0.0)))
-        assert channel.store.capacity == 5
-        assert len(channel.store) == 1
+        assert channel.capacity_batches == 5
+        assert len(dst.delivered) == 1
 
     def test_default_capacity_is_batch_denominated(self, env):
         sim, _cluster, machines, _fabric = env
         src = FakeInstance("s[0]", 0, machines[0])
         dst = FakeInstance("d[0]", 0, machines[0])
         channel = Channel(sim, "c", src, dst)
-        assert channel.store.capacity == DEFAULT_CAPACITY_BATCHES
+        assert channel.capacity_batches == DEFAULT_CAPACITY_BATCHES
 
     def test_removed_capacity_spellings_are_type_errors(self, env):
         sim, _cluster, machines, fabric = env

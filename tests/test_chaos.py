@@ -14,15 +14,22 @@ from repro.obs.tracer import Tracer
 from repro.experiments.scenarios.chaos import run_chaos, run_chaos_sweep
 
 
-def canonical_trace(tracer):
-    """Serialize a trace to a canonical JSON string for replay comparison."""
+def canonical_trace(tracer, without_track=None):
+    """Serialize a trace to a canonical JSON string for replay comparison.
+
+    ``without_track="kernel"`` leaves out the simulator's own
+    ``process.spawn/end/interrupt`` events: they record how the executor
+    is structured, not what the protocols did.
+    """
     spans = [
         [s.name, s.track, s.start, s.end, sorted(s.tags.items())]
         for s in tracer.spans
+        if s.track != without_track
     ]
     events = [
         [e.name, e.time, e.track, sorted(e.tags.items())]
         for e in tracer.events
+        if e.track != without_track
     ]
     counters = {name: c.samples for name, c in sorted(tracer.counters.items())}
     return json.dumps([spans, events, counters], sort_keys=True, default=str)

@@ -17,7 +17,7 @@ from repro.engine.records import (
     Watermark,
 )
 
-from tests.engine_fixtures import EngineEnv
+from tests.engine_fixtures import EngineEnv, live_feeder
 
 
 NUM_GROUPS = 16
@@ -88,15 +88,15 @@ class TestAlignment:
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
         channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
         barrier = CheckpointBarrier(99, env.sim.now)
-        channel_a.store.put(barrier)
-        channel_a.store.put(
+        channel_a.put(barrier)
+        channel_a.put(
             RecordBatch([Record("after-barrier", env.sim.now, nbytes=8)])
         )
         env.run(until=2.0)
         # The post-barrier record must not have been processed yet.
         assert instance.records_processed == 0
         # Completing alignment on channel b releases it.
-        channel_b.store.put(barrier)
+        channel_b.put(barrier)
         env.run(until=3.0)
         assert instance.records_processed == 1
 
@@ -108,8 +108,8 @@ class TestAlignment:
         env.run(until=1.0)
         instance = job.operator_instances("op")[0]
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
-        channel_a.store.put(RecordBatch([Record("before", env.sim.now, nbytes=8)]))
-        channel_a.store.put(CheckpointBarrier(7, env.sim.now))
+        channel_a.put(RecordBatch([Record("before", env.sim.now, nbytes=8)]))
+        channel_a.put(CheckpointBarrier(7, env.sim.now))
         env.run(until=2.0)
         assert instance.records_processed == 1
 
@@ -122,7 +122,7 @@ class TestAlignment:
         instance = job.operator_instances("op")[0]
         eos = EndOfStream(env.sim.now)
         for channel in list(instance.inputs):
-            channel.store.put(eos)
+            channel.put(eos)
         env.run(until=2.0)
         assert not instance.running
 
@@ -135,12 +135,209 @@ class TestAlignment:
         instance = job.operator_instances("op")[0]
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
         channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
-        channel_a.store.put(CheckpointBarrier(3, env.sim.now))
+        channel_a.put(CheckpointBarrier(3, env.sim.now))
         env.run(until=1.5)
         assert instance._alignments  # waiting on channel b
         instance.detach_input(channel_b)
         env.run(until=2.5)
         assert not instance._alignments
+
+
+    def aligned_env(self):
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        env.run(until=1.0)
+        instance = job.operator_instances("op")[0]
+        channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
+        channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
+        return env, job, instance, channel_a, channel_b
+
+    @staticmethod
+    def row(env, key):
+        return RecordBatch([Record(key, env.sim.now, nbytes=8)])
+
+    def test_marker_blocks_its_channel_until_it_was_handled(self):
+        """Every arrival blocks, the last one included: nothing behind the
+        marker may overtake the handler."""
+        env, _job, instance, channel_a, channel_b = self.aligned_env()
+        barrier = CheckpointBarrier(5, env.sim.now)
+        channel_a.put(barrier)
+        channel_b.put(barrier)
+        assert channel_a.blocked and channel_b.blocked  # aligned, not yet handled
+        channel_b.put(self.row(env, "behind"))
+        assert len(channel_b.held) == 1
+        env.run(until=2.0)
+        assert not channel_a.blocked and not channel_b.blocked
+        assert not channel_b.held and not instance._alignments
+        assert instance.records_processed == 1
+
+    def test_second_marker_behind_the_first_reblocks_mid_drain(self):
+        env, _job, instance, channel_a, channel_b = self.aligned_env()
+        first = CheckpointBarrier(1, env.sim.now)
+        second = CheckpointBarrier(2, env.sim.now)
+        channel_a.put(first)
+        channel_a.put(self.row(env, "between"))
+        channel_a.put(second)
+        channel_a.put(self.row(env, "after-second"))
+        assert len(channel_a.held) == 3
+        channel_b.put(first)
+        env.run(until=2.0)
+        # Released up to the second barrier, which holds the channel again.
+        assert instance.records_processed == 1
+        assert channel_a.blocked and len(channel_a.held) == 1
+        assert list(instance._alignments) == [second.marker_id]
+        channel_b.put(second)
+        env.run(until=3.0)
+        assert instance.records_processed == 2
+        assert not channel_a.blocked and not instance._alignments
+
+    def test_cancel_alignment_releases_and_swallows_late_copies(self):
+        env, _job, instance, channel_a, channel_b = self.aligned_env()
+        barrier = CheckpointBarrier(9, env.sim.now)
+        channel_a.put(barrier)
+        channel_a.put(self.row(env, "held"))
+        env.run(until=1.5)
+        assert instance.records_processed == 0
+        instance.cancel_alignment(barrier.marker_id)
+        assert not channel_a.blocked and not instance._alignments
+        channel_b.put(barrier)  # the late copy must not block channel b
+        assert not channel_b.blocked
+        env.run(until=2.0)
+        assert instance.records_processed == 1
+
+    def test_detached_channel_stays_blocked_for_good(self):
+        env, _job, instance, channel_a, channel_b = self.aligned_env()
+        barrier = CheckpointBarrier(4, env.sim.now)
+        channel_b.put(barrier)
+        channel_b.put(self.row(env, "orphan"))
+        instance.detach_input(channel_b)
+        assert instance._alignments[barrier.marker_id]["blocked"] == []
+        channel_a.put(barrier)  # completes the alignment: a is the only input
+        channel_a.put(self.row(env, "live"))
+        env.run(until=2.0)
+        assert not instance._alignments and not channel_a.blocked
+        # The release did not reopen the detached channel.
+        assert channel_b.blocked and len(channel_b.held) == 1
+        assert instance.records_processed == 1
+
+    def test_stop_while_idle_does_not_swallow_the_next_wakeup(self):
+        env, _job, instance, channel_a, _channel_b = self.aligned_env()
+        instance.stop()  # interrupts the loop parked on its wake-up event
+        env.run(until=1.5)
+        instance.start()
+        env.run(until=2.0)
+        channel_a.put(self.row(env, "after-restart"))
+        env.run(until=2.5)
+        assert instance.records_processed == 1
+
+
+class TestNoPerChannelProcess:
+    """The gate is a method call: wiring a channel spawns nothing, so
+    unwiring one leaves nothing behind (the old readers leaked here)."""
+
+    @staticmethod
+    def process_names(env):
+        return sorted(p.name for p in env.sim.alive_processes())
+
+    def scaled_job(self, env):
+        graph = StreamGraph("gate")
+        graph.source("src", topic="events", parallelism=2)
+        graph.operator(
+            "op", StatefulCounterLogic, 2, inputs=[("src", "hash")], stateful=True
+        )
+        graph.sink("out", inputs=[("op", "forward")])
+        return env.job(graph).start()
+
+    def test_one_process_per_instance_and_none_per_channel(self):
+        env = EngineEnv()
+        env.topic("events", 2)
+        job = self.scaled_job(env)
+        env.run(until=1.0)
+        names = self.process_names(env)
+        assert names == sorted(f"instance:{i.instance_id}" for i in job.instances.values())
+        assert not any(name.startswith("reader:") or "->" in name for name in names)
+
+    def test_remove_instance_leaves_no_process_behind(self):
+        env = EngineEnv()
+        env.topic("events", 2)
+        job = self.scaled_job(env)
+        env.run(until=1.0)
+        job.remove_instance("op", 1)
+        env.run(until=2.0)
+        names = self.process_names(env)
+        assert "instance:op[1]" not in names
+        assert names == sorted(f"instance:{i.instance_id}" for i in job.instances.values())
+
+    def test_replace_instance_leaves_only_the_replacement(self):
+        env = EngineEnv()
+        env.topic("events", 2)
+        job = self.scaled_job(env)
+        env.run(until=1.0)
+        before = self.process_names(env)
+        replacement = job.replace_instance("op", 1, env.machines[0])
+        replacement.start()
+        env.run(until=2.0)
+        assert self.process_names(env) == before
+        assert len(replacement.inputs) == 2  # rewired from both sources
+
+
+class TestEventBudget:
+    """Exact kernel-event counts, so a process hop per element cannot
+    creep back in unnoticed.  Deterministic: no timing, no tolerance."""
+
+    def test_alignment_fixture_event_count_is_pinned(self):
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        live_feeder(env, "a", ["x", "y", "z"], count=40)
+        live_feeder(env, "b", ["x", "y", "z"], count=40)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        env.run(until=3.0)
+        assert job.operator_instances("out")[0].records_processed == 80
+        # 1,927 with a reader process per channel and a Store round-trip
+        # per element (c52d130).
+        assert env.sim.events_processed == 1004
+        assert not any(
+            p.name.startswith("reader:") for p in env.sim.alive_processes()
+        )
+
+    def remote_batches(self, count):
+        """Kernel events spent on ``count`` one-row batches sent in one
+        flush over a remote channel of an otherwise idle job."""
+        env = EngineEnv()
+        env.topic("a", 1)
+        graph = StreamGraph("budget")
+        graph.source("a", topic="a", parallelism=1)
+        graph.sink("out", inputs=[("a", "hash")], parallelism=2)
+        job = env.job(graph).start()
+        channel = job.source_instances()[0].output_routers[0].channels[1]
+        assert channel.src_machine is not channel.dst_machine
+        # Start the source machine's fabric agent before measuring.
+        job.fabric.send(channel, RecordBatch([Record("warm", 0.0, nbytes=8)]))
+        env.run(until=1.0)
+        before = env.sim.events_processed
+        for i in range(count):
+            job.fabric.send(channel, RecordBatch([Record(f"k{i}", 1.0, nbytes=8)]))
+        env.run(until=2.0)
+        assert job.operator_instances("out")[1].records_processed == 1 + count
+        return env.sim.events_processed - before
+
+    def test_remote_batch_costs_its_transfer_its_cpu_charge_and_two_events(self):
+        idle = self.remote_batches(0)
+        one = self.remote_batches(1) - idle
+        two = self.remote_batches(2) - idle
+        # A flush's shipping process and its flow: spawn, solver wake-up,
+        # latency timer, completion, end.  Shared by every batch it carries.
+        transfer = 5
+        # Machine.compute: core grant + busy timeout, once per batch.
+        cpu_charge = 2
+        # Beyond those: the gate's wake-up event and the agent's all_of.
+        # (The parent paid 15 for the lone batch and 7 for each further one.)
+        assert one == transfer + cpu_charge + 2
+        # A batch landing while the gate is awake costs only its CPU charge.
+        assert two - one == cpu_charge
 
 
 class TestChannelBoundary:
@@ -153,10 +350,10 @@ class TestChannelBoundary:
         env.run(until=1.0)
         instance = job.operator_instances("op")[0]
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
-        channel_a.store.put(Record("bare", env.sim.now, nbytes=8))
         expected = re.escape(f"channel {channel_a.name} carried a Record;")
         with pytest.raises(EngineError, match=expected):
-            env.run(until=2.0)
+            channel_a.put(Record("bare", env.sim.now, nbytes=8))
+        env.run(until=2.0)
         assert instance.records_processed == 0
 
 
@@ -170,13 +367,13 @@ class TestWatermarkAggregation:
         instance = job.operator_instances("op")[0]
         channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
         channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
-        channel_a.store.put(Watermark(50.0))
+        channel_a.put(Watermark(50.0))
         env.run(until=2.0)
         assert instance.watermark == float("-inf")  # b has not reported
-        channel_b.store.put(Watermark(30.0))
+        channel_b.put(Watermark(30.0))
         env.run(until=3.0)
         assert instance.watermark == 30.0
-        channel_b.store.put(Watermark(60.0))
+        channel_b.put(Watermark(60.0))
         env.run(until=4.0)
         assert instance.watermark == 50.0
 
@@ -188,10 +385,10 @@ class TestWatermarkAggregation:
         env.run(until=1.0)
         instance = job.operator_instances("op")[0]
         for channel in list(instance.inputs):
-            channel.store.put(Watermark(40.0))
+            channel.put(Watermark(40.0))
         env.run(until=2.0)
         for channel in list(instance.inputs):
-            channel.store.put(Watermark(20.0))  # late/regressing watermark
+            channel.put(Watermark(20.0))  # late/regressing watermark
         env.run(until=3.0)
         assert instance.watermark == 40.0
 

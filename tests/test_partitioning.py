@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import EngineError
+from repro.common.ranges import RangeSet
 from repro.engine.partitioning import (
     KeyGroupAssignment,
     key_group_of,
@@ -121,6 +122,65 @@ class TestAssignment:
         clone.reassign(0, 4, 1)
         assert assignment.owner_of(0) == 0
         assert clone.owner_of(0) == 1
+
+    @staticmethod
+    def naive_ranges(assignment, index):
+        """The pre-cache ``ranges_of``: one scan of every key group."""
+        owned = [
+            g for g in range(assignment.num_groups) if assignment.owner_of(g) == index
+        ]
+        return sorted(RangeSet((g, g + 1) for g in owned))
+
+    @given(
+        st.integers(1, 96),
+        st.integers(1, 6),
+        st.lists(
+            st.tuples(st.integers(0, 95), st.integers(1, 96), st.integers(0, 7)),
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_cached_runs_match_the_naive_scan(self, num_groups, parallelism, ops, data):
+        assignment = KeyGroupAssignment(num_groups, min(parallelism, num_groups))
+        clone = None
+        frozen = None
+        for lo, width, owner in ops:
+            lo %= num_groups
+            hi = min(num_groups, lo + width)
+            if data.draw(st.booleans()):
+                assignment.ranges_of(owner)  # warm the cache before the write
+            assignment.reassign(lo, hi, owner)
+            if clone is None and data.draw(st.booleans()):
+                # Copy with a warm (shared) cache; the parent's later
+                # reassigns must not show through it.
+                assignment.owners()
+                clone = assignment.copy()
+                frozen = [clone.owner_of(g) for g in range(num_groups)]
+        for subject in filter(None, (assignment, clone)):
+            indexes = {subject.owner_of(g) for g in range(num_groups)}
+            assert subject.owners() == indexes
+            for index in indexes | {99}:
+                assert sorted(subject.ranges_of(index)) == self.naive_ranges(
+                    subject, index
+                )
+            assert subject.group_counts() == {
+                index: sum(hi - lo for lo, hi in self.naive_ranges(subject, index))
+                for index in indexes
+            }
+        if clone is not None:
+            assert [clone.owner_of(g) for g in range(num_groups)] == frozen
+
+    def test_copy_cache_is_independent_both_ways(self):
+        assignment = KeyGroupAssignment(16, 4)
+        assert sorted(assignment.ranges_of(0)) == [(0, 4)]  # cache is warm
+        clone = assignment.copy()
+        assignment.reassign(0, 2, 3)
+        assert sorted(clone.ranges_of(0)) == [(0, 4)]
+        assert sorted(assignment.ranges_of(0)) == [(2, 4)]
+        clone.reassign(4, 8, 0)
+        assert sorted(clone.ranges_of(0)) == [(0, 8)]
+        assert sorted(assignment.ranges_of(0)) == [(2, 4)]
+        assert sorted(assignment.ranges_of(3)) == [(0, 2), (12, 16)]
 
     @given(st.integers(2, 64), st.integers(1, 8))
     def test_owner_always_defined(self, num_groups, parallelism):
