@@ -34,6 +34,10 @@ class SlidingWindowAggregate(OperatorLogic):
         self.value_of = value_of or (lambda record: record.weight)
         self.pane_keys = {}  # key -> set of pane starts
         self._emitted_until = {}  # key -> last emitted window end
+        #: A lower bound on the earliest watermark at which any key has a
+        #: window to emit or a pane to expire; below it the walk over
+        #: ``pane_keys`` provably does nothing.
+        self._next_due = float("inf")
 
     def process(self, record, side=0):
         """Consume one record; yields any output records."""
@@ -44,15 +48,41 @@ class SlidingWindowAggregate(OperatorLogic):
         self.ctx.state.put(
             group, state_key, current + self.value_of(record), nbytes=record.nbytes
         )
-        self.pane_keys.setdefault(record.key, set()).add(pane_start)
+        self._index_pane(record.key, pane_start)
         return ()
+
+    def _index_pane(self, key, pane_start):
+        panes = self.pane_keys.setdefault(key, set())
+        if pane_start not in panes:
+            panes.add(pane_start)
+            # Every obligation a pane creates (its first window end, its
+            # expiry) falls at or after the end of the pane itself.
+            self._next_due = min(self._next_due, pane_start + self.slide)
 
     def on_watermark(self, watermark):
         """Fire complete windows up to the watermark."""
+        wm = watermark.timestamp
+        if wm < self._next_due:
+            return []  # crosses no window end and no pane expiry
         outputs = []
         for key in list(self.pane_keys):
-            outputs.extend(self._fire_key(key, watermark.timestamp))
+            outputs.extend(self._fire_key(key, wm))
+        self._next_due = min(
+            (self._due(key, panes) for key, panes in self.pane_keys.items()),
+            default=float("inf"),
+        )
         return outputs
+
+    def _due(self, key, panes):
+        """The earliest watermark at which ``_fire_key(key)`` does anything:
+        the key's first unemitted window end or its oldest pane's expiry,
+        in the very expressions ``_fire_key`` compares to the watermark."""
+        oldest = min(panes)
+        first_end = oldest + self.slide
+        return min(
+            max(self._emitted_until.get(key, first_end), first_end),
+            oldest + self.size,
+        )
 
     def _fire_key(self, key, wm):
         group = self.ctx.key_group(key)
@@ -96,6 +126,7 @@ class SlidingWindowAggregate(OperatorLogic):
         """Fully re-derive the in-memory index for the given ranges."""
         self.pane_keys.clear()
         self._emitted_until.clear()
+        self._next_due = float("inf")
         self.absorb(group_ranges)
 
     def absorb(self, group_ranges):
@@ -106,7 +137,7 @@ class SlidingWindowAggregate(OperatorLogic):
                     continue  # foreign entry (e.g. preloaded synthetic state)
                 key, kind, pane_start = state_key
                 if kind == "pane":
-                    self.pane_keys.setdefault(key, set()).add(pane_start)
+                    self._index_pane(key, pane_start)
                 elif kind == "emitted":
                     self._emitted_until[key] = max(
                         self._emitted_until.get(key, value), value
@@ -167,8 +198,8 @@ class TumblingWindowJoin(OperatorLogic):
                     nbytes=32,
                     weight=max(1, matches),
                 )
-            for side in (0, 1):
-                if self.ctx.state.get(group, (key, side, window_start)) is not None:
+            for side, held in ((0, left), (1, right)):
+                if held is not None:
                     self.ctx.state.delete(group, (key, side, window_start))
 
     def rebuild(self, group_ranges):
@@ -239,8 +270,8 @@ class SessionWindowJoin(OperatorLogic):
                 nbytes=32,
                 weight=max(1, matches),
             )
-        for side in (0, 1):
-            if self.ctx.state.get(group, (key, side, session_start)) is not None:
+        for side, held in ((0, left), (1, right)):
+            if held is not None:
                 self.ctx.state.delete(group, (key, side, session_start))
 
     def rebuild(self, group_ranges):

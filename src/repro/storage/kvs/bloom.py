@@ -4,12 +4,29 @@ The paper configures RocksDB with bloom filters for point lookups
 (§5.1.3); SSTables here do the same so negative lookups rarely touch the
 sorted data.  Standard construction: a bit array of ``m`` bits and ``k``
 hash functions derived by double hashing (Kirsch & Mitzenmacher).
+
+A point lookup visits every run it cannot rule out, so the two hashing
+seeds are a property of the *key*, not of the filter: :class:`KeyHash`
+derives them once from the key's serialization and every filter on the
+read path reuses them.
 """
 
 import math
 import zlib
 
-from repro.common.rng import stable_hash
+
+class KeyHash:
+    """The double-hashing seeds of one key: ``h1`` = CRC32 and ``h2`` =
+    Adler-32 (never 0) of ``text``, the key's ``repr``, over one UTF-8
+    encoding.
+    """
+
+    __slots__ = ("h1", "h2")
+
+    def __init__(self, text):
+        data = text.encode("utf-8")
+        self.h1 = zlib.crc32(data)
+        self.h2 = zlib.adler32(data) or 1
 
 
 class BloomFilter:
@@ -18,6 +35,9 @@ class BloomFilter:
     ``expected_items`` and ``false_positive_rate`` size the bit array with
     the textbook formulas m = -n ln p / (ln 2)^2 and k = (m/n) ln 2.
     Guarantees no false negatives.
+
+    ``add`` and ``in`` take a raw key or its pre-hashed :class:`KeyHash`;
+    both address the same bits.
     """
 
     def __init__(self, expected_items, false_positive_rate=0.01):
@@ -32,22 +52,27 @@ class BloomFilter:
         self._bits = bytearray((self.nbits + 7) // 8)
         self.count = 0
 
-    def _positions(self, key):
-        h1 = stable_hash(key)
-        h2 = zlib.adler32(repr(key).encode("utf-8")) or 1
-        for i in range(self.nhashes):
-            yield (h1 + i * h2) % self.nbits
-
     def add(self, key):
         """Insert a key."""
-        for pos in self._positions(key):
-            self._bits[pos // 8] |= 1 << (pos % 8)
+        hashed = key if isinstance(key, KeyHash) else KeyHash(repr(key))
+        bits, nbits = self._bits, self.nbits
+        pos, step = hashed.h1, hashed.h2
+        for _ in range(self.nhashes):
+            bit = pos % nbits
+            bits[bit >> 3] |= 1 << (bit & 7)
+            pos += step
         self.count += 1
 
     def __contains__(self, key):
-        return all(
-            self._bits[pos // 8] & (1 << (pos % 8)) for pos in self._positions(key)
-        )
+        hashed = key if isinstance(key, KeyHash) else KeyHash(repr(key))
+        bits, nbits = self._bits, self.nbits
+        pos, step = hashed.h1, hashed.h2
+        for _ in range(self.nhashes):
+            bit = pos % nbits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+            pos += step
+        return True
 
     @property
     def size_bytes(self):

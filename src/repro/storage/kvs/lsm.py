@@ -11,7 +11,7 @@ from repro.storage.kvs.memtable import (
     item_order,
     order_key,
 )
-from repro.storage.kvs.sstable import GroupSlice, SSTable
+from repro.storage.kvs.sstable import GroupSlice, Probe, SSTable
 from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
 
 
@@ -151,9 +151,12 @@ class LSMStore:
         operands = []  # newest-first MERGE lists
         entry = self.memtable.get(group, key)
         base, stopped = self._inspect(entry, operands)
-        if not stopped:
+        if not stopped and self.tables:
+            probe = Probe(group, key)  # the key, derived once for all runs
             for table in reversed(self.tables):
-                entry = table.get(group, key)
+                entry = table.lookup(probe)
+                if entry is None:
+                    continue
                 base, stopped = self._inspect(entry, operands)
                 if stopped:
                     break

@@ -1,4 +1,10 @@
-"""Immutable sorted string tables."""
+"""Immutable sorted string tables.
+
+A point lookup visits every run it cannot rule out, so the store derives
+the key's order key and bloom seeds once, as a :class:`Probe`, and every
+table and slice answers ``lookup(probe)``; ``get(group, key)`` builds the
+probe for callers holding a single table.
+"""
 
 import bisect
 import itertools
@@ -6,10 +12,29 @@ import zlib
 
 from repro.common.errors import CorruptionError
 from repro.common.ranges import RangeSet
-from repro.storage.kvs.bloom import BloomFilter
+from repro.storage.kvs.bloom import BloomFilter, KeyHash
 from repro.storage.kvs.memtable import TOMBSTONE, order_key
 
 _table_ids = itertools.count(1)
+
+
+def _serialized(group, text):
+    """``repr((group, key))`` rebuilt from ``text = repr(key)``."""
+    return f"({group!r}, {text})"
+
+
+class Probe(KeyHash):
+    """One point lookup's key: a single ``repr(key)`` yields the order key
+    and, through the composite's serialization, the bloom seeds.
+    """
+
+    __slots__ = ("composite", "order")
+
+    def __init__(self, group, key):
+        text = repr(key)
+        self.composite = (group, key)
+        self.order = (group, text)
+        KeyHash.__init__(self, _serialized(group, text))
 
 
 def _block_crc32(keys, entries):
@@ -63,8 +88,8 @@ class SSTable:
         for (group, _key), entry in zip(self.keys, self.entries):
             self.group_bytes[group] = self.group_bytes.get(group, 0) + entry.nbytes
         self.bloom = BloomFilter(len(self.keys) or 1)
-        for composite in self.keys:
-            self.bloom.add(composite)
+        for group, text in self._order:  # the repr cached at write time
+            self.bloom.add(KeyHash(_serialized(group, text)))
         self.min_key = self.keys[0] if self.keys else None
         self.max_key = self.keys[-1] if self.keys else None
         #: Newest sequence number in the run -- lets dirty-chunk tracking
@@ -91,18 +116,22 @@ class SSTable:
 
     def get(self, group, key):
         """Point lookup; returns the Entry or None."""
-        if not self.keys:
+        return self.lookup(Probe(group, key))
+
+    def lookup(self, probe):
+        """Point lookup of a pre-derived :class:`Probe`; the Entry or None."""
+        orders = self._order
+        if not orders:
             return None
-        composite = (group, key)
-        order = order_key(composite)
+        order = probe.order
         # Range pruning: a composite outside [min, max] cannot be in the
         # run, so skip it before paying the bloom probe.
-        if order < self._order[0] or order > self._order[-1]:
+        if order < orders[0] or order > orders[-1]:
             return None
-        if composite not in self.bloom:
+        if probe not in self.bloom:
             return None
-        index = bisect.bisect_left(self._order, order)
-        if index < len(self.keys) and self.keys[index] == composite:
+        index = bisect.bisect_left(orders, order)
+        if index < len(orders) and self.keys[index] == probe.composite:
             return self.entries[index]
         return None
 
@@ -192,9 +221,13 @@ class GroupSlice:
 
     def get(self, group, key):
         """Point lookup; returns the Entry or None."""
-        if group not in self.ranges:
+        return self.lookup(Probe(group, key))
+
+    def lookup(self, probe):
+        """Point lookup of a pre-derived :class:`Probe`; the Entry or None."""
+        if probe.composite[0] not in self.ranges:
             return None
-        return self.table.get(group, key)
+        return self.table.lookup(probe)
 
     def iter_groups(self, lo, hi):
         """Yield ((group, key), Entry) for visible entries in [lo, hi)."""

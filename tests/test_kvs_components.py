@@ -1,9 +1,47 @@
 """Unit and property tests for bloom filter, memtable, and SSTable."""
 
+import hashlib
+import zlib
+
 from hypothesis import given, strategies as st
 
 from repro.storage.kvs import BloomFilter, MemTable, SSTable
-from repro.storage.kvs.memtable import PUT, DELETE, MERGE
+from repro.storage.kvs.bloom import KeyHash
+from repro.storage.kvs.memtable import PUT, DELETE, MERGE, order_key
+from repro.storage.kvs.sstable import Probe
+
+#: The key shapes the engine writes: plain record keys, sliding-window
+#: panes ``(key, "pane", start)`` and join sides ``(key, side, start)``.
+record_keys = st.one_of(st.text(max_size=8), st.integers(-(2**40), 2**40))
+state_keys = st.one_of(
+    record_keys,
+    st.tuples(record_keys, st.just("pane"), st.floats(0, 1e6, allow_nan=False)),
+    st.tuples(record_keys, st.integers(0, 1), st.floats(0, 1e6, allow_nan=False)),
+)
+composites = st.tuples(st.integers(0, 2**15), state_keys)
+
+
+def mixed_composites(lo, hi):
+    """Five distinct composites, one per engine key shape, for each ``i``
+    in ``[lo, hi)``."""
+    out = []
+    for i in range(lo, hi):
+        group = (i * 37) % 512
+        out += [
+            (group, f"user-{i}"),
+            (group, i * 1001),
+            (group, (f"k{i}", "pane", 10.0 * i)),
+            (group, (i, 0, 3600.0 * i)),
+            (group, (f"k{i}", "emitted", 0)),
+        ]
+    return out
+
+
+#: SHA-256 of the filter bits after adding ``PINNED_COMPOSITES`` to a
+#: ``BloomFilter(50)``, captured at the commit *before* lookups pre-hashed
+#: their keys: the hashing seeds (and so every false positive) did not move.
+PINNED_COMPOSITES = mixed_composites(0, 10)
+PINNED_BITS_SHA256 = "e4d4d0f0e8e7a9369b7f913628c3f6314e6df1c7f3fd9e103433499a2583fbeb"
 
 
 class TestBloomFilter:
@@ -32,6 +70,45 @@ class TestBloomFilter:
 
         with pytest.raises(ValueError):
             BloomFilter(10, false_positive_rate=1.5)
+
+    @given(st.lists(composites, max_size=40), st.lists(composites, max_size=40))
+    def test_raw_key_and_prehashed_key_agree(self, added, probed):
+        raw, hashed = BloomFilter(40), BloomFilter(40)
+        for composite in added:
+            raw.add(composite)
+            hashed.add(KeyHash(repr(composite)))
+        assert raw._bits == hashed._bits and raw.count == hashed.count
+        for composite in added + probed:
+            assert (composite in raw) == (KeyHash(repr(composite)) in raw)
+        assert all(KeyHash(repr(composite)) in raw for composite in added)
+
+    def test_no_false_negatives_over_mixed_shapes(self):
+        keys = mixed_composites(0, 1000)
+        assert len(set(keys)) == 5000
+        bloom = BloomFilter(len(keys))
+        for composite in keys:
+            bloom.add(composite)
+        assert all(composite in bloom for composite in keys)
+
+    def test_false_positive_rate_within_three_times_configured(self):
+        bloom = BloomFilter(2000, false_positive_rate=0.01)
+        for composite in mixed_composites(0, 400):
+            bloom.add(composite)
+        absent = mixed_composites(400, 2400)
+        assert len(absent) == 10000
+        false_positives = sum(1 for composite in absent if composite in bloom)
+        assert false_positives / len(absent) <= 3 * 0.01
+
+    def test_filter_bits_unchanged_since_per_table_hashing(self):
+        assert len(PINNED_COMPOSITES) == len(set(PINNED_COMPOSITES)) == 50
+        bloom = BloomFilter(len(PINNED_COMPOSITES))
+        for composite in PINNED_COMPOSITES:
+            bloom.add(composite)
+        assert hashlib.sha256(bytes(bloom._bits)).hexdigest() == PINNED_BITS_SHA256
+        # ... and an SSTable, which feeds its filter from the cached order
+        # keys instead of the composites, sets the very same bits.
+        table = build_sstable([(composite, 0) for composite in PINNED_COMPOSITES])
+        assert table.bloom._bits == bloom._bits
 
 
 class TestMemTable:
@@ -139,6 +216,33 @@ class TestSSTable:
         table = build_sstable(sorted(data.items()))
         for (group, key), value in data.items():
             assert table.get(group, key).value == value
+
+
+class TestProbe:
+    @given(composites)
+    def test_one_repr_yields_order_key_and_seeds(self, composite):
+        group, key = composite
+        probe = Probe(group, key)
+        data = repr(composite).encode("utf-8")
+        assert probe.composite == composite
+        assert probe.order == order_key(composite)
+        assert (probe.h1, probe.h2) == (zlib.crc32(data), zlib.adler32(data) or 1)
+
+    @given(st.one_of(st.integers(), st.text(max_size=4), st.none()), state_keys)
+    def test_composite_serialization_is_the_tuple_repr(self, group, key):
+        assert f"({group!r}, {repr(key)})" == repr((group, key))
+
+    @given(
+        st.dictionaries(composites, st.integers(), max_size=30),
+        st.lists(composites, max_size=10),
+    )
+    def test_get_is_a_wrapper_over_the_probe_lookup(self, data, others):
+        table = build_sstable(list(data.items()))
+        for group, key in list(data) + others:
+            found = table.lookup(Probe(group, key))
+            assert table.get(group, key) is found
+            expected = data.get((group, key))
+            assert (found.value if found is not None else None) == expected
 
 
 class TestOrderKeyCache:

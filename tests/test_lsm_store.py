@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs import LSMStore
+from repro.storage.kvs.sstable import GroupSlice
 
 
 @pytest.fixture
@@ -348,15 +349,74 @@ class TestOwnership:
 
 # -- property-based: the store behaves like a dict under random operations --
 
-operations = st.lists(
-    st.tuples(
-        st.sampled_from(["put", "delete", "append", "flush", "compact"]),
-        st.integers(0, 7),  # group
-        st.integers(0, 5),  # key
-        st.integers(0, 100),  # value payload
-    ),
-    max_size=60,
-)
+#: The key shapes the engine writes: plain record keys, sliding-window
+#: panes and emission frontiers, join sides.  A small pool, so operations
+#: collide on keys.
+KEYS = [
+    "a",
+    "b7",
+    0,
+    3,
+    ("a", "pane", 10.0),
+    ("a", "pane", 20.0),
+    ("a", "emitted", 0),
+    (3, 0, 3600.0),
+    (3, 1, 3600.0),
+]
+GROUPS = 8
+HALF = GROUPS // 2
+
+
+def writes(kinds):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(kinds),
+            st.integers(0, GROUPS - 1),  # group
+            st.sampled_from(KEYS),
+            st.integers(0, 100),  # value payload
+        ),
+        max_size=60,
+    )
+
+
+operations = writes(["put", "delete", "append", "flush", "compact"])
+
+
+def apply(store, model, op, group, key, value):
+    """One operation on the store and on its dict oracle."""
+    if op == "put":
+        store.put(group, key, value, nbytes=10)
+        model[(group, key)] = value
+    elif op == "delete":
+        store.delete(group, key)
+        model.pop((group, key), None)
+    elif op == "append":
+        store.append(group, key, value, nbytes=10)
+        existing = model.get((group, key))
+        if existing is None:
+            model[(group, key)] = [value]
+        elif isinstance(existing, list):
+            model[(group, key)] = existing + [value]
+        else:
+            model[(group, key)] = [existing, value]
+    elif op == "flush":
+        store.flush()
+    elif op == "compact":
+        store.compact()
+
+
+def extracted(model, lo=0, hi=GROUPS):
+    """What ``extract_groups(lo, hi)`` returns for a store holding ``model``."""
+    return sorted(
+        ((g, k, v) for (g, k), v in model.items() if lo <= g < hi),
+        key=lambda row: (row[0], repr(row[1])),
+    )
+
+
+def assert_reads(store, model):
+    for group in range(GROUPS):
+        for key in KEYS:
+            assert store.get(group, key) == model.get((group, key)), (group, key)
 
 
 class TestModelEquivalence:
@@ -365,52 +425,96 @@ class TestModelEquivalence:
     def test_store_matches_model(self, ops):
         store = LSMStore("model-test", memtable_limit=200, compaction_trigger=3)
         model = {}
-        for op, group, key, value in ops:
-            if op == "put":
-                store.put(group, key, value, nbytes=10)
-                model[(group, key)] = value
-            elif op == "delete":
-                store.delete(group, key)
-                model.pop((group, key), None)
-            elif op == "append":
-                store.append(group, key, value, nbytes=10)
-                existing = model.get((group, key))
-                if existing is None:
-                    model[(group, key)] = [value]
-                elif isinstance(existing, list):
-                    model[(group, key)] = existing + [value]
-                else:
-                    model[(group, key)] = [existing, value]
-            elif op == "flush":
-                store.flush()
-            elif op == "compact":
-                store.compact()
-        for group in range(8):
-            for key in range(6):
-                assert store.get(group, key) == model.get((group, key)), (
-                    group,
-                    key,
-                    ops,
-                )
+        for op in ops:
+            apply(store, model, *op)
+        assert_reads(store, model)
 
     @settings(max_examples=40, deadline=None)
     @given(operations)
     def test_checkpoint_restore_roundtrip(self, ops):
         store = LSMStore("ckpt-test", memtable_limit=200, compaction_trigger=3)
-        for op, group, key, value in ops:
-            if op == "put":
-                store.put(group, key, value, nbytes=10)
-            elif op == "delete":
-                store.delete(group, key)
-            elif op == "append":
-                store.append(group, key, value, nbytes=10)
-            elif op == "flush":
-                store.flush()
-            elif op == "compact":
-                store.compact()
+        model = {}
+        for op in ops:
+            apply(store, model, *op)
         checkpoint, _ = store.checkpoint(1)
         restored = LSMStore("restored")
         restored.restore(checkpoint.full_tables)
-        for group in range(8):
-            for key in range(6):
-                assert restored.get(group, key) == store.get(group, key)
+        assert_reads(restored, model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        operations,
+        st.integers(0, 60),
+        st.tuples(st.integers(0, HALF), st.integers(0, HALF)).map(sorted),
+        writes(["put", "delete", "append", "flush"]),
+    )
+    def test_migration_paths_match_model(self, ops, cut_at, moved, later_ops):
+        """Extraction (full and delta), ranged ingest into a second store,
+        ownership changes and checkpoint + restore into a third, all against
+        the dict oracle -- with every read of the second and third store
+        walking at least three runs, one of them a GroupSlice."""
+        origin = LSMStore("origin")
+        model, touched = {}, set()
+        apply(origin, model, "put", 0, "seed", 0)  # there is a run to ship
+        origin.flush()
+        cutoff = origin.current_seq
+        for index, op in enumerate(ops):
+            if index == cut_at:
+                cutoff, touched = origin.current_seq, set()
+            apply(origin, model, *op)
+            if op[0] in ("put", "delete", "append"):
+                touched.add(op[1:3])
+        lo, hi = moved
+        assert_reads(origin, model)
+        assert origin.extract_groups(lo, hi) == extracted(model, lo, hi)
+        delta = {c: v for c, v in model.items() if c in touched}
+        assert origin.extract_groups(0, GROUPS, since_seq=cutoff) == extracted(delta)
+
+        # An earlier handover gave the upper half to the target, which has
+        # written its own values there since (two runs); the origin's files
+        # keep their stale entries for those groups.
+        origin.flush()
+        origin.drop_groups(HALF, GROUPS)
+        model = {c: v for c, v in model.items() if c[0] < HALF}
+        target = LSMStore("target", owned=RangeSet([(HALF, GROUPS)]))
+        target_model = {}
+        for value, key in enumerate(KEYS):
+            apply(target, target_model, "put", HALF + value % HALF, key, -value)
+            if value in (3, len(KEYS) - 1):
+                target.flush()
+
+        # This handover: [lo, hi) moves as slices of the origin's files.
+        target.adopt_groups(lo, hi)
+        target.ingest_tables(origin.tables, ranges=[(lo, hi)])
+        origin.drop_groups(lo, hi)
+        target_model.update({c: v for c, v in model.items() if lo <= c[0] < hi})
+        model = {c: v for c, v in model.items() if not lo <= c[0] < hi}
+        assert_reads(origin, model)
+        assert origin.extract_groups(0, GROUPS) == extracted(model)
+
+        ingested_at = target.current_seq
+        written = set()
+        for op in later_ops:
+            if op[0] == "flush":
+                target.flush()
+            elif target.owns(op[1]):
+                apply(target, target_model, *op)
+                written.add(op[1:3])
+            else:
+                with pytest.raises(StorageError):
+                    apply(target, {}, *op)
+        assert len(target.tables) >= 3
+        assert any(isinstance(table, GroupSlice) for table in target.tables)
+        assert_reads(target, target_model)
+        assert target.extract_groups(0, GROUPS) == extracted(target_model)
+        delta = {c: target_model[c] for c in written if c in target_model}
+        assert target.extract_groups(0, GROUPS, since_seq=ingested_at) == extracted(
+            delta
+        )
+
+        checkpoint, _ = target.checkpoint(1)
+        third = LSMStore("third")
+        third.restore(checkpoint.full_tables, owned=RangeSet(target.owned_ranges()))
+        assert len(third.tables) >= 3
+        assert_reads(third, target_model)
+        assert third.extract_groups(0, GROUPS) == extracted(target_model)

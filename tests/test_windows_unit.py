@@ -1,6 +1,7 @@
 """Unit tests for window operator logic against a fake context (no engine)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.ranges import RangeSet
 from repro.engine.operators import OperatorLogic
@@ -192,3 +193,130 @@ class TestSessionJoinUnit:
         group = logic.ctx.key_group("k")
         assert logic.ctx.state.get(group, ("k", 0, 1.0)) is None
         assert "k" not in logic.sessions
+
+
+# -- the watermark skip bound: same outputs, same state ops, fewer visits --
+
+
+class FullWalk(SlidingWindowAggregate):
+    """The reference: every watermark visits every key with a live pane."""
+
+    def on_watermark(self, watermark):
+        outputs = []
+        for key in list(self.pane_keys):
+            outputs.extend(self._fire_key(key, watermark.timestamp))
+        return outputs
+
+
+class RecordingState(FakeState):
+    """A FakeState that logs every call the logic makes on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def get(self, group, key):
+        self.log.append(("get", group, key))
+        return super().get(group, key)
+
+    def put(self, group, key, value, nbytes=None):
+        self.log.append(("put", group, key, value, nbytes))
+        super().put(group, key, value, nbytes=nbytes)
+
+    def delete(self, group, key):
+        self.log.append(("delete", group, key))
+        super().delete(group, key)
+
+
+def open_recording(logic):
+    logic.ctx = FakeContext()
+    logic.ctx.state = RecordingState()
+    return logic
+
+
+#: Timestamps are quarter-slide ticks, so they land on and between slide
+#: boundaries; record ticks are independent of the watermark's progress, so
+#: late records -- and brand-new keys whose pane is already behind the
+#: watermark -- come up by themselves.
+ticks = st.integers(0, 60)
+events = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from("abc"), ticks),
+        st.tuples(
+            st.just("migrate-in"), st.sampled_from("abcd"), ticks, st.none() | ticks
+        ),
+        st.tuples(st.just("watermark"), st.integers(0, 6)),  # ticks forward
+        st.tuples(st.just("rebuild")),
+    ),
+    max_size=50,
+)
+grids = st.sampled_from([(10.0, 5.0), (1.5, 0.5), (5.0, 2.5), (0.3, 0.3)])
+
+
+class TestWatermarkSkip:
+    @settings(max_examples=150, deadline=None)
+    @given(grids, events)
+    def test_same_outputs_and_state_ops_as_the_full_walk(self, grid, script):
+        size, slide = grid
+        logics = [
+            open_recording(FullWalk(size, slide)),
+            open_recording(SlidingWindowAggregate(size, slide)),
+        ]
+        fired = [[], []]
+        watermark = 0
+        for kind, *args in script + [("watermark", 200)]:
+            if kind == "watermark":
+                watermark += args[0]
+            for logic, outputs in zip(logics, fired):
+                if kind == "record":
+                    list(logic.process(Record(args[0], args[1] * slide / 4)))
+                elif kind == "migrate-in":
+                    # A pane arrives by handover, with or without the
+                    # emission frontier of an origin whose watermark ran
+                    # ahead: written below the logic, indexed from the store.
+                    key, timestamp, frontier = args
+                    group = logic.ctx.key_group(key)
+                    pane_start = (timestamp * slide / 4 // slide) * slide
+                    store = logic.ctx.state.store
+                    store.put(group, (key, "pane", pane_start), 1)
+                    if frontier is not None:
+                        store.put(group, (key, "emitted", 0), frontier * slide)
+                    logic.absorb([(group, group + 1)])
+                elif kind == "rebuild":
+                    logic.rebuild([(0, logic.ctx.num_key_groups)])
+                else:
+                    # Mark the log, so an effect that lands at a later
+                    # watermark than the reference's is a difference.
+                    logic.ctx.state.log.append(("watermark", watermark))
+                    out = logic.on_watermark(Watermark(watermark * slide / 4))
+                    outputs.append([(r.key, r.timestamp, r.value) for r in out])
+        assert fired[0] == fired[1]
+        assert logics[0].ctx.state.log == logics[1].ctx.state.log
+        assert not logics[1].pane_keys  # the last watermark closed everything
+
+    def test_fire_key_visits_are_bounded_by_obligations(self, monkeypatch):
+        visits = []
+        fire_key = SlidingWindowAggregate._fire_key
+
+        def counted(self, key, wm):
+            visits.append(key)
+            return fire_key(self, key, wm)
+
+        monkeypatch.setattr(SlidingWindowAggregate, "_fire_key", counted)
+        logic = open_logic(SlidingWindowAggregate(size=10.0, slide=5.0))
+        for key in "abc":
+            list(logic.process(Record(key, 11.0)))  # pane [10, 15)
+        for below in (11.0, 14.0, 14.0):
+            assert logic.on_watermark(Watermark(below)) == []
+        assert visits == []
+        out = logic.on_watermark(Watermark(15.0))  # crosses the window end 15
+        assert [(r.key, r.timestamp) for r in out] == [("a", 15.0), ("b", 15.0), ("c", 15.0)]
+        assert visits == ["a", "b", "c"]
+        assert logic.on_watermark(Watermark(19.0)) == []
+        assert visits == ["a", "b", "c"]
+        # A brand-new key whose pane is already behind the watermark fires
+        # at the very next one.
+        list(logic.process(Record("late", 2.0)))
+        out = logic.on_watermark(Watermark(19.0))
+        assert [(r.key, r.timestamp) for r in out] == [("late", 5.0), ("late", 10.0)]
+        assert visits == ["a", "b", "c"] + ["a", "b", "c", "late"]
