@@ -80,7 +80,9 @@ def main():
     print(f"\nmigrating half of {hottest}'s virtual nodes to {coldest} ...")
     baseline = dict(loads)
 
-    handover = rhino.rebalance("count", [(hot_index, cold_index)])
+    handover = rhino.reconfigure(
+        "rebalance", op_name="count", moves=[(hot_index, cold_index)]
+    ).process
     report = sim.run(until=handover)
     print(
         f"handover done: moved {report.moved_state_bytes} B of state in "

@@ -78,9 +78,9 @@ class Cluster:
     are reversible and deterministic.
     """
 
-    def __init__(self, sim, scheduler=None, dense=False):
+    def __init__(self, sim, scheduler=None):
         self.sim = sim
-        self.scheduler = scheduler or FlowScheduler(sim, dense=dense)
+        self.scheduler = scheduler or FlowScheduler(sim)
         self.machines = {}
         #: machine name -> partition group index; empty = fully connected.
         self._partition = {}

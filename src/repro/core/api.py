@@ -11,11 +11,13 @@ to a running :class:`repro.engine.job.Job`::
     handle.report          # the HandoverReport
     handle.spans()         # its trace spans (with a traced Simulator)
 
-The legacy verbs remain as thin wrappers returning the bare Process::
+``reconfigure()`` is the only verb -- one handover protocol serves fault
+tolerance, elasticity and load balancing (§4.1), so every purpose is a
+*kind* of the same call::
 
-    report = sim.run(until=rhino.recover_from_failure(dead_machine))
-    report = sim.run(until=rhino.rescale("join", add_instances=8))
-    report = sim.run(until=rhino.rebalance("join", [(0, 8), (1, 9)]))
+    rhino.reconfigure("rescale", op_name="join", add_instances=8)
+    rhino.reconfigure("rebalance", op_name="join", moves=[(0, 8), (1, 9)])
+    rhino.reconfigure("drain", machine=retiring_machine)
 
 ``rhino.detach()`` unregisters everything ``attach()`` registered; both
 are idempotent.
@@ -26,15 +28,21 @@ coordinator so every completed incremental checkpoint is replicated along
 its chain (proactive state migration, §3.2).
 """
 
+import functools
+import inspect
+
 from repro.common.errors import ProtocolError
 from repro.common.rng import make_rng
 from repro.engine.instance import ReplayFilter
 from repro.faults.retry import RetryPolicy
 from repro.core import migration
-from repro.core.handover import HandoverAborted
+from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
 from repro.core.replication import ChainReplicator
 from repro.core.replication_manager import ReplicationManager
+
+#: Pause before an aborted handover is re-planned and retried (seconds).
+HANDOVER_RETRY_DELAY = 0.5
 
 
 class RhinoConfig:
@@ -58,12 +66,8 @@ class RhinoConfig:
         state_load_seconds=1.3,
         handover_timeout=3600.0,
         retry_attempts=1,
-        retry_base_delay=0.05,
-        retry_max_delay=2.0,
-        retry_jitter=0.1,
         retry_seed=0,
         handover_retry_attempts=1,
-        handover_retry_delay=0.5,
         anti_entropy_interval=None,
         handover_chunk_bytes=64 * 1024 * 1024,
         handover_delta_threshold_bytes=1 * 1024 * 1024,
@@ -94,14 +98,6 @@ class RhinoConfig:
             )
         if retry_attempts < 1 or handover_retry_attempts < 1:
             raise ProtocolError("retry attempt counts must be >= 1")
-        for name, value in (
-            ("retry_base_delay", retry_base_delay),
-            ("retry_max_delay", retry_max_delay),
-            ("retry_jitter", retry_jitter),
-            ("handover_retry_delay", handover_retry_delay),
-        ):
-            if value < 0:
-                raise ProtocolError(f"{name} must be >= 0, got {value}")
         if anti_entropy_interval is not None and anti_entropy_interval <= 0:
             raise ProtocolError(
                 f"anti_entropy_interval must be > 0 or None, "
@@ -139,15 +135,12 @@ class RhinoConfig:
         self.handover_timeout = handover_timeout
         #: Hardening knobs.  All defaults leave behavior bit-identical to
         #: pre-chaos: one attempt means no retry, no backoff, no RNG draws;
-        #: None disables the anti-entropy reconciler.
+        #: None disables the anti-entropy reconciler.  The backoff shape is
+        #: :class:`~repro.faults.retry.RetryPolicy`'s own.
         self.retry_attempts = retry_attempts
-        self.retry_base_delay = retry_base_delay
-        self.retry_max_delay = retry_max_delay
-        self.retry_jitter = retry_jitter
         self.retry_seed = retry_seed
         #: Re-plan-and-retry budget for handovers aborted mid-flight.
         self.handover_retry_attempts = handover_retry_attempts
-        self.handover_retry_delay = handover_retry_delay
         #: Period of the background reconciler restoring replica
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
@@ -163,11 +156,6 @@ class RhinoConfig:
         #: Migration bandwidth budget in bytes/second shared by all
         #: pre-copy/delta streams of a handover (None = unpaced).
         self.handover_migration_rate = handover_migration_rate
-
-    @classmethod
-    def paper_defaults(cls, **overrides):
-        """The evaluation's configuration (§5.1.3), with overrides."""
-        return cls(**overrides)
 
     @classmethod
     def from_dict(cls, mapping):
@@ -266,9 +254,6 @@ class Reconfiguration:
 class Rhino:
     """Efficient management of very large distributed state."""
 
-    #: Reconfiguration kinds accepted by :meth:`reconfigure`.
-    RECONFIGURE_KINDS = ("failure", "rescale", "rebalance", "drain")
-
     def __init__(self, job, cluster, config=None):
         self.job = job
         self.cluster = cluster
@@ -280,9 +265,6 @@ class Rhino:
         )
         self.retry_policy = RetryPolicy(
             attempts=self.config.retry_attempts,
-            base_delay=self.config.retry_base_delay,
-            max_delay=self.config.retry_max_delay,
-            jitter=self.config.retry_jitter,
             rng=(
                 make_rng(self.config.retry_seed, "rhino-retry")
                 if self.config.retry_attempts > 1
@@ -323,8 +305,6 @@ class Rhino:
         if self._attached:
             return self
         self._attached = True
-        from repro.core.handover import HandoverMarker
-
         self.job.marker_handlers[HandoverMarker] = self.handover_manager.on_marker
         if not self.config.use_dfs:
             listeners = self.job.coordinator.instance_checkpoint_listeners
@@ -357,8 +337,6 @@ class Rhino:
         if not self._attached:
             return self
         self._attached = False
-        from repro.core.handover import HandoverMarker
-
         if (
             self.job.marker_handlers.get(HandoverMarker)
             == self.handover_manager.on_marker
@@ -497,11 +475,11 @@ class Rhino:
 
     # -- reconfigurations (§3.5) ------------------------------------------------------
 
-    def reconfigure(self, plan_or_kind, **kwargs):
-        """The unified reconfiguration entry point.
+    def reconfigure(self, plan_or_kind, *, fence_token=None, **kwargs):
+        """The one reconfiguration entry point.
 
         ``plan_or_kind`` is either a kind name from
-        :data:`RECONFIGURE_KINDS` with its keyword arguments --
+        :data:`RECONFIGURE_KINDS` with that kind's keyword arguments --
 
         * ``reconfigure("failure", machine=m)``
         * ``reconfigure("rescale", op_name="join", add_instances=8,
@@ -512,68 +490,42 @@ class Rhino:
 
         -- or an explicit :class:`~repro.core.migration.HandoverPlan` (or a
         list of them) to hand straight to the Handover Manager.  Returns a
-        :class:`Reconfiguration` handle wrapping the driving process, the
-        eventual :class:`HandoverReport`, and the handover's trace spans.
+        :class:`Reconfiguration` handle wrapping the driving process
+        (``yield handle.process``), the eventual :class:`HandoverReport`,
+        and the handover's trace spans.
         """
         # Commands are stamped with the control-plane epoch at submission
         # (None without a quorum group).  ``fence_token=`` overrides the
         # stamp -- the stale-leader surface: a client replaying a command
         # it buffered under a deposed leader must be fenced, not applied.
-        token = kwargs.pop("fence_token", None)
-        if token is None:
-            token = self._fence_token()
+        token = self._fence_token() if fence_token is None else fence_token
         plans = self._as_plans(plan_or_kind)
         if plans is not None:
             if kwargs:
                 raise ProtocolError(
                     "explicit handover plans take no keyword arguments"
                 )
-            process = self.sim.process(
-                self._execute_plans(plans, token), name="rhino-plans"
-            )
-            if self.control_group is not None:
-                self.control_group.failover.track(process)
-            return Reconfiguration(self, "plans", process)
-        kind = plan_or_kind
-        if kind == "failure":
-            machine = self._pop_required(kwargs, "machine", kind)
-            self._reject_extra(kwargs, kind)
-            process = self.sim.process(
-                self._recover(machine, token),
-                name=f"rhino-recover:{machine.name}",
-            )
-        elif kind == "rescale":
-            op_name = self._pop_required(kwargs, "op_name", kind)
-            add_instances = self._pop_required(kwargs, "add_instances", kind)
-            machines = kwargs.pop("machines", None)
-            share = kwargs.pop("share", 0.5)
-            self._reject_extra(kwargs, kind)
-            process = self.sim.process(
-                self._rescale(op_name, add_instances, machines, share, token),
-                name=f"rhino-rescale:{op_name}",
-            )
-        elif kind == "rebalance":
-            op_name = self._pop_required(kwargs, "op_name", kind)
-            moves = self._pop_required(kwargs, "moves", kind)
-            node_count = kwargs.pop("node_count", None)
-            self._reject_extra(kwargs, kind)
-            process = self.sim.process(
-                self._rebalance(op_name, moves, node_count, token),
-                name=f"rhino-rebalance:{op_name}",
-            )
-        elif kind == "drain":
-            machine = self._pop_required(kwargs, "machine", kind)
-            self._reject_extra(kwargs, kind)
-            process = self.sim.process(
-                self._drain(machine, token),
-                name=f"rhino-drain:{machine.name}",
-            )
+            kind, name = "plans", "rhino-plans"
+
+            def plan():
+                return plans, None, None
+
         else:
-            raise ProtocolError(
-                f"unknown reconfiguration kind {kind!r}; expected one of "
-                f"{', '.join(self.RECONFIGURE_KINDS)}, a HandoverPlan, or a "
-                f"list of HandoverPlans"
-            )
+            kind = plan_or_kind
+            if kind not in self.RECONFIGURE_KINDS:
+                raise ProtocolError(
+                    f"unknown reconfiguration kind {kind!r}; expected one of "
+                    f"{', '.join(self.RECONFIGURE_KINDS)}, a HandoverPlan, or a "
+                    f"list of HandoverPlans"
+                )
+            planner, name_format = self._PLANNERS[kind]
+            try:
+                bound = inspect.signature(planner).bind(self, **kwargs)
+            except TypeError as exc:
+                raise ProtocolError(f"reconfigure({kind!r}): {exc}") from None
+            name = name_format.format(**bound.arguments)
+            plan = functools.partial(planner, *bound.args, **bound.kwargs)
+        process = self.sim.process(self._drive(plan, token), name=name)
         if self.control_group is not None:
             self.control_group.failover.track(process)
         return Reconfiguration(self, kind, process)
@@ -593,24 +545,27 @@ class Rhino:
             return plans
         return None
 
-    @staticmethod
-    def _pop_required(kwargs, name, kind):
-        if name not in kwargs:
-            raise ProtocolError(f"reconfigure({kind!r}) requires {name}=")
-        return kwargs.pop(name)
+    def _drive(self, plan, token):
+        """The skeleton every reconfiguration runs, whatever its kind.
 
-    @staticmethod
-    def _reject_extra(kwargs, kind):
-        if kwargs:
-            raise ProtocolError(
-                f"reconfigure({kind!r}) got unexpected arguments: "
-                f"{', '.join(sorted(kwargs))}"
-            )
-
-    def _execute_plans(self, plans, token=None):
+        A kind contributes only ``plan()``, which returns its handover
+        plans, how to re-plan them after an abort (or None), and what to do
+        once the handover has succeeded (``commit(token)``, or None).
+        Bookkeeping that outlives the handover -- parallelism, replica
+        groups, chain repair -- belongs in that last step, so an aborted
+        handover leaves none of it behind.
+        """
         yield from self._await_control_plane()
         self._check_fence(token)
-        report = yield from self._execute_with_retry(plans, None)
+        trigger_time = self.sim.now
+        plans, replan, commit = plan()
+        report = None
+        if plans:
+            report = yield from self._execute_with_retry(
+                plans, trigger_time, replan
+            )
+        if commit is not None:
+            commit(token)
         return report
 
     def _execute_with_retry(self, plans, trigger_time, replan=None):
@@ -638,22 +593,12 @@ class Rhino:
                         attempt=attempt,
                         plans=len(plans),
                     )
-                if self.config.handover_retry_delay > 0:
-                    yield self.sim.timeout(self.config.handover_retry_delay)
+                yield self.sim.timeout(HANDOVER_RETRY_DELAY)
                 if replan is not None:
                     plans = replan(plans)
 
-    def recover_from_failure(self, failed_machine):
-        """Returns a Process recovering every instance the machine hosted.
-
-        Thin wrapper over ``reconfigure("failure", machine=...)``.
-        """
-        return self.reconfigure("failure", machine=failed_machine).process
-
-    def _recover(self, failed_machine, token=None):
-        yield from self._await_control_plane()
-        self._check_fence(token)
-        trigger_time = self.sim.now
+    def _plan_failure(self, machine):
+        """Recover every instance the failed ``machine`` hosted."""
         # No checkpoint may start (or complete) between the failure and the
         # handover: a snapshot of the still-empty replacement would
         # overwrite its replica holding (§4.1.2 step 1 assumes no
@@ -662,12 +607,12 @@ class Rhino:
         dead = [
             (op_name, index, instance)
             for (op_name, index), instance in sorted(self.job.instances.items())
-            if instance.machine is failed_machine
+            if instance.machine is machine
         ]
-        if not dead and not self.replication_manager.replicas_on(failed_machine):
+        if not dead and not self.replication_manager.replicas_on(machine):
             self.job.coordinator.resume()
             raise ProtocolError(
-                f"{failed_machine.name} hosted neither instances nor replicas"
+                f"{machine.name} hosted neither instances nor replicas"
             )
         alive_machines = [m for m in self.job.machines if m.alive]
         plans = []
@@ -678,43 +623,44 @@ class Rhino:
                     self.job, self, op_name, index
                 )
                 plans.append(plan)
-                replacement = self.job.replace_instance(
-                    op_name, index, plan.target_machine
-                )
-                # Hold all records until the handover loads state.
-                replacement.replay_filter = ReplayFilter(
-                    self.job.config.num_key_groups, float("inf")
-                )
-                replacement.checkpoints_enabled = False
-                replacement.start()
+                self._deploy_held_replacement(op_name, index, plan.target_machine)
             else:
-                machine = alive_machines[spare % len(alive_machines)]
+                target = alive_machines[spare % len(alive_machines)]
                 spare += 1
-                replacement = self.job.replace_instance(op_name, index, machine)
+                replacement = self.job.replace_instance(op_name, index, target)
                 if hasattr(replacement, "paused"):
                     # A replacement source must not emit from offset zero;
                     # it resumes at the handover marker, after the seek.
                     replacement.paused = True
                     self._seek_to_latest(replacement)
                 replacement.start()
-        report = None
-        if plans:
-            report = yield from self._execute_with_retry(
-                plans, trigger_time, replan=self._replan_failure
+
+        def commit(token):
+            if not plans:
+                # The machine held only replicas (and possibly stateless
+                # instances): no handover ran, so nothing else resumes the
+                # coordinator; only the chains need repair (§4.2.3).
+                self.job.coordinator.resume()
+            # Chain repair is background work: processing has already
+            # resumed, and the bulk copies only restore redundancy.
+            repair = self.sim.process(
+                self._repair_chains(machine, token),
+                name=f"chain-repair:{machine.name}",
             )
-        else:
-            # The machine held only replicas (and possibly stateless
-            # instances): no handover, just repair the chains (§4.2.3).
-            self.job.coordinator.resume()
-        # Chain repair is background work: processing has already
-        # resumed, and the bulk copies only restore redundancy.
-        repair = self.sim.process(
-            self._repair_chains(failed_machine, token),
-            name=f"chain-repair:{failed_machine.name}",
+            repair.defused = True
+            self.repairs.append(repair)
+
+        return plans, self._replan_failure, commit
+
+    def _deploy_held_replacement(self, op_name, index, machine):
+        """Deploy a stateful replacement that holds all records until the
+        handover has loaded its state."""
+        replacement = self.job.replace_instance(op_name, index, machine)
+        replacement.replay_filter = ReplayFilter(
+            self.job.config.num_key_groups, float("inf")
         )
-        repair.defused = True
-        self.repairs.append(repair)
-        return report
+        replacement.checkpoints_enabled = False
+        replacement.start()
 
     def _replan_failure(self, plans):
         """Re-target failure-recovery plans whose target worker died.
@@ -726,21 +672,14 @@ class Rhino:
         """
         new_plans = []
         for plan in plans:
-            if plan.target_machine.alive:
-                new_plans.append(plan)
-                continue
-            new_plan = migration.plan_failure_recovery(
-                self.job, self, plan.op_name, plan.origin_index
-            )
-            replacement = self.job.replace_instance(
-                plan.op_name, plan.origin_index, new_plan.target_machine
-            )
-            replacement.replay_filter = ReplayFilter(
-                self.job.config.num_key_groups, float("inf")
-            )
-            replacement.checkpoints_enabled = False
-            replacement.start()
-            new_plans.append(new_plan)
+            if not plan.target_machine.alive:
+                plan = migration.plan_failure_recovery(
+                    self.job, self, plan.op_name, plan.origin_index
+                )
+                self._deploy_held_replacement(
+                    plan.op_name, plan.origin_index, plan.target_machine
+                )
+            new_plans.append(plan)
         return new_plans
 
     def _seek_to_latest(self, source):
@@ -770,14 +709,7 @@ class Rhino:
             else:
                 # The failed worker held the only replica: re-replicate
                 # from the live primary.
-                primary = next(
-                    (
-                        i
-                        for i in self.job.stateful_instances()
-                        if i.instance_id == instance_id and i.machine.alive
-                    ),
-                    None,
-                )
+                primary = self._live_primary(instance_id)
                 if primary is None:
                     continue
                 copy = self.replicator.bulk_copy_from_primary(primary, replacement)
@@ -785,6 +717,13 @@ class Rhino:
             copies.append(copy)
         if copies:
             yield self.sim.all_of(copies)
+
+    def _live_primary(self, instance_id):
+        """The stateful instance named ``instance_id``, if its machine is up."""
+        for instance in self.job.stateful_instances():
+            if instance.instance_id == instance_id and instance.machine.alive:
+                return instance
+        return None
 
     def _replica_source(self, instance_id, exclude):
         for machine, store in self.replicator.stores.items():
@@ -794,24 +733,9 @@ class Rhino:
                 return machine
         return None
 
-    def rescale(self, op_name, add_instances, machines=None, share=0.5):
+    def _plan_rescale(self, op_name, add_instances, machines=None, share=0.5):
         """Vertical/horizontal scale-out: add instances, each taking a
-        share of an origin instance's virtual nodes.  Returns a Process.
-
-        Thin wrapper over ``reconfigure("rescale", ...)``.
-        """
-        return self.reconfigure(
-            "rescale",
-            op_name=op_name,
-            add_instances=add_instances,
-            machines=machines,
-            share=share,
-        ).process
-
-    def _rescale(self, op_name, add_instances, machines, share, token=None):
-        yield from self._await_control_plane()
-        self._check_fence(token)
-        trigger_time = self.sim.now
+        ``share`` of an origin instance's virtual nodes."""
         op = self.job.graph.operators[op_name]
         assignment = self.job.assignments[op_name]
         counts = assignment.group_counts()
@@ -830,10 +754,7 @@ class Rhino:
                     target_machine, share=share,
                 )
             )
-        report = yield from self._execute_with_retry(plans, trigger_time)
-        op.parallelism += add_instances
-        self.rebuild_replica_groups()
-        return report
+        return plans, None, functools.partial(self._commit_spawned, plans)
 
     def _machine_with_replica(self, instance_id, fallback):
         try:
@@ -845,7 +766,7 @@ class Rhino:
                 return machine
         return fallback
 
-    def drain(self, machine):
+    def _plan_drain(self, machine):
         """Planned migration of every stateful instance off ``machine``.
 
         The §5.5 reconfiguration ("migrate 8 operators from one server to
@@ -853,16 +774,8 @@ class Rhino:
         ships only the last incremental delta -- no upstream replay, no
         latency impact.  New instances spawn on the other workers and take
         over all virtual nodes; the drained instances stay deployed but
-        own nothing.  Returns a Process yielding the handover report.
-
-        Thin wrapper over ``reconfigure("drain", machine=...)``.
+        own nothing.
         """
-        return self.reconfigure("drain", machine=machine).process
-
-    def _drain(self, machine, token=None):
-        yield from self._await_control_plane()
-        self._check_fence(token)
-        trigger_time = self.sim.now
         victims = [
             i
             for i in self.job.stateful_instances()
@@ -873,20 +786,19 @@ class Rhino:
         others = [m for m in self.job.machines if m.alive and m is not machine]
         plans = []
         for offset, instance in enumerate(victims):
-            op = self.job.graph.operators[instance.op.name]
-            new_index = op.parallelism
-            op.parallelism += 1
+            op_name = instance.op.name
+            new_index = self.job.graph.operators[op_name].parallelism + sum(
+                plan.op_name == op_name for plan in plans
+            )
             target_machine = self._machine_with_replica(
                 instance.instance_id, others[offset % len(others)]
             )
             if target_machine is machine:
                 target_machine = others[offset % len(others)]
-            ranges = list(
-                self.job.assignments[instance.op.name].ranges_of(instance.index)
-            )
+            ranges = list(self.job.assignments[op_name].ranges_of(instance.index))
             plans.append(
                 migration.HandoverPlan(
-                    instance.op.name,
+                    op_name,
                     instance.index,
                     new_index,
                     ranges,
@@ -895,34 +807,43 @@ class Rhino:
                     spawn_target=True,
                 )
             )
-        report = yield from self._execute_with_retry(plans, trigger_time)
-        self.rebuild_replica_groups()
-        return report
+        return plans, None, functools.partial(self._commit_spawned, plans)
 
-    def rebalance(self, op_name, moves, node_count=None):
+    def _commit_spawned(self, plans, _token):
+        """Count a succeeded handover's spawned targets into parallelism.
+
+        Only after success: an abort removes the spawned targets again, and
+        a parallelism raised beforehand would leave a phantom index behind
+        that the next spawn skips.
+        """
+        for plan in plans:
+            self.job.graph.operators[plan.op_name].parallelism += 1
+        self.rebuild_replica_groups()
+
+    def _plan_rebalance(self, op_name, moves, node_count=None):
         """Load balancing: move virtual nodes between existing instances.
 
-        ``moves`` is a list of (origin_index, target_index).  Returns a
-        Process yielding the handover report.
-
-        Thin wrapper over ``reconfigure("rebalance", ...)``.
+        ``moves`` is a list of (origin_index, target_index).
         """
-        return self.reconfigure(
-            "rebalance", op_name=op_name, moves=moves, node_count=node_count
-        ).process
-
-    def _rebalance(self, op_name, moves, node_count, token=None):
-        yield from self._await_control_plane()
-        self._check_fence(token)
-        trigger_time = self.sim.now
         plans = [
             migration.plan_rebalance(
                 self.job, self, op_name, origin, target, node_count
             )
             for origin, target in moves
         ]
-        report = yield from self._execute_with_retry(plans, trigger_time)
-        return report
+        return plans, None, None
+
+    #: kind -> (planner, process-name format).  ``reconfigure()`` binds its
+    #: keyword arguments against the planner's signature, so a kind's
+    #: arguments are declared exactly once.
+    _PLANNERS = {
+        "failure": (_plan_failure, "rhino-recover:{machine.name}"),
+        "rescale": (_plan_rescale, "rhino-rescale:{op_name}"),
+        "rebalance": (_plan_rebalance, "rhino-rebalance:{op_name}"),
+        "drain": (_plan_drain, "rhino-drain:{machine.name}"),
+    }
+    #: Reconfiguration kinds accepted by :meth:`reconfigure`.
+    RECONFIGURE_KINDS = tuple(_PLANNERS)
 
     # -- failure monitoring -----------------------------------------------------------
 
@@ -941,7 +862,7 @@ class Rhino:
                 store.wipe()
         if self.config.anti_entropy_interval is not None:
             rejoin = self.sim.process(
-                self._reconcile_pass_process(),
+                self._reconcile_pass(),
                 name=f"anti-entropy:rejoin-{machine.name}",
             )
             rejoin.defused = True
@@ -975,23 +896,13 @@ class Rhino:
             yield self.sim.timeout(self.config.anti_entropy_interval)
             yield from self._reconcile_pass()
 
-    def _reconcile_pass_process(self):
-        yield from self._reconcile_pass()
-
     def _reconcile_pass(self):
         from repro.sim.kernel import Interrupt
 
         for instance_id, group in sorted(
             self.replication_manager.groups.items()
         ):
-            primary = next(
-                (
-                    i
-                    for i in self.job.stateful_instances()
-                    if i.instance_id == instance_id and i.machine.alive
-                ),
-                None,
-            )
+            primary = self._live_primary(instance_id)
             if primary is None:
                 continue  # mid-recovery; the next pass sees the replacement
             for member in list(group.chain):

@@ -9,7 +9,7 @@ usable end-to-end without an operator in the loop:
   and triggers a virtual-node rebalance from the hottest to the coldest
   instance when the skew ratio exceeds a threshold (§3.5.1).
 * :class:`FailureController` subscribes to machine failures and triggers
-  :meth:`Rhino.recover_from_failure` automatically (§3.5.3).
+  ``Rhino.reconfigure("failure", ...)`` automatically (§3.5.3).
 """
 
 from repro.common.errors import ProtocolError
@@ -70,9 +70,11 @@ class LoadBalanceController:
             origin_index, target_index, ratio = decision
             self.decisions.append((self.sim.now, origin_index, target_index, ratio))
             self._last_action = self.sim.now
-            handover = self.rhino.rebalance(
-                self.op_name, [(origin_index, target_index)]
-            )
+            handover = self.rhino.reconfigure(
+                "rebalance",
+                op_name=self.op_name,
+                moves=[(origin_index, target_index)],
+            ).process
             handover.defused = True
             yield handover
 
@@ -134,6 +136,6 @@ class FailureController:
         ) or self.rhino.replication_manager.replicas_on(machine)
         if not hosted:
             return
-        recovery = self.rhino.recover_from_failure(machine)
+        recovery = self.rhino.reconfigure("failure", machine=machine).process
         recovery.defused = True
         self.recoveries.append((self.job.sim.now, machine.name, recovery))

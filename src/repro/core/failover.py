@@ -272,7 +272,7 @@ class FailoverManager:
         yield from self._repair_replication()
         if self.rhino.config.anti_entropy_interval is not None:
             kick = self.sim.process(
-                self.rhino._reconcile_pass_process(),
+                self.rhino._reconcile_pass(),
                 name="anti-entropy:failover",
             )
             kick.defused = True

@@ -314,11 +314,11 @@ class Job:
             router = Router(self.sim, self.fabric, runtime.edge, instance)
             instance.add_output_router(router)
             runtime.routers[index] = router
-            downstream_op = self.graph.vertex(runtime.spec.downstream)
-            for dst_index in range(downstream_op.parallelism):
-                dst = self.instances.get((runtime.spec.downstream, dst_index))
-                if dst is not None:
-                    router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
+            # Every deployed downstream instance, in index order -- not
+            # ``range(parallelism)``: one spawned earlier by the same
+            # handover is not counted in it until the handover commits.
+            for dst in self.operator_instances(runtime.spec.downstream):
+                router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
         instance.start()
         return instance
 

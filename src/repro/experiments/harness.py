@@ -396,15 +396,19 @@ class RhinoHandle(SutHandle):
 
     def recover(self, machine):
         """Reconfigure after (or instead of) a machine failure; returns a Process."""
-        return self.rhino.recover_from_failure(machine)
+        return self.rhino.reconfigure("failure", machine=machine).process
 
     def rescale(self, add_instances):
         """Scale the stateful operator; returns a Process."""
-        return self.rhino.rescale(self.primary_op(), add_instances)
+        return self.rhino.reconfigure(
+            "rescale", op_name=self.primary_op(), add_instances=add_instances
+        ).process
 
     def rebalance(self, moves):
         """Move virtual nodes between instances; returns a Process."""
-        return self.rhino.rebalance(self.primary_op(), moves)
+        return self.rhino.reconfigure(
+            "rebalance", op_name=self.primary_op(), moves=moves
+        ).process
 
 
 class FlinkHandle(SutHandle):

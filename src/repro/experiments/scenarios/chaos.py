@@ -132,7 +132,6 @@ def run_chaos(
     kinds=None,
     tracer=None,
     max_sim_time=120.0,
-    dense=False,
     rebalance_at=None,
     artifacts_dir=None,
     control_replicas=None,
@@ -147,9 +146,6 @@ def run_chaos(
     Machine ``w0`` is protected from faults: it is the failure
     detector's vantage point, and a chaos plan that blinds the observer
     proves nothing about the protocols.
-
-    ``dense=True`` runs the flow scheduler's dense reference solver;
-    results must be identical (see the solver equivalence tests).
 
     ``rebalance_at`` issues a planned rebalance of the counter operator at
     that virtual time -- the only reconfiguration kind whose handover
@@ -179,7 +175,7 @@ def run_chaos(
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("CHAOS_ARTIFACTS_DIR") or None
     sim = Simulator(tracer=tracer)
-    cluster = Cluster(sim, dense=dense)
+    cluster = Cluster(sim)
     workers = cluster.add_machines(
         machines,
         prefix="w",
@@ -218,12 +214,8 @@ def run_chaos(
             state_load_seconds=0.05,
             handover_timeout=60.0,
             retry_attempts=6,
-            retry_base_delay=0.05,
-            retry_max_delay=1.0,
-            retry_jitter=0.1,
             retry_seed=seed,
             handover_retry_attempts=4,
-            handover_retry_delay=0.5,
             anti_entropy_interval=1.0,
             handover_chunk_bytes=handover_chunk_bytes,
         ),
@@ -275,7 +267,7 @@ def run_chaos(
                 if machine.alive:  # restarted before the driver got to it
                     queued.discard(machine.name)
                     continue
-                proc = rhino.recover_from_failure(machine)
+                proc = rhino.reconfigure("failure", machine=machine).process
                 proc.defused = True
                 try:
                     yield proc
@@ -500,7 +492,6 @@ def run_chaos(
                 kinds=kinds,
                 tracer=retrace,
                 max_sim_time=max_sim_time,
-                dense=dense,
                 rebalance_at=rebalance_at,
                 artifacts_dir=False,  # no recursive artifact dumps
                 control_replicas=control_replicas,

@@ -50,7 +50,7 @@ def run_varying_rate(
     if sut_name == "megaphone":
         migration = handle.recover(victim)
     elif hasattr(handle, "rhino"):
-        migration = handle.rhino.drain(victim)
+        migration = handle.rhino.reconfigure("drain", machine=victim).process
     else:
         testbed.cluster.kill(victim)
         migration = handle.recover(victim)

@@ -13,25 +13,22 @@ completion.  This reproduces the timing arithmetic that dominates the
 paper's recovery and migration costs (who moves how many bytes over which
 bottleneck) without simulating packets.
 
-Two engines share this contract:
+The solver is *incremental*: max-min fair allocations decompose over
+*connected components* of the flow/port sharing graph, so only the
+component touched by a change is re-solved, and because the allocation is
+unique and the per-component arithmetic is that of a global solve
+restricted to the component, untouched components keep their rates
+bit-for-bit.  Solves for a burst of changes at one simulated instant are
+coalesced into a single pass via the kernel's end-of-instant hook, and the
+projected completion wake-up is managed through a small due-time heap
+instead of leaking one kernel timeout per reallocation.
 
-* The **dense** reference engine (``FlowScheduler(sim, dense=True)``)
-  recomputes the full water-filling allocation over every flow and port on
-  every arrival, completion, and failure -- simple, obviously correct, and
-  quadratic in the number of concurrent flows.
-* The **incremental** engine (the default) exploits that max-min fair
-  allocations decompose over *connected components* of the flow/port
-  sharing graph: only the component touched by a change is re-solved, and
-  because the allocation is unique and the per-component arithmetic is
-  identical, untouched components keep their rates bit-for-bit.  Solves
-  for a burst of changes at one simulated instant are coalesced into a
-  single pass via the kernel's end-of-instant hook, and the projected
-  completion wake-up is managed through a small due-time heap instead of
-  leaking one kernel timeout per reallocation.
-
-The two engines produce identical simulated timestamps; the property tests
-in ``tests/test_flow_solver_equivalence.py`` assert rate-for-rate and
-completion-for-completion equality on randomized topologies.
+The oracle is a whole-graph solver kept apart from this module, in
+``tests/reference_flows.py``: it re-solves every flow and port on every
+arrival, completion and failure -- simple, obviously correct, and
+quadratic in the number of concurrent flows.  The property tests in
+``tests/test_flow_solver_equivalence.py`` assert rate-for-rate and
+completion-for-completion equality against it on randomized topologies.
 """
 
 import heapq
@@ -159,20 +156,12 @@ class _Flow:
 
 
 class FlowScheduler:
-    """Schedules fluid flows over shared ports with max-min fairness.
+    """Schedules fluid flows over shared ports with max-min fairness."""
 
-    ``dense=True`` selects the quadratic reference engine (full global
-    re-solve on every change); the default incremental engine produces
-    identical simulated results while scaling to tens of thousands of
-    concurrent flows.
-    """
-
-    def __init__(self, sim, dense=False):
+    def __init__(self, sim):
         self.sim = sim
-        self.dense = bool(dense)
         self._flows = {}
         self._ids = itertools.count()
-        self._wakeup = None  # dense engine: pending Timeout guard
         self._last_update = 0.0
         #: Cumulative bytes moved per port, for utilization accounting.
         self.port_bytes = {}
@@ -180,7 +169,6 @@ class FlowScheduler:
         #: loss probabilities are never sampled, so undisturbed runs make
         #: zero RNG calls and stay bit-identical to pre-chaos behavior.
         self.loss_rng = None
-        # -- incremental engine state --------------------------------------
         #: port -> set of flow ids currently crossing it (sharing index).
         self._port_flows = {}
         #: port -> aggregate allocated rate, for O(ports) byte accounting.
@@ -230,19 +218,16 @@ class FlowScheduler:
             return event
         self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
-        self._flows[flow.flow_id] = flow
-        if self.dense:
-            self._reallocate_dense()
-        else:
-            flow_id = flow.flow_id
-            port_flows = self._port_flows
-            for port in flow.ports:
-                members = port_flows.get(port)
-                if members is None:
-                    members = port_flows[port] = set()
-                members.add(flow_id)
-            self._dirty_flows.add(flow_id)
-            self._request_solve()
+        flow_id = flow.flow_id
+        self._flows[flow_id] = flow
+        port_flows = self._port_flows
+        for port in flow.ports:
+            members = port_flows.get(port)
+            if members is None:
+                members = port_flows[port] = set()
+            members.add(flow_id)
+        self._dirty_flows.add(flow_id)
+        self._request_solve()
         return event
 
     def active_flows(self):
@@ -255,8 +240,6 @@ class FlowScheduler:
         """Current aggregate allocated rate on ``port`` (bytes/second)."""
         self._advance()
         self._flush()
-        if self.dense:
-            return sum(f.rate for f in self._flows.values() if port in f.ports)
         flows = self._flows
         return sum(flows[fid].rate for fid in sorted(self._port_flows.get(port, ())))
 
@@ -276,11 +259,8 @@ class FlowScheduler:
         self._advance()
         failed_any = False
         for port in ports:
-            if self.dense:
-                failed = [f for f in self._flows.values() if port in f.ports]
-            else:
-                ids = sorted(self._port_flows.get(port, ()))
-                failed = [self._flows[fid] for fid in ids]
+            ids = sorted(self._port_flows.get(port, ()))
+            failed = [self._flows[fid] for fid in ids]
             for flow in failed:
                 failed_any = True
                 self._remove_flow(flow)
@@ -291,10 +271,7 @@ class FlowScheduler:
                     flow.event.defused = True
                     flow.event.fail(PortFailed(port))
         if failed_any:
-            if self.dense:
-                self._reallocate_dense()
-            else:
-                self._request_solve()
+            self._request_solve()
 
     def enable_port(self, port):
         """Re-enable a disabled port."""
@@ -315,10 +292,7 @@ class FlowScheduler:
                 flow.event.defused = True
                 flow.event.fail(make_exception(flow))
         if doomed:
-            if self.dense:
-                self._reallocate_dense()
-            else:
-                self._request_solve()
+            self._request_solve()
         return len(doomed)
 
     def reallocate(self, ports=None):
@@ -327,21 +301,17 @@ class FlowScheduler:
         Chaos injection (slow links, disk stalls) mutates
         ``Port.capacity_scale`` outside the scheduler's view; callers must
         invoke this so in-flight flows feel the new rates immediately.
-        Passing the affected ``ports`` lets the incremental engine re-solve
-        only the touched components; without them the whole allocation is
-        recomputed (always the case for the dense engine).
+        Passing the affected ``ports`` re-solves only the touched
+        components; without them the whole allocation is recomputed.
         """
         self._advance()
-        if self.dense:
-            self._reallocate_dense()
-            return
         if ports is None:
             self._dirty_all = True
         else:
             self._dirty_ports.update(ports)
         self._request_solve()
 
-    # -- shared internals ----------------------------------------------
+    # -- internals -------------------------------------------------------
 
     def _complete_after(self, event, latency, nbytes):
         """Succeed ``event`` with ``nbytes`` once ``latency`` has passed."""
@@ -361,9 +331,6 @@ class FlowScheduler:
         self._last_update = self.sim.now
         if elapsed <= 0 or not self._flows:
             return
-        if self.dense:
-            self._advance_dense(elapsed)
-            return
         port_bytes = self.port_bytes
         for port, rate in self._port_rate_sum.items():
             port_bytes[port] = port_bytes.get(port, 0.0) + rate * elapsed
@@ -382,26 +349,9 @@ class FlowScheduler:
                 self._remove_flow(flow)
                 self._complete_after(flow.event, flow.latency, flow.remaining)
 
-    def _advance_dense(self, elapsed):
-        finished = []
-        for flow in self._flows.values():
-            moved = flow.rate * elapsed
-            flow.remaining -= moved
-            for port in flow.ports:
-                self.port_bytes[port] = self.port_bytes.get(port, 0.0) + moved
-            if flow.remaining <= _EPSILON_BYTES:
-                finished.append(flow)
-        for flow in finished:
-            del self._flows[flow.flow_id]
-            self._complete_after(flow.event, flow.latency, flow.remaining)
-
-    # -- incremental engine --------------------------------------------
-
     def _remove_flow(self, flow):
-        """Drop a flow from the live set and all incremental indexes."""
+        """Drop a flow from the live set and every sharing index."""
         del self._flows[flow.flow_id]
-        if self.dense:
-            return
         flow_id = flow.flow_id
         rate = flow.rate
         port_flows = self._port_flows
@@ -520,10 +470,11 @@ class FlowScheduler:
     def _waterfill(self, flows):
         """Water-filling max-min fair allocation over ``flows``.
 
-        This is, deliberately, the dense solver's arithmetic verbatim:
-        identical data-structure construction and identical operation
-        order make the incremental per-component solve bit-identical to a
-        global solve restricted to the component.
+        This is, deliberately, the arithmetic of the whole-graph reference
+        (``tests/reference_flows.py``) operation for operation: identical
+        data-structure construction and identical operation order make the
+        per-component solve bit-identical to a global solve restricted to
+        the component.
         """
         residual = {}
         port_flows = {}
@@ -609,35 +560,3 @@ class FlowScheduler:
             if not heap or due < heap[0]:
                 heapq.heappush(heap, due)
                 self.sim.at(due).callbacks.append(self._on_wakeup)
-
-    # -- dense reference engine ----------------------------------------
-
-    def _reallocate_dense(self):
-        """Water-filling max-min fair allocation, then schedule a wake-up."""
-        self._waterfill(list(self._flows.values()))
-        self._schedule_wakeup_dense()
-
-    def _schedule_wakeup_dense(self):
-        if not self._flows:
-            return
-        horizon = float("inf")
-        for flow in self._flows.values():
-            if flow.rate > 0:
-                horizon = min(horizon, flow.remaining / flow.rate)
-            elif not any(p.effective_capacity <= 0 for p in flow.ports):
-                raise SimulationError("flow with zero allocated rate")
-        if horizon == float("inf"):
-            return
-        horizon = max(horizon, 1e-6)
-        marker = object()
-        self._wakeup = marker
-
-        def waker(event):
-            """Timer callback: advance flows and reallocate."""
-            if self._wakeup is marker:
-                self._wakeup = None
-                self._advance()
-                self._reallocate_dense()
-
-        timeout = self.sim.timeout(horizon)
-        timeout.callbacks.append(waker)

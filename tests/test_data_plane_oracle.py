@@ -137,7 +137,9 @@ def run_pipeline(seed):
 
         def rebalance():
             yield env.sim.timeout(2.5)
-            report = yield rhino.rebalance("count", [(0, 1)])
+            report = yield rhino.reconfigure(
+                "rebalance", op_name="count", moves=[(0, 1)]
+            ).process
             return report
 
         handover = env.sim.process(rebalance())

@@ -1,11 +1,13 @@
 """Property tests: the incremental flow engine equals the dense reference.
 
 Max-min fair allocations are unique, so the component-local incremental
-solver must agree with the dense global solver not just approximately but
-*bit-for-bit*: identical rates after every change and identical completion
-timestamps under the virtual clock.  These tests run randomized topologies
-(shared ports, staggered starts, gray degradation including full stalls,
-port failures) through both engines and assert exact equality.
+solver (``repro.sim.flows.FlowScheduler``) must agree with the dense global
+solver (``tests/reference_flows.py``, which shares no solver code with it)
+not just approximately but *bit-for-bit*: identical rates after every
+change and identical completion timestamps under the virtual clock.  These
+tests run randomized topologies (shared ports, staggered starts, gray
+degradation including full stalls, port failures) through both engines and
+assert exact equality.
 """
 
 import random
@@ -16,6 +18,10 @@ from repro.cluster import Cluster
 from repro.experiments.scenarios.chaos import run_chaos
 from repro.sim import Simulator
 from repro.sim.flows import FlowScheduler, Port, TransferFailed
+from tests.reference_flows import DenseFlowScheduler
+
+#: (reference, engine under test): every comparison runs both, in this order.
+ENGINES = (DenseFlowScheduler, FlowScheduler)
 
 #: Number of randomized topologies the property sweep samples.
 TOPOLOGY_SAMPLES = 200
@@ -51,10 +57,10 @@ def _random_plan(seed):
     return port_specs, actions
 
 
-def _run_plan(port_specs, actions, dense):
+def _run_plan(port_specs, actions, engine):
     """Execute a plan on one engine; returns the full observable outcome."""
     sim = Simulator()
-    scheduler = FlowScheduler(sim, dense=dense)
+    scheduler = engine(sim)
     ports = [Port(f"p{i}", cap) for i, cap in enumerate(port_specs)]
     outcomes = {}
 
@@ -124,8 +130,8 @@ def _run_plan(port_specs, actions, dense):
 @pytest.mark.parametrize("seed", range(TOPOLOGY_SAMPLES))
 def test_incremental_matches_dense_on_random_topology(seed):
     port_specs, actions = _random_plan(seed)
-    dense = _run_plan(port_specs, actions, dense=True)
-    incremental = _run_plan(port_specs, actions, dense=False)
+    dense = _run_plan(port_specs, actions, DenseFlowScheduler)
+    incremental = _run_plan(port_specs, actions, FlowScheduler)
     assert incremental == dense
 
 
@@ -133,9 +139,9 @@ def test_same_instant_burst_rates_match_dense():
     """A coalesced burst must yield the same rates as N dense solves."""
     for flows, ports_n in [(1, 1), (7, 2), (40, 5), (120, 16)]:
         results = []
-        for dense in (True, False):
+        for engine in ENGINES:
             sim = Simulator()
-            scheduler = FlowScheduler(sim, dense=dense)
+            scheduler = engine(sim)
             ports = [Port(f"p{i}", 1e9) for i in range(ports_n)]
             rng2 = random.Random(flows * 1000 + ports_n)
             for index in range(flows):
@@ -150,10 +156,13 @@ def test_same_instant_burst_rates_match_dense():
         assert results[0] == results[1]
 
 
-def test_chaos_run_identical_under_both_engines():
-    """Fixed-seed chaos runs bit-identically pre/post optimization."""
-    dense = run_chaos(seed=11, dense=True)
+def test_chaos_run_identical_under_both_engines(monkeypatch):
+    """A fixed-seed chaos run is bit-identical on the reference engine."""
     fast = run_chaos(seed=11)
+    # run_chaos builds its own Cluster; swap the class the cluster reaches for.
+    monkeypatch.setattr("repro.cluster.cluster.FlowScheduler", DenseFlowScheduler)
+    assert isinstance(Cluster(Simulator()).scheduler, DenseFlowScheduler)
+    dense = run_chaos(seed=11)
     assert fast.ok == dense.ok
     assert repr(fast.duration) == repr(dense.duration)
     assert fast.counts == dense.counts
@@ -165,9 +174,9 @@ def test_chaos_run_identical_under_both_engines():
 def test_machine_failure_identical_under_both_engines():
     """Mid-transfer machine death: same victims, same survivor timing."""
     results = []
-    for dense in (True, False):
+    for engine in ENGINES:
         sim = Simulator()
-        cluster = Cluster(sim, dense=dense)
+        cluster = Cluster(sim, scheduler=engine(sim))
         machines = cluster.add_machines(4)
         log = []
 

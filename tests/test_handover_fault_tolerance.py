@@ -72,7 +72,9 @@ class TestTargetDeathMidHandover:
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         target = job.instance("count", 1)
-        handover = rhino.rebalance("count", [(0, 1)])
+        handover = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 1)]
+        ).process
         handover.defused = True
 
         def killer():
@@ -104,18 +106,20 @@ class TestTargetDeathMidHandover:
         env, job, rhino, _handover, target = self.run_scenario()
         # The dead machine hosted count[1]; recover it (its replica path),
         # which also replays the records the aborted handover diverted.
-        recovery = rhino.recover_from_failure(target.machine)
+        recovery = rhino.reconfigure("failure", machine=target.machine).process
         env.sim.run(until=recovery)
         env.run(until=30.0)
         assert final_counts(job) == expected_counts()
 
     def test_retry_after_abort_succeeds(self):
         env, job, rhino, _handover, target = self.run_scenario()
-        recovery = rhino.recover_from_failure(target.machine)
+        recovery = rhino.reconfigure("failure", machine=target.machine).process
         env.sim.run(until=recovery)
         env.run(until=env.sim.now + 2.0)
         # Retry the rebalance toward a healthy instance.
-        retry = rhino.rebalance("count", [(0, 2)])
+        retry = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 2)]
+        ).process
         report = env.sim.run(until=retry)
         assert report.total_seconds is not None
         env.run(until=40.0)
@@ -128,11 +132,7 @@ class TestPartitionMidHandover:
     after the heal, and counting stays exactly-once throughout."""
 
     def run_scenario(self):
-        env, job, rhino = setup(
-            machines=6,
-            handover_retry_attempts=6,
-            handover_retry_delay=0.5,
-        )
+        env, job, rhino = setup(machines=6, handover_retry_attempts=6)
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         origin = job.instance("count", 0)
@@ -155,7 +155,9 @@ class TestPartitionMidHandover:
             yield env.sim.timeout(3.0)
             env.cluster.heal()
 
-        handover = rhino.rebalance("count", [(0, 1)])
+        handover = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 1)]
+        ).process
         handover.defused = True
         env.sim.process(partitioner())
         env.run(until=4.0)
@@ -190,7 +192,9 @@ class TestRescaleTargetDeath:
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         spare = job.machines[4]
-        rescale = rhino.rescale("count", add_instances=1, machines=[spare])
+        rescale = rhino.reconfigure(
+            "rescale", op_name="count", add_instances=1, machines=[spare]
+        ).process
         rescale.defused = True
 
         # Find the spawned instance's machine once it exists, then kill it.
@@ -205,6 +209,44 @@ class TestRescaleTargetDeath:
         if rescale.triggered and not rescale.ok:
             # Aborted: the spawned instance is gone from the job.
             assert ("count", 4) not in job.instances
+
+    def test_aborted_drain_leaks_no_parallelism(self):
+        """Regression: a drain used to raise ``parallelism`` before its
+        handover ran, so an abort left a phantom index behind and the next
+        drain deployed ``count[5]`` beside a ``count[4]`` nobody hosts."""
+        env, job, rhino = setup(machines=6)
+        live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
+        env.run(until=2.0)
+        op = job.graph.operators["count"]
+        victim = job.instance("count", 1).machine
+        drain = rhino.reconfigure("drain", machine=victim).process
+        drain.defused = True
+
+        dead = []
+
+        def killer():
+            yield env.sim.timeout(0.7)
+            dead.append(job.instance("count", 4).machine)
+            env.cluster.kill(dead[0])
+
+        env.sim.process(killer())
+        env.run(until=4.0)
+        assert drain.triggered and not drain.ok
+        with pytest.raises(HandoverAborted):
+            drain.value
+        assert ("count", 4) not in job.instances
+        assert op.parallelism == len(job.operator_instances("count")) == 4
+        env.sim.run(until=rhino.reconfigure("failure", machine=dead[0]).process)
+        env.run(until=env.sim.now + 2.0)
+        # The retry reuses the index the aborted attempt gave back (the
+        # recovery moved a second instance onto the victim, so it spawns two).
+        retry = rhino.reconfigure("drain", machine=victim).process
+        env.sim.run(until=retry)
+        indexes = [i.index for i in job.operator_instances("count")]
+        assert indexes == list(range(op.parallelism)) and 4 in indexes
+        assert job.instance("count", 4).state.owned_ranges()
+        env.run(until=40.0)
+        assert final_counts(job) == expected_counts()
 
     def test_bystander_death_does_not_abort(self):
         """A machine hosting neither origin nor target only loses acks."""
@@ -224,7 +266,9 @@ class TestRescaleTargetDeath:
                 for i in job.all_instances()
             )
         )
-        handover = rhino.rebalance("count", [(0, 1)])
+        handover = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 1)]
+        ).process
 
         def killer():
             yield env.sim.timeout(0.5)

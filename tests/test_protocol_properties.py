@@ -60,7 +60,9 @@ def run_with_reconfigurations(moves):
             yield env.sim.timeout(delay)
             if origin == target:
                 continue
-            handover = rhino.rebalance("count", [(origin, target)])
+            handover = rhino.reconfigure(
+                "rebalance", op_name="count", moves=[(origin, target)]
+            ).process
             handover.defused = True
             yield handover
 
@@ -131,7 +133,7 @@ class TestExactlyOnceProperties:
             yield env.sim.timeout(kill_at)
             victim = job.instance("count", victim_index).machine
             env.cluster.kill(victim)
-            recovery = rhino.recover_from_failure(victim)
+            recovery = rhino.reconfigure("failure", machine=victim).process
             recovery.defused = True
             yield recovery
 

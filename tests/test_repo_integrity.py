@@ -56,13 +56,31 @@ class TestDocumentation:
 
 
 class TestExamplesSmoke:
-    def test_quickstart_runs_end_to_end(self):
+    @staticmethod
+    def run_example(name):
         result = subprocess.run(
-            [sys.executable, str(ROOT / "examples" / "quickstart.py")],
+            [sys.executable, str(ROOT / "examples" / f"{name}.py")],
             capture_output=True,
             text=True,
             timeout=240,
         )
         assert result.returncode == 0, result.stderr
-        assert "handover report" in result.stdout
-        assert "counted exactly once" in result.stdout
+        return result.stdout
+
+    def test_quickstart_runs_end_to_end(self):
+        stdout = self.run_example("quickstart")
+        assert "handover report" in stdout
+        assert "counted exactly once" in stdout
+
+    @pytest.mark.parametrize(
+        "name, verdict",
+        [
+            ("load_balancing_skew", "exactly-once counting verified"),
+            ("autonomous_operations", "counted exactly once"),
+        ],
+        ids=["load_balancing_skew", "autonomous_operations"],
+    )
+    def test_reconfiguring_example_runs_end_to_end(self, name, verdict):
+        """The other examples that call ``Rhino.reconfigure`` (directly or
+        through the controllers): a stale call site fails here."""
+        assert verdict in self.run_example(name)

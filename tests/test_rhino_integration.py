@@ -38,7 +38,7 @@ def make_env(machines=4):
     return env
 
 
-def make_job(env, checkpoint_interval=1.0):
+def make_job(env, checkpoint_interval=1.0, graph=None):
     config = JobConfig(
         num_key_groups=32,
         virtual_node_count=4,
@@ -47,7 +47,7 @@ def make_job(env, checkpoint_interval=1.0):
         watermark_interval=0.1,
         source_idle_timeout=0.05,
     )
-    return env.job(counter_graph(), config=config)
+    return env.job(graph or counter_graph(), config=config)
 
 
 def make_rhino(env, job, **overrides):
@@ -124,7 +124,9 @@ class TestRebalance:
         origin = job.instance("count", 0)
         target = job.instance("count", 1)
         origin_groups_before = job.assignments["count"].ranges_of(0).span()
-        process = rhino.rebalance("count", [(0, 1)])
+        process = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 1)]
+        ).process
         report = env.sim.run(until=process)
         env.run(until=8.0)
         assert report.total_seconds is not None
@@ -143,7 +145,9 @@ class TestRebalance:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.rebalance("count", [(0, 1), (2, 3)])
+            yield rhino.reconfigure(
+                "rebalance", op_name="count", moves=[(0, 1), (2, 3)]
+            ).process
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -155,7 +159,9 @@ class TestRebalance:
         rhino = make_rhino(env, job)
         live_feeder(env, "events", KEYS, count=60, interval=0.02)
         env.run(until=2.0)
-        process = rhino.rebalance("count", [(0, 1)])
+        process = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(0, 1)]
+        ).process
         report = env.sim.run(until=process)
         assert report.scheduling_seconds > 0
         assert report.loading_seconds > 0
@@ -169,7 +175,7 @@ class TestRescale:
         rhino = make_rhino(env, job)
         live_feeder(env, "events", KEYS, count=100, interval=0.02)
         env.run(until=2.5)
-        process = rhino.rescale("count", add_instances=2)
+        process = rhino.reconfigure("rescale", op_name="count", add_instances=2).process
         report = env.sim.run(until=process)
         env.run(until=8.0)
         assert report is not None
@@ -187,7 +193,7 @@ class TestRescale:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.rescale("count", add_instances=2)
+            yield rhino.reconfigure("rescale", op_name="count", add_instances=2).process
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -201,7 +207,7 @@ class TestRescale:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.rescale("count", add_instances=2)
+            yield rhino.reconfigure("rescale", op_name="count", add_instances=2).process
 
         env.sim.process(trigger())
         env.run(until=15.0)
@@ -217,7 +223,7 @@ class TestFailureRecovery:
         def chaos():
             yield env.sim.timeout(kill_at)
             env.cluster.kill(victim)
-            yield rhino.recover_from_failure(victim)
+            yield rhino.reconfigure("failure", machine=victim).process
 
         chaos_process = env.sim.process(chaos())
         env.run(until=20.0)
@@ -286,7 +292,7 @@ class TestFailureRecovery:
         env.run(until=1.0)
         victim = job.instance("count", 2).machine
         env.cluster.kill(victim)
-        recovery = rhino.recover_from_failure(victim)
+        recovery = rhino.reconfigure("failure", machine=victim).process
         recovery.defused = True
         env.run(until=5.0)
         assert not recovery.ok
@@ -300,7 +306,7 @@ class TestDrain:
         live_feeder(env, "events", KEYS, count=200, interval=0.02)
         env.run(until=3.0)
         victim = job.instance("count", 2).machine
-        process = rhino.drain(victim)
+        process = rhino.reconfigure("drain", machine=victim).process
         report = env.sim.run(until=process)
         env.run(until=10.0)
         assert report is not None
@@ -317,7 +323,9 @@ class TestDrain:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.drain(job.instance("count", 1).machine)
+            yield rhino.reconfigure(
+                "drain", machine=job.instance("count", 1).machine
+            ).process
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -330,9 +338,37 @@ class TestDrain:
         live_feeder(env, "events", KEYS, count=200, interval=0.02)
         env.run(until=3.0)
         offsets_before = [s.cursor.offset for s in job.source_instances()]
-        process = rhino.drain(job.instance("count", 2).machine)
+        process = rhino.reconfigure(
+            "drain", machine=job.instance("count", 2).machine
+        ).process
         env.sim.run(until=process)
         offsets_after = [s.cursor.offset for s in job.source_instances()]
         # Sources never rewound: planned drains migrate deltas, not logs.
         assert all(a >= b for a, b in zip(offsets_after, offsets_before))
         assert all(s.replay_filter is None for s in job.source_instances())
+
+    def test_drain_of_chained_operators_wires_both_spawned_targets(self):
+        """Both spawned targets count into parallelism only at commit, so
+        the upstream one (spawned second: ``agg`` sorts before ``pre``) must
+        still get its channel to the downstream one spawned just before."""
+        env = make_env(machines=3)
+        graph = StreamGraph("chained")
+        graph.source("src", topic="events", parallelism=2)
+        graph.operator(
+            "pre", StatefulCounterLogic, 3, inputs=[("src", "hash")], stateful=True
+        )
+        graph.operator(
+            "agg", StatefulCounterLogic, 3, inputs=[("pre", "hash")], stateful=True
+        )
+        graph.sink("out", inputs=[("agg", "forward")])
+        job = make_job(env, graph=graph).start()
+        rhino = make_rhino(env, job)
+        live_feeder(env, "events", KEYS, count=200, interval=0.02)
+        env.run(until=2.0)
+        victim = job.instance("pre", 1).machine
+        assert job.instance("agg", 1).machine is victim
+        env.sim.run(until=rhino.reconfigure("drain", machine=victim).process)
+        assert job.graph.operators["pre"].parallelism == 4
+        assert job.graph.operators["agg"].parallelism == 4
+        env.run(until=12.0)
+        assert final_counts(job) == expected_counts(200)

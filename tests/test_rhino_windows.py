@@ -77,7 +77,9 @@ class TestWindowRebalance:
 
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.rebalance("agg", [(0, 1), (2, 3)])
+            yield rhino.reconfigure(
+                "rebalance", op_name="agg", moves=[(0, 1), (2, 3)]
+            ).process
 
         observed, _job = run_windows(reconfigure)
         window_results_equal(baseline, observed)
@@ -90,7 +92,7 @@ class TestWindowRebalance:
 
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.rebalance("agg", [(0, 1)])
+            yield rhino.reconfigure("rebalance", op_name="agg", moves=[(0, 1)]).process
 
         observed, job = run_windows(reconfigure)
         target = job.instance("agg", 1)
@@ -110,7 +112,7 @@ class TestWindowRebalance:
             yield env.sim.timeout(8.0)
             victim = job.instance("agg", 2).machine
             env.cluster.kill(victim)
-            yield rhino.recover_from_failure(victim)
+            yield rhino.reconfigure("failure", machine=victim).process
 
         observed, _job = run_windows(reconfigure, until=30.0)
         window_results_equal(baseline, observed)
@@ -164,7 +166,9 @@ class TestJoinRebalance:
 
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.rebalance("join", [(0, 2), (1, 3)])
+            yield rhino.reconfigure(
+                "rebalance", op_name="join", moves=[(0, 2), (1, 3)]
+            ).process
 
         observed = build(reconfigure)
         for key, weight in observed.items():

@@ -180,14 +180,6 @@ class TestAccounting:
 
 
 class TestIncrementalEngine:
-    def test_dense_flag_selects_reference_engine(self, sim):
-        dense = FlowScheduler(sim, dense=True)
-        assert dense.dense
-        port = Port("nic", 100.0)
-        event = dense.transfer(500.0, [port])
-        sim.run(until=event)
-        assert sim.now == pytest.approx(5.0)
-
     def test_kernel_queue_stays_bounded_by_active_flows(self, sim, scheduler):
         """Regression: the old engine leaked one Timeout per reallocation.
 

@@ -140,7 +140,9 @@ class TestExactlyOnceOutput:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.rebalance("count", [(0, 1)])
+            yield rhino.reconfigure(
+                "rebalance", op_name="count", moves=[(0, 1)]
+            ).process
 
         env.sim.process(trigger())
         env.run(until=15.0)
