@@ -8,16 +8,12 @@ of magnitude.
 """
 
 from repro.experiments.scenarios.load_balancing import run_load_balancing
+from repro.experiments.__main__ import timeline_settings
 from repro.experiments.report import timeline_report, PAPER_FIGURE4
 
 from benchmarks.conftest import emit_report, emit_timeline_csv, run_once
 
-SETTINGS = dict(
-    checkpoint_interval=45.0,
-    checkpoints_before=3,
-    checkpoints_after=2,
-    rate_scale=0.02,
-)
+SETTINGS = timeline_settings(quick=False)
 
 
 def run_panels():

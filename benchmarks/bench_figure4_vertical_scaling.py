@@ -7,18 +7,12 @@ by orders of magnitude on the large-state queries.
 """
 
 from repro.experiments.scenarios.scaling import run_vertical_scaling
+from repro.experiments.__main__ import timeline_settings
 from repro.experiments.report import timeline_report, PAPER_FIGURE4
 
 from benchmarks.conftest import emit_report, emit_timeline_csv, run_once
 
-SETTINGS = dict(
-    checkpoint_interval=45.0,
-    checkpoints_before=3,
-    checkpoints_after=2,
-    rate_scale=0.02,
-    initial_dop=14,
-    add_instances=2,
-)
+SETTINGS = dict(timeline_settings(quick=False), initial_dop=14, add_instances=2)
 
 
 def run_panels():

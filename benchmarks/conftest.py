@@ -29,12 +29,15 @@ def run_once(benchmark, fn, *args, **kwargs):
 def emit_timeline_csv(name, results):
     """Persist latency timelines as CSV for external plotting.
 
-    One file per (SUT, query) panel with ``time_s,latency_s`` rows plus a
-    comment line carrying the reconfiguration time.
+    One file per (SUT, query) panel with ``time_s,latency_s,weight`` rows
+    (a sample stands for ``weight`` modeled events) plus a comment line
+    carrying the reconfiguration time.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     for result in results:
         path = RESULTS_DIR / f"{name}_{result.sut}_{result.query}.csv"
-        lines = [f"# event_time={result.event_time}", "time_s,latency_s"]
-        lines.extend(f"{t:.3f},{latency:.6f}" for t, latency in result.series)
+        lines = [f"# event_time={result.event_time}", "time_s,latency_s,weight"]
+        lines.extend(
+            f"{t:.3f},{latency:.6f},{weight}" for t, latency, weight in result.series
+        )
         path.write_text("\n".join(lines) + "\n")

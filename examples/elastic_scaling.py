@@ -36,7 +36,7 @@ def main():
     describe(handle.job, "agg")
 
     print("\nscaling out: +2 instances ...")
-    rescale = handle.rescale(2)
+    rescale = handle.reconfigure("rescale", add_instances=2)
     report = testbed.sim.run(until=rescale)
     print(
         f"handover: sched={report.scheduling_seconds:.1f}s "
@@ -47,7 +47,7 @@ def main():
     describe(handle.job, "agg")
 
     print("\nscaling out again: +2 instances ...")
-    rescale = testbed.sim.run(until=handle.rescale(2))
+    testbed.sim.run(until=handle.reconfigure("rescale", add_instances=2))
     testbed.sim.run(until=180.0)
     print("\n== after second scale-out (DOP 8) ==")
     describe(handle.job, "agg")

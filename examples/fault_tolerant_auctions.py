@@ -25,9 +25,8 @@ def run_one(sut_name, state_bytes=40 * GB):
     victim = testbed.workers[-1]
     print(f"[{sut_name}] killing {victim.name} at t={testbed.sim.now:.0f}s ...")
     failure_time = testbed.sim.now
-    testbed.cluster.kill(victim)
-    recovery = handle.recover(victim)
-    testbed.sim.run(until=recovery)
+    # A "failure" costs the SUT the machine (default: the last worker).
+    testbed.sim.run(until=handle.reconfigure("failure"))
     recovery_seconds = testbed.sim.now - failure_time
     testbed.sim.run(until=testbed.sim.now + 90.0)
 

@@ -86,6 +86,10 @@ class Coordinator:
         """True while any checkpoint is pending."""
         return bool(self._pending)
 
+    def is_pending(self, checkpoint_id):
+        """True until ``checkpoint_id`` completes or is aborted."""
+        return checkpoint_id in self._pending
+
     def _run(self):
         while True:
             yield self.sim.timeout(self.interval)

@@ -615,6 +615,11 @@ class SourceInstance(InstanceBase):
     def _handle_command(self, command):
         if command.kind == SourceCommand.CHECKPOINT:
             checkpoint_id = command.payload
+            if not self.job.coordinator.is_pending(checkpoint_id):
+                # Aborted since the trigger (a machine died at that very
+                # instant): instances spawned after the abort were never
+                # told to swallow this barrier and would align on it forever.
+                return
             barrier = CheckpointBarrier(checkpoint_id, self.sim.now)
             yield from self.broadcast(barrier)
             self.job.coordinator.ack_checkpoint(

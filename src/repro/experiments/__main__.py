@@ -17,15 +17,15 @@ batch runner::
 """
 
 import argparse
+import functools
 import json
 import sys
 
-from repro.common.units import GB
 from repro.experiments import report
 from repro.experiments.scenarios import ablations as ablations_mod
 from repro.experiments.scenarios.fault_tolerance import run_fault_tolerance
 from repro.experiments.scenarios.load_balancing import run_load_balancing
-from repro.experiments.scenarios.recovery import run_recovery
+from repro.experiments.scenarios.recovery import run_figure1
 from repro.experiments.scenarios.resources import run_resource_utilization
 from repro.experiments.scenarios.scaling import run_vertical_scaling
 from repro.experiments.scenarios.varying_rate import run_varying_rate
@@ -34,7 +34,8 @@ TIMELINE_SUTS = ("rhino", "rhinodfs", "flink")
 TIMELINE_QUERIES = ("nbq8", "nbq5", "nbqx")
 
 
-def _timeline_settings(quick):
+def timeline_settings(quick):
+    """The Figure 4 timeline settings of the CLI and the benches."""
     if quick:
         return dict(
             checkpoint_interval=30.0,
@@ -50,77 +51,44 @@ def _timeline_settings(quick):
     )
 
 
-def cmd_figure1(args):
-    """Regenerate Figure 1."""
-    sizes = args.sizes or [250, 500, 750, 1000]
+def cmd_recovery(render, args):
+    """Regenerate Figure 1 / Table 1: the same runs, rendered two ways."""
+    print(render(run_figure1(args.sizes or (250, 500, 750, 1000))))
+
+
+#: command -> (script, SUTs, report title, claims key).
+FIGURE4 = {
+    "figure4-ft": (
+        run_fault_tolerance,
+        TIMELINE_SUTS,
+        "Figure 4 a-c: latency around a VM failure",
+        "fault_tolerance",
+    ),
+    "figure4-scaling": (
+        run_vertical_scaling,  # DOP 14 -> 16, its defaults
+        TIMELINE_SUTS,
+        "Figure 4 d-f: latency around vertical scaling",
+        "scaling",
+    ),
+    "figure4-lb": (
+        run_load_balancing,
+        ("rhino", "megaphone", "flink"),
+        "Figure 4 g-i: latency around load balancing",
+        "load_balancing",
+    ),
+}
+
+
+def cmd_figure4(script, suts, title, claims, args):
+    """Regenerate one row of Figure 4 (a-c, d-f or g-i)."""
+    settings = timeline_settings(args.quick)
     results = [
-        run_recovery(sut, size * GB)
-        for size in sizes
-        for sut in ("flink", "rhino", "rhinodfs", "megaphone")
-    ]
-    print(report.figure1_report(results))
-
-
-def cmd_table1(args):
-    """Regenerate Table 1."""
-    sizes = args.sizes or [250, 500, 750, 1000]
-    results = [
-        run_recovery(sut, size * GB)
-        for size in sizes
-        for sut in ("flink", "rhino", "rhinodfs", "megaphone")
-    ]
-    print(report.table1_report(results))
-
-
-def cmd_figure4_ft(args):
-    """Regenerate Figure 4 a-c."""
-    settings = _timeline_settings(args.quick)
-    results = [
-        run_fault_tolerance(sut, query, **settings)
+        script(sut, query, **settings)
         for query in (TIMELINE_QUERIES[:1] if args.quick else TIMELINE_QUERIES)
-        for sut in TIMELINE_SUTS
+        for sut in suts
     ]
     print(
-        report.timeline_report(
-            results,
-            "Figure 4 a-c: latency around a VM failure",
-            claims=report.PAPER_FIGURE4["fault_tolerance"],
-        )
-    )
-
-
-def cmd_figure4_scaling(args):
-    """Regenerate Figure 4 d-f."""
-    settings = _timeline_settings(args.quick)
-    settings.update(initial_dop=14, add_instances=2)
-    results = [
-        run_vertical_scaling(sut, query, **settings)
-        for query in (TIMELINE_QUERIES[:1] if args.quick else TIMELINE_QUERIES)
-        for sut in TIMELINE_SUTS
-    ]
-    print(
-        report.timeline_report(
-            results,
-            "Figure 4 d-f: latency around vertical scaling",
-            claims=report.PAPER_FIGURE4["scaling"],
-        )
-    )
-
-
-def cmd_figure4_lb(args):
-    """Regenerate Figure 4 g-i."""
-    settings = _timeline_settings(args.quick)
-    results = [
-        run_load_balancing(sut, query, **settings)
-        for query in (TIMELINE_QUERIES[:1] if args.quick else TIMELINE_QUERIES)
-        for sut in ("rhino", "megaphone", "flink")
-    ]
-    print(
-        report.timeline_report(
-            results,
-            "Figure 4 g-i: latency around load balancing",
-            claims=report.PAPER_FIGURE4["load_balancing"],
-        )
+        report.timeline_report(results, title, claims=report.PAPER_FIGURE4[claims])
     )
 
 
@@ -168,11 +136,9 @@ def cmd_scenario(args):
 
 
 COMMANDS = {
-    "figure1": cmd_figure1,
-    "table1": cmd_table1,
-    "figure4-ft": cmd_figure4_ft,
-    "figure4-scaling": cmd_figure4_scaling,
-    "figure4-lb": cmd_figure4_lb,
+    "figure1": functools.partial(cmd_recovery, report.figure1_report),
+    "table1": functools.partial(cmd_recovery, report.table1_report),
+    **{name: functools.partial(cmd_figure4, *row) for name, row in FIGURE4.items()},
     "figure5": cmd_figure5,
     "figure6": cmd_figure6,
     "ablations": cmd_ablations,

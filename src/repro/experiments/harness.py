@@ -9,15 +9,16 @@ colocated with the workers, a NEXMark generator, and one of the four SUTs:
 >>> testbed.start_workload("nbq8")
 >>> testbed.sim.run(until=60.0)
 
-The :class:`SutHandle` subclasses give every SUT the same reconfiguration
-verbs (``recover``, ``rescale``, ``rebalance``) so scenarios are written
-once and parameterized by SUT name.
+Every SUT is driven through the same :meth:`SutHandle.reconfigure`, so
+experiments are written once and parameterized by SUT name; what a kind
+means for a SUT -- Rhino hands over, Megaphone migrates, Flink is killed
+and restarts -- is decided there and nowhere else.
 """
 
 from repro.baselines import FlinkRuntime, FlinkConfig, Megaphone, MegaphoneConfig
 from repro.baselines.rhinodfs import make_rhinodfs
 from repro.cluster import Cluster, ResourceMonitor
-from repro.common.errors import ReproError
+from repro.common.errors import OutOfMemoryError, ReproError
 from repro.core.api import Rhino, RhinoConfig
 from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.job import Job, JobConfig
@@ -90,6 +91,14 @@ def _query_registry(cal):
 
 SUTS = ("rhino", "rhinodfs", "flink", "megaphone")
 
+#: Reconfiguration kind -> (its one parameter, the default).
+RECONFIGURE_KINDS = {
+    "drain": ("machine", -1),
+    "failure": ("machine", -1),
+    "rescale": ("add_instances", 2),
+    "rebalance": ("moves", ((0, 1),)),
+}
+
 
 class Testbed:
     """The simulated cluster plus workload plumbing."""
@@ -157,34 +166,38 @@ class Testbed:
             if topic not in self.log.topics:
                 self.log.create_topic(topic, self.cal.source_dop)
 
-    def build_generator(self, query_name, rate_profile=None):
-        """The NEXMark generator for a query's streams (§5.1.4)."""
+    def build_generator(self, query_name, rate_profile=None, streams=None):
+        """The NEXMark generator for a query's streams (§5.1.4).
+
+        ``streams`` (a list of :class:`StreamSpec`) replaces the query's
+        default streams -- the scenario DSL's per-topic overrides.
+        """
         spec = self.query(query_name)
         self.create_topics(query_name)
         generator = NexmarkGenerator(
             self.sim, self.log, seed=self.seed, tick=self.cal.generator_tick
         )
-        for topic, (record_bytes, rate) in spec.topics.items():
-            effective = (
-                rate_profile
-                if rate_profile is not None
-                else rate * self.rate_scale
-            )
-            generator.add_stream(
+        if streams is None:
+            streams = [
                 StreamSpec(
                     topic,
                     record_bytes,
-                    effective,
+                    rate_profile
+                    if rate_profile is not None
+                    else rate * self.rate_scale,
                     key_space=1_000_000,
                     keys_per_tick=self.cal.keys_per_tick,
                 )
-            )
+                for topic, (record_bytes, rate) in spec.topics.items()
+            ]
+        for stream in streams:
+            generator.add_stream(stream)
         self.generator = generator
         return generator
 
-    def start_workload(self, query_name, rate_profile=None):
+    def start_workload(self, query_name, rate_profile=None, streams=None):
         """Build and start the NEXMark generator for a query."""
-        generator = self.build_generator(query_name, rate_profile)
+        generator = self.build_generator(query_name, rate_profile, streams)
         generator.start()
         return generator
 
@@ -264,7 +277,7 @@ class Testbed:
                     anti_entropy_interval=anti_entropy_interval,
                 ),
             ).attach()
-            return RhinoHandle(self, spec, job, rhino)
+            return RhinoHandle(self, spec, rhino)
         if sut_name == "rhinodfs":
             storage = DFSCheckpointStorage(self.sim, self.dfs, prefix="/rhinodfs")
             job = Job(
@@ -284,7 +297,7 @@ class Testbed:
                 local_fetch_seconds=self.cal.rhino_local_fetch_seconds,
                 state_load_seconds=self.cal.rhino_state_load_seconds,
             )
-            return RhinoHandle(self, spec, job, rhino, name="rhinodfs")
+            return RhinoHandle(self, spec, rhino, name="rhinodfs")
         if sut_name == "megaphone":
             config.checkpoint_interval = None  # Megaphone has no checkpoints
             job = Job(
@@ -301,28 +314,32 @@ class Testbed:
                     ),
                 ),
             ).attach()
-            return MegaphoneHandle(self, spec, job, megaphone)
+            return MegaphoneHandle(self, spec, megaphone)
         raise ReproError(f"unknown SUT {sut_name!r}")
 
 
 class SutHandle:
-    """Uniform verbs over one deployed SUT."""
+    """One deployed SUT behind a uniform :meth:`reconfigure`."""
 
     name = None
+    #: The kinds that take the machine from this SUT by killing it.
+    killed_by = ()
 
-    def __init__(self, testbed, spec):
+    def __init__(self, testbed, spec, system):
         self.testbed = testbed
         self.spec = spec
-
-    @property
-    def sim(self):
-        """The testbed's simulator."""
-        return self.testbed.sim
+        #: The SUT's own runtime object (a Rhino, FlinkRuntime or Megaphone).
+        self.system = system
 
     @property
     def job(self):
-        """The currently deployed job."""
-        raise NotImplementedError
+        """The currently deployed job (Flink's changes with every restart)."""
+        return self.system.job
+
+    @property
+    def reports(self):
+        """The SUT's reconfiguration reports, oldest first."""
+        return self.system.reports
 
     @property
     def metrics(self):
@@ -342,70 +359,98 @@ class SutHandle:
     def preload(self, total_bytes, checkpoint_id=0):
         """Install prior state + checkpoint artifacts for every stateful op."""
         per_op = total_bytes // len(self.spec.stateful_ops)
-        records = []
-        for op_name in self.spec.stateful_ops:
-            records.append(self._preload_op(op_name, per_op, checkpoint_id))
-        return records
+        return [
+            preload_module.preload_state(
+                self.job,
+                op_name,
+                per_op,
+                checkpoint_id=checkpoint_id,
+                **self._checkpoint_artifacts(),
+            )
+            for op_name in self.spec.stateful_ops
+        ]
 
-    def _preload_op(self, op_name, nbytes, checkpoint_id):
+    def _checkpoint_artifacts(self):
+        """Where this SUT keeps a completed checkpoint, as ``preload_state``
+        keywords (``rhino=`` replicas, ``dfs_storage=`` files)."""
         raise NotImplementedError
 
-    def recover(self, machine):
-        """Reconfigure after (or instead of) a machine failure; returns a Process."""
+    def check_memory(self):
+        """The out-of-memory error if preloaded state does not fit, else
+        None.  Only a SUT that holds its state in memory can fail here."""
+        return None
+
+    def reconfigure(self, kind, **params):
+        """Issue one reconfiguration; returns its Process.
+
+        ``params`` holds at most the kind's one parameter (see
+        :data:`RECONFIGURE_KINDS`): ``machine`` indexes the testbed's
+        workers, ``moves`` are ``(origin, target)`` instance pairs of the
+        headline operator.  A kind the SUT cannot serve raises
+        :class:`ReproError` before the cluster is touched.
+
+        This is the only place an experiment kills a machine: a ``failure``
+        costs Rhino and Flink the machine, a ``drain`` only Flink (its one
+        mechanism is the restart); Megaphone has no failure handling
+        (§5.2.2), keeps the machine through both and migrates off it.
+        """
+        if kind not in RECONFIGURE_KINDS:
+            raise ReproError(
+                f"unknown reconfiguration kind {kind!r} "
+                f"(expected {tuple(RECONFIGURE_KINDS)})"
+            )
+        name, default = RECONFIGURE_KINDS[kind]
+        value = params.pop(name, default)
+        if params:
+            raise ReproError(f"{kind} action has unknown params {params}")
+        if kind == "rescale":
+            return self._rescale(value)
+        if kind == "rebalance":
+            return self._rebalance([tuple(move) for move in value])
+        machine = self.testbed.workers[value]
+        if kind in self.killed_by:
+            self.testbed.cluster.kill(machine)
+        return self._vacate(kind, machine)
+
+    def _vacate(self, kind, machine):
+        """Move the job off ``machine`` (already dead if ``kind`` kills)."""
         raise NotImplementedError
 
-    def rescale(self, add_instances):
-        """Scale the stateful operator; returns a Process."""
-        raise NotImplementedError
+    def _rescale(self, add_instances):
+        raise ReproError(f"the {self.name} SUT does not model rescaling")
 
-    def rebalance(self, moves):
-        """Move virtual nodes between instances; returns a Process."""
-        raise NotImplementedError
+    def _rebalance(self, moves):
+        # §5.4.2 compares Flink against vertical scaling instead, which a
+        # caller invokes explicitly.
+        raise ReproError(f"{self.name} does not support load balancing (§5.4.2)")
 
 
 class RhinoHandle(SutHandle):
     """Rhino and RhinoDFS (same verbs, different state path)."""
 
-    def __init__(self, testbed, spec, job, rhino, name="rhino"):
-        super().__init__(testbed, spec)
-        self._job = job
+    def __init__(self, testbed, spec, rhino, name="rhino"):
+        super().__init__(testbed, spec, rhino)
         self.rhino = rhino
         self.name = name
 
-    @property
-    def job(self):
-        """The currently deployed job."""
-        return self._job
+    def _checkpoint_artifacts(self):
+        if self.rhino.config.use_dfs:
+            return {"dfs_storage": self.rhino.dfs_storage}
+        return {"rhino": self.rhino}
 
-    @property
-    def reports(self):
-        """Handover reports, oldest first."""
-        return self.rhino.reports
+    killed_by = ("failure",)
 
-    def _preload_op(self, op_name, nbytes, checkpoint_id):
-        dfs_storage = self.rhino.dfs_storage if self.rhino.config.use_dfs else None
-        rhino = None if self.rhino.config.use_dfs else self.rhino
-        return preload_module.preload_state(
-            self._job,
-            op_name,
-            nbytes,
-            checkpoint_id=checkpoint_id,
-            rhino=rhino,
-            dfs_storage=dfs_storage,
-        )
+    def _vacate(self, kind, machine):
+        # A dead origin recovers from its replicas; a live one drains
+        # through the same handover (§5.5: delta-only, no replay).
+        return self.rhino.reconfigure(kind, machine=machine).process
 
-    def recover(self, machine):
-        """Reconfigure after (or instead of) a machine failure; returns a Process."""
-        return self.rhino.reconfigure("failure", machine=machine).process
-
-    def rescale(self, add_instances):
-        """Scale the stateful operator; returns a Process."""
+    def _rescale(self, add_instances):
         return self.rhino.reconfigure(
             "rescale", op_name=self.primary_op(), add_instances=add_instances
         ).process
 
-    def rebalance(self, moves):
-        """Move virtual nodes between instances; returns a Process."""
+    def _rebalance(self, moves):
         return self.rhino.reconfigure(
             "rebalance", op_name=self.primary_op(), moves=moves
         ).process
@@ -416,114 +461,70 @@ class FlinkHandle(SutHandle):
     name = "flink"
 
     def __init__(self, testbed, spec, runtime):
-        super().__init__(testbed, spec)
+        super().__init__(testbed, spec, runtime)
         self.runtime = runtime
 
     @property
-    def job(self):
-        """The currently deployed job."""
-        return self.runtime.job
-
-    @property
     def metrics(self):
-        """The job's metric registry."""
+        """The runtime's metric registry (it outlives each restarted job)."""
         return self.runtime.metrics
 
-    @property
-    def reports(self):
-        """Handover reports, oldest first."""
-        return self.runtime.reports
+    def _checkpoint_artifacts(self):
+        return {"dfs_storage": self.runtime.storage}
 
-    def _preload_op(self, op_name, nbytes, checkpoint_id):
-        return preload_module.preload_state(
-            self.runtime.job,
-            op_name,
-            nbytes,
-            checkpoint_id=checkpoint_id,
-            dfs_storage=self.runtime.storage,
-        )
+    # Flink's only mechanism is the restart path: retire the machine.
+    killed_by = ("failure", "drain")
 
-    def recover(self, machine):
-        """Reconfigure after (or instead of) a machine failure; returns a Process."""
+    def _vacate(self, kind, machine):
         return self.runtime.recover_from_failure(machine)
 
-    def rescale(self, add_instances):
-        """Scale the stateful operator; returns a Process."""
+    def _rescale(self, add_instances):
         op = self.primary_op()
         current = self.runtime.job.graph.operators[op].parallelism
         return self.runtime.rescale(op, current + add_instances)
-
-    def rebalance(self, moves):
-        # Flink has no load balancing; the paper compares against vertical
-        # scaling, which a caller invokes explicitly.
-        """Move virtual nodes between instances; returns a Process."""
-        raise ReproError("Flink does not support load balancing (§5.4.2)")
 
 
 class MegaphoneHandle(SutHandle):
     """Verbs over the Megaphone baseline."""
     name = "megaphone"
 
-    def __init__(self, testbed, spec, job, megaphone):
-        super().__init__(testbed, spec)
-        self._job = job
+    def __init__(self, testbed, spec, megaphone):
+        super().__init__(testbed, spec, megaphone)
         self.megaphone = megaphone
 
-    @property
-    def job(self):
-        """The currently deployed job."""
-        return self._job
-
-    @property
-    def reports(self):
-        """Handover reports, oldest first."""
-        return self.megaphone.reports
-
-    def _preload_op(self, op_name, nbytes, checkpoint_id):
-        # No checkpoints, no replicas: only the in-memory state exists.
-        return preload_module.preload_state(
-            self._job, op_name, nbytes, checkpoint_id=checkpoint_id
-        )
+    def _checkpoint_artifacts(self):
+        return {}  # no checkpoints, no replicas: only the in-memory state
 
     def check_memory(self):
         """Charge preloaded state; returns the OOM error if it does not fit."""
-        from repro.common.errors import OutOfMemoryError
-
         try:
             self.megaphone.account_memory()
         except OutOfMemoryError as error:
             self.megaphone._fail(error)
         return self.megaphone.failed
 
-    def recover(self, machine):
-        """Megaphone's equivalent reconfiguration: migrate the state held
-        by ``machine``'s instances to instances on other workers (it has no
-        failure handling of its own, §5.2.2)."""
-        moves = []
-        for op_name in self.spec.stateful_ops:
-            instances = self._job.stateful_instances(op_name)
-            targets = [i for i in instances if i.machine is not machine]
-            for victim in [i for i in instances if i.machine is machine]:
-                target = targets[victim.index % len(targets)]
-                moves.append((op_name, victim.index, target.index))
-        return self.sim.process(self._migrate_many(moves), name="megaphone-recover")
+    def _vacate(self, kind, machine):
+        return self.testbed.sim.process(
+            self._migrate_off(machine), name="megaphone-recover"
+        )
 
-    def _migrate_many(self, moves):
-        by_op = {}
-        for op_name, origin, target in moves:
-            by_op.setdefault(op_name, []).append((origin, target, 1.0))
+    def _migrate_off(self, machine):
+        """Megaphone's equivalent reconfiguration: migrate the state held
+        by ``machine``'s instances to instances on other workers."""
         reports = []
-        for op_name, op_moves in by_op.items():
-            report = yield self.megaphone.migrate(op_name, op_moves)
-            reports.append(report)
+        for op_name in self.spec.stateful_ops:
+            instances = self.job.stateful_instances(op_name)
+            targets = [i for i in instances if i.machine is not machine]
+            moves = [
+                (victim.index, targets[victim.index % len(targets)].index, 1.0)
+                for victim in instances
+                if victim.machine is machine
+            ]
+            if moves:
+                reports.append((yield self.megaphone.migrate(op_name, moves)))
         return reports
 
-    def rebalance(self, moves):
-        """Move virtual nodes between instances; returns a Process."""
+    def _rebalance(self, moves):
         return self.megaphone.migrate(
             self.primary_op(), [(o, t, 0.5) for o, t in moves]
         )
-
-    def rescale(self, add_instances):
-        """Scale the stateful operator; returns a Process."""
-        raise ReproError("the Megaphone baseline does not model rescaling")

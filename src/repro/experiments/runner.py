@@ -24,7 +24,6 @@ skipped):
   elements are parked in the exchange fabric.
 """
 
-from repro.common.errors import ReproError
 from repro.faults.invariants import (
     InvariantViolation,
     check_drained,
@@ -33,7 +32,7 @@ from repro.faults.invariants import (
 )
 from repro.experiments.harness import Testbed
 from repro.experiments.scenario import Scenario, build_keys, build_rate
-from repro.nexmark import NexmarkGenerator, StreamSpec
+from repro.nexmark import StreamSpec
 
 
 #: Background reconciler period for scenario runs (seconds): frequent
@@ -209,35 +208,6 @@ def _config_rate_scale(testbed, scenario, specs):
     return peak_total / registry_total if registry_total else 1.0
 
 
-def _dispatch_action(action, testbed, handle):
-    """Issue one reconfigure action; returns its Process."""
-    params = dict(action.params)
-    if action.kind in ("drain", "failure"):
-        index = params.pop("machine", -1)
-        if params:
-            raise ReproError(f"{action.kind} action has unknown params {params}")
-        victim = testbed.workers[index]
-        if action.kind == "failure":
-            testbed.cluster.kill(victim)
-            return handle.recover(victim)
-        if hasattr(handle, "rhino"):
-            # The §5.5 planned migration: a live origin drains through
-            # the unified reconfigure path (delta-only, no replay).
-            return handle.rhino.reconfigure("drain", machine=victim).process
-        if handle.name == "megaphone":
-            # Megaphone migrates live state off the machine (§5.2.2).
-            return handle.recover(victim)
-        # Flink's only mechanism is the restart path: retire the machine.
-        testbed.cluster.kill(victim)
-        return handle.recover(victim)
-    if action.kind == "rescale":
-        return handle.rescale(params.pop("add_instances", 2))
-    if action.kind == "rebalance":
-        moves = [tuple(move) for move in params.pop("moves", [(0, 1)])]
-        return handle.rebalance(moves)
-    raise ReproError(f"unknown action kind {action.kind!r}")
-
-
 def _source_fed_expectations(handle, generator):
     """op name -> expected summed weight, for source-fed stateful ops."""
     graph = handle.job.graph
@@ -356,25 +326,19 @@ def run_scenario(scenario):
         # replication-restored invariant is checkable after any action.
         anti_entropy_interval=ANTI_ENTROPY_INTERVAL if scenario.sut == "rhino" else None,
     )
-    testbed.create_topics(scenario.query)
-    generator = NexmarkGenerator(
-        testbed.sim, testbed.log, seed=scenario.seed, tick=testbed.cal.generator_tick
+    generator = testbed.start_workload(
+        scenario.query, streams=_build_streams(testbed, scenario)
     )
-    for spec in _build_streams(testbed, scenario):
-        generator.add_stream(spec)
-    testbed.generator = generator
-    generator.start()
     sim = testbed.sim
 
-    # Timed reconfigure actions run as background processes.
+    # Timed reconfigure actions run as background processes: issued from
+    # inside the simulation, unlike the single-event driver's.
     action_processes = []
 
     def act(action):
         # ``action.at`` counts from the end of warmup (the traffic window).
         yield sim.timeout(max(0.0, action.at))
-        process = _dispatch_action(action, testbed, handle)
-        if process is not None:
-            yield process
+        yield handle.reconfigure(action.kind, **action.params)
 
     sim.run(until=scenario.warmup)
     if scenario.preload_bytes:

@@ -31,7 +31,7 @@ Schema (all fields except ``name`` optional)::
           "keys_per_tick": 4
         }
       },
-      "actions": [                     # timed Rhino.reconfigure() calls,
+      "actions": [                     # timed SutHandle.reconfigure() calls,
         {"at": 35.0, "kind": "drain",  # `at` relative to warmup's end
          "params": {"machine": -1}}
       ]
@@ -40,9 +40,10 @@ Schema (all fields except ``name`` optional)::
 Rate-profile kinds: ``constant``, ``triangular``, ``diurnal``,
 ``flash-crowd`` (whose ``base`` may itself be a profile spec -- profiles
 compose).  Key-distribution kinds: ``uniform``, ``zipf``, ``hot-set``
-(whose ``base`` is a distribution spec).  Action kinds mirror
-:data:`Rhino.RECONFIGURE_KINDS`: ``drain``, ``failure``, ``rescale``,
-``rebalance``.
+(whose ``base`` is a distribution spec).  Action kinds and their
+``params`` are :data:`repro.experiments.harness.RECONFIGURE_KINDS`:
+``drain`` / ``failure`` (``machine``), ``rescale`` (``add_instances``),
+``rebalance`` (``moves``).
 """
 
 import copy
@@ -51,6 +52,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.common.errors import ReproError
+from repro.experiments.harness import RECONFIGURE_KINDS
 from repro.nexmark.generator import (
     DiurnalRate,
     FlashCrowdRate,
@@ -60,7 +62,7 @@ from repro.nexmark.generator import (
     ZipfKeys,
 )
 
-ACTION_KINDS = ("drain", "failure", "rescale", "rebalance")
+ACTION_KINDS = tuple(RECONFIGURE_KINDS)
 
 RATE_KINDS = ("constant", "triangular", "diurnal", "flash-crowd")
 

@@ -15,9 +15,11 @@ Each ablation isolates one mechanism the paper's design section calls out:
 
 from repro.common.units import GB
 from repro.cluster import Cluster
+from repro.core import migration
 from repro.core.replication import ChainReplicator
 from repro.experiments.calibration import Calibration
 from repro.experiments.harness import Testbed
+from repro.experiments.preload import preload_state
 from repro.sim import Simulator
 from repro.storage.kvs import LSMStore
 
@@ -56,9 +58,6 @@ def ablate_virtual_nodes(counts=(1, 2, 4, 8, 16), state_bytes=64 * GB, seed=42):
         testbed.sim.run(until=5.0)
         # Spread the synthetic state finely enough that every virtual node
         # holds its proportional share.
-        from repro.core import migration
-        from repro.experiments.preload import preload_state
-
         preload_state(
             handle.job,
             "join",
@@ -80,30 +79,15 @@ def ablate_virtual_nodes(counts=(1, 2, 4, 8, 16), state_bytes=64 * GB, seed=42):
 
 def ablate_replication_factor(factors=(1, 2, 3), delta_bytes=4 * GB, seed=42):
     """Replication time and network bytes per checkpoint, by r."""
-    results = []
-    for factor in factors:
-        sim = Simulator()
-        cluster = Cluster(sim)
-        cal = Calibration()
-        machines = cluster.add_machines(
-            cal.workers,
-            prefix="w",
-            nic_bandwidth=cal.nic_bandwidth,
-            disks=cal.disks_per_worker,
-            disk_read_bandwidth=cal.disk_read_bandwidth,
-            disk_write_bandwidth=cal.disk_write_bandwidth,
-            disk_capacity=cal.disk_capacity,
+    return [
+        AblationResult(
+            "replication_factor",
+            factor,
+            _replication_seconds(delta_bytes, factor),
+            "s per checkpoint",
         )
-        replicator = ChainReplicator(
-            sim, cluster, block_size=cal.replication_block_size
-        )
-        checkpoint = _synthetic_checkpoint(delta_bytes)
-        process = replicator.replicate(machines[0], machines[1 : 1 + factor], checkpoint)
-        sim.run(until=process)
-        results.append(
-            AblationResult("replication_factor", factor, sim.now, "s per checkpoint")
-        )
-    return results
+        for factor in factors
+    ]
 
 
 # -- incremental vs full checkpoints -----------------------------------------------
@@ -129,32 +113,15 @@ def ablate_incremental_checkpoints(
 
 def ablate_replication_topology(delta_bytes=8 * GB, factor=3, seed=42):
     """Replication completion time, chain vs star, at r replicas."""
-    results = []
-    for topology in ("chain", "star"):
-        sim = Simulator()
-        cluster = Cluster(sim)
-        cal = Calibration()
-        machines = cluster.add_machines(
-            cal.workers,
-            prefix="w",
-            nic_bandwidth=cal.nic_bandwidth,
-            disks=cal.disks_per_worker,
-            disk_read_bandwidth=cal.disk_read_bandwidth,
-            disk_write_bandwidth=cal.disk_write_bandwidth,
-            disk_capacity=cal.disk_capacity,
+    return [
+        AblationResult(
+            "replication_topology",
+            topology,
+            _replication_seconds(delta_bytes, factor, topology=topology),
+            "s per checkpoint",
         )
-        replicator = ChainReplicator(
-            sim, cluster, block_size=cal.replication_block_size, topology=topology
-        )
-        checkpoint = _synthetic_checkpoint(delta_bytes)
-        process = replicator.replicate(
-            machines[0], machines[1 : 1 + factor], checkpoint
-        )
-        sim.run(until=process)
-        results.append(
-            AblationResult("replication_topology", topology, sim.now, "s per checkpoint")
-        )
-    return results
+        for topology in ("chain", "star")
+    ]
 
 
 # -- credit window ----------------------------------------------------------------------
@@ -164,38 +131,17 @@ def ablate_credit_window(
     windows=(64 * 1024**2, 256 * 1024**2, 1024**3), delta_bytes=8 * GB, seed=42
 ):
     """Replication time by credit-window size (flow-control ablation)."""
-    results = []
-    for window in windows:
-        sim = Simulator()
-        cluster = Cluster(sim)
-        cal = Calibration()
-        machines = cluster.add_machines(
-            3,
-            prefix="w",
-            nic_bandwidth=cal.nic_bandwidth,
-            disks=cal.disks_per_worker,
-            disk_read_bandwidth=cal.disk_read_bandwidth,
-            disk_write_bandwidth=cal.disk_write_bandwidth,
-            disk_capacity=cal.disk_capacity,
+    return [
+        AblationResult(
+            "credit_window",
+            f"{window // 1024**2} MB",
+            _replication_seconds(
+                delta_bytes, 2, workers=3, credit_window_bytes=window
+            ),
+            "s per checkpoint",
         )
-        replicator = ChainReplicator(
-            sim,
-            cluster,
-            block_size=cal.replication_block_size,
-            credit_window_bytes=window,
-        )
-        checkpoint = _synthetic_checkpoint(delta_bytes)
-        process = replicator.replicate(machines[0], [machines[1], machines[2]], checkpoint)
-        sim.run(until=process)
-        results.append(
-            AblationResult(
-                "credit_window",
-                f"{window // 1024**2} MB",
-                sim.now,
-                "s per checkpoint",
-            )
-        )
-    return results
+        for window in windows
+    ]
 
 
 def ablate_delta_size(
@@ -210,34 +156,42 @@ def ablate_delta_size(
     """
     results = []
     for delta_gb in deltas_gb:
-        sim = Simulator()
-        cluster = Cluster(sim)
-        cal = Calibration()
-        machines = cluster.add_machines(
-            cal.workers,
-            prefix="w",
-            nic_bandwidth=cal.nic_bandwidth,
-            disks=cal.disks_per_worker,
-            disk_read_bandwidth=cal.disk_read_bandwidth,
-            disk_write_bandwidth=cal.disk_write_bandwidth,
-            disk_capacity=cal.disk_capacity,
-        )
-        replicator = ChainReplicator(
-            sim, cluster, block_size=cal.replication_block_size
-        )
-        checkpoint = _synthetic_checkpoint(delta_gb * GB)
-        process = replicator.replicate(machines[0], [machines[1]], checkpoint)
-        sim.run(until=process)
+        seconds = _replication_seconds(delta_gb * GB, 1)
         results.append(
             AblationResult(
                 "delta_size",
                 f"{delta_gb} GB"
-                + (" (over interval!)" if sim.now > checkpoint_interval else ""),
-                sim.now,
+                + (" (over interval!)" if seconds > checkpoint_interval else ""),
+                seconds,
                 "s per replication",
             )
         )
     return results
+
+
+def _replication_seconds(delta_bytes, replicas, workers=None, **replicator_options):
+    """Seconds to replicate one ``delta_bytes`` checkpoint from the first
+    worker of a bare calibrated cluster to the next ``replicas`` workers."""
+    sim = Simulator()
+    cluster = Cluster(sim)
+    cal = Calibration()
+    machines = cluster.add_machines(
+        workers or cal.workers,
+        prefix="w",
+        nic_bandwidth=cal.nic_bandwidth,
+        disks=cal.disks_per_worker,
+        disk_read_bandwidth=cal.disk_read_bandwidth,
+        disk_write_bandwidth=cal.disk_write_bandwidth,
+        disk_capacity=cal.disk_capacity,
+    )
+    replicator = ChainReplicator(
+        sim, cluster, block_size=cal.replication_block_size, **replicator_options
+    )
+    process = replicator.replicate(
+        machines[0], machines[1 : 1 + replicas], _synthetic_checkpoint(delta_bytes)
+    )
+    sim.run(until=process)
+    return sim.now
 
 
 def _synthetic_checkpoint(delta_bytes):

@@ -39,6 +39,11 @@ from repro.storage.log import DurableLog
 
 KEYS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
 
+#: Virtual seconds between fed records.
+FEED_INTERVAL = 0.05
+#: Virtual seconds a killed control minority stays down before it restarts.
+CONTROL_HEAL_AFTER = 2.0
+
 
 class ChaosRunResult:
     """Outcome of one seeded chaos run."""
@@ -128,7 +133,6 @@ def run_chaos(
     machines=6,
     records=300,
     fault_count=4,
-    feed_interval=0.05,
     kinds=None,
     tracer=None,
     max_sim_time=120.0,
@@ -137,7 +141,6 @@ def run_chaos(
     control_replicas=None,
     control_kill_at=None,
     control_kill_count=1,
-    control_heal_after=2.0,
     membership_change_at=None,
     handover_chunk_bytes=64 * 1024 * 1024,
 ):
@@ -162,7 +165,7 @@ def run_chaos(
     quorum of the first N workers (all protected from worker faults) and
     adds the ``control-crash`` / ``control-partition`` kinds to generated
     plans.  ``control_kill_at`` kills a minority of ``control_kill_count``
-    replicas -- leader first -- and restarts them ``control_heal_after``
+    replicas -- leader first -- and restarts them :data:`CONTROL_HEAL_AFTER`
     seconds later: given a journal record kind (a string) the kill lands
     synchronously on the first record of that kind (phase-targeted
     chaos), given a number it lands at that virtual time (e.g. the
@@ -172,6 +175,7 @@ def run_chaos(
 
     ``handover_chunk_bytes`` caps the chunks a handover ships state in.
     """
+    arguments = dict(locals())  # the parameters, for the traced re-run below
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("CHAOS_ARTIFACTS_DIR") or None
     sim = Simulator(tracer=tracer)
@@ -347,7 +351,7 @@ def run_chaos(
                 group.crash_member(name)
 
             def _heal():
-                yield sim.timeout(control_heal_after)
+                yield sim.timeout(CONTROL_HEAL_AFTER)
                 for name in victims:
                     group.restart_member(name)
 
@@ -402,7 +406,7 @@ def run_chaos(
 
     def feeder():
         for i in range(records):
-            yield sim.timeout(feed_interval)
+            yield sim.timeout(FEED_INTERVAL)
             log.append(
                 "events",
                 i % 2,
@@ -413,7 +417,7 @@ def run_chaos(
 
     # -- run to quiescence ------------------------------------------------
     expected = expected_counts(records)
-    sim.run(until=max(plan.horizon + 3.0, records * feed_interval + 3.0))
+    sim.run(until=max(plan.horizon + 3.0, records * FEED_INTERVAL + 3.0))
     while sim.now < max_sim_time:
         drained = (
             controller.done
@@ -483,24 +487,8 @@ def run_chaos(
             # The run was untraced; the seed replays bit-identically, so a
             # traced re-run produces the exact timeline of the failure.
             retrace = Tracer()
-            run_chaos(
-                seed,
-                machines=machines,
-                records=records,
-                fault_count=fault_count,
-                feed_interval=feed_interval,
-                kinds=kinds,
-                tracer=retrace,
-                max_sim_time=max_sim_time,
-                rebalance_at=rebalance_at,
-                artifacts_dir=False,  # no recursive artifact dumps
-                control_replicas=control_replicas,
-                control_kill_at=control_kill_at,
-                control_kill_count=control_kill_count,
-                control_heal_after=control_heal_after,
-                membership_change_at=membership_change_at,
-                handover_chunk_bytes=handover_chunk_bytes,
-            )
+            # artifacts_dir=False: no recursive artifact dumps.
+            run_chaos(**{**arguments, "tracer": retrace, "artifacts_dir": False})
             write_chrome_trace(retrace, trace_path)
     control_stats = failover_stats = replay_checks = None
     if group is not None:

@@ -8,29 +8,10 @@ latency lag of minutes that drains slowly.
 """
 
 from repro.common.units import GB, MB
-from repro.experiments.harness import Testbed
-from repro.experiments.timeline import LatencyStats
+from repro.experiments.timeline import latency_timeline
 
 #: Paper's approximate state sizes at the failure (§5.2.2).
 PRELOAD_BYTES = {"nbq8": 190 * GB, "nbq5": 26 * MB, "nbqx": 180 * GB}
-
-
-class TimelineResult:
-    """Latency series + summary for one (SUT, query) timeline panel."""
-
-    def __init__(self, sut, query, stats, series, event_time):
-        self.sut = sut
-        self.query = query
-        self.stats = stats
-        self.series = series
-        self.event_time = event_time
-
-    def row(self):
-        """The report-table row for this result."""
-        return [self.sut, self.query] + self.stats.row()
-
-    def __repr__(self):
-        return f"<TimelineResult {self.sut}/{self.query} {self.stats!r}>"
 
 
 def run_fault_tolerance(
@@ -44,34 +25,16 @@ def run_fault_tolerance(
     seed=42,
 ):
     """One latency-timeline run with a mid-run VM failure."""
-    testbed = Testbed(seed=seed, rate_scale=rate_scale)
-    handle = testbed.deploy(sut_name, query, checkpoint_interval=checkpoint_interval)
-    testbed.start_workload(query)
     if preload_bytes is None:
         preload_bytes = PRELOAD_BYTES.get(query, 0)
-    testbed.sim.run(until=10.0)
-    if preload_bytes:
-        handle.preload(preload_bytes)
-    failure_time = 10.0 + checkpoints_before * checkpoint_interval
-    testbed.sim.run(until=failure_time)
-    victim = testbed.workers[-1]
-    testbed.cluster.kill(victim)
-    recovery = handle.recover(victim)
-    testbed.sim.run(until=recovery)
-    end_time = testbed.sim.now + checkpoints_after * checkpoint_interval
-    testbed.sim.run(until=end_time)
-    stats = LatencyStats(handle.metrics.latency, failure_time)
-    return TimelineResult(
-        handle.name, query, stats, handle.metrics.latency.samples, failure_time
+    return latency_timeline(
+        sut_name,
+        query,
+        "failure",
+        event_at=10.0 + checkpoints_before * checkpoint_interval,
+        tail=checkpoints_after * checkpoint_interval,
+        preload_bytes=preload_bytes,
+        checkpoint_interval=checkpoint_interval,
+        rate_scale=rate_scale,
+        seed=seed,
     )
-
-
-def run_figure4_fault_tolerance(
-    queries=("nbq8", "nbq5", "nbqx"), suts=("rhino", "rhinodfs", "flink"), **kwargs
-):
-    """All Figure 4 a-c panels."""
-    return [
-        run_fault_tolerance(sut, query, **kwargs)
-        for query in queries
-        for sut in suts
-    ]

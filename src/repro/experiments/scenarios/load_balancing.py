@@ -7,14 +7,12 @@ no load balancing, so the paper (and this scenario) substitutes its
 vertical-scaling restart.
 """
 
-from repro.common.errors import ReproError
-from repro.common.units import GB, MB
-from repro.experiments.harness import Testbed
-from repro.experiments.timeline import LatencyStats
-from repro.experiments.scenarios.fault_tolerance import TimelineResult
-from repro.experiments.scenarios.scaling import run_vertical_scaling
+from repro.experiments.calibration import Calibration
+from repro.experiments.scenarios.scaling import PRELOAD_BYTES, run_vertical_scaling
+from repro.experiments.timeline import latency_timeline
 
-PRELOAD_BYTES = {"nbq8": 220 * GB, "nbq5": 26 * MB, "nbqx": 170 * GB}
+#: The paper moves from 8 instances to 8 others.
+MOVE_PAIRS = 8
 
 
 def run_load_balancing(
@@ -25,14 +23,12 @@ def run_load_balancing(
     checkpoints_after=3,
     rate_scale=0.05,
     preload_bytes=None,
-    move_pairs=8,
     seed=42,
 ):
     """One latency-timeline run with a mid-run rebalance.
 
-    Moves half the virtual nodes of the first ``move_pairs`` instances to
-    the last ``move_pairs`` instances (the paper moves from 8 instances to
-    8 others).
+    Moves half the virtual nodes of the first :data:`MOVE_PAIRS` instances
+    to the last :data:`MOVE_PAIRS` instances.
     """
     if sut_name == "flink":
         # §5.4.2: "As there is no implementation of load balancing in
@@ -44,42 +40,22 @@ def run_load_balancing(
             checkpoints_before=checkpoints_before,
             checkpoints_after=checkpoints_after,
             rate_scale=rate_scale,
-            preload_bytes=preload_bytes or PRELOAD_BYTES.get(query, 0),
+            preload_bytes=preload_bytes,
             seed=seed,
         )
-    testbed = Testbed(seed=seed, rate_scale=rate_scale)
-    handle = testbed.deploy(sut_name, query, checkpoint_interval=checkpoint_interval)
-    testbed.start_workload(query)
     if preload_bytes is None:
         preload_bytes = PRELOAD_BYTES.get(query, 0)
-    testbed.sim.run(until=10.0)
-    if preload_bytes:
-        handle.preload(preload_bytes)
-        if sut_name == "megaphone" and handle.check_memory() is not None:
-            raise ReproError("Megaphone out of memory before the rebalance")
-    dop = testbed.cal.stateful_dop
-    pairs = min(move_pairs, dop // 2)
-    moves = [(i, dop - pairs + i) for i in range(pairs)]
-    rebalance_time = 10.0 + checkpoints_before * checkpoint_interval
-    testbed.sim.run(until=rebalance_time)
-    rebalance = handle.rebalance(moves)
-    testbed.sim.run(until=rebalance)
-    end_time = testbed.sim.now + checkpoints_after * checkpoint_interval
-    testbed.sim.run(until=end_time)
-    stats = LatencyStats(handle.metrics.latency, rebalance_time)
-    return TimelineResult(
-        handle.name, query, stats, handle.metrics.latency.samples, rebalance_time
+    dop = Calibration.stateful_dop
+    pairs = min(MOVE_PAIRS, dop // 2)
+    return latency_timeline(
+        sut_name,
+        query,
+        "rebalance",
+        {"moves": [(i, dop - pairs + i) for i in range(pairs)]},
+        event_at=10.0 + checkpoints_before * checkpoint_interval,
+        tail=checkpoints_after * checkpoint_interval,
+        preload_bytes=preload_bytes,
+        checkpoint_interval=checkpoint_interval,
+        rate_scale=rate_scale,
+        seed=seed,
     )
-
-
-def run_figure4_load_balancing(
-    queries=("nbq8", "nbq5", "nbqx"),
-    suts=("rhino", "megaphone", "flink"),
-    **kwargs,
-):
-    """All Figure 4 g-i panels."""
-    results = []
-    for query in queries:
-        for sut in suts:
-            results.append(run_load_balancing(sut, query, **kwargs))
-    return results

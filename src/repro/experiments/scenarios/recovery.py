@@ -1,14 +1,14 @@
 """Figure 1 / Table 1: recovery time vs state size on NBQ8 (§5.2.1).
 
-NBQ8 runs until it holds the target state size (preloaded), one VM is
-terminated, and each SUT reconfigures the query.  The result is the
+NBQ8 runs until it holds the target state size (preloaded), one VM
+fails, and each SUT reconfigures the query.  The result is the
 scheduling / state-fetching / state-loading breakdown.
 """
 
-from repro.common.errors import ReproError
+from repro.common.errors import OutOfMemoryError, ReproError
 from repro.common.units import GB
-from repro.experiments.harness import Testbed
 from repro.experiments.report import breakdown_from_trace
+from repro.experiments.timeline import run_single_event
 
 
 class RecoveryResult:
@@ -66,79 +66,56 @@ class RecoveryResult:
         )
 
 
-def run_recovery(
-    sut_name,
-    state_bytes,
-    query="nbq8",
-    warmup=20.0,
-    settle=5.0,
-    rate_scale=0.02,
-    seed=42,
-    trace=False,
-):
+def run_recovery(sut_name, state_bytes, seed=42, trace=False):
     """Run one recovery experiment; returns a :class:`RecoveryResult`.
 
-    The workload streams at a scaled-down rate (recovery arithmetic depends
-    on state bytes and bandwidths, not on throughput), state is preloaded
-    to ``state_bytes``, then the victim machine is killed and the SUT's
-    reconfiguration verb is timed.  With ``trace=True`` the run records
+    NBQ8 streams at a scaled-down rate (recovery arithmetic depends on
+    state bytes and bandwidths, not on throughput), state is preloaded to
+    ``state_bytes``, then one machine fails and the SUT's reconfiguration
+    is timed.  With ``trace=True`` the run records
     structured spans and, for the handover-based SUTs (rhino / rhinodfs),
     the Table 1 breakdown is *derived from the trace* instead of the
     hand-kept report timers (``result.trace_breakdown``).
     """
-    testbed = Testbed(seed=seed, rate_scale=rate_scale, trace=trace)
-    handle = testbed.deploy(sut_name, query)
-    result = RecoveryResult(handle.name, state_bytes)
-    testbed.start_workload(query)
-    testbed.sim.run(until=warmup)
-    handle.preload(state_bytes)
-    if sut_name == "megaphone":
-        if handle.check_memory() is not None:
-            result.out_of_memory = True
-            return result
-    testbed.sim.run(until=warmup + settle)
-
-    victim = testbed.workers[-1]
-    trigger_time = testbed.sim.now
-    if sut_name == "megaphone":
-        # Megaphone has no fault tolerance: the equivalent planned
-        # migration moves the victim's state to the other workers.
-        recovery = handle.recover(victim)
-    else:
-        testbed.cluster.kill(victim)
-        recovery = handle.recover(victim)
-    outcome = testbed.sim.run(until=recovery)
-    _fill_result(result, sut_name, handle, outcome, trigger_time, testbed)
-    return result
-
-
-def _fill_result(result, sut_name, handle, outcome, trigger_time, testbed):
-    now = testbed.sim.now
-    if sut_name == "megaphone":
-        reports = outcome
-        result.scheduling_seconds = None  # interleaved with migration
-        result.fetching_seconds = None
-        result.loading_seconds = None
-        result.total_seconds = now - trigger_time
-        result.migrated_bytes = sum(r.migrated_bytes for r in reports)
-        return
-    report = outcome
+    result = RecoveryResult(sut_name, state_bytes)
+    try:
+        run = run_single_event(
+            sut_name,
+            "nbq8",
+            "failure",
+            preload_at=20.0,
+            event_at=25.0,
+            preload_bytes=state_bytes,
+            rate_scale=0.02,
+            seed=seed,
+            trace=trace,
+        )
+    except OutOfMemoryError:
+        result.out_of_memory = True
+        return result
+    result.total_seconds = run.testbed.sim.now - run.event_time
+    if isinstance(run.outcome, list):
+        # One report per migrated operator: the phases interleave, so
+        # only the total is meaningful.
+        result.migrated_bytes = sum(r.migrated_bytes for r in run.outcome)
+        return result
+    report = run.outcome
     result.scheduling_seconds = report.scheduling_seconds
     result.fetching_seconds = report.fetching_seconds
     result.loading_seconds = report.loading_seconds
-    result.total_seconds = now - trigger_time
     result.migrated_bytes = getattr(report, "migrated_bytes", 0) or getattr(
         report, "fetched_bytes", 0
     )
-    if testbed.tracer.enabled and sut_name in ("rhino", "rhinodfs"):
+    if run.testbed.tracer.enabled and hasattr(run.handle, "rhino"):
         # Re-derive the breakdown from the trace spans; the Handover
         # Manager anchors its phase spans on the exact sim instants the
         # report timers use, so the derived values match the report.
-        breakdown = breakdown_from_trace(testbed.tracer)
+        breakdown = breakdown_from_trace(run.testbed.tracer)
         result.trace_breakdown = breakdown
         result.scheduling_seconds = breakdown["scheduling"]
         result.fetching_seconds = breakdown["fetching"]
         result.loading_seconds = breakdown["loading"]
+    return result
 
 
 def run_figure1(sizes_gb=(250, 500, 750, 1000), suts=("flink", "rhino", "rhinodfs", "megaphone"), **kwargs):

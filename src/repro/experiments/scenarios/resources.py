@@ -8,8 +8,7 @@ faster than Flink's DFS uploads, at no steady-state latency cost.
 """
 
 from repro.common.units import GB
-from repro.experiments.harness import Testbed
-from repro.experiments.timeline import LatencyStats
+from repro.experiments.timeline import LatencyStats, run_single_event
 
 
 class ResourceResult:
@@ -53,34 +52,31 @@ def run_resource_utilization(
     after_seconds=240.0,
     rate_scale=0.25,
     preload_bytes=60 * GB,
-    sample_interval=10.0,
-    reconfigure=True,
     seed=42,
 ):
-    """One Figure 5 run; returns a :class:`ResourceResult`."""
-    testbed = Testbed(seed=seed, rate_scale=rate_scale)
-    handle = testbed.deploy(sut_name, query, checkpoint_interval=checkpoint_interval)
-    monitor = testbed.start_monitor(interval=sample_interval)
-    testbed.start_workload(query)
-    testbed.sim.run(until=10.0)
-    if preload_bytes:
-        handle.preload(preload_bytes)
-        if sut_name == "megaphone":
-            handle.check_memory()
-    testbed.sim.run(until=10.0 + steady_seconds)
-    result = ResourceResult(handle.name, query)
-    result.reconfig_time = testbed.sim.now
-    if reconfigure:
-        victim = testbed.workers[-1]
-        if sut_name == "megaphone":
-            reconfig = handle.recover(victim)
-        else:
-            testbed.cluster.kill(victim)
-            reconfig = handle.recover(victim)
-        testbed.sim.run(until=reconfig)
-    testbed.sim.run(until=result.reconfig_time + after_seconds)
+    """One Figure 5 run; returns a :class:`ResourceResult`.
+
+    Utilization is sampled through ``steady_seconds`` of steady state, a
+    machine failure, and until ``after_seconds`` past the failure.
+    """
+    run = run_single_event(
+        sut_name,
+        query,
+        "failure",
+        event_at=10.0 + steady_seconds,
+        tail=after_seconds,
+        tail_from_event=True,
+        preload_bytes=preload_bytes,
+        checkpoint_interval=checkpoint_interval,
+        rate_scale=rate_scale,
+        monitor=True,
+        seed=seed,
+    )
+    handle, monitor = run.handle, run.testbed.monitor
     monitor.stop()
 
+    result = ResourceResult(handle.name, query)
+    result.reconfig_time = run.event_time
     result.samples = monitor.samples
     steady = [s for s in monitor.samples if s.time <= result.reconfig_time]
     result.mean_cpu = _mean([s.cpu_fraction for s in steady])
@@ -111,8 +107,3 @@ def _transfer_rate(handle):
     if total_seconds <= 0:
         return None
     return total_bytes / total_seconds
-
-
-def run_figure5(suts=("rhino", "flink"), **kwargs):
-    """All Figure 5 panels."""
-    return [run_resource_utilization(sut, **kwargs) for sut in suts]

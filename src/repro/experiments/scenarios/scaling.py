@@ -7,11 +7,9 @@ Flink restarts the query and reshuffles all state.
 """
 
 from repro.common.units import GB, MB
-from repro.experiments.harness import Testbed
-from repro.experiments.timeline import LatencyStats
-from repro.experiments.scenarios.fault_tolerance import TimelineResult
+from repro.experiments.timeline import latency_timeline
 
-#: Approximate state sizes at the rescale point (§5.4.1).
+#: Approximate state sizes at the reconfiguration (§5.4.1, §5.4.2).
 PRELOAD_BYTES = {"nbq8": 220 * GB, "nbq5": 26 * MB, "nbqx": 170 * GB}
 
 
@@ -28,37 +26,18 @@ def run_vertical_scaling(
     seed=42,
 ):
     """One latency-timeline run with a mid-run scale-out."""
-    testbed = Testbed(seed=seed, rate_scale=rate_scale)
-    handle = testbed.deploy(
-        sut_name,
-        query,
-        checkpoint_interval=checkpoint_interval,
-        stateful_dop=initial_dop,
-    )
-    testbed.start_workload(query)
     if preload_bytes is None:
         preload_bytes = PRELOAD_BYTES.get(query, 0)
-    testbed.sim.run(until=10.0)
-    if preload_bytes:
-        handle.preload(preload_bytes)
-    rescale_time = 10.0 + checkpoints_before * checkpoint_interval
-    testbed.sim.run(until=rescale_time)
-    rescale = handle.rescale(add_instances)
-    testbed.sim.run(until=rescale)
-    end_time = testbed.sim.now + checkpoints_after * checkpoint_interval
-    testbed.sim.run(until=end_time)
-    stats = LatencyStats(handle.metrics.latency, rescale_time)
-    return TimelineResult(
-        handle.name, query, stats, handle.metrics.latency.samples, rescale_time
+    return latency_timeline(
+        sut_name,
+        query,
+        "rescale",
+        {"add_instances": add_instances},
+        event_at=10.0 + checkpoints_before * checkpoint_interval,
+        tail=checkpoints_after * checkpoint_interval,
+        preload_bytes=preload_bytes,
+        checkpoint_interval=checkpoint_interval,
+        stateful_dop=initial_dop,
+        rate_scale=rate_scale,
+        seed=seed,
     )
-
-
-def run_figure4_scaling(
-    queries=("nbq8", "nbq5", "nbqx"), suts=("rhino", "rhinodfs", "flink"), **kwargs
-):
-    """All Figure 4 d-f panels."""
-    return [
-        run_vertical_scaling(sut, query, **kwargs)
-        for query in queries
-        for sut in suts
-    ]

@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.units import GB, MB
 from repro.experiments.calibration import Calibration
-from repro.experiments.harness import Testbed, SUTS
+from repro.common.errors import ReproError
+from repro.experiments.harness import RECONFIGURE_KINDS, SUTS, Testbed
 from repro.experiments.preload import preload_state, build_synthetic_table
 from repro.experiments.timeline import LatencyStats
 from repro.engine.metrics import LatencySeries
@@ -24,15 +25,11 @@ class TestTestbed:
             assert handle.name == sut
 
     def test_unknown_sut_rejected(self):
-        from repro.common.errors import ReproError
-
         testbed = Testbed()
         with pytest.raises(ReproError):
             testbed.deploy("storm", "nbq8")
 
     def test_unknown_query_rejected(self):
-        from repro.common.errors import ReproError
-
         testbed = Testbed()
         with pytest.raises(ReproError):
             testbed.deploy("rhino", "nbq99")
@@ -55,6 +52,60 @@ class TestTestbed:
         generator_high = high.start_workload("nbq8")
         high.sim.run(until=10.0)
         assert generator_high.bytes_emitted > 3 * generator_low.bytes_emitted
+
+
+class TestReconfigureDispatch:
+    """``SutHandle.reconfigure`` is the one place that knows what a kind
+    means for a SUT -- and the one place a machine is killed."""
+
+    UNSUPPORTED = {("flink", "rebalance"), ("megaphone", "rescale")}
+    #: Megaphone has no failure handling (§5.2.2): it never loses the
+    #: machine; Flink's only mechanism is the restart, even for a drain.
+    KILLED = {
+        ("rhino", "failure"),
+        ("rhinodfs", "failure"),
+        ("flink", "failure"),
+        ("flink", "drain"),
+    }
+
+    def make_handle(self, sut):
+        testbed = Testbed(rate_scale=0.01)
+        handle = testbed.deploy(
+            sut, "nbq8", checkpoint_interval=10.0, stateful_dop=14
+        )
+        testbed.start_workload("nbq8")
+        testbed.sim.run(until=5.0)
+        handle.preload(1 * GB)
+        testbed.sim.run(until=12.0)
+        return testbed, handle
+
+    @pytest.mark.parametrize("kind", tuple(RECONFIGURE_KINDS))
+    @pytest.mark.parametrize("sut", SUTS)
+    def test_every_sut_kind_pair(self, sut, kind):
+        testbed, handle = self.make_handle(sut)
+        victim = testbed.workers[-1]
+        reports_before = len(handle.reports)
+        if (sut, kind) in self.UNSUPPORTED:
+            with pytest.raises(ReproError):
+                handle.reconfigure(kind)
+            assert all(machine.alive for machine in testbed.workers)
+            assert len(handle.reports) == reports_before
+            return
+        process = handle.reconfigure(kind)
+        testbed.sim.run(until=process)
+        assert not process.is_alive
+        assert len(handle.reports) == reports_before + 1
+        assert victim.alive == ((sut, kind) not in self.KILLED)
+
+    def test_bad_kind_or_param_rejected_before_the_cluster_is_touched(self):
+        testbed, handle = self.make_handle("flink")
+        with pytest.raises(ReproError, match="unknown reconfiguration kind"):
+            handle.reconfigure("explode")
+        with pytest.raises(ReproError, match="unknown params"):
+            handle.reconfigure("failure", machin=3)
+        with pytest.raises(ReproError, match="unknown params"):
+            handle.reconfigure("drain", add_instances=2)
+        assert all(machine.alive for machine in testbed.workers)
 
 
 class TestPreload:

@@ -77,10 +77,18 @@ class TestExamplesSmoke:
         [
             ("load_balancing_skew", "exactly-once counting verified"),
             ("autonomous_operations", "counted exactly once"),
+            ("elastic_scaling", "after second scale-out (DOP 8)"),
+            ("fault_tolerant_auctions", "reconfiguration completed in"),
         ],
-        ids=["load_balancing_skew", "autonomous_operations"],
+        ids=[
+            "load_balancing_skew",
+            "autonomous_operations",
+            "elastic_scaling",
+            "fault_tolerant_auctions",
+        ],
     )
     def test_reconfiguring_example_runs_end_to_end(self, name, verdict):
-        """The other examples that call ``Rhino.reconfigure`` (directly or
-        through the controllers): a stale call site fails here."""
+        """The other examples that call ``Rhino.reconfigure`` or the
+        harness's ``SutHandle.reconfigure`` (directly or through the
+        controllers): a stale call site fails here."""
         assert verdict in self.run_example(name)

@@ -97,3 +97,32 @@ class TestCli:
         assert exit_code == 0
         assert "virtual_nodes" in captured.out
         assert "delta_size" in captured.out
+
+
+class TestBenchHelpers:
+    def test_timeline_csv_carries_the_sample_weights(self, tmp_path, monkeypatch):
+        """A latency sample is ``(time, latency, weight)``; the CSV emitter
+        unpacked pairs and crashed every timeline bench before its first
+        assertion."""
+        from benchmarks import conftest
+        from repro.common.units import GB
+        from repro.experiments.scenarios.fault_tolerance import run_fault_tolerance
+
+        result = run_fault_tolerance(
+            "rhino",
+            checkpoint_interval=10.0,
+            checkpoints_before=1,
+            checkpoints_after=1,
+            rate_scale=0.01,
+            preload_bytes=1 * GB,
+        )
+        monkeypatch.setattr(conftest, "RESULTS_DIR", tmp_path)
+        conftest.emit_timeline_csv("figure4_fault_tolerance", [result])
+        csv = tmp_path / "figure4_fault_tolerance_rhino_nbq8.csv"
+        lines = csv.read_text().splitlines()
+        assert lines[0] == f"# event_time={result.event_time}"
+        assert lines[1] == "time_s,latency_s,weight"
+        assert len(lines) == 2 + len(result.series)
+        t, latency, weight = result.series[0]
+        assert lines[2] == f"{t:.3f},{latency:.6f},{weight}"
+

@@ -75,6 +75,48 @@ class TestRunScenario:
         assert result.ok, result.invariants
         assert len(result.handovers) >= 1
 
+    def test_failure_at_the_instant_of_a_checkpoint_trigger_recovers(self):
+        """An action is issued from inside the simulation, so a kill at
+        warmup + 10 s lands at t=20.0 between checkpoint 1's trigger and
+        the sources' barrier injection.  The barrier of the (aborted)
+        checkpoint used to reach the replacement instances, which had never
+        been told to swallow it: they aligned on it forever and the
+        handover idled to ``handover_timeout`` (ProtocolError after 3,600
+        simulated seconds).  Same recovery time as a kill at 9.99 / 10.01.
+        """
+        result = run_scenario(
+            {
+                "name": "same-instant",
+                "sut": "rhino",
+                "query": "nbq8",
+                "rate_scale": 0.02,
+                "warmup": 10,
+                "duration": 30,
+                "cooldown": 120,
+                "preload_bytes": 20 * 1024**3,
+                "checkpoint_interval": 20.0,
+                "actions": [{"at": 10.0, "kind": "failure"}],
+            }
+        )
+        assert result.ok, result.invariants
+        assert result.handover_seconds == pytest.approx(3.956, abs=0.01)
+        assert result.duration < 200.0
+
+    def test_megaphone_failure_keeps_the_machine(self):
+        """Megaphone has no failure handling (§5.2.2): a ``failure`` is
+        the equivalent planned migration, as in Table 1 -- live state, no
+        replay, so the weight ledger balances."""
+        result = run_scenario(
+            quick_scenario(
+                name="mega-failure",
+                sut="megaphone",
+                actions=[{"at": 10.0, "kind": "failure"}],
+            )
+        )
+        assert len(result.handovers) == 1
+        assert result.invariants["no-misroutes"] == "ok"
+        assert result.invariants["drained"] == "ok"
+
     def test_megaphone_drain_migrates_live(self):
         result = run_scenario(
             quick_scenario(
