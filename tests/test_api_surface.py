@@ -3,7 +3,7 @@ attach/detach idempotency."""
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import EngineError, ProtocolError
 from repro.core.api import Reconfiguration, Rhino, RhinoConfig
 from repro.core.handover import HandoverMarker
 from repro.engine.graph import StreamGraph
@@ -165,6 +165,25 @@ class TestJobConfig:
     def test_removed_options_are_type_errors(self, removed):
         with pytest.raises(TypeError):
             JobConfig(**removed)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # An idle source would re-poll forever at one instant.
+            ("source_idle_timeout", 0),
+            ("source_idle_timeout", -0.05),
+            ("watermark_interval", -1.0),
+            ("exchange_interval", 0),
+            ("exchange_interval", -0.25),
+        ],
+    )
+    def test_out_of_range_timing_is_a_typed_error(self, field, value):
+        with pytest.raises(EngineError, match=rf"{field} must be .*got {value}\b"):
+            JobConfig(**{field: value})
+
+    def test_zero_watermark_interval_is_valid(self):
+        """It means "a watermark after every batch"."""
+        assert JobConfig(watermark_interval=0).watermark_interval == 0
 
 
 class TestReconfigure:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.common.errors import EngineError
+from repro.core.api import Rhino, RhinoConfig
 from repro.engine.graph import StreamGraph
 from repro.engine.instance import ReplayFilter
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
@@ -16,6 +17,8 @@ from repro.engine.records import (
     RecordBatch,
     Watermark,
 )
+
+from repro.engine.job import JobConfig
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 
@@ -393,6 +396,142 @@ class TestWatermarkAggregation:
         assert instance.watermark == 40.0
 
 
+class SeenLog(StatefulCounterLogic):
+    """A counter that records what its instance hands it, in order."""
+
+    def open(self, ctx):
+        super().open(ctx)
+        self.seen = []
+
+    def process_batch(self, batch, side=0):
+        self.seen.extend(("record", r.timestamp) for r in batch.records)
+        return super().process_batch(batch, side=side)
+
+    def on_watermark(self, watermark):
+        self.seen.append(("watermark", watermark.timestamp))
+        return ()
+
+
+class TestFrontierRestartsWithTheReplay:
+    """Watermarks an instance received before it was handed key groups
+    whose records a source seek re-sends say nothing about that replay:
+    its frontier must not pass a replayed record because *another*
+    channel caught up first."""
+
+    def two_instance_job(self, state_load_seconds=0.02):
+        env = EngineEnv(machines=3)
+        env.topic("a", 1)  # empty topics: the test is the only producer
+        env.topic("b", 1)
+        graph = StreamGraph("restore")
+        graph.source("a", topic="a", parallelism=1)
+        graph.source("b", topic="b", parallelism=1)
+        graph.operator(
+            "op", SeenLog, 2, inputs=[("a", "hash"), ("b", "hash")], stateful=True
+        )
+        graph.sink("out", inputs=[("op", "forward")])
+        config = JobConfig(
+            num_key_groups=NUM_GROUPS,
+            virtual_node_count=2,
+            checkpoint_interval=0.5,
+            exchange_interval=0.05,
+            watermark_interval=0.1,
+            source_idle_timeout=0.05,
+        )
+        job = env.job(graph, config=config).start()
+        rhino = Rhino(
+            job,
+            env.cluster,
+            RhinoConfig(
+                scheduling_delay=0.1,
+                local_fetch_seconds=0.01,
+                state_load_seconds=state_load_seconds,
+            ),
+        ).attach()
+        # op[1] has a machine to itself: killing it takes nothing else down.
+        lonely = job.instance("op", 1)
+        assert [i for i in job.instances.values() if i.machine is lonely.machine] == [
+            lonely
+        ]
+        return env, job, rhino
+
+    @staticmethod
+    def channels(instance):
+        return [
+            next(c for c in instance.inputs if name in c.name)
+            for name in ("a[0]", "b[0]")
+        ]
+
+    @staticmethod
+    def replayed(key, timestamp, origin):
+        record = Record(key, timestamp, nbytes=8)
+        record.origin = origin
+        return RecordBatch([record])
+
+    def replay_arrives_channel_by_channel(self, env, instance, key):
+        """Per channel: batches first, then the next watermark; b's first."""
+        channel_a, channel_b = self.channels(instance)
+        seen = instance.logic.seen
+        before = len(seen)
+        channel_b.put(self.replayed(key, 8.15, "b[0]"))
+        channel_b.put(Watermark(8.4))
+        env.run(until=env.sim.now + 0.5)
+        assert seen[before:] == [("record", 8.15)]  # a's replay is still to come
+        channel_a.put(self.replayed(key, 8.2, "a[0]"))
+        channel_a.put(Watermark(8.4))
+        env.run(until=env.sim.now + 0.5)
+        assert seen[before:] == [("record", 8.15), ("record", 8.2), ("watermark", 8.4)]
+        assert instance.watermark == 8.4
+
+    def test_failure_restore(self):
+        env, job, rhino = self.two_instance_job()
+        victim = job.instance("op", 1)
+        key = key_owned_by(victim)
+        self.channels(victim)[0].put(self.replayed(key, 0.1, "a[0]"))
+        env.run(until=2.0)  # checkpointed and replicated
+        env.cluster.kill(victim.machine)
+        recovery = rhino.reconfigure("failure", machine=victim.machine).process
+        env.run(until=2.05)  # the held replacement is up, the marker is not out
+        restored = job.instance("op", 1)
+        assert restored is not victim
+        channel_a, channel_b = self.channels(restored)
+        channel_a.put(Watermark(8.3))
+        channel_b.put(Watermark(8.1))
+        env.sim.run(until=recovery)
+        self.replay_arrives_channel_by_channel(env, restored, key)
+
+    def test_abort_rollback(self):
+        """The origin of an aborted handover re-adopts groups whose
+        diverted records replay: same hazard, same rule."""
+        env, job, rhino = self.two_instance_job(state_load_seconds=1.0)
+        origin, target = job.instance("op", 0), job.instance("op", 1)
+        env.run(until=2.0)
+        handover = rhino.reconfigure("rebalance", op_name="op", moves=[(0, 1)]).process
+        handover.defused = True
+        env.run(until=2.5)  # the origin shipped its groups; the target is loading
+        channel_a, channel_b = self.channels(origin)
+        channel_a.put(Watermark(8.3))
+        channel_b.put(Watermark(8.1))
+        env.run(until=2.6)
+        env.cluster.kill(target.machine)
+        env.run(until=3.0)
+        assert handover.triggered and not handover.ok
+        moved = next(
+            k
+            for k in map("k{}".format, range(100))
+            if origin.replay_filter.fresh_ranges
+            and key_group_of(k, NUM_GROUPS) in origin.replay_filter.fresh_ranges
+        )
+        self.replay_arrives_channel_by_channel(env, origin, moved)
+
+
+def key_owned_by(instance):
+    return next(
+        k
+        for k in map("k{}".format, range(100))
+        if instance.state.store.owns(key_group_of(k, NUM_GROUPS))
+    )
+
+
 class TestSourcePause:
     def test_paused_source_emits_nothing(self):
         env = EngineEnv()
@@ -427,3 +566,88 @@ class TestSourcePause:
         env.run(until=2.0)
         assert source.records_dropped == 10
         assert source.records_emitted == 0
+
+
+class TestSourceWatermarkPacing:
+    """``watermark_interval`` bounds what a source broadcasts: at most one
+    watermark per interval of simulated time, however often it polls."""
+
+    IDLE = 0.05
+
+    def paced_source(self, interval, max_poll=64):
+        env = EngineEnv()
+        env.topic("events", 1)
+        graph = StreamGraph("pacing")
+        graph.source("src", topic="events", parallelism=1)
+        graph.sink("out", inputs=[("src", "forward")])
+        config = JobConfig(
+            num_key_groups=NUM_GROUPS,
+            exchange_interval=0.05,
+            watermark_interval=interval,
+            source_idle_timeout=self.IDLE,
+            source_max_poll=max_poll,
+        )
+        job = env.job(graph, config=config)
+        job.deploy()
+        source = job.source_instances()[0]
+        sent = []  # (sim time, watermark timestamp), at the source
+        broadcast = source.broadcast
+
+        def spy(event):
+            if isinstance(event, Watermark):
+                sent.append((env.sim.now, event.timestamp))
+            return broadcast(event)
+
+        source.broadcast = spy
+        return env, job, source, sent
+
+    def watermarks_over(self, interval, seconds=4.0, tick=0.02):
+        env, job, _source, sent = self.paced_source(interval)
+        live_feeder(env, "events", ["k"], count=int(seconds / tick) + 50, interval=tick)
+        job.start()
+        env.run(until=seconds)
+        return sent
+
+    def test_caught_up_source_sends_one_watermark_per_interval(self):
+        sent = self.watermarks_over(0.1)  # 200 polls, each draining the log
+        assert 0.9 * 40 <= len(sent) <= 40 + 1
+        gaps = [b[0] - a[0] for a, b in zip(sent, sent[1:])]
+        assert min(gaps) >= 0.1
+
+    def test_the_interval_is_a_live_knob(self):
+        ratio = len(self.watermarks_over(0.1)) / len(self.watermarks_over(0.5))
+        assert 4.0 <= ratio <= 6.0
+
+    def test_final_watermark_flushes_within_an_interval_and_a_poll(self):
+        env, job, source, sent = self.paced_source(1.0)
+        feeder = live_feeder(env, "events", ["k"], count=30, interval=0.02)
+        job.start()
+        env.sim.run(until=feeder)
+        last_record_at = env.sim.now
+        env.run(until=last_record_at + 5.0)
+        assert source.records_emitted == 30
+        flushed_at, timestamp = sent[-1]
+        assert timestamp == last_record_at  # live feeder: ts == append time
+        assert flushed_at <= last_record_at + 1.0 + self.IDLE
+        assert job.operator_instances("out")[0].watermark == timestamp
+
+    def test_first_batch_after_a_seek_is_followed_by_its_watermark(self):
+        env, job, source, sent = self.paced_source(10.0)
+        env.feed_sequence("events", keys=["k"], count=10, interval=0.01)
+        job.start()
+        env.run(until=1.0)
+        assert sent == [(sent[0][0], 0.09)]
+        source.send_command("seek", 0)
+        env.run(until=2.0)
+        assert source.records_emitted == 20
+        # Well inside the 10 s interval: the seek re-armed the pacing.
+        assert [ts for _at, ts in sent] == [0.09, 0.09]
+        assert 1.0 <= sent[1][0] < 1.1
+
+    def test_zero_interval_emits_after_every_batch(self):
+        env, job, source, sent = self.paced_source(0, max_poll=4)
+        env.feed_sequence("events", keys=["k"], count=20, interval=0.01)
+        job.start()
+        env.run(until=1.0)
+        assert source.records_emitted == 20
+        assert len(sent) == 5

@@ -38,13 +38,13 @@ def make_env():
     return env
 
 
-def run_windows(reconfigure=None, total=300, until=25.0):
+def run_windows(reconfigure=None, total=300, until=25.0, exchange_interval=0.05):
     env = make_env()
     config = JobConfig(
         num_key_groups=32,
         virtual_node_count=4,
         checkpoint_interval=2.0,
-        exchange_interval=0.05,
+        exchange_interval=exchange_interval,
         watermark_interval=0.1,
         source_idle_timeout=0.05,
     )
@@ -62,6 +62,18 @@ def run_windows(reconfigure=None, total=300, until=25.0):
     for key, window_end, value, _w in job.sink_results("out"):
         results[(key, window_end)] = value
     return results, job
+
+
+def kill_host_of(op_name, index, at):
+    """A reconfiguration that kills an instance's machine and recovers it."""
+
+    def reconfigure(env, job, rhino):
+        yield env.sim.timeout(at)
+        victim = job.instance(op_name, index).machine
+        env.cluster.kill(victim)
+        yield rhino.reconfigure("failure", machine=victim).process
+
+    return reconfigure
 
 
 def window_results_equal(baseline, observed):
@@ -105,72 +117,80 @@ class TestWindowRebalance:
         for key in indexed_keys:
             assert key_group_of(key, 32) in served_groups
 
-    def test_failure_recovery_preserves_window_results(self):
-        baseline, _ = run_windows()
-
-        def reconfigure(env, job, rhino):
-            yield env.sim.timeout(8.0)
-            victim = job.instance("agg", 2).machine
-            env.cluster.kill(victim)
-            yield rhino.reconfigure("failure", machine=victim).process
-
-        observed, _job = run_windows(reconfigure, until=30.0)
+    @pytest.mark.parametrize("exchange_interval", [0.03, 0.05, 0.07])
+    def test_failure_recovery_preserves_window_results(self, exchange_interval):
+        """The restored instance must not fire a window on a watermark it
+        received before the replay (0.03 fired two windows short)."""
+        baseline, _ = run_windows(exchange_interval=exchange_interval)
+        observed, _job = run_windows(
+            kill_host_of("agg", 2, at=8.0),
+            until=30.0,
+            exchange_interval=exchange_interval,
+        )
         window_results_equal(baseline, observed)
         assert len(observed) > 0.7 * len(baseline)
 
 
+def run_join(reconfigure=None, exchange_interval=0.05):
+    env = EngineEnv(machines=4)
+    env.topic("left", 1)
+    env.topic("right", 1)
+    config = JobConfig(
+        num_key_groups=32,
+        checkpoint_interval=2.0,
+        exchange_interval=exchange_interval,
+        watermark_interval=0.1,
+        source_idle_timeout=0.05,
+    )
+    graph = StreamGraph("join")
+    graph.source("left", topic="left", parallelism=1)
+    graph.source("right", topic="right", parallelism=1)
+    graph.operator(
+        "join",
+        lambda: TumblingWindowJoin(size=3.0),
+        4,
+        inputs=[("left", "hash"), ("right", "hash")],
+        stateful=True,
+    )
+    graph.sink("out", inputs=[("join", "forward")])
+    job = env.job(graph, config=config).start()
+    rhino = Rhino(
+        job,
+        env.cluster,
+        RhinoConfig(
+            scheduling_delay=0.1,
+            local_fetch_seconds=0.01,
+            state_load_seconds=0.02,
+        ),
+    ).attach()
+    live_feeder(env, "left", KEYS, count=200, interval=0.05)
+    live_feeder(env, "right", KEYS, count=200, interval=0.05)
+    if reconfigure:
+        env.sim.process(reconfigure(env, job, rhino))
+    env.run(until=25.0)
+    return {(k, t): w for k, t, _v, w in job.sink_results("out")}
+
+
+def join_matches_equal(baseline, observed):
+    for key, weight in observed.items():
+        assert baseline.get(key) == weight, key
+    assert len(observed) > 0.7 * len(baseline)
+
+
 class TestJoinRebalance:
     def test_join_rebalance_preserves_matches(self):
-        def build(reconfigure=None):
-            env = EngineEnv(machines=4)
-            env.topic("left", 1)
-            env.topic("right", 1)
-            config = JobConfig(
-                num_key_groups=32,
-                checkpoint_interval=2.0,
-                exchange_interval=0.05,
-                watermark_interval=0.1,
-                source_idle_timeout=0.05,
-            )
-            graph = StreamGraph("join")
-            graph.source("left", topic="left", parallelism=1)
-            graph.source("right", topic="right", parallelism=1)
-            graph.operator(
-                "join",
-                lambda: TumblingWindowJoin(size=3.0),
-                4,
-                inputs=[("left", "hash"), ("right", "hash")],
-                stateful=True,
-            )
-            graph.sink("out", inputs=[("join", "forward")])
-            job = env.job(graph, config=config).start()
-            rhino = Rhino(
-                job,
-                env.cluster,
-                RhinoConfig(
-                    scheduling_delay=0.1,
-                    local_fetch_seconds=0.01,
-                    state_load_seconds=0.02,
-                ),
-            ).attach()
-            live_feeder(env, "left", KEYS, count=200, interval=0.05)
-            live_feeder(env, "right", KEYS, count=200, interval=0.05)
-            if reconfigure:
-                env.sim.process(reconfigure(env, job, rhino))
-            env.run(until=25.0)
-            return {
-                (k, t): w for k, t, _v, w in job.sink_results("out")
-            }
-
-        baseline = build()
-
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
             yield rhino.reconfigure(
                 "rebalance", op_name="join", moves=[(0, 2), (1, 3)]
             ).process
 
-        observed = build(reconfigure)
-        for key, weight in observed.items():
-            assert baseline.get(key) == weight, key
-        assert len(observed) > 0.7 * len(baseline)
+        join_matches_equal(run_join(), run_join(reconfigure))
+
+    @pytest.mark.parametrize("exchange_interval", [0.03, 0.05, 0.07])
+    def test_join_failure_recovery_preserves_matches(self, exchange_interval):
+        baseline = run_join(exchange_interval=exchange_interval)
+        observed = run_join(
+            kill_host_of("join", 2, at=8.0), exchange_interval=exchange_interval
+        )
+        join_matches_equal(baseline, observed)
