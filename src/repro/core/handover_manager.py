@@ -799,6 +799,8 @@ class HandoverManager:
                 fresh_origin_progress=origin_progress,
                 epoch=execution.report.triggered_at,
             )
+            # The watermarks received so far precede that replay.
+            instance.restart_frontier()
         instance.checkpoints_enabled = True
         load_span.finish(
             bytes=sum(t.size_bytes for t in live_tables),
@@ -929,6 +931,7 @@ class HandoverManager:
                 fresh_cutoff=float("inf"),
                 epoch=self.sim.now,
             )
+            origin.restart_frontier()
         target = self.job.instances.get((plan.op_name, plan.target_index))
         if (
             not plan.spawn_target

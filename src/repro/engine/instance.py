@@ -313,6 +313,17 @@ class OperatorInstance(InstanceBase):
             self._wakeup = None
             wakeup.succeed()
 
+    def restart_frontier(self):
+        """Forget every channel's watermark (``watermark`` stays monotone).
+
+        For an instance handed key groups whose records a source ``seek``
+        is about to re-send: what its channels reported says nothing about
+        that replay.  Inside a marker handler the aligned channels are
+        blocked, so each then delivers replayed batches before a watermark.
+        """
+        for channel in self._channel_watermarks:
+            self._channel_watermarks[channel] = float("-inf")
+
     def _maybe_advance_watermark(self):
         candidate = min(self._channel_watermarks.values())
         if candidate > self._watermark:
@@ -539,6 +550,10 @@ class SourceCommand:
 class SourceInstance(InstanceBase):
     """A source: consumes one log partition, emits records and watermarks.
 
+    At most one watermark per ``watermark_interval`` simulated seconds,
+    however often it polls; ``idle_timeout`` is only the idle poll period
+    (the last watermark follows its records within the sum of the two).
+
     The coordinator (and Rhino's Handover Manager) talk to sources through
     a control queue: checkpoint triggers and handover markers are injected
     into the dataflow between record batches, giving the record-at-a-time
@@ -580,6 +595,7 @@ class SourceInstance(InstanceBase):
         self.paused = False
         self._last_watermark = float("-inf")
         self._last_emitted_ts = float("-inf")
+        self._watermark_due_at = float("-inf")
         self.records_emitted = 0
 
     def send_command(self, kind, payload=None):
@@ -660,13 +676,15 @@ class SourceInstance(InstanceBase):
             yield from self.emit(emitted)
         self.records_emitted += len(emitted)
         self._last_emitted_ts = batch[-1].timestamp
-        if self._last_emitted_ts >= self._last_watermark + self.watermark_interval:
-            yield from self._emit_watermark()
+        yield from self._emit_watermark()
 
     def _emit_watermark(self):
+        """Broadcast the emitted frontier if it moved and one is due: the
+        one pacing rule, tested after every batch and on every idle poll."""
         target = self._last_emitted_ts
-        if target > self._last_watermark:
+        if self.sim.now >= self._watermark_due_at and target > self._last_watermark:
             self._last_watermark = target
+            self._watermark_due_at = self.sim.now + self.watermark_interval
             yield from self.broadcast(Watermark(target))
 
     def seek(self, offset):
@@ -674,3 +692,5 @@ class SourceInstance(InstanceBase):
         self.cursor.seek(offset)
         self._last_emitted_ts = float("-inf")
         self._last_watermark = float("-inf")
+        # The replay's first batch is followed by its watermark.
+        self._watermark_due_at = float("-inf")

@@ -38,6 +38,13 @@ class JobConfig:
         source_idle_timeout=0.2,
         source_rate_limit=None,
     ):
+        if exchange_interval <= 0:
+            raise EngineError(f"exchange_interval must be > 0, got {exchange_interval}")
+        if watermark_interval < 0:
+            raise EngineError(f"watermark_interval must be >= 0, got {watermark_interval}")
+        if source_idle_timeout <= 0:
+            # An idle source re-polling after 0 s never lets time advance.
+            raise EngineError(f"source_idle_timeout must be > 0, got {source_idle_timeout}")
         self.num_key_groups = num_key_groups
         self.virtual_node_count = virtual_node_count
         self.checkpoint_interval = checkpoint_interval
@@ -51,6 +58,9 @@ class JobConfig:
         #: channel does not head-of-line block the machine's exchange agent.
         self.channel_capacity_batches = channel_capacity_batches
         self.source_max_poll = source_max_poll
+        #: A source broadcasts at most one watermark per
+        #: ``watermark_interval`` simulated seconds (0: after every batch);
+        #: ``source_idle_timeout`` is only its idle poll period.
         self.watermark_interval = watermark_interval
         self.source_idle_timeout = source_idle_timeout
         #: Per-source-instance sustainable throughput cap (bytes/second).
