@@ -264,9 +264,12 @@ class TestTakeoverGolden:
     """Two digests per seed (1, 2 and 1 takeovers), held to different rules.
 
     ``RESULT`` covers everything a takeover run *reports* (counts, MTTR
-    samples, duration, failover stats, replay checks, control stats).  It
-    was captured at ``c52d130``, the commit before the input gate became a
-    direct call, and no host-speed or refactoring PR may move it.
+    samples, duration, failover stats, replay checks, control stats).  No
+    host-speed or refactoring PR may move it.  Captured at ``c52d130``;
+    re-captured once, with the source watermark pacing of PR 23 (a model
+    change: checkpoint ``completed_at`` times moved by <= 5.6 ms and the
+    takeover ``replay`` phase by ~1e-7 s; counts, MTTR samples, duration
+    and control stats did not).
 
     ``TRACE`` covers every span, event and counter sample except the
     kernel track (``process.spawn/end/interrupt`` are executor structure).
@@ -276,14 +279,14 @@ class TestTakeoverGolden:
     """
 
     RESULT = {
-        1: "2059a739c7d738370bc7b001c4df0bab60503b92ac8ee595e5c2b9e690ea587c",
-        2: "27ff7b8c6bac459bc959fbf214b08847e5d3d1c607fc937460f987300ef7e198",
-        6: "06b34d4353184ff0e753dce64cce03b24fb2f29f75afd5ed29b10606eb8e8f12",
+        1: "9c1fea1ac242557b6631d763e53a169fea6ee251262867225e05267daadc2ee3",
+        2: "e4c93803c61fbaa707e99810abe57cd5eab6f51417b81a62eedca8289f160ae2",
+        6: "aa2e5f3ecf5b1d7dec3b5e70e69c4abab94283fad54d06219f047a131f27584e",
     }
     TRACE = {
-        1: "aab2ea96c50619559e829c684a41622dabf4c1c1239cefe76fcf42193c6d9e7b",
-        2: "fbec5ad1f56fdca4d65ed0e08525ab44d2269642ca79eb596d76957a27001bbd",
-        6: "3cb6ac6077f5e35850cd3f4ed2228233faa9f9c918fb43c9253e3459818fef96",
+        1: "c4b9481f092ef31e83d66023807625cb26c3428194957f20d74776a42bec64f1",
+        2: "f4e87e2be94dacd34efd8a3c8816e2ce145ceaea5e01ea3279020ccf9c72155f",
+        6: "0112e90ffc9520b8b062af1bc99eb765120c8d9e8c9e87eeedeac7cea9d45223",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
 

@@ -100,24 +100,26 @@ SCRIPTS = {
     "table1-700GB": (lambda sut: run_recovery(sut, 700 * GB), recovery_fingerprint),
 }
 
-#: "<script>/<sut>" -> SHA-256 captured at e9ac6a0, one per SUT branch.
+#: "<script>/<sut>" -> SHA-256, one per SUT branch.  Captured at e9ac6a0;
+#: all but table1-250GB/flink and table1-700GB/megaphone re-captured with
+#: the source watermark pacing of PR 23 (a documented model change).
 GOLDEN = {
-    "failure/rhino": "4ce0228c399cc4cdf9fed7f0c174a687c2ee799a77080dbf74ad60a90df70e24",
-    "failure/rhinodfs": "35603bee7d1a96a8785b3845196ad0e4063172cbb3613e6623217039667ee3fc",
-    "failure/flink": "ecbd3b772bfef02f0c6548005b0738c8fce9fb7b5651d96bd9f2d25eb0945cc9",
-    "rescale/rhino": "6754407e8d14c177439b3057855455ee6967639bc97cfef262e86baf88800a96",
-    "rescale/flink": "6236ad9ad988c05abb81a791c705169374fe6da67336d6b646f6479427d80d25",
-    "rebalance/rhino": "64b44eb63fbee9396aff8af0d51ea7708623dc119494742acddd889d99018b99",
-    "rebalance/megaphone": "a61abdbbed0119af7c70f4e96d2b6580596c2d12ad2a34a3011702efc1e42a95",
-    "rebalance/flink": "6236ad9ad988c05abb81a791c705169374fe6da67336d6b646f6479427d80d25",
-    "drain-triangular/rhino": "1c578e19a267709c37b6a1e6880a8ade839b4a1d882dac12a618798f4703adbf",
-    "drain-triangular/flink": "9d2208820e25c208f58334cc2c6017f333b26ce7d6bf48709a3b2ba2bf8ace46",
-    "figure5/rhino": "2669ec25230155aa73a8e1a63c3206fa4e6e67344b4a35304c7639c08c934970",
-    "figure5/megaphone": "ede6093f8dd3f862a7ff7c8f278c02202b3c0ddc1ef7a46e645460ce4011bee2",
-    "table1-250GB/rhino": "140efc4359dda8f886736c8df0798f5f68f9de994595df7dacc875c9cdef5bd9",
-    "table1-250GB/rhinodfs": "e45fe2999564c7cda8d170154cb2764c45948abb6b45962ca28146d30d5bdc33",
+    "failure/rhino": "03563733903e6d594272ebbdbb2f2db5fa201b5079626802fd1edd365a656fbb",
+    "failure/rhinodfs": "b98cf5db950462ca53ef8f1bd6295980087b37fda439e2a7a1cd29e8b942d8f6",
+    "failure/flink": "6785f5e4a146de02621c9e529176a5e2e8bff96dcff3ad09f9542d28a8ab0905",
+    "rescale/rhino": "0ed7d0361bf57f17cf6db2ad1ff609a44ccf7e45b3cea59803a6185b0e0b085f",
+    "rescale/flink": "ef79ba42e22acff56607bb4bb3df198158cded02ae06445c8d372dd7591f1ecc",
+    "rebalance/rhino": "7d2df3cc85c3f3a55a16cc5a9ccd054fe39ec35eb381a04a80ee8490b3565bfb",
+    "rebalance/megaphone": "99c318dacb017199a9e46fffbaf89ccec35dc3796eb6bbb207fdc70e8e105ced",
+    "rebalance/flink": "ef79ba42e22acff56607bb4bb3df198158cded02ae06445c8d372dd7591f1ecc",
+    "drain-triangular/rhino": "1427b94a2569e4f62302afbdf365cea07a65a4b68fc7d7266afae34108174efa",
+    "drain-triangular/flink": "a81b4e49cd7878b1258b394fbdef2b67e3da76a6ca0379f30e2c3d83ca2204e7",
+    "figure5/rhino": "62afddac09f0d2caf7ccfbb054442d1bdcde2979db4d3ea00f7873411c80691d",
+    "figure5/megaphone": "7f54c583117f96b328853af07c83324f6cd3ce6cf95b30c901dfd66f4269a58f",
+    "table1-250GB/rhino": "1b7ac6a8978187324f6fe949a35037769fe0f48c1a19749257f0e2cf4134f8b9",
+    "table1-250GB/rhinodfs": "62f32472cf09226b294029550669ac48b5b74746d87e4510522a7d9cd5d54c52",
     "table1-250GB/flink": "6bad0fdcced3727834c7f68f0b82f5b300410018526d2e23633ab364dbd8ab66",
-    "table1-250GB/megaphone": "bcbfcc19c5632b44f8ab2fccc500e9a9852ddbe85c6314e047efbd7170a30bc8",
+    "table1-250GB/megaphone": "11a3ac0bf7e416e0a92d9ee7437c2c7fa48d05ffebaedf1a9447ac07048e29e8",
     "table1-700GB/megaphone": "b4e953e27cc3c4c6aa1932a12f2b2d6f801a6b52a21ba74a7286cb7da4be42e1",
 }
 
