@@ -8,6 +8,7 @@ from repro.common.errors import EngineError
 from repro.core.api import Rhino, RhinoConfig
 from repro.engine.graph import StreamGraph
 from repro.engine.instance import ReplayFilter
+from repro.engine.job import JobConfig
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
 from repro.engine.records import (
@@ -17,8 +18,6 @@ from repro.engine.records import (
     RecordBatch,
     Watermark,
 )
-
-from repro.engine.job import JobConfig
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 
@@ -485,7 +484,7 @@ class TestFrontierRestartsWithTheReplay:
     def test_failure_restore(self):
         env, job, rhino = self.two_instance_job()
         victim = job.instance("op", 1)
-        key = key_owned_by(victim)
+        key = first_key(victim.state.store.owns)
         self.channels(victim)[0].put(self.replayed(key, 0.1, "a[0]"))
         env.run(until=2.0)  # checkpointed and replicated
         env.cluster.kill(victim.machine)
@@ -515,20 +514,16 @@ class TestFrontierRestartsWithTheReplay:
         env.cluster.kill(target.machine)
         env.run(until=3.0)
         assert handover.triggered and not handover.ok
-        moved = next(
-            k
-            for k in map("k{}".format, range(100))
-            if origin.replay_filter.fresh_ranges
-            and key_group_of(k, NUM_GROUPS) in origin.replay_filter.fresh_ranges
-        )
+        moved = first_key(origin.replay_filter.fresh_ranges.__contains__)
         self.replay_arrives_channel_by_channel(env, origin, moved)
 
 
-def key_owned_by(instance):
+def first_key(in_group):
+    """A key whose key group satisfies ``in_group``."""
     return next(
         k
         for k in map("k{}".format, range(100))
-        if instance.state.store.owns(key_group_of(k, NUM_GROUPS))
+        if in_group(key_group_of(k, NUM_GROUPS))
     )
 
 
