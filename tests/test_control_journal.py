@@ -20,7 +20,7 @@ from repro.faults import (
 from repro.sim import Simulator
 from repro.storage.kvs.checkpoint import CheckpointManifest
 from repro.storage.kvs.lsm import LSMStore
-from repro.storage.kvs.memtable import MemTable
+from repro.storage.kvs.memtable import MERGE, MemTable
 from repro.storage.kvs.sstable import GroupSlice, SSTable
 
 
@@ -48,6 +48,24 @@ class TestSSTableChecksum:
     def test_tampered_size_raises(self):
         table = make_table()
         table.entries[-1].nbytes += 1
+        with pytest.raises(CorruptionError):
+            table.verify()
+
+    def test_tampered_key_raises(self):
+        table = make_table()
+        table.keys[0] = (table.keys[0][0], "k-swapped")
+        with pytest.raises(CorruptionError):
+            table.verify()
+
+    def test_tampered_kind_raises(self):
+        table = make_table()
+        table.entries[0].kind = MERGE
+        with pytest.raises(CorruptionError):
+            table.verify()
+
+    def test_tampered_seq_raises(self):
+        table = make_table()
+        table.entries[0].seq += 1
         with pytest.raises(CorruptionError):
             table.verify()
 

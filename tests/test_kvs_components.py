@@ -3,11 +3,19 @@
 import hashlib
 import zlib
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.kvs import BloomFilter, MemTable, SSTable
 from repro.storage.kvs.bloom import KeyHash
-from repro.storage.kvs.memtable import PUT, DELETE, MERGE, order_key
+from repro.storage.kvs.memtable import (
+    PUT,
+    DELETE,
+    MERGE,
+    TOMBSTONE,
+    Entry,
+    order_key,
+)
 from repro.storage.kvs.sstable import Probe
 
 #: The key shapes the engine writes: plain record keys, sliding-window
@@ -216,6 +224,135 @@ class TestSSTable:
         table = build_sstable(sorted(data.items()))
         for (group, key), value in data.items():
             assert table.get(group, key).value == value
+
+
+# -- the seal oracle: what one SSTable's checksum and filter bits must be ----
+
+#: Key shapes beyond the engine's: negative and multi-digit ints, floats,
+#: text whose ``repr`` escapes (quotes, backslashes, non-ASCII), nested tuples.
+wild_keys = st.recursive(
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False),
+        st.text(st.sampled_from("ab'\"\\\n\u00e9\u4e2d\U0001f600"), max_size=6),
+        st.text(max_size=6),
+    ),
+    lambda children: st.one_of(st.tuples(children), st.tuples(children, children)),
+    max_leaves=4,
+)
+scalars = st.one_of(
+    st.none(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6)
+)
+#: One drawn entry: group, key, kind, payload, seq, nbytes (int or float),
+#: and whether ``Entry.order`` was cached at write time.
+seal_rows = st.tuples(
+    st.integers(0, 2**15),
+    wild_keys,
+    st.sampled_from([PUT, DELETE, MERGE]),
+    st.one_of(scalars, st.lists(scalars, max_size=3)),
+    st.integers(1, 2**40),
+    st.one_of(st.integers(0, 10**6), st.floats(0, 1e6)),
+    st.booleans(),
+)
+
+
+def seal_items(rows):
+    """Strictly ordered ``(composite, Entry)`` pairs from ``seal_rows``
+    draws; a later row with the same order key replaces the earlier."""
+    unique = {}
+    for group, key, kind, payload, seq, nbytes, cached in rows:
+        composite = (group, key)
+        order = order_key(composite)
+        if kind == DELETE:
+            value = TOMBSTONE
+        elif kind == MERGE and not isinstance(payload, list):
+            value = [payload]
+        else:
+            value = payload
+        entry = Entry(kind, value, seq, nbytes, order if cached else None)
+        unique[order] = (composite, entry)
+    return [unique[order] for order in sorted(unique)]
+
+
+def reference_crc32(items):
+    """The block checksum's definition, kept here: ``zlib.crc32`` chained
+    per entry over ``repr`` of the canonical entry tuple."""
+    crc = 0
+    for composite, entry in items:
+        value = "<tombstone>" if entry.value is TOMBSTONE else entry.value
+        fragment = repr((composite, entry.kind, entry.seq, entry.nbytes, value))
+        crc = zlib.crc32(fragment.encode("utf-8"), crc)
+    return crc
+
+
+def assert_sealed_like_reference(items):
+    table = SSTable(list(items))
+    assert table.crc32 == reference_crc32(items)
+    assert table.verify() == table.crc32
+    bloom = BloomFilter(len(items) or 1)
+    for composite, _entry in items:
+        bloom.add(composite)
+    assert table.bloom._bits == bloom._bits
+    assert (table.bloom.nbits, table.bloom.nhashes) == (bloom.nbits, bloom.nhashes)
+    assert table.bloom.count == bloom.count == len(items)
+    return table
+
+
+def pinned_table_items():
+    """A committed 60-entry table: five key shapes, all three kinds, int
+    and float sizes, escaped text values, every third entry uncached."""
+    items = []
+    for i, composite in enumerate(sorted(mixed_composites(10, 22), key=order_key)):
+        kind = (PUT, MERGE, PUT, DELETE)[i % 4]
+        if kind == DELETE:
+            value = TOMBSTONE
+        elif kind == MERGE:
+            value = [f"e{i}", i, i / 4]
+        else:
+            value = (f"v'{i}\"", "caf\u00e9\\", -i, 0.5 * i)[i % 4 :: 2]
+        nbytes = 100 + 7 * i if i % 5 else 12.5 * i
+        order = None if i % 3 == 0 else order_key(composite)
+        items.append((composite, Entry(kind, value, 1000 - 3 * i, nbytes, order)))
+    return items
+
+
+#: ``crc32`` and SHA-256 of ``bloom._bits`` of ``SSTable(pinned_table_items())``,
+#: captured at ``0059559``, before a table was sealed in one pass.
+PINNED_TABLE_CRC32 = 0x4CEA8CE1
+PINNED_TABLE_BITS_SHA256 = "c39765f356f24eed7b0ef9a9cbee7261f8b4cc30ed3826e618acd8b1d42fe504"
+
+
+class TestSealOracle:
+    @given(st.lists(seal_rows, max_size=40))
+    def test_checksum_and_filter_bits_match_the_reference(self, rows):
+        assert_sealed_like_reference(seal_items(rows))
+
+    def test_empty_table(self):
+        table = assert_sealed_like_reference([])
+        assert table.crc32 == 0 and not any(table.bloom._bits)
+
+    def test_pinned_table_checksum_and_filter_bits(self):
+        items = pinned_table_items()
+        assert len(items) == 60
+        assert {entry.kind for _composite, entry in items} == {PUT, DELETE, MERGE}
+        table = assert_sealed_like_reference(items)
+        assert table.crc32 == PINNED_TABLE_CRC32
+        digest = hashlib.sha256(bytes(table.bloom._bits)).hexdigest()
+        assert digest == PINNED_TABLE_BITS_SHA256
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 511, 512, 513, 1000])
+    def test_tables_longer_than_one_checksum_chunk(self, count):
+        """The checksum is chained across chunks of joined fragments; the
+        seams (256 entries) must not show."""
+        rows = []
+        for i in range(count):
+            group, key = mixed_composites(i, i + 1)[i % 5]
+            payload = [f"\u00e9{i}"] if i % 7 == 0 else i * 0.5
+            kind = (PUT, PUT, MERGE, DELETE)[i % 4]
+            rows.append((group, key, kind, payload, i + 1, 64 + i % 9, i % 2 == 0))
+        items = seal_items(rows)
+        assert len(items) == count
+        assert_sealed_like_reference(items)
 
 
 class TestProbe:
