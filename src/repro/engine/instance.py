@@ -659,13 +659,14 @@ class SourceInstance(InstanceBase):
         # The polled records travel downstream as ONE RecordBatch element
         # (generator batches): markers and watermarks are injected between
         # batches, so a batch never straddles a marker.
+        # Stamp first: the filter reads an unstamped record as an absent source's.
+        for record in batch:
+            record.origin = self.instance_id
         if self.replay_filter is not None:
             emitted = [r for r in batch if self.replay_filter.should_process(r)]
             self.records_dropped += len(batch) - len(emitted)
         else:
             emitted = batch
-        for record in emitted:
-            record.origin = self.instance_id
         cost = sum(r.weight for r in emitted) * self.op.cpu_per_record
         if cost > 0:
             yield from self.machine.compute(cost)

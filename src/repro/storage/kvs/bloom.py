@@ -37,7 +37,8 @@ class BloomFilter:
     Guarantees no false negatives.
 
     ``add`` and ``in`` take a raw key or its pre-hashed :class:`KeyHash`;
-    both address the same bits.
+    both address the same bits, and so does ``add_composites``, the bulk
+    insert a table is sealed with.
     """
 
     def __init__(self, expected_items, false_positive_rate=0.01):
@@ -62,6 +63,22 @@ class BloomFilter:
             bits[bit >> 3] |= 1 << (bit & 7)
             pos += step
         self.count += 1
+
+    def add_composites(self, orders):
+        """Bulk ``add`` of the ``(group, key)`` composites given as a list of
+        ``(group, repr(key))``: hashes ``repr((group, key))`` rebuilt from
+        that text, :class:`KeyHash`'s seeds and ``add``'s walk inlined.
+        """
+        bits, nbits = self._bits, self.nbits
+        hashes = range(self.nhashes)
+        for group, text in orders:
+            data = f"({group!r}, {text})".encode("utf-8")
+            pos, step = zlib.crc32(data), zlib.adler32(data) or 1
+            for _ in hashes:
+                bit = pos % nbits
+                bits[bit >> 3] |= 1 << (bit & 7)
+                pos += step
+        self.count += len(orders)
 
     def __contains__(self, key):
         hashed = key if isinstance(key, KeyHash) else KeyHash(repr(key))

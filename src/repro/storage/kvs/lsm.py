@@ -3,6 +3,7 @@
 from repro.common.errors import StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs.memtable import (
+    Entry,
     MemTable,
     PUT,
     DELETE,
@@ -227,9 +228,10 @@ class LSMStore:
         inputs = list(self.tables)
         read_bytes = sum(t.size_bytes for t in inputs)
         resolved = {}
+        unrestricted = self.owned is None  # per store, not per entry
         for table in inputs:  # oldest -> newest so newer entries shadow
             for composite, entry in table.items():
-                if not self.owns(composite[0]):
+                if not (unrestricted or self.owns(composite[0])):
                     continue
                 if entry.kind == MERGE:
                     previous = resolved.get(composite)
@@ -253,9 +255,8 @@ class LSMStore:
         )
         new_table = SSTable(items)
         self.tables = [new_table]
-        self.uncheckpointed = [
-            t for t in self.uncheckpointed if t not in inputs
-        ]
+        merged = set(map(id, inputs))
+        self.uncheckpointed = [t for t in self.uncheckpointed if id(t) not in merged]
         self.uncheckpointed.append(new_table)
         return CompactionResult(read_bytes, new_table.size_bytes, new_table, inputs)
 
@@ -429,8 +430,6 @@ class LSMStore:
 
 
 def _clone_merge(entry):
-    from repro.storage.kvs.memtable import Entry
-
     value = list(entry.value) if entry.kind == MERGE else (
         list(entry.value) if isinstance(entry.value, list) else [entry.value]
     )

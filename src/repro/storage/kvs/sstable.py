@@ -4,23 +4,24 @@ A point lookup visits every run it cannot rule out, so the store derives
 the key's order key and bloom seeds once, as a :class:`Probe`, and every
 table and slice answers ``lookup(probe)``; ``get(group, key)`` builds the
 probe for callers holding a single table.
+
+A table is sealed in one pass over its items: index, sizes, filter bits
+(``BloomFilter.add_composites``) and block checksum (``_block_crc32``) all
+come from the ``(group, repr(key))`` order key cached at write time.
 """
 
 import bisect
 import itertools
 import zlib
 
-from repro.common.errors import CorruptionError
+from repro.common.errors import CorruptionError, StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs.bloom import BloomFilter, KeyHash
 from repro.storage.kvs.memtable import TOMBSTONE, order_key
 
 _table_ids = itertools.count(1)
-
-
-def _serialized(group, text):
-    """``repr((group, key))`` rebuilt from ``text = repr(key)``."""
-    return f"({group!r}, {text})"
+#: Entries joined per ``zlib.crc32`` call: bounds a seal's transient text.
+_CRC_CHUNK = 256
 
 
 class Probe(KeyHash):
@@ -34,22 +35,30 @@ class Probe(KeyHash):
         text = repr(key)
         self.composite = (group, key)
         self.order = (group, text)
-        KeyHash.__init__(self, _serialized(group, text))
+        KeyHash.__init__(self, f"({group!r}, {text})")  # repr((group, key))
 
 
-def _block_crc32(keys, entries):
-    """CRC32 over a canonical serialization of the table's entries.
+def _block_crc32(orders, entries):
+    """CRC32 over a canonical serialization of the table's entries:
+    ``repr((composite, kind, seq, nbytes, value))`` per entry, rebuilt
+    around the ``(group, repr(key))`` pairs ``orders`` yields.
 
     ``repr`` is the store's stable serialization (see ``order_key``); the
     tombstone sentinel is mapped to a fixed token because its default repr
-    embeds a memory address.
+    embeds a memory address.  ``crc32(a + b) == crc32(b, crc32(a))``, so
+    chaining chunks gives the checksum of the per-entry chain.
     """
     crc = 0
-    for composite, entry in zip(keys, entries):
-        value = "<tombstone>" if entry.value is TOMBSTONE else entry.value
-        fragment = repr((composite, entry.kind, entry.seq, entry.nbytes, value))
-        crc = zlib.crc32(fragment.encode("utf-8"), crc)
-    return crc
+    rows = zip(orders, entries)
+    while True:
+        fragments = [
+            f"(({group!r}, {text}), {entry.kind!r}, {entry.seq!r}, {entry.nbytes!r}, "
+            f"{'<tombstone>' if entry.value is TOMBSTONE else entry.value!r})"
+            for (group, text), entry in itertools.islice(rows, _CRC_CHUNK)
+        ]
+        if not fragments:
+            return crc
+        crc = zlib.crc32("".join(fragments).encode("utf-8"), crc)
 
 
 class SSTable:
@@ -75,35 +84,49 @@ class SSTable:
     )
 
     def __init__(self, items, table_id=None):
-        """``items``: iterable of ((group, key), Entry), sorted by order_key."""
+        """``items``: iterable of ((group, key), Entry), strictly increasing
+        in ``order_key``; consumed once."""
         self.table_id = table_id if table_id is not None else next(_table_ids)
-        self.keys = [composite for composite, _entry in items]
-        self.entries = [entry for _composite, entry in items]
-        self._order = [
-            entry.order if entry.order is not None else order_key(composite)
-            for composite, entry in zip(self.keys, self.entries)
-        ]
-        self.size_bytes = sum(e.nbytes for e in self.entries)
-        self.group_bytes = {}
-        for (group, _key), entry in zip(self.keys, self.entries):
-            self.group_bytes[group] = self.group_bytes.get(group, 0) + entry.nbytes
-        self.bloom = BloomFilter(len(self.keys) or 1)
-        for group, text in self._order:  # the repr cached at write time
-            self.bloom.add(KeyHash(_serialized(group, text)))
-        self.min_key = self.keys[0] if self.keys else None
-        self.max_key = self.keys[-1] if self.keys else None
+        self.keys = keys = []
+        self.entries = entries = []
+        self._order = orders = []
+        self.group_bytes = group_bytes = {}
+        size_bytes = max_seq = 0
+        for composite, entry in items:
+            order = entry.order  # the repr cached at write time
+            if order is None:
+                order = order_key(composite)
+            if orders and not orders[-1] < order:  # bisect lookups would miss
+                raise StorageError(
+                    f"SSTable #{self.table_id}: items not strictly increasing "
+                    f"in order_key: {composite!r} after {keys[-1]!r}"
+                )
+            keys.append(composite)
+            entries.append(entry)
+            orders.append(order)
+            nbytes = entry.nbytes
+            size_bytes += nbytes
+            group_bytes[order[0]] = group_bytes.get(order[0], 0) + nbytes
+            if entry.seq > max_seq:
+                max_seq = entry.seq
+        self.size_bytes = size_bytes
+        self.bloom = BloomFilter(len(keys) or 1)
+        self.bloom.add_composites(orders)
+        self.min_key = keys[0] if keys else None
+        self.max_key = keys[-1] if keys else None
         #: Newest sequence number in the run -- lets dirty-chunk tracking
         #: skip whole tables older than a migration cutoff.
-        self.max_seq = max((e.seq for e in self.entries), default=0)
-        #: Block checksum sealed at construction (the table is immutable).
-        self.crc32 = _block_crc32(self.keys, self.entries)
+        self.max_seq = max_seq
+        #: Block checksum sealed at construction (the table is immutable),
+        #: from the cached text; ``verify`` re-serializes the keys.
+        self.crc32 = _block_crc32(orders, entries)
 
     def verify(self):
         """Recompute the block checksum; raises on mismatch.
 
         Returns the checksum so callers can chain it into manifests.
         """
-        actual = _block_crc32(self.keys, self.entries)
+        actual = _block_crc32(map(order_key, self.keys), self.entries)
         if actual != self.crc32:
             raise CorruptionError(
                 f"SSTable #{self.table_id}: block checksum mismatch "

@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import EngineError
 from repro.core.api import Rhino, RhinoConfig
 from repro.engine.graph import StreamGraph
-from repro.engine.instance import ReplayFilter
+from repro.engine.instance import ConsumerDrivenReplayFilter, ReplayFilter
 from repro.engine.job import JobConfig
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
@@ -561,6 +561,36 @@ class TestSourcePause:
         env.run(until=2.0)
         assert source.records_dropped == 10
         assert source.records_emitted == 0
+
+    @pytest.mark.parametrize(
+        "frontier_of, emitted", [("src[0]", 6), ("elsewhere[0]", 0)]
+    )
+    def test_fresh_records_meet_their_own_source_frontier(self, frontier_of, emitted):
+        """An abort's source filter holds, per rolled-back group, the
+        rewire-time frontier of every rewired source and ``inf`` for "a
+        source absent from the frontiers".  A polled record is stamped
+        before it is filtered, so one this source never emitted compares
+        against *its* frontier instead of reading as the absent source."""
+        env = EngineEnv()
+        env.topic("events", 1)
+        env.feed_sequence("events", keys=["k"], count=10, interval=0.01)
+        graph = StreamGraph("stamp")
+        graph.source("src", topic="events", parallelism=1)
+        graph.sink("out", inputs=[("src", "forward")])
+        job = env.job(graph)
+        job.deploy()
+        source = job.source_instances()[0]
+        assert source.instance_id == "src[0]"
+        rolled_back = (None, {frontier_of: 0.035}, float("inf"))
+        source.replay_filter = ConsumerDrivenReplayFilter(
+            16, {group: [rolled_back] for group in range(16)}
+        )
+        job.start()
+        env.run(until=2.0)
+        # Timestamps 0.00 .. 0.03 were emitted before the rewire; 0.04 ..
+        # 0.09 are fresh.  A source that never rewired diverted nothing.
+        assert source.records_emitted == emitted
+        assert source.records_dropped == 10 - emitted
 
 
 class TestSourceWatermarkPacing:

@@ -6,6 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.errors import StorageError
 from repro.storage.kvs import BloomFilter, MemTable, SSTable
 from repro.storage.kvs.bloom import KeyHash
 from repro.storage.kvs.memtable import (
@@ -74,8 +75,6 @@ class TestBloomFilter:
         assert all(key in bloom for key in keys)
 
     def test_rejects_bad_rate(self):
-        import pytest
-
         with pytest.raises(ValueError):
             BloomFilter(10, false_positive_rate=1.5)
 
@@ -212,6 +211,36 @@ class TestSSTable:
         first = build_sstable([((1, "a"), 1)])
         second = build_sstable([((1, "a"), 1)])
         assert first.table_id != second.table_id
+
+    def test_one_shot_iterator_builds_the_same_table(self):
+        pairs = pinned_table_items()
+        from_list, from_iter = SSTable(list(pairs)), SSTable(iter(pairs))
+        assert len(from_iter) == len(from_iter.entries) == 60
+        for field in SSTable.__slots__:
+            if field == "bloom":
+                assert from_iter.bloom._bits == from_list.bloom._bits
+            elif field != "table_id":
+                assert getattr(from_iter, field) == getattr(from_list, field), field
+        group, key = pairs[0][0]
+        assert from_iter.get(group, key) is pairs[0][1]
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda pairs: pairs[::-1],
+            lambda pairs: pairs[:3] + pairs[1:],  # a duplicated composite
+            lambda pairs: pairs[:5] + [pairs[4]] + pairs[5:],
+        ],
+        ids=["reversed", "overlapping", "adjacent-duplicate"],
+    )
+    def test_input_not_strictly_increasing_raises(self, mangle):
+        pairs = mangle(pinned_table_items()[:8])
+        with pytest.raises(StorageError, match=r"SSTable #77: .*strictly increasing") as info:
+            SSTable(pairs, table_id=77)
+        orders = [order_key(composite) for composite, _entry in pairs]
+        first_bad = next(i for i in range(1, len(pairs)) if orders[i] <= orders[i - 1])
+        assert repr(pairs[first_bad][0]) in str(info.value)
+        assert repr(pairs[first_bad - 1][0]) in str(info.value)
 
     @given(
         st.dictionaries(
