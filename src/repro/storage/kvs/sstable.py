@@ -104,9 +104,9 @@ class SSTable:
             keys.append(composite)
             entries.append(entry)
             orders.append(order)
-            nbytes = entry.nbytes
-            size_bytes += nbytes
-            group_bytes[order[0]] = group_bytes.get(order[0], 0) + nbytes
+            group = order[0]
+            size_bytes += entry.nbytes
+            group_bytes[group] = group_bytes.get(group, 0) + entry.nbytes
             if entry.seq > max_seq:
                 max_seq = entry.seq
         self.size_bytes = size_bytes
