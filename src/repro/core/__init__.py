@@ -12,7 +12,7 @@
   balancing (§3.5).
 * :mod:`repro.core.api` -- the :class:`Rhino` facade a host SPE talks to.
 * :mod:`repro.core.quorum` -- the quorum-replicated control plane: journal
-  SMR, deterministic elections, epoch fencing, joint-consensus membership;
+  SMR, deterministic elections, epoch fencing, membership hand-offs;
   :mod:`repro.core.journal` is its log and :mod:`repro.core.failover` the
   takeover after a leader is lost.
 """

@@ -366,19 +366,14 @@ class Rhino:
 
     # -- control-plane fault tolerance ----------------------------------------------
 
-    def enable_control_group(
-        self,
-        members,
-        detector=None,
-        detection_delay=0.5,
-        heartbeat_interval=0.25,
-    ):
+    def enable_control_group(self, members, detector=None):
         """Replicate the control plane across a quorum of ``members``.
 
         Creates a :class:`~repro.core.quorum.ControlGroup` whose journal
         commits every record through a majority of the group, with
         deterministic leader election, monotonic epoch fencing, and
-        joint-consensus membership change (see ``repro.core.quorum``).
+        membership change by a hand-off record between static
+        configurations (see ``repro.core.quorum``).
         ``members[0]`` is the initial leader.  When a ``detector`` is given
         its verdicts are journaled too, so a new leader inherits the
         suspicion state.  Returns the ControlGroup.
@@ -395,13 +390,7 @@ class Rhino:
             raise ProtocolError("control plane already configured")
         from repro.core.quorum import ControlGroup
 
-        group = ControlGroup(
-            self.sim,
-            self,
-            list(members),
-            detection_delay=detection_delay,
-            heartbeat_interval=heartbeat_interval,
-        )
+        group = ControlGroup(self.sim, self, list(members))
         self.control_group = group
         self.job.coordinator.journal = group.journal
         if detector is not None:

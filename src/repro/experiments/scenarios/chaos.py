@@ -169,9 +169,11 @@ def run_chaos(
     seconds later: given a journal record kind (a string) the kill lands
     synchronously on the first record of that kind (phase-targeted
     chaos), given a number it lands at that virtual time (e.g. the
-    midpoint of a chain-replication hop).  ``membership_change_at``
-    replaces the group's last non-leader member with a spare worker at
-    that virtual time (joint consensus, possibly overlapping the kills).
+    midpoint of a chain-replication hop); ``"control.member-commit"``
+    lands on the membership hand-off, never on the group's initial
+    configuration record.  ``membership_change_at`` replaces the group's
+    last non-leader member with a spare worker at that virtual time (one
+    hand-off record, possibly overlapping the kills).
 
     ``handover_chunk_bytes`` caps the chunks a handover ships state in.
     """
@@ -360,7 +362,9 @@ def run_chaos(
 
         if isinstance(control_kill_at, str):
             # Phase-targeted: kill exactly when the protocol journals its
-            # first record of the requested kind.
+            # first record of the requested kind.  Installed after the
+            # group's initial records, so a member-commit kill lands on
+            # the hand-off.
             def _control_kill_listener(record):
                 if record.kind == control_kill_at:
                     group.journal.listeners.remove(_control_kill_listener)
@@ -399,7 +403,7 @@ def run_chaos(
             try:
                 yield proc
             except Exception:  # noqa: BLE001 - killed by a mid-change crash
-                pass  # the next leader resumes the change from the journal
+                pass  # a surviving hand-off commits under the next leader
 
         change = sim.process(_membership_change(), name="chaos-member-change")
         change.defused = True
@@ -525,8 +529,8 @@ def run_chaos_sweep(seeds, **kwargs):
 
 
 #: Journal record kinds the control-quorum sweep lands its kills on --
-#: every phase of a handover, the replica-map baseline, and the joint
-#: membership record itself (a leader crash mid-membership-change).
+#: every phase of a handover, the replica-map baseline, and the membership
+#: hand-off record itself (a leader crash mid-membership-change).
 CONTROL_SWEEP_PHASES = (
     "handover.accepted",
     "handover.prepared",
@@ -536,7 +540,7 @@ CONTROL_SWEEP_PHASES = (
     "handover.ack",
     "handover.committed",
     "groups.assigned",
-    "control.member-joint",
+    "control.member-commit",
 )
 
 
@@ -552,8 +556,8 @@ def run_control_quorum_sweep(
 
     Each seed kills a minority of the group (leader first) at a
     different journal record kind, rotating through every handover phase
-    and -- every third seed -- overlapping a joint-consensus membership
-    change; kill sizes rotate through every minority up to
+    and -- every third seed -- overlapping a membership hand-off; kill
+    sizes rotate through every minority up to
     ``(replicas - 1) // 2``.  A planned rebalance guarantees handover
     records exist for the kills to land on.  Beyond the per-run
     invariants, every takeover must finish within ``mttr_bound`` virtual
@@ -573,7 +577,7 @@ def run_control_quorum_sweep(
     for index, seed in enumerate(seeds):
         phase = CONTROL_SWEEP_PHASES[index % len(CONTROL_SWEEP_PHASES)]
         kill_count = (index % minority) + 1
-        with_change = index % 3 == 0 or phase == "control.member-joint"
+        with_change = index % 3 == 0 or phase == "control.member-commit"
         result = run_chaos(
             seed,
             machines=machines if machines is not None else replicas + 4,

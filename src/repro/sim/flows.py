@@ -176,7 +176,6 @@ class FlowScheduler:
         #: Flow ids / ports whose component must be re-solved.
         self._dirty_flows = set()
         self._dirty_ports = set()
-        self._dirty_all = False
         #: True while a solve / wake-up reschedule is owed for this instant.
         self._solve_pending = False
         self._wakeup_pending = False
@@ -295,20 +294,17 @@ class FlowScheduler:
             self._request_solve()
         return len(doomed)
 
-    def reallocate(self, ports=None):
+    def reallocate(self, ports):
         """Recompute allocations after port capacities changed externally.
 
         Chaos injection (slow links, disk stalls) mutates
         ``Port.capacity_scale`` outside the scheduler's view; callers must
-        invoke this so in-flight flows feel the new rates immediately.
-        Passing the affected ``ports`` re-solves only the touched
-        components; without them the whole allocation is recomputed.
+        invoke this with the affected ``ports`` so in-flight flows feel
+        the new rates immediately.  Only the touched components are
+        re-solved.
         """
         self._advance()
-        if ports is None:
-            self._dirty_all = True
-        else:
-            self._dirty_ports.update(ports)
+        self._dirty_ports.update(ports)
         self._request_solve()
 
     # -- internals -------------------------------------------------------
@@ -401,17 +397,7 @@ class FlowScheduler:
         rates are unique, and the per-component arithmetic is identical to
         a full solve restricted to that component)."""
         self._solve_pending = False
-        if self._dirty_all:
-            self._dirty_all = False
-            self._dirty_flows.clear()
-            self._dirty_ports.clear()
-            flows = list(self._flows.values())
-            touched_ports = set()
-            for flow in flows:
-                touched_ports.update(flow.ports)
-            touched_ports.update(self._port_rate_sum)
-        else:
-            flows, touched_ports = self._collect_components()
+        flows, touched_ports = self._collect_components()
         if flows or touched_ports:
             self._waterfill(flows)
             for flow in flows:
