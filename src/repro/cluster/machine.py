@@ -88,22 +88,27 @@ class Machine:
     # -- CPU --------------------------------------------------------------
 
     def compute(self, seconds):
-        """Process generator: occupy one core for ``seconds`` of CPU time."""
+        """Process generator: occupy one core for ``seconds`` of CPU time.
+
+        A free core is taken in place; only a busy machine makes the
+        caller wait for a grant event.
+        """
         if seconds <= 0:
             return
-        grant = self.cores.request()
-        try:
-            yield grant
-        except BaseException:
-            # Interrupted at the wait point.  If the slot was already
-            # granted it must go back; if still queued, withdraw the
-            # request — otherwise a later release would hand a slot to a
-            # dead waiter and the core would leak.
-            if grant.ok:
-                self.cores.release()
-            else:
-                self.cores.cancel(grant)
-            raise
+        if not self.cores.try_acquire():
+            grant = self.cores.request()
+            try:
+                yield grant
+            except BaseException:
+                # Interrupted at the wait point.  If the slot was already
+                # granted it must go back; if still queued, withdraw the
+                # request — otherwise a later release would hand a slot to
+                # a dead waiter and the core would leak.
+                if grant.ok:
+                    self.cores.release()
+                else:
+                    self.cores.cancel(grant)
+                raise
         try:
             yield self.sim.timeout(seconds)
             self.cpu_busy_seconds += seconds

@@ -356,7 +356,9 @@ class ChainReplicator:
                 )
                 yield queues[position + 1].put(block)
         for write in writes:
-            if not write.triggered:
+            # ``processed``, not ``triggered``: a write is triggered when its
+            # bytes drain but lands only after its port's extra latency.
+            if not write.processed:
                 yield write
         span.finish(bytes=moved)
 

@@ -23,9 +23,9 @@ class InvariantViolation(ReproError):
 
 
 #: Process-name prefixes that must NOT survive a drained chaos run.
-#: Periodic agents (fabric agents and their transient ship legs, monitors,
-#: instance main loops) run forever by design and are exempt: a healthy
-#: pipeline ships watermark batches until the clock stops.
+#: Periodic processes (monitors, instance main loops) run forever by
+#: design and are exempt: a healthy pipeline emits watermarks until the
+#: clock stops.
 PROTOCOL_PROCESS_PREFIXES = (
     "replicate:",
     "bulk-copy",

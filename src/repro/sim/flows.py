@@ -195,6 +195,9 @@ class FlowScheduler:
 
         ``latency`` is a fixed propagation delay added after the last byte
         drains.  A transfer of zero bytes completes after ``latency``.
+        The event is *triggered* when the bytes drain but *processed* --
+        its waiters resumed -- only after the latency: wait on it, or test
+        ``processed``, never ``triggered``.
         """
         if nbytes < 0:
             raise SimulationError("transfer of negative size")
@@ -213,7 +216,7 @@ class FlowScheduler:
                     return event
         latency = latency + sum(p.extra_latency for p in ports)
         if nbytes <= _EPSILON_BYTES:
-            self._complete_after(event, latency, nbytes)
+            event.succeed(nbytes, delay=latency)
             return event
         self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
@@ -309,18 +312,6 @@ class FlowScheduler:
 
     # -- internals -------------------------------------------------------
 
-    def _complete_after(self, event, latency, nbytes):
-        """Succeed ``event`` with ``nbytes`` once ``latency`` has passed."""
-
-        def complete(_timer=None):
-            if not event.triggered:
-                event.succeed(nbytes)
-
-        if latency > 0:
-            self.sim.timeout(latency).callbacks.append(complete)
-        else:
-            complete()
-
     def _advance(self):
         """Account bytes moved since the last update at current rates."""
         elapsed = self.sim.now - self._last_update
@@ -343,7 +334,9 @@ class FlowScheduler:
         if finished:
             for flow in finished:
                 self._remove_flow(flow)
-                self._complete_after(flow.event, flow.latency, flow.remaining)
+                # One kernel event: triggered now, processed (waiters
+                # resumed) once the propagation delay has passed.
+                flow.event.succeed(flow.remaining, delay=flow.latency)
 
     def _remove_flow(self, flow):
         """Drop a flow from the live set and every sharing index."""

@@ -35,11 +35,22 @@ class Resource:
         """Currently unused capacity."""
         return self.capacity - self.in_use
 
+    def try_acquire(self):
+        """Take a free slot in place, without an event; False when full.
+
+        A free slot means no live waiter is queued (:meth:`release` hands
+        a slot straight to the oldest live waiter instead of freeing it),
+        so taking it cannot overtake anyone: FIFO granting holds.
+        """
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def request(self):
         """Returns an event that succeeds when a slot is granted."""
         event = self.sim.event()
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if self.try_acquire():
             event.succeed(self)
         else:
             self._waiters.append(event)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.cluster import Cluster
 from repro.storage.kvs import LSMStore
@@ -152,6 +153,33 @@ class TestChainReplication:
         restored.restore(holding.live_tables())
         assert restored.get(0, "a") == "x"
         assert restored.get(0, "b") == "y"
+
+    def test_a_slow_landing_write_keeps_the_hop_open(self):
+        """A forwarding member's own disk write holds its hop (and the
+        replication) open until the write has landed: its bytes drain at
+        0.55 s, but its port adds 5 s of latency."""
+        sim = Simulator(tracer=Tracer())
+        cluster = Cluster(sim)
+        machines = cluster.add_machines(
+            3,
+            prefix="w",
+            nic_bandwidth=100.0,
+            disks=1,
+            disk_write_bandwidth=1000.0,
+            disk_capacity=10**9,
+            network_latency=0.0,
+        )
+        machines[1].disks[0].write_port.degrade(extra_latency=5.0)
+        replicator = ChainReplicator(sim, cluster, block_size=1000)
+        _store, checkpoint = make_checkpoint(entries=(("k", "v", 50),))
+        process = replicator.replicate(
+            machines[0], [machines[1], machines[2]], checkpoint
+        )
+        sim.run(until=process)
+        assert sim.now == pytest.approx(5.55)
+        hop = sim.tracer.one("replicate.hop", src="w-1", dst="w-2")
+        assert hop.end == pytest.approx(5.55)
+        assert replicator.stats.last_duration == pytest.approx(5.55)
 
     def test_chain_member_failure_fails_replication(self, env):
         sim, cluster, machines, replicator = env

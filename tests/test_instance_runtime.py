@@ -299,8 +299,10 @@ class TestEventBudget:
         env.run(until=3.0)
         assert job.operator_instances("out")[0].records_processed == 80
         # 1,927 with a reader process per channel and a Store round-trip
-        # per element (c52d130).
-        assert env.sim.events_processed == 1004
+        # per element (c52d130); 1,004 with a fabric agent process, a
+        # shipping process per flush leg, a timer per flow latency and a
+        # grant event per CPU charge.
+        assert env.sim.events_processed == 764
         assert not any(
             p.name.startswith("reader:") for p in env.sim.alive_processes()
         )
@@ -316,7 +318,7 @@ class TestEventBudget:
         job = env.job(graph).start()
         channel = job.source_instances()[0].output_routers[0].channels[1]
         assert channel.src_machine is not channel.dst_machine
-        # Start the source machine's fabric agent before measuring.
+        # Arm the source machine's fabric tick before measuring.
         job.fabric.send(channel, RecordBatch([Record("warm", 0.0, nbytes=8)]))
         env.run(until=1.0)
         before = env.sim.events_processed
@@ -326,18 +328,20 @@ class TestEventBudget:
         assert job.operator_instances("out")[1].records_processed == 1 + count
         return env.sim.events_processed - before
 
-    def test_remote_batch_costs_its_transfer_its_cpu_charge_and_two_events(self):
+    def test_remote_batch_costs_its_transfer_its_cpu_charge_and_one_event(self):
         idle = self.remote_batches(0)
         one = self.remote_batches(1) - idle
         two = self.remote_batches(2) - idle
-        # A flush's shipping process and its flow: spawn, solver wake-up,
-        # latency timer, completion, end.  Shared by every batch it carries.
-        transfer = 5
-        # Machine.compute: core grant + busy timeout, once per batch.
-        cpu_charge = 2
-        # Beyond those: the gate's wake-up event and the agent's all_of.
-        # (The parent paid 15 for the lone batch and 7 for each further one.)
-        assert one == transfer + cpu_charge + 2
+        # A flush's flow: the solver's wake-up when its bytes drain, and
+        # its landing after the latency, whose callback delivers.  Shared
+        # by every batch the flush carries.
+        transfer = 2
+        # Machine.compute on a free core: the busy timeout, once per batch.
+        cpu_charge = 1
+        # Beyond those: the gate's wake-up event.  (15 and 7 with a
+        # reader process per channel; 9 and 2 with a shipping process per
+        # flush leg, a latency timer and a core grant event.)
+        assert one == transfer + cpu_charge + 1
         # A batch landing while the gate is awake costs only its CPU charge.
         assert two - one == cpu_charge
 

@@ -43,6 +43,19 @@ class TestSingleFlow:
         finished_at = run_transfer(sim, scheduler, 0, [], latency=0.25)
         assert finished_at == pytest.approx(0.25)
 
+    def test_finished_flow_lands_after_its_latency_in_one_event(
+        self, sim, scheduler
+    ):
+        event = scheduler.transfer(100.0, [Port("nic", 100.0)], latency=0.5)
+        sim.run(until=1.2)
+        # Drained at 1.0 (the solver's wake-up, the only event so far):
+        # triggered, but its waiters resume only once the latency passed.
+        assert sim.events_processed == 1
+        assert event.triggered and not event.processed
+        sim.run()
+        assert event.processed and sim.now == pytest.approx(1.5)
+        assert sim.events_processed == 2  # the landing itself, no timer
+
 
 class TestFairSharing:
     def test_two_flows_share_port_equally(self, sim, scheduler):

@@ -41,6 +41,34 @@ class TestResource:
         sim.run()
         assert order == [("a", 0.0), ("b", 5.0), ("c", 6.0)]
 
+    def test_try_acquire_takes_a_free_slot_without_an_event(self, sim):
+        resource = Resource(sim, 2)
+        assert resource.try_acquire()
+        assert resource.in_use == 1
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_try_acquire_refuses_when_full(self, sim):
+        resource = Resource(sim, 1)
+        assert resource.try_acquire()
+        assert not resource.try_acquire()
+        assert resource.in_use == 1
+        resource.release()
+        assert resource.try_acquire()
+
+    def test_try_acquire_never_overtakes_a_queued_waiter(self, sim):
+        resource = Resource(sim, 1)
+        assert resource.try_acquire()
+        first, second = resource.request(), resource.request()
+        resource.release()  # handed to ``first``, not freed
+        assert first.triggered and not second.triggered
+        assert not resource.try_acquire()
+        resource.release()
+        assert second.triggered
+        assert not resource.try_acquire()
+        resource.release()
+        assert resource.try_acquire()
+
     def test_release_without_request_raises(self, sim):
         resource = Resource(sim, 1)
         with pytest.raises(SimulationError):
