@@ -27,21 +27,21 @@ what happens when its leader is lost, on the virtual clock:
    must equal the live snapshot captured at the crash instant (stored in
    ``replay_checks``, asserted by tests).
 5. **Resume**: each in-flight reconfiguration is deterministically
-   resolved by the decision table in :meth:`_resume_inflight` --
-   committed if fully acknowledged, otherwise aborted through the
-   existing :class:`HandoverAborted` rollback and (for failure
-   recoveries) re-planned and re-executed.  Replication chains broken by
-   worker deaths during the outage are repaired and an anti-entropy pass
-   restores replica completeness.
+   resolved by the decision table in :meth:`_resume_inflight`, keyed on
+   its live phase (:data:`~repro.core.handover.PHASE_TABLE`) -- committed
+   if fully acknowledged, otherwise aborted through the rollback and (for
+   failure recoveries) re-planned and re-executed.  Replication chains
+   broken by worker deaths during the outage are repaired and an
+   anti-entropy pass restores replica completeness.
 
 The whole takeover is traced as a ``failover`` root span with
 ``failover.detect`` / ``failover.replay`` / ``failover.resume`` children
 whose durations sum to the total (see ``repro.obs.failover_breakdown``).
 """
 
-from repro.core import quorum
+from repro.core import quorum, rollback
 from repro.core.journal import ControlJournal
-from repro.core.handover import HandoverAborted
+from repro.core.handover import ABANDON, ABORTED, TAKEOVER_FROM, HandoverAborted
 from repro.core.migration import FAILURE
 from repro.core.replication_manager import ReplicaGroup
 
@@ -61,6 +61,30 @@ class _CoordinatorSentinel:
 
 
 COORDINATOR = _CoordinatorSentinel()
+
+#: The rows of the takeover's decision table (see _resume_inflight).
+SETTLED = "settled"
+UNJOURNALED = "unjournaled"
+COMMIT = "commit"
+ROLLBACK = "rollback"
+TAKEOVER_ROWS = (SETTLED, UNJOURNALED, ABANDON, COMMIT, ROLLBACK)
+
+
+def takeover_row(journaled, execution):
+    """The decision-table row of one stranded reconfiguration.
+
+    ``journaled`` says whether the replayed journal holds it open;
+    ``execution`` is its live execution (None once it closed).  The row
+    keys on the *live* phase: the replayed one lags it when ``prepared``
+    or ``marker`` records were truncated with the deposed leader.
+    """
+    if execution is None:
+        return SETTLED
+    if not journaled:
+        return UNJOURNALED
+    if TAKEOVER_FROM[execution.phase] == ABANDON:
+        return ABANDON
+    return COMMIT if execution.expected <= execution.acked else ROLLBACK
 
 
 class FailoverManager:
@@ -167,12 +191,8 @@ class FailoverManager:
         self.journal.fenced = True
         self.rhino.job.coordinator.crash()
         cause = ("control-crash", self.group.leader.name)
-        for entry in list(self.rhino.handover_manager._inflight.values()):
-            process = entry.process
-            if process is not None and process.is_alive:
-                process.defused = True
-                process.interrupt(cause)
-        for process in self.drivers:
+        handovers = self.rhino.handover_manager._inflight.values()
+        for process in [e.process for e in handovers] + self.drivers:
             if process.is_alive:
                 process.defused = True
                 process.interrupt(cause)
@@ -269,7 +289,6 @@ class FailoverManager:
             "failover.resume", track="failover", parent=root
         )
         yield from self._resume_inflight(state)
-        self._drop_unjournaled_inflight(state)
         yield from self._repair_replication()
         if self.rhino.config.anti_entropy_interval is not None:
             kick = self.sim.process(
@@ -333,87 +352,58 @@ class FailoverManager:
     def _resume_inflight(self, state):
         """Deterministically resolve every stranded reconfiguration.
 
-        ============================  =========================================
-        Journal / live evidence        Resolution
-        ============================  =========================================
-        no live entry                  settle the journal: record the abort
-                                       that happened (fenced) during the outage
-        no execution yet               nothing mutated beyond spawned targets:
-                                       remove them; re-execute if FAILURE
-        already aborted                rollback already ran; re-execute if
-                                       FAILURE
-        every expected ack received    the epoch transition finished at the
-                                       workers: commit the assignment
-        otherwise                      abort through the standard rollback
-                                       (HandoverAborted path); re-execute if
-                                       FAILURE
-        ============================  =========================================
+        ============  =========================  ===============================
+        row           journal / live evidence     resolution
+        ============  =========================  ===============================
+        settled       open / closed (a worker    journal the abort the fenced
+                      death aborted it during    journal dropped
+                      the outage)
+        unjournaled   no ``accepted`` / phase    drop it: its driver died in
+                      ``accepted``               commit-wait, nothing to undo
+        abandon       open / phase ``accepted``  remove spawned targets and
+                                                 journal the abort
+        commit        open / later phase, every  commit (and count spawned
+                      expected ack received      targets into parallelism)
+        rollback      open / later phase, acks   abort through the standard
+                      outstanding                rollback
+        ============  =========================  ===============================
 
         Planned reconfigurations (rescale / rebalance / drain) are aborted,
         not resumed: the rollback restores the old configuration exactly
         and the client can re-issue.  Failure recoveries *must* resume --
-        dead instances stay dead until someone finishes the job -- via the
-        existing re-plan path onto live replica workers.
+        dead instances stay dead until someone finishes the job -- so an
+        abandoned or rolled-back one is re-planned onto live replica
+        workers and re-executed.
         """
         hm = self.rhino.handover_manager
         job = self.rhino.job
-        for reconfig_id in sorted(state.in_flight):
-            entry = hm._inflight.get(reconfig_id)
-            if entry is None:
-                # Resolved during the outage (a worker death aborted it
-                # while the journal was fenced): settle the record.
-                self.journal.append("handover.aborted", reconfig=reconfig_id)
+        for reconfig_id in sorted(set(state.in_flight) | set(hm._inflight)):
+            execution = hm._inflight.get(reconfig_id)
+            row = takeover_row(reconfig_id in state.in_flight, execution)
+            if row == SETTLED:
+                self.journal.append(ABORTED, reconfig=reconfig_id)
                 continue
-            execution = entry.execution
-            reason = entry.plans[0].reason
-            resumed = False
-            if execution is None:
-                # The driver died before the protocol touched any shared
-                # state -- except possibly spawned target instances.
-                hm._pop_entry(entry)
-                for plan in entry.plans:
-                    if (
-                        plan.spawn_target
-                        and (plan.op_name, plan.target_index) in job.instances
-                    ):
+            if row == UNJOURNALED:
+                del hm._inflight[reconfig_id]
+                continue
+            if row == ABANDON:
+                for plan in execution.plans:
+                    if plan.spawn_target:
                         job.remove_instance(plan.op_name, plan.target_index)
-                hm._journal(entry, "handover.aborted")
-                resumed = reason == FAILURE
-            elif execution.aborted:
-                # A worker death during the outage already rolled it back
-                # (and journaling was fenced) -- nothing further to undo.
-                hm._pop_entry(entry)
-                hm._journal(entry, "handover.aborted")
-                resumed = reason == FAILURE
-            elif execution.expected <= execution.acked:
-                # Every participant finished its routine: the epoch
-                # transition is complete at the workers; commit it.
-                for plan in entry.plans:
-                    assignment = job.assignments[plan.op_name]
-                    for lo, hi in plan.vnodes:
-                        assignment.reassign(lo, hi, plan.target_index)
+                hm._journal(execution, ABORTED)
+            elif row == COMMIT:
+                for plan in execution.plans:
                     if plan.spawn_target:
                         op = job.graph.operators[plan.op_name]
                         op.parallelism = max(
                             op.parallelism, plan.target_index + 1
                         )
-                report = execution.report
-                if report.completed_at is None:
-                    report.completed_at = self.sim.now
-                hm.reports.append(report)
-                hm._executions.pop(execution.handover_id, None)
-                hm._pop_entry(entry)
-                hm._journal(
-                    entry, "handover.committed", handover=entry.handover_id
-                )
+                hm._commit(execution)
+                continue
             else:
-                # Mid-protocol with acks outstanding: abort through the
-                # standard rollback (journals the abort and pops the entry).
-                hm._abort_execution(execution, COORDINATOR)
-                hm._executions.pop(execution.handover_id, None)
-                resumed = reason == FAILURE
-            if resumed:
-                plans = self.rhino._replan_failure(entry.plans)
+                rollback.abort(hm, execution, COORDINATOR)
+            if execution.plans[0].reason == FAILURE:
+                plans = self.rhino._replan_failure(execution.plans)
                 try:
                     yield from self.rhino._execute_with_retry(
                         plans, self.sim.now, replan=self.rhino._replan_failure
@@ -422,21 +412,6 @@ class FailoverManager:
                     # Out of retries; the recovery driver (or the next
                     # anti-entropy pass) picks the machine up again.
                     pass
-
-    def _drop_unjournaled_inflight(self, state):
-        """Roll back live entries whose ``accepted`` record was truncated.
-
-        Such a driver was blocked awaiting commit (it cannot proceed past
-        ``accepted`` without one) and died with the deposed leader, so no
-        shared state was touched: popping the entry is the whole rollback.
-        """
-        hm = self.rhino.handover_manager
-        for reconfig_id in sorted(hm._inflight):
-            if reconfig_id in state.in_flight:
-                continue
-            entry = hm._inflight[reconfig_id]
-            if entry.execution is None:
-                hm._pop_entry(entry)
 
     def _repair_replication(self):
         """Repair chains that lost members while the coordinator was down."""

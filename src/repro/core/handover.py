@@ -1,18 +1,53 @@
-"""Handover markers and per-handover execution state (§4.1).
+"""Handover markers, the protocol's phase table, and execution state (§4.1).
 
 A handover discretizes query execution into configuration epochs: the
 marker ``h_t`` flows from the sources through every dataflow channel; each
 instance aligns on it, performs its role-specific routine (rewire /
 migrate / load), and acknowledges the Handover Manager.  The execution
-object tracks acknowledgments, state-transfer rendezvous, and the timing
+object follows one reconfiguration from acceptance to its end: journal
+phase, acknowledgments, state-transfer rendezvous, and the timing
 breakdown reported in Table 1.
 """
 
-import itertools
+from collections import namedtuple
 
 from repro.engine.records import AlignedMarker
 
-_handover_ids = itertools.count(1)
+#: What a control-plane takeover does with a reconfiguration it finds in a
+#: phase: *abandon* it (nothing beyond spawned targets was touched), or
+#: *resolve* it (commit if every expected participant acked, otherwise
+#: roll back).
+ABANDON = "abandon"
+RESOLVE = "resolve"
+
+#: One journal record kind of the handover protocol: the phase the record
+#: moves its reconfiguration to (None: unchanged) and what a takeover does
+#: from that phase.
+Step = namedtuple("Step", "kind phase takeover")
+
+ACCEPTED = "handover.accepted"
+ACK = "handover.ack"
+COMMITTED = "handover.committed"
+ABORTED = "handover.aborted"
+
+#: The handover protocol, written once: every record kind a reconfiguration
+#: journals on its way to a commit, in protocol order.  ``ACK`` adds a
+#: participant and leaves the phase alone; ``COMMITTED`` closes the
+#: reconfiguration, as ``ABORTED`` does on the abort path.
+PHASE_TABLE = (
+    Step(ACCEPTED, "accepted", ABANDON),
+    Step("handover.prepared", "prepared", RESOLVE),
+    Step("handover.marker", "marker", RESOLVE),
+    Step("handover.state-shipped", "state-shipped", RESOLVE),
+    Step("handover.origin-drained", "origin-drained", RESOLVE),
+    Step("handover.target-resumed", "target-resumed", RESOLVE),
+    Step(ACK, None, None),
+    Step(COMMITTED, None, None),
+)
+#: Record kind -> the phase it sets.
+PHASE_SET_BY = {step.kind: step.phase for step in PHASE_TABLE if step.phase}
+#: Phase -> what a takeover does from it.
+TAKEOVER_FROM = {step.phase: step.takeover for step in PHASE_TABLE if step.phase}
 
 
 class HandoverAborted(Exception):
@@ -57,11 +92,6 @@ class HandoverMarker(AlignedMarker):
 
     def __repr__(self):
         return f"<HandoverMarker #{self.handover_id} t={self.timestamp:.3f}>"
-
-
-def next_handover_id():
-    """A fresh monotonically increasing handover id."""
-    return next(_handover_ids)
 
 
 class HandoverReport:
@@ -124,34 +154,56 @@ class HandoverReport:
 
 
 class HandoverExecution:
-    """Book-keeping of one in-flight handover."""
+    """One reconfiguration, from its acceptance to its commit or abort.
 
-    def __init__(self, sim, handover_id, plans, expected_acks, reason):
+    Created when the Handover Manager accepts the plans; :meth:`prepare`
+    fixes the participants and opens the Table 1 report once the
+    handover has an id and its targets exist.
+    """
+
+    def __init__(self, sim, plans, trigger_time):
         self.sim = sim
-        self.handover_id = handover_id
         self.plans = plans
-        self.expected = set(expected_acks)
+        self.trigger_time = trigger_time
+        #: Journal key of this reconfiguration (None without a control
+        #: group: nothing is journaled).
+        self.reconfig_id = None
+        #: Phase of the newest journaled transition (see PHASE_TABLE).
+        self.phase = PHASE_TABLE[0].phase
+        #: Set at ``prepared``.
+        self.handover_id = None
+        self.report = None
+        self.expected = set()
         self.acked = set()
-        self.report = HandoverReport(handover_id, reason)
+        #: The driver Process running the protocol (interrupted when the
+        #: control plane's leader is lost).
+        self.process = None
+        #: The journaled ``handover.accepted`` record; the driver blocks
+        #: until it commits.
+        self.accepted_record = None
         self.done = sim.event()
         self._state_ready = {}  # plan -> Event carrying (tables, cutoff_ts)
         #: Per-source emission frontier at rewire time: the exact boundary
         #: between records routed with the old and the new configuration
         #: (needed to roll a broken handover back without loss).
         self.source_frontiers = {}
-        #: Plans whose origin completed its routine (checkpoint taken,
-        #: ownership dropped); used by abort rollback.
-        self.origin_completed = {}
         #: id(plan) -> PrecopyOutcome of the plans that were pre-copied;
         #: origins read their cutoff seq here.
         self.precopy = {}
-        self.aborted = False
         #: The root trace span of this handover (NULL_SPAN when untraced);
         #: per-instance fetch/load spans nest under it.
         self.root_span = None
         #: Optional callback(instance_id) fired on every ack -- the
         #: Handover Manager journals acks through it under a control group.
         self.on_ack = None
+
+    def prepare(self, handover_id, expected_acks):
+        """Fix the handover id and the participants; open the report."""
+        self.handover_id = handover_id
+        self.expected = set(expected_acks)
+        self.report = HandoverReport(handover_id, self.plans[0].reason)
+        self.report.triggered_at = self.trigger_time
+        return self.report
 
     def state_ready_event(self, plan):
         """The rendezvous event carrying the plan's restore payload."""
@@ -184,7 +236,6 @@ class HandoverExecution:
 
     def abort(self, exception):
         """Fail the execution (a critical participant died)."""
-        self.aborted = True
         for event in self._state_ready.values():
             if not event.triggered:
                 event.defused = True

@@ -1,4 +1,4 @@
-"""The Handover Manager: coordination of in-flight reconfigurations (§3.3).
+"""The Handover Manager: the forward protocol of a reconfiguration (§3.3).
 
 The HM turns a set of :class:`HandoverPlan` objects into one marker-driven
 reconfiguration: it suspends checkpointing, prepares targets, injects the
@@ -6,22 +6,23 @@ handover marker at every source, brokers the state rendezvous between
 origins and targets, collects acknowledgments from every instance, and
 produces the scheduling / state-fetching / state-loading breakdown of
 Table 1.  What happens *before* the barrier -- the background pre-copy
-of a cold target -- lives in ``fluid.py``.
+of a cold target -- lives in ``fluid.py``; where a failure recovery
+restores from, in ``restore.py``; how a broken handover is undone, in
+``rollback.py``.
 """
 
 from repro.common.errors import ProtocolError
 from repro.faults.retry import with_retry
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
-from repro.engine.instance import (
-    ConsumerDrivenReplayFilter,
-    OperatorInstance,
-    ReplayFilter,
-    SourceInstance,
-)
-from repro.core import fluid, migration
+from repro.engine.instance import OperatorInstance, ReplayFilter, SourceInstance
+from repro.core import fluid, migration, restore, rollback
 from repro.core.handover import (
-    HandoverAborted,
+    ABORTED,
+    ACCEPTED,
+    ACK,
+    COMMITTED,
+    PHASE_SET_BY,
     HandoverExecution,
     HandoverMarker,
 )
@@ -30,18 +31,6 @@ from repro.core.journal import plan_to_dict
 #: Grace period for an in-flight checkpoint before a handover aborts it
 #: (it may be unable to complete after a failure).
 CHECKPOINT_DRAIN_TIMEOUT = 10.0
-
-#: Journal record kinds that advance an in-flight entry's phase, in
-#: protocol order.  Mirrored by journal replay so the live phase and the
-#: replayed phase agree by construction.
-_PHASE_OF = {
-    "handover.accepted": "accepted",
-    "handover.prepared": "prepared",
-    "handover.marker": "marker",
-    "handover.state-shipped": "state-shipped",
-    "handover.origin-drained": "origin-drained",
-    "handover.target-resumed": "target-resumed",
-}
 
 
 def _split_bytes(nbytes, cap):
@@ -55,53 +44,6 @@ def _split_bytes(nbytes, cap):
     return sizes
 
 
-class _Inflight:
-    """Control-plane view of one accepted-but-unresolved reconfiguration.
-
-    Tracked only under a control group; the takeover's decision table
-    walks these entries after the leader is deposed.
-    """
-
-    __slots__ = (
-        "reconfig_id",
-        "plans",
-        "trigger_time",
-        "phase",
-        "handover_id",
-        "execution",
-        "process",
-        "accepted_record",
-    )
-
-    def __init__(self, reconfig_id, plans, trigger_time):
-        self.reconfig_id = reconfig_id
-        self.plans = plans
-        self.trigger_time = trigger_time
-        self.phase = "accepted"
-        self.handover_id = None
-        self.execution = None
-        #: The driver Process running _execute (interrupted on crash).
-        self.process = None
-        #: The journaled ``handover.accepted`` record; the driver blocks
-        #: until it commits.
-        self.accepted_record = None
-
-    def to_state(self):
-        """This entry in journal-replay form (structural-equality oracle)."""
-        return {
-            "reason": self.plans[0].reason,
-            "trigger_time": self.trigger_time,
-            "plans": [plan_to_dict(plan) for plan in self.plans],
-            "phase": self.phase,
-            "handover": self.handover_id,
-            "acked": (
-                sorted(self.execution.acked)
-                if self.execution is not None
-                else []
-            ),
-        }
-
-
 class HandoverManager:
     """Coordinates handovers for one job."""
 
@@ -109,11 +51,13 @@ class HandoverManager:
         self.sim = sim
         self.job = job
         self.rhino = rhino
-        self._executions = {}  # handover_id -> HandoverExecution
+        #: Prepared executions by handover id: the ones markers and
+        #: machine failures reach.
+        self._executions = {}
         self.reports = []
-        #: Under a control group every protocol transition is journaled
-        #: and in-flight reconfigurations are tracked here.
-        self._inflight = {}  # reconfig_id -> _Inflight
+        #: Under a control group, every accepted reconfiguration until it
+        #: commits or aborts, by reconfig id (what a takeover resolves).
+        self._inflight = {}
         self._reconfig_ids = 0
         #: Per-manager handover ids: two runs in one interpreter must
         #: allocate identical ids (they appear in trace tags and journal
@@ -122,115 +66,84 @@ class HandoverManager:
 
     # -- journaling ------------------------------------------------------------
 
-    def _journal(self, entry, kind, **payload):
-        """Record a protocol transition (no-op without a control group).
+    def _journal(self, execution, kind, **payload):
+        """Journal one transition of an open reconfiguration.
 
-        Updates the live entry's phase at the same point the record is
-        appended, so journal replay reproduces the live phase exactly.
-        Returns the appended record (None when the journal is fenced) so
-        callers can wait on its quorum commit.
+        A no-op without a control group and once the reconfiguration has
+        closed.  The live phase moves where the record is appended, so
+        replay reproduces it exactly; a closing kind pops the
+        reconfiguration *before* the append, so a crash listener firing on
+        this very record observes it gone, exactly as replay will.
+        Returns the record (None when the journal is fenced).
         """
-        if entry is None:
+        if self._inflight.get(execution.reconfig_id) is not execution:
             return None
-        phase = _PHASE_OF.get(kind)
-        if phase is not None:
-            entry.phase = phase
-            if payload.get("handover") is not None:
-                entry.handover_id = payload["handover"]
+        if kind in (COMMITTED, ABORTED):
+            del self._inflight[execution.reconfig_id]
+        execution.phase = PHASE_SET_BY.get(kind, execution.phase)
         return self.rhino.control_group.journal.append(
-            kind, reconfig=entry.reconfig_id, **payload
+            kind, reconfig=execution.reconfig_id, **payload
         )
-
-    def _entry_of(self, execution):
-        for entry in self._inflight.values():
-            if entry.execution is execution:
-                return entry
-        return None
-
-    def _pop_entry(self, entry):
-        if entry is None:
-            return
-        self._inflight.pop(entry.reconfig_id, None)
-        if entry.execution is not None:
-            entry.execution.on_ack = None
 
     # -- public entry point ----------------------------------------------------
 
     def execute(self, plans, trigger_time=None):
         """Run one reconfiguration; returns a Process yielding the report."""
-        entry = None
-        if self.rhino.control_group is not None:
-            trigger_time = self.sim.now if trigger_time is None else trigger_time
-            self._reconfig_ids += 1
-            entry = _Inflight(self._reconfig_ids, plans, trigger_time)
-            self._inflight[entry.reconfig_id] = entry
-        process = self.sim.process(
-            self._execute(plans, trigger_time, entry), name="handover"
-        )
-        if entry is not None:
-            entry.process = process
-            # Journaled after the process exists: a crash listener firing
-            # on this very record can interrupt it cleanly.
-            entry.accepted_record = self._journal(
-                entry,
-                "handover.accepted",
-                reason=plans[0].reason,
-                trigger_time=trigger_time,
-                plans=[plan_to_dict(plan) for plan in plans],
-            )
-        return process
-
-    def _execute(self, plans, trigger_time, entry=None):
-        try:
-            result = yield from self._execute_inner(plans, trigger_time, entry)
-            return result
-        except Interrupt:
-            # A leader deposition killed this driver mid-protocol.  The
-            # entry stays in _inflight: the takeover's decision table owns
-            # its resolution after journal replay.
-            raise
-        except BaseException:
-            if entry is not None and entry.reconfig_id in self._inflight:
-                self._pop_entry(entry)
-                self._journal(
-                    entry, "handover.aborted", handover=entry.handover_id
-                )
-            raise
-        finally:
-            # Whatever happened -- success, abort, timeout, or a missing
-            # checkpoint -- periodic checkpointing must not stay suspended.
-            self.job.coordinator.resume()
-
-    def _execute_inner(self, plans, trigger_time, entry=None):
-        group = self.rhino.control_group
-        if entry is not None:
-            # Quorum commit-wait: a leader cut off from its majority stalls
-            # here -- before suspending the coordinator or touching any
-            # shared state -- so a deposed primary's accepted-but-never-
-            # committed handover leaves nothing behind to roll back.
-            yield from group.await_commit(entry.accepted_record)
         trigger_time = self.sim.now if trigger_time is None else trigger_time
+        execution = HandoverExecution(self.sim, plans, trigger_time)
+        if self.rhino.control_group is not None:
+            self._reconfig_ids += 1
+            execution.reconfig_id = self._reconfig_ids
+            self._inflight[execution.reconfig_id] = execution
+            execution.on_ack = lambda instance_id: self._journal(
+                execution, ACK, instance=instance_id
+            )
+        execution.process = self.sim.process(
+            self._execute(execution), name="handover"
+        )
+        # Journaled after the process exists: a crash listener firing on
+        # this very record can interrupt it cleanly.
+        execution.accepted_record = self._journal(
+            execution,
+            ACCEPTED,
+            reason=plans[0].reason,
+            trigger_time=trigger_time,
+            plans=[plan_to_dict(plan) for plan in plans],
+        )
+        return execution.process
+
+    def _execute(self, execution):
+        group = self.rhino.control_group
+        plans = execution.plans
+        trigger_time = execution.trigger_time
         config = self.rhino.config
         coordinator = self.job.coordinator
         tracer = self.sim.tracer
-        self._handover_ids += 1
-        handover_id = self._handover_ids
-        # The handover's trace: one root span spanning the whole
-        # reconfiguration plus two contiguous top-level phases --
-        # "scheduling" (trigger -> markers injected, Table 1's first row)
-        # and "transfer" (alignment + per-instance fetch/load + acks).
-        # Their durations sum exactly to the reported reconfiguration time.
-        root = tracer.span(
-            "handover",
-            track="handover",
-            start=trigger_time,
-            kind=plans[0].reason,
-            plans=len(plans),
-            handover=handover_id,
-        )
-        scheduling_span = None
-        transfer_span = None
+        root = scheduling_span = transfer_span = None
         try:
+            if execution.reconfig_id is not None:
+                # Quorum commit-wait: a leader cut off from its majority
+                # stalls here -- before suspending the coordinator or
+                # touching any shared state -- so a deposed primary's
+                # accepted-but-never-committed handover leaves nothing
+                # behind to roll back.
+                yield from group.await_commit(execution.accepted_record)
+            self._handover_ids += 1
+            handover_id = self._handover_ids
+            # The handover's trace: one root span spanning the whole
+            # reconfiguration plus two contiguous top-level phases --
+            # "scheduling" (trigger -> markers injected, Table 1's first
+            # row) and "transfer" (alignment + per-instance fetch/load +
+            # acks).  Their durations sum exactly to the reported
+            # reconfiguration time.
+            root = tracer.span(
+                "handover",
+                track="handover",
+                start=trigger_time,
+                kind=plans[0].reason,
+                plans=len(plans),
+                handover=handover_id,
+            )
             # A cold target gets its state pre-copied in the background
             # *before* the barrier, while origins keep processing.
             precopy_outcomes, precopied = yield from fluid.precopy(
@@ -248,9 +161,9 @@ class HandoverManager:
             )
             coordinator.suspend()
             # Let an in-flight checkpoint drain, but only briefly: after a
-            # failure its barriers may be unable to complete (e.g. they would
-            # need a replacement source this very handover will start), so the
-            # reconfiguration supersedes it.
+            # failure its barriers may be unable to complete (e.g. they
+            # would need a replacement source this very handover will
+            # start), so the reconfiguration supersedes it.
             waited = 0.0
             while coordinator.checkpoint_in_flight:
                 yield self.sim.timeout(0.25)
@@ -259,32 +172,23 @@ class HandoverManager:
                     coordinator.abort_all_pending()
                     break
 
-            reason = plans[0].reason
-            # Spawn rescale targets before the marker flows so their channels
-            # exist and post-marker records buffer at them.
+            # Spawn rescale targets before the marker flows so their
+            # channels exist and post-marker records buffer at them.
             for plan in plans:
                 if plan.spawn_target:
                     self.job.spawn_operator_instance(
                         plan.op_name, plan.target_index, plan.target_machine
                     )
-            # Modeled deployment/RPC latency of triggering the reconfiguration.
+            # Modeled deployment/RPC latency of triggering the
+            # reconfiguration.
             yield self.sim.timeout(config.scheduling_delay)
 
-            execution = HandoverExecution(
-                self.sim,
+            report = execution.prepare(
                 handover_id,
-                plans,
-                expected_acks=[
-                    i.instance_id
-                    for i in self.job.all_instances()
-                    if i.machine.alive
-                ],
-                reason=reason,
+                [i.instance_id for i in self.job.all_instances() if i.machine.alive],
             )
-            execution.report.triggered_at = trigger_time
             execution.root_span = root
             execution.precopy = precopy_outcomes
-            report = execution.report
             for outcome in precopy_outcomes.values():
                 report.precopy_bytes += outcome.precopy_bytes
                 report.precopy_chunks += outcome.precopy_chunks
@@ -302,20 +206,19 @@ class HandoverManager:
                     outcome.precopy_bytes + outcome.delta_bytes
                 )
             self._executions[handover_id] = execution
-            if entry is not None:
-                entry.execution = execution
-                execution.on_ack = lambda instance_id: self._journal(
-                    entry, "handover.ack", instance=instance_id
-                )
-                self._journal(entry, "handover.prepared", handover=handover_id)
+            self._journal(execution, "handover.prepared", handover=handover_id)
 
             restore_offsets = None
             source_filter = None
-            if reason == migration.FAILURE:
-                restore_offsets, source_filter = self._prepare_failure_state(
-                    plans, execution
+            if plans[0].reason == migration.FAILURE:
+                points = restore.publish(self.rhino, execution)
+                self._journal(
+                    execution, "handover.state-shipped", handover=handover_id
                 )
-            execution.report.scheduling_seconds = self.sim.now - scheduling_start
+                restore_offsets, source_filter = restore.replay_start(
+                    self.rhino, plans, points
+                )
+            report.scheduling_seconds = self.sim.now - scheduling_start
             scheduling_span.finish()
             transfer_span = tracer.span(
                 "handover.transfer",
@@ -339,15 +242,12 @@ class HandoverManager:
                         offset = restore_offsets.get(source.instance_id)
                         if offset is not None:
                             source.send_command("seek", offset)
-            self._journal(entry, "handover.marker", handover=handover_id)
+            self._journal(execution, "handover.marker", handover=handover_id)
 
             deadline = self.sim.timeout(config.handover_timeout)
             waiter = self.sim.any_of([execution.done, deadline])
             try:
                 winner = yield waiter
-            except HandoverAborted:
-                del self._executions[handover_id]
-                raise
             except Interrupt:
                 # The control plane died and killed this driver.  The
                 # waiter stays subscribed to ``execution.done``; if the
@@ -360,152 +260,48 @@ class HandoverManager:
             if winner is deadline and not execution.done.triggered:
                 raise ProtocolError(f"handover {handover_id} timed out")
 
-            # The handover is the epoch transition: commit the new logical
-            # key-group assignment so future deployments see it.
-            for plan in plans:
-                assignment = self.job.assignments[plan.op_name]
-                for lo, hi in plan.vnodes:
-                    assignment.reassign(lo, hi, plan.target_index)
-            # Pop before journaling: a crash listener firing on this very
-            # record must observe the entry gone, exactly as replay will.
-            self._pop_entry(entry)
-            self._journal(entry, "handover.committed", handover=handover_id)
+            self._commit(execution)
             coordinator.resume()
-            report = execution.report
-            transfer_span.finish(end=report.completed_at, acks=len(execution.acked))
+            transfer_span.finish(
+                end=report.completed_at, acks=len(execution.acked)
+            )
             root.finish(
                 end=report.completed_at,
                 status="completed",
                 migrated_bytes=report.migrated_bytes,
                 moved_state_bytes=report.moved_state_bytes,
             )
-            self.reports.append(report)
-            del self._executions[handover_id]
             return report
+        except Interrupt:
+            # A leader deposition killed this driver mid-protocol.  The
+            # execution stays in _inflight: the takeover resolves it after
+            # journal replay.
+            raise
+        except BaseException:
+            self._journal(execution, ABORTED, handover=execution.handover_id)
+            raise
         finally:
             # Abort, timeout, or a missing checkpoint: close open spans so
-            # the trace never ends with a dangling handover.
-            if transfer_span is not None and transfer_span.is_open:
-                transfer_span.finish(status="aborted")
-            if scheduling_span is not None and scheduling_span.is_open:
-                scheduling_span.finish(status="aborted")
-            if root.is_open:
-                root.finish(status="aborted")
+            # the trace never ends with a dangling handover, and never
+            # leave periodic checkpointing suspended.
+            for span in (transfer_span, scheduling_span, root):
+                if span is not None and span.is_open:
+                    span.finish(status="aborted")
+            coordinator.resume()
 
-    def _prepare_failure_state(self, plans, execution):
-        """Resolve the restore source for each failed instance.
-
-        The origin is dead, so state comes from the target worker's replica
-        (Rhino) or from the DFS (RhinoDFS); records since that checkpoint
-        replay from upstream backup (the returned source offsets).
-        """
-        coordinator = self.job.coordinator
-        if not coordinator.has_completed():
-            raise ProtocolError("failure recovery without a completed checkpoint")
-        restore_meta = []  # (cutoff, origin_progress) per plan
-        for plan in plans:
-            instance_id = f"{plan.op_name}[{plan.origin_index}]"
-            if self.rhino.config.use_dfs:
-                record = self._newest_record_with(instance_id)
-                checkpoint = record.checkpoints[instance_id]
-                cutoff = record.cutoffs.get(instance_id, record.triggered_at)
-                progress = checkpoint.origin_progress
-                execution.publish_state(
-                    plan, ("dfs", checkpoint), cutoff, origin_progress=progress
-                )
-            else:
-                holding = self.rhino.replicator.store_on(
-                    plan.target_machine
-                ).holding_of(instance_id)
-                cutoff = holding.cutoff_ts
-                if cutoff is None:
-                    record = self._completed_record(holding.checkpoint_id)
-                    cutoff = record.cutoffs.get(instance_id, record.triggered_at)
-                progress = holding.origin_progress
-                execution.publish_state(
-                    plan,
-                    ("local", holding.live_tables()),
-                    cutoff,
-                    origin_progress=progress,
-                )
-            restore_meta.append((cutoff, progress))
-        self._journal(
-            self._entry_of(execution),
-            "handover.state-shipped",
-            handover=execution.handover_id,
-        )
-        # Replay from the offsets of the restore checkpoint (the oldest
-        # checkpoint any plan restores from, to cover every migrated range).
-        record = self._oldest_restore_record(plans)
-        source_filter = self._build_source_filter(plans, restore_meta)
-        return dict(record.offsets), source_filter
-
-    def _build_source_filter(self, plans, restore_meta):
-        """A consumer-driven ingest filter for the upcoming replay.
-
-        Maps every key group to its consuming instances across all stateful
-        operators; recovered instances carry their restored checkpoint's
-        frontier, survivors are consulted live.
-        """
-        fresh = {}  # (op_name, group) -> (origin_progress, cutoff)
-        for plan, (cutoff, progress) in zip(plans, restore_meta):
+    def _commit(self, execution):
+        """The handover is the epoch transition: commit the new logical
+        key-group assignment so future deployments see it."""
+        for plan in execution.plans:
+            assignment = self.job.assignments[plan.op_name]
             for lo, hi in plan.vnodes:
-                for group in range(lo, hi):
-                    fresh[(plan.op_name, group)] = (progress, cutoff)
-        return self._consumer_filter_with_fresh(fresh)
-
-    def _newest_record_with(self, instance_id):
-        """Newest completed checkpoint that covers ``instance_id``.
-
-        A checkpoint completed between the failure and this handover
-        excludes the dead instance; its state must come from an older one.
-        """
-        for record in reversed(self.job.coordinator.completed):
-            if instance_id in record.checkpoints:
-                return record
-        raise ProtocolError(f"no completed checkpoint covers {instance_id}")
-
-    def _completed_record(self, checkpoint_id):
-        for record in self.job.coordinator.completed:
-            if record.checkpoint_id == checkpoint_id:
-                return record
-        raise ProtocolError(f"no completed checkpoint {checkpoint_id}")
-
-    def _oldest_restore_record(self, plans):
-        if self.rhino.config.use_dfs:
-            records = [
-                self._newest_record_with(f"{plan.op_name}[{plan.origin_index}]")
-                for plan in plans
-            ]
-            return min(records, key=lambda r: r.checkpoint_id)
-        ids = []
-        for plan in plans:
-            instance_id = f"{plan.op_name}[{plan.origin_index}]"
-            holding = self.rhino.replicator.store_on(
-                plan.target_machine
-            ).holding_of(instance_id)
-            # Handover checkpoints carry tuple ids and are not registered
-            # with the coordinator; replaying from an older periodic
-            # checkpoint's offsets is safe (the replay filters deduplicate).
-            if isinstance(holding.checkpoint_id, int):
-                ids.append(holding.checkpoint_id)
-        if not ids:
-            return self.job.coordinator.latest_completed()
-        # A holding may reference a checkpoint the coordinator aborted
-        # (replication ships at instance-ack time): replay from the newest
-        # *completed* checkpoint at or below it -- older offsets only mean
-        # more replay, which the filters deduplicate exactly.
-        target = min(ids)
-        eligible = [
-            r
-            for r in self.job.coordinator.completed
-            if r.checkpoint_id <= target
-        ]
-        if not eligible:
-            raise ProtocolError(
-                f"no completed checkpoint at or below {target} to replay from"
-            )
-        return eligible[-1]
+                assignment.reassign(lo, hi, plan.target_index)
+        report = execution.report
+        if report.completed_at is None:  # acked in full, then the leader died
+            report.completed_at = self.sim.now
+        self.reports.append(report)
+        del self._executions[execution.handover_id]
+        self._journal(execution, COMMITTED, handover=execution.handover_id)
 
     # -- the marker handler (runs inside each instance's main loop) -------------
 
@@ -525,8 +321,8 @@ class HandoverManager:
             yield from instance.broadcast(marker)
             return
         execution = self._executions.get(marker.handover_id)
-        if execution is None or execution.aborted:
-            # Unknown or aborted handover: the marker is inert.
+        if execution is None:
+            # Unknown, committed or aborted handover: the marker is inert.
             yield from instance.broadcast(marker)
             return
         # Step 3, upstream routine: rewire output channels of migrated
@@ -700,7 +496,7 @@ class HandoverManager:
             )
         fetch_span.finish(bytes=transferred)
         self._journal(
-            self._entry_of(execution),
+            execution,
             "handover.state-shipped",
             handover=execution.handover_id,
             instance=instance.instance_id,
@@ -719,11 +515,10 @@ class HandoverManager:
         for lo, hi in plan.vnodes:
             moved += instance.state.drop_groups(lo, hi)
         execution.report.moved_state_bytes += moved
-        execution.origin_completed[id(plan)] = checkpoint
         remaining = instance.state.owned_ranges()
         instance.logic.rebuild(remaining if remaining is not None else [])
         self._journal(
-            self._entry_of(execution),
+            execution,
             "handover.origin-drained",
             handover=execution.handover_id,
             instance=instance.instance_id,
@@ -810,7 +605,7 @@ class HandoverManager:
             execution.report.loading_seconds, self.sim.now - load_start
         )
         self._journal(
-            self._entry_of(execution),
+            execution,
             "handover.target-resumed",
             handover=execution.handover_id,
             instance=instance.instance_id,
@@ -829,8 +624,8 @@ class HandoverManager:
         :class:`HandoverAborted` and may retry.
         """
         for execution in list(self._executions.values()):
-            if self._critical_to(execution, machine) and not execution.aborted:
-                self._abort_execution(execution, machine)
+            if self._critical_to(execution, machine):
+                rollback.abort(self, execution, machine)
             else:
                 for instance in self.job.all_instances():
                     if instance.machine is machine:
@@ -846,8 +641,8 @@ class HandoverManager:
         caller simply re-plans and retries the aborted handover.
         """
         for execution in list(self._executions.values()):
-            if self._critical_to(execution, machine) and not execution.aborted:
-                self._abort_execution(execution, machine)
+            if self._critical_to(execution, machine):
+                rollback.abort(self, execution, machine)
 
     def _critical_to(self, execution, machine):
         """True when ``machine`` hosts the target or origin of a plan."""
@@ -860,172 +655,3 @@ class HandoverManager:
     def _origin_machine(self, plan):
         instance = self.job.instances.get((plan.op_name, plan.origin_index))
         return instance.machine if instance is not None else None
-
-    def _abort_execution(self, execution, machine):
-        if self.sim.tracer.enabled:
-            self.sim.tracer.event(
-                "handover.abort",
-                track="handover",
-                handover=execution.handover_id,
-                machine=machine.name,
-            )
-        marker_id = ("handover", execution.handover_id)
-        # 1. Stop the epoch transition: swallow in-flight markers and
-        #    release every blocked channel.
-        for instance in self.job.all_instances():
-            cancel = getattr(instance, "cancel_alignment", None)
-            if cancel is not None:
-                cancel(marker_id)
-        # 2. Roll every plan back to the old configuration.
-        for plan in execution.plans:
-            self._rollback_plan(plan, execution)
-        # 3. Remove targets spawned for this handover.
-        for plan in execution.plans:
-            if plan.spawn_target:
-                self.job.remove_instance(plan.op_name, plan.target_index)
-        # 4. Replay the diverted epoch boundary from upstream backup.
-        self._replay_aborted_gap(execution)
-        self.job.coordinator.resume()
-        entry = self._entry_of(execution)
-        if entry is not None:
-            # Pop before journaling (see the commit path).
-            self._pop_entry(entry)
-            self._journal(
-                entry,
-                "handover.aborted",
-                handover=execution.handover_id,
-                machine=machine.name,
-            )
-        execution.abort(HandoverAborted(execution.handover_id, machine))
-
-    def _rollback_plan(self, plan, execution):
-        origin = self.job.instances.get((plan.op_name, plan.origin_index))
-        # A failure recovery has no origin to fall back to: the instance at
-        # the origin index is the *empty replacement* (also the target).
-        # It must keep its hold-all filter until a retry restores the
-        # checkpoint; an origin-style filter would let records from
-        # already-rewound sources flow into the empty state.
-        origin_alive = (
-            not plan.replace_origin
-            and origin is not None
-            and origin.machine.alive
-            and getattr(origin, "state", None) is not None
-        )
-        if origin_alive:
-            for lo, hi in plan.vnodes:
-                origin.state.adopt_groups(lo, hi)
-            origin.logic.absorb(plan.vnodes)
-            # Records diverted to the dead target replay from the captured
-            # source frontiers; everything older is already in our state.
-            # The default frontier is the *live* progress dict (not a
-            # snapshot): a replayed copy can race its still-in-flight
-            # original, and whichever arrives second must read as seen.
-            origin.replay_filter = ReplayFilter(
-                self.job.config.num_key_groups,
-                float("-inf"),
-                origin_progress=origin.origin_progress,
-                fresh_ranges=plan.vnodes,
-                fresh_origin_progress=dict(execution.source_frontiers),
-                # A source absent from the frontiers never rewired: all of
-                # its records reached us, so treat them as seen.
-                fresh_cutoff=float("inf"),
-                epoch=self.sim.now,
-            )
-            origin.restart_frontier()
-        target = self.job.instances.get((plan.op_name, plan.target_index))
-        if (
-            not plan.spawn_target
-            and target is not None
-            and target is not origin
-            and target.machine.alive
-            and getattr(target, "state", None) is not None
-        ):
-            # The broken epoch diverted records toward the target.  When
-            # the abort was caused by a *partition* (not a death) the
-            # target is still running and the data plane still holds those
-            # batches -- they will arrive once the network heals, but the
-            # origin replays the same records from upstream backup.  Mark
-            # everything created up to the abort as seen for the
-            # rolled-back groups; records of a later successful retry are
-            # newer and pass.
-            target.replay_filter = ReplayFilter(
-                self.job.config.num_key_groups,
-                float("-inf"),
-                origin_progress=target.origin_progress,  # live frontier
-                fresh_ranges=plan.vnodes,
-                fresh_cutoff=self.sim.now,
-                epoch=self.sim.now,
-            )
-        # Rewire every producer back to the origin (an aborted epoch).
-        for runtime in self.job.edge_runtimes(downstream=plan.op_name):
-            for router in runtime.routers.values():
-                for lo, hi in plan.vnodes:
-                    router.reassign(lo, hi, plan.origin_index)
-
-    def _replay_aborted_gap(self, execution):
-        coordinator = self.job.coordinator
-        if not coordinator.has_completed():
-            return
-        # The replay below re-emits everything consumers have not yet
-        # processed; batches stuck behind a partition must not ALSO be
-        # delivered once the network heals.
-        self.job.fabric.drop_unreachable()
-        # A replayed copy can race its still-in-flight original toward a
-        # *bystander* consumer; give every unprotected stateful instance a
-        # dedup filter over its live progress frontier so whichever copy
-        # arrives second is dropped.
-        plan_ids = set()
-        for plan in execution.plans:
-            plan_ids.add(f"{plan.op_name}[{plan.origin_index}]")
-            plan_ids.add(f"{plan.op_name}[{plan.target_index}]")
-        for instance in self.job.stateful_instances():
-            if (
-                instance.instance_id in plan_ids
-                or not instance.machine.alive
-                or instance.replay_filter is not None
-            ):
-                continue
-            instance.replay_filter = ReplayFilter(
-                self.job.config.num_key_groups,
-                float("-inf"),
-                origin_progress=instance.origin_progress,  # live frontier
-                epoch=self.sim.now,
-            )
-        record = coordinator.completed[-1]
-        fresh = {}
-        for plan in execution.plans:
-            origin = self.job.instances.get((plan.op_name, plan.origin_index))
-            if origin is None or not origin.machine.alive:
-                continue  # a dead origin is handled by failure recovery
-            for lo, hi in plan.vnodes:
-                for group in range(lo, hi):
-                    fresh[(plan.op_name, group)] = (
-                        dict(execution.source_frontiers),
-                        float("inf"),  # un-rewired sources diverted nothing
-                    )
-        source_filter = self._consumer_filter_with_fresh(fresh)
-        for source in self.job.source_instances():
-            if not source.machine.alive:
-                continue
-            source.replay_filter = source_filter
-            offset = record.offsets.get(source.instance_id)
-            if offset is not None:
-                source.send_command("seek", min(offset, source.cursor.offset))
-
-    def _consumer_filter_with_fresh(self, fresh):
-        num_groups = self.job.config.num_key_groups
-        consumers_by_group = {}
-        for op_name, assignment in self.job.assignments.items():
-            for group in range(num_groups):
-                instance = self.job.instances.get(
-                    (op_name, assignment.owner_of(group))
-                )
-                if instance is None or instance.state is None:
-                    continue
-                progress, cutoff = fresh.get((op_name, group), (None, None))
-                consumers_by_group.setdefault(group, []).append(
-                    (instance, progress, cutoff)
-                )
-        return ConsumerDrivenReplayFilter(
-            num_groups, consumers_by_group, epoch=self.sim.now
-        )

@@ -7,10 +7,8 @@ logs every transition of that state as a small typed record:
 
 * ``checkpoint.triggered`` / ``checkpoint.completed`` / ``checkpoint.aborted``
 * ``groups.assigned`` (the full replica-group map, last-wins)
-* ``handover.accepted`` / ``handover.prepared`` / ``handover.marker`` /
-  ``handover.state-shipped`` / ``handover.origin-drained`` /
-  ``handover.target-resumed`` / ``handover.ack`` /
-  ``handover.committed`` / ``handover.aborted``
+* the ``handover.*`` kinds of :data:`~repro.core.handover.PHASE_TABLE`
+  plus ``handover.aborted``
 * ``detector.verdict`` (failure-detector suspicion flips)
 * ``control.epoch`` / ``control.member-commit`` (the group's own leader
   epoch and configuration; every ``member-commit`` after the group's
@@ -38,16 +36,7 @@ import json
 import zlib
 
 from repro.common.errors import CorruptionError
-
-#: Record kinds that advance an in-flight reconfiguration's phase.
-_PHASE_KINDS = {
-    "handover.accepted": "accepted",
-    "handover.prepared": "prepared",
-    "handover.marker": "marker",
-    "handover.state-shipped": "state-shipped",
-    "handover.origin-drained": "origin-drained",
-    "handover.target-resumed": "target-resumed",
-}
+from repro.core.handover import ABORTED, ACCEPTED, ACK, COMMITTED, PHASE_SET_BY
 
 
 def plan_to_dict(plan):
@@ -378,26 +367,26 @@ class ControlJournal:
                     instance_id: list(chain)
                     for instance_id, chain in p["groups"].items()
                 }
-            elif kind == "handover.accepted":
+            elif kind == ACCEPTED:
                 in_flight[p["reconfig"]] = {
                     "reason": p["reason"],
                     "trigger_time": p["trigger_time"],
                     "plans": [dict(d) for d in p["plans"]],
-                    "phase": "accepted",
+                    "phase": PHASE_SET_BY[kind],
                     "handover": None,
                     "acked": [],
                 }
-            elif kind in _PHASE_KINDS:
+            elif kind in PHASE_SET_BY:
                 entry = in_flight.get(p["reconfig"])
                 if entry is not None:
-                    entry["phase"] = _PHASE_KINDS[kind]
+                    entry["phase"] = PHASE_SET_BY[kind]
                     if p.get("handover") is not None:
                         entry["handover"] = p["handover"]
-            elif kind == "handover.ack":
+            elif kind == ACK:
                 entry = in_flight.get(p["reconfig"])
                 if entry is not None and p["instance"] not in entry["acked"]:
                     entry["acked"].append(p["instance"])
-            elif kind in ("handover.committed", "handover.aborted"):
+            elif kind in (COMMITTED, ABORTED):
                 in_flight.pop(p["reconfig"], None)
             elif kind == "detector.verdict":
                 if p["verdict"] == "suspect":
@@ -445,10 +434,17 @@ class ControlJournal:
                 rhino.replication_manager.groups.items()
             )
         }
-        for reconfig_id, entry in sorted(
+        for reconfig_id, execution in sorted(
             rhino.handover_manager._inflight.items()
         ):
-            state.in_flight[reconfig_id] = entry.to_state()
+            state.in_flight[reconfig_id] = {
+                "reason": execution.plans[0].reason,
+                "trigger_time": execution.trigger_time,
+                "plans": [plan_to_dict(plan) for plan in execution.plans],
+                "phase": execution.phase,
+                "handover": execution.handover_id,
+                "acked": sorted(execution.acked),
+            }
         group = rhino.control_group
         state.suspected = sorted(group.failover.suspected)
         state.epoch = group.epoch

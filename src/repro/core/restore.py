@@ -1,0 +1,103 @@
+"""Where a failure recovery restores from, and where its replay starts.
+
+A failed instance's origin is dead, so its state comes from the target
+worker's replica (Rhino) or from the DFS (RhinoDFS), and the records
+since that checkpoint replay from upstream backup (§4.1.2, §4.2).
+"""
+
+from repro.common.errors import ProtocolError
+from repro.core.rollback import consumer_filter
+
+
+def publish(rhino, execution):
+    """Hand each plan's target its restore payload.
+
+    Returns each plan's restore point: (cutoff, origin_progress, source),
+    where the source is the DFS checkpoint's record or the replica
+    holding's checkpoint id.
+    """
+    coordinator = rhino.job.coordinator
+    if not coordinator.has_completed():
+        raise ProtocolError("failure recovery without a completed checkpoint")
+    points = []
+    for plan in execution.plans:
+        instance_id = f"{plan.op_name}[{plan.origin_index}]"
+        if rhino.config.use_dfs:
+            source = _newest_record_with(coordinator, instance_id)
+            checkpoint = source.checkpoints[instance_id]
+            cutoff = source.cutoffs.get(instance_id, source.triggered_at)
+            progress = checkpoint.origin_progress
+            payload = ("dfs", checkpoint)
+        else:
+            holding = rhino.replicator.store_on(plan.target_machine).holding_of(
+                instance_id
+            )
+            source = holding.checkpoint_id
+            cutoff = holding.cutoff_ts
+            if cutoff is None:
+                record = _completed_record(coordinator, source)
+                cutoff = record.cutoffs.get(instance_id, record.triggered_at)
+            progress = holding.origin_progress
+            payload = ("local", holding.live_tables())
+        execution.publish_state(plan, payload, cutoff, origin_progress=progress)
+        points.append((cutoff, progress, source))
+    return points
+
+
+def replay_start(rhino, plans, points):
+    """The source offsets and source filter of the upcoming replay.
+
+    Replay starts at the offsets of the oldest checkpoint any plan
+    restores from, to cover every migrated range.  The filter maps every
+    key group to its consuming instances: recovered ones carry their
+    restored checkpoint's frontier, survivors are consulted live.
+    """
+    record = _oldest_restore_record(rhino, [source for _, _, source in points])
+    fresh = {}  # (op_name, group) -> (origin_progress, cutoff)
+    for plan, (cutoff, progress, _source) in zip(plans, points):
+        for lo, hi in plan.vnodes:
+            for group in range(lo, hi):
+                fresh[(plan.op_name, group)] = (progress, cutoff)
+    return dict(record.offsets), consumer_filter(rhino.job, fresh, rhino.sim.now)
+
+
+def _newest_record_with(coordinator, instance_id):
+    """Newest completed checkpoint that covers ``instance_id``.
+
+    A checkpoint completed between the failure and this handover
+    excludes the dead instance; its state must come from an older one.
+    """
+    for record in reversed(coordinator.completed):
+        if instance_id in record.checkpoints:
+            return record
+    raise ProtocolError(f"no completed checkpoint covers {instance_id}")
+
+
+def _completed_record(coordinator, checkpoint_id):
+    for record in coordinator.completed:
+        if record.checkpoint_id == checkpoint_id:
+            return record
+    raise ProtocolError(f"no completed checkpoint {checkpoint_id}")
+
+
+def _oldest_restore_record(rhino, sources):
+    coordinator = rhino.job.coordinator
+    if rhino.config.use_dfs:
+        return min(sources, key=lambda r: r.checkpoint_id)
+    # Handover checkpoints carry tuple ids and are not registered with the
+    # coordinator; replaying from an older periodic checkpoint's offsets is
+    # safe (the replay filters deduplicate).
+    ids = [source for source in sources if isinstance(source, int)]
+    if not ids:
+        return coordinator.latest_completed()
+    # A holding may reference a checkpoint the coordinator aborted
+    # (replication ships at instance-ack time): replay from the newest
+    # *completed* checkpoint at or below it -- older offsets only mean
+    # more replay, which the filters deduplicate exactly.
+    target = min(ids)
+    eligible = [r for r in coordinator.completed if r.checkpoint_id <= target]
+    if not eligible:
+        raise ProtocolError(
+            f"no completed checkpoint at or below {target} to replay from"
+        )
+    return eligible[-1]

@@ -20,6 +20,7 @@ import os
 
 from repro.cluster import Cluster, FailureDetector
 from repro.core.api import Rhino, RhinoConfig
+from repro.core.handover import PHASE_TABLE
 from repro.engine.graph import StreamGraph
 from repro.engine.job import Job, JobConfig
 from repro.engine.operators import StatefulCounterLogic
@@ -529,16 +530,10 @@ def run_chaos_sweep(seeds, **kwargs):
 
 
 #: Journal record kinds the control-quorum sweep lands its kills on --
-#: every phase of a handover, the replica-map baseline, and the membership
-#: hand-off record itself (a leader crash mid-membership-change).
-CONTROL_SWEEP_PHASES = (
-    "handover.accepted",
-    "handover.prepared",
-    "handover.marker",
-    "handover.state-shipped",
-    "handover.target-resumed",
-    "handover.ack",
-    "handover.committed",
+#: every kind the planned rebalance journals, the replica-map baseline, and
+#: the membership hand-off record itself (a leader crash
+#: mid-membership-change).
+CONTROL_SWEEP_PHASES = tuple(step.kind for step in PHASE_TABLE) + (
     "groups.assigned",
     "control.member-commit",
 )
@@ -555,8 +550,9 @@ def run_control_quorum_sweep(
     """Minority-failure sweep against an N-replica control plane.
 
     Each seed kills a minority of the group (leader first) at a
-    different journal record kind, rotating through every handover phase
-    and -- every third seed -- overlapping a membership hand-off; kill
+    different journal record kind (:data:`CONTROL_SWEEP_PHASES`), rotating
+    through every handover phase and -- every third seed -- overlapping a
+    membership hand-off; kill
     sizes rotate through every minority up to
     ``(replicas - 1) // 2``.  A planned rebalance guarantees handover
     records exist for the kills to land on.  Beyond the per-run

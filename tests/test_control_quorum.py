@@ -28,6 +28,7 @@ from repro.common.errors import (
     SimulationError,
     StaleEpochError,
 )
+from repro.core.handover import PHASE_TABLE
 from repro.experiments.scenarios.chaos import (
     CONTROL_SWEEP_PHASES,
     run_chaos,
@@ -86,19 +87,16 @@ def assert_quorum_recovered(result):
 
 # -- the tentpole end to end: minority kills at protocol phases ---------------
 
-#: Handover phases the sweep rotates through (the other two entries of
-#: CONTROL_SWEEP_PHASES are not handover transitions).
-HANDOVER_PHASES = tuple(
-    phase for phase in CONTROL_SWEEP_PHASES if phase.startswith("handover.")
+#: Every record kind a handover journals on its way to a commit.
+HANDOVER_PHASES = tuple(step.kind for step in PHASE_TABLE)
+#: A failure recovery has no live origin to drain.
+RECOVERY_PHASES = tuple(
+    kind for kind in HANDOVER_PHASES if kind != "handover.origin-drained"
 )
 
 
 class TestQuorumPhaseKills:
-    # origin-drained needs a live origin: only planned handovers
-    # (rebalance) drain one, so only this half of the matrix can reach it.
-    @pytest.mark.parametrize(
-        "record_kind", HANDOVER_PHASES + ("handover.origin-drained",)
-    )
+    @pytest.mark.parametrize("record_kind", HANDOVER_PHASES)
     def test_leader_kill_at_phase(self, record_kind):
         result = run_chaos(
             3,
@@ -116,7 +114,7 @@ class TestQuorumPhaseKills:
         assert stats["committed_seq"] > 0
         assert len(stats["members"]) == 3
 
-    @pytest.mark.parametrize("record_kind", HANDOVER_PHASES)
+    @pytest.mark.parametrize("record_kind", RECOVERY_PHASES)
     def test_leader_kill_during_recovery_handover(self, record_kind):
         # Seed 3's crash-restart plan kills a worker whose recovery drives
         # a failure handover (no live origin, an empty replacement target).
