@@ -13,17 +13,19 @@ from repro.core.api import Rhino, RhinoConfig
 from repro.engine.checkpointing import DFSCheckpointStorage
 
 
-def make_rhinodfs(job, cluster, dfs, prefix="/rhinodfs", **config_overrides):
+def make_rhinodfs(job, cluster, dfs, **config_overrides):
     """Attach a RhinoDFS runtime to ``job``.
 
     The job must have been created with a
     :class:`DFSCheckpointStorage` so periodic checkpoints land on the DFS;
-    this helper builds one when the job still uses local storage.
+    this helper builds one (under ``/rhinodfs``) when the job still uses
+    local storage.  The storage, as ``RhinoConfig.dfs_storage``, is what
+    selects the DFS path.
     """
     storage = job.checkpoint_storage
     if not isinstance(storage, DFSCheckpointStorage):
-        storage = DFSCheckpointStorage(job.sim, dfs, prefix=prefix)
+        storage = DFSCheckpointStorage(job.sim, dfs, prefix="/rhinodfs")
         job.checkpoint_storage = storage
         job.coordinator.storage = storage
-    config = RhinoConfig(use_dfs=True, dfs_storage=storage, **config_overrides)
+    config = RhinoConfig(dfs_storage=storage, **config_overrides)
     return Rhino(job, cluster, config).attach()

@@ -17,6 +17,23 @@ GBIT = 1_000_000_000 / 8
 _SIZE_STEPS = [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
 
 
+def split_bytes(nbytes, cap):
+    """Split a byte count into chunk sizes of at most ``cap``.
+
+    >>> split_bytes(5, 2)
+    [2, 2, 1]
+    >>> split_bytes(0, 2)
+    []
+    """
+    sizes = []
+    remaining = nbytes
+    while remaining > 0:
+        size = min(cap, remaining)
+        sizes.append(size)
+        remaining -= size
+    return sizes
+
+
 def format_bytes(nbytes):
     """Render a byte count as a short human-readable string.
 

@@ -35,6 +35,7 @@ from repro.common.errors import ProtocolError
 from repro.common.rng import make_rng
 from repro.engine.instance import ReplayFilter
 from repro.faults.retry import RetryPolicy
+from repro.sim.kernel import Interrupt
 from repro.core import migration
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
@@ -57,7 +58,6 @@ class RhinoConfig:
         self,
         *,
         replication_factor=1,
-        use_dfs=False,
         dfs_storage=None,
         block_size=64 * 1024 * 1024,
         credit_window_bytes=256 * 1024 * 1024,
@@ -69,9 +69,6 @@ class RhinoConfig:
         retry_seed=0,
         handover_retry_attempts=1,
         anti_entropy_interval=None,
-        handover_chunk_bytes=64 * 1024 * 1024,
-        handover_delta_threshold_bytes=1 * 1024 * 1024,
-        handover_migration_rate=None,
     ):
         if replication_factor < 0:
             raise ProtocolError(
@@ -83,8 +80,6 @@ class RhinoConfig:
             raise ProtocolError(
                 f"credit_window_bytes must be > 0, got {credit_window_bytes}"
             )
-        if use_dfs and dfs_storage is None:
-            raise ProtocolError("use_dfs requires a dfs_storage")
         for name, value in (
             ("scheduling_delay", scheduling_delay),
             ("local_fetch_seconds", local_fetch_seconds),
@@ -93,9 +88,7 @@ class RhinoConfig:
             if value < 0:
                 raise ProtocolError(f"{name} must be >= 0, got {value}")
         if handover_timeout <= 0:
-            raise ProtocolError(
-                f"handover_timeout must be > 0, got {handover_timeout}"
-            )
+            raise ProtocolError(f"handover_timeout must be > 0, got {handover_timeout}")
         if retry_attempts < 1 or handover_retry_attempts < 1:
             raise ProtocolError("retry attempt counts must be >= 1")
         if anti_entropy_interval is not None and anti_entropy_interval <= 0:
@@ -103,26 +96,11 @@ class RhinoConfig:
                 f"anti_entropy_interval must be > 0 or None, "
                 f"got {anti_entropy_interval}"
             )
-        if handover_chunk_bytes <= 0:
-            raise ProtocolError(
-                f"handover_chunk_bytes must be > 0, got {handover_chunk_bytes}"
-            )
-        if handover_delta_threshold_bytes < 0:
-            raise ProtocolError(
-                f"handover_delta_threshold_bytes must be >= 0, "
-                f"got {handover_delta_threshold_bytes}"
-            )
-        if handover_migration_rate is not None and handover_migration_rate <= 0:
-            raise ProtocolError(
-                f"handover_migration_rate must be > 0 or None, "
-                f"got {handover_migration_rate}"
-            )
         #: Secondary copies per instance.  1 mirrors the evaluation's
         #: "local primary + one remote secondary" (HDFS replication 2).
         self.replication_factor = replication_factor
-        #: RhinoDFS variant: state moves through the DFS instead of the
-        #: state-centric replica chains.
-        self.use_dfs = use_dfs
+        #: RhinoDFS variant when set: state moves through this DFS
+        #: checkpoint storage instead of the state-centric replica chains.
         self.dfs_storage = dfs_storage
         self.block_size = block_size
         self.credit_window_bytes = credit_window_bytes
@@ -144,18 +122,6 @@ class RhinoConfig:
         #: Period of the background reconciler restoring replica
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
-        # Fluid handover onto a cold target (core/fluid.py): chunked
-        # background pre-copy, bounded delta catch-up rounds, and only the
-        # final small delta behind the barrier.
-        #: Transfer-chunk byte cap (per key group by default; one group
-        #: larger than the cap splits into sub-chunks).
-        self.handover_chunk_bytes = handover_chunk_bytes
-        #: Stop catching up once the remaining dirty bytes drop below this
-        #: (the rest ships under the barrier).
-        self.handover_delta_threshold_bytes = handover_delta_threshold_bytes
-        #: Migration bandwidth budget in bytes/second shared by all
-        #: pre-copy/delta streams of a handover (None = unpaced).
-        self.handover_migration_rate = handover_migration_rate
 
     @classmethod
     def from_dict(cls, mapping):
@@ -306,7 +272,7 @@ class Rhino:
             return self
         self._attached = True
         self.job.marker_handlers[HandoverMarker] = self.handover_manager.on_marker
-        if not self.config.use_dfs:
+        if self.dfs_storage is None:
             listeners = self.job.coordinator.instance_checkpoint_listeners
             if self._on_instance_checkpoint not in listeners:
                 listeners.append(self._on_instance_checkpoint)
@@ -378,13 +344,13 @@ class Rhino:
         its verdicts are journaled too, so a new leader inherits the
         suspicion state.  Returns the ControlGroup.
 
-        Not supported with ``use_dfs``: the DFS variant's restore path
-        reads per-instance checkpoint handles out of the coordinator's
+        Not supported with a ``dfs_storage``: the DFS variant's restore
+        path reads per-instance checkpoint handles out of the coordinator's
         completed records, which only journal metadata (offsets/cutoffs).
         """
-        if self.config.use_dfs:
+        if self.dfs_storage is not None:
             raise ProtocolError(
-                "a control group is not supported with use_dfs"
+                "a control group is not supported with a dfs_storage"
             )
         if self.control_group is not None:
             raise ProtocolError("control plane already configured")
@@ -683,27 +649,16 @@ class Rhino:
         # A replication repair queued under a deposed leader must not
         # rewrite chains the new leader already owns.
         self._check_fence(token)
-        primaries = {
-            i.instance_id: i.machine for i in self.job.stateful_instances()
-        }
+        primaries = {i.instance_id: i.machine for i in self.job.stateful_instances()}
         repairs = self.replication_manager.repair_after_failure(
             failed_machine, primaries
         )
         self._journal_groups()
-        copies = []
-        for instance_id, replacement in repairs:
-            source = self._replica_source(instance_id, exclude=replacement)
-            if source is not None:
-                copy = self.replicator.bulk_copy(source, replacement, instance_id)
-            else:
-                # The failed worker held the only replica: re-replicate
-                # from the live primary.
-                primary = self._live_primary(instance_id)
-                if primary is None:
-                    continue
-                copy = self.replicator.bulk_copy_from_primary(primary, replacement)
-            copy.defused = True
-            copies.append(copy)
+        copies = [
+            self._full_copy(instance_id, replacement, self._live_primary(instance_id))
+            for instance_id, replacement in repairs
+        ]
+        copies = [copy for copy in copies if copy is not None]
         if copies:
             yield self.sim.all_of(copies)
 
@@ -714,13 +669,25 @@ class Rhino:
                 return instance
         return None
 
-    def _replica_source(self, instance_id, exclude):
+    def _full_copy(self, instance_id, target, primary):
+        """Start copying a full replica of ``instance_id`` onto ``target``.
+
+        The source is a complete replica on a live peer, else the live
+        ``primary`` (the lost worker held the only replica).  Returns the
+        copy process, or None when there is neither.
+        """
         for machine, store in self.replicator.stores.items():
-            if machine.alive and machine is not exclude and store.has_complete(
+            if machine.alive and machine is not target and store.has_complete(
                 instance_id
             ):
-                return machine
-        return None
+                copy = self.replicator.bulk_copy(machine, target, instance_id)
+                break
+        else:
+            if primary is None:
+                return None
+            copy = self.replicator.bulk_copy_from_primary(primary, target)
+        copy.defused = True
+        return copy
 
     def _plan_rescale(self, op_name, add_instances, machines=None, share=0.5):
         """Vertical/horizontal scale-out: add instances, each taking a
@@ -886,8 +853,6 @@ class Rhino:
             yield from self._reconcile_pass()
 
     def _reconcile_pass(self):
-        from repro.sim.kernel import Interrupt
-
         for instance_id, group in sorted(
             self.replication_manager.groups.items()
         ):
@@ -902,12 +867,7 @@ class Rhino:
                 key = (instance_id, member.name)
                 if key in self._reconciling:
                     continue
-                source = self._replica_source(instance_id, exclude=member)
-                if source is not None:
-                    copy = self.replicator.bulk_copy(source, member, instance_id)
-                else:
-                    copy = self.replicator.bulk_copy_from_primary(primary, member)
-                copy.defused = True
+                copy = self._full_copy(instance_id, member, primary)
                 self._reconciling.add(key)
                 if self.sim.tracer.enabled:
                     self.sim.tracer.event(

@@ -11,8 +11,6 @@ goes straight to the barrier.
 * :func:`plan_chunks` splits a plan's migrated key-group ranges into
   :class:`StateChunk` units -- per key group by default, packed up to a
   byte cap, with oversized single groups split into sub-chunks.
-* :class:`TokenBucket` paces migration streams on the virtual clock so
-  background copies never take more than their bandwidth budget.
 * :func:`precopy` snapshots each cold plan's origin, ships the snapshot
   in chunks over parallel streams, and runs bounded delta catch-up
   rounds; its :class:`PrecopyOutcome` tells the barrier how little is
@@ -33,6 +31,12 @@ from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
 PARALLEL_STREAMS = 4
 #: Maximum delta catch-up rounds before taking the barrier anyway.
 DELTA_ROUNDS = 3
+#: Transfer-chunk byte cap, before the barrier and across it (per key
+#: group by default; one group larger than the cap splits into sub-chunks).
+CHUNK_BYTES = 64 * 1024 * 1024
+#: Stop catching up once the remaining dirty bytes drop to this (the rest
+#: ships under the barrier).
+DELTA_THRESHOLD_BYTES = 1 * 1024 * 1024
 
 
 class StateChunk:
@@ -108,37 +112,6 @@ def plan_chunks(sizes_by_group, ranges, chunk_bytes):
     return chunks
 
 
-class TokenBucket:
-    """A deficit token bucket on the virtual clock.
-
-    ``acquire(nbytes)`` debits the bucket and, when it goes negative,
-    sleeps exactly long enough for the refill to catch up -- so a stream
-    of acquires averages ``rate`` bytes/second without busy polling.
-    Refill happens lazily at acquire time; the deficit carries over, so
-    pacing is exact over any window regardless of chunk sizes.
-    """
-
-    __slots__ = ("sim", "rate", "burst", "tokens", "last")
-
-    def __init__(self, sim, rate, burst=None):
-        if rate <= 0:
-            raise SimulationError(f"token bucket rate must be > 0, got {rate}")
-        self.sim = sim
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else float(rate)
-        self.tokens = self.burst
-        self.last = sim.now
-
-    def acquire(self, nbytes):
-        """A ``yield from``-able generator debiting ``nbytes``."""
-        now = self.sim.now
-        self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
-        self.last = now
-        self.tokens -= nbytes
-        if self.tokens < 0:
-            yield self.sim.timeout(-self.tokens / self.rate)
-
-
 class PrecopyOutcome:
     """One plan's background-phase accounting, consumed at cutover.
 
@@ -197,7 +170,7 @@ def precopy(rhino, handover_id, plans, root):
     paid: only the last delta is missing).
     """
     sim, job = rhino.sim, rhino.job
-    if rhino.config.use_dfs or plans[0].reason == migration.FAILURE:
+    if rhino.dfs_storage is not None or plans[0].reason == migration.FAILURE:
         return {}, False
     run = _Precopy(rhino, handover_id, root)
     cold = []  # (origin, plan) of every plan whose target is cold
@@ -250,14 +223,11 @@ class _Precopy:
         self.sim = rhino.sim
         self.handover_id = handover_id
         self.root = root
-        rate = rhino.config.handover_migration_rate
-        #: Paces every stream of every plan; None = unpaced.
-        self.bucket = TokenBucket(self.sim, rate) if rate is not None else None
         #: id(plan) -> PrecopyOutcome of the plans that did not degrade.
         self.outcomes = {}
 
     def plan(self, plan, origin):
-        sim, config, handover_id = self.sim, self.rhino.config, self.handover_id
+        sim, handover_id = self.sim, self.handover_id
         store = origin.state.store
         target_machine = plan.target_machine
         replica = self.rhino.replicator.store_on(target_machine)
@@ -288,7 +258,7 @@ class _Precopy:
                     size = sum(t.bytes_in_groups(group, group + 1) for t in tables)
                     if size:
                         sizes[group] = size
-            chunks = plan_chunks(sizes, ranges, config.handover_chunk_bytes)
+            chunks = plan_chunks(sizes, ranges, CHUNK_BYTES)
             shipped = yield from self.ship(
                 origin.machine, target_machine, chunks, span, "precopy"
             )
@@ -321,7 +291,7 @@ class _Precopy:
                 total_dirty = sum(dirty_sizes.values())
                 # Termination rule: the remainder is small enough for the
                 # barrier, or catch-up stopped gaining on the write rate.
-                if total_dirty <= config.handover_delta_threshold_bytes:
+                if total_dirty <= DELTA_THRESHOLD_BYTES:
                     break
                 if prev_dirty is not None and total_dirty >= prev_dirty:
                     break
@@ -338,7 +308,7 @@ class _Precopy:
                 cutoff_seq, tables, cutoff_ts, progress = yield from (
                     _snapshot_origin(origin, "handover-delta")
                 )
-                chunks = plan_chunks(dirty_sizes, ranges, config.handover_chunk_bytes)
+                chunks = plan_chunks(dirty_sizes, ranges, CHUNK_BYTES)
                 shipped = yield from self.ship(
                     origin.machine, target_machine, chunks, delta_span, "delta"
                 )
@@ -373,12 +343,12 @@ class _Precopy:
         """Move ``chunks`` from ``src`` to ``dst`` over parallel streams.
 
         Streams pull from a shared queue (work-stealing, so one slow
-        chunk never stalls the rest), pace themselves through the shared
-        token bucket, and retry individual chunks under the replicator's
-        policy.  A chunk failing past its retries stops all streams and
-        re-raises -- the caller degrades the plan.  Returns shipped bytes.
+        chunk never stalls the rest) and retry individual chunks under
+        the replicator's policy.  A chunk failing past its retries stops
+        all streams and re-raises -- the caller degrades the plan.
+        Returns shipped bytes.
         """
-        sim, rhino, bucket = self.sim, self.rhino, self.bucket
+        sim, rhino = self.sim, self.rhino
         tracer = sim.tracer
         queue = [chunk for chunk in chunks if chunk.nbytes > 0]
         if not queue:
@@ -403,8 +373,6 @@ class _Precopy:
                     bytes=chunk.nbytes,
                 )
                 try:
-                    if bucket is not None:
-                        yield from bucket.acquire(chunk.nbytes)
                     yield from with_retry(
                         sim,
                         lambda size=chunk.nbytes: rhino.cluster.transfer(

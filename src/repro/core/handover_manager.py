@@ -12,6 +12,7 @@ restores from, in ``restore.py``; how a broken handover is undone, in
 """
 
 from repro.common.errors import ProtocolError
+from repro.common.units import split_bytes
 from repro.faults.retry import with_retry
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
@@ -31,17 +32,6 @@ from repro.core.journal import plan_to_dict
 #: Grace period for an in-flight checkpoint before a handover aborts it
 #: (it may be unable to complete after a failure).
 CHECKPOINT_DRAIN_TIMEOUT = 10.0
-
-
-def _split_bytes(nbytes, cap):
-    """Split a byte count into chunk sizes of at most ``cap``."""
-    sizes = []
-    remaining = nbytes
-    while remaining > 0:
-        size = min(cap, remaining)
-        sizes.append(size)
-        remaining -= size
-    return sizes
 
 
 class HandoverManager:
@@ -382,7 +372,6 @@ class HandoverManager:
     # -- origin routine (§4.1.2 step 3, third case) -------------------------------
 
     def _origin_steps(self, instance, plan, execution):
-        config = self.rhino.config
         outcome = execution.precopy.get(id(plan))
         dirty = 0
         if outcome is not None:
@@ -407,7 +396,7 @@ class HandoverManager:
             **plan.trace_tags(),
         )
         transferred = 0
-        if config.use_dfs:
+        if self.rhino.dfs_storage is not None:
             persist = self.rhino.dfs_storage.persist(instance, checkpoint)
             if persist is not None:
                 yield persist
@@ -465,7 +454,7 @@ class HandoverManager:
                     xfer = self.job.cluster.chunked_transfer(
                         instance.machine,
                         target_machine,
-                        _split_bytes(transferred, config.handover_chunk_bytes),
+                        split_bytes(transferred, fluid.CHUNK_BYTES),
                         tag=tag,
                     )
                     try:

@@ -14,6 +14,7 @@ local -- fetching degenerates to hard-linking (Table 1's 0.2 s).
 """
 
 from repro.common.errors import ProtocolError
+from repro.common.units import split_bytes
 from repro.core.flow_control import CreditWindow
 from repro.faults.retry import NO_RETRY, with_retry
 from repro.sim.resources import Store
@@ -227,7 +228,7 @@ class ChainReplicator:
             bytes=checkpoint.delta_bytes,
             chain=len(chain),
         )
-        blocks = self._split(checkpoint.delta_bytes)
+        blocks = split_bytes(checkpoint.delta_bytes, self.block_size)
         if chain and checkpoint.delta_bytes > 0:
             if self.topology == "star":
                 yield self.sim.all_of(
@@ -394,25 +395,14 @@ class ChainReplicator:
         cutoff = instance.last_record_ts
         origin_progress = dict(instance.origin_progress)
         total = sum(t.size_bytes for t in tables)
-        span = self.sim.tracer.span(
-            "replicate.bulk",
-            track="replication",
-            instance=instance.instance_id,
-            src=instance.machine.name,
-            dst=target_machine.name,
-            bytes=total,
+        yield from self._copy_blocks(
+            instance.instance_id,
+            instance.machine,
+            target_machine,
+            total,
+            "bulk-copy-primary",
+            read_source=True,
         )
-        for block in self._split(total):
-            yield instance.machine.disk_read(block, tag="replica-repair")
-            yield from with_retry(
-                self.sim,
-                lambda: self.cluster.transfer(
-                    instance.machine, target_machine, block, tag="replica-repair"
-                ),
-                self.retry,
-                describe="bulk-copy-primary",
-            )
-            yield target_machine.disk_write(block, tag="replica-repair")
         manifest = CheckpointManifest([t.table_id for t in tables], total)
         self.store_on(target_machine).ingest_full(
             instance.instance_id,
@@ -422,32 +412,15 @@ class ChainReplicator:
             cutoff_ts=cutoff,
             origin_progress=origin_progress,
         )
-        span.finish()
         return total
 
     def _bulk_copy(self, source_machine, target_machine, store_name):
         holding = self.store_on(source_machine).holding_of(store_name)
         tables = holding.live_tables()
         total = sum(t.size_bytes for t in tables)
-        span = self.sim.tracer.span(
-            "replicate.bulk",
-            track="replication",
-            instance=store_name,
-            src=source_machine.name,
-            dst=target_machine.name,
-            bytes=total,
+        yield from self._copy_blocks(
+            store_name, source_machine, target_machine, total, "bulk-copy"
         )
-        for block in self._split(total):
-            yield from with_retry(
-                self.sim,
-                lambda: self.cluster.transfer(
-                    source_machine, target_machine, block, tag="replica-repair"
-                ),
-                self.retry,
-                describe="bulk-copy",
-            )
-            yield target_machine.disk_write(block, tag="replica-repair")
-        span.finish()
         self.store_on(target_machine).ingest_full(
             store_name,
             tables,
@@ -458,11 +431,26 @@ class ChainReplicator:
         )
         return total
 
-    def _split(self, nbytes):
-        blocks = []
-        remaining = nbytes
-        while remaining > 0:
-            block = min(self.block_size, remaining)
-            blocks.append(block)
-            remaining -= block
-        return blocks
+    def _copy_blocks(self, store_name, src, dst, total, describe, read_source=False):
+        """Ship ``total`` bytes block by block under one ``replicate.bulk``
+        span: read from ``src``'s disk (a primary's own state only), then
+        transfer, then write on ``dst``."""
+        span = self.sim.tracer.span(
+            "replicate.bulk",
+            track="replication",
+            instance=store_name,
+            src=src.name,
+            dst=dst.name,
+            bytes=total,
+        )
+        for block in split_bytes(total, self.block_size):
+            if read_source:
+                yield src.disk_read(block, tag="replica-repair")
+            yield from with_retry(
+                self.sim,
+                lambda: self.cluster.transfer(src, dst, block, tag="replica-repair"),
+                self.retry,
+                describe=describe,
+            )
+            yield dst.disk_write(block, tag="replica-repair")
+        span.finish()

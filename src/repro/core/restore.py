@@ -22,7 +22,7 @@ def publish(rhino, execution):
     points = []
     for plan in execution.plans:
         instance_id = f"{plan.op_name}[{plan.origin_index}]"
-        if rhino.config.use_dfs:
+        if rhino.dfs_storage is not None:
             source = _newest_record_with(coordinator, instance_id)
             checkpoint = source.checkpoints[instance_id]
             cutoff = source.cutoffs.get(instance_id, source.triggered_at)
@@ -82,7 +82,7 @@ def _completed_record(coordinator, checkpoint_id):
 
 def _oldest_restore_record(rhino, sources):
     coordinator = rhino.job.coordinator
-    if rhino.config.use_dfs:
+    if rhino.dfs_storage is not None:
         return min(sources, key=lambda r: r.checkpoint_id)
     # Handover checkpoints carry tuple ids and are not registered with the
     # coordinator; replaying from an older periodic checkpoint's offsets is

@@ -35,6 +35,9 @@ from repro.engine.records import (
 )
 from repro.engine.state import KeyedStateBackend
 
+#: Records a source takes from its log partition per poll (one batch).
+MAX_POLL_RECORDS = 64
+
 
 class ReplayFilter:
     """Deduplication of replayed records ("ignore seen records", §4.1.2).
@@ -242,8 +245,6 @@ class OperatorInstance(InstanceBase):
                 machine,
                 name=self.instance_id,
                 owned_ranges=owned_ranges,
-                memtable_limit=job.config.memtable_limit,
-                compaction_trigger=job.config.compaction_trigger,
             )
         self.records_processed = 0
         self.weighted_records_processed = 0
@@ -568,7 +569,6 @@ class SourceInstance(InstanceBase):
         index,
         machine,
         cursor,
-        max_poll_records=64,
         watermark_interval=1.0,
         idle_timeout=0.2,
         rate_limit=None,
@@ -576,7 +576,7 @@ class SourceInstance(InstanceBase):
         super().__init__(sim, job, op, index, machine)
         self.cursor = cursor
         self.control = Store(sim)
-        self.max_poll_records = max_poll_records
+        self.max_poll_records = MAX_POLL_RECORDS
         self.watermark_interval = watermark_interval
         self.idle_timeout = idle_timeout
         #: Maximum sustainable consumption in bytes/second (None = no cap).

@@ -29,11 +29,7 @@ class JobConfig:
         num_key_groups=2**15,
         virtual_node_count=DEFAULT_VIRTUAL_NODES,
         checkpoint_interval=None,
-        memtable_limit=64 * 1024 * 1024,
-        compaction_trigger=8,
         exchange_interval=0.25,
-        channel_capacity_batches=64,
-        source_max_poll=64,
         watermark_interval=1.0,
         source_idle_timeout=0.2,
         source_rate_limit=None,
@@ -48,16 +44,7 @@ class JobConfig:
         self.num_key_groups = num_key_groups
         self.virtual_node_count = virtual_node_count
         self.checkpoint_interval = checkpoint_interval
-        self.memtable_limit = memtable_limit
-        self.compaction_trigger = compaction_trigger
         self.exchange_interval = exchange_interval
-        #: Batches per inbound channel.  Sized like Flink's floating
-        #: buffer pool (each batch carries up to ``source_max_poll``
-        #: records at the source): large enough to absorb the backlog that
-        #: piles up behind an aligning/recovering instance, so one slow
-        #: channel does not head-of-line block the machine's exchange agent.
-        self.channel_capacity_batches = channel_capacity_batches
-        self.source_max_poll = source_max_poll
         #: A source broadcasts at most one watermark per
         #: ``watermark_interval`` simulated seconds (0: after every batch);
         #: ``source_idle_timeout`` is only its idle poll period.
@@ -186,7 +173,6 @@ class Job:
             index,
             machine,
             cursor,
-            max_poll_records=self.config.source_max_poll,
             watermark_interval=self.config.watermark_interval,
             idle_timeout=self.config.source_idle_timeout,
             rate_limit=self.config.source_rate_limit,
@@ -228,7 +214,7 @@ class Job:
             runtime.routers[src_index] = router
             for dst_index in range(downstream_op.parallelism):
                 dst_instance = self.instances[(spec.downstream, dst_index)]
-                router.connect(dst_instance, capacity_batches=self.config.channel_capacity_batches)
+                router.connect(dst_instance)
 
     # -- runtime control ---------------------------------------------------------
 
@@ -318,7 +304,7 @@ class Job:
         # Inbound: every upstream router connects a channel to it.
         for runtime in self.edge_runtimes(downstream=op_name):
             for router in runtime.routers.values():
-                router.connect(instance, capacity_batches=self.config.channel_capacity_batches)
+                router.connect(instance)
         # Outbound: it gets a router per outbound edge.
         for runtime in self.edge_runtimes(upstream=op_name):
             router = Router(self.sim, self.fabric, runtime.edge, instance)
@@ -328,7 +314,7 @@ class Job:
             # ``range(parallelism)``: one spawned earlier by the same
             # handover is not counted in it until the handover commits.
             for dst in self.operator_instances(runtime.spec.downstream):
-                router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
+                router.connect(dst)
         instance.start()
         return instance
 
@@ -381,7 +367,7 @@ class Job:
                     old_channel = router.channels.get(index)
                     if old_channel is not None:
                         router.disconnect(index)
-                    router.connect(instance, capacity_batches=self.config.channel_capacity_batches)
+                    router.connect(instance)
         for runtime in self.edge_runtimes(upstream=op_name):
             router = Router(self.sim, self.fabric, runtime.edge, instance)
             instance.add_output_router(router)
@@ -390,5 +376,5 @@ class Job:
             for dst_index in range(downstream_op.parallelism):
                 dst = self.instances.get((runtime.spec.downstream, dst_index))
                 if dst is not None:
-                    router.connect(dst, capacity_batches=self.config.channel_capacity_batches)
+                    router.connect(dst)
         return instance

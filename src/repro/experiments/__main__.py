@@ -169,12 +169,15 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     if args.experiment == "all":
+        exit_code = 0
         for name, command in COMMANDS.items():
             if name == "scenario" and not args.file:
                 continue  # file-driven; nothing to run without --file
             print(f"\n=== {name} ===")
-            command(args)
-        return 0
+            # Every command still runs; the first failure's code is returned.
+            code = command(args) or 0
+            exit_code = exit_code or code
+        return exit_code
     return COMMANDS[args.experiment](args) or 0
 
 

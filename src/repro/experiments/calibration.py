@@ -32,8 +32,6 @@ class Calibration:
     # -- storage -----------------------------------------------------------------
     dfs_block_size = 256 * MB  # HDFS uses 64 MB; coarser blocks, same totals
     dfs_replication = 2
-    kvs_memtable_limit = 64 * MB
-    kvs_compaction_trigger = 8
 
     # -- partitioning (§5.1.3: 2^15 key groups, 4 virtual nodes) -------------------
     num_key_groups = 2**15

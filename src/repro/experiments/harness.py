@@ -105,25 +105,15 @@ class Testbed:
 
     __test__ = False  # not a pytest test class despite the Test* name
 
-    def __init__(
-        self,
-        calibration=None,
-        seed=42,
-        workers=None,
-        rate_scale=None,
-        trace=False,
-        tracer=None,
-    ):
-        self.cal = calibration or Calibration()
+    def __init__(self, seed=42, rate_scale=None, trace=False):
+        self.cal = Calibration()
         self.seed = seed
-        if tracer is None and trace:
-            tracer = Tracer()
-        self.sim = Simulator(tracer=tracer)
+        self.sim = Simulator(tracer=Tracer() if trace else None)
         #: The simulator's tracer (NULL_TRACER unless tracing was requested).
         self.tracer = self.sim.tracer
         self.cluster = Cluster(self.sim)
         self.workers = self.cluster.add_machines(
-            workers or self.cal.workers,
+            self.cal.workers,
             prefix="worker",
             cores=self.cal.processing_cores,
             memory=self.cal.memory_per_worker,
@@ -220,8 +210,6 @@ class Testbed:
             num_key_groups=self.cal.num_key_groups,
             virtual_node_count=self.cal.virtual_nodes,
             checkpoint_interval=checkpoint_interval,
-            memtable_limit=self.cal.kvs_memtable_limit,
-            compaction_trigger=self.cal.kvs_compaction_trigger,
             exchange_interval=self.cal.exchange_interval,
             watermark_interval=self.cal.watermark_interval,
             source_idle_timeout=self.cal.generator_tick,
@@ -434,7 +422,7 @@ class RhinoHandle(SutHandle):
         self.name = name
 
     def _checkpoint_artifacts(self):
-        if self.rhino.config.use_dfs:
+        if self.rhino.dfs_storage is not None:
             return {"dfs_storage": self.rhino.dfs_storage}
         return {"rhino": self.rhino}
 

@@ -228,8 +228,8 @@ def _uses_chains(rhino):
     (RhinoDFS moves state through the DFS; the chain invariant is n/a)."""
     return (
         rhino is not None
-        and getattr(rhino.config, "replication_factor", 0) > 0
-        and not getattr(rhino.config, "use_dfs", False)
+        and rhino.config.replication_factor > 0
+        and rhino.dfs_storage is None
     )
 
 

@@ -77,7 +77,7 @@ def ablate_virtual_nodes(counts=(1, 2, 4, 8, 16), state_bytes=64 * GB, seed=42):
 # -- replication factor ----------------------------------------------------------
 
 
-def ablate_replication_factor(factors=(1, 2, 3), delta_bytes=4 * GB, seed=42):
+def ablate_replication_factor(factors=(1, 2, 3), delta_bytes=4 * GB):
     """Replication time and network bytes per checkpoint, by r."""
     return [
         AblationResult(
@@ -94,7 +94,7 @@ def ablate_replication_factor(factors=(1, 2, 3), delta_bytes=4 * GB, seed=42):
 
 
 def ablate_incremental_checkpoints(
-    total_bytes=64 * GB, delta_fraction=0.05, rounds=5, seed=42
+    total_bytes=64 * GB, delta_fraction=0.05, rounds=5
 ):
     """Bytes shipped over ``rounds`` replication rounds, both modes."""
     delta = int(total_bytes * delta_fraction)
@@ -111,7 +111,7 @@ def ablate_incremental_checkpoints(
 # -- chain vs star ---------------------------------------------------------------------
 
 
-def ablate_replication_topology(delta_bytes=8 * GB, factor=3, seed=42):
+def ablate_replication_topology(delta_bytes=8 * GB, factor=3):
     """Replication completion time, chain vs star, at r replicas."""
     return [
         AblationResult(
@@ -128,7 +128,7 @@ def ablate_replication_topology(delta_bytes=8 * GB, factor=3, seed=42):
 
 
 def ablate_credit_window(
-    windows=(64 * 1024**2, 256 * 1024**2, 1024**3), delta_bytes=8 * GB, seed=42
+    windows=(64 * 1024**2, 256 * 1024**2, 1024**3), delta_bytes=8 * GB
 ):
     """Replication time by credit-window size (flow-control ablation)."""
     return [
@@ -144,9 +144,7 @@ def ablate_credit_window(
     ]
 
 
-def ablate_delta_size(
-    deltas_gb=(1, 10, 50, 100), checkpoint_interval=180.0, seed=42
-):
+def ablate_delta_size(deltas_gb=(1, 10, 50, 100), checkpoint_interval=180.0):
     """§5.6's bottleneck: replication time vs per-instance delta size.
 
     The paper expects the replication runtime to become a bottleneck once

@@ -143,7 +143,6 @@ def run_chaos(
     control_kill_at=None,
     control_kill_count=1,
     membership_change_at=None,
-    handover_chunk_bytes=64 * 1024 * 1024,
 ):
     """One seeded chaos run; returns a :class:`ChaosRunResult`.
 
@@ -175,8 +174,6 @@ def run_chaos(
     configuration record.  ``membership_change_at`` replaces the group's
     last non-leader member with a spare worker at that virtual time (one
     hand-off record, possibly overlapping the kills).
-
-    ``handover_chunk_bytes`` caps the chunks a handover ships state in.
     """
     arguments = dict(locals())  # the parameters, for the traced re-run below
     if artifacts_dir is None:
@@ -224,7 +221,6 @@ def run_chaos(
             retry_seed=seed,
             handover_retry_attempts=4,
             anti_entropy_interval=1.0,
-            handover_chunk_bytes=handover_chunk_bytes,
         ),
     ).attach()
 

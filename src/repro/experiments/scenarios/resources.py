@@ -96,7 +96,7 @@ def _mean(values):
 def _transfer_rate(handle):
     """Effective bytes/second of state persistence (replication or DFS)."""
     timings = []
-    if hasattr(handle, "rhino") and not handle.rhino.config.use_dfs:
+    if hasattr(handle, "rhino") and handle.rhino.dfs_storage is None:
         timings = handle.rhino.replicator.stats.timings
     elif hasattr(handle, "rhino"):
         timings = handle.rhino.dfs_storage.persist_timings

@@ -1,6 +1,7 @@
 """DFS data path: writes with replica pipelines, locality-aware reads."""
 
 from repro.common.errors import StaleEpochError, StorageError
+from repro.common.units import split_bytes
 from repro.faults.retry import NO_RETRY, with_retry
 from repro.storage.dfs.namenode import NameNode
 
@@ -192,12 +193,5 @@ class DistributedFileSystem:
         return sum(b.size for b in meta.blocks if machine in b.alive_replicas())
 
     def _split(self, nbytes):
-        if nbytes <= 0:
-            return [0]
-        sizes = []
-        remaining = nbytes
-        while remaining > 0:
-            size = min(self.block_size, remaining)
-            sizes.append(size)
-            remaining -= size
-        return sizes
+        # A zero-byte file still has one (empty) block.
+        return split_bytes(nbytes, self.block_size) or [0]

@@ -1,17 +1,23 @@
 """Tests for the public API surface: reconfigure, config validation,
 attach/detach idempotency."""
 
+import inspect
+
 import pytest
 
+from repro.baselines.rhinodfs import make_rhinodfs
 from repro.common.errors import EngineError, ProtocolError
 from repro.core.api import Reconfiguration, Rhino, RhinoConfig
 from repro.core.handover import HandoverMarker
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.experiments.harness import Testbed
+from repro.experiments.scenarios.chaos import run_chaos
+from repro.experiments.timeline import run_single_event
 from repro.sim.kernel import Process
 
-from tests.engine_fixtures import EngineEnv, live_feeder
+from tests.engine_fixtures import EngineEnv, live_feeder, make_dfs
 
 KEYS = ["alpha", "bravo", "charlie", "delta"]
 
@@ -67,7 +73,7 @@ class TestRhinoConfig:
     def test_defaults_are_valid(self):
         config = RhinoConfig()
         assert config.replication_factor == 1
-        assert config.use_dfs is False
+        assert config.dfs_storage is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,7 +82,7 @@ class TestRhinoConfig:
             {"block_size": 0},
             {"block_size": -5},
             {"credit_window_bytes": 0},
-            {"use_dfs": True},  # no dfs_storage
+            {"anti_entropy_interval": 0},
             {"scheduling_delay": -0.1},
             {"local_fetch_seconds": -1},
             {"state_load_seconds": -1},
@@ -87,9 +93,21 @@ class TestRhinoConfig:
         with pytest.raises(ProtocolError):
             RhinoConfig(**kwargs)
 
-    def test_use_dfs_with_storage_is_valid(self):
-        config = RhinoConfig(use_dfs=True, dfs_storage=object())
-        assert config.use_dfs is True
+    def test_make_rhinodfs_selects_the_dfs_path(self):
+        """The DFS path is ``dfs_storage is not None``; ``make_rhinodfs``
+        sets it, and a control group still refuses the DFS variant."""
+        env = make_env()
+        job = start_job(env)
+        rhino = make_rhinodfs(job, env.cluster, make_dfs(env))
+        assert rhino.dfs_storage is job.checkpoint_storage
+        assert rhino.config.dfs_storage is rhino.dfs_storage
+        # No chain replication: the checkpoint listener stays unregistered.
+        assert (
+            rhino._on_instance_checkpoint
+            not in job.coordinator.instance_checkpoint_listeners
+        )
+        with pytest.raises(ProtocolError, match="dfs_storage"):
+            rhino.enable_control_group(env.machines[:3])
 
     def test_paper_defaults_match_table1_constants(self):
         config = RhinoConfig()
@@ -112,6 +130,10 @@ class TestRhinoConfig:
             "retry_max_delay",
             "retry_jitter",
             "handover_retry_delay",
+            "use_dfs",
+            "handover_chunk_bytes",
+            "handover_delta_threshold_bytes",
+            "handover_migration_rate",
         ):
             with pytest.raises(ProtocolError, match=removed):
                 RhinoConfig.from_dict({removed: 1})
@@ -120,7 +142,6 @@ class TestRhinoConfig:
         """A new knob is a reviewed decision: it has to edit this set."""
         assert set(RhinoConfig().to_dict()) == {
             "replication_factor",
-            "use_dfs",
             "dfs_storage",
             "block_size",
             "credit_window_bytes",
@@ -132,9 +153,6 @@ class TestRhinoConfig:
             "retry_seed",
             "handover_retry_attempts",
             "anti_entropy_interval",
-            "handover_chunk_bytes",
-            "handover_delta_threshold_bytes",
-            "handover_migration_rate",
         }
 
     def test_from_dict_validates(self):
@@ -146,21 +164,25 @@ class TestJobConfig:
     def test_field_set_is_pinned(self):
         """A new knob is a reviewed decision: it has to edit this list."""
         assert sorted(vars(JobConfig())) == [
-            "channel_capacity_batches",
             "checkpoint_interval",
-            "compaction_trigger",
             "exchange_interval",
-            "memtable_limit",
             "num_key_groups",
             "source_idle_timeout",
-            "source_max_poll",
             "source_rate_limit",
             "virtual_node_count",
             "watermark_interval",
         ]
 
     @pytest.mark.parametrize(
-        "removed", [{"data_plane": "record"}, {"channel_capacity": 1}]
+        "removed",
+        [
+            {"data_plane": "record"},
+            {"channel_capacity": 1},
+            {"channel_capacity_batches": 64},
+            {"source_max_poll": 64},
+            {"memtable_limit": 64 * 1024 * 1024},
+            {"compaction_trigger": 8},
+        ],
     )
     def test_removed_options_are_type_errors(self, removed):
         with pytest.raises(TypeError):
@@ -184,6 +206,38 @@ class TestJobConfig:
     def test_zero_watermark_interval_is_valid(self):
         """It means "a watermark after every batch"."""
         assert JobConfig(watermark_interval=0).watermark_interval == 0
+
+
+class TestExperimentSurface:
+    """The experiment entry points' parameters, pinned like the config
+    fields: a new parameter is a reviewed decision that edits this list."""
+
+    PINNED = {
+        "run_chaos": (
+            run_chaos,
+            "seed machines records fault_count kinds tracer max_sim_time "
+            "rebalance_at artifacts_dir control_replicas control_kill_at "
+            "control_kill_count membership_change_at",
+        ),
+        "Testbed.__init__": (Testbed.__init__, "self seed rate_scale trace"),
+        "Testbed.deploy": (
+            Testbed.deploy,
+            "self sut_name query_name checkpoint_interval stateful_dop "
+            "replication_factor anti_entropy_interval",
+        ),
+        "run_single_event": (
+            run_single_event,
+            "sut_name query kind params event_at preload_at preload_bytes "
+            "tail tail_from_event checkpoint_interval stateful_dop rate_scale "
+            "rate_profile monitor seed trace",
+        ),
+        "make_rhinodfs": (make_rhinodfs, "job cluster dfs config_overrides"),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_parameter_names_are_pinned(self, name):
+        function, names = self.PINNED[name]
+        assert list(inspect.signature(function).parameters) == names.split()
 
 
 class TestReconfigure:

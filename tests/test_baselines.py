@@ -219,7 +219,7 @@ class TestRhinoDFS:
         dfs = make_dfs(env)
         job = env.job(counter_graph_factory()())
         rhino = make_rhinodfs(job, env.cluster, dfs)
-        assert rhino.config.use_dfs
+        assert rhino.dfs_storage is job.checkpoint_storage
         assert isinstance(job.checkpoint_storage, DFSCheckpointStorage)
         assert job.coordinator.storage is job.checkpoint_storage
 

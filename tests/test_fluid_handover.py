@@ -1,4 +1,4 @@
-"""Fluid handover: chunk planning, pacing, resumable transfers,
+"""Fluid handover: chunk planning, resumable transfers,
 chunked-extraction properties, the transfer protocol, and failure
 regressions.
 
@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError
+from repro.core import fluid
 from repro.core.api import Rhino, RhinoConfig
-from repro.core.fluid import StateChunk, TokenBucket, plan_chunks
+from repro.core.fluid import StateChunk, plan_chunks
 from repro.core.handover import HandoverReport
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
@@ -72,41 +73,6 @@ class TestPlanChunks:
 
     def test_repr_shows_subchunk_index(self):
         assert "2/3" in repr(StateChunk(0, 1, 10, part=1, parts=3))
-
-
-# -- token bucket ------------------------------------------------------------
-
-
-class TestTokenBucket:
-    def test_acquires_average_exactly_the_rate(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=100.0)
-        times = []
-
-        def consumer():
-            for _ in range(4):
-                yield from bucket.acquire(100)
-                times.append(sim.now)
-
-        proc = sim.process(consumer())
-        sim.run(until=proc)
-        assert times == pytest.approx([0.0, 1.0, 2.0, 3.0])
-
-    def test_burst_caps_idle_accumulation(self):
-        sim = Simulator()
-        bucket = TokenBucket(sim, rate=100.0, burst=50.0)
-
-        def consumer():
-            yield sim.timeout(10.0)  # idle refill must cap at the burst
-            yield from bucket.acquire(200)
-
-        proc = sim.process(consumer())
-        sim.run(until=proc)
-        assert sim.now == pytest.approx(11.5)  # 50 banked, 150 deficit
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(SimulationError):
-            TokenBucket(Simulator(), rate=0)
 
 
 # -- resumable chunked transfers ---------------------------------------------
@@ -281,12 +247,21 @@ def fluid_scenario(
     state_bytes=256 * 1024 * 1024,
     tracer=None,
     keys=KEYS,
-    **rhino_kwargs,
+    chunk_bytes=16 * 1024 * 1024,
+    delta_threshold_bytes=fluid.DELTA_THRESHOLD_BYTES,
 ):
-    """A rebalance onto a cold target under steady load.
+    """A rebalance onto a cold target under steady load, with the chunk
+    cap and the delta threshold patched to the given values.
 
     Returns (final counts, report, job).
     """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fluid, "CHUNK_BYTES", chunk_bytes)
+        patch.setattr(fluid, "DELTA_THRESHOLD_BYTES", delta_threshold_bytes)
+        return _run_fluid_scenario(state_bytes, tracer, keys)
+
+
+def _run_fluid_scenario(state_bytes, tracer, keys):
     env = EngineEnv(machines=4, tracer=tracer)
     env.topic("events", 2)
     graph = StreamGraph("fluid")
@@ -308,7 +283,6 @@ def fluid_scenario(
         source_idle_timeout=0.05,
     )
     job = env.job(graph, config=config).start()
-    rhino_kwargs.setdefault("handover_chunk_bytes", 16 * 1024 * 1024)
     rhino = Rhino(
         job,
         env.cluster,
@@ -316,7 +290,6 @@ def fluid_scenario(
             scheduling_delay=0.1,
             local_fetch_seconds=0.01,
             state_load_seconds=0.05,
-            **rhino_kwargs,
         ),
     ).attach()
     live_feeder(env, "events", keys, count=200, interval=0.02)
@@ -341,7 +314,7 @@ class TestFluidTransfer:
         assert report.cutover_bytes < report.migrated_bytes // 100
 
     def test_delta_rounds_run_under_write_pressure(self):
-        _counts, report, _job = fluid_scenario(handover_delta_threshold_bytes=0)
+        _counts, report, _job = fluid_scenario(delta_threshold_bytes=0)
         assert report.delta_rounds >= 1
         assert report.delta_bytes > 0
         assert report.delta_seconds > 0
@@ -389,7 +362,7 @@ class TestFluidTransfer:
         per-record latency in the migration window stays at steady state."""
         state_bytes = 8 * 1024**3
         _counts, report, job = fluid_scenario(
-            state_bytes=state_bytes, handover_chunk_bytes=64 * 1024 * 1024
+            state_bytes=state_bytes, chunk_bytes=64 * 1024 * 1024
         )
         latency = job.metrics.latency
         window_end = report.completed_at + 5.0
@@ -411,17 +384,12 @@ class TestFluidTransfer:
         [cutover] = [s for s in tracer.spans if s.name == "handover.cutover"]
         assert cutover.tags["bytes"] == report.cutover_bytes
 
-    def test_warm_replicated_target_skips_the_precopy(self):
+    def test_warm_replicated_target_skips_the_precopy(self, monkeypatch):
         """With proactive replication already holding the target's copy,
         nothing ships in the background: only the last delta is missing."""
+        monkeypatch.setattr(fluid, "CHUNK_BYTES", 1024)
         tracer = Tracer()
-        result = run_chaos(
-            seed=5,
-            fault_count=0,
-            rebalance_at=2.0,
-            tracer=tracer,
-            handover_chunk_bytes=1024,
-        )
+        result = run_chaos(seed=5, fault_count=0, rebalance_at=2.0, tracer=tracer)
         assert result.ok
         assert "handover.precopy" not in {s.name for s in tracer.spans}
 
@@ -429,7 +397,13 @@ class TestFluidTransfer:
 # -- failure during the fluid phases -----------------------------------------
 
 
-def abort_setup(tracer=None, **rhino_kwargs):
+#: Preloaded counter state, 2 GiB per instance: the origin's migrating
+#: half alone keeps a pre-copy streaming for seconds at link speed, so a
+#: kill or a partition half a second in reliably lands inside it.
+PRELOAD_BYTES = 8 * 1024**3
+
+
+def abort_setup(tracer=None):
     env = EngineEnv(machines=5, tracer=tracer)
     env.topic("events", 2)
     graph = StreamGraph("fluid-abort")
@@ -454,16 +428,13 @@ def abort_setup(tracer=None, **rhino_kwargs):
             scheduling_delay=0.2,
             local_fetch_seconds=0.1,
             state_load_seconds=0.2,
-            # Pace the pre-copy to a crawl so a kill reliably lands inside it.
-            handover_migration_rate=64.0,
-            **rhino_kwargs,
         ),
     ).attach()
+    preload_state(job, "count", PRELOAD_BYTES, rhino=rhino)
     return env, job, rhino
 
 
-#: The counter instance whose migrating half (key groups [8, 12)) holds
-#: keys: alpha and bravo, 64 B each -- one second of pre-copy at 64 B/s.
+#: The counter instance whose migrating half (key groups [8, 12)) is pre-copied.
 ORIGIN_INDEX = 1
 
 
@@ -593,7 +564,7 @@ class TestDegradedPrecopy:
         env, job, rhino, tracer, origin, target, handover = start_cold_rebalance()
 
         def cut_and_heal():
-            # The second chunk leaves the token bucket 1.0 s in.
+            # Half a second in, every stream has a chunk in flight.
             yield env.sim.timeout(0.5)
             env.cluster.partition([[origin.machine.name], [target.machine.name]])
             yield env.sim.timeout(0.6)
@@ -615,23 +586,17 @@ class TestDegradedPrecopy:
 
 
 class TestRebalanceChaosSmoke:
-    def test_fault_run_with_a_rebalance_converges_exactly_once(self):
-        result = run_chaos(
-            seed=0,
-            rebalance_at=2.0,
-            handover_chunk_bytes=1024 * 1024,
-        )
+    def test_fault_run_with_a_rebalance_converges_exactly_once(self, monkeypatch):
+        monkeypatch.setattr(fluid, "CHUNK_BYTES", 1024 * 1024)
+        result = run_chaos(seed=0, rebalance_at=2.0)
         assert result.violations == []
         assert result.counts == result.expected
 
 
 @pytest.mark.chaos
 class TestRebalanceChaosSweep:
-    def test_sweep_of_25_seeds_passes_all_invariants(self):
-        results = run_chaos_sweep(
-            range(25),
-            rebalance_at=2.0,
-            handover_chunk_bytes=1024 * 1024,
-        )
+    def test_sweep_of_25_seeds_passes_all_invariants(self, monkeypatch):
+        monkeypatch.setattr(fluid, "CHUNK_BYTES", 1024 * 1024)
+        results = run_chaos_sweep(range(25), rebalance_at=2.0)
         failures = [r.row() for r in results if not r.ok]
         assert not failures, f"rebalance chaos sweep failures: {failures}"

@@ -614,11 +614,11 @@ class TestSourceWatermarkPacing:
             exchange_interval=0.05,
             watermark_interval=interval,
             source_idle_timeout=self.IDLE,
-            source_max_poll=max_poll,
         )
         job = env.job(graph, config=config)
         job.deploy()
         source = job.source_instances()[0]
+        source.max_poll_records = max_poll
         sent = []  # (sim time, watermark timestamp), at the source
         broadcast = source.broadcast
 

@@ -89,6 +89,31 @@ class TestCli:
         assert "Figure 1" in captured.out
         assert "rhino" in captured.out
 
+    def test_all_returns_the_first_failing_code(self, monkeypatch, capsys):
+        """``all --file`` must not swallow a failing scenario's exit code,
+        and one failure must not skip the commands after it."""
+        from repro.experiments import __main__ as cli
+
+        ran = []
+
+        def stub(name, code):
+            def command(args):
+                ran.append(name)
+                return code
+
+            return command
+
+        commands = {name: stub(name, None) for name in cli.COMMANDS}
+        commands["figure5"] = stub("figure5", 2)
+        commands["scenario"] = stub("scenario", 1)
+        monkeypatch.setattr(cli, "COMMANDS", commands)
+        assert cli.main(["all", "--file", "scenario.json"]) == 2
+        assert ran == list(commands)
+        commands["figure5"] = stub("figure5", None)
+        assert cli.main(["all", "--file", "scenario.json"]) == 1
+        assert cli.main(["all"]) == 0  # no --file: the scenario is skipped
+        capsys.readouterr()
+
     def test_ablations_command(self, capsys):
         from repro.experiments.__main__ import main
 

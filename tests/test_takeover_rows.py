@@ -12,6 +12,7 @@ was lost, and exactly-once counts at the sink.
 import pytest
 
 from repro.core import failover
+from repro.experiments.preload import preload_state
 from repro.faults import (
     check_control_quorum,
     check_exactly_once,
@@ -26,13 +27,17 @@ TOTAL = 200
 RECONFIG = 1  # the first reconfiguration each scenario issues
 
 
-def quorum_job(**rhino_kwargs):
+def quorum_job(preload_bytes=0):
     """2 sources, 4 counters and a sink on w-0..w-3; the control group on
-    w-4, w-5 and w-0 (the leader's machine serves no instance)."""
+    w-4, w-5 and w-0 (the leader's machine serves no instance).
+    ``preload_bytes`` of counter state are installed (and replicated)
+    before the first record."""
     env = EngineEnv(machines=6)
     env.topic("events", 2)
     job = make_job(env, graph=counter_graph()).start()
-    rhino = make_rhino(env, job, **rhino_kwargs)
+    rhino = make_rhino(env, job)
+    if preload_bytes:
+        preload_state(job, "count", preload_bytes, rhino=rhino)
     machines = env.machines
     group = rhino.enable_control_group([machines[4], machines[5], machines[0]])
     live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
@@ -234,9 +239,10 @@ def test_takeover_row_is_reached(row, monkeypatch):
 
 def test_precopy_abort_journals_the_abort_without_a_takeover():
     """Not a takeover row: the driver's own failure arm.  The origin
-    dies while a cold target is pre-copied (paced to a crawl), before the
-    execution is prepared; the abort is journaled with no handover id."""
-    env, job, rhino, group = quorum_job(handover_migration_rate=64.0)
+    dies while a cold target is pre-copied (8 GiB of preloaded state keep
+    it streaming for seconds), before the execution is prepared; the abort
+    is journaled with no handover id."""
+    env, job, rhino, group = quorum_job(preload_bytes=8 * 1024**3)
     origin = job.instance("count", 1)
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(1, 2)])
     rebalance.process.defused = True
