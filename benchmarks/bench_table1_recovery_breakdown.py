@@ -6,11 +6,13 @@ block-centric SUTs (Flink fetches everything, RhinoDFS the failed share);
 Rhino's fetch is a constant local hard-link; scheduling and loading are
 small constants everywhere.
 
-The handover-based SUTs (rhino / rhinodfs) run with tracing enabled and
-their breakdown is *derived from trace spans* rather than the hand-kept
-report timers; the bench asserts the phase spans sum to the reported
-reconfiguration time and that tracing does not perturb the simulation.
+The handover-based SUTs (rhino / rhinodfs) report phase times read off
+the handover's phase spans, the ones a tracer records.  The bench asserts
+that the two contiguous top-level phases (scheduling, transfer) sum to the
+report's total, and that a traced run reports the same numbers.
 """
+
+import pytest
 
 from repro.common.units import GB
 from repro.experiments.scenarios.recovery import run_recovery
@@ -21,16 +23,21 @@ from benchmarks.conftest import emit_report, run_once
 SIZES_GB = (250, 500, 750, 1000)
 SUTS = ("flink", "rhino", "rhinodfs", "megaphone")
 
-#: SUTs whose breakdown comes out of the trace (span-instrumented).
-TRACED_SUTS = ("rhino", "rhinodfs")
+#: SUTs whose report reads the handover's phase spans.
+HANDOVER_SUTS = ("rhino", "rhinodfs")
 
 
 def run_table1():
-    return [
-        run_recovery(sut, size * GB, trace=sut in TRACED_SUTS)
-        for size in SIZES_GB
-        for sut in SUTS
-    ]
+    return [run_recovery(sut, size * GB) for size in SIZES_GB for sut in SUTS]
+
+
+def top_level_phases(report):
+    """Summed durations of the handover's scheduling and transfer spans."""
+    return sum(
+        span.duration
+        for span in report.spans
+        if span.name in ("handover.scheduling", "handover.transfer")
+    )
 
 
 def test_table1_recovery_breakdown(benchmark):
@@ -56,22 +63,20 @@ def test_table1_recovery_breakdown(benchmark):
     for size in SIZES_GB:
         for sut in ("flink", "rhino", "rhinodfs"):
             assert by_key[(sut, size)].scheduling_seconds < 6.0
-    # The traced SUTs derive their breakdown from spans; the contiguous
-    # phase spans must sum to the reported reconfiguration time (±1%).
+    # Nothing is pre-copied in a recovery, so scheduling starts at the
+    # trigger and the two top-level phases cover the whole handover.
     for size in SIZES_GB:
-        for sut in TRACED_SUTS:
-            breakdown = by_key[(sut, size)].trace_breakdown
-            assert breakdown is not None
-            total = by_key[(sut, size)].total_seconds
-            assert abs(breakdown["phase_sum"] - total) <= 0.01 * total
+        for sut in HANDOVER_SUTS:
+            report = by_key[(sut, size)].report
+            assert top_level_phases(report) == pytest.approx(
+                report.total_seconds, abs=1e-9
+            )
 
 
 def test_tracing_is_passive():
-    """A traced run and an untraced run produce identical breakdowns."""
+    """A traced run and an untraced run produce identical reports."""
     traced = run_recovery("rhino", 250 * GB, trace=True)
     plain = run_recovery("rhino", 250 * GB, trace=False)
-    assert plain.trace_breakdown is None
-    assert traced.trace_breakdown is not None
     for field in (
         "scheduling_seconds",
         "fetching_seconds",
@@ -79,4 +84,6 @@ def test_tracing_is_passive():
         "total_seconds",
         "migrated_bytes",
     ):
-        assert getattr(traced, field) == getattr(plain, field)
+        assert getattr(traced.report, field) == getattr(plain.report, field)
+    assert traced.report.phase_breakdown() == plain.report.phase_breakdown()
+    assert traced.total_seconds == plain.total_seconds

@@ -34,11 +34,12 @@ what happens when its leader is lost, on the virtual clock:
    broken by worker deaths during the outage are repaired and an
    anti-entropy pass restores replica completeness.
 
-The whole takeover is traced as a ``failover`` root span with
-``failover.detect`` / ``failover.replay`` / ``failover.resume`` children
-whose durations sum to the total (see ``repro.obs.failover_breakdown``).
+The takeover is a ``failover`` span, opened at the fault, with ``detect`` /
+``replay`` / ``resume`` children that sum to it; each ``history`` entry is
+read off them (``repro.obs.failover_phases``), traced or not.
 """
 
+from repro.obs import failover_phases, phase_span
 from repro.core import quorum, rollback
 from repro.core.journal import ControlJournal
 from repro.core.handover import ABANDON, ABORTED, TAKEOVER_FROM, HandoverAborted
@@ -103,8 +104,8 @@ class FailoverManager:
         self.drivers = []
         #: Machine names the failure detector currently suspects.
         self.suspected = set()
-        #: One dict per completed takeover: detect/replay/resume/total
-        #: durations in virtual seconds, plus the new epoch and leader.
+        #: One dict per completed takeover, read off its spans: detect /
+        #: replay / resume / total virtual seconds, new epoch and leader.
         self.history = []
         #: One (replayed, snapshot) ``to_dict()`` pair per takeover that
         #: truncated nothing -- the replay-completeness oracle asserted by
@@ -202,12 +203,15 @@ class FailoverManager:
 
     def _takeover(self, fault_time, initial_wait):
         group = self.group
-        tracer = self.sim.tracer
-        root = tracer.span("failover", track="failover", epoch=group.epoch)
+        sim = self.sim
+        tracer = sim.tracer
+        root = phase_span(
+            sim, "failover", track="failover", start=fault_time, epoch=group.epoch
+        )
 
         # Phase 1: the survivors notice the lost lease and elect.
-        detect_span = tracer.span(
-            "failover.detect", track="failover", parent=root
+        detect_span = phase_span(
+            sim, "failover.detect", track="failover", parent=root, start=fault_time
         )
         if initial_wait > 0:
             yield self.sim.timeout(initial_wait)
@@ -219,7 +223,6 @@ class FailoverManager:
             yield self.sim.timeout(quorum.HEARTBEAT_INTERVAL)
             candidate = group._elect()
         detect_span.finish(leader=candidate.name)
-        detect = self.sim.now - fault_time
         group.elections += 1
         if tracer.enabled:
             tracer.event(
@@ -229,13 +232,10 @@ class FailoverManager:
                 leader=candidate.name,
                 synced=candidate.synced_seq,
             )
-        start = self.sim.now
 
         # Phase 2: drop the uncommitted suffix, read the winner's log and
         # fold it back into state.
-        replay_span = tracer.span(
-            "failover.replay", track="failover", parent=root
-        )
+        replay_span = phase_span(sim, "failover.replay", track="failover", parent=root)
         truncated_before = self.journal.truncated_records
         # Records the deposed leader never replicated to the winner exist
         # only on the deposed disk: they are not part of the new epoch.
@@ -281,13 +281,10 @@ class FailoverManager:
             bytes=self.journal.durable_bytes,
             truncated=truncated,
         )
-        replay = self.sim.now - start
 
         # Phase 3: resolve every stranded reconfiguration and repair
         # redundancy broken during the outage.
-        resume_span = tracer.span(
-            "failover.resume", track="failover", parent=root
-        )
+        resume_span = phase_span(sim, "failover.resume", track="failover", parent=root)
         yield from self._resume_inflight(state)
         yield from self._repair_replication()
         if self.rhino.config.anti_entropy_interval is not None:
@@ -303,26 +300,15 @@ class FailoverManager:
         self.rhino._journal_groups()
         self.rhino.job.coordinator.restore_service()
         resume_span.finish()
-        resume = self.sim.now - start - replay
-
-        total = detect + replay + resume
-        self.history.append(
-            {
-                "detect": detect,
-                "replay": replay,
-                "resume": resume,
-                "total": total,
-                "epoch": group.epoch,
-                "leader": candidate.name,
-            }
-        )
+        root.finish(status="completed", leader=candidate.name)
+        phases = failover_phases(root, (detect_span, replay_span, resume_span))
+        self.history.append(phases)
         self.journal.append(
             "failover.complete",
             primary=candidate.name,
-            seconds=total,
+            seconds=phases["total"],
             epoch=group.epoch,
         )
-        root.finish(status="completed", leader=candidate.name)
         self.down = False
         self.available.succeed()
 

@@ -12,6 +12,7 @@ breakdown reported in Table 1.
 from collections import namedtuple
 
 from repro.engine.records import AlignedMarker
+from repro.obs import phase_span
 
 #: What a control-plane takeover does with a reconfiguration it finds in a
 #: phase: *abandon* it (nothing beyond spawned targets was touched), or
@@ -95,20 +96,26 @@ class HandoverMarker(AlignedMarker):
 
 
 class HandoverReport:
-    """Timing breakdown of one reconfiguration (Table 1's columns)."""
+    """Timing breakdown of one reconfiguration (Table 1's columns).
+
+    The report keeps no clock of its own.  The barrier's phase times are
+    read off its phase spans, the ones a tracer records: each is the
+    longest span of its phase that completed (a span closed with a
+    ``status`` -- ``port-failed``, ``aborted`` -- did not).  The pre-copy
+    times are read off the plans' pre-copy outcomes.
+    """
 
     def __init__(self, handover_id, reason):
         self.handover_id = handover_id
         self.reason = reason
         self.triggered_at = None
         self.completed_at = None
-        #: Time spent triggering the reconfiguration (spawning/replacing
-        #: instances, injecting markers).
-        self.scheduling_seconds = 0.0
-        #: Time spent moving state to the target worker (max across plans).
-        self.fetching_seconds = 0.0
-        #: Time spent loading checkpointed state into the state backend.
-        self.loading_seconds = 0.0
+        #: The phase spans: scheduling, transfer and every instance's
+        #: fetching / loading (see HandoverExecution.open_phase).
+        self.spans = []
+        #: id(plan) -> PrecopyOutcome of the plans that were pre-copied;
+        #: origins read their cutoff seq here.
+        self.precopy = {}
         #: Modeled bytes moved over the network for state migration.
         self.migrated_bytes = 0
         #: Modeled bytes of state that changed ownership.
@@ -117,12 +124,52 @@ class HandoverReport:
         #: stay zero; whatever ships behind the barrier counts as cutover.
         self.precopy_bytes = 0
         self.precopy_chunks = 0
-        self.precopy_seconds = 0.0
         self.delta_bytes = 0
         self.delta_rounds = 0
-        self.delta_seconds = 0.0
         self.cutover_bytes = 0
-        self.cutover_seconds = 0.0
+
+    @property
+    def precopy_seconds(self):
+        """The slowest plan's background pre-copy."""
+        return max((o.precopy_seconds for o in self.precopy.values()), default=0.0)
+
+    @property
+    def delta_seconds(self):
+        """The slowest plan's delta catch-up rounds."""
+        return max((o.delta_seconds for o in self.precopy.values()), default=0.0)
+
+    def _longest(self, name, role=None):
+        return max(
+            (
+                span.duration
+                for span in self.spans
+                if span.name == name
+                and span.end is not None
+                and "status" not in span.tags
+                and (role is None or span.tags.get("role") == role)
+            ),
+            default=0.0,
+        )
+
+    @property
+    def scheduling_seconds(self):
+        """Trigger (or end of pre-copy) to markers injected."""
+        return self._longest("handover.scheduling")
+
+    @property
+    def fetching_seconds(self):
+        """Moving state to the target (slowest instance, either role)."""
+        return self._longest("handover.fetching")
+
+    @property
+    def loading_seconds(self):
+        """Loading the fetched state into the target's backend."""
+        return self._longest("handover.loading")
+
+    @property
+    def cutover_seconds(self):
+        """Shipping what the target lacks behind the barrier (origins)."""
+        return self._longest("handover.fetching", role="origin")
 
     @property
     def total_seconds(self):
@@ -187,9 +234,6 @@ class HandoverExecution:
         #: between records routed with the old and the new configuration
         #: (needed to roll a broken handover back without loss).
         self.source_frontiers = {}
-        #: id(plan) -> PrecopyOutcome of the plans that were pre-copied;
-        #: origins read their cutoff seq here.
-        self.precopy = {}
         #: The root trace span of this handover (NULL_SPAN when untraced);
         #: per-instance fetch/load spans nest under it.
         self.root_span = None
@@ -204,6 +248,13 @@ class HandoverExecution:
         self.report = HandoverReport(handover_id, self.plans[0].reason)
         self.report.triggered_at = self.trigger_time
         return self.report
+
+    def open_phase(self, name, **tags):
+        """Open one of the report's phase spans under the root span."""
+        tags = {"handover": self.handover_id, **tags}
+        span = phase_span(self.sim, name, "handover", self.root_span, **tags)
+        self.report.spans.append(span)
+        return span
 
     def state_ready_event(self, plan):
         """The rendezvous event carrying the plan's restore payload."""

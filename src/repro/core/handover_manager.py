@@ -14,6 +14,7 @@ restores from, in ``restore.py``; how a broken handover is undone, in
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
 from repro.faults.retry import with_retry
+from repro.obs import phase_span
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
 from repro.engine.instance import OperatorInstance, ReplayFilter, SourceInstance
@@ -24,6 +25,7 @@ from repro.core.handover import (
     ACK,
     COMMITTED,
     PHASE_SET_BY,
+    HandoverAborted,
     HandoverExecution,
     HandoverMarker,
 )
@@ -108,7 +110,6 @@ class HandoverManager:
         trigger_time = execution.trigger_time
         config = self.rhino.config
         coordinator = self.job.coordinator
-        tracer = self.sim.tracer
         root = scheduling_span = transfer_span = None
         try:
             if execution.reconfig_id is not None:
@@ -120,13 +121,11 @@ class HandoverManager:
                 yield from group.await_commit(execution.accepted_record)
             self._handover_ids += 1
             handover_id = self._handover_ids
-            # The handover's trace: one root span spanning the whole
-            # reconfiguration plus two contiguous top-level phases --
-            # "scheduling" (trigger -> markers injected, Table 1's first
-            # row) and "transfer" (alignment + per-instance fetch/load +
-            # acks).  Their durations sum exactly to the reported
-            # reconfiguration time.
-            root = tracer.span(
+            # One root span over the whole reconfiguration and two
+            # contiguous top-level phases the report reads: "scheduling"
+            # (trigger -> markers injected, Table 1's first row) and
+            # "transfer" (alignment + per-instance fetch/load + acks).
+            root = self.sim.tracer.span(
                 "handover",
                 track="handover",
                 start=trigger_time,
@@ -141,12 +140,12 @@ class HandoverManager:
             )
             # Table 1's "scheduling" row runs from the trigger (so it
             # includes the quorum commit-wait) unless a pre-copy came first.
-            scheduling_start = self.sim.now if precopied else trigger_time
-            scheduling_span = tracer.span(
+            scheduling_span = phase_span(
+                self.sim,
                 "handover.scheduling",
                 track="handover",
                 parent=root,
-                start=scheduling_start,
+                start=self.sim.now if precopied else trigger_time,
                 handover=handover_id,
             )
             coordinator.suspend()
@@ -177,25 +176,26 @@ class HandoverManager:
                 handover_id,
                 [i.instance_id for i in self.job.all_instances() if i.machine.alive],
             )
+            report.spans.append(scheduling_span)
+            report.precopy = precopy_outcomes
             execution.root_span = root
-            execution.precopy = precopy_outcomes
             for outcome in precopy_outcomes.values():
                 report.precopy_bytes += outcome.precopy_bytes
                 report.precopy_chunks += outcome.precopy_chunks
-                report.precopy_seconds = max(
-                    report.precopy_seconds, outcome.precopy_seconds
-                )
                 report.delta_bytes += outcome.delta_bytes
                 report.delta_rounds = max(
                     report.delta_rounds, outcome.delta_rounds
-                )
-                report.delta_seconds = max(
-                    report.delta_seconds, outcome.delta_seconds
                 )
                 report.migrated_bytes += (
                     outcome.precopy_bytes + outcome.delta_bytes
                 )
             self._executions[handover_id] = execution
+            # From here on on_machine_failure aborts the execution; a
+            # participant that died earlier never reached it.
+            dead = next((m for m in self._participants(execution) if not m.alive), None)
+            if dead is not None:
+                rollback.abort(self, execution, dead)
+                raise HandoverAborted(handover_id, dead)
             self._journal(execution, "handover.prepared", handover=handover_id)
 
             restore_offsets = None
@@ -208,14 +208,8 @@ class HandoverManager:
                 restore_offsets, source_filter = restore.replay_start(
                     self.rhino, plans, points
                 )
-            report.scheduling_seconds = self.sim.now - scheduling_start
             scheduling_span.finish()
-            transfer_span = tracer.span(
-                "handover.transfer",
-                track="handover",
-                parent=root,
-                handover=handover_id,
-            )
+            transfer_span = execution.open_phase("handover.transfer")
 
             marker = HandoverMarker(handover_id, plans, self.sim.now)
             if group is not None:
@@ -372,7 +366,7 @@ class HandoverManager:
     # -- origin routine (§4.1.2 step 3, third case) -------------------------------
 
     def _origin_steps(self, instance, plan, execution):
-        outcome = execution.precopy.get(id(plan))
+        outcome = execution.report.precopy.get(id(plan))
         dirty = 0
         if outcome is not None:
             # Measured *at barrier entry*: what the migrating ranges
@@ -385,12 +379,8 @@ class HandoverManager:
         )
         checkpoint.cutoff_ts = instance.last_record_ts
         checkpoint.origin_progress = dict(instance.origin_progress)
-        fetch_start = self.sim.now
-        fetch_span = self.sim.tracer.span(
+        fetch_span = execution.open_phase(
             "handover.fetching",
-            track="handover",
-            parent=execution.root_span,
-            handover=execution.handover_id,
             role="origin",
             instance=instance.instance_id,
             **plan.trace_tags(),
@@ -490,16 +480,10 @@ class HandoverManager:
             handover=execution.handover_id,
             instance=instance.instance_id,
         )
-        execution.report.fetching_seconds = max(
-            execution.report.fetching_seconds, self.sim.now - fetch_start
-        )
         execution.report.migrated_bytes += transferred
         # Phase accounting: whatever an origin ships behind the barrier is
         # "cutover".
         execution.report.cutover_bytes += transferred
-        execution.report.cutover_seconds = max(
-            execution.report.cutover_seconds, self.sim.now - fetch_start
-        )
         moved = 0
         for lo, hi in plan.vnodes:
             moved += instance.state.drop_groups(lo, hi)
@@ -521,13 +505,9 @@ class HandoverManager:
             tables, cutoff, origin_progress = yield execution.state_ready_event(plan)
         except HandoverAborted:
             return  # the handover rolled back; adopt nothing
-        fetch_start = self.sim.now
         kind, payload = tables
-        fetch_span = self.sim.tracer.span(
+        fetch_span = execution.open_phase(
             "handover.fetching",
-            track="handover",
-            parent=execution.root_span,
-            handover=execution.handover_id,
             role="target",
             instance=instance.instance_id,
             source=kind,
@@ -546,15 +526,8 @@ class HandoverManager:
             live_tables = payload
             fetch_span.annotate(bytes=0)
         fetch_span.finish()
-        execution.report.fetching_seconds = max(
-            execution.report.fetching_seconds, self.sim.now - fetch_start
-        )
-        load_start = self.sim.now
-        load_span = self.sim.tracer.span(
+        load_span = execution.open_phase(
             "handover.loading",
-            track="handover",
-            parent=execution.root_span,
-            handover=execution.handover_id,
             instance=instance.instance_id,
             **plan.trace_tags(),
         )
@@ -589,9 +562,6 @@ class HandoverManager:
         load_span.finish(
             bytes=sum(t.size_bytes for t in live_tables),
             groups=plan.moved_groups,
-        )
-        execution.report.loading_seconds = max(
-            execution.report.loading_seconds, self.sim.now - load_start
         )
         self._journal(
             execution,
@@ -635,12 +605,13 @@ class HandoverManager:
 
     def _critical_to(self, execution, machine):
         """True when ``machine`` hosts the target or origin of a plan."""
-        return any(
-            plan.target_machine is machine
-            or self._origin_machine(plan) is machine
-            for plan in execution.plans
-        )
+        return any(m is machine for m in self._participants(execution))
 
-    def _origin_machine(self, plan):
-        instance = self.job.instances.get((plan.op_name, plan.origin_index))
-        return instance.machine if instance is not None else None
+    def _participants(self, execution):
+        """The origin and target machine of every plan."""
+        for plan in execution.plans:
+            origin = self.job.instances.get((plan.op_name, plan.origin_index))
+            if origin is not None:
+                yield origin.machine
+            if plan.target_machine is not None:
+                yield plan.target_machine

@@ -5,7 +5,6 @@ prose of §5); benches print them next to the simulated measurements so
 the reproduction's shape claims are auditable at a glance.
 """
 
-from repro.common.errors import ReproError
 from repro.common.tables import render_table
 from repro.common.units import GB
 
@@ -53,42 +52,6 @@ PAPER_FIGURE4 = {
         "flink": "(vertical scaling) three orders of magnitude increase",
     },
 }
-
-
-def breakdown_from_trace(tracer, handover_id=None):
-    """Derive one handover's Table 1 row from its trace spans.
-
-    The Handover Manager emits a root ``handover`` span with two
-    contiguous top-level phases (``handover.scheduling`` and
-    ``handover.transfer``) plus per-instance ``handover.fetching`` /
-    ``handover.loading`` spans; this reconstructs the scheduling /
-    fetching / loading breakdown from those spans alone -- no hand-kept
-    timers.  Defaults to the newest handover in the trace.
-    """
-    if handover_id is None:
-        roots = tracer.find("handover")
-    else:
-        roots = tracer.find("handover", handover=handover_id)
-    roots = [r for r in roots if r.end is not None]
-    if not roots:
-        raise ReproError("no completed handover span in the trace")
-    root = roots[-1]
-    hid = root.tags.get("handover")
-    scheduling = tracer.durations("handover.scheduling", handover=hid)
-    phases = scheduling + tracer.durations("handover.transfer", handover=hid)
-    fetches = tracer.durations("handover.fetching", handover=hid)
-    loads = tracer.durations("handover.loading", handover=hid)
-    return {
-        "handover": hid,
-        "kind": root.tags.get("kind"),
-        "scheduling": scheduling[-1] if scheduling else 0.0,
-        "fetching": max(fetches, default=0.0),
-        "loading": max(loads, default=0.0),
-        "total": root.duration,
-        #: Sum of the contiguous top-level phase spans; equals ``total``.
-        "phase_sum": sum(phases),
-        "migrated_bytes": root.tags.get("migrated_bytes", 0),
-    }
 
 
 def paper_total(size_gb, sut):

@@ -24,6 +24,7 @@ skipped):
   elements are parked in the exchange fabric.
 """
 
+from repro.core.handover import HandoverReport
 from repro.faults.invariants import (
     InvariantViolation,
     check_drained,
@@ -107,16 +108,7 @@ class ScenarioResult:
         Flink/Megaphone baselines' reports carry no phase accounting and
         are skipped.
         """
-        phases = {
-            "precopy_bytes": 0,
-            "precopy_chunks": 0,
-            "precopy_seconds": 0.0,
-            "delta_bytes": 0,
-            "delta_rounds": 0,
-            "delta_seconds": 0.0,
-            "cutover_bytes": 0,
-            "cutover_seconds": 0.0,
-        }
+        phases = HandoverReport(None, None).phase_breakdown()
         for report in self.handovers:
             if not hasattr(report, "phase_breakdown"):
                 continue

@@ -7,7 +7,6 @@ scheduling / state-fetching / state-loading breakdown.
 
 from repro.common.errors import OutOfMemoryError, ReproError
 from repro.common.units import GB
-from repro.experiments.report import breakdown_from_trace
 from repro.experiments.timeline import run_single_event
 
 
@@ -23,8 +22,8 @@ class RecoveryResult:
         self.total_seconds = None
         self.out_of_memory = False
         self.migrated_bytes = 0
-        #: Span-derived breakdown (dict) when the run was traced, else None.
-        self.trace_breakdown = None
+        #: The SUT's single recovery report, when it gave one.
+        self.report = None
 
     def row(self):
         """The report-table row for this result."""
@@ -72,10 +71,9 @@ def run_recovery(sut_name, state_bytes, seed=42, trace=False):
     NBQ8 streams at a scaled-down rate (recovery arithmetic depends on
     state bytes and bandwidths, not on throughput), state is preloaded to
     ``state_bytes``, then one machine fails and the SUT's reconfiguration
-    is timed.  With ``trace=True`` the run records
-    structured spans and, for the handover-based SUTs (rhino / rhinodfs),
-    the Table 1 breakdown is *derived from the trace* instead of the
-    hand-kept report timers (``result.trace_breakdown``).
+    is timed.  The breakdown is the SUT's report; for the handover-based
+    SUTs (rhino / rhinodfs) it reads the handover's phase spans, so
+    ``trace=True`` (the run records every span) yields the same numbers.
     """
     result = RecoveryResult(sut_name, state_bytes)
     try:
@@ -99,22 +97,13 @@ def run_recovery(sut_name, state_bytes, seed=42, trace=False):
         # only the total is meaningful.
         result.migrated_bytes = sum(r.migrated_bytes for r in run.outcome)
         return result
-    report = run.outcome
+    report = result.report = run.outcome
     result.scheduling_seconds = report.scheduling_seconds
     result.fetching_seconds = report.fetching_seconds
     result.loading_seconds = report.loading_seconds
     result.migrated_bytes = getattr(report, "migrated_bytes", 0) or getattr(
         report, "fetched_bytes", 0
     )
-    if run.testbed.tracer.enabled and hasattr(run.handle, "rhino"):
-        # Re-derive the breakdown from the trace spans; the Handover
-        # Manager anchors its phase spans on the exact sim instants the
-        # report timers use, so the derived values match the report.
-        breakdown = breakdown_from_trace(run.testbed.tracer)
-        result.trace_breakdown = breakdown
-        result.scheduling_seconds = breakdown["scheduling"]
-        result.fetching_seconds = breakdown["fetching"]
-        result.loading_seconds = breakdown["loading"]
     return result
 
 

@@ -28,10 +28,12 @@ from repro.obs.tracer import (
     Span,
     TraceEvent,
     Tracer,
+    phase_span,
 )
 from repro.obs.export import (
     chrome_trace,
     failover_breakdown,
+    failover_phases,
     text_timeline,
     write_chrome_trace,
 )
@@ -49,6 +51,8 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "failover_breakdown",
+    "failover_phases",
+    "phase_span",
     "text_timeline",
     "write_chrome_trace",
 ]

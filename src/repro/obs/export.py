@@ -88,29 +88,35 @@ def write_chrome_trace(tracer, path, pid=1):
     return path
 
 
-def failover_breakdown(tracer):
-    """Per-failover phase timings from the ``failover`` root spans.
+def failover_phases(root, spans):
+    """One takeover's entry, read off its closed ``failover`` root span.
 
-    Returns one dict per completed takeover: ``detect``, ``replay``, and
-    ``resume`` are the child-span durations (0.0 when a phase left no
-    span), ``total`` the root span's duration.  Because the three phases
-    run back-to-back inside the root, the parts sum to the total -- the
-    MTTR bench asserts exactly that.
+    ``detect``, ``replay`` and ``resume`` are the durations of the root's
+    ``failover.*`` children among ``spans`` (0.0 when a phase left no
+    span), ``total`` the root's duration, ``epoch`` and ``leader`` its
+    tags.  The three phases run back-to-back inside the root, so the parts
+    sum to the total -- the MTTR bench asserts exactly that.
     """
-    breakdowns = []
-    for root in tracer.spans:
-        if root.name != "failover" or root.end is None:
+    phases = {"detect": 0.0, "replay": 0.0, "resume": 0.0}
+    for span in spans:
+        if span.parent is not root or span.end is None:
             continue
-        phases = {"detect": 0.0, "replay": 0.0, "resume": 0.0}
-        for span in tracer.spans:
-            if span.parent is not root or span.end is None:
-                continue
-            prefix, _, phase = span.name.partition(".")
-            if prefix == "failover" and phase in phases:
-                phases[phase] += span.end - span.start
-        phases["total"] = root.end - root.start
-        breakdowns.append(phases)
-    return breakdowns
+        prefix, _, phase = span.name.partition(".")
+        if prefix == "failover" and phase in phases:
+            phases[phase] += span.end - span.start
+    phases["total"] = root.end - root.start
+    phases["epoch"] = root.tags["epoch"]
+    phases["leader"] = root.tags["leader"]
+    return phases
+
+
+def failover_breakdown(tracer):
+    """:func:`failover_phases` of every completed takeover in the trace."""
+    return [
+        failover_phases(root, tracer.spans)
+        for root in tracer.spans
+        if root.name == "failover" and root.end is not None
+    ]
 
 
 def text_timeline(tracer, include_events=False):

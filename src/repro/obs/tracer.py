@@ -226,10 +226,6 @@ class Tracer:
             s.duration for s in self.find(name, **tags) if s.end is not None
         ]
 
-    def total_time(self, name, **tags):
-        """Summed duration of closed spans matching."""
-        return sum(self.durations(name, **tags))
-
     def __repr__(self):
         return (
             f"<Tracer spans={len(self.spans)} events={len(self.events)} "
@@ -320,3 +316,30 @@ class NullTracer(Tracer):
 
 #: The shared disabled tracer (the Simulator default).
 NULL_TRACER = NullTracer()
+
+
+class _UnrecordedSpan(Span):
+    """A span no tracer records.  Its ``tracer`` slot holds the simulator
+    while the span is open and is let go when it closes: a report kept
+    after its run must not keep the whole run alive."""
+
+    __slots__ = ()
+
+    def finish(self, end=None, **tags):
+        if self.end is None and end is None:
+            end = self.tracer.now
+        self.tracer = None
+        return super().finish(end, **tags)
+
+
+def phase_span(sim, name, track=None, parent=None, start=None, **tags):
+    """Open a span that a report reads its phase time from.
+
+    With tracing on this is ``sim.tracer.span(...)``; without, a span on
+    the simulator's clock that no tracer records.  Either way the report
+    that reads it holds the same numbers.
+    """
+    if sim.tracer.enabled:
+        return sim.tracer.span(name, track, parent, start, **tags)
+    start = sim.now if start is None else start
+    return _UnrecordedSpan(sim, name, track, parent, start, tags)

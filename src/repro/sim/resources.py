@@ -1,8 +1,8 @@
 """Blocking resources for simulation processes.
 
 * :class:`Resource` -- a counting semaphore (e.g. CPU slots of a machine).
-* :class:`Store` -- a bounded FIFO queue with blocking put/get (the
-  foundation of inter-operator channels).
+* :class:`Store` -- an unbounded FIFO queue with a blocking get (a
+  source's control commands, the replication hop queues).
 """
 
 from collections import deque
@@ -76,74 +76,43 @@ class Resource:
 
 
 class Store:
-    """A bounded FIFO queue with blocking ``put`` and ``get``.
+    """An unbounded FIFO queue with a blocking ``get``.
 
-    ``put`` returns an event that succeeds once the item is enqueued (which
-    may block while the store is at capacity); ``get`` returns an event that
-    succeeds with the oldest item.
+    ``put`` enqueues at once (its event has already succeeded); ``get``
+    returns an event that succeeds with the oldest item.
     """
 
-    def __init__(self, sim, capacity=float("inf")):
-        if capacity <= 0:
-            raise SimulationError("Store capacity must be positive")
+    def __init__(self, sim):
         self.sim = sim
-        self.capacity = capacity
         self.items = deque()
         self._getters = deque()
-        self._putters = deque()  # (event, item)
         self._nonempty_waiters = []
-        self._closed = False
 
     def __len__(self):
         return len(self.items)
 
-    @property
-    def is_full(self):
-        """True at capacity."""
-        return len(self.items) >= self.capacity
-
     def put(self, item):
-        """Enqueue ``item``; the returned event succeeds when accepted."""
-        if self._closed:
-            raise SimulationError("put() on a closed Store")
+        """Enqueue ``item``; returns an event that has already succeeded."""
         event = self.sim.event()
-        if not self.is_full or self._getters:
-            self._deliver(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        self._notify_nonempty()
-        return event
-
-    def _deliver(self, item):
         while self._getters:
             getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self.items.append(item)
+            if not getter.triggered:
+                getter.succeed(item)
+                break
+        else:
+            self.items.append(item)
+        event.succeed()
+        self._notify_nonempty()
+        return event
 
     def get(self):
         """Dequeue the oldest item; the returned event succeeds with it."""
         event = self.sim.event()
         if self.items:
             event.succeed(self.items.popleft())
-            self._admit_putters()
-        elif self._closed:
-            event.fail(StoreClosed())
-            event.defused = True
         else:
             self._getters.append(event)
         return event
-
-    def _admit_putters(self):
-        while self._putters and not self.is_full:
-            putter, item = self._putters.popleft()
-            if putter.triggered:
-                continue
-            self.items.append(item)
-            putter.succeed()
 
     def when_nonempty(self):
         """Event that fires once the store holds at least one item.
@@ -164,29 +133,3 @@ class Store:
                 if not waiter.triggered:
                     waiter.succeed()
             waiters.clear()
-
-    def close(self):
-        """Close the store: pending and future gets fail with StoreClosed
-        once drained; puts are rejected immediately.
-        """
-        self._closed = True
-        if not self.items:
-            while self._getters:
-                getter = self._getters.popleft()
-                if not getter.triggered:
-                    getter.defused = True
-                    getter.fail(StoreClosed())
-
-    def drain(self):
-        """Remove and return all queued items without blocking."""
-        items = list(self.items)
-        self.items.clear()
-        self._admit_putters()
-        return items
-
-
-class StoreClosed(SimulationError):
-    """Raised to getters of a closed, drained Store."""
-
-    def __init__(self):
-        super().__init__("store closed")

@@ -29,6 +29,7 @@ from repro.common.errors import (
     StaleEpochError,
 )
 from repro.core.handover import PHASE_TABLE
+from repro.core.quorum import DETECTION_DELAY
 from repro.experiments.scenarios.chaos import (
     CONTROL_SWEEP_PHASES,
     run_chaos,
@@ -279,6 +280,12 @@ class TestTakeoverGolden:
     A change to how same-instant work is ordered may move it; such a PR
     re-captures it in the same commit and lists in CHANGES.md which events
     moved and by how much.  A protocol change re-captures both.
+    ``TRACE[2]`` was re-captured once when the takeover's spans became
+    what ``failover.history`` reads: the ``failover`` root and its
+    ``failover.detect`` child now open at the fault, so on seed 2's two
+    lease-expiry takeovers (the lease lapsed 0.5 s before the takeover
+    started) exactly those four span starts moved 0.5 s earlier.  Nothing
+    else in any trace moved, and no ``RESULT`` did.
     """
 
     RESULT = {
@@ -288,7 +295,7 @@ class TestTakeoverGolden:
     }
     TRACE = {
         1: "c4b9481f092ef31e83d66023807625cb26c3428194957f20d74776a42bec64f1",
-        2: "f4e87e2be94dacd34efd8a3c8816e2ce145ceaea5e01ea3279020ccf9c72155f",
+        2: "beccdf2127aa4917228eeebfc1210801588423524a701d6330b98efc7eda6cb0",
         6: "0112e90ffc9520b8b062af1bc99eb765120c8d9e8c9e87eeedeac7cea9d45223",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
@@ -326,23 +333,22 @@ class TestTakeoverDeterminism:
         assert first_trace == second_trace
 
     def test_failover_breakdown_phases_sum_to_total(self):
-        # Leader-kill takeovers only: a lease-expiry takeover dates its
-        # detect phase from the first missed heartbeat, before the span.
-        tracer = Tracer()
-        result = run_chaos(
-            7,
-            control_replicas=3,
-            kinds=(CRASH_RESTART,),
-            control_kill_at=6.0,
-            tracer=tracer,
-        )
-        assert_quorum_recovered(result)
-        breakdowns = failover_breakdown(tracer)
-        assert len(breakdowns) == len(result.failover_stats)
-        for phases, stats in zip(breakdowns, result.failover_stats):
-            total = phases["detect"] + phases["replay"] + phases["resume"]
-            assert total == pytest.approx(phases["total"], abs=1e-9)
-            assert phases["total"] == pytest.approx(stats["total"], abs=1e-9)
+        # Seed 7's takeover follows a leader kill.  Golden seed 2's two
+        # follow a lease expiry, which the survivors notice only after the
+        # detection delay; the spans still open at the fault.
+        leader_kill = dict(kinds=(CRASH_RESTART,), control_kill_at=6.0)
+        for seed, kwargs in ((7, leader_kill), (2, {})):
+            tracer = Tracer()
+            result = run_chaos(seed, control_replicas=3, tracer=tracer, **kwargs)
+            assert_quorum_recovered(result)
+            assert result.failover_stats == failover_breakdown(tracer)
+            untraced = run_chaos(seed, control_replicas=3, **kwargs)
+            assert untraced.failover_stats == result.failover_stats
+            for phases in result.failover_stats:
+                total = phases["detect"] + phases["replay"] + phases["resume"]
+                assert total == pytest.approx(phases["total"], abs=1e-9)
+                assert phases["detect"] == pytest.approx(DETECTION_DELAY)
+        assert len(result.failover_stats) == 2
 
 
 class TestQuiescencePoll:

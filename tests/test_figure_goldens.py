@@ -52,7 +52,9 @@ def timeline_fingerprint(result):
 
 
 def recovery_fingerprint(result):
-    return sorted(vars(result).items())
+    # The SUT's report object has no stable repr; its Table 1 numbers are
+    # the result's own fields.
+    return sorted((k, v) for k, v in vars(result).items() if k != "report")
 
 
 def resource_fingerprint(result):
@@ -102,7 +104,10 @@ SCRIPTS = {
 
 #: "<script>/<sut>" -> SHA-256, one per SUT branch.  Captured at e9ac6a0;
 #: all but table1-250GB/flink and table1-700GB/megaphone re-captured with
-#: the source watermark pacing of PR 23 (a documented model change).
+#: the source watermark pacing of PR 23 (a documented model change).  The
+#: five table1 digests were re-captured once more when RecoveryResult lost
+#: its span-derived breakdown key (None in every run here) and gained the
+#: report: every value they pin is unchanged.
 GOLDEN = {
     "failure/rhino": "03563733903e6d594272ebbdbb2f2db5fa201b5079626802fd1edd365a656fbb",
     "failure/rhinodfs": "b98cf5db950462ca53ef8f1bd6295980087b37fda439e2a7a1cd29e8b942d8f6",
@@ -116,11 +121,11 @@ GOLDEN = {
     "drain-triangular/flink": "a81b4e49cd7878b1258b394fbdef2b67e3da76a6ca0379f30e2c3d83ca2204e7",
     "figure5/rhino": "62afddac09f0d2caf7ccfbb054442d1bdcde2979db4d3ea00f7873411c80691d",
     "figure5/megaphone": "7f54c583117f96b328853af07c83324f6cd3ce6cf95b30c901dfd66f4269a58f",
-    "table1-250GB/rhino": "1b7ac6a8978187324f6fe949a35037769fe0f48c1a19749257f0e2cf4134f8b9",
-    "table1-250GB/rhinodfs": "62f32472cf09226b294029550669ac48b5b74746d87e4510522a7d9cd5d54c52",
-    "table1-250GB/flink": "6bad0fdcced3727834c7f68f0b82f5b300410018526d2e23633ab364dbd8ab66",
-    "table1-250GB/megaphone": "11a3ac0bf7e416e0a92d9ee7437c2c7fa48d05ffebaedf1a9447ac07048e29e8",
-    "table1-700GB/megaphone": "b4e953e27cc3c4c6aa1932a12f2b2d6f801a6b52a21ba74a7286cb7da4be42e1",
+    "table1-250GB/rhino": "c881b06b9a650381608b50dce226823bbb987a499ff3ecbb640bff11330c0c9c",
+    "table1-250GB/rhinodfs": "6b7c43ebf64ec82c87936a91cbfd12f8cbd263f217d85b3ed56a3d50b444a341",
+    "table1-250GB/flink": "5337501b57c54a1607cc62fa4c23a7c2c0d739fcd03f085b3a31f15e290f1ba4",
+    "table1-250GB/megaphone": "120b0a770ea64e39bcba48daaf5bd595fd0267d7cfb1634a092acd4f8eba6f26",
+    "table1-700GB/megaphone": "0a21353d1ca50d12c90e208bcdd15aa5ae83132b3ccecb0c26b986ca6232d22d",
 }
 
 

@@ -126,6 +126,38 @@ class TestTargetDeathMidHandover:
         assert final_counts(job) == expected_counts()
 
 
+class TestDeathBeforePrepare:
+    """A participant dies inside the scheduling delay, before the handover
+    is prepared and reachable by ``on_machine_failure``.  Nothing is
+    pre-copied: count[3]'s worker already holds count[2]'s replica."""
+
+    @pytest.mark.parametrize("index", [2, 3], ids=["origin", "target"])
+    def test_handover_aborts_and_counts_stay_exact(self, index):
+        env, job, rhino = setup()
+        live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
+        env.run(until=2.0)
+        victim = job.instance("count", index).machine
+        handover = rhino.reconfigure(
+            "rebalance", op_name="count", moves=[(2, 3)]
+        ).process
+        handover.defused = True
+
+        def killer():
+            yield env.sim.timeout(0.1)  # scheduling_delay is 0.2 s
+            env.cluster.kill(victim)
+
+        env.sim.process(killer())
+        env.run(until=4.0)
+        # A dead origin used to strand the target waiting for its state
+        # until handover_timeout; a dead target got the groups committed.
+        assert handover.triggered and not handover.ok
+        with pytest.raises(HandoverAborted):
+            handover.value
+        env.sim.run(until=rhino.reconfigure("failure", machine=victim).process)
+        env.run(until=30.0)
+        assert final_counts(job) == expected_counts()
+
+
 class TestPartitionMidHandover:
     """A network partition (not a death) interrupts a handover: the
     failure detector's suspicion aborts it, the retry loop re-executes

@@ -1,6 +1,8 @@
 """Tests for the structured tracing subsystem (repro.obs)."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.obs import (
 )
 
 from tests.engine_fixtures import EngineEnv, live_feeder
+from tests.test_fluid_handover import fluid_scenario
 
 KEYS = ["alpha", "bravo", "charlie", "delta"]
 
@@ -92,7 +95,6 @@ class TestTracerCore:
         tracer.span("step").finish(end=2.0)
         tracer.span("step")  # still open
         assert tracer.durations("step") == [2.0]
-        assert tracer.total_time("step") == 2.0
 
     def test_counters_and_gauges(self):
         clock = FakeClock()
@@ -327,3 +329,51 @@ class TestEngineIntegration:
         traced = run(Tracer())
         plain = run(None)
         assert traced == plain
+
+
+def report_values(report):
+    """Every number a HandoverReport gives, by name."""
+    return dict(
+        report.phase_breakdown(),
+        scheduling=report.scheduling_seconds,
+        fetching=report.fetching_seconds,
+        loading=report.loading_seconds,
+        total=report.total_seconds,
+    )
+
+
+class TestReportsReadTheirSpans:
+    """A report reads the phase spans the protocol opens: the same spans,
+    and so the same numbers, whether or not a tracer records them."""
+
+    def test_cold_rebalance_report_is_the_same_untraced(self):
+        _counts, traced, _job = fluid_scenario(tracer=Tracer())
+        _counts, plain, _job = fluid_scenario()
+        assert traced.precopy_bytes > 0  # the target was cold
+        assert traced.cutover_seconds > 0
+        assert report_values(traced) == report_values(plain)
+
+    def test_failure_recovery_report_is_the_same_untraced(self):
+        (traced, _sim), (plain, _sim) = recover(Tracer()), recover(None)
+        assert traced.fetching_seconds > 0 and traced.loading_seconds > 0
+        assert report_values(traced) == report_values(plain)
+
+    def test_an_untraced_report_does_not_keep_its_run_alive(self):
+        report, sim = recover(None)
+        gc.collect()
+        assert sim() is None
+        assert report.loading_seconds > 0
+
+
+def recover(tracer):
+    """A failure recovery's report and a weak reference to its simulator."""
+    env = EngineEnv(machines=4, tracer=tracer)
+    env.topic("events", 2)
+    job = start_job(env)
+    rhino = attach_rhino(env, job)
+    live_feeder(env, "events", KEYS, count=60, interval=0.02)
+    env.run(until=3.0)
+    victim = job.instance("count", 1).machine
+    env.cluster.kill(victim)
+    recovery = rhino.reconfigure("failure", machine=victim).process
+    return env.sim.run(until=recovery), weakref.ref(env.sim)

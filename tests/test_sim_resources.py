@@ -1,10 +1,9 @@
-"""Unit tests for Resource (semaphore) and Store (bounded FIFO queue)."""
+"""Unit tests for Resource (semaphore) and Store (unbounded FIFO queue)."""
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim import Simulator, Resource, Store
-from repro.sim.resources import StoreClosed
 
 
 @pytest.fixture
@@ -119,27 +118,8 @@ class TestStore:
         sim.run()
         assert log == [("x", 4.0)]
 
-    def test_put_blocks_at_capacity(self, sim):
-        store = Store(sim, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("put-a", sim.now))
-            yield store.put("b")
-            log.append(("put-b", sim.now))
-
-        def consumer():
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert log == [("put-a", 0.0), ("put-b", 3.0)]
-
     def test_direct_handoff_respects_waiting_consumer(self, sim):
-        store = Store(sim, capacity=1)
+        store = Store(sim)
         received = []
 
         def consumer(tag):
@@ -157,48 +137,8 @@ class TestStore:
         sim.run()
         assert received == [("first", 1), ("second", 2)]
 
-    def test_drain_returns_all_items(self, sim):
+    def test_put_returns_a_succeeded_event(self, sim):
         store = Store(sim)
-        for i in range(4):
-            store.put(i)
-        sim.run()
-        assert store.drain() == [0, 1, 2, 3]
-        assert len(store) == 0
-
-    def test_closed_store_rejects_put(self, sim):
-        store = Store(sim)
-        store.close()
-        with pytest.raises(SimulationError):
-            store.put(1)
-
-    def test_closed_store_fails_pending_get(self, sim):
-        store = Store(sim)
-
-        def consumer():
-            try:
-                yield store.get()
-            except StoreClosed:
-                return "closed"
-
-        process = sim.process(consumer())
-
-        def closer():
-            yield sim.timeout(1.0)
-            store.close()
-
-        sim.process(closer())
-        sim.run()
-        assert process.value == "closed"
-
-    def test_closed_store_drains_remaining_items_first(self, sim):
-        store = Store(sim)
-        store.put("leftover")
-        store.close()
-
-        def consumer():
-            item = yield store.get()
-            return item
-
-        process = sim.process(consumer())
-        sim.run()
-        assert process.value == "leftover"
+        event = store.put("x")
+        assert event.triggered and event.ok
+        assert len(store) == 1
