@@ -597,6 +597,11 @@ class SourceInstance(InstanceBase):
         self._last_emitted_ts = float("-inf")
         self._watermark_due_at = float("-inf")
         self.records_emitted = 0
+        #: An idle poll's pending wake-ups, kept across polls: a fresh pair
+        #: per poll would pile up in the partition's and the control store's
+        #: waiter lists until the next append or command.
+        self._data_wait = None
+        self._control_wait = None
 
     def send_command(self, kind, payload=None):
         """Enqueue a control-plane command for the source loop."""
@@ -611,22 +616,37 @@ class SourceInstance(InstanceBase):
                 if not self.running:
                     return
             if self.paused:
-                yield self.sim.any_of(
-                    [self.control.when_nonempty(), self.sim.timeout(self.idle_timeout)]
-                )
+                yield from self._idle(watch_log=False)
                 continue
             batch = self.cursor.try_poll(self.max_poll_records)
             if batch:
                 yield from self._emit_batch(batch)
             else:
                 yield from self._emit_watermark()
-                yield self.sim.any_of(
-                    [
-                        self.cursor.partition.wait_for_data(self.cursor.offset),
-                        self.control.when_nonempty(),
-                        self.sim.timeout(self.idle_timeout),
-                    ]
-                )
+                yield from self._idle(watch_log=True)
+
+    def _idle(self, watch_log):
+        """Sleep until a command (or, when ``watch_log``, a record) arrives
+        or the idle poll period ends.
+
+        A wait is made anew only once the last one fired; after the sleep
+        its hook comes off the waits still pending, which the next idle poll
+        hooks onto again.  A kept log wait stays right after a seek: the
+        loop only sleeps at the partition's end, and any append fires it.
+        """
+        waits = []
+        if watch_log:
+            if self._data_wait is None or self._data_wait.triggered:
+                self._data_wait = self.cursor.partition.wait_for_data(self.cursor.offset)
+            waits.append(self._data_wait)
+        if self._control_wait is None or self._control_wait.triggered:
+            self._control_wait = self.control.when_nonempty()
+        waits.append(self._control_wait)
+        wake = self.sim.any_of(waits + [self.sim.timeout(self.idle_timeout)])
+        yield wake
+        for wait in waits:
+            if wait.callbacks is not None:
+                wait.callbacks.remove(wake._observe)
 
     def _handle_command(self, command):
         if command.kind == SourceCommand.CHECKPOINT:

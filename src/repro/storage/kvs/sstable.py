@@ -1,7 +1,7 @@
 """Immutable sorted string tables.
 
 A point lookup visits every run it cannot rule out, so the store derives
-the key's order key and bloom seeds once, as a :class:`Probe`, and every
+the key's order key and filter hash once, as a :class:`Probe`, and every
 table and slice answers ``lookup(probe)``; ``get(group, key)`` builds the
 probe for callers holding a single table.
 
@@ -26,7 +26,7 @@ _CRC_CHUNK = 256
 
 class Probe(KeyHash):
     """One point lookup's key: a single ``repr(key)`` yields the order key
-    and, through the composite's serialization, the bloom seeds.
+    and, through the composite's serialization, the filter's ``(h, mask)``.
     """
 
     __slots__ = ("composite", "order")

@@ -680,3 +680,51 @@ class TestSourceWatermarkPacing:
         env.run(until=1.0)
         assert source.records_emitted == 20
         assert len(sent) == 5
+
+
+class TestSourceIdleWaiters:
+    """An idle source keeps its pending wake-ups across polls: however long
+    it idles, its partition and its control store each hold one waiter."""
+
+    IDLE = 0.05
+
+    def idle_source(self):
+        env = EngineEnv()
+        env.topic("events", 1)
+        graph = StreamGraph("idle")
+        graph.source("src", topic="events", parallelism=1)
+        graph.sink("out", inputs=[("src", "forward")])
+        config = JobConfig(num_key_groups=NUM_GROUPS, source_idle_timeout=self.IDLE)
+        job = env.job(graph, config=config)
+        job.deploy()
+        source = job.source_instances()[0]
+        polls = []
+        try_poll = source.cursor.try_poll
+
+        def counting(max_records):
+            polls.append(env.sim.now)
+            return try_poll(max_records)
+
+        source.cursor.try_poll = counting
+        job.start()
+        env.run(until=50.5 * self.IDLE)
+        return env, source, polls
+
+    def test_fifty_idle_polls_hold_one_waiter_each(self):
+        _env, source, polls = self.idle_source()
+        assert len(polls) >= 50
+        assert len(source.cursor.partition._waiters) <= 1
+        assert len(source.control._nonempty_waiters) <= 1
+        # ... and each pending wait carries only the current sleep's hook.
+        assert len(source._data_wait.callbacks) == 1
+        assert len(source._control_wait.callbacks) == 1
+
+    def test_a_kept_wait_wakes_the_source_before_its_timer(self):
+        env, source, polls = self.idle_source()
+        env.feed_sequence("events", keys=["k"], count=3, start_time=env.sim.now)
+        env.run(until=env.sim.now + self.IDLE / 5)
+        assert source.records_emitted == 3
+        source.send_command("seek", 0)  # a command wakes it too
+        env.run(until=env.sim.now + self.IDLE / 5)
+        assert source.records_emitted == 6
+        assert polls[-1] - polls[-2] < self.IDLE / 5
