@@ -33,7 +33,7 @@ import inspect
 
 from repro.common.errors import ProtocolError
 from repro.common.rng import make_rng
-from repro.engine.instance import ReplayFilter
+from repro.engine.instance import Frontier, ReplayFilter
 from repro.faults.retry import RetryPolicy
 from repro.sim.kernel import Interrupt
 from repro.core import migration
@@ -612,7 +612,7 @@ class Rhino:
         handover has loaded its state."""
         replacement = self.job.replace_instance(op_name, index, machine)
         replacement.replay_filter = ReplayFilter(
-            self.job.config.num_key_groups, float("inf")
+            self.job.config.num_key_groups, Frontier({}, float("inf"))
         )
         replacement.checkpoints_enabled = False
         replacement.start()

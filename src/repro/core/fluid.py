@@ -245,7 +245,7 @@ class _Precopy:
             # Snapshot: freeze the memtable so the shipped set is a
             # consistent prefix (everything at or below cutoff_seq); the
             # origin keeps writing into a fresh memtable meanwhile.
-            cutoff_seq, tables, cutoff_ts, progress = yield from _snapshot_origin(
+            cutoff_seq, tables, frontier = yield from _snapshot_origin(
                 origin, "handover-precopy"
             )
             # Only the migrating ranges are pre-copied: a rebalance that
@@ -270,8 +270,7 @@ class _Precopy:
                 tables,
                 CheckpointManifest([t.table_id for t in tables], shipped),
                 ("precopy", handover_id, plan.origin_index),
-                cutoff_ts=cutoff_ts,
-                origin_progress=progress,
+                frontier,
             )
             outcome.cutoff_seq = cutoff_seq
             outcome.precopy_bytes = shipped
@@ -305,8 +304,8 @@ class _Precopy:
                     round=round_no,
                     dirty_bytes=total_dirty,
                 )
-                cutoff_seq, tables, cutoff_ts, progress = yield from (
-                    _snapshot_origin(origin, "handover-delta")
+                cutoff_seq, tables, frontier = yield from _snapshot_origin(
+                    origin, "handover-delta"
                 )
                 chunks = plan_chunks(dirty_sizes, ranges, CHUNK_BYTES)
                 shipped = yield from self.ship(
@@ -318,8 +317,7 @@ class _Precopy:
                     store.name,
                     tables,
                     ("precopy", handover_id, plan.origin_index, round_no),
-                    cutoff_ts,
-                    progress,
+                    frontier,
                 )
                 outcome.cutoff_seq = cutoff_seq
                 outcome.delta_bytes += shipped
@@ -405,29 +403,26 @@ class _Precopy:
 
 
 def _snapshot_origin(origin, tag):
-    """Freeze the origin's memtable; returns (seq, tables, cutoff, progress).
+    """Freeze the origin's memtable; returns (seq, tables, frontier).
 
     Everything is captured synchronously at the flush instant -- the
     disk charge for the flushed run happens after, so records the
     origin processes while the write is in flight land beyond the
-    returned cutoff (in the next snapshot's delta).
+    returned sequence number and frontier (in the next snapshot's delta).
     """
     store = origin.state.store
     if not origin.machine.alive:
         raise TransferFailed(f"origin {origin.machine.name} is dead")
     cutoff_seq = store.current_seq
-    cutoff_ts = origin.last_record_ts
-    progress = dict(origin.origin_progress)
+    frontier = origin.frontier()
     flushed = store.flush()
     tables = list(store.tables)
     if flushed is not None:
         yield origin.machine.disk_write(flushed.size_bytes, tag=tag)
-    return cutoff_seq, tables, cutoff_ts, progress
+    return cutoff_seq, tables, frontier
 
 
-def _install_delta_snapshot(
-    sim, replica, store_name, tables, checkpoint_id, cutoff_ts, progress
-):
+def _install_delta_snapshot(sim, replica, store_name, tables, checkpoint_id, frontier):
     """Advance a pre-copy holding to a newer origin snapshot."""
     holding = replica.holdings.get(store_name)
     held = set(holding.tables) if holding is not None else set()
@@ -441,6 +436,5 @@ def _install_delta_snapshot(
         full_tables=list(tables),
         created_at=sim.now,
     )
-    checkpoint.cutoff_ts = cutoff_ts
-    checkpoint.origin_progress = progress
+    checkpoint.frontier = frontier
     replica.ingest(checkpoint)

@@ -229,7 +229,8 @@ class HandoverExecution:
         #: until it commits.
         self.accepted_record = None
         self.done = sim.event()
-        self._state_ready = {}  # plan -> Event carrying (tables, cutoff_ts)
+        #: id(plan) -> Event carrying the plan's ((kind, tables), frontier).
+        self._state_ready = {}
         #: Per-source emission frontier at rewire time: the exact boundary
         #: between records routed with the old and the new configuration
         #: (needed to roll a broken handover back without loss).
@@ -263,11 +264,11 @@ class HandoverExecution:
             event = self._state_ready[id(plan)] = self.sim.event()
         return event
 
-    def publish_state(self, plan, tables, cutoff_ts=None, origin_progress=None):
-        """Resolve the plan's state rendezvous with (tables, cutoff, frontier)."""
+    def publish_state(self, plan, payload, frontier):
+        """Resolve the plan's state rendezvous with (payload, frontier)."""
         event = self.state_ready_event(plan)
         if not event.triggered:
-            event.succeed((tables, cutoff_ts, origin_progress))
+            event.succeed((payload, frontier))
 
     def ack(self, instance_id):
         """Record one participant's acknowledgment; completes when all arrive."""

@@ -17,7 +17,12 @@ from repro.faults.retry import with_retry
 from repro.obs import phase_span
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
-from repro.engine.instance import OperatorInstance, ReplayFilter, SourceInstance
+from repro.engine.instance import (
+    Frontier,
+    OperatorInstance,
+    ReplayFilter,
+    SourceInstance,
+)
 from repro.core import fluid, migration, restore, rollback
 from repro.core.handover import (
     ABORTED,
@@ -347,8 +352,7 @@ class HandoverManager:
                 # let a newer replay re-process records seen since.
                 instance.replay_filter = ReplayFilter(
                     self.job.config.num_key_groups,
-                    float("-inf"),
-                    origin_progress=dict(instance.origin_progress),
+                    Frontier(dict(instance.origin_progress), float("-inf")),
                     epoch=self.sim.now,
                 )
             for plan in marker.plans:
@@ -377,8 +381,7 @@ class HandoverManager:
         checkpoint = yield from instance.state.checkpoint(
             ("handover", execution.handover_id, instance.index)
         )
-        checkpoint.cutoff_ts = instance.last_record_ts
-        checkpoint.origin_progress = dict(instance.origin_progress)
+        checkpoint.frontier = instance.frontier()
         fetch_span = execution.open_phase(
             "handover.fetching",
             role="origin",
@@ -391,12 +394,7 @@ class HandoverManager:
             if persist is not None:
                 yield persist
             transferred = checkpoint.delta_bytes
-            execution.publish_state(
-                plan,
-                ("dfs", checkpoint),
-                checkpoint.cutoff_ts,
-                origin_progress=checkpoint.origin_progress,
-            )
+            execution.publish_state(plan, ("dfs", checkpoint), checkpoint.frontier)
         else:
             target_machine = plan.target_machine
             # An intra-worker move ships nothing: tables are shared on disk.
@@ -435,8 +433,7 @@ class HandoverManager:
                     checkpoint.full_tables,
                     checkpoint.manifest,
                     checkpoint.checkpoint_id,
-                    cutoff_ts=checkpoint.cutoff_ts,
-                    origin_progress=checkpoint.origin_progress,
+                    checkpoint.frontier,
                 )
                 if transferred > 0:
                     # Chunk-granular and resumable: a retry after a
@@ -468,10 +465,7 @@ class HandoverManager:
                 if cutover_span is not None:
                     cutover_span.finish()
             execution.publish_state(
-                plan,
-                ("local", list(checkpoint.full_tables)),
-                checkpoint.cutoff_ts,
-                origin_progress=checkpoint.origin_progress,
+                plan, ("local", list(checkpoint.full_tables)), checkpoint.frontier
             )
         fetch_span.finish(bytes=transferred)
         self._journal(
@@ -502,10 +496,9 @@ class HandoverManager:
     def _target_steps(self, instance, plan, execution):
         config = self.rhino.config
         try:
-            tables, cutoff, origin_progress = yield execution.state_ready_event(plan)
+            (kind, payload), frontier = yield execution.state_ready_event(plan)
         except HandoverAborted:
             return  # the handover rolled back; adopt nothing
-        kind, payload = tables
         fetch_span = execution.open_phase(
             "handover.fetching",
             role="target",
@@ -540,7 +533,7 @@ class HandoverManager:
         instance.logic.absorb(plan.vnodes)
         if plan.reason == migration.FAILURE:
             # Fresh (restored) ranges replay from the checkpoint frontier.
-            # The default must stay open (-inf): a blanket "seen" default
+            # The default floor must stay open (-inf): a blanket "seen" floor
             # would silently swallow records of key groups this instance
             # adopts in a *later* reconfiguration.  The sampling epoch is
             # the reconfiguration *trigger*: records created before the
@@ -549,11 +542,9 @@ class HandoverManager:
             # is real end-to-end latency.
             instance.replay_filter = ReplayFilter(
                 self.job.config.num_key_groups,
-                float("-inf"),
-                origin_progress=dict(instance.origin_progress),
+                Frontier(dict(instance.origin_progress), float("-inf")),
                 fresh_ranges=plan.vnodes,
-                fresh_cutoff=cutoff if cutoff is not None else float("-inf"),
-                fresh_origin_progress=origin_progress,
+                fresh=frontier,
                 epoch=execution.report.triggered_at,
             )
             # The watermarks received so far precede that replay.

@@ -28,8 +28,7 @@ class ReplicaHolding:
         "tables",
         "manifest",
         "checkpoint_id",
-        "cutoff_ts",
-        "origin_progress",
+        "frontier",
     )
 
     def __init__(self, store_name):
@@ -37,8 +36,8 @@ class ReplicaHolding:
         self.tables = {}  # table_id -> SSTable
         self.manifest = None
         self.checkpoint_id = None
-        self.cutoff_ts = None
-        self.origin_progress = None
+        #: The replay frontier of the held checkpoint.
+        self.frontier = None
 
     @property
     def bytes_held(self):
@@ -91,28 +90,18 @@ class ReplicaStore:
             freed += holding.tables.pop(tid).size_bytes
         holding.manifest = checkpoint.manifest
         holding.checkpoint_id = checkpoint.checkpoint_id
-        holding.cutoff_ts = checkpoint.cutoff_ts
-        holding.origin_progress = checkpoint.origin_progress
+        holding.frontier = checkpoint.frontier
         if freed and self.machine.alive:
             self.machine.disk_free(freed)
         return freed
 
-    def ingest_full(
-        self,
-        store_name,
-        tables,
-        manifest,
-        checkpoint_id,
-        cutoff_ts=None,
-        origin_progress=None,
-    ):
+    def ingest_full(self, store_name, tables, manifest, checkpoint_id, frontier):
         """Install a full copy (bulk transfer during repair/scale-out)."""
         holding = self.holdings.setdefault(store_name, ReplicaHolding(store_name))
         holding.tables = {t.table_id: t for t in tables}
         holding.manifest = manifest
         holding.checkpoint_id = checkpoint_id
-        holding.cutoff_ts = cutoff_ts
-        holding.origin_progress = origin_progress
+        holding.frontier = frontier
 
     def holding_of(self, store_name):
         """The complete replica holding for a store, or ProtocolError."""
@@ -392,8 +381,7 @@ class ChainReplicator:
         if flushed is not None:
             yield instance.machine.disk_write(flushed.size_bytes, tag="repair-flush")
         tables = list(store.tables)
-        cutoff = instance.last_record_ts
-        origin_progress = dict(instance.origin_progress)
+        frontier = instance.frontier()
         total = sum(t.size_bytes for t in tables)
         yield from self._copy_blocks(
             instance.instance_id,
@@ -409,8 +397,7 @@ class ChainReplicator:
             tables,
             manifest,
             store.last_checkpoint_id,
-            cutoff_ts=cutoff,
-            origin_progress=origin_progress,
+            frontier,
         )
         return total
 
@@ -426,8 +413,7 @@ class ChainReplicator:
             tables,
             holding.manifest,
             holding.checkpoint_id,
-            cutoff_ts=holding.cutoff_ts,
-            origin_progress=holding.origin_progress,
+            holding.frontier,
         )
         return total
 

@@ -12,9 +12,10 @@ from repro.core.rollback import consumer_filter
 def publish(rhino, execution):
     """Hand each plan's target its restore payload.
 
-    Returns each plan's restore point: (cutoff, origin_progress, source),
-    where the source is the DFS checkpoint's record or the replica
-    holding's checkpoint id.
+    Returns each plan's restore point: (frontier, source), where the
+    source is the DFS checkpoint's record or the replica holding's
+    checkpoint id, and the frontier is the one the restored state was
+    captured with.
     """
     coordinator = rhino.job.coordinator
     if not coordinator.has_completed():
@@ -25,22 +26,17 @@ def publish(rhino, execution):
         if rhino.dfs_storage is not None:
             source = _newest_record_with(coordinator, instance_id)
             checkpoint = source.checkpoints[instance_id]
-            cutoff = source.cutoffs.get(instance_id, source.triggered_at)
-            progress = checkpoint.origin_progress
+            frontier = checkpoint.frontier
             payload = ("dfs", checkpoint)
         else:
             holding = rhino.replicator.store_on(plan.target_machine).holding_of(
                 instance_id
             )
             source = holding.checkpoint_id
-            cutoff = holding.cutoff_ts
-            if cutoff is None:
-                record = _completed_record(coordinator, source)
-                cutoff = record.cutoffs.get(instance_id, record.triggered_at)
-            progress = holding.origin_progress
+            frontier = holding.frontier
             payload = ("local", holding.live_tables())
-        execution.publish_state(plan, payload, cutoff, origin_progress=progress)
-        points.append((cutoff, progress, source))
+        execution.publish_state(plan, payload, frontier)
+        points.append((frontier, source))
     return points
 
 
@@ -52,12 +48,12 @@ def replay_start(rhino, plans, points):
     key group to its consuming instances: recovered ones carry their
     restored checkpoint's frontier, survivors are consulted live.
     """
-    record = _oldest_restore_record(rhino, [source for _, _, source in points])
-    fresh = {}  # (op_name, group) -> (origin_progress, cutoff)
-    for plan, (cutoff, progress, _source) in zip(plans, points):
+    record = _oldest_restore_record(rhino, [source for _, source in points])
+    fresh = {}  # (op_name, group) -> Frontier
+    for plan, (frontier, _source) in zip(plans, points):
         for lo, hi in plan.vnodes:
             for group in range(lo, hi):
-                fresh[(plan.op_name, group)] = (progress, cutoff)
+                fresh[(plan.op_name, group)] = frontier
     return dict(record.offsets), consumer_filter(rhino.job, fresh, rhino.sim.now)
 
 
@@ -71,13 +67,6 @@ def _newest_record_with(coordinator, instance_id):
         if instance_id in record.checkpoints:
             return record
     raise ProtocolError(f"no completed checkpoint covers {instance_id}")
-
-
-def _completed_record(coordinator, checkpoint_id):
-    for record in coordinator.completed:
-        if record.checkpoint_id == checkpoint_id:
-            return record
-    raise ProtocolError(f"no completed checkpoint {checkpoint_id}")
 
 
 def _oldest_restore_record(rhino, sources):

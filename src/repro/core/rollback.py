@@ -9,7 +9,7 @@ Handover Manager's machine-failure / suspicion handlers and the
 control-plane takeover; :func:`abort` is their one entry point.
 """
 
-from repro.engine.instance import ConsumerDrivenReplayFilter, ReplayFilter
+from repro.engine.instance import ConsumerDrivenReplayFilter, Frontier, ReplayFilter
 from repro.core.handover import ABORTED, HandoverAborted
 
 
@@ -74,18 +74,14 @@ def _rollback_plan(job, sim, plan, execution):
         origin.logic.absorb(plan.vnodes)
         # Records diverted to the dead target replay from the captured
         # source frontiers; everything older is already in our state.
-        # The default frontier is the *live* progress dict (not a
+        # The default frontier reads the *live* progress dict (not a
         # snapshot): a replayed copy can race its still-in-flight
         # original, and whichever arrives second must read as seen.
         origin.replay_filter = ReplayFilter(
             job.config.num_key_groups,
-            float("-inf"),
-            origin_progress=origin.origin_progress,
+            Frontier(origin.origin_progress, float("-inf")),
             fresh_ranges=plan.vnodes,
-            fresh_origin_progress=dict(execution.source_frontiers),
-            # A source absent from the frontiers never rewired: all of
-            # its records reached us, so treat them as seen.
-            fresh_cutoff=float("inf"),
+            fresh=_diverted(execution),
             epoch=sim.now,
         )
         origin.restart_frontier()
@@ -107,10 +103,9 @@ def _rollback_plan(job, sim, plan, execution):
         # newer and pass.
         target.replay_filter = ReplayFilter(
             job.config.num_key_groups,
-            float("-inf"),
-            origin_progress=target.origin_progress,  # live frontier
+            Frontier(target.origin_progress, float("-inf")),  # live
             fresh_ranges=plan.vnodes,
-            fresh_cutoff=sim.now,
+            fresh=Frontier({}, sim.now),
             epoch=sim.now,
         )
     # Rewire every producer back to the origin (an aborted epoch).
@@ -145,11 +140,11 @@ def _replay_aborted_gap(job, sim, execution):
             continue
         instance.replay_filter = ReplayFilter(
             job.config.num_key_groups,
-            float("-inf"),
-            origin_progress=instance.origin_progress,  # live frontier
+            Frontier(instance.origin_progress, float("-inf")),  # live
             epoch=sim.now,
         )
     record = coordinator.completed[-1]
+    diverted = _diverted(execution)
     fresh = {}
     for plan in execution.plans:
         origin = job.instances.get((plan.op_name, plan.origin_index))
@@ -157,10 +152,7 @@ def _replay_aborted_gap(job, sim, execution):
             continue  # a dead origin is handled by failure recovery
         for lo, hi in plan.vnodes:
             for group in range(lo, hi):
-                fresh[(plan.op_name, group)] = (
-                    dict(execution.source_frontiers),
-                    float("inf"),  # un-rewired sources diverted nothing
-                )
+                fresh[(plan.op_name, group)] = diverted
     source_filter = consumer_filter(job, fresh, sim.now)
     for source in job.source_instances():
         if not source.machine.alive:
@@ -171,12 +163,22 @@ def _replay_aborted_gap(job, sim, execution):
             source.send_command("seek", min(offset, source.cursor.offset))
 
 
+def _diverted(execution):
+    """The frontier of what a rolled-back consumer already holds.
+
+    The epoch boundary diverted each rewired source's records after its
+    captured frontier.  A source absent from the frontiers never rewired:
+    all of its records reached the origin, so the floor reads them as seen.
+    """
+    return Frontier(dict(execution.source_frontiers), float("inf"))
+
+
 def consumer_filter(job, fresh, epoch):
     """A source-side replay filter over every key group's consumers.
 
-    ``fresh`` maps (op_name, group) to the (origin_progress, cutoff) a
-    restored or rolled-back consumer replays from; other consumers are
-    consulted live.
+    ``fresh`` maps (op_name, group) to the :class:`Frontier` a restored or
+    rolled-back consumer replays from; every other consumer's frontier is
+    its live progress.
     """
     num_groups = job.config.num_key_groups
     consumers_by_group = {}
@@ -185,8 +187,8 @@ def consumer_filter(job, fresh, epoch):
             instance = job.instances.get((op_name, assignment.owner_of(group)))
             if instance is None or instance.state is None:
                 continue
-            progress, cutoff = fresh.get((op_name, group), (None, None))
-            consumers_by_group.setdefault(group, []).append(
-                (instance, progress, cutoff)
-            )
+            frontier = fresh.get((op_name, group))
+            if frontier is None:
+                frontier = Frontier(instance.origin_progress, float("-inf"))
+            consumers_by_group.setdefault(group, []).append(frontier)
     return ConsumerDrivenReplayFilter(num_groups, consumers_by_group, epoch=epoch)

@@ -132,7 +132,7 @@ class Coordinator:
     # -- acknowledgments ----------------------------------------------------------
 
     def ack_checkpoint(
-        self, checkpoint_id, instance, checkpoint=None, offset=None, cutoff_ts=None
+        self, checkpoint_id, instance, checkpoint=None, offset=None, cutoff=None
     ):
         """Record one instance's snapshot acknowledgment."""
         if self._crashed:
@@ -149,8 +149,8 @@ class Coordinator:
                 instance=instance.instance_id,
                 delta_bytes=getattr(checkpoint, "delta_bytes", 0),
             )
-        if cutoff_ts is not None:
-            pending.record.cutoffs[instance.instance_id] = cutoff_ts
+        if cutoff is not None:
+            pending.record.cutoffs[instance.instance_id] = cutoff
         if checkpoint is not None:
             pending.record.checkpoints[instance.instance_id] = checkpoint
             for listener in self.instance_checkpoint_listeners:
@@ -242,7 +242,8 @@ class Coordinator:
 
         ``state`` is a :class:`~repro.core.journal.RecoveredControlState`.
         The completed-checkpoint registry is reconstructed with the
-        metadata recovery actually needs (offsets, cutoffs, timestamps);
+        journaled metadata (offsets, cutoffs, timestamps; a restore reads
+        its replay frontier off the checkpoint it restores, not here);
         the per-instance kvs Checkpoint handles live with the workers and
         are rebound lazily by the restore path.  Stranded barriers --
         triggered but unresolved at crash time -- are aborted, releasing

@@ -39,83 +39,72 @@ from repro.engine.state import KeyedStateBackend
 MAX_POLL_RECORDS = 64
 
 
+class Frontier:
+    """How far a consumer has processed the records of each source partition.
+
+    ``by_origin`` maps an origin (a source partition) to the timestamp of
+    the last record processed from it.  Timestamps strictly increase per
+    origin and channels deliver prefixes, so these entries are exact.
+    ``floor`` decides every record of an origin the map does not hold, and
+    every record without an origin.
+    """
+
+    __slots__ = ("by_origin", "floor")
+
+    def __init__(self, by_origin, floor):
+        self.by_origin = by_origin
+        self.floor = floor
+
+    def seen(self, record):
+        """True when ``record`` lies at or behind this frontier."""
+        progress = self.by_origin.get(record.origin)
+        if progress is None:
+            return record.timestamp <= self.floor
+        return record.timestamp <= progress
+
+
 class ReplayFilter:
     """Deduplication of replayed records ("ignore seen records", §4.1.2).
 
-    A record is *seen* when its (origin, timestamp) falls inside a progress
-    frontier.  Timestamps are strictly increasing per source partition and
-    channels deliver prefixes, so per-origin frontiers are exact; a scalar
-    cutoff serves as the fallback when per-origin progress is unavailable.
-
-    Records of the *fresh* (migrated) key groups compare against the
-    restored checkpoint's frontier; everything else against the instance's
-    own frontier.
+    A record is a duplicate when a :class:`Frontier` has seen it.  Records
+    of the *fresh* (migrated or rolled-back) key groups meet the ``fresh``
+    frontier -- the restored checkpoint's, or an abort's -- and every other
+    record meets the ``default`` frontier.
     """
 
-    __slots__ = (
-        "num_groups",
-        "default_cutoff",
-        "origin_progress",
-        "fresh_ranges",
-        "fresh_cutoff",
-        "fresh_origin_progress",
-        "epoch",
-    )
+    __slots__ = ("num_groups", "default", "fresh_ranges", "fresh", "epoch")
 
-    def __init__(
-        self,
-        num_groups,
-        default_cutoff,
-        fresh_ranges=None,
-        fresh_cutoff=None,
-        epoch=None,
-        origin_progress=None,
-        fresh_origin_progress=None,
-    ):
+    def __init__(self, num_groups, default, fresh_ranges=None, fresh=None, epoch=None):
         self.num_groups = num_groups
-        self.default_cutoff = default_cutoff
-        self.origin_progress = origin_progress
+        self.default = default
         self.fresh_ranges = RangeSet(fresh_ranges) if fresh_ranges else None
-        self.fresh_cutoff = fresh_cutoff
-        self.fresh_origin_progress = fresh_origin_progress
+        self.fresh = fresh
         #: Simulated time the filter was installed: records older than this
         #: are recovery reprocessing, not live traffic, and are excluded
         #: from end-to-end latency sampling.
         self.epoch = epoch
-
-    @staticmethod
-    def _seen(record, progress, cutoff):
-        if (
-            progress is not None
-            and record.origin is not None
-            and record.origin in progress
-        ):
-            return record.timestamp <= progress[record.origin]
-        return record.timestamp <= cutoff
 
     def should_process(self, record):
         """False when the record is a replay duplicate to skip."""
         if self.fresh_ranges is not None:
             group = key_group_of(record.key, self.num_groups)
             if group in self.fresh_ranges:
-                return not self._seen(
-                    record, self.fresh_origin_progress, self.fresh_cutoff
-                )
-        return not self._seen(record, self.origin_progress, self.default_cutoff)
+                return not self.fresh.seen(record)
+        return not self.default.seen(record)
 
 
 class ConsumerDrivenReplayFilter:
     """Source-side replay filter: re-ship a record iff a consumer needs it.
 
     During upstream-backup replay, a record is worth re-shipping only when
-    at least one consuming instance has not processed it:
+    the frontier of at least one consuming instance has not seen it:
 
-    * a *survivor* needs the record when its live per-origin progress
-      frontier has not passed it (the record was lost in flight);
-    * a *recovered* instance needs every record newer than its restored
-      checkpoint's frontier.
+    * a *survivor*'s frontier is its live per-origin progress (a record
+      it lacks was lost in flight);
+    * a *recovered* instance's is its restored checkpoint's frontier, a
+      *rolled-back* one's what the aborted epoch had not diverted.
 
-    Looking at live survivor frontiers keeps the filter exact and tight:
+    Reading live survivor progress keeps the filter exact and tight:
     progress only advances, and anything re-shipped unnecessarily is still
     deduplicated by the consumer's own :class:`ReplayFilter`.
     """
@@ -124,8 +113,7 @@ class ConsumerDrivenReplayFilter:
 
     def __init__(self, num_groups, consumers_by_group, epoch=None):
         self.num_groups = num_groups
-        #: group -> list of (instance, fresh_progress, fresh_cutoff);
-        #: fresh_* is None for survivors (use live progress).
+        #: group -> the Frontier of each instance consuming it.
         self.consumers_by_group = consumers_by_group
         self.epoch = epoch
 
@@ -135,20 +123,9 @@ class ConsumerDrivenReplayFilter:
         consumers = self.consumers_by_group.get(group)
         if not consumers:
             return False  # nobody consumes this group: drop
-        for instance, fresh_progress, fresh_cutoff in consumers:
-            if fresh_cutoff is not None or fresh_progress is not None:
-                if not ReplayFilter._seen(
-                    record,
-                    fresh_progress,
-                    fresh_cutoff if fresh_cutoff is not None else float("-inf"),
-                ):
-                    return True
-            else:
-                seen_ts = instance.origin_progress.get(
-                    record.origin, float("-inf")
-                )
-                if record.timestamp > seen_ts:
-                    return True
+        for frontier in consumers:
+            if not frontier.seen(record):
+                return True
         return False
 
 
@@ -512,16 +489,20 @@ class OperatorInstance(InstanceBase):
         checkpoint = None
         if self.state is not None:
             checkpoint = yield from self.state.checkpoint(barrier.checkpoint_id)
-            checkpoint.cutoff_ts = self.last_record_ts
-            checkpoint.origin_progress = dict(self.origin_progress)
+            checkpoint.frontier = self.frontier()
         self.job.coordinator.ack_checkpoint(
             barrier.checkpoint_id,
             self,
             checkpoint=checkpoint,
-            cutoff_ts=self.last_record_ts,
+            cutoff=self.last_record_ts,
         )
 
     # -- introspection --------------------------------------------------------
+
+    def frontier(self):
+        """A snapshot of this instance's replay frontier: its per-origin
+        progress over the timestamp of the newest record it processed."""
+        return Frontier(dict(self.origin_progress), self.last_record_ts)
 
     @property
     def watermark(self):

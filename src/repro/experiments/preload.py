@@ -76,9 +76,8 @@ def preload_state(
         instance.machine.pick_disk().used += table.size_bytes
         checkpoint, _flushed = instance.state.store.checkpoint(checkpoint_id, now=now)
         checkpoint.delta_tables = [table]  # the artifact that was persisted
-        checkpoint.cutoff_ts = now
-        checkpoint.origin_progress = dict(instance.origin_progress)
         instance.last_record_ts = max(instance.last_record_ts, now)
+        checkpoint.frontier = instance.frontier()
         record.checkpoints[instance.instance_id] = checkpoint
         record.cutoffs[instance.instance_id] = now
         if rhino is not None:
@@ -90,15 +89,13 @@ def preload_state(
                     checkpoint.full_tables,
                     checkpoint.manifest,
                     checkpoint_id,
-                    cutoff_ts=now,
-                    origin_progress=dict(instance.origin_progress),
+                    checkpoint.frontier,
                 )
                 member.pick_disk().used += table.size_bytes
         if dfs_storage is not None:
             _register_tables(dfs_storage, instance, checkpoint)
     for source in job.source_instances():
         record.offsets[source.instance_id] = source.cursor.offset
-        record.cutoffs[source.instance_id] = now
     job.coordinator.completed.append(record)
     job.coordinator._next_id = max(job.coordinator._next_id, checkpoint_id)
     return record

@@ -58,8 +58,7 @@ class Checkpoint:
         "delta_tables",
         "full_tables",
         "created_at",
-        "cutoff_ts",
-        "origin_progress",
+        "frontier",
     )
 
     def __init__(
@@ -71,11 +70,10 @@ class Checkpoint:
         self.delta_tables = list(delta_tables)
         self.full_tables = list(full_tables)
         self.created_at = created_at
-        #: Event-time cutoff: the producing instance had processed records
-        #: up to this timestamp (used for replay deduplication).
-        self.cutoff_ts = None
-        #: Exact per-source-partition frontier at snapshot time.
-        self.origin_progress = None
+        #: The producing instance's replay frontier at snapshot time
+        #: (``repro.engine.instance.Frontier``): what a restore of this
+        #: checkpoint has already processed.
+        self.frontier = None
 
     @property
     def delta_bytes(self):

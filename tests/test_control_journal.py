@@ -9,6 +9,7 @@ from repro.core.journal import ControlJournal, plan_to_dict
 from repro.core.quorum import ControlMember
 from repro.core.migration import FAILURE, HandoverPlan
 from repro.core.replication import ReplicaStore
+from repro.engine.instance import Frontier
 from repro.faults import (
     ALL_KINDS,
     CONTROL_KINDS,
@@ -125,7 +126,7 @@ class TestReplicaVerifyOnRead:
         table = make_table()
         manifest = CheckpointManifest([table.table_id], table.size_bytes)
         store = ReplicaStore(_StubMachine())
-        store.ingest_full("count[0]", [table], manifest, checkpoint_id=1)
+        store.ingest_full("count[0]", [table], manifest, 1, Frontier({}, 0.0))
         assert store.holding_of("count[0]").is_complete
         table.entries[0].value = "corrupt"
         with pytest.raises(CorruptionError):

@@ -7,7 +7,11 @@ import pytest
 from repro.common.errors import EngineError
 from repro.core.api import Rhino, RhinoConfig
 from repro.engine.graph import StreamGraph
-from repro.engine.instance import ConsumerDrivenReplayFilter, ReplayFilter
+from repro.engine.instance import (
+    ConsumerDrivenReplayFilter,
+    Frontier,
+    ReplayFilter,
+)
 from repro.engine.job import JobConfig
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
@@ -25,9 +29,14 @@ from tests.engine_fixtures import EngineEnv, live_feeder
 NUM_GROUPS = 16
 
 
+def floor(timestamp):
+    """A frontier that holds no origin: ``timestamp`` decides every record."""
+    return Frontier({}, timestamp)
+
+
 class TestReplayFilter:
     def test_default_cutoff_skips_old_records(self):
-        rf = ReplayFilter(NUM_GROUPS, default_cutoff=10.0)
+        rf = ReplayFilter(NUM_GROUPS, floor(10.0))
         assert not rf.should_process(Record("k", 9.0))
         assert not rf.should_process(Record("k", 10.0))
         assert rf.should_process(Record("k", 11.0))
@@ -37,9 +46,9 @@ class TestReplayFilter:
         group = key_group_of(key, NUM_GROUPS)
         rf = ReplayFilter(
             NUM_GROUPS,
-            default_cutoff=float("inf"),
+            floor(float("inf")),
             fresh_ranges=[(group, group + 1)],
-            fresh_cutoff=5.0,
+            fresh=floor(5.0),
         )
         assert rf.should_process(Record(key, 6.0))
         assert not rf.should_process(Record(key, 5.0))
@@ -50,16 +59,79 @@ class TestReplayFilter:
         other = (group + 1) % NUM_GROUPS
         rf = ReplayFilter(
             NUM_GROUPS,
-            default_cutoff=100.0,
+            floor(100.0),
             fresh_ranges=[(other, other + 1)],
-            fresh_cutoff=0.0,
+            fresh=floor(0.0),
         )
         assert not rf.should_process(Record(key, 50.0))
         assert rf.should_process(Record(key, 150.0))
 
     def test_infinite_default_blocks_everything(self):
-        rf = ReplayFilter(NUM_GROUPS, default_cutoff=float("inf"))
+        rf = ReplayFilter(NUM_GROUPS, floor(float("inf")))
         assert not rf.should_process(Record("k", 1e12))
+
+
+class TestFrontier:
+    def test_a_held_origin_ignores_the_floor_in_both_directions(self):
+        # Above its entry but below the floor: not seen.
+        assert not Frontier({"a": 5.0}, 10.0).seen(Record("k", 7.0, origin="a"))
+        # At or below its entry but above the floor: seen.
+        assert Frontier({"a": 5.0}, 0.0).seen(Record("k", 3.0, origin="a"))
+        assert Frontier({"a": 5.0}, 0.0).seen(Record("k", 5.0, origin="a"))
+
+    @pytest.mark.parametrize("origin", ["b", None])
+    def test_an_origin_it_does_not_hold_falls_back_to_the_floor(self, origin):
+        frontier = Frontier({"a": 5.0}, 10.0)
+        assert frontier.seen(Record("k", 10.0, origin=origin))
+        assert not frontier.seen(Record("k", 10.5, origin=origin))
+
+    def test_the_snapshot_is_progress_over_the_newest_record(self):
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        live_feeder(env, "a", ["k"], count=4, interval=0.1)
+        env.run(until=1.0)
+        instance = job.operator_instances("op")[0]
+        frontier = instance.frontier()
+        assert frontier.by_origin == {"a[0]": pytest.approx(0.4)}
+        assert frontier.floor == instance.last_record_ts == frontier.by_origin["a[0]"]
+        instance.origin_progress["a[0]"] = 9.0
+        assert frontier.by_origin["a[0]"] < 9.0
+
+
+class TestConsumerDrivenReplayFilter:
+    def test_a_group_without_consumers_is_dropped(self):
+        key = "k"
+        group = key_group_of(key, NUM_GROUPS)
+        other = (group + 1) % NUM_GROUPS
+        rf = ConsumerDrivenReplayFilter(
+            NUM_GROUPS, {other: [floor(float("-inf"))], group: []}
+        )
+        assert not rf.should_process(Record(key, 1.0, origin="a"))
+
+    def test_a_record_ships_if_any_consumer_has_not_seen_it(self):
+        key = "k"
+        group = key_group_of(key, NUM_GROUPS)
+        behind = Frontier({"a": 2.0}, float("inf"))
+        ahead = Frontier({"a": 8.0}, float("-inf"))
+        record = Record(key, 5.0, origin="a")
+        ships = ConsumerDrivenReplayFilter(NUM_GROUPS, {group: [ahead, behind]})
+        assert ships.should_process(record)
+        drops = ConsumerDrivenReplayFilter(NUM_GROUPS, {group: [ahead, ahead]})
+        assert not drops.should_process(record)
+
+    def test_a_live_frontier_reads_progress_made_after_it_was_built(self):
+        key = "k"
+        group = key_group_of(key, NUM_GROUPS)
+        progress = {}
+        rf = ConsumerDrivenReplayFilter(
+            NUM_GROUPS, {group: [Frontier(progress, float("-inf"))]}
+        )
+        record = Record(key, 5.0, origin="a")
+        assert rf.should_process(record)
+        progress["a"] = 5.0
+        assert not rf.should_process(record)
 
 
 def two_source_job(env, logic_factory=PassThroughLogic, stateful=False):
@@ -560,7 +632,7 @@ class TestSourcePause:
         job = env.job(graph)
         job.deploy()
         source = job.source_instances()[0]
-        source.replay_filter = ReplayFilter(16, default_cutoff=float("inf"))
+        source.replay_filter = ReplayFilter(16, floor(float("inf")))
         job.start()
         env.run(until=2.0)
         assert source.records_dropped == 10
@@ -585,7 +657,7 @@ class TestSourcePause:
         job.deploy()
         source = job.source_instances()[0]
         assert source.instance_id == "src[0]"
-        rolled_back = (None, {frontier_of: 0.035}, float("inf"))
+        rolled_back = Frontier({frontier_of: 0.035}, float("inf"))
         source.replay_filter = ConsumerDrivenReplayFilter(
             16, {group: [rolled_back] for group in range(16)}
         )

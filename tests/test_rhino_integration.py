@@ -10,9 +10,12 @@ import pytest
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.baselines.rhinodfs import make_rhinodfs
+from repro.core import restore
 from repro.core.api import Rhino, RhinoConfig
+from repro.engine.checkpointing import DFSCheckpointStorage
 
-from tests.engine_fixtures import EngineEnv, live_feeder
+from tests.engine_fixtures import EngineEnv, live_feeder, make_dfs
 
 KEYS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
 
@@ -38,8 +41,8 @@ def make_env(machines=4):
     return env
 
 
-def make_job(env, checkpoint_interval=1.0, graph=None):
-    config = JobConfig(
+def job_config(checkpoint_interval=1.0):
+    return JobConfig(
         num_key_groups=32,
         virtual_node_count=4,
         checkpoint_interval=checkpoint_interval,
@@ -47,7 +50,10 @@ def make_job(env, checkpoint_interval=1.0, graph=None):
         watermark_interval=0.1,
         source_idle_timeout=0.05,
     )
-    return env.job(graph or counter_graph(), config=config)
+
+
+def make_job(env, checkpoint_interval=1.0, graph=None):
+    return env.job(graph or counter_graph(), config=job_config(checkpoint_interval))
 
 
 def make_rhino(env, job, **overrides):
@@ -296,6 +302,59 @@ class TestFailureRecovery:
         recovery.defused = True
         env.run(until=5.0)
         assert not recovery.ok
+
+
+class TestRestorePoint:
+    """A failure recovery replays from the frontier its restored state was
+    captured with at the checkpoint's barrier -- the replica holding's
+    (Rhino) or the DFS checkpoint's (RhinoDFS) -- never from coordinator
+    metadata beside it."""
+
+    def recover(self, monkeypatch, env, job, rhino):
+        captured = {}  # (instance_id, checkpoint_id) -> barrier-time frontier
+        job.coordinator.instance_checkpoint_listeners.append(
+            lambda instance, checkpoint: captured.__setitem__(
+                (instance.instance_id, checkpoint.checkpoint_id),
+                checkpoint.frontier,
+            )
+        )
+        points = []
+        publish = restore.publish
+
+        def spy(rhino, execution):
+            points.extend(publish(rhino, execution))
+            return points
+
+        monkeypatch.setattr(restore, "publish", spy)
+        TestFailureRecovery().run_failure_scenario(env, job, rhino)
+        assert final_counts(job) == expected_counts(240)
+        [(frontier, source)] = points
+        # The target deduplicates its restored ranges against that frontier.
+        assert job.instance("count", 2).replay_filter.fresh is frontier
+        return captured, frontier, source
+
+    def test_rhino_restores_the_holdings_barrier_frontier(self, monkeypatch):
+        env = make_env()
+        job = make_job(env).start()
+        rhino = make_rhino(env, job)
+        captured, frontier, source = self.recover(monkeypatch, env, job, rhino)
+        assert isinstance(source, int)
+        assert frontier is captured[("count[2]", source)]
+
+    def test_rhinodfs_restores_the_checkpoints_barrier_frontier(self, monkeypatch):
+        env = make_env()
+        storage = DFSCheckpointStorage(env.sim, make_dfs(env), prefix="/rhinodfs")
+        job = env.job(counter_graph(), config=job_config(), storage=storage).start()
+        rhino = make_rhinodfs(
+            job,
+            env.cluster,
+            storage.dfs,
+            scheduling_delay=0.1,
+            state_load_seconds=0.05,
+        )
+        captured, frontier, record = self.recover(monkeypatch, env, job, rhino)
+        assert frontier is captured[("count[2]", record.checkpoint_id)]
+        assert frontier.floor == record.cutoffs["count[2]"]
 
 
 class TestDrain:

@@ -268,14 +268,16 @@ def test_precopy_abort_journals_the_abort_without_a_takeover():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="a rollback with no source frontier captured drops every later "
-    "record of the rolled-back key groups at the origin",
+    reason="a rollback whose diverted-records frontier holds no source "
+    "reads every record of the rolled-back key groups as seen (floor=inf) "
+    "and drops the later ones at the origin",
 )
 def test_rollback_before_any_source_rewired_keeps_exactly_once():
     """The leader dies on ``handover.marker``: every marker it minted is
     fenced at the sources, so no source frontier is captured.  The
-    rollback's origin filter then reads a missing frontier as "delivered
-    everything" (``fresh_cutoff=inf``) and drops the live records of the
+    rollback's origin filter then meets a diverted-records frontier that
+    holds no source, whose ``floor=inf`` reads every record as "delivered
+    before the rewire", and drops the live records of the
     rolled-back groups: ``echo`` (key group 18) stops at 18 of 25."""
     env, job, rhino, group = quorum_job()
     kill_leader_on(group, "handover.marker")
