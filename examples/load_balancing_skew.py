@@ -82,7 +82,7 @@ def main():
 
     handover = rhino.reconfigure(
         "rebalance", op_name="count", moves=[(hot_index, cold_index)]
-    ).process
+    )
     report = sim.run(until=handover)
     print(
         f"handover done: moved {report.moved_state_bytes} B of state in "

@@ -91,7 +91,7 @@ def main():
 
     # Live load balancing: move half of count[0]'s virtual nodes to
     # count[1] without stopping the query.
-    handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)]).process
+    handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
     report = sim.run(until=handover)
     print("\n== handover report ==")
     print(

@@ -25,18 +25,11 @@ from repro.engine.partitioning import KeyGroupAssignment, split_key_groups
 class FlinkConfig:
     """Flink baseline tunables (calibrated against §5.2.1)."""
 
-    def __init__(
-        self,
-        restart_delay=2.3,
-        state_load_seconds=1.4,
-        fetch_parallelism=4,
-    ):
+    def __init__(self, restart_delay=2.3, state_load_seconds=1.4):
         #: Cancel + reschedule time ("Scheduling" in Table 1, ~2.2-2.6 s).
         self.restart_delay = restart_delay
         #: RocksDB open + manifest processing ("State Loading", ~1.3-1.8 s).
         self.state_load_seconds = state_load_seconds
-        #: Concurrent block fetches per restoring instance.
-        self.fetch_parallelism = fetch_parallelism
 
 
 class FlinkReport:
@@ -89,7 +82,6 @@ class FlinkRuntime:
         self.metrics = None
         self.reports = []
         self._past_sink_results = {}
-        self._generation = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -168,7 +160,6 @@ class FlinkRuntime:
 
         # 1+2: cancel and re-schedule.
         yield self.sim.timeout(self.config.restart_delay)
-        self._generation += 1
         new_job = self._build_job(parallelism_overrides)
         new_job.deploy()
         report.scheduling_seconds = self.sim.now - report.triggered_at

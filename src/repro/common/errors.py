@@ -59,8 +59,7 @@ class ProtocolError(ReproError):
 class StaleEpochError(ProtocolError):
     """A control-plane command carried a deposed leader's epoch.
 
-    Raised by :meth:`repro.core.quorum.ControlGroup.check_fence` and by
-    fenced shared services (e.g. the DFS): the stale command is rejected
-    before anything is mutated, which is what makes retried commands
-    exactly-once across leader changes.
+    Raised by :meth:`repro.core.quorum.ControlGroup.check_fence`: the stale
+    command is rejected before anything is mutated, which is what makes
+    retried commands exactly-once across leader changes.
     """

@@ -1,15 +1,11 @@
 """The public Rhino API.
 
 Rhino is a *library deployed on top of a scale-out SPE* (§3.2).  Attach it
-to a running :class:`repro.engine.job.Job`::
+once to a running :class:`repro.engine.job.Job`::
 
-    rhino = Rhino(job, cluster, RhinoConfig(replication_factor=1))
-    rhino.attach()
+    rhino = Rhino(job, cluster, RhinoConfig(replication_factor=1)).attach()
     ...
-    handle = rhino.reconfigure("failure", machine=dead_machine)
-    report = sim.run(until=handle.process)
-    handle.report          # the HandoverReport
-    handle.spans()         # its trace spans (with a traced Simulator)
+    report = sim.run(until=rhino.reconfigure("failure", machine=dead_machine))
 
 ``reconfigure()`` is the only verb -- one handover protocol serves fault
 tolerance, elasticity and load balancing (§4.1), so every purpose is a
@@ -19,8 +15,10 @@ tolerance, elasticity and load balancing (§4.1), so every purpose is a
     rhino.reconfigure("rebalance", op_name="join", moves=[(0, 8), (1, 9)])
     rhino.reconfigure("drain", machine=retiring_machine)
 
-``rhino.detach()`` unregisters everything ``attach()`` registered; both
-are idempotent.
+Each call returns the process driving the reconfiguration; its value is
+the :class:`~repro.core.handover.HandoverReport`.  With a traced
+simulator, the handover's spans are
+``sim.tracer.find(prefix="handover", handover=report.handover_id)``.
 
 On attach, Rhino registers its handover-marker handler with the engine,
 builds replica groups through the Replication Manager, and hooks the
@@ -123,98 +121,9 @@ class RhinoConfig:
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
 
-    @classmethod
-    def from_dict(cls, mapping):
-        """Build a validated config from a plain mapping.
-
-        Unknown keys raise instead of being silently dropped, so config
-        files and experiment sweeps fail loudly on typos.
-        """
-        mapping = dict(mapping)
-        unknown = set(mapping) - set(cls().__dict__)
-        if unknown:
-            raise ProtocolError(
-                f"unknown RhinoConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**mapping)
-
-    def to_dict(self):
-        """The config as a plain dict (``from_dict``'s inverse)."""
-        return dict(self.__dict__)
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.__dict__.items()))
         return f"RhinoConfig({inner})"
-
-
-class Reconfiguration:
-    """A typed handle on one reconfiguration.
-
-    Wraps the driving simulation :class:`~repro.sim.kernel.Process`
-    (``yield handle.process``, or pass it to ``sim.run(until=...)``) and,
-    once complete, exposes the :class:`HandoverReport` and the trace spans
-    the reconfiguration produced.
-    """
-
-    def __init__(self, rhino, kind, process):
-        self.rhino = rhino
-        self.kind = kind
-        self.process = process
-        self._reports_before = len(rhino.handover_manager.reports)
-        self._reports_after = None
-        if process.callbacks is not None:
-            process.callbacks.append(self._on_done)
-        else:  # already terminated
-            self._on_done(process)
-
-    def _on_done(self, _event):
-        # Snapshot the report count at termination so later
-        # reconfigurations never bleed into this handle's slice.
-        self._reports_after = len(self.rhino.handover_manager.reports)
-
-    @property
-    def done(self):
-        """True once the reconfiguration terminated (either way)."""
-        return self.process.triggered
-
-    @property
-    def succeeded(self):
-        """True once the reconfiguration completed without error."""
-        return self.process.triggered and self.process.ok
-
-    @property
-    def reports(self):
-        """Handover reports produced by this reconfiguration so far."""
-        return self.rhino.handover_manager.reports[
-            self._reports_before : self._reports_after
-        ]
-
-    @property
-    def report(self):
-        """The (last) handover report, or None while running / if none.
-
-        A failure recovery of a machine that held only replicas performs
-        no handover; its report stays None.
-        """
-        reports = self.reports
-        return reports[-1] if reports else None
-
-    def spans(self):
-        """All trace spans of this reconfiguration's handovers.
-
-        Empty when the simulator runs without a tracer or while the
-        handover is still being scheduled.
-        """
-        ids = {report.handover_id for report in self.reports}
-        return [
-            span
-            for span in self.rhino.sim.tracer.find(prefix="handover")
-            if span.tags.get("handover") in ids
-        ]
-
-    def __repr__(self):
-        state = "done" if self.done else "running"
-        return f"<Reconfiguration {self.kind} {state}>"
 
 
 class Rhino:
@@ -245,14 +154,9 @@ class Rhino:
             retry=self.retry_policy,
         )
         self.handover_manager = HandoverManager(self.sim, job, self)
-        self._outstanding_replications = []
-        #: Background chain-repair processes (redundancy restoration).
-        self.repairs = []
         #: (instance_id, member_name) bulk copies the reconciler has in
         #: flight, so overlapping passes never double-copy.
         self._reconciling = set()
-        self._anti_entropy_proc = None
-        self._attached = False
         #: The quorum-replicated control plane (see enable_control_group):
         #: the one handle on its journal (``.journal``) and takeover
         #: lifecycle (``.failover``).  ``None`` is the paper's single
@@ -261,61 +165,20 @@ class Rhino:
 
     # -- lifecycle ------------------------------------------------------------
 
-    @property
-    def attached(self):
-        """True while this Rhino is registered with its job."""
-        return self._attached
-
     def attach(self):
-        """Register Rhino's protocols with the host engine (idempotent)."""
-        if self._attached:
-            return self
-        self._attached = True
+        """Register Rhino's protocols with the host engine (once per Rhino)."""
         self.job.marker_handlers[HandoverMarker] = self.handover_manager.on_marker
         if self.dfs_storage is None:
-            listeners = self.job.coordinator.instance_checkpoint_listeners
-            if self._on_instance_checkpoint not in listeners:
-                listeners.append(self._on_instance_checkpoint)
-        if self._on_machine_failure not in self.job.failure_listeners:
-            self.job.failure_listeners.append(self._on_machine_failure)
+            self.job.coordinator.instance_checkpoint_listeners.append(
+                self._on_instance_checkpoint
+            )
+        self.job.failure_listeners.append(self._on_machine_failure)
         for machine in self.job.machines:
             machine.on_restart(self._on_machine_restart)
-        if (
-            self.config.anti_entropy_interval is not None
-            and self._anti_entropy_proc is None
-        ):
-            self._anti_entropy_proc = self.sim.process(
-                self._anti_entropy(), name="anti-entropy"
-            )
-            self._anti_entropy_proc.defused = True
+        if self.config.anti_entropy_interval is not None:
+            reconciler = self.sim.process(self._anti_entropy(), name="anti-entropy")
+            reconciler.defused = True
         self.rebuild_replica_groups()
-        return self
-
-    def detach(self):
-        """Unregister from the host engine (idempotent, ``attach``'s inverse).
-
-        Removes the handover-marker handler, the per-instance checkpoint
-        listener, and the failure listener -- exactly what :meth:`attach`
-        registered.  Detaching before attaching a second Rhino to the same
-        job prevents the stale-listener leak where the old library keeps
-        replicating checkpoints it no longer manages.
-        """
-        if not self._attached:
-            return self
-        self._attached = False
-        if (
-            self.job.marker_handlers.get(HandoverMarker)
-            == self.handover_manager.on_marker
-        ):
-            del self.job.marker_handlers[HandoverMarker]
-        listeners = self.job.coordinator.instance_checkpoint_listeners
-        if self._on_instance_checkpoint in listeners:
-            listeners.remove(self._on_instance_checkpoint)
-        if self._on_machine_failure in self.job.failure_listeners:
-            self.job.failure_listeners.remove(self._on_machine_failure)
-        if self._anti_entropy_proc is not None and self._anti_entropy_proc.is_alive:
-            self._anti_entropy_proc.interrupt("rhino-detach")
-        self._anti_entropy_proc = None
         return self
 
     def rebuild_replica_groups(self):
@@ -401,8 +264,6 @@ class Rhino:
     # -- proactive replication ----------------------------------------------------
 
     def _on_instance_checkpoint(self, instance, checkpoint):
-        if not self._attached:
-            return  # stale listener of a detached Rhino: inert
         if not instance.machine.alive:
             return
         try:
@@ -415,18 +276,6 @@ class Rhino:
             return
         process = self.replicator.replicate(instance.machine, chain, checkpoint)
         process.defused = True  # chain failures are handled by repair
-        self._outstanding_replications.append(process)
-        self._outstanding_replications = [
-            p for p in self._outstanding_replications if p.is_alive
-        ]
-
-    @property
-    def replication_in_flight(self):
-        """Number of replication processes still running."""
-        self._outstanding_replications = [
-            p for p in self._outstanding_replications if p.is_alive
-        ]
-        return len(self._outstanding_replications)
 
     # -- reconfigurations (§3.5) ------------------------------------------------------
 
@@ -444,10 +293,12 @@ class Rhino:
         * ``reconfigure("drain", machine=m)``
 
         -- or an explicit :class:`~repro.core.migration.HandoverPlan` (or a
-        list of them) to hand straight to the Handover Manager.  Returns a
-        :class:`Reconfiguration` handle wrapping the driving process
-        (``yield handle.process``), the eventual :class:`HandoverReport`,
-        and the handover's trace spans.
+        list of them) to hand straight to the Handover Manager.  Returns the
+        driving :class:`~repro.sim.kernel.Process` (``yield`` it, or pass it
+        to ``sim.run(until=...)``).  Its value is the
+        :class:`~repro.core.handover.HandoverReport`, or None when a
+        failure recovery had nothing to hand over (the machine held only
+        replicas and stateless instances).
         """
         # Commands are stamped with the control-plane epoch at submission
         # (None without a quorum group).  ``fence_token=`` overrides the
@@ -460,7 +311,7 @@ class Rhino:
                 raise ProtocolError(
                     "explicit handover plans take no keyword arguments"
                 )
-            kind, name = "plans", "rhino-plans"
+            name = "rhino-plans"
 
             def plan():
                 return plans, None, None
@@ -483,7 +334,7 @@ class Rhino:
         process = self.sim.process(self._drive(plan, token), name=name)
         if self.control_group is not None:
             self.control_group.failover.track(process)
-        return Reconfiguration(self, kind, process)
+        return process
 
     @staticmethod
     def _as_plans(plan_or_kind):
@@ -603,7 +454,6 @@ class Rhino:
                 name=f"chain-repair:{machine.name}",
             )
             repair.defused = True
-            self.repairs.append(repair)
 
         return plans, self._replan_failure, commit
 
@@ -804,14 +654,10 @@ class Rhino:
     # -- failure monitoring -----------------------------------------------------------
 
     def _on_machine_failure(self, machine):
-        if not self._attached:
-            return  # stale listener of a detached Rhino: inert
         self.handover_manager.on_machine_failure(machine)
 
     def _on_machine_restart(self, machine, wiped):
         """A crashed worker rejoined; restore its replica holdings."""
-        if not self._attached:
-            return
         if wiped:
             store = self.replicator.stores.get(machine)
             if store is not None:
@@ -834,8 +680,6 @@ class Rhino:
         return detector
 
     def _on_machine_suspected(self, machine):
-        if not self._attached:
-            return
         self.handover_manager.on_machine_suspected(machine)
 
     # -- anti-entropy (replica completeness reconciliation) ---------------------------
@@ -893,7 +737,3 @@ class Rhino:
     def reports(self):
         """Handover reports, oldest first."""
         return self.handover_manager.reports
-
-    def replica_bytes_on(self, machine):
-        """Modeled bytes of secondary copies held by a machine."""
-        return self.replicator.store_on(machine).total_bytes

@@ -74,7 +74,7 @@ class LoadBalanceController:
                 "rebalance",
                 op_name=self.op_name,
                 moves=[(origin_index, target_index)],
-            ).process
+            )
             handover.defused = True
             yield handover
 
@@ -136,6 +136,6 @@ class FailureController:
         ) or self.rhino.replication_manager.replicas_on(machine)
         if not hosted:
             return
-        recovery = self.rhino.reconfigure("failure", machine=machine).process
+        recovery = self.rhino.reconfigure("failure", machine=machine)
         recovery.defused = True
         self.recoveries.append((self.job.sim.now, machine.name, recovery))

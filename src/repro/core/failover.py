@@ -162,11 +162,6 @@ class FailoverManager:
         # The fencing point: every command stamped before this instant is
         # from a deposed epoch.
         group.epoch += 1
-        storage = getattr(self.rhino, "dfs_storage", None)
-        if storage is not None and getattr(storage, "dfs", None) is not None:
-            # Fence shared external storage too: a deposed leader's
-            # buffered checkpoint/repair writes must not land later.
-            storage.dfs.set_fence(group.epoch)
         # Snapshot first: the oracle is the live state at the instant the
         # leader died, before the crash wipes volatile memory.
         self.snapshot_at_crash = ControlJournal.snapshot_live(self.rhino)

@@ -245,7 +245,7 @@ class ControlJournal:
                     group.mark_synced(leader, top_seq)
                 except Exception:  # noqa: BLE001 - I/O cost modeling only
                     pass
-            for member in group.replication_targets():
+            for member in group.all_members():
                 if member is leader:
                     continue
                 if not (member.machine.alive and member.service_up):

@@ -188,10 +188,6 @@ class ControlGroup:
 
     # -- the commit rule -------------------------------------------------------
 
-    def replication_targets(self):
-        """Members the quorum flusher ships batches to."""
-        return self.all_members()
-
     def mark_synced(self, member, seq):
         """A replica durably holds every record up to ``seq``."""
         if seq > member.synced_seq:

@@ -431,17 +431,17 @@ class RhinoHandle(SutHandle):
     def _vacate(self, kind, machine):
         # A dead origin recovers from its replicas; a live one drains
         # through the same handover (§5.5: delta-only, no replay).
-        return self.rhino.reconfigure(kind, machine=machine).process
+        return self.rhino.reconfigure(kind, machine=machine)
 
     def _rescale(self, add_instances):
         return self.rhino.reconfigure(
             "rescale", op_name=self.primary_op(), add_instances=add_instances
-        ).process
+        )
 
     def _rebalance(self, moves):
         return self.rhino.reconfigure(
             "rebalance", op_name=self.primary_op(), moves=moves
-        ).process
+        )
 
 
 class FlinkHandle(SutHandle):

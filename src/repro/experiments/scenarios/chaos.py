@@ -175,7 +175,7 @@ def run_chaos(
     last non-leader member with a spare worker at that virtual time (one
     hand-off record, possibly overlapping the kills).
     """
-    arguments = dict(locals())  # the parameters, for the traced re-run below
+    arguments = dict(locals())  # the parameters: the artifact and traced re-run
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("CHAOS_ARTIFACTS_DIR") or None
     sim = Simulator(tracer=tracer)
@@ -270,7 +270,7 @@ def run_chaos(
                 if machine.alive:  # restarted before the driver got to it
                     queued.discard(machine.name)
                     continue
-                proc = rhino.reconfigure("failure", machine=machine).process
+                proc = rhino.reconfigure("failure", machine=machine)
                 proc.defused = True
                 try:
                     yield proc
@@ -318,10 +318,10 @@ def run_chaos(
 
         def _planned_rebalance():
             yield sim.timeout(rebalance_at)
-            handle = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
-            handle.process.defused = True
+            rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
+            rebalance.defused = True
             try:
-                yield handle.process
+                yield rebalance
             except Exception:  # noqa: BLE001 - aborted by the chaos plan
                 pass
 
@@ -471,12 +471,22 @@ def run_chaos(
     except InvariantViolation as exc:
         violations.append(str(exc))
     if violations and artifacts_dir:
-        # Everything needed to replay the broken seed from the CI page.
+        # Everything needed to replay the broken seed from the CI page:
+        # ``run_chaos(**artifact["arguments"])`` reruns it.
         os.makedirs(artifacts_dir, exist_ok=True)
         plan_path = os.path.join(artifacts_dir, f"fault-plan-seed{seed}.json")
+        replay = {
+            name: value
+            for name, value in arguments.items()
+            if name not in ("tracer", "artifacts_dir")
+        }
         with open(plan_path, "w", encoding="utf-8") as handle:
             json.dump(
-                {"plan": plan.to_dict(), "violations": violations},
+                {
+                    "arguments": replay,
+                    "plan": plan.to_dict(),
+                    "violations": violations,
+                },
                 handle,
                 indent=2,
                 sort_keys=True,

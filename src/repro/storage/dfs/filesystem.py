@@ -1,6 +1,6 @@
 """DFS data path: writes with replica pipelines, locality-aware reads."""
 
-from repro.common.errors import StaleEpochError, StorageError
+from repro.common.errors import StorageError
 from repro.common.units import split_bytes
 from repro.faults.retry import NO_RETRY, with_retry
 from repro.storage.dfs.namenode import NameNode
@@ -31,45 +31,15 @@ class DistributedFileSystem:
         self.namenode = NameNode(datanodes, replication=replication, seed=seed)
         #: Backoff policy for block transfers (NO_RETRY = pre-chaos behavior).
         self.retry = retry if retry is not None else NO_RETRY
-        #: Minimum control-plane epoch accepted on fenced writes.  None
-        #: (the default) keeps the DFS unfenced: ``epoch`` is ignored and
-        #: behavior matches the unreplicated control plane exactly.
-        self.fence_epoch = None
-
-    # -- fencing ---------------------------------------------------------------
-
-    def set_fence(self, epoch):
-        """Reject writes stamped with a control-plane epoch below ``epoch``.
-
-        Called by the quorum control plane at every leader change, so a
-        deposed leader's in-flight checkpoint or repair writes cannot land
-        after the new leader has taken over the namespace.
-        """
-        if self.fence_epoch is None or epoch > self.fence_epoch:
-            self.fence_epoch = epoch
-
-    def _check_fence(self, epoch):
-        if (
-            epoch is not None
-            and self.fence_epoch is not None
-            and epoch < self.fence_epoch
-        ):
-            raise StaleEpochError(
-                f"dfs write from control epoch {epoch} rejected: "
-                f"fenced at epoch {self.fence_epoch}"
-            )
 
     # -- write -------------------------------------------------------------
 
-    def write(self, path, nbytes, client, parallelism=4, epoch=None):
+    def write(self, path, nbytes, client, parallelism=4):
         """Write a file of ``nbytes`` from ``client``; returns a Process.
 
         Blocks are written through ``parallelism`` concurrent pipelines
-        (HDFS clients keep several blocks in flight).  ``epoch`` optionally
-        stamps the write with the issuing control-plane epoch; a fenced
-        DFS rejects stale epochs before placing any block.
+        (HDFS clients keep several blocks in flight).
         """
-        self._check_fence(epoch)
         return self.sim.process(
             self._write(path, nbytes, client, parallelism),
             name=f"dfs-write:{path}",

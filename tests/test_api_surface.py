@@ -1,5 +1,5 @@
-"""Tests for the public API surface: reconfigure, config validation,
-attach/detach idempotency."""
+"""Tests for the public API surface: reconfigure, attach, config
+validation."""
 
 import inspect
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.rhinodfs import make_rhinodfs
 from repro.common.errors import EngineError, ProtocolError
-from repro.core.api import Reconfiguration, Rhino, RhinoConfig
+from repro.core.api import Rhino, RhinoConfig
 from repro.core.handover import HandoverMarker
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
@@ -114,16 +114,11 @@ class TestRhinoConfig:
         assert config.local_fetch_seconds == 0.2
         assert config.state_load_seconds == 1.3
 
-    def test_from_dict_round_trips(self):
-        config = RhinoConfig(replication_factor=2, block_size=1024)
-        clone = RhinoConfig.from_dict(config.to_dict())
-        assert clone.to_dict() == config.to_dict()
+    def test_misspelled_key_is_a_type_error(self):
+        with pytest.raises(TypeError, match="replication_factr"):
+            RhinoConfig(replication_factr=2)
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ProtocolError, match="replication_factr"):
-            RhinoConfig.from_dict({"replication_factr": 2})
-
-    def test_from_dict_rejects_a_removed_option(self):
+    def test_removed_options_are_type_errors(self):
         for removed in (
             "pipelined_handover",
             "retry_base_delay",
@@ -135,29 +130,25 @@ class TestRhinoConfig:
             "handover_delta_threshold_bytes",
             "handover_migration_rate",
         ):
-            with pytest.raises(ProtocolError, match=removed):
-                RhinoConfig.from_dict({removed: 1})
+            with pytest.raises(TypeError, match=removed):
+                RhinoConfig(**{removed: 1})
 
     def test_field_set_is_pinned(self):
-        """A new knob is a reviewed decision: it has to edit this set."""
-        assert set(RhinoConfig().to_dict()) == {
-            "replication_factor",
-            "dfs_storage",
+        """A new knob is a reviewed decision: it has to edit this list."""
+        assert sorted(vars(RhinoConfig())) == [
+            "anti_entropy_interval",
             "block_size",
             "credit_window_bytes",
-            "scheduling_delay",
-            "local_fetch_seconds",
-            "state_load_seconds",
+            "dfs_storage",
+            "handover_retry_attempts",
             "handover_timeout",
+            "local_fetch_seconds",
+            "replication_factor",
             "retry_attempts",
             "retry_seed",
-            "handover_retry_attempts",
-            "anti_entropy_interval",
-        }
-
-    def test_from_dict_validates(self):
-        with pytest.raises(ProtocolError):
-            RhinoConfig.from_dict({"replication_factor": -3})
+            "scheduling_delay",
+            "state_load_seconds",
+        ]
 
 
 class TestJobConfig:
@@ -247,14 +238,10 @@ class TestReconfigure:
         assert sorted(n for n in vars(Rhino) if not n.startswith("_")) == [
             "RECONFIGURE_KINDS",
             "attach",
-            "attached",
-            "detach",
             "enable_control_group",
             "enable_failure_detection",
             "rebuild_replica_groups",
             "reconfigure",
-            "replica_bytes_on",
-            "replication_in_flight",
             "reports",
         ]
         assert Rhino.RECONFIGURE_KINDS == ("failure", "rescale", "rebalance", "drain")
@@ -285,21 +272,20 @@ class TestReconfigure:
             rhino.reconfigure([])
 
     def test_rebalance_returns_typed_handle(self):
+        """The handle is the driving process; its value is the report."""
         env = make_env()
         job = start_job(env)
         rhino = make_rhino(env, job).attach()
         live_feeder(env, "events", KEYS, count=100, interval=0.02)
         env.run(until=3.0)
-        handle = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
-        assert isinstance(handle, Reconfiguration)
-        assert handle.kind == "rebalance"
-        assert isinstance(handle.process, Process)
-        assert not handle.done
-        assert handle.report is None
-        report = env.sim.run(until=handle.process)
-        assert handle.done and handle.succeeded
-        assert handle.report is report
-        assert handle.reports == [report]
+        process = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
+        assert isinstance(process, Process)
+        assert process.name == "rhino-rebalance:count"
+        assert not process.triggered
+        report = env.sim.run(until=process)
+        assert process.ok
+        assert report is process.value
+        assert rhino.reports == [report]
 
     def test_failure_recovery_via_reconfigure(self):
         env = make_env()
@@ -309,99 +295,37 @@ class TestReconfigure:
         env.run(until=3.0)
         victim = job.instance("count", 2).machine
         env.cluster.kill(victim)
-        handle = rhino.reconfigure("failure", machine=victim)
-        report = env.sim.run(until=handle.process)
-        assert handle.succeeded
+        recovery = rhino.reconfigure("failure", machine=victim)
+        report = env.sim.run(until=recovery)
+        assert recovery.ok
         assert report is not None
-        assert handle.report is report
+        assert rhino.reports[-1] is report
 
     def test_handles_track_only_their_own_reports(self):
+        """Two back-to-back rebalances each return their own report."""
         env = make_env()
         job = start_job(env)
         rhino = make_rhino(env, job).attach()
         live_feeder(env, "events", KEYS, count=150, interval=0.02)
         env.run(until=3.0)
-        first = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
-        env.sim.run(until=first.process)
-        second = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
-        env.sim.run(until=second.process)
-        assert len(rhino.reports) == 2
-        assert first.reports == [rhino.reports[0]]
-        assert second.reports == [rhino.reports[1]]
-
-
-class TestAttachDetach:
-    def test_attach_is_idempotent(self):
-        env = make_env()
-        job = start_job(env)
-        rhino = make_rhino(env, job)
-        assert not rhino.attached
-        rhino.attach()
-        assert rhino.attached
-        listeners = list(job.coordinator.instance_checkpoint_listeners)
-        failures = list(job.failure_listeners)
-        rhino.attach()
-        assert job.coordinator.instance_checkpoint_listeners == listeners
-        assert job.failure_listeners == failures
-
-    def test_detach_removes_what_attach_registered(self):
-        env = make_env()
-        job = start_job(env)
-        rhino = make_rhino(env, job).attach()
-        assert HandoverMarker in job.marker_handlers
-        rhino.detach()
-        assert not rhino.attached
-        assert HandoverMarker not in job.marker_handlers
-        assert (
-            rhino._on_instance_checkpoint
-            not in job.coordinator.instance_checkpoint_listeners
+        first = env.sim.run(
+            until=rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         )
-        assert rhino._on_machine_failure not in job.failure_listeners
+        second = env.sim.run(
+            until=rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
+        )
+        assert first.handover_id != second.handover_id
+        assert rhino.reports == [first, second]
+        assert first.completed_at <= second.triggered_at
 
-    def test_detach_is_idempotent(self):
-        env = make_env()
-        job = start_job(env)
-        rhino = make_rhino(env, job).attach()
-        rhino.detach()
-        rhino.detach()  # no error, no state change
-        assert not rhino.attached
 
-    def test_detach_before_attach_is_a_noop(self):
+class TestAttach:
+    def test_attach_registers_each_protocol_once(self):
         env = make_env()
         job = start_job(env)
         rhino = make_rhino(env, job)
-        assert rhino.detach() is rhino
-
-    def test_reattach_after_detach(self):
-        env = make_env()
-        job = start_job(env)
-        rhino = make_rhino(env, job).attach()
-        rhino.detach()
-        rhino.attach()
-        assert rhino.attached
+        assert rhino.attach() is rhino
         assert job.marker_handlers[HandoverMarker] == rhino.handover_manager.on_marker
-
-    def test_second_rhino_does_not_leak_old_listeners(self):
-        env = make_env()
-        job = start_job(env)
-        old = make_rhino(env, job).attach()
-        old.detach()
-        new = make_rhino(env, job).attach()
         listeners = job.coordinator.instance_checkpoint_listeners
-        assert old._on_instance_checkpoint not in listeners
-        assert new._on_instance_checkpoint in listeners
-        assert job.marker_handlers[HandoverMarker] == new.handover_manager.on_marker
-        live_feeder(env, "events", KEYS, count=60, interval=0.02)
-        env.run(until=5.0)
-        # Only the new library replicates; the detached one stays silent.
-        assert new.replicator.stats.checkpoints_replicated > 0
-        assert old.replicator.stats.checkpoints_replicated == 0
-
-    def test_stale_listener_is_inert_even_if_left_behind(self):
-        env = make_env()
-        job = start_job(env)
-        rhino = make_rhino(env, job).attach()
-        rhino._attached = False  # simulate a leaked registration
-        live_feeder(env, "events", KEYS, count=60, interval=0.02)
-        env.run(until=5.0)
-        assert rhino.replicator.stats.checkpoints_replicated == 0
+        assert listeners.count(rhino._on_instance_checkpoint) == 1
+        assert job.failure_listeners.count(rhino._on_machine_failure) == 1

@@ -203,7 +203,7 @@ class TestRhinoDFS:
         def chaos():
             yield env.sim.timeout(3.0)
             env.cluster.kill(victim)
-            yield rhino.reconfigure("failure", machine=victim).process
+            yield rhino.reconfigure("failure", machine=victim)
 
         chaos_process = env.sim.process(chaos())
         env.run(until=25.0)

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from repro.experiments.scenarios import chaos
 from repro.faults import ALL_KINDS, CRASH_RESTART, PARTITION
+from repro.faults.invariants import InvariantViolation
 from repro.obs.tracer import Tracer
 from repro.experiments.scenarios.chaos import run_chaos, run_chaos_sweep
 
@@ -80,6 +82,32 @@ class TestChaosReplay:
         b = run_chaos(seed=12, fault_count=3)
         schedule = lambda plan: [(e.time, e.kind, e.targets) for e in plan]
         assert schedule(a.plan) != schedule(b.plan)
+
+    def test_a_failure_artifact_alone_replays_the_run(self, tmp_path, monkeypatch):
+        """The artifact of a broken seed carries every argument of its run,
+        so ``run_chaos(**artifact["arguments"])`` regenerates its plan."""
+
+        def fail(*_args, **_kwargs):
+            raise InvariantViolation("forced")
+
+        monkeypatch.setattr(chaos, "check_all", fail)
+        monkeypatch.delenv("CHAOS_ARTIFACTS_DIR", raising=False)
+        result = run_chaos(
+            seed=4,
+            records=60,
+            fault_count=2,
+            rebalance_at=3.5,
+            control_replicas=3,
+            artifacts_dir=str(tmp_path),
+        )
+        assert result.violations == ["forced"]
+        with open(tmp_path / "fault-plan-seed4.json", encoding="utf-8") as handle:
+            artifact = json.load(handle)
+        assert artifact["arguments"]["control_replicas"] == 3
+        assert artifact["arguments"]["rebalance_at"] == 3.5
+        replayed = run_chaos(**artifact["arguments"])
+        assert replayed.plan.to_dict() == artifact["plan"]
+        assert replayed.counts == result.counts
 
 
 @pytest.mark.chaos

@@ -178,7 +178,7 @@ class FakeGroup:
         self.committed_seq = 0
         self.commit_log = []
 
-    def replication_targets(self):
+    def all_members(self):
         return self.members
 
     def mark_synced(self, member, seq):

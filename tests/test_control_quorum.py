@@ -50,7 +50,6 @@ from repro.faults import (
 from repro.faults.invariants import InvariantViolation
 from repro.obs import failover_breakdown
 from repro.obs.tracer import Tracer
-from repro.storage.dfs import DistributedFileSystem
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 from tests.test_chaos import canonical_trace
@@ -411,30 +410,31 @@ class TestStaleLeaderFencing:
             1 for r in group.journal.records if r.kind == "handover.accepted"
         )
         rejections_before = group.fencing_rejections
+        reports_before = len(rhino.reports)
         replay = rhino.reconfigure(
             "rebalance", op_name="count", moves=[(0, 1)], fence_token=stale
         )
-        replay.process.defused = True
+        replay.defused = True
         env.run(until=9.0)
 
         # Fenced before anything was mutated: the driver failed with
         # StaleEpochError, journaled nothing, produced no report.
-        assert replay.done and not replay.succeeded
+        assert replay.triggered and not replay.ok
         with pytest.raises(StaleEpochError):
-            replay.process.value
+            replay.value
         assert group.fencing_rejections == rejections_before + 1
         assert (
             sum(1 for r in group.journal.records if r.kind == "handover.accepted")
             == accepted_before
         )
-        assert replay.reports == []
+        assert len(rhino.reports) == reports_before
 
         # Resubmitting under the live epoch applies exactly once.
         retry = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
-        retry.process.defused = True
+        retry.defused = True
         env.run(until=15.0)
-        assert retry.succeeded
-        assert retry.report is not None
+        assert retry.ok
+        assert rhino.reports[reports_before:] == [retry.value]
         assert (
             sum(1 for r in group.journal.records if r.kind == "handover.accepted")
             == accepted_before + 1
@@ -778,45 +778,6 @@ class TestBoundedMttrChecker:
     def test_slow_takeover_is_reported_with_its_index(self):
         with pytest.raises(InvariantViolation, match=r"\(1, 9.5\)"):
             check_bounded_mttr([0.5, 9.5], 2.0)
-
-
-# -- DFS epoch fencing -------------------------------------------------------
-
-
-class TestDfsFencing:
-    def make_dfs(self):
-        env = EngineEnv(machines=3)
-        dfs = DistributedFileSystem(
-            env.sim, env.cluster, env.machines, block_size=4 * 1024 * 1024
-        )
-        return env, dfs
-
-    def test_stale_epoch_write_is_rejected_before_placing_blocks(self):
-        env, dfs = self.make_dfs()
-        dfs.set_fence(2)
-        with pytest.raises(StaleEpochError):
-            dfs.write("/ckpt/old", 1024, env.machines[0], epoch=1)
-        assert dfs.namenode.files == {}
-
-    def test_current_epoch_and_unstamped_writes_pass(self):
-        env, dfs = self.make_dfs()
-        dfs.set_fence(2)
-        dfs.write("/ckpt/new", 1024, env.machines[0], epoch=2)
-        dfs.write("/ckpt/legacy", 1024, env.machines[0])  # unfenced caller
-        env.run(until=5.0)
-        assert set(dfs.namenode.files) == {"/ckpt/new", "/ckpt/legacy"}
-
-    def test_fence_is_monotonic(self):
-        _, dfs = self.make_dfs()
-        dfs.set_fence(3)
-        dfs.set_fence(1)  # late, lower: ignored
-        assert dfs.fence_epoch == 3
-
-    def test_unfenced_dfs_ignores_epochs(self):
-        env, dfs = self.make_dfs()
-        dfs.write("/ckpt/any", 1024, env.machines[0], epoch=0)
-        env.run(until=5.0)
-        assert "/ckpt/any" in dfs.namenode.files
 
 
 # -- satellite (b): fault-plan validation error paths ------------------------

@@ -139,7 +139,7 @@ def run_pipeline(seed):
             yield env.sim.timeout(2.5)
             report = yield rhino.reconfigure(
                 "rebalance", op_name="count", moves=[(0, 1)]
-            ).process
+            )
             return report
 
         handover = env.sim.process(rebalance())

@@ -79,7 +79,7 @@ class TestFailureDuringCheckpoint:
         env.run(until=3.0)
         victim = job.instance("count", 2).machine
         env.cluster.kill(victim)
-        recovery = rhino.reconfigure("failure", machine=victim).process
+        recovery = rhino.reconfigure("failure", machine=victim)
         env.run(until=recovery)
         completed_before = len(job.coordinator.completed)
         env.run(until=env.sim.now + 5.0)
@@ -96,7 +96,7 @@ class TestReplicaChainFailure:
         group = rhino.replication_manager.group_of("count[0]")
         victim = group.chain[0]
         env.cluster.kill(victim)
-        recovery = rhino.reconfigure("failure", machine=victim).process
+        recovery = rhino.reconfigure("failure", machine=victim)
         recovery.defused = True
         env.run(until=15.0)
         # Chains no longer reference the dead machine.
@@ -110,7 +110,7 @@ class TestReplicaChainFailure:
         group = rhino.replication_manager.group_of("count[1]")
         victim = group.chain[0]
         env.cluster.kill(victim)
-        recovery = rhino.reconfigure("failure", machine=victim).process
+        recovery = rhino.reconfigure("failure", machine=victim)
         recovery.defused = True
         env.run(until=15.0)
         new_group = rhino.replication_manager.group_of("count[1]")
@@ -126,12 +126,12 @@ class TestDoubleFailure:
         env.run(until=3.0)
         first = job.instance("count", 2).machine
         env.cluster.kill(first)
-        env.run(until=rhino.reconfigure("failure", machine=first).process)
+        env.run(until=rhino.reconfigure("failure", machine=first))
         env.run(until=env.sim.now + 3.0)  # a checkpoint + replication
         second = job.instance("count", 1).machine
         assert second is not first
         env.cluster.kill(second)
-        env.run(until=rhino.reconfigure("failure", machine=second).process)
+        env.run(until=rhino.reconfigure("failure", machine=second))
         env.run(until=25.0)
         expected = {}
         for i in range(600):
@@ -144,7 +144,7 @@ class TestUnrecoverableSituations:
     def test_recover_unknown_machine_rejected(self):
         env, job, rhino = setup()
         spare = env.cluster.add_machine("outsider", nic_bandwidth=1e9)
-        recovery = rhino.reconfigure("failure", machine=spare).process
+        recovery = rhino.reconfigure("failure", machine=spare)
         recovery.defused = True
         env.run(until=2.0)
         assert not recovery.ok
@@ -156,7 +156,7 @@ class TestUnrecoverableSituations:
         env.run(until=2.0)
         victim = job.instance("count", 0).machine
         env.cluster.kill(victim)
-        recovery = rhino.reconfigure("failure", machine=victim).process
+        recovery = rhino.reconfigure("failure", machine=victim)
         recovery.defused = True
         env.run(until=10.0)
         assert not recovery.ok
@@ -171,12 +171,10 @@ class TestReconfigurationAfterRecovery:
         env.run(until=3.0)
         victim = job.instance("count", 3).machine
         env.cluster.kill(victim)
-        env.run(until=rhino.reconfigure("failure", machine=victim).process)
+        env.run(until=rhino.reconfigure("failure", machine=victim))
         env.run(until=env.sim.now + 2.0)
         # Move half of count[1]'s virtual nodes onto the replacement.
-        rebalance = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(1, 3)]
-        ).process
+        rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(1, 3)])
         env.sim.run(until=rebalance)
         env.run(until=25.0)
         expected = {}
@@ -191,11 +189,11 @@ class TestReconfigurationAfterRecovery:
         env.run(until=3.0)
         victim = job.instance("count", 2).machine
         env.cluster.kill(victim)
-        env.run(until=rhino.reconfigure("failure", machine=victim).process)
+        env.run(until=rhino.reconfigure("failure", machine=victim))
         env.run(until=env.sim.now + 2.0)
-        env.sim.run(until=rhino.reconfigure(
-            "rescale", op_name="count", add_instances=2
-        ).process)
+        env.sim.run(
+            until=rhino.reconfigure("rescale", op_name="count", add_instances=2)
+        )
         env.run(until=25.0)
         expected = {}
         for i in range(500):

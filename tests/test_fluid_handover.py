@@ -296,7 +296,7 @@ def _run_fluid_scenario(state_bytes, tracer, keys):
     env.run(until=1.0)
     preload_state(job, "count", state_bytes)
     env.run(until=2.0)
-    handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)]).process
+    handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
     report = env.sim.run(until=handover)
     env.run(until=max(12.0, env.sim.now + 5.0))
     finals = {}
@@ -495,7 +495,7 @@ def start_cold_rebalance(also=()):
     target_index = cold_target_index(job, rhino, origin)
     handover = rhino.reconfigure(
         "rebalance", op_name="count", moves=[(ORIGIN_INDEX, target_index), *also]
-    ).process
+    )
     target = job.instance("count", target_index)
     return env, job, rhino, tracer, origin, target, handover
 
@@ -522,7 +522,7 @@ class TestDeathMidPrecopy:
 
     def test_origin_death_mid_precopy_keeps_exactly_once(self):
         env, job, rhino, handover, doomed = self.run_scenario("origin")
-        recovery = rhino.reconfigure("failure", machine=doomed.machine).process
+        recovery = rhino.reconfigure("failure", machine=doomed.machine)
         env.sim.run(until=recovery)
         env.run(until=40.0)
         assert final_counts(job) == expected_counts()
@@ -530,7 +530,7 @@ class TestDeathMidPrecopy:
     def test_target_death_mid_precopy_keeps_exactly_once(self):
         env, job, rhino, handover, doomed = self.run_scenario("target")
         assert handover.triggered and not handover.ok
-        recovery = rhino.reconfigure("failure", machine=doomed.machine).process
+        recovery = rhino.reconfigure("failure", machine=doomed.machine)
         env.sim.run(until=recovery)
         env.run(until=40.0)
         assert final_counts(job) == expected_counts()

@@ -72,9 +72,7 @@ class TestTargetDeathMidHandover:
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         target = job.instance("count", 1)
-        handover = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 1)]
-        ).process
+        handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         handover.defused = True
 
         def killer():
@@ -106,20 +104,18 @@ class TestTargetDeathMidHandover:
         env, job, rhino, _handover, target = self.run_scenario()
         # The dead machine hosted count[1]; recover it (its replica path),
         # which also replays the records the aborted handover diverted.
-        recovery = rhino.reconfigure("failure", machine=target.machine).process
+        recovery = rhino.reconfigure("failure", machine=target.machine)
         env.sim.run(until=recovery)
         env.run(until=30.0)
         assert final_counts(job) == expected_counts()
 
     def test_retry_after_abort_succeeds(self):
         env, job, rhino, _handover, target = self.run_scenario()
-        recovery = rhino.reconfigure("failure", machine=target.machine).process
+        recovery = rhino.reconfigure("failure", machine=target.machine)
         env.sim.run(until=recovery)
         env.run(until=env.sim.now + 2.0)
         # Retry the rebalance toward a healthy instance.
-        retry = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 2)]
-        ).process
+        retry = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 2)])
         report = env.sim.run(until=retry)
         assert report.total_seconds is not None
         env.run(until=40.0)
@@ -137,9 +133,7 @@ class TestDeathBeforePrepare:
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         victim = job.instance("count", index).machine
-        handover = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(2, 3)]
-        ).process
+        handover = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
         handover.defused = True
 
         def killer():
@@ -153,7 +147,7 @@ class TestDeathBeforePrepare:
         assert handover.triggered and not handover.ok
         with pytest.raises(HandoverAborted):
             handover.value
-        env.sim.run(until=rhino.reconfigure("failure", machine=victim).process)
+        env.sim.run(until=rhino.reconfigure("failure", machine=victim))
         env.run(until=30.0)
         assert final_counts(job) == expected_counts()
 
@@ -187,9 +181,7 @@ class TestPartitionMidHandover:
             yield env.sim.timeout(3.0)
             env.cluster.heal()
 
-        handover = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 1)]
-        ).process
+        handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         handover.defused = True
         env.sim.process(partitioner())
         env.run(until=4.0)
@@ -226,7 +218,7 @@ class TestRescaleTargetDeath:
         spare = job.machines[4]
         rescale = rhino.reconfigure(
             "rescale", op_name="count", add_instances=1, machines=[spare]
-        ).process
+        )
         rescale.defused = True
 
         # Find the spawned instance's machine once it exists, then kill it.
@@ -251,7 +243,7 @@ class TestRescaleTargetDeath:
         env.run(until=2.0)
         op = job.graph.operators["count"]
         victim = job.instance("count", 1).machine
-        drain = rhino.reconfigure("drain", machine=victim).process
+        drain = rhino.reconfigure("drain", machine=victim)
         drain.defused = True
 
         dead = []
@@ -268,11 +260,11 @@ class TestRescaleTargetDeath:
             drain.value
         assert ("count", 4) not in job.instances
         assert op.parallelism == len(job.operator_instances("count")) == 4
-        env.sim.run(until=rhino.reconfigure("failure", machine=dead[0]).process)
+        env.sim.run(until=rhino.reconfigure("failure", machine=dead[0]))
         env.run(until=env.sim.now + 2.0)
         # The retry reuses the index the aborted attempt gave back (the
         # recovery moved a second instance onto the victim, so it spawns two).
-        retry = rhino.reconfigure("drain", machine=victim).process
+        retry = rhino.reconfigure("drain", machine=victim)
         env.sim.run(until=retry)
         indexes = [i.index for i in job.operator_instances("count")]
         assert indexes == list(range(op.parallelism)) and 4 in indexes
@@ -298,9 +290,7 @@ class TestRescaleTargetDeath:
                 for i in job.all_instances()
             )
         )
-        handover = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 1)]
-        ).process
+        handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
 
         def killer():
             yield env.sim.timeout(0.5)

@@ -564,7 +564,7 @@ class TestFrontierRestartsWithTheReplay:
         self.channels(victim)[0].put(self.replayed(key, 0.1, "a[0]"))
         env.run(until=2.0)  # checkpointed and replicated
         env.cluster.kill(victim.machine)
-        recovery = rhino.reconfigure("failure", machine=victim.machine).process
+        recovery = rhino.reconfigure("failure", machine=victim.machine)
         env.run(until=2.05)  # the held replacement is up, the marker is not out
         restored = job.instance("op", 1)
         assert restored is not victim
@@ -580,7 +580,7 @@ class TestFrontierRestartsWithTheReplay:
         env, job, rhino = self.two_instance_job(state_load_seconds=1.0)
         origin, target = job.instance("op", 0), job.instance("op", 1)
         env.run(until=2.0)
-        handover = rhino.reconfigure("rebalance", op_name="op", moves=[(0, 1)]).process
+        handover = rhino.reconfigure("rebalance", op_name="op", moves=[(0, 1)])
         handover.defused = True
         env.run(until=2.5)  # the origin shipped its groups; the target is loading
         channel_a, channel_b = self.channels(origin)

@@ -117,7 +117,7 @@ class TestHorizontalScaling:
         state_before = job.total_state_bytes("count")
         process = rhino.reconfigure(
             "rescale", op_name="count", add_instances=1, machines=[cold]
-        ).process
+        )
         report = env.sim.run(until=process)
         env.run(until=10.0)
         new_instance = job.instance("count", 4)

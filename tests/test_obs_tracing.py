@@ -298,8 +298,9 @@ class TestEngineIntegration:
         rhino = attach_rhino(env, job)
         live_feeder(env, "events", KEYS, count=100, interval=0.02)
         env.run(until=3.0)
-        handle = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
-        report = env.sim.run(until=handle.process)
+        report = env.sim.run(
+            until=rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
+        )
         root = tracer.one("handover", handover=report.handover_id)
         assert root.tags["status"] == "completed"
         assert root.duration == pytest.approx(report.total_seconds)
@@ -309,7 +310,7 @@ class TestEngineIntegration:
         assert sched.duration + transfer.duration == pytest.approx(root.duration)
         loading = tracer.durations("handover.loading", handover=report.handover_id)
         assert max(loading) == pytest.approx(report.loading_seconds)
-        spans = handle.spans()
+        spans = tracer.find(prefix="handover", handover=report.handover_id)
         assert root in spans and sched in spans and transfer in spans
 
     def test_tracing_is_passive(self):
@@ -375,5 +376,5 @@ def recover(tracer):
     env.run(until=3.0)
     victim = job.instance("count", 1).machine
     env.cluster.kill(victim)
-    recovery = rhino.reconfigure("failure", machine=victim).process
+    recovery = rhino.reconfigure("failure", machine=victim)
     return env.sim.run(until=recovery), weakref.ref(env.sim)

@@ -62,7 +62,7 @@ def run_with_reconfigurations(moves):
                 continue
             handover = rhino.reconfigure(
                 "rebalance", op_name="count", moves=[(origin, target)]
-            ).process
+            )
             handover.defused = True
             yield handover
 
@@ -133,7 +133,7 @@ class TestExactlyOnceProperties:
             yield env.sim.timeout(kill_at)
             victim = job.instance("count", victim_index).machine
             env.cluster.kill(victim)
-            recovery = rhino.reconfigure("failure", machine=victim).process
+            recovery = rhino.reconfigure("failure", machine=victim)
             recovery.defused = True
             yield recovery
 

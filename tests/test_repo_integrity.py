@@ -1,5 +1,6 @@
 """Repository-integrity checks: docs, benches, and examples stay in sync."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -53,6 +54,26 @@ class TestDocumentation:
             "bench_figure5_resource_utilization.py",
             "bench_figure6_varying_rates.py",
         }
+
+
+class TestPublicApi:
+    def test_every_public_rhino_name_has_a_caller(self):
+        """Every public name on ``Rhino`` (the list ``test_api_surface``
+        pins) is read as an attribute by code outside the tests, so API that
+        only tests use cannot creep back in."""
+        from repro.core.api import Rhino
+
+        public = {name for name in vars(Rhino) if not name.startswith("_")}
+        used = set()
+        for top in ("src", "examples", "benchmarks"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                tree = ast.parse(path.read_text(), str(path))
+                used.update(
+                    node.attr
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                )
+        assert sorted(public - used) == []
 
 
 class TestExamplesSmoke:

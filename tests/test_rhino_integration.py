@@ -104,7 +104,7 @@ class TestProactiveReplication:
         live_feeder(env, "events", KEYS, count=60, interval=0.02, nbytes=100)
         env.run(until=5.0)
         replicated = sum(
-            rhino.replica_bytes_on(machine) for machine in job.machines
+            rhino.replicator.store_on(machine).total_bytes for machine in job.machines
         )
         # r=1: the replicas together hold at least the live state of the
         # last checkpoint (they may briefly hold more before GC).
@@ -130,9 +130,7 @@ class TestRebalance:
         origin = job.instance("count", 0)
         target = job.instance("count", 1)
         origin_groups_before = job.assignments["count"].ranges_of(0).span()
-        process = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 1)]
-        ).process
+        process = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         report = env.sim.run(until=process)
         env.run(until=8.0)
         assert report.total_seconds is not None
@@ -153,7 +151,7 @@ class TestRebalance:
             yield env.sim.timeout(2.0)
             yield rhino.reconfigure(
                 "rebalance", op_name="count", moves=[(0, 1), (2, 3)]
-            ).process
+            )
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -165,9 +163,7 @@ class TestRebalance:
         rhino = make_rhino(env, job)
         live_feeder(env, "events", KEYS, count=60, interval=0.02)
         env.run(until=2.0)
-        process = rhino.reconfigure(
-            "rebalance", op_name="count", moves=[(0, 1)]
-        ).process
+        process = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         report = env.sim.run(until=process)
         assert report.scheduling_seconds > 0
         assert report.loading_seconds > 0
@@ -181,7 +177,7 @@ class TestRescale:
         rhino = make_rhino(env, job)
         live_feeder(env, "events", KEYS, count=100, interval=0.02)
         env.run(until=2.5)
-        process = rhino.reconfigure("rescale", op_name="count", add_instances=2).process
+        process = rhino.reconfigure("rescale", op_name="count", add_instances=2)
         report = env.sim.run(until=process)
         env.run(until=8.0)
         assert report is not None
@@ -199,7 +195,7 @@ class TestRescale:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.reconfigure("rescale", op_name="count", add_instances=2).process
+            yield rhino.reconfigure("rescale", op_name="count", add_instances=2)
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -213,7 +209,7 @@ class TestRescale:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.reconfigure("rescale", op_name="count", add_instances=2).process
+            yield rhino.reconfigure("rescale", op_name="count", add_instances=2)
 
         env.sim.process(trigger())
         env.run(until=15.0)
@@ -229,7 +225,7 @@ class TestFailureRecovery:
         def chaos():
             yield env.sim.timeout(kill_at)
             env.cluster.kill(victim)
-            yield rhino.reconfigure("failure", machine=victim).process
+            yield rhino.reconfigure("failure", machine=victim)
 
         chaos_process = env.sim.process(chaos())
         env.run(until=20.0)
@@ -298,7 +294,7 @@ class TestFailureRecovery:
         env.run(until=1.0)
         victim = job.instance("count", 2).machine
         env.cluster.kill(victim)
-        recovery = rhino.reconfigure("failure", machine=victim).process
+        recovery = rhino.reconfigure("failure", machine=victim)
         recovery.defused = True
         env.run(until=5.0)
         assert not recovery.ok
@@ -365,7 +361,7 @@ class TestDrain:
         live_feeder(env, "events", KEYS, count=200, interval=0.02)
         env.run(until=3.0)
         victim = job.instance("count", 2).machine
-        process = rhino.reconfigure("drain", machine=victim).process
+        process = rhino.reconfigure("drain", machine=victim)
         report = env.sim.run(until=process)
         env.run(until=10.0)
         assert report is not None
@@ -382,9 +378,7 @@ class TestDrain:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.reconfigure(
-                "drain", machine=job.instance("count", 1).machine
-            ).process
+            yield rhino.reconfigure("drain", machine=job.instance("count", 1).machine)
 
         env.sim.process(trigger())
         env.run(until=12.0)
@@ -397,9 +391,7 @@ class TestDrain:
         live_feeder(env, "events", KEYS, count=200, interval=0.02)
         env.run(until=3.0)
         offsets_before = [s.cursor.offset for s in job.source_instances()]
-        process = rhino.reconfigure(
-            "drain", machine=job.instance("count", 2).machine
-        ).process
+        process = rhino.reconfigure("drain", machine=job.instance("count", 2).machine)
         env.sim.run(until=process)
         offsets_after = [s.cursor.offset for s in job.source_instances()]
         # Sources never rewound: planned drains migrate deltas, not logs.
@@ -426,7 +418,7 @@ class TestDrain:
         env.run(until=2.0)
         victim = job.instance("pre", 1).machine
         assert job.instance("agg", 1).machine is victim
-        env.sim.run(until=rhino.reconfigure("drain", machine=victim).process)
+        env.sim.run(until=rhino.reconfigure("drain", machine=victim))
         assert job.graph.operators["pre"].parallelism == 4
         assert job.graph.operators["agg"].parallelism == 4
         env.run(until=12.0)

@@ -71,7 +71,7 @@ def kill_host_of(op_name, index, at):
         yield env.sim.timeout(at)
         victim = job.instance(op_name, index).machine
         env.cluster.kill(victim)
-        yield rhino.reconfigure("failure", machine=victim).process
+        yield rhino.reconfigure("failure", machine=victim)
 
     return reconfigure
 
@@ -89,9 +89,7 @@ class TestWindowRebalance:
 
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.reconfigure(
-                "rebalance", op_name="agg", moves=[(0, 1), (2, 3)]
-            ).process
+            yield rhino.reconfigure("rebalance", op_name="agg", moves=[(0, 1), (2, 3)])
 
         observed, _job = run_windows(reconfigure)
         window_results_equal(baseline, observed)
@@ -104,7 +102,7 @@ class TestWindowRebalance:
 
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.reconfigure("rebalance", op_name="agg", moves=[(0, 1)]).process
+            yield rhino.reconfigure("rebalance", op_name="agg", moves=[(0, 1)])
 
         observed, job = run_windows(reconfigure)
         target = job.instance("agg", 1)
@@ -184,9 +182,7 @@ class TestJoinRebalance:
     def test_join_rebalance_preserves_matches(self):
         def reconfigure(env, job, rhino):
             yield env.sim.timeout(6.0)
-            yield rhino.reconfigure(
-                "rebalance", op_name="join", moves=[(0, 2), (1, 3)]
-            ).process
+            yield rhino.reconfigure("rebalance", op_name="join", moves=[(0, 2), (1, 3)])
 
         join_matches_equal(run_join(), run_join(reconfigure))
 

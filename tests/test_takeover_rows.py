@@ -112,10 +112,10 @@ def settled_during_the_outage():
         then=lambda: env.sim.process(kill_target_while_fenced()),
     )
     handover = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
-    handover.process.defused = True
+    handover.defused = True
     env.run(until=5.0)
     assert not target.machine.alive
-    recovery = rhino.reconfigure("failure", machine=target.machine).process
+    recovery = rhino.reconfigure("failure", machine=target.machine)
     env.sim.run(until=recovery)
     settle(env, rhino, group)
     kinds = kinds_of(group)
@@ -145,7 +145,7 @@ def abandoned_at_accepted():
     env, job, rhino, group = quorum_job()
     kill_leader_after_spawn(job, group)
     rescale = rhino.reconfigure("rescale", op_name="count", add_instances=1)
-    rescale.process.defused = True
+    rescale.defused = True
     env.run(until=3.0)
     assert group.failover.history
     settle(env, rhino, group)
@@ -166,7 +166,7 @@ def committed_with_every_ack():
 
     kill_leader_on(group, "handover.ack", when=all_acked)
     rescale = rhino.reconfigure("rescale", op_name="count", add_instances=1)
-    rescale.process.defused = True
+    rescale.defused = True
     settle(env, rhino, group)
     kinds = kinds_of(group)
     assert kinds[:3] == ["handover.accepted", "handover.prepared", "handover.marker"]
@@ -186,14 +186,14 @@ def dropped_unjournaled():
     leader = group.leader
     env.cluster.partition([[leader.machine]])
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
-    rebalance.process.defused = True
+    rebalance.defused = True
     env.run(until=3.0)
     assert group.leader is not leader
     assert group.failover.truncated_takeovers == 1
     env.cluster.heal()
     settle(env, rhino, group)
     assert records_of(group) == []
-    assert not rebalance.process.ok
+    assert not rebalance.ok
 
 
 def rolled_back_with_acks_outstanding():
@@ -202,7 +202,7 @@ def rolled_back_with_acks_outstanding():
     env, job, rhino, group = quorum_job()
     kill_leader_on(group, "handover.state-shipped")
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
-    rebalance.process.defused = True
+    rebalance.defused = True
     settle(env, rhino, group)
     kinds = kinds_of(group)
     assert kinds[-2:] == ["handover.state-shipped", "handover.aborted"]
@@ -245,7 +245,7 @@ def test_precopy_abort_journals_the_abort_without_a_takeover():
     env, job, rhino, group = quorum_job(preload_bytes=8 * 1024**3)
     origin = job.instance("count", 1)
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(1, 2)])
-    rebalance.process.defused = True
+    rebalance.defused = True
 
     def killer():
         yield env.sim.timeout(0.5)
@@ -253,10 +253,10 @@ def test_precopy_abort_journals_the_abort_without_a_takeover():
 
     env.sim.process(killer())
     env.run(until=5.0)
-    assert not rebalance.process.ok
+    assert not rebalance.ok
     assert kinds_of(group) == ["handover.accepted", "handover.aborted"]
     assert records_of(group)[-1][1] == {"reconfig": RECONFIG, "handover": None}
-    recovery = rhino.reconfigure("failure", machine=origin.machine).process
+    recovery = rhino.reconfigure("failure", machine=origin.machine)
     env.sim.run(until=recovery)
     env.run(until=20.25)  # off the checkpoint grid
     assert not group.failover.history
@@ -282,5 +282,5 @@ def test_rollback_before_any_source_rewired_keeps_exactly_once():
     env, job, rhino, group = quorum_job()
     kill_leader_on(group, "handover.marker")
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
-    rebalance.process.defused = True
+    rebalance.defused = True
     settle(env, rhino, group)

@@ -140,9 +140,7 @@ class TestExactlyOnceOutput:
 
         def trigger():
             yield env.sim.timeout(2.0)
-            yield rhino.reconfigure(
-                "rebalance", op_name="count", moves=[(0, 1)]
-            ).process
+            yield rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
 
         env.sim.process(trigger())
         env.run(until=15.0)
