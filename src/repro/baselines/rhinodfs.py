@@ -19,13 +19,11 @@ def make_rhinodfs(job, cluster, dfs, **config_overrides):
     The job must have been created with a
     :class:`DFSCheckpointStorage` so periodic checkpoints land on the DFS;
     this helper builds one (under ``/rhinodfs``) when the job still uses
-    local storage.  The storage, as ``RhinoConfig.dfs_storage``, is what
-    selects the DFS path.
+    local storage.  That storage is what selects the DFS path.
     """
     storage = job.checkpoint_storage
     if not isinstance(storage, DFSCheckpointStorage):
         storage = DFSCheckpointStorage(job.sim, dfs, prefix="/rhinodfs")
         job.checkpoint_storage = storage
         job.coordinator.storage = storage
-    config = RhinoConfig(dfs_storage=storage, **config_overrides)
-    return Rhino(job, cluster, config).attach()
+    return Rhino(job, cluster, RhinoConfig(**config_overrides)).attach()

@@ -276,15 +276,3 @@ class Cluster:
             touched += (disk.read_port, disk.write_port)
         self.scheduler.reallocate(touched)
         return self
-
-    # -- aggregates ------------------------------------------------------------
-
-    @property
-    def total_memory(self):
-        """Aggregate memory of alive machines."""
-        return sum(m.memory for m in self.alive_machines())
-
-    @property
-    def total_memory_used(self):
-        """Aggregate memory in use on alive machines."""
-        return sum(m.memory_used for m in self.alive_machines())

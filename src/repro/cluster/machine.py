@@ -19,11 +19,6 @@ class Disk:
         self.capacity = capacity
         self.used = 0
 
-    @property
-    def free(self):
-        """Remaining capacity in bytes."""
-        return self.capacity - self.used
-
     def __repr__(self):
         return f"<Disk {self.name} used={self.used}/{self.capacity}>"
 

@@ -9,7 +9,6 @@ from repro.common.units import (
     MBIT,
     format_bytes,
     format_duration,
-    format_rate,
 )
 from repro.common.errors import (
     ReproError,
@@ -29,7 +28,6 @@ __all__ = [
     "MBIT",
     "format_bytes",
     "format_duration",
-    "format_rate",
     "ReproError",
     "SimulationError",
     "OutOfMemoryError",

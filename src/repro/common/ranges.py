@@ -68,15 +68,6 @@ class RangeSet:
         lo, hi = self._ranges[index]
         return lo <= value < hi
 
-    def contains_range(self, lo, hi):
-        """True if the whole of ``[lo, hi)`` is covered."""
-        if lo >= hi:
-            return True
-        for r_lo, r_hi in self._ranges:
-            if r_lo <= lo and hi <= r_hi:
-                return True
-        return False
-
     def intersects(self, lo, hi):
         """True if any value of ``[lo, hi)`` is in the set."""
         return any(r_lo < hi and lo < r_hi for r_lo, r_hi in self._ranges)

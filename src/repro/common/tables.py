@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows/series the paper reports; this
+The benchmark harness prints the same rows the paper reports; this
 module renders them as aligned monospace tables without third-party
 dependencies.
 """
@@ -62,22 +62,3 @@ def _cell(value):
             return f"{value:.1f}"
         return f"{value:.3f}"
     return str(value)
-
-
-def render_series(name, points, value_format="{:.1f}"):
-    """Render a (time, value) series as a compact single-line summary.
-
-    Used for figure benches where the paper reports a latency timeline: we
-    print min / mean / p99 plus a small sparkline-style sample.
-    """
-    if not points:
-        return f"{name}: <empty>"
-    values = [v for _, v in points]
-    values_sorted = sorted(values)
-    p99 = values_sorted[min(len(values_sorted) - 1, int(0.99 * len(values_sorted)))]
-    mean = sum(values) / len(values)
-    return (
-        f"{name}: n={len(values)} min={value_format.format(values_sorted[0])} "
-        f"mean={value_format.format(mean)} p99={value_format.format(p99)} "
-        f"max={value_format.format(values_sorted[-1])}"
-    )

@@ -67,12 +67,3 @@ def format_duration(seconds):
     if seconds < 7200.0:
         return f"{seconds / 60.0:.1f} min"
     return f"{seconds / 3600.0:.1f} h"
-
-
-def format_rate(bytes_per_second):
-    """Render a throughput as a human-readable rate string.
-
-    >>> format_rate(128 * MB)
-    '128.0 MB/s'
-    """
-    return format_bytes(bytes_per_second) + "/s"

@@ -79,8 +79,3 @@ class AdaptiveCheckpointScheduler:
         if new != old:
             coordinator.interval = new
             self.adjustments.append((self.job.sim.now, old, new, max_delta))
-
-    @property
-    def current_interval(self):
-        """The coordinator's current checkpoint interval in seconds."""
-        return self.job.coordinator.interval

@@ -31,6 +31,7 @@ import inspect
 
 from repro.common.errors import ProtocolError
 from repro.common.rng import make_rng
+from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.instance import Frontier, ReplayFilter
 from repro.faults.retry import RetryPolicy
 from repro.sim.kernel import Interrupt
@@ -56,7 +57,6 @@ class RhinoConfig:
         self,
         *,
         replication_factor=1,
-        dfs_storage=None,
         block_size=64 * 1024 * 1024,
         credit_window_bytes=256 * 1024 * 1024,
         scheduling_delay=0.8,
@@ -97,9 +97,6 @@ class RhinoConfig:
         #: Secondary copies per instance.  1 mirrors the evaluation's
         #: "local primary + one remote secondary" (HDFS replication 2).
         self.replication_factor = replication_factor
-        #: RhinoDFS variant when set: state moves through this DFS
-        #: checkpoint storage instead of the state-centric replica chains.
-        self.dfs_storage = dfs_storage
         self.block_size = block_size
         self.credit_window_bytes = credit_window_bytes
         #: Modeled RPC/deployment latency of triggering a reconfiguration.
@@ -134,7 +131,13 @@ class Rhino:
         self.cluster = cluster
         self.sim = job.sim
         self.config = config or RhinoConfig()
-        self.dfs_storage = self.config.dfs_storage
+        #: The RhinoDFS variant runs when the job checkpoints to the DFS:
+        #: state then moves through that storage instead of the
+        #: state-centric replica chains.
+        storage = job.checkpoint_storage
+        self.dfs_storage = (
+            storage if isinstance(storage, DFSCheckpointStorage) else None
+        )
         self.replication_manager = ReplicationManager(
             list(job.machines), self.config.replication_factor
         )
@@ -207,13 +210,15 @@ class Rhino:
         its verdicts are journaled too, so a new leader inherits the
         suspicion state.  Returns the ControlGroup.
 
-        Not supported with a ``dfs_storage``: the DFS variant's restore
-        path reads per-instance checkpoint handles out of the coordinator's
-        completed records, which only journal metadata (offsets/cutoffs).
+        Not supported by the RhinoDFS variant (a job that checkpoints to
+        the DFS): its restore path reads per-instance checkpoint handles
+        out of the coordinator's completed records, which only journal
+        metadata (offsets/cutoffs).
         """
         if self.dfs_storage is not None:
             raise ProtocolError(
-                "a control group is not supported with a dfs_storage"
+                "a control group is not supported by RhinoDFS "
+                "(the job checkpoints to the DFS)"
             )
         if self.control_group is not None:
             raise ProtocolError("control plane already configured")

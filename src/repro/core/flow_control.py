@@ -63,10 +63,46 @@ class CreditWindow:
             self.in_flight += wanted
             event.succeed()
 
-    def drain_waiters(self, exception):
-        """Fail all pending acquisitions (chain torn down)."""
-        while self._waiters:
-            event, _nbytes = self._waiters.popleft()
+
+class CreditLease:
+    """One replication's share of a :class:`CreditWindow`.
+
+    A window is shared by every replication from one origin; the lease
+    counts what *this* replication requested and has not released, so a
+    replication that fails gives back exactly that (:meth:`close`) and
+    nobody else's credit.
+    """
+
+    def __init__(self, window):
+        self.window = window
+        self.held = 0  # requested or granted, not yet released
+        self.closed = False
+        self._requests = []  # (event, nbytes) of every acquire
+
+    def acquire(self, nbytes):
+        """Event that fires once ``nbytes`` of credit is granted."""
+        if self.closed:
+            raise ProtocolError("credit lease already closed")
+        event = self.window.acquire(nbytes)
+        self.held += nbytes
+        self._requests.append((event, nbytes))
+        return event
+
+    def release(self, nbytes):
+        """Return ``nbytes`` of granted credit (no-op once closed)."""
+        if not self.closed:
+            self.held -= nbytes
+            self.window.release(nbytes)
+
+    def close(self):
+        """Return everything still held; a request not yet granted is
+        failed, so the window never grants it later."""
+        self.closed = True
+        for event, nbytes in self._requests:
             if not event.triggered:
+                self.held -= nbytes
                 event.defused = True
-                event.fail(exception)
+                event.fail(ProtocolError("credit lease closed"))
+        self._requests.clear()
+        held, self.held = self.held, 0
+        self.window.release(held)

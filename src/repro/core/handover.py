@@ -102,7 +102,7 @@ class HandoverReport:
     read off its phase spans, the ones a tracer records: each is the
     longest span of its phase that completed (a span closed with a
     ``status`` -- ``port-failed``, ``aborted`` -- did not).  The pre-copy
-    times are read off the plans' pre-copy outcomes.
+    times and counts are read off the plans' pre-copy outcomes.
     """
 
     def __init__(self, handover_id, reason):
@@ -120,13 +120,28 @@ class HandoverReport:
         self.migrated_bytes = 0
         #: Modeled bytes of state that changed ownership.
         self.moved_state_bytes = 0
-        #: Phase accounting.  Without a pre-copy the pre-copy/delta fields
-        #: stay zero; whatever ships behind the barrier counts as cutover.
-        self.precopy_bytes = 0
-        self.precopy_chunks = 0
-        self.delta_bytes = 0
-        self.delta_rounds = 0
+        #: Whatever ships behind the barrier; without a pre-copy, all of it.
         self.cutover_bytes = 0
+
+    @property
+    def precopy_bytes(self):
+        """Bytes the plans shipped in their background pre-copy."""
+        return sum(o.precopy_bytes for o in self.precopy.values())
+
+    @property
+    def precopy_chunks(self):
+        """Chunks the plans shipped in their background pre-copy."""
+        return sum(o.precopy_chunks for o in self.precopy.values())
+
+    @property
+    def delta_bytes(self):
+        """Bytes the plans shipped in their delta catch-up rounds."""
+        return sum(o.delta_bytes for o in self.precopy.values())
+
+    @property
+    def delta_rounds(self):
+        """The most delta catch-up rounds any plan ran."""
+        return max((o.delta_rounds for o in self.precopy.values()), default=0)
 
     @property
     def precopy_seconds(self):

@@ -184,16 +184,7 @@ class HandoverManager:
             report.spans.append(scheduling_span)
             report.precopy = precopy_outcomes
             execution.root_span = root
-            for outcome in precopy_outcomes.values():
-                report.precopy_bytes += outcome.precopy_bytes
-                report.precopy_chunks += outcome.precopy_chunks
-                report.delta_bytes += outcome.delta_bytes
-                report.delta_rounds = max(
-                    report.delta_rounds, outcome.delta_rounds
-                )
-                report.migrated_bytes += (
-                    outcome.precopy_bytes + outcome.delta_bytes
-                )
+            report.migrated_bytes += report.precopy_bytes + report.delta_bytes
             self._executions[handover_id] = execution
             # From here on on_machine_failure aborts the execution; a
             # participant that died earlier never reached it.

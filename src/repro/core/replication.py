@@ -15,7 +15,7 @@ local -- fetching degenerates to hard-linking (Table 1's 0.2 s).
 
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
-from repro.core.flow_control import CreditWindow
+from repro.core.flow_control import CreditLease, CreditWindow
 from repro.faults.retry import NO_RETRY, with_retry
 from repro.sim.resources import Store
 
@@ -119,12 +119,6 @@ class ReplicaStore:
         holding = self.holdings.get(store_name)
         return holding is not None and holding.is_complete
 
-    def drop(self, store_name):
-        """Discard a holding and free its disk space."""
-        holding = self.holdings.pop(store_name, None)
-        if holding is not None and self.machine.alive:
-            self.machine.disk_free(holding.bytes_held)
-
     def wipe(self):
         """Forget every holding (the worker restarted with wiped disks).
 
@@ -145,9 +139,7 @@ class ReplicationStats:
     def __init__(self):
         self.checkpoints_replicated = 0
         self.bytes_replicated = 0
-        self.failures = 0
         self.last_duration = 0.0
-        self.busy_until = 0.0
         #: (delta_bytes, seconds) per non-empty replication.
         self.timings = []
 
@@ -219,23 +211,24 @@ class ChainReplicator:
         )
         blocks = split_bytes(checkpoint.delta_bytes, self.block_size)
         if chain and checkpoint.delta_bytes > 0:
+            # Credit is acquired per block and released once the block is
+            # durable; a failed hop leaves the rest held, so the lease
+            # returns it.
+            lease = CreditLease(self._credit_for(origin))
             if self.topology == "star":
-                yield self.sim.all_of(
-                    [
-                        self.sim.process(
-                            self._star_leg(origin, member, blocks, parent=span)
-                        )
-                        for member in chain
-                    ]
-                )
+                hops = [
+                    self.sim.process(
+                        self._star_leg(origin, member, blocks, lease, parent=span)
+                    )
+                    for member in chain
+                ]
             else:
                 # Block handoff queues between consecutive hops.
                 queues = [Store(self.sim) for _ in chain]
-                credit = self._credit_for(origin)
                 hops = [
                     self.sim.process(
                         self._sender(
-                            origin, chain[0], blocks, credit, queues[0], parent=span
+                            origin, chain[0], blocks, lease, queues[0], parent=span
                         )
                     )
                 ]
@@ -243,11 +236,15 @@ class ChainReplicator:
                     hops.append(
                         self.sim.process(
                             self._hop(
-                                position, member, chain, credit, queues, parent=span
+                                position, member, chain, lease, queues, parent=span
                             )
                         )
                     )
+            try:
                 yield self.sim.all_of(hops)
+            except Exception:
+                lease.close()
+                raise
         for member in chain:
             self.store_on(member).ingest(checkpoint)
         self.stats.checkpoints_replicated += 1
@@ -255,16 +252,14 @@ class ChainReplicator:
         self.stats.last_duration = self.sim.now - started
         if checkpoint.delta_bytes > 0:
             self.stats.timings.append((checkpoint.delta_bytes, self.stats.last_duration))
-        self.stats.busy_until = max(self.stats.busy_until, self.sim.now)
         span.finish()
         if tracer.enabled:
             tracer.count("replication.checkpoints")
             tracer.count("replication.bytes", checkpoint.delta_bytes * len(chain))
         return self.stats.last_duration
 
-    def _star_leg(self, origin, member, blocks, parent=None):
+    def _star_leg(self, origin, member, blocks, lease, parent=None):
         """Star ablation: every replica fed from the origin's own NIC."""
-        credit = self._credit_for(origin)
         span = self.sim.tracer.span(
             "replicate.hop",
             track="replication",
@@ -274,7 +269,7 @@ class ChainReplicator:
             bytes=sum(blocks),
         )
         for block in blocks:
-            yield credit.acquire(block)
+            yield lease.acquire(block)
             yield from with_retry(
                 self.sim,
                 lambda: self.cluster.transfer(
@@ -284,10 +279,10 @@ class ChainReplicator:
                 describe="replicate-star",
             )
             yield member.disk_write(block, tag="replication")
-            credit.release(block)
+            lease.release(block)
         span.finish()
 
-    def _sender(self, origin, first, blocks, credit, queue, parent=None):
+    def _sender(self, origin, first, blocks, lease, queue, parent=None):
         span = self.sim.tracer.span(
             "replicate.hop",
             track="replication",
@@ -297,7 +292,7 @@ class ChainReplicator:
             bytes=sum(blocks),
         )
         for block in blocks:
-            yield credit.acquire(block)
+            yield lease.acquire(block)
             yield from with_retry(
                 self.sim,
                 lambda: self.cluster.transfer(
@@ -310,7 +305,7 @@ class ChainReplicator:
         span.finish()
         yield queue.put(None)
 
-    def _hop(self, position, member, chain, credit, queues, parent=None):
+    def _hop(self, position, member, chain, lease, queues, parent=None):
         is_tail = position + 1 == len(chain)
         span = self.sim.tracer.span(
             "replicate.hop",
@@ -332,7 +327,7 @@ class ChainReplicator:
             if is_tail:
                 # The tail's durable write is the end-to-end acknowledgment.
                 yield member.disk_write(block, tag="replication")
-                credit.release(block)
+                lease.release(block)
             else:
                 # Store asynchronously while forwarding to the successor.
                 writes.append(member.disk_write(block, tag="replication"))

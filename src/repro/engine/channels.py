@@ -495,9 +495,8 @@ class Router:
 class Edge:
     """A logical connection between two operators."""
 
-    def __init__(self, name, src_op, dst_op, partitioning, input_index=0, assignment=None):
+    def __init__(self, name, dst_op, partitioning, input_index=0, assignment=None):
         self.name = name
-        self.src_op = src_op
         self.dst_op = dst_op
         self.partitioning = partitioning
         self.input_index = input_index

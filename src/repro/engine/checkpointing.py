@@ -18,15 +18,6 @@ class LocalCheckpointStorage:
         """Persist a checkpoint's deltas; returns a Process or None."""
         return None  # nothing to do; local tables already on disk
 
-    def restore_cost_process(self, sim, machine, checkpoint):
-        """Local restore: hard-links + manifest read, nearly free."""
-
-        def _restore():
-            yield sim.timeout(0.0)
-            return checkpoint.total_bytes
-
-        return sim.process(_restore())
-
 
 class DFSCheckpointStorage:
     """Upload incremental checkpoints to the distributed file system.

@@ -51,7 +51,6 @@ class Coordinator:
         self._next_id = 0
         self._process = None
         self._suspended = False
-        self.aborted_checkpoints = 0
         #: Optional ControlJournal; when set, checkpoint transitions are WAL'd.
         self.journal = None
         #: Fenced after a coordinator crash until the standby takes over.
@@ -204,7 +203,6 @@ class Coordinator:
             self.sim.tracer.count("checkpoint.aborted")
         if self.journal is not None:
             self.journal.append("checkpoint.aborted", checkpoint=checkpoint_id)
-        self.aborted_checkpoints += 1
         # Release any instance still aligning on the aborted barrier, or
         # its blocked channels would never drain.
         for instance in self.job.all_instances():
@@ -263,7 +261,6 @@ class Coordinator:
                 self.journal.append(
                     "checkpoint.aborted", checkpoint=checkpoint_id
                 )
-            self.aborted_checkpoints += 1
             for instance in self.job.all_instances():
                 cancel = getattr(instance, "cancel_alignment", None)
                 if cancel is not None:

@@ -225,7 +225,6 @@ class OperatorInstance(InstanceBase):
             )
         self.records_processed = 0
         self.weighted_records_processed = 0
-        self.records_skipped = 0
         self.records_misrouted = 0
         self.last_record_ts = float("-inf")
         #: Exact per-source-partition progress: origin -> last processed
@@ -382,7 +381,6 @@ class OperatorInstance(InstanceBase):
         if self.replay_filter is not None:
             should_process = self.replay_filter.should_process
             kept = [r for r in records if should_process(r)]
-            self.records_skipped += len(records) - len(kept)
             if not kept:
                 return
             records = kept

@@ -198,7 +198,6 @@ class Job:
         assignment = self.assignments.get(spec.downstream)
         edge = Edge(
             name=f"{spec.upstream}->{spec.downstream}",
-            src_op=spec.upstream,
             dst_op=spec.downstream,
             partitioning=spec.partitioning,
             input_index=spec.input_index,

@@ -70,11 +70,6 @@ class LatencySeries:
             return 0.0
         return sum(latency * weight for latency, weight in pairs) / total
 
-    def minimum(self, start=None, end=None):
-        """Minimum latency within [start, end]."""
-        values = self.values(start, end)
-        return min(values) if values else 0.0
-
     def maximum(self, start=None, end=None):
         """Maximum latency within [start, end]."""
         values = self.values(start, end)

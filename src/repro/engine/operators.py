@@ -70,16 +70,14 @@ class OperatorLogic:
        :class:`RecordBatch`), emitted downstream as one batch;
     3. ``on_watermark`` reacts to event-time progress between batches;
     4. ``rebuild``/``absorb`` reconstruct in-memory auxiliary indexes
-       from keyed state after a restore or handover;
-    5. ``close`` ends the stream.
+       from keyed state after a restore or handover.
 
     The default ``process_batch`` iterates the batch and delegates row by
     row to ``process``: the window, join and session logics
-    (:mod:`repro.engine.windows`, :mod:`repro.nexmark.extra_queries`) are
-    written per record and unit-tested that way.  Override
-    ``process_batch`` to amortize Python per-record overhead (state
-    lookups, output assembly) across the batch; a logic that does so
-    needs no ``process``.
+    (:mod:`repro.engine.windows`) are written per record and unit-tested
+    that way.  Override ``process_batch`` to amortize Python per-record
+    overhead (state lookups, output assembly) across the batch; a logic
+    that does so needs no ``process``.
     """
 
     def open(self, ctx):
@@ -121,10 +119,6 @@ class OperatorLogic:
         adopts additional virtual nodes next to its own state.
         """
 
-    def close(self):
-        """Close the store for further puts."""
-        return ()
-
 
 class MapLogic(OperatorLogic):
     """Stateless 1-to-1 transformation."""
@@ -162,19 +156,15 @@ class PassThroughLogic(OperatorLogic):
 
 
 class CollectSinkLogic(OperatorLogic):
-    """Terminal operator: counts results and keeps a bounded sample."""
+    """Terminal operator: keeps a bounded sample of its results."""
 
     def __init__(self, keep=10_000):
         self.keep = keep
         self.results = []
-        self.result_count = 0
-        self.weighted_count = 0
 
     def process_batch(self, batch, side=0):
-        """Count the whole batch; sample rows while under the cap."""
+        """Sample rows while under the cap."""
         records = batch.records
-        self.result_count += len(records)
-        self.weighted_count += batch.total_weight
         room = self.keep - len(self.results)
         if room > 0:
             self.results.extend(

@@ -103,10 +103,6 @@ class RecordBatch:
         """Column view: the records' event-time timestamps, in row order."""
         return [record.timestamp for record in self.records]
 
-    def payloads(self):
-        """Column view: the records' value attributes, in row order."""
-        return [record.value for record in self.records]
-
     @property
     def total_bytes(self):
         """Modeled bytes including the records each row stands for."""
@@ -160,12 +156,6 @@ class AlignedMarker(ControlEvent):
     def marker_id(self):
         """Unique alignment key of this marker."""
         raise NotImplementedError
-
-    @property
-    def stateful_only(self):
-        """If True, only stateful operators align/act on the marker."""
-        return False
-
 
 class CheckpointBarrier(AlignedMarker):
     """Triggers an epoch-consistent snapshot (§2.2.1)."""

@@ -26,12 +26,11 @@ class SlidingWindowAggregate(OperatorLogic):
 
     cpu_per_record = 1.5e-6
 
-    def __init__(self, size, slide, value_of=None):
+    def __init__(self, size, slide):
         if size % slide != 0:
             raise ValueError("window size must be a multiple of the slide")
         self.size = size
         self.slide = slide
-        self.value_of = value_of or (lambda record: record.weight)
         self.pane_keys = {}  # key -> set of pane starts
         self._emitted_until = {}  # key -> last emitted window end
         #: A lower bound on the earliest watermark at which any key has a
@@ -46,7 +45,7 @@ class SlidingWindowAggregate(OperatorLogic):
         state_key = (record.key, "pane", pane_start)
         current = self.ctx.state.get(group, state_key) or 0
         self.ctx.state.put(
-            group, state_key, current + self.value_of(record), nbytes=record.nbytes
+            group, state_key, current + record.weight, nbytes=record.nbytes
         )
         self._index_pane(record.key, pane_start)
         return ()

@@ -43,12 +43,11 @@ from repro.storage.log import DurableLog
 class QuerySpec:
     """Workload metadata: topics, record sizes, rates, stateful operators."""
 
-    def __init__(self, name, builder, topics, stateful_ops, target_latency):
+    def __init__(self, name, builder, topics, stateful_ops):
         self.name = name
         self.builder = builder
         self.topics = topics  # topic -> (record_bytes, rate_fraction)
         self.stateful_ops = stateful_ops
-        self.target_latency = target_latency
 
 
 def _query_registry(cal):
@@ -58,7 +57,6 @@ def _query_registry(cal):
             nbq5,
             {"bids": (BID_BYTES, cal.nbq5_rate)},
             ["agg"],
-            target_latency=0.5,
         ),
         "nbq8": QuerySpec(
             "nbq8",
@@ -68,7 +66,6 @@ def _query_registry(cal):
                 "auctions": (AUCTION_BYTES, cal.nbq8_rate),
             },
             ["join"],
-            target_latency=0.5,
         ),
         "nbqx": QuerySpec(
             "nbqx",
@@ -84,7 +81,6 @@ def _query_registry(cal):
                 "session_join_120m",
                 "tumbling_join",
             ],
-            target_latency=5.0,
         ),
     }
 

@@ -114,7 +114,6 @@ class LatencyStats:
         self.event_time = event_time
         self.settle_threshold = settle_threshold
         self.before_mean = series.mean(end=event_time)
-        self.before_min = series.minimum(end=event_time)
         self.before_p99 = series.percentile(0.99, end=event_time)
         self.after_mean = series.mean(start=event_time)
         self.after_peak = series.maximum(start=event_time)

@@ -17,9 +17,6 @@ from repro.nexmark.events import (
     PERSON_BYTES,
     AUCTION_BYTES,
     BID_BYTES,
-    PersonEvent,
-    AuctionEvent,
-    BidEvent,
 )
 from repro.nexmark.generator import (
     DiurnalRate,
@@ -33,15 +30,11 @@ from repro.nexmark.generator import (
     ZipfKeys,
 )
 from repro.nexmark.queries import nbq5, nbq8, nbqx
-from repro.nexmark.extra_queries import nbq1, nbq2, nbq3, nbq4, nbq7
 
 __all__ = [
     "PERSON_BYTES",
     "AUCTION_BYTES",
     "BID_BYTES",
-    "PersonEvent",
-    "AuctionEvent",
-    "BidEvent",
     "NexmarkGenerator",
     "StreamSpec",
     "TriangularRate",
@@ -54,9 +47,4 @@ __all__ = [
     "nbq5",
     "nbq8",
     "nbqx",
-    "nbq1",
-    "nbq2",
-    "nbq3",
-    "nbq4",
-    "nbq7",
 ]

@@ -1,4 +1,4 @@
-"""NEXMark event types and wire sizes.
+"""NEXMark event wire sizes.
 
 Record sizes follow the paper exactly: 206 B new-person, 269 B auction,
 32 B bid; every record carries an 8-byte primary key and an 8-byte
@@ -8,65 +8,3 @@ creation timestamp (§5.1.2).
 PERSON_BYTES = 206
 AUCTION_BYTES = 269
 BID_BYTES = 32
-
-
-class PersonEvent:
-    """A new user registering on the auction platform."""
-
-    __slots__ = ("person_id", "name_seed")
-
-    nbytes = PERSON_BYTES
-
-    def __init__(self, person_id, name_seed=0):
-        self.person_id = person_id
-        self.name_seed = name_seed
-
-    @property
-    def key(self):
-        """The record's partitioning key."""
-        return self.person_id
-
-    def __repr__(self):
-        return f"<Person {self.person_id}>"
-
-
-class AuctionEvent:
-    """A new auction opened by a seller."""
-
-    __slots__ = ("auction_id", "seller_id", "category")
-
-    nbytes = AUCTION_BYTES
-
-    def __init__(self, auction_id, seller_id, category=0):
-        self.auction_id = auction_id
-        self.seller_id = seller_id
-        self.category = category
-
-    @property
-    def key(self):
-        """The record's partitioning key."""
-        return self.seller_id
-
-    def __repr__(self):
-        return f"<Auction {self.auction_id} by {self.seller_id}>"
-
-
-class BidEvent:
-    """A bid placed on an auction."""
-
-    __slots__ = ("auction_id", "bidder_id", "price")
-
-    nbytes = BID_BYTES
-
-    def __init__(self, auction_id, bidder_id, price=0):
-        self.auction_id = auction_id
-        self.bidder_id = bidder_id
-        self.price = price
-
-    @property
-    def key(self):
-        """The record's partitioning key."""
-        return self.auction_id
-
-    def __repr__(self):
-        return f"<Bid on {self.auction_id}>"

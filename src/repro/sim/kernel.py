@@ -411,10 +411,6 @@ class Simulator:
 
     # -- execution ----------------------------------------------------
 
-    def peek(self):
-        """Time of the next event, or ``None`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
     def step(self):
         """Process one event.  Raises SimulationError on an empty queue."""
         if not self._queue:
@@ -457,10 +453,6 @@ class Simulator:
         if until is not None and self.now < deadline:
             self.now = deadline
         return None
-
-    def sleep(self, delay):
-        """Convenience alias: ``yield sim.sleep(d)`` inside a process."""
-        return self.timeout(delay)
 
     def alive_processes(self):
         """Live processes in spawn order (for leak/drain diagnostics)."""

@@ -73,7 +73,6 @@ class TestRhinoConfig:
     def test_defaults_are_valid(self):
         config = RhinoConfig()
         assert config.replication_factor == 1
-        assert config.dfs_storage is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -94,19 +93,21 @@ class TestRhinoConfig:
             RhinoConfig(**kwargs)
 
     def test_make_rhinodfs_selects_the_dfs_path(self):
-        """The DFS path is ``dfs_storage is not None``; ``make_rhinodfs``
-        sets it, and a control group still refuses the DFS variant."""
+        """The DFS path follows from the job's checkpoint storage:
+        ``make_rhinodfs`` installs a DFS one, a plain ``Rhino`` on a
+        locally checkpointing job has none, and a control group still
+        refuses the DFS variant."""
         env = make_env()
+        assert make_rhino(env, start_job(env)).dfs_storage is None
         job = start_job(env)
         rhino = make_rhinodfs(job, env.cluster, make_dfs(env))
         assert rhino.dfs_storage is job.checkpoint_storage
-        assert rhino.config.dfs_storage is rhino.dfs_storage
         # No chain replication: the checkpoint listener stays unregistered.
         assert (
             rhino._on_instance_checkpoint
             not in job.coordinator.instance_checkpoint_listeners
         )
-        with pytest.raises(ProtocolError, match="dfs_storage"):
+        with pytest.raises(ProtocolError, match="RhinoDFS"):
             rhino.enable_control_group(env.machines[:3])
 
     def test_paper_defaults_match_table1_constants(self):
@@ -129,6 +130,7 @@ class TestRhinoConfig:
             "handover_chunk_bytes",
             "handover_delta_threshold_bytes",
             "handover_migration_rate",
+            "dfs_storage",
         ):
             with pytest.raises(TypeError, match=removed):
                 RhinoConfig(**{removed: 1})
@@ -139,7 +141,6 @@ class TestRhinoConfig:
             "anti_entropy_interval",
             "block_size",
             "credit_window_bytes",
-            "dfs_storage",
             "handover_retry_attempts",
             "handover_timeout",
             "local_fetch_seconds",

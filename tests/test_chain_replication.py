@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.common.units import GB
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.cluster import Cluster
@@ -194,3 +195,35 @@ class TestChainReplication:
         sim.process(killer())
         sim.run()
         assert not process.ok
+
+    @pytest.mark.parametrize("topology", ["chain", "star"])
+    def test_failed_replication_returns_its_credit(self, topology):
+        """A replication whose member dies mid-transfer returns every byte
+        of credit it held, so the origin's next replication runs: it used
+        to keep its 256 MB, and the next one from the origin hung."""
+        sim = Simulator()
+        cluster = Cluster(sim)
+        machines = cluster.add_machines(4, prefix="w")
+        replicator = ChainReplicator(sim, cluster, topology=topology)
+        _store, big = make_checkpoint("a", entries=(("k", "v", 2 * GB),))
+        failed = replicator.replicate(
+            machines[0], [machines[1], machines[2]], big
+        )
+        failed.defused = True
+
+        def killer():
+            yield sim.timeout(0.5)
+            cluster.kill(machines[2])
+
+        sim.process(killer())
+        sim.run(until=10.0)
+        assert failed.triggered and not failed.ok
+        credit = replicator._credit_for(machines[0])
+        assert credit.in_flight == 0
+        _store, small = make_checkpoint("b", entries=(("k", "v", GB),))
+        later = replicator.replicate(
+            machines[0], [machines[1], machines[3]], small
+        )
+        sim.run(until=200.0)
+        assert later.ok
+        assert credit.in_flight == 0

@@ -55,7 +55,7 @@ def env():
 
 def make_edge(num_groups=8, parallelism=2, partitioning="hash"):
     assignment = KeyGroupAssignment(num_groups, parallelism) if partitioning == "hash" else None
-    return Edge("src->dst", "src", "dst", partitioning, assignment=assignment)
+    return Edge("src->dst", "dst", partitioning, assignment=assignment)
 
 
 class TestLocalDelivery:

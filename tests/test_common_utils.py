@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.rng import derive_seed, make_rng, stable_hash
-from repro.common.tables import render_series, render_table
+from repro.common.tables import render_table
 from repro.common.units import (
     GB,
     KB,
@@ -12,7 +12,6 @@ from repro.common.units import (
     TB,
     format_bytes,
     format_duration,
-    format_rate,
 )
 
 
@@ -51,9 +50,6 @@ class TestUnits:
     def test_negative_duration(self):
         assert format_duration(-5.0) == "-5.0 s"
 
-    def test_format_rate(self):
-        assert format_rate(128 * MB) == "128.0 MB/s"
-
 
 class TestTables:
     def test_render_basic_table(self):
@@ -78,15 +74,6 @@ class TestTables:
         assert "0.123" in text
         assert "1.5" in text
         assert "123" in text
-
-    def test_render_series_summary(self):
-        text = render_series("latency", [(0, 1.0), (1, 2.0), (2, 3.0)])
-        assert "n=3" in text
-        assert "min=1.0" in text
-        assert "max=3.0" in text
-
-    def test_render_empty_series(self):
-        assert "empty" in render_series("x", [])
 
 
 class TestRng:

@@ -57,13 +57,6 @@ class TestCreditWindow:
         window.release(100)
         assert all(w.triggered for w in waiters)
 
-    def test_drain_waiters_fails_pending(self, sim):
-        window = CreditWindow(sim, 10)
-        window.acquire(10)
-        blocked = window.acquire(5)
-        window.drain_waiters(ProtocolError("chain down"))
-        assert blocked.triggered and not blocked.ok
-
     def test_invalid_window_rejected(self, sim):
         with pytest.raises(ProtocolError):
             CreditWindow(sim, 0)

@@ -12,7 +12,6 @@ class TestLatencySeries:
             series.record(float(t), 0.1 * (t + 1))
         assert len(series) == 10
         assert series.mean() == pytest.approx(0.55)
-        assert series.minimum() == pytest.approx(0.1)
         assert series.maximum() == pytest.approx(1.0)
 
     def test_window_filters_by_time(self):
@@ -86,7 +85,6 @@ class TestLatencySeries:
         series = LatencySeries()
         assert series.mean() == 0.0
         assert series.percentile(0.99) == 0.0
-        assert series.minimum() == 0.0
 
     def test_downsampling_bounds_memory(self):
         series = LatencySeries(max_samples=100)

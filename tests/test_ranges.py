@@ -49,12 +49,6 @@ class TestBasics:
         rs.remove(2, 14)
         assert sorted(rs) == [(0, 2), (14, 16)]
 
-    def test_contains_range(self):
-        rs = RangeSet([(0, 10)])
-        assert rs.contains_range(2, 8)
-        assert rs.contains_range(0, 10)
-        assert not rs.contains_range(5, 11)
-
     def test_intersects(self):
         rs = RangeSet([(5, 10)])
         assert rs.intersects(0, 6)

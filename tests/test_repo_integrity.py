@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -56,6 +57,66 @@ class TestDocumentation:
         }
 
 
+#: Module-level names in ``src/`` that nothing in ``src/``, ``examples/``
+#: or ``benchmarks/`` reaches, kept on purpose -- each with its reason.
+KEPT_WITHOUT_CALLER = {
+    "TransactionalSinkLogic": "the only exactly-once output check on Flink's restart path",
+    "run_control_quorum_sweep": "drives CI's control-quorum sweeps",
+    "failover_breakdown": "cross-checks takeover history against the trace",
+    "text_timeline": "README's documented debugging view of a trace",
+    "MapLogic": "stateless operator the engine tests build graphs from",
+    "FilterLogic": "stateless operator the engine tests build graphs from",
+    "PassThroughLogic": "stateless operator the engine tests build graphs from",
+}
+
+
+def _references(tree):
+    """Yield ``(word, lineno)`` for every name, attribute, imported name
+    and identifier-like word of a string literal in ``tree`` (a docstring
+    names, it does not call)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            for word in re.findall(r"[A-Za-z_]\w*", node.value):
+                yield word, node.lineno
+
+
+def _non_test_references():
+    """Every reference in ``src/``, ``examples/`` and ``benchmarks/`` as
+    ``word -> [(path, lineno), ...]``.  A package ``__init__.py`` only
+    re-exports, so its imports, ``__all__`` and lazy ``__getattr__`` strings
+    are not references."""
+    found = {}
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py" and top == "src":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            for word, lineno in _references(tree):
+                found.setdefault(word, []).append((path, lineno))
+    return found
+
+
 class TestPublicApi:
     def test_every_public_rhino_name_has_a_caller(self):
         """Every public name on ``Rhino`` (the list ``test_api_surface``
@@ -74,6 +135,56 @@ class TestPublicApi:
                     if isinstance(node, ast.Attribute)
                 )
         assert sorted(public - used) == []
+
+    def test_every_module_level_name_in_src_has_a_caller(self):
+        """Every module-level function and class in ``src/`` is reached from
+        ``src/``, ``examples/`` or ``benchmarks/``: referenced outside its
+        own body (re-exports do not count) by code that is itself reached,
+        or pinned in :data:`KEPT_WITHOUT_CALLER`.  Code only the tests reach
+        leaves."""
+        references = _non_test_references()
+        definitions = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in tree.body:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not node.name.startswith("__"):
+                    first = min(
+                        [node.lineno] + [d.lineno for d in node.decorator_list]
+                    )
+                    definitions.append((node.name, path, first, node.end_lineno))
+
+        def reached(definition, unreached):
+            _, path, first, last = definition
+            return any(
+                not (where == path and first <= lineno <= last)
+                and not any(
+                    where == d[1] and d[2] <= lineno <= d[3] for d in unreached
+                )
+                for where, lineno in references.get(definition[0], ())
+            )
+
+        # A reference from the body of an unreached definition reaches
+        # nothing, so repeat until no more definitions fall out.
+        unreached = []
+        while True:
+            found = [
+                definition
+                for definition in definitions
+                if definition[0] not in KEPT_WITHOUT_CALLER
+                and not reached(definition, unreached)
+            ]
+            if found == unreached:
+                break
+            unreached = found
+        assert not unreached, "reached by nothing outside the tests:\n" + "\n".join(
+            f"{path.relative_to(ROOT / 'src')}::{name}"
+            for name, path, _, _ in unreached
+        )
+        pinned = [d for d in definitions if d[0] in KEPT_WITHOUT_CALLER]
+        assert sorted(d[0] for d in pinned) == sorted(KEPT_WITHOUT_CALLER)
+        assert [d[0] for d in pinned if reached(d, unreached)] == []
 
 
 class TestExamplesSmoke:
