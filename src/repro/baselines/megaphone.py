@@ -18,6 +18,7 @@ Table 1).  This model reproduces both behaviours:
 """
 
 from repro.common.errors import OutOfMemoryError, ProtocolError
+from repro.common.ranges import RangeSet
 from repro.engine.partitioning import key_group_of
 from repro.engine.records import RecordBatch
 
@@ -177,10 +178,12 @@ class Megaphone:
     def _migrate_bins(self, origin, target, bins, assignment, report):
         config = self.config
         yield self.sim.timeout(config.schedule_overhead)
-        nbytes = sum(origin.state.bytes_in_groups(g, g + 1) for g in bins)
+        # Every per-range call below covers a contiguous run of the bins.
+        runs = list(RangeSet((group, group + 1) for group in bins))
+        nbytes = sum(origin.state.bytes_in_groups(lo, hi) for lo, hi in runs)
         pairs = []
-        for group in bins:
-            pairs.extend(origin.state.store.extract_groups(group, group + 1))
+        for lo, hi in runs:
+            pairs.extend(origin.state.store.extract_groups(lo, hi))
         if nbytes > 0:
             # Serialize on the origin, move, deserialize on the target.
             yield from origin.machine.compute(nbytes / config.serialize_throughput)
@@ -188,13 +191,13 @@ class Megaphone:
                 origin.machine, target.machine, nbytes, tag="megaphone-migration"
             )
             yield from target.machine.compute(nbytes / config.deserialize_throughput)
-        for group in bins:
-            origin.state.drop_groups(group, group + 1)
-            target.state.adopt_groups(group, group + 1)
+        for lo, hi in runs:
+            origin.state.drop_groups(lo, hi)
+            target.state.adopt_groups(lo, hi)
         per_pair = nbytes // len(pairs) if pairs else 0
         for group, key, value in pairs:
             target.state.put(group, key, value, nbytes=max(1, per_pair))
-        target.logic.absorb([(group, group + 1) for group in bins])
+        target.logic.absorb(runs)
         # The origin's window/session indexes must forget the moved bins,
         # or a later watermark would fire against state it no longer owns.
         remaining = origin.state.owned_ranges()
@@ -202,9 +205,9 @@ class Megaphone:
         # Reroute the migrated bins at every upstream producer.
         for runtime in self.job.edge_runtimes(downstream=origin.op.name):
             for router in runtime.routers.values():
-                for group in bins:
-                    router.reassign(group, group + 1, target.index)
-        for group in bins:
-            assignment.reassign(group, group + 1, target.index)
+                for lo, hi in runs:
+                    router.reassign(lo, hi, target.index)
+        for lo, hi in runs:
+            assignment.reassign(lo, hi, target.index)
         report.migrated_bytes += nbytes
         report.bins_migrated += len(bins)

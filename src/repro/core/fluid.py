@@ -112,6 +112,18 @@ def plan_chunks(sizes_by_group, ranges, chunk_bytes):
     return chunks
 
 
+def snapshot_sizes(tables, ranges):
+    """{group: modeled bytes} of the groups of the disjoint ``ranges`` in
+    the snapshot ``tables``: one scan per table and range, not one call
+    per group."""
+    sizes = {}
+    for lo, hi in ranges:
+        for table in tables:
+            for group, nbytes in table.bytes_by_group(lo, hi).items():
+                sizes[group] = sizes.get(group, 0) + nbytes
+    return sizes
+
+
 class PrecopyOutcome:
     """One plan's background-phase accounting, consumed at cutover.
 
@@ -252,12 +264,7 @@ class _Precopy:
             # moves half the origin's virtual nodes must not pay to ship
             # the half that stays behind.
             ranges = [(lo, hi) for lo, hi in plan.vnodes]
-            sizes = {}
-            for lo, hi in ranges:
-                for group in range(lo, hi):
-                    size = sum(t.bytes_in_groups(group, group + 1) for t in tables)
-                    if size:
-                        sizes[group] = size
+            sizes = snapshot_sizes(tables, ranges)
             chunks = plan_chunks(sizes, ranges, CHUNK_BYTES)
             shipped = yield from self.ship(
                 origin.machine, target_machine, chunks, span, "precopy"
@@ -279,14 +286,7 @@ class _Precopy:
             delta_started = sim.now
             prev_dirty = None
             for round_no in range(1, DELTA_ROUNDS + 1):
-                dirty_sizes = {}
-                for lo, hi in ranges:
-                    for group in range(lo, hi):
-                        size = store.dirty_bytes_in_groups(
-                            group, group + 1, outcome.cutoff_seq
-                        )
-                        if size:
-                            dirty_sizes[group] = size
+                dirty_sizes = store.dirty_bytes_by_group(ranges, outcome.cutoff_seq)
                 total_dirty = sum(dirty_sizes.values())
                 # Termination rule: the remainder is small enough for the
                 # barrier, or catch-up stopped gaining on the write rate.

@@ -49,11 +49,11 @@ def replay_start(rhino, plans, points):
     restored checkpoint's frontier, survivors are consulted live.
     """
     record = _oldest_restore_record(rhino, [source for _, source in points])
-    fresh = {}  # (op_name, group) -> Frontier
-    for plan, (frontier, _source) in zip(plans, points):
-        for lo, hi in plan.vnodes:
-            for group in range(lo, hi):
-                fresh[(plan.op_name, group)] = frontier
+    fresh = [
+        (plan.op_name, lo, hi, frontier)
+        for plan, (frontier, _source) in zip(plans, points)
+        for lo, hi in plan.vnodes
+    ]
     return dict(record.offsets), consumer_filter(rhino.job, fresh, rhino.sim.now)
 
 

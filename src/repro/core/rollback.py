@@ -145,14 +145,12 @@ def _replay_aborted_gap(job, sim, execution):
         )
     record = coordinator.completed[-1]
     diverted = _diverted(execution)
-    fresh = {}
+    fresh = []
     for plan in execution.plans:
         origin = job.instances.get((plan.op_name, plan.origin_index))
         if origin is None or not origin.machine.alive:
             continue  # a dead origin is handled by failure recovery
-        for lo, hi in plan.vnodes:
-            for group in range(lo, hi):
-                fresh[(plan.op_name, group)] = diverted
+        fresh.extend((plan.op_name, lo, hi, diverted) for lo, hi in plan.vnodes)
     source_filter = consumer_filter(job, fresh, sim.now)
     for source in job.source_instances():
         if not source.machine.alive:
@@ -176,19 +174,59 @@ def _diverted(execution):
 def consumer_filter(job, fresh, epoch):
     """A source-side replay filter over every key group's consumers.
 
-    ``fresh`` maps (op_name, group) to the :class:`Frontier` a restored or
-    rolled-back consumer replays from; every other consumer's frontier is
-    its live progress.
+    ``fresh`` lists ``(op_name, lo, hi, frontier)``: the :class:`Frontier`
+    a restored or rolled-back consumer of groups [lo, hi) replays from (a
+    later entry wins where two overlap).  Every other consumer's frontier
+    is its live progress, one per instance.
     """
     num_groups = job.config.num_key_groups
-    consumers_by_group = {}
+    layers = []  # per operator: its consumed (lo, hi, frontier), ascending
     for op_name, assignment in job.assignments.items():
-        for group in range(num_groups):
-            instance = job.instances.get((op_name, assignment.owner_of(group)))
+        live = {}
+        pieces = []
+        for lo, hi, owner in assignment.owner_runs():
+            instance = job.instances.get((op_name, owner))
             if instance is None or instance.state is None:
                 continue
-            frontier = fresh.get((op_name, group))
+            frontier = live.get(owner)
             if frontier is None:
-                frontier = Frontier(instance.origin_progress, float("-inf"))
-            consumers_by_group.setdefault(group, []).append(frontier)
-    return ConsumerDrivenReplayFilter(num_groups, consumers_by_group, epoch=epoch)
+                frontier = live[owner] = Frontier(
+                    instance.origin_progress, float("-inf")
+                )
+            pieces.append((lo, hi, frontier))
+        for fresh_op, lo, hi, frontier in fresh:
+            if fresh_op == op_name:
+                pieces = _overlay(pieces, lo, hi, frontier)
+        layers.append(pieces)
+    cuts = sorted(
+        {cut for pieces in layers for lo, hi, _ in pieces for cut in (lo, hi)}
+    )
+    cursors = [0] * len(layers)
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        consumers = []
+        for layer, pieces in enumerate(layers):
+            index = cursors[layer]
+            while index < len(pieces) and pieces[index][1] <= lo:
+                index += 1
+            cursors[layer] = index
+            if index < len(pieces) and pieces[index][0] <= lo:
+                consumers.append(pieces[index][2])
+        if consumers:
+            segments.append((lo, hi, consumers))
+    return ConsumerDrivenReplayFilter(num_groups, segments, epoch=epoch)
+
+
+def _overlay(pieces, lo, hi, frontier):
+    """``pieces`` with ``frontier`` in place wherever they meet [lo, hi)."""
+    out = []
+    for p_lo, p_hi, current in pieces:
+        if p_hi <= lo or hi <= p_lo:
+            out.append((p_lo, p_hi, current))
+            continue
+        if p_lo < lo:
+            out.append((p_lo, lo, current))
+        out.append((max(p_lo, lo), min(p_hi, hi), frontier))
+        if hi < p_hi:
+            out.append((hi, p_hi, current))
+    return out

@@ -18,6 +18,7 @@ Rhino's handover protocol plugs in through ``job.marker_handlers``: the
 engine aligns any marker type, then dispatches to the registered handler.
 """
 
+from bisect import bisect_right
 from collections import deque
 
 from repro.common.errors import EngineError
@@ -107,21 +108,28 @@ class ConsumerDrivenReplayFilter:
     Reading live survivor progress keeps the filter exact and tight:
     progress only advances, and anything re-shipped unnecessarily is still
     deduplicated by the consumer's own :class:`ReplayFilter`.
+
+    ``segments`` are disjoint ``(lo, hi, consumers)`` key-group ranges in
+    ascending order, ``consumers`` the Frontier of each instance consuming
+    them; a group outside every segment has no consumer.
     """
 
-    __slots__ = ("num_groups", "consumers_by_group", "epoch")
+    __slots__ = ("num_groups", "segments", "_starts", "epoch")
 
-    def __init__(self, num_groups, consumers_by_group, epoch=None):
+    def __init__(self, num_groups, segments, epoch=None):
         self.num_groups = num_groups
-        #: group -> the Frontier of each instance consuming it.
-        self.consumers_by_group = consumers_by_group
+        self.segments = segments
+        self._starts = [lo for lo, _hi, _consumers in segments]
         self.epoch = epoch
 
     def should_process(self, record):
         """False when the record is a replay duplicate to skip."""
         group = key_group_of(record.key, self.num_groups)
-        consumers = self.consumers_by_group.get(group)
-        if not consumers:
+        index = bisect_right(self._starts, group) - 1
+        if index < 0:
+            return False
+        _lo, hi, consumers = self.segments[index]
+        if group >= hi:
             return False  # nobody consumes this group: drop
         for frontier in consumers:
             if not frontier.seen(record):

@@ -110,9 +110,10 @@ class KeyGroupAssignment:
         self._owner[lo:hi] = [new_owner] * (hi - lo)
         self._runs = None
 
-    def _owner_runs(self):
+    def owner_runs(self):
         """Maximal ``(lo, hi, owner)`` runs in group order: one pass over
-        the key groups, cached until the next :meth:`reassign`."""
+        the key groups, cached until the next :meth:`reassign`.  The list
+        is shared; callers must not mutate it."""
         runs = self._runs
         if runs is None:
             runs = self._runs = []
@@ -127,18 +128,18 @@ class KeyGroupAssignment:
         """The RangeSet of key groups owned by ``instance_index``."""
         return RangeSet(
             (lo, hi)
-            for lo, hi, owner in self._owner_runs()
+            for lo, hi, owner in self.owner_runs()
             if owner == instance_index
         )
 
     def owners(self):
         """The set of instance indexes owning at least one group."""
-        return {owner for _lo, _hi, owner in self._owner_runs()}
+        return {owner for _lo, _hi, owner in self.owner_runs()}
 
     def group_counts(self):
         """{instance_index: number of owned key groups}."""
         counts = {}
-        for lo, hi, owner in self._owner_runs():
+        for lo, hi, owner in self.owner_runs():
             counts[owner] = counts.get(owner, 0) + hi - lo
         return counts
 

@@ -23,6 +23,12 @@ coalesced into a single pass via the kernel's end-of-instant hook, and the
 projected completion wake-up is managed through a small due-time heap
 instead of leaking one kernel timeout per reallocation.
 
+Water-filling counts instead of intersecting: each port keeps its flow
+list and a count of unfrozen flows, decremented as flows freeze, so a
+lone flow closes in one round.  A solve seeded only by ports that no flow
+crosses any more skips water-filling and just clears their rate sums.  A
+positive-size transfer must cross at least one port.
+
 The oracle is a whole-graph solver kept apart from this module, in
 ``tests/reference_flows.py``: it re-solves every flow and port on every
 arrival, completion and failure -- simple, obviously correct, and
@@ -201,11 +207,13 @@ class FlowScheduler:
         """
         if nbytes < 0:
             raise SimulationError("transfer of negative size")
+        extra_latency = 0
         for port in ports:
             if not port.enabled:
                 event = self.sim.event()
                 event.fail(PortFailed(port))
                 return event
+            extra_latency += port.extra_latency
         event = self.sim.event()
         if self.loss_rng is not None:
             for port in ports:
@@ -214,10 +222,14 @@ class FlowScheduler:
                 ):
                     event.fail(FlowLost(port))
                     return event
-        latency = latency + sum(p.extra_latency for p in ports)
+        latency = latency + extra_latency
         if nbytes <= _EPSILON_BYTES:
             event.succeed(nbytes, delay=latency)
             return event
+        if not ports:
+            # Nothing would bound its rate; only a zero-byte transfer
+            # (a same-machine hand-off) may cross no port.
+            raise SimulationError("flow crossing no port")
         self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
         flow_id = flow.flow_id
@@ -391,28 +403,32 @@ class FlowScheduler:
         a full solve restricted to that component)."""
         self._solve_pending = False
         flows, touched_ports = self._collect_components()
-        if flows or touched_ports:
-            self._waterfill(flows)
-            for flow in flows:
-                if flow.rate <= 0 and not any(
-                    p.effective_capacity <= 0 for p in flow.ports
-                ):
-                    # Zero rate is only legal while a port is stalled
-                    # (capacity scaled to zero); anything else is an
-                    # allocator bug and must not hang silently.
-                    raise SimulationError("flow with zero allocated rate")
-            sums = {}
-            for flow in flows:
-                rate = flow.rate
-                for port in flow.ports:
-                    sums[port] = sums.get(port, 0.0) + rate
-            rate_sum = self._port_rate_sum
+        rate_sum = self._port_rate_sum
+        if not flows:
+            # Only emptied ports: nothing left to share their capacity.
             for port in touched_ports:
-                total = sums.get(port, 0.0)
-                if total:
-                    rate_sum[port] = total
-                else:
-                    rate_sum.pop(port, None)
+                rate_sum.pop(port, None)
+            return
+        self._waterfill(flows)
+        for flow in flows:
+            if flow.rate <= 0 and not any(
+                p.effective_capacity <= 0 for p in flow.ports
+            ):
+                # Zero rate is only legal while a port is stalled
+                # (capacity scaled to zero); anything else is an
+                # allocator bug and must not hang silently.
+                raise SimulationError("flow with zero allocated rate")
+        sums = {}
+        for flow in flows:
+            rate = flow.rate
+            for port in flow.ports:
+                sums[port] = sums.get(port, 0.0) + rate
+        for port in touched_ports:
+            total = sums.get(port, 0.0)
+            if total:
+                rate_sum[port] = total
+            else:
+                rate_sum.pop(port, None)
 
     def _collect_components(self):
         """Flows of every connected component touched by a dirty flow or
@@ -420,6 +436,7 @@ class FlowScheduler:
         have changed."""
         flows_by_id = self._flows
         port_flows = self._port_flows
+        dirty_ports = self._dirty_ports
         seen_flows = set()
         seen_ports = set()
         stack = []
@@ -429,9 +446,9 @@ class FlowScheduler:
                 continue
             seen_flows.add(flow_id)
             stack.extend(flow.ports)
-        stack.extend(self._dirty_ports)
+        stack.extend(dirty_ports)
         self._dirty_flows.clear()
-        self._dirty_ports.clear()
+        dirty_ports.clear()
         while stack:
             port = stack.pop()
             if port in seen_ports:
@@ -450,42 +467,56 @@ class FlowScheduler:
         """Water-filling max-min fair allocation over ``flows``.
 
         This is, deliberately, the arithmetic of the whole-graph reference
-        (``tests/reference_flows.py``) operation for operation: identical
-        data-structure construction and identical operation order make the
-        per-component solve bit-identical to a global solve restricted to
-        the component.
+        (``tests/reference_flows.py``) operation for operation: the same
+        port order, the same first-port-wins tie break and the same
+        ``residual -= share`` sequence make the per-component solve
+        bit-identical to a global solve restricted to the component.  The
+        reference intersects each port's members with the unfrozen flows
+        every round; here each port keeps a count of its unfrozen flows,
+        decremented as they freeze.  Within one round every subtrahend is
+        the same ``best_share``, so freezing order cannot change a value.
         """
         residual = {}
-        port_flows = {}
+        members = {}  # port -> the flows crossing it, each once
+        repeated = None  # flow -> its distinct ports, when it lists one twice
         for flow in flows:
-            flow.rate = 0.0
             for port in flow.ports:
-                residual.setdefault(port, port.effective_capacity)
-                port_flows.setdefault(port, set()).add(flow.flow_id)
-        unfrozen = {f.flow_id: f for f in flows}
+                crossing = members.get(port)
+                if crossing is None:
+                    residual[port] = port.effective_capacity
+                    members[port] = [flow]
+                elif crossing[-1] is not flow:
+                    crossing.append(flow)
+                else:
+                    if repeated is None:
+                        repeated = {}
+                    repeated[flow] = list(dict.fromkeys(flow.ports))
+        live = {port: len(crossing) for port, crossing in members.items()}
+        frozen = set()
+        unfrozen = len(flows)
         while unfrozen:
             # The bottleneck port is the one offering the smallest fair share.
             best_share = None
             best_port = None
-            for port, members in port_flows.items():
-                live = members & unfrozen.keys()
-                if not live:
+            for port, count in live.items():
+                if count:
+                    share = residual[port] / count
+                    if best_share is None or share < best_share:
+                        best_share = share
+                        best_port = port
+            for flow in members[best_port]:
+                if flow in frozen:
                     continue
-                share = residual[port] / len(live)
-                if best_share is None or share < best_share:
-                    best_share = share
-                    best_port = port
-            if best_port is None:
-                # No port constrains the remaining flows (should not happen:
-                # flows always cross at least one port).
-                for flow in unfrozen.values():
-                    flow.rate = float("inf")
-                break
-            for flow_id in list(port_flows[best_port] & unfrozen.keys()):
-                flow = unfrozen.pop(flow_id)
+                frozen.add(flow)
+                unfrozen -= 1
                 flow.rate = best_share
-                for port in flow.ports:
+                ports = flow.ports
+                for port in ports:
                     residual[port] -= best_share
+                if repeated is not None:
+                    ports = repeated.get(flow, ports)
+                for port in ports:
+                    live[port] -= 1
 
     def _compute_due(self):
         """Project the earliest completion and arm a kernel wake-up for it.

@@ -373,17 +373,30 @@ class LSMStore:
         newest sequence per key, so the estimate stays an upper bound of
         the truly-new bytes (never an undercount).
         """
-        ranges = [(lo, hi)] if self.owned is None else self.owned.intersection(lo, hi)
-        total = 0
-        for r_lo, r_hi in ranges:
-            total += sum(
-                e.nbytes
-                for c, e in self.memtable.entries.items()
-                if r_lo <= c[0] < r_hi and e.seq > since_seq
-            )
-            for table in self.tables:
-                total += table.dirty_bytes_in_groups(r_lo, r_hi, since_seq)
-        return total
+        return sum(self.dirty_bytes_by_group([(lo, hi)], since_seq).values())
+
+    def dirty_bytes_by_group(self, ranges, since_seq):
+        """{group: owned bytes written after ``since_seq``} over the
+        disjoint key-group ``ranges``: one pass over the memtable and one
+        scan of each table per owned sub-range, not one call per group."""
+        if self.owned is not None:
+            ranges = [r for lo, hi in ranges for r in self.owned.intersection(lo, hi)]
+        scanned = RangeSet(ranges)
+        spans = list(scanned)
+        sizes = {}
+        if not spans:
+            return sizes
+        lo, hi = spans[0][0], spans[-1][1]
+        for (group, _key), entry in self.memtable.entries.items():
+            if lo <= group < hi and entry.seq > since_seq and group in scanned:
+                sizes[group] = sizes.get(group, 0) + entry.nbytes
+        for table in self.tables:
+            for lo, hi in spans:
+                for group, nbytes in table.dirty_bytes_by_group(
+                    lo, hi, since_seq
+                ).items():
+                    sizes[group] = sizes.get(group, 0) + nbytes
+        return sizes
 
     # -- migration helpers -------------------------------------------------------
 

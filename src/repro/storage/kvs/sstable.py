@@ -169,23 +169,36 @@ class SSTable:
 
     def bytes_in_groups(self, lo, hi):
         """Modeled bytes of entries whose key group falls in [lo, hi)."""
-        return sum(
-            nbytes for group, nbytes in self.group_bytes.items() if lo <= group < hi
-        )
+        return sum(self.bytes_by_group(lo, hi).values())
 
     def dirty_bytes_in_groups(self, lo, hi, since_seq):
         """Bytes in [lo, hi) written after sequence number ``since_seq``."""
+        return sum(self.dirty_bytes_by_group(lo, hi, since_seq).values())
+
+    def bytes_by_group(self, lo, hi):
+        """{group: modeled bytes} of the groups in [lo, hi) the run holds."""
+        return {
+            group: nbytes
+            for group, nbytes in self.group_bytes.items()
+            if lo <= group < hi
+        }
+
+    def dirty_bytes_by_group(self, lo, hi, since_seq):
+        """{group: bytes written after ``since_seq``} over [lo, hi), in one
+        scan of the range."""
+        sizes = {}
         if self.max_seq <= since_seq:
-            return 0
-        total = 0
+            return sizes
+        keys, entries = self.keys, self.entries
         start = bisect.bisect_left(self._order, (lo, ""))
-        for index in range(start, len(self.keys)):
-            if self.keys[index][0] >= hi:
+        for index in range(start, len(keys)):
+            group = keys[index][0]
+            if group >= hi:
                 break
-            entry = self.entries[index]
+            entry = entries[index]
             if entry.seq > since_seq:
-                total += entry.nbytes
-        return total
+                sizes[group] = sizes.get(group, 0) + entry.nbytes
+        return sizes
 
     def items(self):
         """((group, key), Entry) pairs in table order."""
@@ -259,17 +272,25 @@ class GroupSlice:
 
     def bytes_in_groups(self, lo, hi):
         """Modeled bytes of visible entries whose group falls in [lo, hi)."""
-        return sum(
-            self.table.bytes_in_groups(r_lo, r_hi)
-            for r_lo, r_hi in self.ranges.intersection(lo, hi)
-        )
+        return sum(self.bytes_by_group(lo, hi).values())
 
     def dirty_bytes_in_groups(self, lo, hi, since_seq):
         """Visible bytes in [lo, hi) written after ``since_seq``."""
-        return sum(
-            self.table.dirty_bytes_in_groups(r_lo, r_hi, since_seq)
-            for r_lo, r_hi in self.ranges.intersection(lo, hi)
-        )
+        return sum(self.dirty_bytes_by_group(lo, hi, since_seq).values())
+
+    def bytes_by_group(self, lo, hi):
+        """{group: modeled bytes} of the visible groups in [lo, hi)."""
+        sizes = {}
+        for r_lo, r_hi in self.ranges.intersection(lo, hi):
+            sizes.update(self.table.bytes_by_group(r_lo, r_hi))
+        return sizes
+
+    def dirty_bytes_by_group(self, lo, hi, since_seq):
+        """{group: visible bytes written after ``since_seq``} over [lo, hi)."""
+        sizes = {}
+        for r_lo, r_hi in self.ranges.intersection(lo, hi):
+            sizes.update(self.table.dirty_bytes_by_group(r_lo, r_hi, since_seq))
+        return sizes
 
     def items(self):
         """((group, key), Entry) pairs of the visible entries."""

@@ -290,6 +290,42 @@ class TestMegaphone:
         assert origin.state.total_bytes == 0 or before == 0
         assert report.bins_migrated > 0
 
+    def test_a_migration_across_two_owned_ranges(self):
+        """Bins of one batch span both of an origin's ranges; every value
+        is pinned from the group-by-group migration it replaced."""
+        env = EngineEnv(machines=4, memory=4 * 1024**3)
+        env.topic("events", 2)
+        job = env.job(counter_graph_factory()(), config=job_config(None))
+        job.start()
+        megaphone = Megaphone(
+            job, env.cluster, MegaphoneConfig(bin_batch_groups=5)
+        ).attach(monitor_interval=0.2)
+        keys = [f"user-{i}" for i in range(48)]
+        live_feeder(env, "events", keys, count=240, interval=0.01, nbytes=700)
+        env.run(until=3.0)
+        env.sim.run(until=megaphone.migrate("count", [(2, 0, 0.5)]))
+        origin, target = job.instance("count", 0), job.instance("count", 1)
+        assert origin.state.owned_ranges() == [(0, 8), (16, 20)]
+        # Batches of five: [0, 5), then {5, 6, 7, 16, 17}, then {18, 19}.
+        report = env.sim.run(until=megaphone.migrate("count", [(0, 1, 1.0)]))
+        assignment = job.assignments["count"]
+        assert [assignment.owner_of(g) for g in range(32)] == (
+            [1] * 20 + [2] * 4 + [3] * 8
+        )
+        assert origin.state.owned_ranges() == []
+        assert target.state.owned_ranges() == [(0, 20)]
+        assert (report.migrated_bytes, report.bins_migrated) == (9800, 12)
+        assert repr(report.total_seconds) == "0.00756726666666685"
+        held = [
+            (0, 13), (0, 24), (1, 34), (1, 7), (2, 0), (2, 33), (3, 14),
+            (3, 23), (5, 43), (6, 44), (6, 9), (8, 18), (9, 41), (10, 38),
+            (10, 46), (11, 28), (12, 11), (12, 26), (13, 36), (13, 5),
+            (14, 2), (14, 31), (15, 16), (15, 21), (16, 45), (16, 8), (19, 42),
+        ]
+        assert target.state.store.extract_groups(0, 32) == [
+            (group, f"user-{user}", 5) for group, user in held
+        ]
+
     def test_migration_time_scales_with_bytes(self):
         env, job, megaphone = self.make_setup()
         live_feeder(env, "events", KEYS, count=120, interval=0.01, nbytes=50_000)

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster
+from repro.common.errors import SimulationError
 from repro.experiments.scenarios.chaos import run_chaos
 from repro.sim import Simulator
 from repro.sim.flows import FlowScheduler, Port, TransferFailed
@@ -205,3 +206,171 @@ def test_machine_failure_identical_under_both_engines():
         sim.run()
         results.append(sorted(log))
     assert results[0] == results[1]
+
+
+# -- the solver's fast paths --------------------------------------------------
+
+
+def _run_script(engine, capacities, script):
+    """Run ``script`` -- ``(at, action)`` pairs, ``action(scheduler, ports,
+    watch)`` -- on one engine; returns every step's rates and every
+    transfer's completion.
+
+    After each step (at the same instant) the snapshot records each
+    flow's (tag, remaining, rate) and each port's aggregate rate, as
+    ``repr`` so equality is bit for bit.
+    """
+    sim = Simulator()
+    scheduler = engine(sim)
+    ports = [Port(f"p{i}", capacity) for i, capacity in enumerate(capacities)]
+    snapshots = []
+    completions = {}
+
+    def watch(tag, event):
+        def proc():
+            try:
+                value = yield event
+            except TransferFailed as exc:
+                completions[tag] = ("fail", type(exc).__name__, repr(sim.now))
+            else:
+                completions[tag] = ("ok", repr(value), repr(sim.now))
+
+        sim.process(proc(), name=f"watch-{tag}")
+
+    def driver():
+        for at, action in script:
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            action(scheduler, ports, watch)
+            flows = sorted(
+                (tag, repr(remaining), repr(rate))
+                for tag, remaining, rate in scheduler.active_flows()
+            )
+            snapshots.append(
+                (repr(sim.now), flows, [repr(scheduler.port_rate(p)) for p in ports])
+            )
+
+    sim.process(driver(), name="driver")
+    sim.run(until=1_000.0)
+    return snapshots, completions
+
+
+def _start(tag, nbytes, port_ids):
+    def action(scheduler, ports, watch):
+        watch(tag, scheduler.transfer(nbytes, [ports[i] for i in port_ids], tag=tag))
+
+    return action
+
+
+def _look(scheduler, ports, watch):
+    """A step that only takes a snapshot."""
+
+
+def _assert_engines_agree(capacities, script):
+    dense, incremental = (
+        _run_script(engine, capacities, script) for engine in ENGINES
+    )
+    assert incremental == dense
+    return incremental
+
+
+class TestSolverFastPaths:
+    """The trivial components of the incremental solver (a lone flow, a
+    solve with no flow left, a tie on the smallest share), rate for rate
+    and completion for completion against the dense reference."""
+
+    def test_a_lone_flow_on_idle_ports_takes_its_tightest_port(self):
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 4e5, 4e5],
+            [(0.0, _start("lone", 2e6, [0, 1, 2])), (1.0, _look)],
+        )
+        assert snapshots[0][1] == [("lone", repr(2e6), repr(4e5))]
+        assert completions["lone"] == ("ok", repr(0.0), repr(5.0))
+
+    def test_a_completion_that_empties_its_ports(self):
+        # "short" leaves p0 and p1 empty while "other" runs on p2; a later
+        # flow on p0 gets the whole port again.
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 2e6, 1e6],
+            [
+                (0.0, _start("short", 1e6, [0, 1])),
+                (0.0, _start("other", 5e6, [2])),
+                (1.5, _look),
+                (2.0, _start("late", 1e6, [0])),
+            ],
+        )
+        assert snapshots[2][2][:2] == [repr(0), repr(0)]  # nothing crosses them
+        assert completions["short"][2] == repr(1.0)
+        assert completions["late"][2] == repr(3.0)
+
+    def test_a_lone_flow_behind_a_stalled_port_resumes_on_heal(self):
+        def stall(scheduler, ports, watch):
+            ports[0].degrade(capacity_scale=0.0)
+            scheduler.reallocate([ports[0]])
+
+        def heal(scheduler, ports, watch):
+            ports[0].restore()
+            scheduler.reallocate([ports[0]])
+
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 5e5],
+            [
+                (0.0, stall),
+                (0.0, _start("frozen", 1e6, [0, 1])),
+                (3.0, _look),
+                (3.0, heal),
+            ],
+        )
+        assert snapshots[2][1] == [("frozen", repr(1e6), repr(0.0))]
+        assert completions["frozen"] == ("ok", repr(0.0), repr(5.0))
+
+    def test_two_ports_tie_on_the_smallest_share(self):
+        # p0 and p1 both offer a third of 1e6 to three flows, and "c"
+        # crosses both.  The first port seen freezes first; the other's
+        # flows then share its float residual, one ulp above a third.
+        third, rest = repr(1e6 / 3), repr((1e6 - 1e6 / 3) / 2)
+        assert third != rest
+        snapshots, _ = _assert_engines_agree(
+            [1e6, 1e6, 5e6],
+            [
+                (0.0, _start("a", 4e6, [0])),
+                (0.0, _start("b", 3e6, [0, 2])),
+                (0.0, _start("c", 2e6, [0, 1])),
+                (0.0, _start("d", 1e6, [1, 2])),
+                (0.0, _start("e", 5e6, [1])),
+                (0.0, _look),
+            ],
+        )
+        rates = {tag: rate for tag, _remaining, rate in snapshots[-1][1]}
+        assert rates == {"a": third, "b": third, "c": third, "d": rest, "e": rest}
+
+    def test_a_flow_listing_a_port_twice(self):
+        # Counted once on that port, charged twice to its residual, as
+        # the reference's member sets and residual loop do.
+        _assert_engines_agree(
+            [1e6, 8e5],
+            [
+                (0.0, _start("twice", 3e6, [0, 1, 0])),
+                (0.0, _start("plain", 2e6, [0])),
+                (0.0, _start("other", 2e6, [1])),
+                (0.5, _look),
+            ],
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_transfer_crossing_no_port_is_refused(engine):
+    """Nothing would bound its rate: both engines raise."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="no port"):
+        engine(sim).transfer(1e6, [])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_zero_byte_transfer_may_cross_no_port(engine):
+    """``Cluster.transfer(src, src, ...)`` sends ``transfer(0, [])``: it
+    completes at once."""
+    sim = Simulator()
+    event = engine(sim).transfer(0, [])
+    sim.run()
+    assert event.processed and event.value == 0 and sim.now == 0.0

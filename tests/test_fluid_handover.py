@@ -8,11 +8,15 @@ remainder; a replica holder receives the checkpoint delta; a degraded
 pre-copy ships everything at the barrier.
 """
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.common.errors import SimulationError
+from repro.common.ranges import RangeSet
 from repro.core import fluid
 from repro.core.api import Rhino, RhinoConfig
 from repro.core.fluid import StateChunk, plan_chunks
@@ -76,6 +80,100 @@ class TestPlanChunks:
 
 
 # -- resumable chunked transfers ---------------------------------------------
+
+
+def seeded_store(seed=7):
+    """A store with three flushed tables, an ingested slice of a fourth,
+    a memtable, and ownership with holes."""
+    rng = random.Random(seed)
+    store = LSMStore("sized", owned=RangeSet([(0, 64)]))
+
+    def write(count, target=store):
+        for _ in range(count):
+            group, key = rng.randrange(64), f"k{rng.randrange(40)}"
+            if rng.random() < 0.15:
+                target.delete(group, key)
+            else:
+                nbytes = rng.choice([100, 2500, 9000, rng.randrange(1, 4096)])
+                target.put(group, key, rng.random(), nbytes=nbytes)
+
+    for _ in range(3):
+        write(200)
+        store.flush()
+    since = store.current_seq - 120  # inside the third table
+    foreign = LSMStore("foreign")
+    write(150, foreign)
+    foreign.flush()
+    store.ingest_tables(foreign.tables, ranges=[(8, 24), (40, 48)])
+    write(150)
+    store.drop_groups(20, 28)
+    store.drop_groups(50, 52)
+    return store, since
+
+
+def entry_sizes(entries, ranges, keep=lambda group, entry: True):
+    """{group: bytes} summed entry by entry: the oracle the range scans
+    must equal."""
+    wanted = RangeSet(ranges)
+    sizes = {}
+    for (group, _key), entry in entries:
+        if group in wanted and keep(group, entry):
+            sizes[group] = sizes.get(group, 0) + entry.nbytes
+    return sizes
+
+
+def chunk_digest(sizes, ranges, cap):
+    chunks = [
+        (c.lo, c.hi, repr(c.nbytes), c.part, c.parts)
+        for c in plan_chunks(sizes, ranges, cap)
+    ]
+    return len(chunks), hashlib.sha256(repr(chunks).encode()).hexdigest()[:16]
+
+
+class TestRangeSizing:
+    """Pre-copy and delta sizing by range equal a sum over the entries,
+    group for group, and plan the chunks the per-group sizing planned
+    (digests captured with one ``bytes_in_groups(g, g + 1)`` /
+    ``dirty_bytes_in_groups(g, g + 1, since)`` call per group)."""
+
+    RANGES = [(40, 60), (0, 30), (30, 33)]  # not in group order
+    CAP = 20_000  # both packs groups and splits oversized ones
+
+    def test_snapshot_sizes(self):
+        store, _since = seeded_store()
+        tables = list(store.tables)
+        assert len(tables) == 4 and store.memtable.entries
+        sizes = fluid.snapshot_sizes(tables, self.RANGES)
+        entries = [item for table in tables for item in table.items()]
+        assert sizes == entry_sizes(entries, self.RANGES)
+        for lo, hi in self.RANGES:
+            for table in tables:
+                assert table.bytes_in_groups(lo, hi) == sum(
+                    entry_sizes(table.items(), [(lo, hi)]).values()
+                )
+        assert repr(sum(sizes.values())) == "1624059"
+        assert chunk_digest(sizes, self.RANGES, self.CAP) == (104, "5c16f2e795a90008")
+
+    def test_dirty_sizes(self):
+        store, table_seq = seeded_store()
+        entries = list(store.memtable.entries.items())
+        for table in store.tables:
+            entries.extend(table.items())
+        memtable_seq = max(entry.seq for _, entry in entries) - 5
+        for since in (table_seq, memtable_seq):
+
+            def dirty(group, entry):
+                return entry.seq > since and store.owns(group)
+
+            sizes = store.dirty_bytes_by_group(self.RANGES, since)
+            assert sizes == entry_sizes(entries, self.RANGES, dirty)
+            for lo, hi in self.RANGES:
+                assert store.dirty_bytes_in_groups(lo, hi, since) == sum(
+                    entry_sizes(entries, [(lo, hi)], dirty).values()
+                )
+        sizes = store.dirty_bytes_by_group(self.RANGES, table_seq)
+        assert repr(sum(sizes.values())) == "505520"
+        assert chunk_digest(sizes, self.RANGES, self.CAP) == (39, "df9f15709f901d99")
 
 
 def two_machines(nic=1e6):

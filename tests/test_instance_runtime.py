@@ -106,7 +106,8 @@ class TestConsumerDrivenReplayFilter:
         group = key_group_of(key, NUM_GROUPS)
         other = (group + 1) % NUM_GROUPS
         rf = ConsumerDrivenReplayFilter(
-            NUM_GROUPS, {other: [floor(float("-inf"))], group: []}
+            NUM_GROUPS,
+            sorted([(other, other + 1, [floor(float("-inf"))]), (group, group + 1, [])]),
         )
         assert not rf.should_process(Record(key, 1.0, origin="a"))
 
@@ -116,9 +117,13 @@ class TestConsumerDrivenReplayFilter:
         behind = Frontier({"a": 2.0}, float("inf"))
         ahead = Frontier({"a": 8.0}, float("-inf"))
         record = Record(key, 5.0, origin="a")
-        ships = ConsumerDrivenReplayFilter(NUM_GROUPS, {group: [ahead, behind]})
+        ships = ConsumerDrivenReplayFilter(
+            NUM_GROUPS, [(group, group + 1, [ahead, behind])]
+        )
         assert ships.should_process(record)
-        drops = ConsumerDrivenReplayFilter(NUM_GROUPS, {group: [ahead, ahead]})
+        drops = ConsumerDrivenReplayFilter(
+            NUM_GROUPS, [(group, group + 1, [ahead, ahead])]
+        )
         assert not drops.should_process(record)
 
     def test_a_live_frontier_reads_progress_made_after_it_was_built(self):
@@ -126,7 +131,7 @@ class TestConsumerDrivenReplayFilter:
         group = key_group_of(key, NUM_GROUPS)
         progress = {}
         rf = ConsumerDrivenReplayFilter(
-            NUM_GROUPS, {group: [Frontier(progress, float("-inf"))]}
+            NUM_GROUPS, [(group, group + 1, [Frontier(progress, float("-inf"))])]
         )
         record = Record(key, 5.0, origin="a")
         assert rf.should_process(record)
@@ -658,9 +663,7 @@ class TestSourcePause:
         source = job.source_instances()[0]
         assert source.instance_id == "src[0]"
         rolled_back = Frontier({frontier_of: 0.035}, float("inf"))
-        source.replay_filter = ConsumerDrivenReplayFilter(
-            16, {group: [rolled_back] for group in range(16)}
-        )
+        source.replay_filter = ConsumerDrivenReplayFilter(16, [(0, 16, [rolled_back])])
         job.start()
         env.run(until=2.0)
         # Timestamps 0.00 .. 0.03 were emitted before the rewire; 0.04 ..

@@ -240,9 +240,10 @@ class TestIncrementalEngine:
 
         sim.process(burst())
         sim.run()
-        # One coalesced solve for the burst, plus completion re-solves
-        # (all 50 finish at the same instant: one more).
-        assert solves["count"] == 2
+        # One coalesced solve for the burst.  All 50 finish at the same
+        # instant and leave the port empty, so their re-solve has no
+        # component to water-fill.
+        assert solves["count"] == 1
 
     def test_component_local_solve_leaves_other_components_untouched(
         self, sim, scheduler
