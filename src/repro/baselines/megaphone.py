@@ -195,8 +195,7 @@ class Megaphone:
             origin.state.drop_groups(lo, hi)
             target.state.adopt_groups(lo, hi)
         per_pair = nbytes // len(pairs) if pairs else 0
-        for group, key, value in pairs:
-            target.state.put(group, key, value, nbytes=max(1, per_pair))
+        target.state.store.ingest_pairs(pairs, nbytes_per_pair=max(1, per_pair))
         target.logic.absorb(runs)
         # The origin's window/session indexes must forget the moved bins,
         # or a later watermark would fire against state it no longer owns.

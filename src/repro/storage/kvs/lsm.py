@@ -1,5 +1,7 @@
 """The LSM store: memtable + sorted runs + incremental checkpoints."""
 
+import itertools
+
 from repro.common.errors import StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs.memtable import (
@@ -146,7 +148,10 @@ class LSMStore:
     # -- reads ----------------------------------------------------------------
 
     def get(self, group, key):
-        """Resolved value for (group, key), or None if absent/deleted."""
+        """Resolved value for (group, key), or None if absent/deleted.
+
+        The value may be the stored object itself: treat it as read-only.
+        """
         if not self.owns(group):
             return None
         operands = []  # newest-first MERGE lists
@@ -404,22 +409,71 @@ class LSMStore:
         """Materialize resolved (group, key, value) for key groups [lo, hi).
 
         Used by the Megaphone baseline (which migrates resolved key-value
-        pairs) and by tests asserting state equivalence after a handover.
-        With ``since_seq`` only keys *touched* after that sequence number
-        are emitted (delta extraction), though each emitted value is still
-        fully resolved across all levels.
+        pairs), by the window operators rebuilding their index, and by
+        tests asserting state equivalence after a handover.  Rows come in
+        ``(group, repr(key))`` order, owned groups only.
+
+        The full range is one merging pass, as RocksDB's merging iterator
+        answers a range read: the memtable's in-range entries, then each
+        run's ``iter_groups`` from newest to oldest (the order ``get``
+        visits them), keeping per key the MERGE operands seen so far until
+        a PUT or DELETE ends it -- no bloom probe and no point lookup per
+        key.  With ``since_seq`` only keys *touched* after that sequence
+        number are emitted (delta extraction): a delta touches few keys,
+        so each is resolved across all levels with ``get`` instead.
+
+        Values are the stored objects, not copies: treat them as read-only
+        (``ingest_pairs`` copies lists before they enter another store).
         """
+        if since_seq is not None:
+            return self._extract_touched(lo, hi, since_seq)
+        owns, inspect = self.owns, self._inspect
+        spans = [(lo, hi)] if self.owned is None else self.owned.intersection(lo, hi)
+        newest_first = itertools.chain(
+            (
+                (composite, entry)
+                for composite, entry in self.memtable.entries.items()
+                if lo <= composite[0] < hi and owns(composite[0])
+            ),
+            (
+                item
+                for table in reversed(self.tables)
+                for span_lo, span_hi in spans
+                for item in table.iter_groups(span_lo, span_hi)
+            ),
+        )
+        found = {}  # composite -> [order, base, stopped, operands newest first]
+        for composite, entry in newest_first:
+            row = found.get(composite)
+            if row is None:
+                operands = []
+                base, stopped = inspect(entry, operands)
+                order = entry.order or order_key(composite)
+                found[composite] = [order, base, stopped, operands]
+            elif not row[2]:
+                row[1], row[2] = inspect(entry, row[3])
+        fold = self._fold
+        out = []
+        for (group, key), (_order, base, _stopped, operands) in sorted(
+            found.items(), key=lambda item: item[1][0]
+        ):
+            value = fold(base, operands)
+            if value is not None:
+                out.append((group, key, value))
+        return out
+
+    def _extract_touched(self, lo, hi, since_seq):
+        """Delta extraction: every owned key in [lo, hi) written after
+        ``since_seq``, resolved with one ``get`` each."""
         composites = set()
         for composite, entry in self.memtable.entries.items():
-            if lo <= composite[0] < hi and (
-                since_seq is None or entry.seq > since_seq
-            ):
+            if lo <= composite[0] < hi and entry.seq > since_seq:
                 composites.add(composite)
         for table in self.tables:
-            if since_seq is not None and table.max_seq <= since_seq:
+            if table.max_seq <= since_seq:
                 continue
             for composite, entry in table.iter_groups(lo, hi):
-                if since_seq is None or entry.seq > since_seq:
+                if entry.seq > since_seq:
                     composites.add(composite)
         out = []
         for group, key in sorted(composites, key=order_key):
@@ -431,8 +485,16 @@ class LSMStore:
         return out
 
     def ingest_pairs(self, pairs, nbytes_per_pair=None):
-        """Bulk-load resolved (group, key, value) pairs (Megaphone restore)."""
+        """Bulk-load resolved (group, key, value) pairs (Megaphone restore).
+
+        A list value is stored as a copy: it may be another store's own
+        object (``extract_groups`` hands out stored values, shared with
+        sealed tables and checkpoints), and a later ``append`` here grows a
+        memtable PUT's list in place.
+        """
         for group, key, value in pairs:
+            if isinstance(value, list):
+                value = list(value)
             self.put(group, key, value, nbytes=nbytes_per_pair)
 
     def __repr__(self):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs import LSMStore
-from repro.storage.kvs.sstable import GroupSlice
+from repro.storage.kvs.bloom import BloomFilter
+from repro.storage.kvs.memtable import PUT, Entry, order_key
+from repro.storage.kvs.sstable import GroupSlice, SSTable
 
 
 @pytest.fixture
@@ -346,6 +348,20 @@ class TestOwnership:
         target.ingest_pairs(source.extract_groups(0, 8))
         assert target.get(2, "k") == "v"
 
+    def test_migrated_list_does_not_alias_the_origins_table(self):
+        # extract_groups hands out the origin's stored list; an append on
+        # the target must not grow it inside the origin's sealed table.
+        origin = LSMStore("origin")
+        origin.put(1, "k", ["a"])
+        origin.flush()
+        origin.checkpoint(1)
+        target = LSMStore("target")
+        target.ingest_pairs(origin.extract_groups(0, 8))
+        target.append(1, "k", "b")
+        assert target.get(1, "k") == ["a", "b"]
+        assert origin.get(1, "k") == ["a"]
+        origin.tables[0].verify()
+
 
 # -- property-based: the store behaves like a dict under random operations --
 
@@ -518,3 +534,131 @@ class TestModelEquivalence:
         assert len(third.tables) >= 3
         assert_reads(third, target_model)
         assert third.extract_groups(0, GROUPS) == extracted(target_model)
+
+
+# -- the merging range read against the per-key lookups it replaced --------
+
+
+def extract_by_lookup(store, lo, hi):
+    """``extract_groups(lo, hi)`` as it was before the merging pass: collect
+    every composite the memtable and the runs hold in [lo, hi), then
+    resolve each owned one with a point ``get``."""
+    composites = {c for c in store.memtable.entries if lo <= c[0] < hi}
+    for table in store.tables:
+        composites.update(c for c, _entry in table.iter_groups(lo, hi))
+    out = []
+    for group, key in sorted(composites, key=order_key):
+        if store.owns(group):
+            value = store.get(group, key)
+            if value is not None:
+                out.append((group, key, value))
+    return out
+
+
+group_ranges = st.tuples(st.integers(0, GROUPS), st.integers(0, GROUPS)).map(sorted)
+
+
+def layered_store(base, compacted, donor_ops, ingested, hole, top):
+    """A store whose reads cross every kind of run: a table compacted while
+    ``compacted`` was unowned, donor files ingested as slices of
+    ``ingested`` (one of them built without cached order keys), tables of
+    later writes, a memtable, and a ``hole`` dropped after all of them so
+    the lower runs keep entries the store no longer owns.  A PUT -> MERGE
+    and a DELETE -> append chain on ``chain`` span several runs."""
+    store = LSMStore("layered", owned=RangeSet([(0, GROUPS)]))
+    scratch = {}
+    store.put(compacted[0] % GROUPS, "seed", 0, nbytes=10)
+    store.flush()
+    for op in base:
+        apply(store, scratch, *op)
+    store.put(HALF, "seed", 1, nbytes=10)
+    store.flush()
+    store.drop_groups(*compacted)
+    assert store.compact() is not None
+    store.adopt_groups(*compacted)
+    chain = hole[1] % GROUPS  # outside the hole, which is at most HALF wide
+    store.put(chain, "chain", 1, nbytes=10)
+    store.delete(chain, "gone")
+    store.flush()
+
+    donor = LSMStore("donor")
+    donor.put(ingested[0] % GROUPS, "donor", 0, nbytes=10)
+    for op in donor_ops:
+        apply(donor, scratch, *op)
+    donor.flush()
+    seq = donor.current_seq
+    rows = [(group, key) for group in range(0, GROUPS, 3) for key in KEYS[:4]]
+    plain = SSTable(
+        sorted(
+            ((c, Entry(PUT, -c[0], seq + i, 10)) for i, c in enumerate(rows)),
+            key=lambda item: order_key(item[0]),
+        )
+    )
+    store.ingest_tables(donor.tables + [plain], ranges=[ingested])
+
+    store.append(chain, "chain", 2, nbytes=10)
+    store.append(chain, "gone", 3, nbytes=10)
+    store.flush()
+    store.drop_groups(*hole)
+    for op in top:
+        if op[0] == "flush" or store.owns(op[1]):
+            apply(store, scratch, *op)
+    store.append(chain, "chain", 4, nbytes=10)
+    return store
+
+
+class TestMergingExtraction:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        writes(["put", "delete", "append", "flush"]),
+        group_ranges,
+        writes(["put", "delete", "append", "flush"]),
+        group_ranges,
+        st.tuples(st.integers(0, GROUPS), st.integers(0, HALF)).map(
+            lambda r: (r[0], min(GROUPS, r[0] + r[1]))
+        ),
+        writes(["put", "delete", "append", "flush"]),
+        group_ranges,
+    )
+    def test_merge_matches_per_key_lookups(
+        self, base, compacted, donor_ops, ingested, hole, top, read
+    ):
+        store = layered_store(base, compacted, donor_ops, ingested, hole, top)
+        assert len(store.tables) >= 3 and store.memtable.entries
+        assert any(isinstance(table, GroupSlice) for table in store.tables)
+        for lo, hi in (read, (0, GROUPS)):
+            assert store.extract_groups(lo, hi) == extract_by_lookup(store, lo, hi)
+
+    def test_a_range_read_probes_no_filter_and_calls_no_get(self, monkeypatch):
+        store = layered_store(
+            [("put", g, k, g) for g in range(GROUPS) for k in KEYS[:3]],
+            (1, 2),
+            [("append", g, "a", g) for g in range(GROUPS)],
+            (2, 6),
+            (5, 7),
+            [("put", g, "b7", -g) for g in range(GROUPS)],
+        )
+        cutoff = store.current_seq - 3
+        calls = {"probe": 0, "get": []}
+        contains, get = BloomFilter.__contains__, LSMStore.get
+
+        def counted_contains(self, key):
+            calls["probe"] += 1
+            return contains(self, key)
+
+        def counted_get(self, group, key):
+            calls["get"].append((group, key))
+            return get(self, group, key)
+
+        monkeypatch.setattr(BloomFilter, "__contains__", counted_contains)
+        monkeypatch.setattr(LSMStore, "get", counted_get)
+        assert store.extract_groups(0, GROUPS)
+        assert calls == {"probe": 0, "get": []}
+
+        touched = sorted(
+            (c for c, e in store.memtable.entries.items() if e.seq > cutoff),
+            key=order_key,
+        )
+        assert len(touched) == 3
+        store.extract_groups(0, GROUPS, since_seq=cutoff)
+        assert calls["get"] == touched
