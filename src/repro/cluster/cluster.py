@@ -1,7 +1,11 @@
 """The cluster: a set of machines plus the shared flow scheduler."""
 
+from collections import deque
+
 from repro.common.errors import SimulationError
+from repro.faults.retry import with_retry
 from repro.sim.flows import FlowScheduler, TransferFailed
+from repro.sim.resources import Store
 from repro.cluster.machine import Machine
 
 
@@ -15,53 +19,185 @@ class NetworkPartitioned(TransferFailed):
 
 
 class ChunkedTransfer:
-    """A resumable machine-to-machine transfer split into chunks.
+    """The one way state blocks move between machines.
 
-    An all-at-once :meth:`Cluster.transfer` that fails mid-flight (slow
-    link exhausting a timeout, a transient partition) restarts from zero
-    on retry, burning the whole byte count against the retry budget.  A
-    chunked transfer commits progress per chunk: each :meth:`process`
-    call starts -- or, on a later call, *resumes* -- at the first
-    unfinished chunk, so a retry resends only what is still pending.
+    Replication (chain and star), replica-repair bulk copies, the fluid
+    pre-copy and the handover cutover all ship through it.  Per block:
+    acquire its credit from ``lease``; read it off ``src``'s disk
+    (``read_source``); transfer it under its own ``retry`` budget; raise
+    :class:`TransferFailed` if the destination died while it was in
+    flight; write it there (``write=False``: the caller writes the total
+    once); release its credit.
 
-    Use with :func:`repro.faults.retry.with_retry`, whose attempt factory
-    makes a fresh process per attempt::
+    ``streams`` worker processes pull blocks off one shared queue
+    (work-stealing); with ``streams=1`` the stream runs inline in the
+    caller's process.  A list ``dst`` is a chain (§4.2): one origin
+    worker feeds the head, and a process per member writes each block
+    asynchronously while forwarding it; the tail's durable write releases
+    its credit.  Retries are named ``describe`` (default: the tag), in a
+    chain ``<describe>-send`` / ``<describe>-hop``.
 
-        xfer = cluster.chunked_transfer(src, dst, [b1, b2, ...], tag=...)
-        yield from with_retry(sim, xfer.process, policy)
+    The first failure stops the stream: no worker starts another block,
+    the lease returns all it holds, and the error is re-raised at once.
+    Spans stay the caller's: ``hop_span(src, dst, nbytes)`` opens one per
+    worker and member (``dst`` None at the tail), finished with the bytes
+    it moved; ``block_span(index, stream)`` one per block.
     """
 
-    __slots__ = ("cluster", "src", "dst", "pending", "moved", "tag")
-
-    def __init__(self, cluster, src, dst, chunk_sizes, tag=None):
+    def __init__(
+        self,
+        cluster,
+        src,
+        dst,
+        blocks,
+        tag,
+        retry,
+        describe=None,
+        lease=None,
+        read_source=False,
+        write=True,
+        streams=1,
+        hop_span=None,
+        block_span=None,
+    ):
+        chain = isinstance(dst, list)
+        if chain and streams != 1:
+            raise SimulationError("a chain transfer has one sending worker")
         self.cluster = cluster
         self.src = src
         self.dst = dst
-        self.pending = [int(size) for size in chunk_sizes]
-        self.moved = 0
+        self.first = dst[0] if chain else dst
+        self.blocks = [int(size) for size in blocks]
         self.tag = tag
+        self.retry = retry
+        describe = describe or tag
+        self.send_describe = f"{describe}-send" if chain else describe
+        self.hop_describe = f"{describe}-hop"
+        self.lease = lease
+        self.read_source = read_source
+        self.write = write
+        self.streams = streams
+        self.hop_span = hop_span
+        self.block_span = block_span
+        #: Block handoff queues in front of each chain member.
+        self.queues = [Store(cluster.sim) for _ in dst] if chain else None
+        self.stopped = False
 
-    @property
-    def remaining_bytes(self):
-        """Bytes not yet acknowledged (what a retry would resend)."""
-        return sum(self.pending)
+    def run(self):
+        """Ship every block; ``yield from`` it.  Returns the bytes moved."""
+        sim = self.cluster.sim
+        queue = deque(enumerate(self.blocks))
+        try:
+            if self.streams == 1 and self.queues is None:
+                yield from self._worker(queue, 0)
+            else:
+                workers = [
+                    sim.process(self._worker(queue, n), name=f"{self.tag}-stream{n}")
+                    for n in range(min(self.streams, len(queue)))
+                ]
+                if self.queues is not None:
+                    workers += [
+                        sim.process(self._member(position))
+                        for position in range(len(self.dst))
+                    ]
+                if workers:
+                    yield sim.all_of(workers)
+        except Exception:
+            self.stopped = True
+            if self.lease is not None:
+                self.lease.close()
+            raise
+        return sum(self.blocks)
 
-    @property
-    def done(self):
-        """True once every chunk has been delivered."""
-        return not self.pending
+    def _worker(self, queue, stream):
+        """Ship blocks off ``queue`` to ``dst`` (the chain's head) until it
+        is empty or the stream stopped."""
+        span = self.hop_span and self.hop_span(self.src, self.first, sum(self.blocks))
+        moved = 0
+        while queue and not self.stopped:
+            index, size = queue.popleft()
+            block_span = self.block_span and self.block_span(index, stream)
+            try:
+                if self.lease is not None:
+                    yield self.lease.acquire(size)
+                if self.read_source:
+                    yield self.src.disk_read(size, tag=self.tag)
+                yield from self._transfer(
+                    self.src, self.first, size, self.send_describe
+                )
+                if self.queues is not None:
+                    yield self.queues[0].put(size)
+                else:
+                    yield from self._store(self.first, size)
+            except TransferFailed:
+                # Sibling workers take no further block from now on.
+                self.stopped = True
+                if block_span:
+                    block_span.finish(status="failed")
+                raise
+            if block_span:
+                block_span.finish()
+            moved += size
+        if self.stopped:
+            return
+        if span:
+            span.finish(bytes=moved)
+        if self.queues is not None:
+            yield self.queues[0].put(None)
 
-    def process(self):
-        """A fresh Process resuming at the first unfinished chunk."""
-        return self.cluster.sim.process(self._run(), name="chunked-transfer")
+    def _member(self, position):
+        """Chain member ``position``: store each block, forward it on."""
+        member = self.dst[position]
+        successor = self.dst[position + 1] if position + 1 < len(self.dst) else None
+        span = self.hop_span and self.hop_span(member, successor, 0)
+        moved = 0
+        writes = []
+        while True:
+            size = yield self.queues[position].get()
+            if size is None:
+                break
+            moved += size
+            if successor is None:
+                yield from self._store(member, size)
+            else:
+                # Store asynchronously while forwarding to the successor.
+                writes.append(self._land(member, size))
+                yield from self._transfer(member, successor, size, self.hop_describe)
+                yield self.queues[position + 1].put(size)
+        if successor is not None:
+            yield self.queues[position + 1].put(None)
+        for write in writes:
+            # ``processed``, not ``triggered``: a write is triggered when its
+            # bytes drain but lands only after its port's extra latency.
+            if not write.processed:
+                yield write
+        if span:
+            span.finish(bytes=moved)
 
-    def _run(self):
-        while self.pending:
-            yield self.cluster.transfer(
-                self.src, self.dst, self.pending[0], tag=self.tag
-            )
-            self.moved += self.pending.pop(0)
-        return self.moved
+    def _transfer(self, src, dst, size, describe):
+        return with_retry(
+            self.cluster.sim,
+            lambda: self.cluster.transfer(src, dst, size, tag=self.tag),
+            self.retry,
+            describe=describe,
+        )
+
+    def _land(self, machine, size):
+        """The block is on ``machine``: its disk write, once it is known
+        the machine outlived the transfer."""
+        if not machine.alive:
+            raise TransferFailed(f"{machine.name} died as a block landed")
+        if self.write:
+            return machine.disk_write(size, tag=self.tag)
+        return None
+
+    def _store(self, machine, size):
+        """Land the block durably on ``machine``, then release its credit."""
+        write = self._land(machine, size)
+        if write is not None:
+            yield write
+        if self.lease is not None:
+            self.lease.release(size)
 
 
 class Cluster:
@@ -131,9 +267,10 @@ class Cluster:
             nbytes, [src.nic_out, dst.nic_in], latency=latency, tag=tag
         )
 
-    def chunked_transfer(self, src, dst, chunk_sizes, tag=None):
-        """A resumable transfer of ``chunk_sizes`` (see ChunkedTransfer)."""
-        return ChunkedTransfer(self, src, dst, chunk_sizes, tag=tag)
+    def chunked_transfer(self, src, dst, blocks, **options):
+        """A block stream of ``blocks`` (byte sizes) from ``src`` to ``dst``
+        (a machine, or a replica chain); see :class:`ChunkedTransfer`."""
+        return ChunkedTransfer(self, src, dst, blocks, **options)
 
     def reachable(self, src, dst):
         """True when no partition separates ``src`` from ``dst``."""

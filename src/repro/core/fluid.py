@@ -23,7 +23,6 @@ The Handover Manager runs the barrier protocol itself; see
 from repro.common.errors import SimulationError
 from repro.core import migration
 from repro.core.handover import HandoverAborted
-from repro.faults.retry import with_retry
 from repro.sim.flows import TransferFailed
 from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
 
@@ -338,68 +337,34 @@ class _Precopy:
             span.finish(status="degraded")
 
     def ship(self, src, dst, chunks, parent, phase):
-        """Move ``chunks`` from ``src`` to ``dst`` over parallel streams.
-
-        Streams pull from a shared queue (work-stealing, so one slow
-        chunk never stalls the rest) and retry individual chunks under
-        the replicator's policy.  A chunk failing past its retries stops
-        all streams and re-raises -- the caller degrades the plan.
-        Returns shipped bytes.
+        """Move ``chunks`` from ``src`` to ``dst`` over parallel streams,
+        one ``handover.chunk`` span per chunk.  A chunk failing past its
+        retries stops the stream and re-raises -- the caller degrades the
+        plan.  Returns shipped bytes.
         """
-        sim, rhino = self.sim, self.rhino
-        tracer = sim.tracer
-        queue = [chunk for chunk in chunks if chunk.nbytes > 0]
-        if not queue:
-            return 0
-        streams = min(PARALLEL_STREAMS, len(queue))
-        tag = f"handover-{phase}"
-        failures = []
-        shipped = [0]
-
-        def stream(stream_no):
-            while queue and not failures:
-                chunk = queue.pop(0)
-                chunk_span = tracer.span(
+        tracer = self.sim.tracer
+        chunks = [chunk for chunk in chunks if chunk.nbytes > 0]
+        return (
+            yield from self.rhino.cluster.chunked_transfer(
+                src,
+                dst,
+                [chunk.nbytes for chunk in chunks],
+                tag=f"handover-{phase}",
+                retry=self.rhino.replicator.retry,
+                streams=PARALLEL_STREAMS,
+                block_span=lambda index, stream: tracer.span(
                     "handover.chunk",
                     track="handover",
                     parent=parent,
                     handover=self.handover_id,
                     phase=phase,
-                    stream=stream_no,
-                    lo=chunk.lo,
-                    hi=chunk.hi,
-                    bytes=chunk.nbytes,
-                )
-                try:
-                    yield from with_retry(
-                        sim,
-                        lambda size=chunk.nbytes: rhino.cluster.transfer(
-                            src, dst, size, tag=tag
-                        ),
-                        rhino.replicator.retry,
-                        describe=tag,
-                    )
-                    if not dst.alive:
-                        raise TransferFailed(f"{dst.name} died mid-{phase}")
-                    yield dst.disk_write(chunk.nbytes, tag=tag)
-                except TransferFailed as exc:
-                    # Captured, not raised: a failed child process with no
-                    # consumer would crash the kernel; the parent re-raises
-                    # once every stream has stopped.
-                    failures.append(exc)
-                    chunk_span.finish(status="failed")
-                    return
-                shipped[0] += chunk.nbytes
-                chunk_span.finish()
-
-        procs = [
-            sim.process(stream(n), name=f"handover-{phase}-stream{n}")
-            for n in range(streams)
-        ]
-        yield sim.all_of(procs)
-        if failures:
-            raise failures[0]
-        return shipped[0]
+                    stream=stream,
+                    lo=chunks[index].lo,
+                    hi=chunks[index].hi,
+                    bytes=chunks[index].nbytes,
+                ),
+            ).run()
+        )
 
 
 def _snapshot_origin(origin, tag):

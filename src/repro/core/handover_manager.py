@@ -13,7 +13,6 @@ restores from, in ``restore.py``; how a broken handover is undone, in
 
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
-from repro.faults.retry import with_retry
 from repro.obs import phase_span
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
@@ -427,21 +426,17 @@ class HandoverManager:
                     checkpoint.frontier,
                 )
                 if transferred > 0:
-                    # Chunk-granular and resumable: a retry after a
-                    # transient fault resends only unfinished chunks.
-                    xfer = self.job.cluster.chunked_transfer(
-                        instance.machine,
-                        target_machine,
-                        split_bytes(transferred, fluid.CHUNK_BYTES),
-                        tag=tag,
-                    )
+                    # Chunk-granular: a retry after a transient fault
+                    # resends one chunk; the target writes the total once.
                     try:
-                        yield from with_retry(
-                            self.sim,
-                            xfer.process,
-                            self.rhino.replicator.retry,
-                            describe=tag,
-                        )
+                        yield from self.job.cluster.chunked_transfer(
+                            instance.machine,
+                            target_machine,
+                            split_bytes(transferred, fluid.CHUNK_BYTES),
+                            tag=tag,
+                            retry=self.rhino.replicator.retry,
+                            write=False,
+                        ).run()
                         yield target_machine.disk_write(
                             transferred, tag="handover-migration"
                         )

@@ -16,8 +16,7 @@ local -- fetching degenerates to hard-linking (Table 1's 0.2 s).
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
 from repro.core.flow_control import CreditLease, CreditWindow
-from repro.faults.retry import NO_RETRY, with_retry
-from repro.sim.resources import Store
+from repro.faults.retry import NO_RETRY
 
 
 class ReplicaHolding:
@@ -209,42 +208,42 @@ class ChainReplicator:
             bytes=checkpoint.delta_bytes,
             chain=len(chain),
         )
-        blocks = split_bytes(checkpoint.delta_bytes, self.block_size)
         if chain and checkpoint.delta_bytes > 0:
             # Credit is acquired per block and released once the block is
-            # durable; a failed hop leaves the rest held, so the lease
-            # returns it.
-            lease = CreditLease(self._credit_for(origin))
+            # durable; a failed stream's lease returns what it still holds.
+            options = dict(
+                tag="replication",
+                retry=self.retry,
+                lease=CreditLease(self._credit_for(origin)),
+                hop_span=lambda src, dst, nbytes: tracer.span(
+                    "replicate.hop",
+                    track="replication",
+                    parent=span,
+                    src=src.name,
+                    dst="disk" if dst is None else dst.name,
+                    bytes=nbytes,
+                ),
+            )
+            blocks = split_bytes(checkpoint.delta_bytes, self.block_size)
             if self.topology == "star":
-                hops = [
+                # Every replica fed from the origin's own NIC.
+                legs = [
                     self.sim.process(
-                        self._star_leg(origin, member, blocks, lease, parent=span)
+                        self.cluster.chunked_transfer(
+                            origin,
+                            member,
+                            blocks,
+                            describe="replicate-star",
+                            **options,
+                        ).run()
                     )
                     for member in chain
                 ]
+                yield self.sim.all_of(legs)
             else:
-                # Block handoff queues between consecutive hops.
-                queues = [Store(self.sim) for _ in chain]
-                hops = [
-                    self.sim.process(
-                        self._sender(
-                            origin, chain[0], blocks, lease, queues[0], parent=span
-                        )
-                    )
-                ]
-                for position, member in enumerate(chain):
-                    hops.append(
-                        self.sim.process(
-                            self._hop(
-                                position, member, chain, lease, queues, parent=span
-                            )
-                        )
-                    )
-            try:
-                yield self.sim.all_of(hops)
-            except Exception:
-                lease.close()
-                raise
+                yield from self.cluster.chunked_transfer(
+                    origin, chain, blocks, describe="replicate", **options
+                ).run()
         for member in chain:
             self.store_on(member).ingest(checkpoint)
         self.stats.checkpoints_replicated += 1
@@ -257,95 +256,6 @@ class ChainReplicator:
             tracer.count("replication.checkpoints")
             tracer.count("replication.bytes", checkpoint.delta_bytes * len(chain))
         return self.stats.last_duration
-
-    def _star_leg(self, origin, member, blocks, lease, parent=None):
-        """Star ablation: every replica fed from the origin's own NIC."""
-        span = self.sim.tracer.span(
-            "replicate.hop",
-            track="replication",
-            parent=parent,
-            src=origin.name,
-            dst=member.name,
-            bytes=sum(blocks),
-        )
-        for block in blocks:
-            yield lease.acquire(block)
-            yield from with_retry(
-                self.sim,
-                lambda: self.cluster.transfer(
-                    origin, member, block, tag="replication"
-                ),
-                self.retry,
-                describe="replicate-star",
-            )
-            yield member.disk_write(block, tag="replication")
-            lease.release(block)
-        span.finish()
-
-    def _sender(self, origin, first, blocks, lease, queue, parent=None):
-        span = self.sim.tracer.span(
-            "replicate.hop",
-            track="replication",
-            parent=parent,
-            src=origin.name,
-            dst=first.name,
-            bytes=sum(blocks),
-        )
-        for block in blocks:
-            yield lease.acquire(block)
-            yield from with_retry(
-                self.sim,
-                lambda: self.cluster.transfer(
-                    origin, first, block, tag="replication"
-                ),
-                self.retry,
-                describe="replicate-send",
-            )
-            yield queue.put(block)
-        span.finish()
-        yield queue.put(None)
-
-    def _hop(self, position, member, chain, lease, queues, parent=None):
-        is_tail = position + 1 == len(chain)
-        span = self.sim.tracer.span(
-            "replicate.hop",
-            track="replication",
-            parent=parent,
-            src=member.name,
-            dst="disk" if is_tail else chain[position + 1].name,
-            bytes=0,
-        )
-        moved = 0
-        writes = []
-        while True:
-            block = yield queues[position].get()
-            if block is None:
-                if position + 1 < len(chain):
-                    yield queues[position + 1].put(None)
-                break
-            moved += block
-            if is_tail:
-                # The tail's durable write is the end-to-end acknowledgment.
-                yield member.disk_write(block, tag="replication")
-                lease.release(block)
-            else:
-                # Store asynchronously while forwarding to the successor.
-                writes.append(member.disk_write(block, tag="replication"))
-                yield from with_retry(
-                    self.sim,
-                    lambda: self.cluster.transfer(
-                        member, chain[position + 1], block, tag="replication"
-                    ),
-                    self.retry,
-                    describe="replicate-hop",
-                )
-                yield queues[position + 1].put(block)
-        for write in writes:
-            # ``processed``, not ``triggered``: a write is triggered when its
-            # bytes drain but lands only after its port's extra latency.
-            if not write.processed:
-                yield write
-        span.finish(bytes=moved)
 
     # -- bulk copy (chain repair, horizontal scaling) ---------------------------
 
@@ -378,14 +288,14 @@ class ChainReplicator:
         tables = list(store.tables)
         frontier = instance.frontier()
         total = sum(t.size_bytes for t in tables)
-        yield from self._copy_blocks(
+        yield from self._bulk_stream(
             instance.instance_id,
             instance.machine,
             target_machine,
             total,
-            "bulk-copy-primary",
+            describe="bulk-copy-primary",
             read_source=True,
-        )
+        ).run()
         manifest = CheckpointManifest([t.table_id for t in tables], total)
         self.store_on(target_machine).ingest_full(
             instance.instance_id,
@@ -400,9 +310,9 @@ class ChainReplicator:
         holding = self.store_on(source_machine).holding_of(store_name)
         tables = holding.live_tables()
         total = sum(t.size_bytes for t in tables)
-        yield from self._copy_blocks(
-            store_name, source_machine, target_machine, total, "bulk-copy"
-        )
+        yield from self._bulk_stream(
+            store_name, source_machine, target_machine, total, describe="bulk-copy"
+        ).run()
         self.store_on(target_machine).ingest_full(
             store_name,
             tables,
@@ -412,26 +322,22 @@ class ChainReplicator:
         )
         return total
 
-    def _copy_blocks(self, store_name, src, dst, total, describe, read_source=False):
-        """Ship ``total`` bytes block by block under one ``replicate.bulk``
-        span: read from ``src``'s disk (a primary's own state only), then
-        transfer, then write on ``dst``."""
-        span = self.sim.tracer.span(
-            "replicate.bulk",
-            track="replication",
-            instance=store_name,
-            src=src.name,
-            dst=dst.name,
-            bytes=total,
+    def _bulk_stream(self, store_name, src, dst, total, **options):
+        """The stream shipping a full copy of ``total`` bytes under one
+        ``replicate.bulk`` span."""
+        return self.cluster.chunked_transfer(
+            src,
+            dst,
+            split_bytes(total, self.block_size),
+            tag="replica-repair",
+            retry=self.retry,
+            hop_span=lambda src, dst, nbytes: self.sim.tracer.span(
+                "replicate.bulk",
+                track="replication",
+                instance=store_name,
+                src=src.name,
+                dst=dst.name,
+                bytes=nbytes,
+            ),
+            **options,
         )
-        for block in split_bytes(total, self.block_size):
-            if read_source:
-                yield src.disk_read(block, tag="replica-repair")
-            yield from with_retry(
-                self.sim,
-                lambda: self.cluster.transfer(src, dst, block, tag="replica-repair"),
-                self.retry,
-                describe=describe,
-            )
-            yield dst.disk_write(block, tag="replica-repair")
-        span.finish()

@@ -9,10 +9,10 @@ invariant harness checks after every run that the system healed
 (exactly-once outputs, replication restored, no leaked processes, the
 simulation drained).
 
-The hardening half lives with the protocols it protects (retries in the
-chain replicator and DFS, suspicion in ``cluster/monitor.py``, handover
-re-planning in ``core/api.py``); :mod:`repro.faults.retry` supplies the
-shared backoff policy.
+The hardening half lives with the protocols it protects (per-block
+retries in the cluster's one block stream, suspicion in
+``cluster/monitor.py``, handover re-planning in ``core/api.py``);
+:mod:`repro.faults.retry` supplies the shared backoff policy.
 """
 
 from repro.faults.retry import RetryPolicy, NO_RETRY, with_retry

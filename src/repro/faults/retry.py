@@ -1,10 +1,11 @@
 """Retry with capped, jittered exponential backoff.
 
-One policy object is shared by every hardened protocol path (chain
-replication hops, replica-repair bulk copies, DFS block transfers).  The
-default :data:`NO_RETRY` performs exactly one attempt and adds *zero*
-overhead or RNG draws, so runs with hardening disabled stay bit-identical
-to pre-chaos behavior.
+One policy object is shared by every path that ships state blocks: they
+all go through :class:`repro.cluster.cluster.ChunkedTransfer`, the only
+caller of :func:`with_retry`, with one budget per block.  The default
+:data:`NO_RETRY` performs exactly one attempt and adds *zero* overhead or
+RNG draws, so runs with hardening disabled stay bit-identical to
+pre-chaos behavior.
 """
 
 from repro.common.errors import SimulationError

@@ -2,7 +2,7 @@
 
 from repro.common.errors import StorageError
 from repro.common.units import split_bytes
-from repro.faults.retry import NO_RETRY, with_retry
+from repro.sim.flows import TransferFailed
 from repro.storage.dfs.namenode import NameNode
 
 
@@ -23,14 +23,11 @@ class DistributedFileSystem:
         block_size=64 * 1024 * 1024,
         replication=2,
         seed=0,
-        retry=None,
     ):
         self.sim = sim
         self.cluster = cluster
         self.block_size = block_size
         self.namenode = NameNode(datanodes, replication=replication, seed=seed)
-        #: Backoff policy for block transfers (NO_RETRY = pre-chaos behavior).
-        self.retry = retry if retry is not None else NO_RETRY
 
     # -- write -------------------------------------------------------------
 
@@ -60,14 +57,8 @@ class DistributedFileSystem:
         previous = client
         for replica in block.replicas:
             if replica is not previous:
-                src = previous
-                yield from with_retry(
-                    self.sim,
-                    lambda: self.cluster.transfer(
-                        src, replica, block.size, tag="dfs-write"
-                    ),
-                    self.retry,
-                    describe="dfs-write",
+                yield self.cluster.transfer(
+                    previous, replica, block.size, tag="dfs-write"
                 )
             yield replica.disk_write(block.size, tag="dfs-write")
             previous = replica
@@ -91,37 +82,31 @@ class DistributedFileSystem:
         return meta.size
 
     def _read_block(self, block, client):
-        from repro.sim.flows import TransferFailed
-
-        for tries in range(1, self.retry.attempts + 1):
-            alive = block.alive_replicas()
-            if not alive:
-                raise StorageError(f"all replicas of {block!r} are lost")
-            if client in alive:
-                yield client.disk_read(block.size, tag="dfs-read")
+        alive = block.alive_replicas()
+        if not alive:
+            raise StorageError(f"all replicas of {block!r} are lost")
+        if client in alive:
+            yield client.disk_read(block.size, tag="dfs-read")
+            return
+        # Fail over across replicas: a datanode behind a partition does
+        # not doom the read.
+        for source in alive:
+            try:
+                # The datanode streams the block: its disk read overlaps
+                # the network transfer, so the block takes
+                # max(read, transfer).
+                yield self.sim.all_of(
+                    [
+                        source.disk_read(block.size, tag="dfs-read"),
+                        self.cluster.transfer(
+                            source, client, block.size, tag="dfs-read"
+                        ),
+                    ]
+                )
                 return
-            last_error = None
-            # Fail over across replicas before backing off: a datanode
-            # behind a partition does not doom the read.
-            for source in alive:
-                try:
-                    # The datanode streams the block: its disk read overlaps
-                    # the network transfer, so the block takes
-                    # max(read, transfer).
-                    yield self.sim.all_of(
-                        [
-                            source.disk_read(block.size, tag="dfs-read"),
-                            self.cluster.transfer(
-                                source, client, block.size, tag="dfs-read"
-                            ),
-                        ]
-                    )
-                    return
-                except TransferFailed as exc:
-                    last_error = exc
-            if tries >= self.retry.attempts:
-                raise last_error
-            yield self.sim.timeout(self.retry.delay(tries))
+            except TransferFailed as exc:
+                last_error = exc
+        raise last_error
 
     # -- metadata ------------------------------------------------------------------
 

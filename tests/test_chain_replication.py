@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.common.units import GB
+from repro.common.units import GB, split_bytes
+from repro.core.flow_control import CreditLease
+from repro.faults.retry import NO_RETRY
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.cluster import Cluster
@@ -196,19 +198,36 @@ class TestChainReplication:
         sim.run()
         assert not process.ok
 
-    @pytest.mark.parametrize("topology", ["chain", "star"])
+    @pytest.mark.parametrize("topology", ["chain", "star", "streams=4"])
     def test_failed_replication_returns_its_credit(self, topology):
         """A replication whose member dies mid-transfer returns every byte
         of credit it held, so the origin's next replication runs: it used
-        to keep its 256 MB, and the next one from the origin hung."""
+        to keep its 256 MB, and the next one from the origin hung.  A
+        leased four-stream block stream from the origin returns its
+        credit the same way."""
         sim = Simulator()
         cluster = Cluster(sim)
         machines = cluster.add_machines(4, prefix="w")
-        replicator = ChainReplicator(sim, cluster, topology=topology)
-        _store, big = make_checkpoint("a", entries=(("k", "v", 2 * GB),))
-        failed = replicator.replicate(
-            machines[0], [machines[1], machines[2]], big
+        replicator = ChainReplicator(
+            sim, cluster, topology="star" if topology == "star" else "chain"
         )
+        credit = replicator._credit_for(machines[0])
+        if topology == "streams=4":
+            stream = cluster.chunked_transfer(
+                machines[0],
+                machines[2],
+                split_bytes(2 * GB, replicator.block_size),
+                tag="replication",
+                retry=NO_RETRY,
+                lease=CreditLease(credit),
+                streams=4,
+            )
+            failed = sim.process(stream.run())
+        else:
+            _store, big = make_checkpoint("a", entries=(("k", "v", 2 * GB),))
+            failed = replicator.replicate(
+                machines[0], [machines[1], machines[2]], big
+            )
         failed.defused = True
 
         def killer():
@@ -218,7 +237,6 @@ class TestChainReplication:
         sim.process(killer())
         sim.run(until=10.0)
         assert failed.triggered and not failed.ok
-        credit = replicator._credit_for(machines[0])
         assert credit.in_flight == 0
         _store, small = make_checkpoint("b", entries=(("k", "v", GB),))
         later = replicator.replicate(

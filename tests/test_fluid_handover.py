@@ -27,6 +27,7 @@ from repro.engine.operators import StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
 from repro.experiments.preload import preload_state
 from repro.experiments.scenarios.chaos import run_chaos, run_chaos_sweep
+from repro.faults.retry import NO_RETRY, RetryPolicy
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.storage.kvs import LSMStore
@@ -183,40 +184,43 @@ def two_machines(nic=1e6):
     return sim, cluster, a, b
 
 
+def block_seconds(nbytes, nic=1e6):
+    """One block's time on ``two_machines``: over the NIC, the network
+    latency, then the destination's disk write (machine defaults)."""
+    return nbytes / nic + 0.0005 + nbytes / 280e6
+
+
 class TestChunkedTransfer:
     def test_delivers_all_chunks_and_reports_progress(self):
         sim, cluster, a, b = two_machines()
-        xfer = cluster.chunked_transfer(a, b, [250_000] * 4, tag="t")
-        assert xfer.remaining_bytes == 1_000_000 and not xfer.done
-        proc = xfer.process()
+        stream = cluster.chunked_transfer(a, b, [250_000] * 4, tag="t", retry=NO_RETRY)
+        proc = sim.process(stream.run())
         sim.run(until=proc)
         assert proc.ok and proc.value == 1_000_000
-        assert xfer.done and xfer.moved == 1_000_000
+        assert sum(disk.used for disk in b.disks) == 1_000_000
+        assert sim.now == pytest.approx(4 * block_seconds(250_000))
 
     def test_retry_resends_only_unfinished_chunks(self):
         sim, cluster, a, b = two_machines()
-        xfer = cluster.chunked_transfer(a, b, [1_000_000] * 4, tag="t")
-        proc = xfer.process()
-        proc.defused = True
+        policy = RetryPolicy(attempts=2, base_delay=1.0, jitter=0.0)
+        stream = cluster.chunked_transfer(a, b, [1_000_000] * 4, tag="t", retry=policy)
+        proc = sim.process(stream.run())
 
         def chaos():
-            # Each chunk takes ~1 simulated second at 1 MB/s; the cut
-            # lands mid-chunk-2.
+            # Each block takes ~1 simulated second at 1 MB/s; the cut
+            # lands mid-block-2 and heals before its 1 s backoff ends.
             yield sim.timeout(1.5)
             cluster.partition([[a.name], [b.name]])
+            yield sim.timeout(0.5)
+            cluster.heal()
 
         sim.process(chaos())
-        sim.run(until=5.0)
-        assert proc.triggered and not proc.ok
-        # Chunk 1 was committed; the failed chunk 2 stays pending.
-        assert xfer.moved == 1_000_000
-        assert xfer.remaining_bytes == 3_000_000
-
-        cluster.heal()
-        retry = xfer.process()
-        sim.run(until=retry)
-        assert retry.ok and xfer.done
-        assert xfer.moved == 4_000_000
+        sim.run(until=proc)
+        assert proc.ok and proc.value == 4_000_000
+        # Block 1 is not sent again; block 2 restarts whole after the
+        # backoff, and blocks 3 and 4 follow it.
+        assert sum(disk.used for disk in b.disks) == 4_000_000
+        assert sim.now == pytest.approx(2.5 + 3 * block_seconds(1_000_000))
 
 
 # -- chunked extraction / ingest properties ----------------------------------

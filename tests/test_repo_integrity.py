@@ -187,6 +187,32 @@ class TestPublicApi:
         assert [d[0] for d in pinned if reached(d, unreached)] == []
 
 
+class TestOneBlockStream:
+    def test_only_the_block_stream_calls_with_retry(self):
+        """State blocks move through ``cluster/cluster.py::ChunkedTransfer``
+        alone.  A hand-written block loop elsewhere in ``src/`` would bring
+        back its own retry, credit and liveness handling -- the copies that
+        leaked credit and wrote to dead machines -- so a ``with_retry`` call
+        outside that file fails here, naming it."""
+        stream = ROOT / "src" / "repro" / "cluster" / "cluster.py"
+        callers = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            if path == stream:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None
+                    )
+                    if name == "with_retry":
+                        callers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+        assert callers == [], (
+            "with_retry called outside cluster/cluster.py; ship state blocks "
+            f"through Cluster.chunked_transfer instead: {callers}"
+        )
+
+
 class TestExamplesSmoke:
     @staticmethod
     def run_example(name):
