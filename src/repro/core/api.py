@@ -509,11 +509,14 @@ class Rhino:
             failed_machine, primaries
         )
         self._journal_groups()
-        copies = [
-            self._full_copy(instance_id, replacement, self._live_primary(instance_id))
-            for instance_id, replacement in repairs
-        ]
-        copies = [copy for copy in copies if copy is not None]
+        copies = []
+        for instance_id, replacement in repairs:
+            primary = self._live_primary(instance_id)
+            if primary is None:
+                continue  # nothing to copy up to; anti-entropy repairs it later
+            copy = self.replicator.bulk_copy(primary, replacement)
+            copy.defused = True
+            copies.append(copy)
         if copies:
             yield self.sim.all_of(copies)
 
@@ -523,26 +526,6 @@ class Rhino:
             if instance.instance_id == instance_id and instance.machine.alive:
                 return instance
         return None
-
-    def _full_copy(self, instance_id, target, primary):
-        """Start copying a full replica of ``instance_id`` onto ``target``.
-
-        The source is a complete replica on a live peer, else the live
-        ``primary`` (the lost worker held the only replica).  Returns the
-        copy process, or None when there is neither.
-        """
-        for machine, store in self.replicator.stores.items():
-            if machine.alive and machine is not target and store.has_complete(
-                instance_id
-            ):
-                copy = self.replicator.bulk_copy(machine, target, instance_id)
-                break
-        else:
-            if primary is None:
-                return None
-            copy = self.replicator.bulk_copy_from_primary(primary, target)
-        copy.defused = True
-        return copy
 
     def _plan_rescale(self, op_name, add_instances, machines=None, share=0.5):
         """Vertical/horizontal scale-out: add instances, each taking a
@@ -694,8 +677,9 @@ class Rhino:
 
         Gray failures leave replicas *behind* rather than dead -- a chain
         hop that exhausted its retries, a wiped restart, an interrupted
-        repair.  Each pass walks every replica group and bulk-copies any
-        incomplete member from a complete peer (or the live primary).
+        repair, a delta that landed off its base.  Each pass walks every
+        replica group and bulk-copies any incomplete member up to the live
+        primary's latest checkpoint (``ChainReplicator.bulk_copy``).
         """
         while True:
             yield self.sim.timeout(self.config.anti_entropy_interval)
@@ -716,7 +700,8 @@ class Rhino:
                 key = (instance_id, member.name)
                 if key in self._reconciling:
                     continue
-                copy = self._full_copy(instance_id, member, primary)
+                copy = self.replicator.bulk_copy(primary, member)
+                copy.defused = True
                 self._reconciling.add(key)
                 if self.sim.tracer.enabled:
                     self.sim.tracer.event(

@@ -17,6 +17,7 @@ from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
 from repro.core.flow_control import CreditLease, CreditWindow
 from repro.faults.retry import NO_RETRY
+from repro.storage.kvs.checkpoint import CheckpointManifest
 
 
 class ReplicaHolding:
@@ -257,80 +258,68 @@ class ChainReplicator:
             tracer.count("replication.bytes", checkpoint.delta_bytes * len(chain))
         return self.stats.last_duration
 
-    # -- bulk copy (chain repair, horizontal scaling) ---------------------------
+    # -- repair copy (chain repair, anti-entropy) --------------------------------
 
-    def bulk_copy(self, source_machine, target_machine, store_name):
-        """Returns a Process copying a full replica between workers."""
+    def is_current(self, machine, primary):
+        """The lineage rule: ``machine`` holds a complete replica of the live
+        ``primary`` at its latest checkpoint.  Only such a holding seeds a
+        repair copy or counts toward a restored chain (a delta means
+        nothing off its base, §4.2); a pre-copy's tuple id never matches."""
+        holding = self.store_on(machine).holdings.get(primary.instance_id)
+        return (
+            holding is not None
+            and holding.is_complete
+            and holding.checkpoint_id == primary.state.store.last_checkpoint_id
+        )
+
+    def bulk_copy(self, primary, target):
+        """Returns a Process bringing ``target``'s replica of the live
+        ``primary`` instance to the primary's latest checkpoint: from a
+        current holding, else from the primary itself (flushed, read off
+        its disk), shipping only the tables the target lacks."""
+        current = [
+            machine
+            for machine in self.stores
+            if machine.alive
+            and machine is not target
+            and self.is_current(machine, primary)
+        ]
         return self.sim.process(
-            self._bulk_copy(source_machine, target_machine, store_name),
-            name=f"bulk-copy:{store_name}",
+            self._bulk_copy(primary, current[0] if current else None, target),
+            name=f"bulk-copy:{primary.instance_id}",
         )
 
-    def bulk_copy_from_primary(self, instance, target_machine):
-        """Re-replicate from the live primary (the only replica was lost).
-
-        Without a full base copy, later incremental checkpoints could
-        never complete the new holding (their manifests reference tables
-        the replica never received).
-        """
-        return self.sim.process(
-            self._bulk_copy_from_primary(instance, target_machine),
-            name=f"bulk-copy-primary:{instance.instance_id}",
-        )
-
-    def _bulk_copy_from_primary(self, instance, target_machine):
-        from repro.storage.kvs.checkpoint import CheckpointManifest
-
-        store = instance.state.store
-        flushed = store.flush()
-        if flushed is not None:
-            yield instance.machine.disk_write(flushed.size_bytes, tag="repair-flush")
-        tables = list(store.tables)
-        frontier = instance.frontier()
-        total = sum(t.size_bytes for t in tables)
-        yield from self._bulk_stream(
-            instance.instance_id,
-            instance.machine,
-            target_machine,
-            total,
-            describe="bulk-copy-primary",
-            read_source=True,
-        ).run()
-        manifest = CheckpointManifest([t.table_id for t in tables], total)
-        self.store_on(target_machine).ingest_full(
-            instance.instance_id,
-            tables,
-            manifest,
-            store.last_checkpoint_id,
-            frontier,
-        )
-        return total
-
-    def _bulk_copy(self, source_machine, target_machine, store_name):
-        holding = self.store_on(source_machine).holding_of(store_name)
-        tables = holding.live_tables()
-        total = sum(t.size_bytes for t in tables)
-        yield from self._bulk_stream(
-            store_name, source_machine, target_machine, total, describe="bulk-copy"
-        ).run()
-        self.store_on(target_machine).ingest_full(
-            store_name,
-            tables,
-            holding.manifest,
-            holding.checkpoint_id,
-            holding.frontier,
-        )
-        return total
-
-    def _bulk_stream(self, store_name, src, dst, total, **options):
-        """The stream shipping a full copy of ``total`` bytes under one
-        ``replicate.bulk`` span."""
-        return self.cluster.chunked_transfer(
-            src,
-            dst,
-            split_bytes(total, self.block_size),
+    def _bulk_copy(self, primary, source, target):
+        store_name = primary.instance_id
+        from_primary = source is None
+        if from_primary:
+            source = primary.machine
+            store = primary.state.store
+            flushed = store.flush()
+            if flushed is not None:
+                yield source.disk_write(flushed.size_bytes, tag="repair-flush")
+            tables = list(store.tables)
+            frontier = primary.frontier()
+            manifest = CheckpointManifest(
+                [t.table_id for t in tables], sum(t.size_bytes for t in tables)
+            )
+            checkpoint_id = store.last_checkpoint_id
+        else:
+            holding = self.store_on(source).holding_of(store_name)
+            tables, manifest = holding.live_tables(), holding.manifest
+            checkpoint_id, frontier = holding.checkpoint_id, holding.frontier
+        replica = self.store_on(target)
+        held = replica.holdings.get(store_name) or ReplicaHolding(store_name)
+        base = held.checkpoint_id  # a delta ingested meanwhile moves it
+        lacking = sum(t.size_bytes for t in tables if t.table_id not in held.tables)
+        yield from self.cluster.chunked_transfer(
+            source,
+            target,
+            split_bytes(lacking, self.block_size),
             tag="replica-repair",
             retry=self.retry,
+            describe="bulk-copy",
+            read_source=from_primary,
             hop_span=lambda src, dst, nbytes: self.sim.tracer.span(
                 "replicate.bulk",
                 track="replication",
@@ -339,5 +328,14 @@ class ChainReplicator:
                 dst=dst.name,
                 bytes=nbytes,
             ),
-            **options,
-        )
+        ).run()
+        landed = replica.holdings.get(store_name)
+        if landed is not None and landed.checkpoint_id != base:
+            # A delta landed while the copy ran.  It is based on the copied
+            # checkpoint: fill in the tables its manifest names rather than
+            # roll the holding back under it.
+            live = set(landed.manifest.table_ids)
+            landed.tables.update((t.table_id, t) for t in tables if t.table_id in live)
+        else:
+            replica.ingest_full(store_name, tables, manifest, checkpoint_id, frontier)
+        return lacking

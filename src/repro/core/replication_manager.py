@@ -20,11 +20,6 @@ class ReplicaGroup:
         self.instance_id = instance_id
         self.chain = list(chain)
 
-    @property
-    def tail(self):
-        """The last worker of the chain (its write acknowledges end-to-end)."""
-        return self.chain[-1]
-
     def __repr__(self):
         nodes = " -> ".join(m.name for m in self.chain)
         return f"<ReplicaGroup {self.instance_id}: {nodes}>"

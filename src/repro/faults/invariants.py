@@ -5,7 +5,8 @@ system actually healed:
 
 * **exactly-once** -- sink outputs equal the fault-free expectation;
 * **replication restored** -- every replica chain again holds the
-  configured number of complete copies on alive machines;
+  configured number of copies on alive machines, each complete at its
+  primary's latest checkpoint;
 * **no leaked processes** -- no protocol process (replication, handover,
   repair, recovery) is still alive after the run;
 * **drained** -- no in-flight network/disk flows and no data-plane
@@ -60,7 +61,12 @@ def check_exactly_once(job, expected, sink_name="out"):
 
 
 def check_replication_restored(rhino):
-    """Every replica chain holds complete copies on alive machines."""
+    """Every replica chain holds complete copies on alive machines.
+
+    A member counts only when its holding is complete at its live
+    primary's latest checkpoint (``ChainReplicator.is_current``, the rule
+    a repair copy's source obeys too): a delta means nothing off its base.
+    """
     factor = rhino.config.replication_factor
     if factor <= 0:
         return
@@ -73,10 +79,11 @@ def check_replication_restored(rhino):
             raise InvariantViolation(
                 f"{instance_id}: dead machines {dead} still in replica chain"
             )
+        primary = rhino._live_primary(instance_id)
+        if primary is None:
+            raise InvariantViolation(f"{instance_id}: no live primary")
         complete = [
-            m.name
-            for m in chain
-            if rhino.replicator.store_on(m).has_complete(instance_id)
+            m.name for m in chain if rhino.replicator.is_current(m, primary)
         ]
         required = min(factor, len(chain))
         if len(complete) < required:

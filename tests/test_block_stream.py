@@ -1,8 +1,8 @@
 """The block stream's failure contract at the instant a block lands.
 
-Star and chain replication, both bulk copies, the fluid pre-copy's
-parallel streams and the handover cutover all ship state through
-``Cluster.chunked_transfer``.  A destination that dies exactly as a block
+Star and chain replication, the repair copy (from a peer or from the
+primary), the fluid pre-copy's parallel streams and the handover cutover
+all ship state through ``Cluster.chunked_transfer``.  A destination that dies exactly as a block
 lands -- its bytes drained, the network latency not yet over -- must fail
 the transfer with ``TransferFailed`` (which every caller handles), never
 with the ``SimulationError`` of an I/O on a dead machine, and the origin's
@@ -79,50 +79,40 @@ def replicate(topology, victim_index):
     return build
 
 
-def bulk_copy():
-    sim, cluster, machines, replicator = replication_env()
-    checkpoint, _flushed = filled_store("s0").checkpoint(1)
-    sim.run(until=replicator.replicate(machines[0], [machines[1]], checkpoint))
+def bulk_copy(source):
+    """A repair copy onto a cold member, from a peer holding current at the
+    primary's checkpoint or (with no such peer) from the primary itself."""
 
-    def start():
-        process = replicator.bulk_copy(machines[1], machines[2], "s0")
-        process.defused = True
-        return process
+    def build():
+        sim, cluster, machines, replicator = replication_env()
+        store = filled_store("s0")
+        primary = SimpleNamespace(
+            instance_id="s0",
+            machine=machines[0],
+            state=SimpleNamespace(store=store),
+            frontier=lambda: None,
+        )
+        if source == "peer":
+            checkpoint, _flushed = store.checkpoint(1)
+            sim.run(until=replicator.replicate(machines[0], [machines[1]], checkpoint))
+        victim = machines[2] if source == "peer" else machines[1]
 
-    return SimpleNamespace(
-        sim=sim,
-        cluster=cluster,
-        victim=machines[2],
-        tag="replica-repair",
-        start=start,
-        credit=replicator._credit_for(machines[1]),
-        error=failed_process,
-    )
+        def start():
+            process = replicator.bulk_copy(primary, victim)
+            process.defused = True
+            return process
 
+        return SimpleNamespace(
+            sim=sim,
+            cluster=cluster,
+            victim=victim,
+            tag="replica-repair",
+            start=start,
+            credit=replicator._credit_for(machines[0]),
+            error=failed_process,
+        )
 
-def bulk_copy_from_primary():
-    sim, cluster, machines, replicator = replication_env()
-    primary = SimpleNamespace(
-        instance_id="s0",
-        machine=machines[0],
-        state=SimpleNamespace(store=filled_store("s0")),
-        frontier=lambda: None,
-    )
-
-    def start():
-        process = replicator.bulk_copy_from_primary(primary, machines[1])
-        process.defused = True
-        return process
-
-    return SimpleNamespace(
-        sim=sim,
-        cluster=cluster,
-        victim=machines[1],
-        tag="replica-repair",
-        start=start,
-        credit=replicator._credit_for(machines[0]),
-        error=failed_process,
-    )
+    return build
 
 
 def fluid_ship():
@@ -189,8 +179,8 @@ SCENARIOS = {
     "star": replicate("star", victim_index=2),
     "chain-tail": replicate("chain", victim_index=2),
     "chain-middle": replicate("chain", victim_index=1),
-    "bulk-copy": bulk_copy,
-    "bulk-copy-from-primary": bulk_copy_from_primary,
+    "bulk-copy": bulk_copy("peer"),
+    "bulk-copy-from-primary": bulk_copy("primary"),
     "fluid-4-streams": fluid_ship,
     "cutover": cutover,
 }

@@ -1,5 +1,7 @@
 """Unit tests for the chain replicator and replica stores."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import ProtocolError
@@ -37,6 +39,16 @@ def make_checkpoint(name="s0", checkpoint_id=1, entries=(("k", "v", 100),)):
         store.put(0, key, value, nbytes=nbytes)
     checkpoint, _flushed = store.checkpoint(checkpoint_id)
     return store, checkpoint
+
+
+def primary_of(store, machine):
+    """The live primary instance a repair copy reads from."""
+    return SimpleNamespace(
+        instance_id=store.name,
+        machine=machine,
+        state=SimpleNamespace(store=store),
+        frontier=lambda: None,
+    )
 
 
 class TestReplicaStore:
@@ -136,13 +148,92 @@ class TestChainReplication:
 
     def test_bulk_copy_installs_full_replica(self, env):
         sim, _cluster, machines, replicator = env
-        _store, checkpoint = make_checkpoint(entries=(("k", "v", 300),))
+        store, checkpoint = make_checkpoint(entries=(("k", "v", 300),))
         first = replicator.replicate(machines[0], [machines[1]], checkpoint)
         sim.run(until=first)
-        copy = replicator.bulk_copy(machines[1], machines[2], "s0")
+        primary = primary_of(store, machines[0])
+        copy = replicator.bulk_copy(primary, machines[2])
         bytes_copied = sim.run(until=copy)
         assert bytes_copied == 300
         assert replicator.store_on(machines[2]).has_complete("s0")
+        assert replicator.is_current(machines[2], primary)
+
+    def test_a_partial_holding_receives_only_what_it_lacks(self, env):
+        """A member holding checkpoint 1 is brought to checkpoint 2 from a
+        current peer: only checkpoint 2's delta table crosses the wire."""
+        sim, _cluster, machines, replicator = env
+        store = LSMStore("s0")
+        store.put(0, "a", "x", nbytes=100)
+        first, _ = store.checkpoint(1)
+        sim.run(until=replicator.replicate(machines[0], machines[1:], first))
+        store.put(0, "b", "y", nbytes=200)
+        second, _ = store.checkpoint(2)
+        sim.run(until=replicator.replicate(machines[0], [machines[1]], second))
+        written = []
+        write = machines[2].disk_write
+
+        def recording_write(nbytes, disk=None, tag=None):
+            written.append((tag, nbytes))
+            return write(nbytes, disk=disk, tag=tag)
+
+        machines[2].disk_write = recording_write
+        started = sim.now
+        primary = primary_of(store, machines[0])
+        assert sim.run(until=replicator.bulk_copy(primary, machines[2])) == 200
+        assert written == [("replica-repair", 50)] * 4
+        # Four 50 B blocks, each sent and then written at 100 B/s.
+        assert sim.now - started == pytest.approx(4.0)
+        holding = replicator.store_on(machines[2]).holding_of("s0")
+        assert holding.checkpoint_id == 2
+        assert set(holding.tables) == set(second.manifest.table_ids)
+
+    def test_a_delta_landing_mid_copy_is_kept(self, env):
+        """Checkpoint 3 replicates onto the target while its repair copy
+        (of checkpoint 2, from w-1) runs: the delta is based on the copied
+        checkpoint, so the copy completes it instead of rolling the
+        holding back to checkpoint 2."""
+        sim, _cluster, machines, replicator = env
+        store = LSMStore("s0")
+        store.put(0, "a", "x", nbytes=100)
+        first, _ = store.checkpoint(1)
+        sim.run(until=replicator.replicate(machines[0], [machines[1]], first))
+        store.put(0, "b", "y", nbytes=100)
+        second, _ = store.checkpoint(2)
+        sim.run(until=replicator.replicate(machines[0], machines[1:], second))
+        primary = primary_of(store, machines[0])
+        copy = replicator.bulk_copy(primary, machines[2])
+        store.put(0, "c", "z", nbytes=10)
+        third, _ = store.checkpoint(3)
+        delta = replicator.replicate(machines[0], [machines[2]], third)
+        assert sim.run(until=copy) == 100  # checkpoint 1's table only
+        assert not delta.is_alive
+        assert replicator.is_current(machines[2], primary)
+        assert replicator.store_on(machines[2]).holding_of("s0").checkpoint_id == 3
+
+    def test_a_stale_holding_outside_the_chain_is_never_the_source(self):
+        """w-1 left the chain holding a complete checkpoint 1; the primary
+        has since checkpointed twice.  The repair copy onto w-3 comes from
+        the primary, never from w-1's stale copy."""
+        sim = Simulator(tracer=Tracer())
+        cluster = Cluster(sim)
+        machines = cluster.add_machines(4, prefix="w", network_latency=0.0)
+        replicator = ChainReplicator(sim, cluster, block_size=50)
+        store = LSMStore("s0")
+        store.put(0, "a", "x", nbytes=100)
+        first, _ = store.checkpoint(1)
+        sim.run(until=replicator.replicate(machines[0], [machines[1]], first))
+        for checkpoint_id in (2, 3):
+            store.put(0, f"k{checkpoint_id}", "y", nbytes=100)
+            later, _ = store.checkpoint(checkpoint_id)
+            sim.run(until=replicator.replicate(machines[0], [machines[2]], later))
+        cluster.kill(machines[2])  # the only current holding is gone
+        assert replicator.store_on(machines[1]).has_complete("s0")
+        primary = primary_of(store, machines[0])
+        assert not replicator.is_current(machines[1], primary)
+        assert sim.run(until=replicator.bulk_copy(primary, machines[3])) == 300
+        assert {span.tags["src"] for span in sim.tracer.find("replicate.bulk")} == {"w-0"}
+        assert replicator.is_current(machines[3], primary)
+        assert replicator.store_on(machines[3]).holding_of("s0").checkpoint_id == 3
 
     def test_replica_restores_identical_state(self, env):
         sim, _cluster, machines, replicator = env

@@ -7,6 +7,7 @@ from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
 from repro.core.api import Rhino, RhinoConfig
+from repro.faults.invariants import InvariantViolation, check_replication_restored
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 
@@ -117,6 +118,24 @@ class TestReplicaChainFailure:
         replacement = new_group.chain[0]
         store = rhino.replicator.store_on(replacement)
         assert store.has_complete("count[1]")
+
+
+    def test_a_member_behind_its_primary_is_not_restored(self):
+        """``replication-restored`` counts a member only at its live
+        primary's latest checkpoint: a holding still complete at the one
+        before is a base the next delta does not fit."""
+        env, job, rhino = setup(checkpoint_interval=None)
+        live_feeder(env, "events", KEYS, count=100, interval=0.02)
+        env.run(until=2.5)
+        job.coordinator.trigger_checkpoint()
+        env.run(until=4.0)
+        check_replication_restored(rhino)
+        primary = job.instance("count", 1)
+        member = rhino.replication_manager.group_of(primary.instance_id).chain[0]
+        primary.state.store.checkpoint(99)  # taken, never replicated
+        assert rhino.replicator.store_on(member).has_complete(primary.instance_id)
+        with pytest.raises(InvariantViolation, match=r"count\[1\]: only 0/1"):
+            check_replication_restored(rhino)
 
 
 class TestDoubleFailure:

@@ -8,9 +8,11 @@ weight-correct latency percentiles.
 """
 
 import pathlib
+from collections import Counter
 
 import pytest
 
+from repro.core.replication import ChainReplicator
 from repro.experiments.report import scenario_report
 from repro.experiments.runner import peak_rate, run_scenario, run_sweep
 from repro.experiments.scenario import Scenario, expand_sweep
@@ -18,6 +20,7 @@ from repro.nexmark import TriangularRate
 
 ROOT = pathlib.Path(__file__).parent.parent
 MILLION_USER = ROOT / "examples" / "scenarios" / "million_user.json"
+NBQ8_DRAIN = ROOT / "examples" / "scenarios" / "nbq8_drain.json"
 
 
 def quick_scenario(**overrides):
@@ -181,6 +184,39 @@ class TestMillionUserAcceptance:
         assert "million-user-flash-crowd" in text
         assert "p99 (ms)" in text
         assert "ok" in text
+
+
+class TestNbq8DrainRegression:
+    """A drain under 20 GiB of preloaded state with RF 1 and a 20 s
+    checkpoint interval: the drained worker's chains are rebuilt, and
+    anti-entropy must bring every new member to its primary's latest
+    checkpoint, once.  A repair sourced from a peer holding frozen at an
+    older checkpoint installs a stale base that the next delta cannot
+    complete, so the same member is copied again and again and the run
+    never reaches ``replication-restored``."""
+
+    def test_every_invariant_holds_with_one_copy_per_member(self, monkeypatch):
+        copies = Counter()
+        bulk_copy = ChainReplicator.bulk_copy
+
+        def counting_copy(self, primary, target):
+            copies[(primary.instance_id, target.name)] += 1
+            return bulk_copy(self, primary, target)
+
+        monkeypatch.setattr(ChainReplicator, "bulk_copy", counting_copy)
+        result = run_scenario(Scenario.load(NBQ8_DRAIN))
+        assert result.invariants == {
+            name: "ok"
+            for name in (
+                "exactly-once-weighted",
+                "no-misroutes",
+                "replication-restored",
+                "no-leaked-processes",
+                "drained",
+            )
+        }
+        assert len(result.handovers) == 1
+        assert copies and max(copies.values()) == 1, copies
 
 
 class TestRunSweep:
