@@ -35,7 +35,7 @@ from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.instance import Frontier, ReplayFilter
 from repro.faults.retry import RetryPolicy
 from repro.sim.kernel import Interrupt
-from repro.core import migration
+from repro.core import migration, resolution
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
 from repro.core.replication import ChainReplicator
@@ -473,16 +473,12 @@ class Rhino:
         replacement.start()
 
     def _replan_failure(self, plans):
-        """Re-target failure-recovery plans whose target worker died.
-
-        A plan whose target is still alive (abort caused by a partition or
-        a false suspicion) is retried unchanged once the network heals; a
-        dead target is re-planned onto another replica worker and its
-        replacement instance redeployed there.
-        """
+        """Re-plan the failure-recovery plans ``resolution.retarget`` picks
+        onto another replica worker and redeploy their replacements there;
+        the rest (a partition or a false suspicion) retry unchanged."""
         new_plans = []
         for plan in plans:
-            if not plan.target_machine.alive:
+            if resolution.retarget(self.handover_manager.plan_facts(plan)):
                 plan = migration.plan_failure_recovery(
                     self.job, self, plan.op_name, plan.origin_index
                 )

@@ -26,66 +26,27 @@ what happens when its leader is lost, on the virtual clock:
    truncated, replay completeness is self-checked: the recovered state
    must equal the live snapshot captured at the crash instant (stored in
    ``replay_checks``, asserted by tests).
-5. **Resume**: each in-flight reconfiguration is deterministically
-   resolved by the decision table in :meth:`_resume_inflight`, keyed on
-   its live phase (:data:`~repro.core.handover.PHASE_TABLE`) -- committed
-   if fully acknowledged, otherwise aborted through the rollback and (for
-   failure recoveries) re-planned and re-executed.  Replication chains
-   broken by worker deaths during the outage are repaired and an
-   anti-entropy pass restores replica completeness.
+5. **Resume**: each in-flight reconfiguration ends as
+   :func:`~repro.core.resolution.resolve` says for a lost leader.
+   Replication chains broken by worker deaths during the outage are
+   repaired and an anti-entropy pass restores replica completeness.
 
 The takeover is a ``failover`` span, opened at the fault, with ``detect`` /
 ``replay`` / ``resume`` children that sum to it; each ``history`` entry is
 read off them (``repro.obs.failover_phases``), traced or not.
 """
 
+from types import SimpleNamespace
+
 from repro.obs import failover_phases, phase_span
-from repro.core import quorum, rollback
+from repro.core import quorum, resolution, rollback
 from repro.core.journal import ControlJournal
-from repro.core.handover import ABANDON, ABORTED, TAKEOVER_FROM, HandoverAborted
-from repro.core.migration import FAILURE
+from repro.core.handover import ABORTED, HandoverAborted
 from repro.core.replication_manager import ReplicaGroup
 
 
-class _CoordinatorSentinel:
-    """Stands in for the 'machine' that failed when the coordinator dies.
-
-    :class:`HandoverAborted` messages only need a ``.name``; aborts caused
-    by coordinator death are attributed to the control plane, not to any
-    worker.
-    """
-
-    name = "coordinator"
-
-    def __repr__(self):
-        return "<coordinator>"
-
-
-COORDINATOR = _CoordinatorSentinel()
-
-#: The rows of the takeover's decision table (see _resume_inflight).
-SETTLED = "settled"
-UNJOURNALED = "unjournaled"
-COMMIT = "commit"
-ROLLBACK = "rollback"
-TAKEOVER_ROWS = (SETTLED, UNJOURNALED, ABANDON, COMMIT, ROLLBACK)
-
-
-def takeover_row(journaled, execution):
-    """The decision-table row of one stranded reconfiguration.
-
-    ``journaled`` says whether the replayed journal holds it open;
-    ``execution`` is its live execution (None once it closed).  The row
-    keys on the *live* phase: the replayed one lags it when ``prepared``
-    or ``marker`` records were truncated with the deposed leader.
-    """
-    if execution is None:
-        return SETTLED
-    if not journaled:
-        return UNJOURNALED
-    if TAKEOVER_FROM[execution.phase] == ABANDON:
-        return ABANDON
-    return COMMIT if execution.expected <= execution.acked else ROLLBACK
+#: The "machine" an abort names when the control-plane leader was lost.
+COORDINATOR = SimpleNamespace(name="coordinator")
 
 
 class FailoverManager:
@@ -328,62 +289,37 @@ class FailoverManager:
                 "detector.verdict", machine=name, verdict="clear"
             )
 
-    # -- the decision table -----------------------------------------------------
+    # -- resume ---------------------------------------------------------------------
 
     def _resume_inflight(self, state):
-        """Deterministically resolve every stranded reconfiguration.
-
-        ============  =========================  ===============================
-        row           journal / live evidence     resolution
-        ============  =========================  ===============================
-        settled       open / closed (a worker    journal the abort the fenced
-                      death aborted it during    journal dropped
-                      the outage)
-        unjournaled   no ``accepted`` / phase    drop it: its driver died in
-                      ``accepted``               commit-wait, nothing to undo
-        abandon       open / phase ``accepted``  remove spawned targets and
-                                                 journal the abort
-        commit        open / later phase, every  commit (and count spawned
-                      expected ack received      targets into parallelism)
-        rollback      open / later phase, acks   abort through the standard
-                      outstanding                rollback
-        ============  =========================  ===============================
-
-        Planned reconfigurations (rescale / rebalance / drain) are aborted,
-        not resumed: the rollback restores the old configuration exactly
-        and the client can re-issue.  Failure recoveries *must* resume --
-        dead instances stay dead until someone finishes the job -- so an
-        abandoned or rolled-back one is re-planned onto live replica
-        workers and re-executed.
-        """
+        """Carry out the resolution of every stranded reconfiguration: a
+        rolled-back planned one is re-issued by its client, a failure
+        recovery is re-executed here."""
         hm = self.rhino.handover_manager
         job = self.rhino.job
         for reconfig_id in sorted(set(state.in_flight) | set(hm._inflight)):
             execution = hm._inflight.get(reconfig_id)
-            row = takeover_row(reconfig_id in state.in_flight, execution)
-            if row == SETTLED:
+            journaled = reconfig_id in state.in_flight
+            facts = hm.facts(execution, resolution.LEADER, journaled=journaled)
+            resolved = resolution.resolve(facts)
+            if resolved.outcome == resolution.SETTLED:
                 self.journal.append(ABORTED, reconfig=reconfig_id)
-                continue
-            if row == UNJOURNALED:
+            elif resolved.outcome == resolution.UNJOURNALED:
                 del hm._inflight[reconfig_id]
-                continue
-            if row == ABANDON:
-                for plan in execution.plans:
-                    if plan.spawn_target:
+            elif resolved.outcome == resolution.ABANDON:
+                for plan, settlement in zip(execution.plans, resolved.settlements):
+                    if settlement.remove:
                         job.remove_instance(plan.op_name, plan.target_index)
                 hm._journal(execution, ABORTED)
-            elif row == COMMIT:
-                for plan in execution.plans:
+            elif resolved.outcome == resolution.COMMIT:
+                for plan, settlement in zip(execution.plans, resolved.settlements):
                     if plan.spawn_target:
                         op = job.graph.operators[plan.op_name]
-                        op.parallelism = max(
-                            op.parallelism, plan.target_index + 1
-                        )
+                        op.parallelism = max(op.parallelism, settlement.owner + 1)
                 hm._commit(execution)
-                continue
             else:
-                rollback.abort(hm, execution, COORDINATOR)
-            if execution.plans[0].reason == FAILURE:
+                rollback.abort(hm, execution, COORDINATOR, resolved)
+            if resolved.resume:
                 plans = self.rhino._replan_failure(execution.plans)
                 try:
                     yield from self.rhino._execute_with_retry(

@@ -14,17 +14,9 @@ from collections import namedtuple
 from repro.engine.records import AlignedMarker
 from repro.obs import phase_span
 
-#: What a control-plane takeover does with a reconfiguration it finds in a
-#: phase: *abandon* it (nothing beyond spawned targets was touched), or
-#: *resolve* it (commit if every expected participant acked, otherwise
-#: roll back).
-ABANDON = "abandon"
-RESOLVE = "resolve"
-
-#: One journal record kind of the handover protocol: the phase the record
-#: moves its reconfiguration to (None: unchanged) and what a takeover does
-#: from that phase.
-Step = namedtuple("Step", "kind phase takeover")
+#: One journal record kind of the handover protocol and the phase the
+#: record moves its reconfiguration to (None: unchanged).
+Step = namedtuple("Step", "kind phase")
 
 ACCEPTED = "handover.accepted"
 ACK = "handover.ack"
@@ -34,32 +26,25 @@ ABORTED = "handover.aborted"
 #: The handover protocol, written once: every record kind a reconfiguration
 #: journals on its way to a commit, in protocol order.  ``ACK`` adds a
 #: participant and leaves the phase alone; ``COMMITTED`` closes the
-#: reconfiguration, as ``ABORTED`` does on the abort path.
+#: reconfiguration, as ``ABORTED`` does on the abort path.  How a
+#: reconfiguration interrupted in a phase ends is ``resolution.resolve``.
 PHASE_TABLE = (
-    Step(ACCEPTED, "accepted", ABANDON),
-    Step("handover.prepared", "prepared", RESOLVE),
-    Step("handover.marker", "marker", RESOLVE),
-    Step("handover.state-shipped", "state-shipped", RESOLVE),
-    Step("handover.origin-drained", "origin-drained", RESOLVE),
-    Step("handover.target-resumed", "target-resumed", RESOLVE),
-    Step(ACK, None, None),
-    Step(COMMITTED, None, None),
+    Step(ACCEPTED, "accepted"),
+    Step("handover.prepared", "prepared"),
+    Step("handover.marker", "marker"),
+    Step("handover.state-shipped", "state-shipped"),
+    Step("handover.origin-drained", "origin-drained"),
+    Step("handover.target-resumed", "target-resumed"),
+    Step(ACK, None),
+    Step(COMMITTED, None),
 )
 #: Record kind -> the phase it sets.
 PHASE_SET_BY = {step.kind: step.phase for step in PHASE_TABLE if step.phase}
-#: Phase -> what a takeover does from it.
-TAKEOVER_FROM = {step.phase: step.takeover for step in PHASE_TABLE if step.phase}
 
 
 class HandoverAborted(Exception):
-    """A participant died mid-handover; the protocol rolled back.
-
-    The paper leaves handover fault tolerance as future work ("a failure
-    that occurs during a handover may restart the protocol", §4.1.2); this
-    reproduction implements the restartable variant: the handover aborts,
-    origins re-adopt their virtual nodes, routing reverts, the in-flight
-    gap replays from upstream backup, and the caller may retry.
-    """
+    """A participant was lost mid-handover and the handover rolled back
+    (``resolution.py``, ``rollback.py``); the caller may retry."""
 
     def __init__(self, handover_id, machine):
         super().__init__(

@@ -7,8 +7,8 @@ origins and targets, collects acknowledgments from every instance, and
 produces the scheduling / state-fetching / state-loading breakdown of
 Table 1.  What happens *before* the barrier -- the background pre-copy
 of a cold target -- lives in ``fluid.py``; where a failure recovery
-restores from, in ``restore.py``; how a broken handover is undone, in
-``rollback.py``.
+restores from, in ``restore.py``; how an interrupted handover ends, in
+``resolution.py``, and how a rollback is carried out, in ``rollback.py``.
 """
 
 from repro.common.errors import ProtocolError
@@ -22,7 +22,7 @@ from repro.engine.instance import (
     ReplayFilter,
     SourceInstance,
 )
-from repro.core import fluid, migration, restore, rollback
+from repro.core import fluid, migration, resolution, restore, rollback
 from repro.core.handover import (
     ABORTED,
     ACCEPTED,
@@ -189,7 +189,7 @@ class HandoverManager:
             # participant that died earlier never reached it.
             dead = next((m for m in self._participants(execution) if not m.alive), None)
             if dead is not None:
-                rollback.abort(self, execution, dead)
+                self._lost(execution, dead, down=True)
                 raise HandoverAborted(handover_id, dead)
             self._journal(execution, "handover.prepared", handover=handover_id)
 
@@ -464,12 +464,7 @@ class HandoverManager:
         # Phase accounting: whatever an origin ships behind the barrier is
         # "cutover".
         execution.report.cutover_bytes += transferred
-        moved = 0
-        for lo, hi in plan.vnodes:
-            moved += instance.state.drop_groups(lo, hi)
-        execution.report.moved_state_bytes += moved
-        remaining = instance.state.owned_ranges()
-        instance.logic.rebuild(remaining if remaining is not None else [])
+        execution.report.moved_state_bytes += instance.release_groups(plan.vnodes)
         self._journal(
             execution,
             "handover.origin-drained",
@@ -511,12 +506,13 @@ class HandoverManager:
             **plan.trace_tags(),
         )
         yield self.sim.timeout(config.state_load_seconds)
+        if execution.done.triggered and not execution.done.ok:
+            load_span.finish(status="aborted")
+            return  # the handover rolled back while the state loaded
         instance.state.store.ingest_tables(live_tables, ranges=plan.vnodes)
-        for lo, hi in plan.vnodes:
-            instance.state.adopt_groups(lo, hi)
         # Incremental: the target keeps the indexes of the virtual nodes it
         # already served and adds the migrated ones.
-        instance.logic.absorb(plan.vnodes)
+        instance.adopt_groups(plan.vnodes)
         if plan.reason == migration.FAILURE:
             # Fresh (restored) ranges replay from the checkpoint frontier.
             # The default floor must stay open (-inf): a blanket "seen" floor
@@ -550,39 +546,47 @@ class HandoverManager:
     # -- failure of a participant mid-handover ------------------------------------
 
     def on_machine_failure(self, machine):
-        """Handover fault tolerance (the paper's §4.1.2 future work).
-
-        A bystander's death only removes its acknowledgments; the death of
-        a plan's *target or origin worker* aborts the handover: alignment
-        is cancelled, origins re-adopt their virtual nodes, routing
-        reverts, and the records diverted during the broken epoch replay
-        from upstream backup.  The caller receives
-        :class:`HandoverAborted` and may retry.
-        """
+        """A dead worker rolls back every handover it is critical to (the
+        caller may retry); a dead bystander's acks are forgotten."""
         for execution in list(self._executions.values()):
-            if self._critical_to(execution, machine):
-                rollback.abort(self, execution, machine)
-            else:
-                for instance in self.job.all_instances():
-                    if instance.machine is machine:
-                        execution.forget(instance.instance_id)
+            self._lost(execution, machine, down=True)
 
     def on_machine_suspected(self, machine):
-        """A *suspected* machine (heartbeats lost: dead or partitioned)
-        aborts every handover it is critical to.
-
-        Unlike :meth:`on_machine_failure` no acknowledgments are forgotten:
-        a partitioned bystander is still running and will ack once its
-        markers arrive.  If the suspicion is false (partition heals), the
-        caller simply re-plans and retries the aborted handover.
-        """
+        """A *suspected* worker (dead or partitioned) rolls back every
+        handover it is critical to; a partitioned bystander still acks."""
         for execution in list(self._executions.values()):
-            if self._critical_to(execution, machine):
-                rollback.abort(self, execution, machine)
+            self._lost(execution, machine, down=False)
 
-    def _critical_to(self, execution, machine):
-        """True when ``machine`` hosts the target or origin of a plan."""
-        return any(m is machine for m in self._participants(execution))
+    def _lost(self, execution, machine, down):
+        resolved = resolution.resolve(self.facts(execution, machine.name, down))
+        if resolved.outcome == resolution.ROLLBACK:
+            rollback.abort(self, execution, machine, resolved)
+        elif resolved.forget:
+            for instance in self.job.all_instances():
+                if instance.machine is machine:
+                    execution.forget(instance.instance_id)
+
+    def facts(self, execution, lost, down=True, journaled=True):
+        """The ``resolution.Facts`` of ``execution`` (None: closed) when
+        ``lost``, a worker's name or ``resolution.LEADER``, is lost."""
+        if execution is None:
+            return resolution.Facts(lost, down, journaled, None, set(), set(), (), {})
+        plans = tuple(self.plan_facts(plan) for plan in execution.plans)
+        phase, expected, acked = execution.phase, execution.expected, execution.acked
+        captured = dict(execution.source_frontiers)
+        return resolution.Facts(
+            lost, down, journaled, phase, expected, acked, plans, captured
+        )
+
+    def plan_facts(self, plan):
+        """One plan's ``resolution.PlanFacts``, read off the live job."""
+        origin = self.job.instances.get((plan.op_name, plan.origin_index))
+        target = self.job.instances.get((plan.op_name, plan.target_index))
+        return resolution.PlanFacts(
+            plan,
+            _party(origin, origin and origin.machine, plan.vnodes),
+            _party(target, plan.target_machine, plan.vnodes),
+        )
 
     def _participants(self, execution):
         """The origin and target machine of every plan."""
@@ -592,3 +596,15 @@ class HandoverManager:
                 yield origin.machine
             if plan.target_machine is not None:
                 yield plan.target_machine
+
+
+def _party(instance, machine, vnodes):
+    state = getattr(instance, "state", None)
+    owned = state.store.owned if state is not None else None
+    holds = state is not None and (
+        owned is None or any(owned.intersects(lo, hi) for lo, hi in vnodes)
+    )
+    alive = machine is not None and machine.alive
+    name = machine.name if machine is not None else None
+    progress = getattr(instance, "origin_progress", None)
+    return resolution.Party(name, alive, state is not None, holds, progress)

@@ -1,25 +1,20 @@
-"""Aborting a handover: roll every plan back to the old configuration.
+"""Carrying out a rollback: the simulated I/O of an aborted handover.
 
-The paper leaves a failure during a handover as future work ("may restart
-the protocol", §4.1.2).  This is the abort half of the restartable
-variant: alignment is cancelled, origins re-adopt their virtual nodes,
-routing reverts, spawned targets are removed, and the records diverted
-during the broken epoch replay from upstream backup.  Its callers are the
-Handover Manager's machine-failure / suspicion handlers and the
-control-plane takeover; :func:`abort` is their one entry point.
+``resolution.py`` decides what each participant does; :func:`abort` does
+it: alignment is cancelled, key groups change hands, routing reverts,
+spawned targets go, and the records diverted during the broken epoch
+replay from upstream backup past each rolled-back consumer's fresh
+frontier; :func:`consumer_filter` builds a recovery's source filter too.
 """
 
 from repro.engine.instance import ConsumerDrivenReplayFilter, Frontier, ReplayFilter
 from repro.core.handover import ABORTED, HandoverAborted
 
 
-def abort(manager, execution, machine):
-    """Abort a prepared ``execution`` because ``machine`` failed.
-
-    Rolls the job back, drops the execution from ``manager``'s registry,
-    journals the abort, and fails the execution: its driver and every
-    waiting target receive :class:`HandoverAborted`.
-    """
+def abort(manager, execution, machine, resolved):
+    """Roll ``execution`` back as ``resolved`` says, ``machine`` lost;
+    journal the abort and fail the execution with
+    :class:`HandoverAborted` (its driver and waiting targets receive it)."""
     sim, job = manager.sim, manager.job
     if sim.tracer.enabled:
         sim.tracer.event(
@@ -35,15 +30,16 @@ def abort(manager, execution, machine):
         cancel = getattr(instance, "cancel_alignment", None)
         if cancel is not None:
             cancel(marker_id)
-    # 2. Roll every plan back to the old configuration.
-    for plan in execution.plans:
-        _rollback_plan(job, sim, plan, execution)
+    settled = list(zip(execution.plans, resolved.settlements))
+    # 2. Hand every plan's key groups back to the old configuration.
+    for plan, settlement in settled:
+        _settle(job, sim, plan, settlement)
     # 3. Remove targets spawned for this handover.
-    for plan in execution.plans:
-        if plan.spawn_target:
+    for plan, settlement in settled:
+        if settlement.remove:
             job.remove_instance(plan.op_name, plan.target_index)
     # 4. Replay the diverted epoch boundary from upstream backup.
-    _replay_aborted_gap(job, sim, execution)
+    _replay_aborted_gap(job, sim, settled)
     job.coordinator.resume()
     del manager._executions[execution.handover_id]
     manager._journal(
@@ -55,67 +51,43 @@ def abort(manager, execution, machine):
     execution.abort(HandoverAborted(execution.handover_id, machine))
 
 
-def _rollback_plan(job, sim, plan, execution):
-    origin = job.instances.get((plan.op_name, plan.origin_index))
-    # A failure recovery has no origin to fall back to: the instance at
-    # the origin index is the *empty replacement* (also the target).
-    # It must keep its hold-all filter until a retry restores the
-    # checkpoint; an origin-style filter would let records from
-    # already-rewound sources flow into the empty state.
-    origin_alive = (
-        not plan.replace_origin
-        and origin is not None
-        and origin.machine.alive
-        and getattr(origin, "state", None) is not None
-    )
-    if origin_alive:
-        for lo, hi in plan.vnodes:
-            origin.state.adopt_groups(lo, hi)
-        origin.logic.absorb(plan.vnodes)
-        # Records diverted to the dead target replay from the captured
-        # source frontiers; everything older is already in our state.
+def _settle(job, sim, plan, settlement):
+    num_groups = job.config.num_key_groups
+    if settlement.adopt:
+        origin = job.instances[(plan.op_name, plan.origin_index)]
+        origin.adopt_groups(plan.vnodes)
         # The default frontier reads the *live* progress dict (not a
         # snapshot): a replayed copy can race its still-in-flight
         # original, and whichever arrives second must read as seen.
         origin.replay_filter = ReplayFilter(
-            job.config.num_key_groups,
+            num_groups,
             Frontier(origin.origin_progress, float("-inf")),
             fresh_ranges=plan.vnodes,
-            fresh=_diverted(execution),
+            fresh=settlement.frontier,
             epoch=sim.now,
         )
         origin.restart_frontier()
-    target = job.instances.get((plan.op_name, plan.target_index))
-    if (
-        not plan.spawn_target
-        and target is not None
-        and target is not origin
-        and target.machine.alive
-        and getattr(target, "state", None) is not None
-    ):
-        # The broken epoch diverted records toward the target.  When
-        # the abort was caused by a *partition* (not a death) the
-        # target is still running and the data plane still holds those
-        # batches -- they will arrive once the network heals, but the
-        # origin replays the same records from upstream backup.  Mark
-        # everything created up to the abort as seen for the
-        # rolled-back groups; records of a later successful retry are
-        # newer and pass.
+    if settlement.fence:
+        target = job.instances[(plan.op_name, plan.target_index)]
+        if settlement.release:
+            target.release_groups(plan.vnodes)
+        # After a partition the batches diverted to a live target arrive
+        # once the network heals, while the origin replays them: whatever
+        # was created up to the abort reads as seen; a retry's records pass.
         target.replay_filter = ReplayFilter(
-            job.config.num_key_groups,
+            num_groups,
             Frontier(target.origin_progress, float("-inf")),  # live
             fresh_ranges=plan.vnodes,
             fresh=Frontier({}, sim.now),
             epoch=sim.now,
         )
-    # Rewire every producer back to the origin (an aborted epoch).
     for runtime in job.edge_runtimes(downstream=plan.op_name):
         for router in runtime.routers.values():
             for lo, hi in plan.vnodes:
-                router.reassign(lo, hi, plan.origin_index)
+                router.reassign(lo, hi, settlement.owner)
 
 
-def _replay_aborted_gap(job, sim, execution):
+def _replay_aborted_gap(job, sim, settled):
     coordinator = job.coordinator
     if not coordinator.has_completed():
         return
@@ -124,19 +96,11 @@ def _replay_aborted_gap(job, sim, execution):
     # delivered once the network heals.
     job.fabric.drop_unreachable()
     # A replayed copy can race its still-in-flight original toward a
-    # *bystander* consumer; give every unprotected stateful instance a
-    # dedup filter over its live progress frontier so whichever copy
-    # arrives second is dropped.
-    plan_ids = set()
-    for plan in execution.plans:
-        plan_ids.add(f"{plan.op_name}[{plan.origin_index}]")
-        plan_ids.add(f"{plan.op_name}[{plan.target_index}]")
+    # *bystander* consumer; give every unprotected stateful instance (each
+    # live plan participant got its filter above) a dedup filter over its
+    # live progress frontier so whichever copy arrives second is dropped.
     for instance in job.stateful_instances():
-        if (
-            instance.instance_id in plan_ids
-            or not instance.machine.alive
-            or instance.replay_filter is not None
-        ):
+        if not instance.machine.alive or instance.replay_filter is not None:
             continue
         instance.replay_filter = ReplayFilter(
             job.config.num_key_groups,
@@ -144,13 +108,12 @@ def _replay_aborted_gap(job, sim, execution):
             epoch=sim.now,
         )
     record = coordinator.completed[-1]
-    diverted = _diverted(execution)
-    fresh = []
-    for plan in execution.plans:
-        origin = job.instances.get((plan.op_name, plan.origin_index))
-        if origin is None or not origin.machine.alive:
-            continue  # a dead origin is handled by failure recovery
-        fresh.extend((plan.op_name, lo, hi, diverted) for lo, hi in plan.vnodes)
+    fresh = [
+        (plan.op_name, lo, hi, settlement.frontier)
+        for plan, settlement in settled
+        if settlement.frontier is not None
+        for lo, hi in plan.vnodes
+    ]
     source_filter = consumer_filter(job, fresh, sim.now)
     for source in job.source_instances():
         if not source.machine.alive:
@@ -159,16 +122,6 @@ def _replay_aborted_gap(job, sim, execution):
         offset = record.offsets.get(source.instance_id)
         if offset is not None:
             source.send_command("seek", min(offset, source.cursor.offset))
-
-
-def _diverted(execution):
-    """The frontier of what a rolled-back consumer already holds.
-
-    The epoch boundary diverted each rewired source's records after its
-    captured frontier.  A source absent from the frontiers never rewired:
-    all of its records reached the origin, so the floor reads them as seen.
-    """
-    return Frontier(dict(execution.source_frontiers), float("inf"))
 
 
 def consumer_filter(job, fresh, epoch):

@@ -521,6 +521,21 @@ class OperatorInstance(InstanceBase):
             return None
         return self.state.owned_ranges()
 
+    def adopt_groups(self, ranges):
+        """Take over the key-group ``ranges`` and index them (a handover
+        target, or an origin a rollback hands its groups back to)."""
+        for lo, hi in ranges:
+            self.state.adopt_groups(lo, hi)
+        self.logic.absorb(ranges)
+
+    def release_groups(self, ranges):
+        """Give up the key-group ``ranges`` (a handover origin, or a target
+        a rollback takes them from); returns the modeled bytes released."""
+        released = sum(self.state.drop_groups(lo, hi) for lo, hi in ranges)
+        remaining = self.state.owned_ranges()
+        self.logic.rebuild(remaining if remaining is not None else [])
+        return released
+
 
 class SourceCommand:
     """A control-plane message to a source instance."""

@@ -35,6 +35,7 @@ from repro.faults.invariants import (
     InvariantViolation,
     check_exactly_once,
     check_replication_restored,
+    check_single_owner,
     check_control_plane_recovered,
     check_no_leaked_processes,
     check_drained,
@@ -64,6 +65,7 @@ __all__ = [
     "InvariantViolation",
     "check_exactly_once",
     "check_replication_restored",
+    "check_single_owner",
     "check_control_plane_recovered",
     "check_no_leaked_processes",
     "check_drained",

@@ -7,6 +7,8 @@ system actually healed:
 * **replication restored** -- every replica chain again holds the
   configured number of copies on alive machines, each complete at its
   primary's latest checkpoint;
+* **single owner** -- no key group is owned by two live instances of an
+  operator (a committed or rolled-back handover hands ownership over);
 * **no leaked processes** -- no protocol process (replication, handover,
   repair, recovery) is still alive after the run;
 * **drained** -- no in-flight network/disk flows and no data-plane
@@ -92,6 +94,24 @@ def check_replication_restored(rhino):
                 f"replicas (chain={[m.name for m in chain]}, "
                 f"complete={complete})"
             )
+
+
+def check_single_owner(job):
+    """Each key group is owned by at most one live stateful instance of
+    each operator."""
+    for op_name in sorted(job.assignments):
+        runs = sorted(
+            (lo, hi, instance.instance_id)
+            for instance in job.stateful_instances(op_name)
+            if instance.machine.alive and instance.state.owned_ranges()
+            for lo, hi in instance.state.owned_ranges()
+        )
+        for (_lo, end, first), (lo, hi, second) in zip(runs, runs[1:]):
+            if lo < end:
+                raise InvariantViolation(
+                    f"{op_name}: key groups {lo}-{min(end, hi) - 1} owned by "
+                    f"both {first} and {second}"
+                )
 
 
 def check_no_leaked_processes(sim, prefixes=PROTOCOL_PROCESS_PREFIXES):
@@ -261,6 +281,7 @@ def check_all(
 ):
     """Run every invariant; raises on the first violation."""
     check_exactly_once(job, expected, sink_name=sink_name)
+    check_single_owner(job)
     check_replication_restored(rhino)
     check_control_plane_recovered(rhino)
     if control_group is not None:

@@ -9,10 +9,11 @@ import pytest
 
 from repro.cluster import FailureDetector
 from repro.core.api import Rhino, RhinoConfig
-from repro.core.handover import HandoverAborted
+from repro.core.handover import HandoverAborted, HandoverExecution
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.faults import check_single_owner
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 
@@ -207,6 +208,48 @@ class TestPartitionMidHandover:
         env, job, _rhino, _detector, handover, _target = self.run_scenario()
         env.run(until=40.0)
         assert handover.ok
+        assert final_counts(job) == expected_counts()
+
+
+class TestAbortWhileTheTargetLoads:
+    def test_the_target_adopts_nothing_after_the_rollback(self, monkeypatch):
+        """The origin's worker is cut off the instant the target starts
+        loading the migrated state; suspicion rolls the handover back while
+        the load is under way.  The target must not adopt the groups once
+        its load ends: the origin owns them again."""
+        env, job, rhino = setup(machines=6)
+        live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
+        env.run(until=2.0)
+        origin = job.instance("count", 0)
+        target = job.instance("count", 1)
+        detector = FailureDetector(
+            env.sim,
+            env.cluster,
+            machines=job.machines,
+            home=target.machine,
+            heartbeat_interval=0.25,
+            suspicion_timeout=0.5,
+        )
+        detector.start()
+        rhino.enable_failure_detection(detector)
+        open_phase = HandoverExecution.open_phase
+        cut = []
+
+        def cut_off_the_origin(execution, name, **tags):
+            if name == "handover.loading" and not cut:
+                cut.append(env.sim.now)
+                env.cluster.partition([[origin.machine]])
+            return open_phase(execution, name, **tags)
+
+        monkeypatch.setattr(HandoverExecution, "open_phase", cut_off_the_origin)
+        handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
+        handover.defused = True
+        env.run(until=6.0)
+        assert cut and not handover.ok
+        check_single_owner(job)
+        env.cluster.heal()
+        env.run(until=40.0)
+        check_single_owner(job)
         assert final_counts(job) == expected_counts()
 
 

@@ -1,0 +1,196 @@
+"""The interrupted-handover rule, checked over every case, without a simulator.
+
+``resolution.resolve`` is a pure function of local facts, so this test
+ranges over every ``PHASE_TABLE`` phase x the participant lost (origin,
+target, control leader, bystander, one source) x the plan kind
+(rebalance, drain, rescale, failure) x 0, 1 or 2 sources rewired, for a
+death and for a mere suspicion, with and without every acknowledgment.
+Each resolution must keep:
+
+* one owner per key group: applied to a model of who holds the plan's
+  groups in that phase, the adoptions, releases and removals leave at
+  most one live holder, and it is the instance the groups route to;
+* a finite frontier for every source that did not rewire, read live;
+* commit only when every expected participant acked;
+* abandon touching nothing but spawned targets.
+"""
+
+import math
+
+import pytest
+
+from repro.core import resolution
+from repro.core.handover import PHASE_TABLE
+from repro.core.migration import FAILURE, REBALANCE, RESCALE, HandoverPlan
+
+PHASES = tuple(step.phase for step in PHASE_TABLE if step.phase)
+SOURCES = ("events[0]", "events[1]")
+ORIGIN, TARGET, BYSTANDER, SOURCE = "w-2", "w-3", "w-1", "w-0"
+LOST = {
+    "origin": ORIGIN,
+    "target": TARGET,
+    "leader": resolution.LEADER,
+    "bystander": BYSTANDER,
+    "source": SOURCE,
+}
+KINDS = ("rebalance", "drain", "rescale", "failure")
+EXPECTED = {"events[0]", "events[1]", "count[1]", "count[2]", "count[3]"}
+
+
+def make_plan(kind):
+    if kind == "rebalance":
+        return HandoverPlan("count", 2, 3, [(16, 20)], REBALANCE)
+    if kind == "rescale":
+        return HandoverPlan("count", 2, 4, [(16, 20)], RESCALE, spawn_target=True)
+    if kind == "drain":  # every group of the origin moves to a spawned target
+        return HandoverPlan("count", 2, 4, [(16, 24)], RESCALE, spawn_target=True)
+    # The empty replacement keeps the dead instance's index on the target
+    # worker: it is both the plan's origin and its target.
+    return HandoverPlan("count", 2, 2, [(16, 24)], FAILURE, replace_origin=True)
+
+
+def holders_before(plan, phase, all_acked):
+    """Which plan participants own the moving groups when the handover is
+    interrupted: the origin until it drains, the target once it loaded
+    (every ack means both happened), a failure's replacement throughout."""
+    if plan.replace_origin:
+        return {"origin"}
+    if all_acked:
+        return {"target"}
+    drained = PHASES.index(phase) >= PHASES.index("origin-drained")
+    return ({"target"} if phase == "target-resumed" else set()) | (
+        set() if drained else {"origin"}
+    )
+
+
+def facts_for(kind, lost, phase, rewired, down, all_acked, progress):
+    plan = make_plan(kind)
+    holders = holders_before(plan, phase, all_acked)
+    origin_machine = TARGET if plan.replace_origin else ORIGIN
+    lost = origin_machine if lost == "origin" else LOST[lost]
+    dead = {lost} if down and lost != resolution.LEADER else set()
+    parties = {}
+    for role, machine in (("origin", origin_machine), ("target", TARGET)):
+        parties[role] = resolution.Party(
+            machine,
+            machine not in dead,
+            True,
+            role in holders,
+            progress,
+        )
+    captured = {source: 10.0 + i for i, source in enumerate(SOURCES[:rewired])}
+    facts = resolution.Facts(
+        lost,
+        down,
+        True,
+        phase,
+        set(EXPECTED),
+        set(EXPECTED) if all_acked else {"events[0]"},
+        (resolution.PlanFacts(plan, parties["origin"], parties["target"]),),
+        captured,
+    )
+    return facts, holders
+
+
+def cases():
+    for phase in PHASES:
+        for rewired in range(len(SOURCES) + 1):
+            for down in (True, False):
+                for all_acked in (False, True) if phase == PHASES[-1] else (False,):
+                    yield phase, rewired, down, all_acked
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("lost", sorted(LOST))
+def test_every_interruption_resolves_safely(kind, lost):
+    for phase, rewired, down, all_acked in cases():
+        progress = {source: 3.0 + i for i, source in enumerate(SOURCES)}
+        facts, holders = facts_for(
+            kind, lost, phase, rewired, down, all_acked, progress
+        )
+        resolved = resolution.resolve(facts)
+        case = (kind, lost, phase, rewired, down, all_acked, resolved.outcome)
+        (plan_facts,) = facts.plans
+        (settlement,) = resolved.settlements
+        plan = plan_facts.plan
+        if lost == "leader":
+            assert resolved.outcome in resolution.TAKEOVER_ROWS, case
+        else:
+            assert resolved.outcome in (resolution.ROLLBACK, resolution.CONTINUE), case
+
+        # Commit only with every acknowledgment.
+        if resolved.outcome == resolution.COMMIT:
+            assert facts.expected <= facts.acked, case
+
+        # Abandon touches nothing but spawned targets.
+        if resolved.outcome == resolution.ABANDON:
+            assert settlement == (
+                plan.origin_index, False, False, False, plan.spawn_target, None
+            ), case
+
+        # A bystander's (or a source's) loss leaves the handover alone.
+        if resolved.outcome == resolution.CONTINUE:
+            assert settlement.owner is None and settlement.frontier is None, case
+            assert not (settlement.adopt or settlement.release or settlement.remove)
+            assert resolved.forget == down, case
+
+        # One owner per key group, and it is where the groups route.
+        after = set(holders)
+        if settlement.release or settlement.remove:
+            after.discard("target")
+        if settlement.adopt:
+            after.add("origin")
+        index = {"origin": plan.origin_index, "target": plan.target_index}
+        owners = {index[role] for role in after if getattr(plan_facts, role).alive}
+        assert len(owners) <= 1, case
+        if owners and settlement.owner is not None:
+            assert owners == {settlement.owner}, case
+
+        # Every source that did not rewire keeps a finite, live frontier.
+        frontier = settlement.frontier
+        if resolved.outcome == resolution.ROLLBACK and plan_facts.origin.alive:
+            assert frontier is not None, case
+            for source in SOURCES:
+                seen_up_to = frontier.by_origin.get(source, frontier.floor)
+                if source in facts.captured:
+                    assert seen_up_to == facts.captured[source], case
+                else:
+                    assert math.isfinite(seen_up_to), case
+                    progress[source] += 1.0
+                    assert frontier.by_origin[source] == progress[source], case
+
+
+def test_a_closed_execution_is_settled():
+    facts = resolution.Facts(resolution.LEADER, True, True, None, set(), set(), (), {})
+    assert resolution.resolve(facts) == (resolution.SETTLED, (), False, False)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_unjournaled_handover_is_dropped_untouched(kind):
+    facts, _holders = facts_for(kind, "leader", PHASES[0], 0, True, False, {})
+    facts = facts._replace(journaled=False)
+    resolved = resolution.resolve(facts)
+    assert resolved.outcome == resolution.UNJOURNALED
+    assert resolved.settlements == ((None, False, False, False, False, None),)
+    assert not resolved.resume
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_a_takeover_re_executes_only_an_unfinished_failure_recovery(phase):
+    for kind in KINDS:
+        for all_acked in (False, True):
+            facts, _ = facts_for(kind, "leader", phase, 0, True, all_acked, {})
+            resolved = resolution.resolve(facts)
+            unfinished = resolved.outcome in (resolution.ABANDON, resolution.ROLLBACK)
+            assert resolved.resume == (kind == "failure" and unfinished)
+
+
+def test_retarget_picks_a_failure_recovery_whose_target_is_down():
+    for kind in ("rebalance", "failure"):
+        for lost in ("origin", "target", "bystander"):
+            for down in (True, False):
+                facts, _ = facts_for(kind, lost, PHASES[1], 0, down, False, {})
+                (plan_facts,) = facts.plans
+                target_down = down and facts.lost == TARGET
+                expected = kind == "failure" and target_down
+                assert resolution.retarget(plan_facts) == expected

@@ -11,14 +11,14 @@ was lost, and exactly-once counts at the sink.
 
 import pytest
 
-from repro.core import failover
+from repro.core import resolution
 from repro.experiments.preload import preload_state
 from repro.faults import (
     check_control_quorum,
     check_exactly_once,
     check_journal_linearizable,
 )
-from repro.faults.invariants import check_control_plane_recovered
+from repro.faults.invariants import check_control_plane_recovered, check_single_owner
 
 from tests.engine_fixtures import EngineEnv, live_feeder
 from tests.test_rhino_integration import KEYS, counter_graph, make_job, make_rhino
@@ -88,6 +88,7 @@ def settle(env, rhino, group, until=20.25):
     check_control_quorum(group)
     check_journal_linearizable(group.journal)
     check_exactly_once(rhino.job, expected_counts())
+    check_single_owner(rhino.job)
     group.stop()
 
 
@@ -211,28 +212,30 @@ def rolled_back_with_acks_outstanding():
 
 
 SCENARIOS = {
-    failover.SETTLED: settled_during_the_outage,
-    failover.UNJOURNALED: dropped_unjournaled,
-    failover.ABANDON: abandoned_at_accepted,
-    failover.COMMIT: committed_with_every_ack,
-    failover.ROLLBACK: rolled_back_with_acks_outstanding,
+    resolution.SETTLED: settled_during_the_outage,
+    resolution.UNJOURNALED: dropped_unjournaled,
+    resolution.ABANDON: abandoned_at_accepted,
+    resolution.COMMIT: committed_with_every_ack,
+    resolution.ROLLBACK: rolled_back_with_acks_outstanding,
 }
 
 
 def test_every_takeover_row_has_a_scenario():
-    assert set(SCENARIOS) == set(failover.TAKEOVER_ROWS)
+    assert set(SCENARIOS) == set(resolution.TAKEOVER_ROWS)
 
 
-@pytest.mark.parametrize("row", failover.TAKEOVER_ROWS)
+@pytest.mark.parametrize("row", resolution.TAKEOVER_ROWS)
 def test_takeover_row_is_reached(row, monkeypatch):
     reached = []
-    classify = failover.takeover_row
+    resolve = resolution.resolve
 
-    def spy(journaled, execution):
-        reached.append(classify(journaled, execution))
-        return reached[-1]
+    def spy(facts):
+        resolved = resolve(facts)
+        if facts.lost == resolution.LEADER:
+            reached.append(resolved.outcome)
+        return resolved
 
-    monkeypatch.setattr(failover, "takeover_row", spy)
+    monkeypatch.setattr(resolution, "resolve", spy)
     SCENARIOS[row]()
     assert row in reached
 
@@ -266,19 +269,13 @@ def test_precopy_abort_journals_the_abort_without_a_takeover():
     group.stop()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a rollback whose diverted-records frontier holds no source "
-    "reads every record of the rolled-back key groups as seen (floor=inf) "
-    "and drops the later ones at the origin",
-)
 def test_rollback_before_any_source_rewired_keeps_exactly_once():
     """The leader dies on ``handover.marker``: every marker it minted is
-    fenced at the sources, so no source frontier is captured.  The
-    rollback's origin filter then meets a diverted-records frontier that
-    holds no source, whose ``floor=inf`` reads every record as "delivered
-    before the rewire", and drops the live records of the
-    rolled-back groups: ``echo`` (key group 18) stops at 18 of 25."""
+    fenced at the sources, so no source frontier is captured.  A source
+    that never rewired diverted nothing, so the rolled-back origin's fresh
+    frontier reads its live progress for both sources; with ``floor=inf``
+    instead, every later record of the rolled-back groups read as seen and
+    was dropped (``echo``, key group 18, stopped at 18 of 25)."""
     env, job, rhino, group = quorum_job()
     kill_leader_on(group, "handover.marker")
     rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(2, 3)])
