@@ -34,12 +34,12 @@ from repro.common.rng import make_rng
 from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.instance import Frontier, ReplayFilter
 from repro.faults.retry import RetryPolicy
-from repro.sim.kernel import Interrupt
 from repro.core import migration, resolution
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
 from repro.core.replication import ChainReplicator
 from repro.core.replication_manager import ReplicationManager
+from repro.core.rollback import consumer_filter
 
 #: Pause before an aborted handover is re-planned and retried (seconds).
 HANDOVER_RETRY_DELAY = 0.5
@@ -108,14 +108,14 @@ class RhinoConfig:
         self.handover_timeout = handover_timeout
         #: Hardening knobs.  All defaults leave behavior bit-identical to
         #: pre-chaos: one attempt means no retry, no backoff, no RNG draws;
-        #: None disables the anti-entropy reconciler.  The backoff shape is
+        #: None runs no reconcile timer.  The backoff shape is
         #: :class:`~repro.faults.retry.RetryPolicy`'s own.
         self.retry_attempts = retry_attempts
         self.retry_seed = retry_seed
         #: Re-plan-and-retry budget for handovers aborted mid-flight.
         self.handover_retry_attempts = handover_retry_attempts
-        #: Period of the background reconciler restoring replica
-        #: completeness after gray failures (None = disabled).
+        #: Period of the timer that also runs the replica reconciler, for
+        #: gray failures no event reports (None = no timer).
         self.anti_entropy_interval = anti_entropy_interval
 
     def __repr__(self):
@@ -181,11 +181,12 @@ class Rhino:
         if self.config.anti_entropy_interval is not None:
             reconciler = self.sim.process(self._anti_entropy(), name="anti-entropy")
             reconciler.defused = True
-        self.rebuild_replica_groups()
+        self._place_replica_groups()
         return self
 
-    def rebuild_replica_groups(self):
-        """(Re)run the Replication Manager's bin-packing placement."""
+    def _place_replica_groups(self):
+        """Give every stateful instance that lacks one a replica group (the
+        Replication Manager's bin packing); existing chains stay put."""
         instances = [
             (i.instance_id, i.machine) for i in self.job.stateful_instances()
         ]
@@ -213,7 +214,7 @@ class Rhino:
         Not supported by the RhinoDFS variant (a job that checkpoints to
         the DFS): its restore path reads per-instance checkpoint handles
         out of the coordinator's completed records, which only journal
-        metadata (offsets/cutoffs).
+        metadata (source offsets and timestamps).
         """
         if self.dfs_storage is not None:
             raise ProtocolError(
@@ -271,11 +272,9 @@ class Rhino:
     def _on_instance_checkpoint(self, instance, checkpoint):
         if not instance.machine.alive:
             return
-        try:
-            group = self.replication_manager.group_of(instance.instance_id)
-        except ProtocolError:
-            self.rebuild_replica_groups()
-            group = self.replication_manager.group_of(instance.instance_id)
+        if instance.instance_id not in self.replication_manager.groups:
+            self._place_replica_groups()
+        group = self.replication_manager.group_of(instance.instance_id)
         chain = [m for m in group.chain if m.alive]
         if not chain:
             return
@@ -410,55 +409,59 @@ class Rhino:
 
     def _plan_failure(self, machine):
         """Recover every instance the failed ``machine`` hosted."""
-        # No checkpoint may start (or complete) between the failure and the
-        # handover: a snapshot of the still-empty replacement would
-        # overwrite its replica holding (§4.1.2 step 1 assumes no
-        # checkpoint in flight).
-        self.job.coordinator.suspend()
         dead = [
             (op_name, index, instance)
             for (op_name, index), instance in sorted(self.job.instances.items())
             if instance.machine is machine
         ]
         if not dead and not self.replication_manager.replicas_on(machine):
-            self.job.coordinator.resume()
             raise ProtocolError(
                 f"{machine.name} hosted neither instances nor replicas"
             )
+        # An instance owning no key group (a drained origin) has nothing to
+        # restore.  Plan first: a planning error must not suspend anything.
+        plans = [
+            migration.plan_failure_recovery(self.job, self, op_name, index)
+            for op_name, index, instance in dead
+            if getattr(instance, "state", None) is not None
+            and index in self.job.assignments[op_name].owners()
+        ]
+        # No checkpoint may start (or complete) between the failure and the
+        # handover: a snapshot of the still-empty replacement would
+        # overwrite its replica holding (§4.1.2 step 1 assumes no
+        # checkpoint in flight).
+        self.job.coordinator.suspend()
+        restoring = {(plan.op_name, plan.origin_index): plan for plan in plans}
         alive_machines = [m for m in self.job.machines if m.alive]
-        plans = []
         spare = 0
-        for op_name, index, instance in dead:
-            if getattr(instance, "state", None) is not None:
-                plan = migration.plan_failure_recovery(
-                    self.job, self, op_name, index
-                )
-                plans.append(plan)
+        for op_name, index, _instance in dead:
+            plan = restoring.get((op_name, index))
+            if plan is not None:
                 self._deploy_held_replacement(op_name, index, plan.target_machine)
-            else:
-                target = alive_machines[spare % len(alive_machines)]
-                spare += 1
-                replacement = self.job.replace_instance(op_name, index, target)
-                if hasattr(replacement, "paused"):
-                    # A replacement source must not emit from offset zero;
-                    # it resumes at the handover marker, after the seek.
+                continue
+            target = alive_machines[spare % len(alive_machines)]
+            spare += 1
+            replacement = self.job.replace_instance(op_name, index, target)
+            if hasattr(replacement, "paused"):
+                # A replacement source replays from its newest checkpointed
+                # offset: at the handover marker, or with no handover now,
+                # dropping what every consumer has already seen.
+                self._seek_to_latest(replacement)
+                if plans:
                     replacement.paused = True
-                    self._seek_to_latest(replacement)
-                replacement.start()
+                else:
+                    replacement.replay_filter = consumer_filter(
+                        self.job, [], self.sim.now
+                    )
+            replacement.start()
 
         def commit(token):
             if not plans:
-                # The machine held only replicas (and possibly stateless
-                # instances): no handover ran, so nothing else resumes the
-                # coordinator; only the chains need repair (§4.2.3).
+                # No handover ran, so nothing else resumes the coordinator.
                 self.job.coordinator.resume()
-            # Chain repair is background work: processing has already
-            # resumed, and the bulk copies only restore redundancy.
-            repair = self.sim.process(
-                self._repair_chains(machine, token),
-                name=f"chain-repair:{machine.name}",
-            )
-            repair.defused = True
+            # Background work: the copies only restore redundancy (§4.2.3).
+            self._repair_chains(machine, token)
+            self._reconcile()
 
         return plans, self._replan_failure, commit
 
@@ -497,24 +500,13 @@ class Rhino:
                 return
 
     def _repair_chains(self, failed_machine, token=None):
-        # A replication repair queued under a deposed leader must not
-        # rewrite chains the new leader already owns.
+        """Replace the lost ``failed_machine`` in every chain it was in (a
+        reconcile pass copies the state); a repair queued under a deposed
+        leader must not rewrite chains the new leader already owns."""
         self._check_fence(token)
         primaries = {i.instance_id: i.machine for i in self.job.stateful_instances()}
-        repairs = self.replication_manager.repair_after_failure(
-            failed_machine, primaries
-        )
+        self.replication_manager.repair_after_failure(failed_machine, primaries)
         self._journal_groups()
-        copies = []
-        for instance_id, replacement in repairs:
-            primary = self._live_primary(instance_id)
-            if primary is None:
-                continue  # nothing to copy up to; anti-entropy repairs it later
-            copy = self.replicator.bulk_copy(primary, replacement)
-            copy.defused = True
-            copies.append(copy)
-        if copies:
-            yield self.sim.all_of(copies)
 
     def _live_primary(self, instance_id):
         """The stateful instance named ``instance_id``, if its machine is up."""
@@ -547,14 +539,9 @@ class Rhino:
         return plans, None, functools.partial(self._commit_spawned, plans)
 
     def _machine_with_replica(self, instance_id, fallback):
-        try:
-            group = self.replication_manager.group_of(instance_id)
-        except ProtocolError:
-            return fallback
-        for machine in group.chain:
-            if machine.alive:
-                return machine
-        return fallback
+        group = self.replication_manager.groups.get(instance_id)
+        chain = [m for m in group.chain if m.alive] if group else []
+        return chain[0] if chain else fallback
 
     def _plan_drain(self, machine):
         """Planned migration of every stateful instance off ``machine``.
@@ -608,7 +595,7 @@ class Rhino:
         """
         for plan in plans:
             self.job.graph.operators[plan.op_name].parallelism += 1
-        self.rebuild_replica_groups()
+        self._place_replica_groups()
 
     def _plan_rebalance(self, op_name, moves, node_count=None):
         """Load balancing: move virtual nodes between existing instances.
@@ -646,12 +633,7 @@ class Rhino:
             store = self.replicator.stores.get(machine)
             if store is not None:
                 store.wipe()
-        if self.config.anti_entropy_interval is not None:
-            rejoin = self.sim.process(
-                self._reconcile_pass(),
-                name=f"anti-entropy:rejoin-{machine.name}",
-            )
-            rejoin.defused = True
+        self._reconcile()
 
     def enable_failure_detection(self, detector):
         """Wire a :class:`~repro.cluster.monitor.FailureDetector`.
@@ -666,39 +648,54 @@ class Rhino:
     def _on_machine_suspected(self, machine):
         self.handover_manager.on_machine_suspected(machine)
 
-    # -- anti-entropy (replica completeness reconciliation) ---------------------------
+    # -- the replica reconciler ----------------------------------------------------
 
     def _anti_entropy(self):
-        """Periodic reconciler: re-copy incomplete or missing holdings.
-
-        Gray failures leave replicas *behind* rather than dead -- a chain
-        hop that exhausted its retries, a wiped restart, an interrupted
-        repair, a delta that landed off its base.  Each pass walks every
-        replica group and bulk-copies any incomplete member up to the live
-        primary's latest checkpoint (``ChainReplicator.bulk_copy``).
-        """
+        """Reconcile every ``anti_entropy_interval`` seconds, for gray
+        failures no event reports (a chain hop out of retries, say)."""
         while True:
             yield self.sim.timeout(self.config.anti_entropy_interval)
-            yield from self._reconcile_pass()
+            self._reconcile()
 
-    def _reconcile_pass(self):
-        for instance_id, group in sorted(
-            self.replication_manager.groups.items()
-        ):
+    def _reconcile(self):
+        """The one replica reconciler, and the only caller of ``bulk_copy``
+        (DESIGN.md §8): forget every holding outside its chain (a running
+        handover's pre-copy excepted), then start at once a copy to every
+        live member lacking a complete holding of a primary that has a
+        checkpoint and is not already replicating to it.  Returns at once;
+        each copy fails on its own and the next pass retries it."""
+        if self.dfs_storage is not None:
+            return  # RhinoDFS keeps no replica holdings
+        groups = self.replication_manager.groups
+        running = self.handover_manager.running
+        for machine, store in self.replicator.stores.items():
+            if not machine.alive:
+                continue
+            for instance_id, holding in list(store.holdings.items()):
+                group = groups.get(instance_id)
+                held = holding.checkpoint_id  # a pre-copy's is a tuple
+                if not (group is not None and machine in group.chain) and not (
+                    isinstance(held, tuple) and held[1] in running
+                ):
+                    store.drop(instance_id)
+        for instance_id, group in sorted(groups.items()):
             primary = self._live_primary(instance_id)
-            if primary is None:
-                continue  # mid-recovery; the next pass sees the replacement
-            for member in list(group.chain):
-                if not member.alive or member is primary.machine:
-                    continue
-                if self.replicator.store_on(member).has_complete(instance_id):
-                    continue
+            if primary is None or primary.state.store.last_checkpoint_id is None:
+                continue
+            for member in group.chain:
                 key = (instance_id, member.name)
-                if key in self._reconciling:
+                if not member.alive or member is primary.machine or (
+                    key in self._reconciling
+                    or self.replicator.shipping[instance_id, member]
+                    or self.replicator.store_on(member).has_complete(instance_id)
+                ):
                     continue
+                self._reconciling.add(key)
                 copy = self.replicator.bulk_copy(primary, member)
                 copy.defused = True
-                self._reconciling.add(key)
+                copy.callbacks.append(
+                    lambda _copy, key=key: self._reconciling.discard(key)
+                )
                 if self.sim.tracer.enabled:
                     self.sim.tracer.event(
                         "chaos.reconcile",
@@ -706,16 +703,6 @@ class Rhino:
                         instance=instance_id,
                         member=member.name,
                     )
-                try:
-                    # Waited on individually (not all_of): one failed copy
-                    # must not kill the reconciler -- the next pass retries.
-                    yield copy
-                except Interrupt:
-                    raise
-                except Exception:  # noqa: BLE001 - retried next pass
-                    pass
-                finally:
-                    self._reconciling.discard(key)
 
     # -- introspection ----------------------------------------------------------------
 

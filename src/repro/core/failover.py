@@ -28,8 +28,8 @@ what happens when its leader is lost, on the virtual clock:
    ``replay_checks``, asserted by tests).
 5. **Resume**: each in-flight reconfiguration ends as
    :func:`~repro.core.resolution.resolve` says for a lost leader.
-   Replication chains broken by worker deaths during the outage are
-   repaired and an anti-entropy pass restores replica completeness.
+   Chains that lost a member during the outage get replacements, and
+   one reconcile pass starts the copies they lack (it does not wait).
 
 The takeover is a ``failover`` span, opened at the fault, with ``detect`` /
 ``replay`` / ``resume`` children that sum to it; each ``history`` entry is
@@ -242,17 +242,10 @@ class FailoverManager:
         # redundancy broken during the outage.
         resume_span = phase_span(sim, "failover.resume", track="failover", parent=root)
         yield from self._resume_inflight(state)
-        yield from self._repair_replication()
-        if self.rhino.config.anti_entropy_interval is not None:
-            kick = self.sim.process(
-                self.rhino._reconcile_pass(),
-                name="anti-entropy:failover",
-            )
-            kick.defused = True
+        self._repair_replication()
+        self.rhino._reconcile()
         # Re-baseline the groups record: repairs during the fenced outage
-        # never reached the journal, and the repairs above just did.  Do
-        # NOT re-run bin-packing here -- reshuffling every chain would
-        # strand the holdings replicas already have.
+        # never reached the journal, and the repairs above just did.
         self.rhino._journal_groups()
         self.rhino.job.coordinator.restore_service()
         resume_span.finish()
@@ -331,16 +324,11 @@ class FailoverManager:
                     pass
 
     def _repair_replication(self):
-        """Repair chains that lost members while the coordinator was down."""
-        dead = []
-        seen = set()
-        for group in self.rhino.replication_manager.groups.values():
-            for machine in group.chain:
-                if not machine.alive and machine.name not in seen:
-                    seen.add(machine.name)
-                    dead.append(machine)
-        for machine in dead:
-            yield from self.rhino._repair_chains(machine)
+        """Replace the members chains lost while the coordinator was down."""
+        groups = self.rhino.replication_manager.groups.values()
+        lost = {m.name: m for g in groups for m in g.chain if not m.alive}
+        for machine in lost.values():
+            self.rhino._repair_chains(machine)
 
     def __repr__(self):
         state = "down" if self.down else "up"

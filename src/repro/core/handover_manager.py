@@ -54,6 +54,9 @@ class HandoverManager:
         #: Under a control group, every accepted reconfiguration until it
         #: commits or aborts, by reconfig id (what a takeover resolves).
         self._inflight = {}
+        #: Ids of running handovers (pre-copy included): the reconciler
+        #: keeps their pre-copy holdings.
+        self.running = set()
         self._reconfig_ids = 0
         #: Per-manager handover ids: two runs in one interpreter must
         #: allocate identical ids (they appear in trace tags and journal
@@ -114,7 +117,7 @@ class HandoverManager:
         trigger_time = execution.trigger_time
         config = self.rhino.config
         coordinator = self.job.coordinator
-        root = scheduling_span = transfer_span = None
+        root = scheduling_span = transfer_span = handover_id = None
         try:
             if execution.reconfig_id is not None:
                 # Quorum commit-wait: a leader cut off from its majority
@@ -125,6 +128,7 @@ class HandoverManager:
                 yield from group.await_commit(execution.accepted_record)
             self._handover_ids += 1
             handover_id = self._handover_ids
+            self.running.add(handover_id)
             # One root span over the whole reconfiguration and two
             # contiguous top-level phases the report reads: "scheduling"
             # (trigger -> markers injected, Table 1's first row) and
@@ -267,6 +271,7 @@ class HandoverManager:
                 if span is not None and span.is_open:
                     span.finish(status="aborted")
             coordinator.resume()
+            self.running.discard(handover_id)
 
     def _commit(self, execution):
         """The handover is the epoch transition: commit the new logical

@@ -357,7 +357,6 @@ class ControlJournal:
                         "triggered_at": p["triggered_at"],
                         "completed_at": p["completed_at"],
                         "offsets": dict(p["offsets"]),
-                        "cutoffs": dict(p["cutoffs"]),
                     }
                 )
             elif kind == "checkpoint.aborted":
@@ -424,7 +423,6 @@ class ControlJournal:
                     "triggered_at": record.triggered_at,
                     "completed_at": record.completed_at,
                     "offsets": dict(record.offsets),
-                    "cutoffs": dict(record.cutoffs),
                 }
             )
         state.pending = sorted(coordinator._pending)

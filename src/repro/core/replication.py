@@ -13,6 +13,8 @@ a handover to a worker in the replica group, the target's state is already
 local -- fetching degenerates to hard-linking (Table 1's 0.2 s).
 """
 
+from collections import Counter
+
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
 from repro.core.flow_control import CreditLease, CreditWindow
@@ -114,6 +116,10 @@ class ReplicaStore:
         holding.verify()
         return holding
 
+    def drop(self, store_name):
+        """Forget one holding and free its disk bytes (it left the chain)."""
+        self.machine.disk_free(self.holdings.pop(store_name).bytes_held)
+
     def has_complete(self, store_name):
         """True when the worker holds a complete replica of the store."""
         holding = self.holdings.get(store_name)
@@ -172,6 +178,9 @@ class ChainReplicator:
         self._credits = {}  # origin machine -> CreditWindow
         self._credit_window_bytes = credit_window_bytes
         self.stats = ReplicationStats()
+        #: Replications in flight per (store_name, member): such a member
+        #: lacks nothing a repair copy should ship, its delta is on its way.
+        self.shipping = Counter()
 
     def store_on(self, machine):
         """The (lazily created) replica store of a machine."""
@@ -193,10 +202,14 @@ class ChainReplicator:
     def replicate(self, origin_machine, chain, checkpoint):
         """Returns a Process replicating ``checkpoint``'s delta along
         ``chain`` and ingesting it at every member."""
-        return self.sim.process(
+        keys = [(checkpoint.store_name, member) for member in chain]
+        process = self.sim.process(
             self._replicate(origin_machine, list(chain), checkpoint),
             name=f"replicate:{checkpoint.store_name}#{checkpoint.checkpoint_id}",
         )
+        self.shipping.update(keys)
+        process.callbacks.append(lambda _process: self.shipping.subtract(keys))
+        return process
 
     def _replicate(self, origin, chain, checkpoint):
         started = self.sim.now
@@ -258,7 +271,7 @@ class ChainReplicator:
             tracer.count("replication.bytes", checkpoint.delta_bytes * len(chain))
         return self.stats.last_duration
 
-    # -- repair copy (chain repair, anti-entropy) --------------------------------
+    # -- repair copy (started by the reconcile pass only) -----------------------
 
     def is_current(self, machine, primary):
         """The lineage rule: ``machine`` holds a complete replica of the live

@@ -5,7 +5,8 @@ Runs on the coordinator (§3.3).  For every stateful instance it builds a
 instance's own) that will hold the secondary copies of its state.  The
 placement is a first-fit-decreasing bin packing on expected state bytes so
 replica load spreads evenly across the cluster -- the paper assumes equal
-worker capacities and uses all workers (§4.2 phase 2).
+worker capacities and uses all workers (§4.2 phase 2).  Once placed, a
+chain changes only when a member is lost (:meth:`repair_after_failure`).
 """
 
 from repro.common.errors import ProtocolError
@@ -36,30 +37,35 @@ class ReplicationManager:
         self.groups = {}  # instance_id -> ReplicaGroup
 
     def build_groups(self, instances, state_bytes=None):
-        """Assign a replica group to every instance (protocol setup).
+        """Assign a replica group to every instance that lacks one.
 
         ``instances`` is a list of (instance_id, primary_machine);
         ``state_bytes`` optionally maps instance_id to expected state size
-        (defaults to equal sizes).  First-fit decreasing: the heaviest
-        states are placed first, each on the ``r`` least-loaded eligible
-        workers.
+        (defaults to equal sizes).  A listed instance keeps its group (a
+        re-pack would strand its members' holdings); unlisted ones lose
+        theirs.  The rest are bin-packed first-fit decreasing around the
+        kept ones: heaviest first, each on the ``r`` least-loaded workers.
         """
         state_bytes = state_bytes or {}
+        primaries = dict(instances)
+        self.groups = {i: g for i, g in self.groups.items() if i in primaries}
         load = {worker: 0 for worker in self.workers if worker.alive}
         spread = {}  # (primary, worker) -> co-located replica count
-        ordered = sorted(
-            instances,
+        fresh = sorted(
+            (item for item in instances if item[0] not in self.groups),
             key=lambda item: state_bytes.get(item[0], 1),
             reverse=True,
         )
-        self.groups = {}
-        for instance_id, primary in ordered:
-            weight = state_bytes.get(instance_id, 1)
-            chain = self._pick_chain(primary, load, spread)
+        for instance_id, primary in [
+            (i, primaries[i]) for i in self.groups
+        ] + fresh:
+            group = self.groups.get(instance_id)
+            chain = group.chain if group else self._pick_chain(primary, load, spread)
             for worker in chain:
-                load[worker] += weight
+                if worker in load:
+                    load[worker] += state_bytes.get(instance_id, 1)
                 spread[(primary, worker)] = spread.get((primary, worker), 0) + 1
-            self.groups[instance_id] = ReplicaGroup(instance_id, chain)
+            self.groups[instance_id] = group or ReplicaGroup(instance_id, chain)
         return self.groups
 
     def _pick_chain(self, primary, load, spread=None):

@@ -20,7 +20,6 @@ class CompletedCheckpoint:
         self.completed_at = None
         self.checkpoints = {}  # instance_id -> kvs Checkpoint
         self.offsets = {}  # source instance_id -> log offset
-        self.cutoffs = {}  # instance_id -> last processed record timestamp
 
     def __repr__(self):
         return f"<CompletedCheckpoint {self.checkpoint_id}>"
@@ -130,9 +129,7 @@ class Coordinator:
 
     # -- acknowledgments ----------------------------------------------------------
 
-    def ack_checkpoint(
-        self, checkpoint_id, instance, checkpoint=None, offset=None, cutoff=None
-    ):
+    def ack_checkpoint(self, checkpoint_id, instance, checkpoint=None, offset=None):
         """Record one instance's snapshot acknowledgment."""
         if self._crashed:
             return  # fenced: a crashed coordinator accepts nothing
@@ -148,8 +145,6 @@ class Coordinator:
                 instance=instance.instance_id,
                 delta_bytes=getattr(checkpoint, "delta_bytes", 0),
             )
-        if cutoff is not None:
-            pending.record.cutoffs[instance.instance_id] = cutoff
         if checkpoint is not None:
             pending.record.checkpoints[instance.instance_id] = checkpoint
             for listener in self.instance_checkpoint_listeners:
@@ -185,7 +180,6 @@ class Coordinator:
                 triggered_at=pending.record.triggered_at,
                 completed_at=pending.record.completed_at,
                 offsets=dict(pending.record.offsets),
-                cutoffs=dict(pending.record.cutoffs),
             )
         if pending.span is not None:
             pending.span.finish(status="completed", acks=len(pending.acked))
@@ -240,7 +234,7 @@ class Coordinator:
 
         ``state`` is a :class:`~repro.core.journal.RecoveredControlState`.
         The completed-checkpoint registry is reconstructed with the
-        journaled metadata (offsets, cutoffs, timestamps; a restore reads
+        journaled metadata (offsets and timestamps; a restore reads
         its replay frontier off the checkpoint it restores, not here);
         the per-instance kvs Checkpoint handles live with the workers and
         are rebound lazily by the restore path.  Stranded barriers --
@@ -252,7 +246,6 @@ class Coordinator:
             record = CompletedCheckpoint(item["id"], item["triggered_at"])
             record.completed_at = item["completed_at"]
             record.offsets = dict(item["offsets"])
-            record.cutoffs = dict(item["cutoffs"])
             self.completed.append(record)
         self._next_id = state.next_checkpoint_id
         self._crashed = False

@@ -497,10 +497,7 @@ class OperatorInstance(InstanceBase):
             checkpoint = yield from self.state.checkpoint(barrier.checkpoint_id)
             checkpoint.frontier = self.frontier()
         self.job.coordinator.ack_checkpoint(
-            barrier.checkpoint_id,
-            self,
-            checkpoint=checkpoint,
-            cutoff=self.last_record_ts,
+            barrier.checkpoint_id, self, checkpoint=checkpoint
         )
 
     # -- introspection --------------------------------------------------------

@@ -79,7 +79,6 @@ def preload_state(
         instance.last_record_ts = max(instance.last_record_ts, now)
         checkpoint.frontier = instance.frontier()
         record.checkpoints[instance.instance_id] = checkpoint
-        record.cutoffs[instance.instance_id] = now
         if rhino is not None:
             group = rhino.replication_manager.group_of(instance.instance_id)
             for member in group.chain:

@@ -68,6 +68,9 @@ def check_replication_restored(rhino):
     A member counts only when its holding is complete at its live
     primary's latest checkpoint (``ChainReplicator.is_current``, the rule
     a repair copy's source obeys too): a delta means nothing off its base.
+    A primary that has taken no checkpoint yet is not checked: a chain's
+    lineage starts at a checkpoint, and a failure recovery needs a
+    completed checkpoint anyway.
     """
     factor = rhino.config.replication_factor
     if factor <= 0:
@@ -84,6 +87,8 @@ def check_replication_restored(rhino):
         primary = rhino._live_primary(instance_id)
         if primary is None:
             raise InvariantViolation(f"{instance_id}: no live primary")
+        if primary.state.store.last_checkpoint_id is None:
+            continue
         complete = [
             m.name for m in chain if rhino.replicator.is_current(m, primary)
         ]

@@ -241,7 +241,6 @@ class TestReconfigure:
             "attach",
             "enable_control_group",
             "enable_failure_detection",
-            "rebuild_replica_groups",
             "reconfigure",
             "reports",
         ]

@@ -244,7 +244,6 @@ class TestControlJournal:
             triggered_at=0.0,
             completed_at=0.5,
             offsets={"events/0": 3},
-            cutoffs={"count[0]": 1.25},
         )
         journal.append("checkpoint.triggered", checkpoint=2, expected=["count[0]"])
         journal.append("groups.assigned", groups={"count[0]": ["j-0", "j-1"]})

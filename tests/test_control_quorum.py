@@ -285,17 +285,30 @@ class TestTakeoverGolden:
     lease-expiry takeovers (the lease lapsed 0.5 s before the takeover
     started) exactly those four span starts moved 0.5 s earlier.  Nothing
     else in any trace moved, and no ``RESULT`` did.
+
+    Both were re-captured together once more, for two changes.  Dropping
+    the write-only ``cutoffs`` from the ``checkpoint.completed`` payload
+    shrank the journal: the takeover ``replay`` phase got shorter (seed 1:
+    3.495e-6 -> 2.682e-6 s) and the replay checks lost the key, so every
+    ``RESULT`` moved; counts, MTTR samples, duration and control stats did
+    not.  The one replica reconciler then removed the 8 bulk copies that
+    the 1 s anti-entropy pass started before the first checkpoint
+    completed (8 ``replicate.bulk`` spans and 8 ``chaos.reconcile`` events
+    at t = 1.0 s), which moved 4 checkpoint-1 ``replicate`` spans earlier;
+    and the chain repair's copy after the failure now emits the pass's
+    ``chaos.reconcile`` event too (seed 1: t = 11.3 s).  It moved no
+    ``RESULT``.
     """
 
     RESULT = {
-        1: "f43a9b2c2b48fcbc78da383cb2099bf1093a23bdbafe7784c60b840b5387bd82",
-        2: "e4c93803c61fbaa707e99810abe57cd5eab6f51417b81a62eedca8289f160ae2",
-        6: "5b706c5522f0ed72845fc5d992dfbe8c54e49bdb5ac2fd00ea699f1d45584d10",
+        1: "cb5024cd4a975d636b51b4da1e5e391a85304ffed536bfe38b40a7cab00b4960",
+        2: "880290418a5345a5b9192502ca4745408d9d347db3c080cfa5a4004520460052",
+        6: "14ba04e35946a0d2c48ad39a38c06f907c1693fb93606ba7fbab1b90e1ae47fc",
     }
     TRACE = {
-        1: "c4b9481f092ef31e83d66023807625cb26c3428194957f20d74776a42bec64f1",
-        2: "beccdf2127aa4917228eeebfc1210801588423524a701d6330b98efc7eda6cb0",
-        6: "0112e90ffc9520b8b062af1bc99eb765120c8d9e8c9e87eeedeac7cea9d45223",
+        1: "249605e266cdd15b75b424d7e18a8d3aa1a722235e71e9ffb841afd1c32c2984",
+        2: "c92f1044486fdf4512f4a013aa89f035c9cf0ec893aaf2e21ea8be658da961b1",
+        6: "64d4ffb9dbb9d875e191c2d674bb388d1c8a0555443ee91e953a5d3166ba2712",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
 

@@ -81,16 +81,6 @@ class TestCoordinatorLifecycle:
         env.run(until=4.0)
         assert seen == [r.checkpoint_id for r in job.coordinator.completed]
 
-    def test_cutoffs_recorded_per_instance(self):
-        env = EngineEnv()
-        env.topic("events", 2)
-        job = make_job(env).start()
-        live_feeder(env, "events", KEYS, count=60, interval=0.02)
-        env.run(until=4.0)
-        record = job.coordinator.latest_completed()
-        for instance_id, cutoff in record.cutoffs.items():
-            assert cutoff <= env.sim.now
-
 
 class TestDFSCheckpointStorage:
     def test_tables_uploaded_once(self):

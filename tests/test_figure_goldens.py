@@ -110,14 +110,14 @@ SCRIPTS = {
 #: report: every value they pin is unchanged.
 GOLDEN = {
     "failure/rhino": "03563733903e6d594272ebbdbb2f2db5fa201b5079626802fd1edd365a656fbb",
-    "failure/rhinodfs": "b98cf5db950462ca53ef8f1bd6295980087b37fda439e2a7a1cd29e8b942d8f6",
+    "failure/rhinodfs": "b640c55a054c12292f40c14f8eb2613e607543b1aae2b6961549735bacdaba92",
     "failure/flink": "6785f5e4a146de02621c9e529176a5e2e8bff96dcff3ad09f9542d28a8ab0905",
-    "rescale/rhino": "0ed7d0361bf57f17cf6db2ad1ff609a44ccf7e45b3cea59803a6185b0e0b085f",
+    "rescale/rhino": "8a6966ef2d6265dc1f5f6ff5dfdb0fadd514ac8725038d88a65ed588f48a3f4f",
     "rescale/flink": "ef79ba42e22acff56607bb4bb3df198158cded02ae06445c8d372dd7591f1ecc",
     "rebalance/rhino": "7d2df3cc85c3f3a55a16cc5a9ccd054fe39ec35eb381a04a80ee8490b3565bfb",
     "rebalance/megaphone": "99c318dacb017199a9e46fffbaf89ccec35dc3796eb6bbb207fdc70e8e105ced",
     "rebalance/flink": "ef79ba42e22acff56607bb4bb3df198158cded02ae06445c8d372dd7591f1ecc",
-    "drain-triangular/rhino": "1427b94a2569e4f62302afbdf365cea07a65a4b68fc7d7266afae34108174efa",
+    "drain-triangular/rhino": "9e9d43e192ecdc45335fd135199ce8ed7fb59443f21de5727dcb93c8dba936b0",
     "drain-triangular/flink": "a81b4e49cd7878b1258b394fbdef2b67e3da76a6ca0379f30e2c3d83ca2204e7",
     "figure5/rhino": "62afddac09f0d2caf7ccfbb054442d1bdcde2979db4d3ea00f7873411c80691d",
     "figure5/megaphone": "7f54c583117f96b328853af07c83324f6cd3ce6cf95b30c901dfd66f4269a58f",

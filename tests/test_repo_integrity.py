@@ -213,6 +213,41 @@ class TestOneBlockStream:
         )
 
 
+class TestOneReconciler:
+    def test_only_the_reconcile_pass_calls_bulk_copy(self):
+        """Replica repair is decided in one place, ``Rhino._reconcile``:
+        chain repair, the control takeover, a restart and the timer all run
+        that pass.  A ``bulk_copy`` call anywhere else in ``src/`` would
+        bring back a second repair rule -- copies one after another, or
+        before the primary's first checkpoint -- so it fails here, naming
+        file and line."""
+        api = ROOT / "src" / "repro" / "core" / "api.py"
+        allowed = set()
+        for node in ast.walk(ast.parse(api.read_text(), str(api))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_reconcile":
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        assert allowed, "Rhino._reconcile not found in core/api.py"
+        inside, outside = [], []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None
+                    )
+                    if name == "bulk_copy":
+                        where = f"{path.relative_to(ROOT)}:{node.lineno}"
+                        if path == api and node.lineno in allowed:
+                            inside.append(where)
+                        else:
+                            outside.append(where)
+        assert outside == [], (
+            "bulk_copy called outside Rhino._reconcile; run the reconcile "
+            f"pass instead: {outside}"
+        )
+        assert len(inside) == 1, inside
+
+
 class TestExamplesSmoke:
     @staticmethod
     def run_example(name):

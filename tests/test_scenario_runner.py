@@ -188,12 +188,14 @@ class TestMillionUserAcceptance:
 
 class TestNbq8DrainRegression:
     """A drain under 20 GiB of preloaded state with RF 1 and a 20 s
-    checkpoint interval: the drained worker's chains are rebuilt, and
-    anti-entropy must bring every new member to its primary's latest
-    checkpoint, once.  A repair sourced from a peer holding frozen at an
-    older checkpoint installs a stale base that the next delta cannot
-    complete, so the same member is copied again and again and the run
-    never reaches ``replication-restored``."""
+    checkpoint interval.  The drain keeps every existing chain and only
+    places the new instances, whose first checkpoint replicates their
+    state in full, so no member ever lacks its primary's state and the
+    reconciler copies nothing (26 copies, 13.5 GB, when a committed drain
+    re-packed every chain).  A repair sourced from a peer holding frozen
+    at an older checkpoint would install a stale base that the next delta
+    cannot complete, so the same member would be copied again and again
+    and the run would never reach ``replication-restored``."""
 
     def test_every_invariant_holds_with_one_copy_per_member(self, monkeypatch):
         copies = Counter()
@@ -216,7 +218,8 @@ class TestNbq8DrainRegression:
             )
         }
         assert len(result.handovers) == 1
-        assert copies and max(copies.values()) == 1, copies
+        assert max(copies.values(), default=0) <= 1, copies
+        assert sum(copies.values()) == 0, copies
 
 
 class TestRunSweep:
