@@ -25,8 +25,11 @@ instead of leaking one kernel timeout per reallocation.
 
 Water-filling counts instead of intersecting: each port keeps its flow
 list and a count of unfrozen flows, decremented as flows freeze, so a
-lone flow closes in one round.  A solve seeded only by ports that no flow
-crosses any more skips water-filling and just clears their rate sums.  A
+lone flow closes in one round.  The commonest solves walk no component at
+all: a removal that empties a port drops its rate sum on the spot and
+leaves nothing to re-solve, and, while no port is dirty, a new flow that
+is alone on every port it crosses takes its tightest port's capacity
+directly -- what water-filling gives a one-flow component.  A
 positive-size transfer must cross at least one port.
 
 The oracle is a whole-graph solver kept apart from this module, in
@@ -207,6 +210,8 @@ class FlowScheduler:
         """
         if nbytes < 0:
             raise SimulationError("transfer of negative size")
+        if latency < 0:
+            raise SimulationError(f"negative transfer latency {latency!r}")
         extra_latency = 0
         for port in ports:
             if not port.enabled:
@@ -360,10 +365,16 @@ class FlowScheduler:
         dirty_ports = self._dirty_ports
         for port in flow.ports:
             members = port_flows.get(port)
-            if members is not None:
-                members.discard(flow_id)
-                if not members:
-                    del port_flows[port]
+            if members is None:
+                continue  # a port listed twice, emptied at its first listing
+            members.discard(flow_id)
+            if not members:
+                # Nothing is left to share it: no solve needed, even if an
+                # earlier removal or reallocate() this instant dirtied it.
+                del port_flows[port]
+                rate_sum.pop(port, None)
+                dirty_ports.discard(port)
+                continue
             if rate:
                 rate_sum[port] = rate_sum.get(port, 0.0) - rate
             # The freed share belongs to whoever remains on the component.
@@ -402,10 +413,14 @@ class FlowScheduler:
         rates are unique, and the per-component arithmetic is identical to
         a full solve restricted to that component)."""
         self._solve_pending = False
+        if not self._dirty_ports:
+            self._solve_lone_flows()
+            if not self._dirty_flows:
+                return
         flows, touched_ports = self._collect_components()
         rate_sum = self._port_rate_sum
         if not flows:
-            # Only emptied ports: nothing left to share their capacity.
+            # Only idle ports were reallocated: no flow to re-rate.
             for port in touched_ports:
                 rate_sum.pop(port, None)
             return
@@ -429,6 +444,42 @@ class FlowScheduler:
                 rate_sum[port] = total
             else:
                 rate_sum.pop(port, None)
+
+    def _solve_lone_flows(self):
+        """Settle, without a component walk, every dirty flow that is the
+        only member of each port it crosses, and drop it from the dirty set.
+
+        Only called when no port is dirty, so such a flow is a component
+        of its own.  Water-filling gives it the smallest share
+        ``effective_capacity / 1`` among its ports, which is the smallest
+        capacity itself; its rate is charged once per listed port, as a
+        solve sums it.
+        """
+        flows_by_id = self._flows
+        port_flows = self._port_flows
+        rate_sum = self._port_rate_sum
+        dirty = self._dirty_flows
+        lone = []
+        for flow_id in dirty:
+            flow = flows_by_id[flow_id]
+            rate = None
+            for port in flow.ports:
+                if len(port_flows[port]) > 1:
+                    break
+                capacity = port.effective_capacity
+                if rate is None or capacity < rate:
+                    rate = capacity
+            else:
+                lone.append(flow_id)
+                flow.rate = rate
+                if rate:
+                    for port in flow.ports:
+                        rate_sum[port] = rate_sum.get(port, 0.0) + rate
+                else:
+                    # Stalled: frozen until a reallocate() heals the port.
+                    for port in flow.ports:
+                        rate_sum.pop(port, None)
+        dirty.difference_update(lone)
 
     def _collect_components(self):
         """Flows of every connected component touched by a dirty flow or

@@ -8,7 +8,12 @@ external dependencies and full control over determinism.
 
 Determinism: events scheduled for the same instant fire in scheduling order
 (a monotonically increasing sequence number breaks ties), so repeated runs
-with the same seeds produce identical traces.
+with the same seeds produce identical traces.  Nothing is scheduled into
+the past: a negative delay or an absolute time before ``now`` is refused.
+
+Cost: every simulated element pays kernel events, so :meth:`Simulator.run`
+is the one dispatcher and does it inline: an event costs one heap push when
+it triggers and one heap pop plus its callbacks when it is processed.
 """
 
 import heapq
@@ -66,9 +71,12 @@ class Event:
         return self._value
 
     def succeed(self, value=None, delay=0.0):
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event successfully with ``value``, to be processed
+        ``delay`` simulated seconds from now."""
         if self._state != PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"negative event delay {delay!r}")
         self._state = TRIGGERED
         self._value = value
         self.sim._schedule(self, delay)
@@ -85,18 +93,12 @@ class Event:
             raise SimulationError("fail() needs an exception instance")
         if self._state != PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"negative event delay {delay!r}")
         self._state = TRIGGERED
         self._exception = exception
         self.sim._schedule(self, delay)
         return self
-
-    def _run_callbacks(self):
-        self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks, None
-        for callback in callbacks:
-            callback(self)
-        if self._exception is not None and not self.defused:
-            raise self._exception
 
     def __repr__(self):
         state = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}
@@ -187,7 +189,7 @@ class Process(Event):
         interrupt_event.fail(Interrupt(cause))
 
     def _resume(self, event):
-        if not self.is_alive:
+        if self._state != PENDING:
             return
         self._target = None
         try:
@@ -411,45 +413,42 @@ class Simulator:
 
     # -- execution ----------------------------------------------------
 
-    def step(self):
-        """Process one event.  Raises SimulationError on an empty queue."""
-        if not self._queue:
-            if self._eoi:
-                self._drain_instant()
-            if not self._queue:
-                raise SimulationError("step() on an empty event queue")
-        self.now, _seq, event = heapq.heappop(self._queue)
-        self.events_processed += 1
-        event._run_callbacks()
-
     def run(self, until=None):
         """Run until the queue drains, ``until`` seconds pass, or an event
-        passed as ``until`` triggers.
+        passed as ``until`` is processed.
 
         ``until`` may be a number (absolute simulated time) or an
-        :class:`Event`; with an event, returns that event's value.
+        :class:`Event`; with an event, returns that event's value.  This
+        loop is the only dispatcher: an event costs one heap pop and its
+        callbacks.
         """
         if isinstance(until, Event):
             stop = until
-            while not stop.triggered or stop.callbacks is not None:
-                if self._eoi and self._instant_complete():
-                    self._drain_instant()
-                    continue
-                if not self._queue:
-                    if stop.triggered:
-                        break
+            deadline = float("inf")
+        else:
+            stop = None
+            deadline = float("inf") if until is None else float(until)
+        queue = self._queue
+        heappop = heapq.heappop
+        while stop is None or stop._state != PROCESSED:
+            if self._eoi and (not queue or queue[0][0] > self.now):
+                self._drain_instant()
+            if not queue or queue[0][0] > deadline:
+                if stop is not None and stop._state == PENDING:
                     raise SimulationError(
                         "run(until=event): queue drained before event triggered"
                     )
-                self.step()
-            return stop.value
-        deadline = float("inf") if until is None else float(until)
-        while True:
-            if self._eoi and self._instant_complete():
-                self._drain_instant()
-            if not (self._queue and self._queue[0][0] <= deadline):
                 break
-            self.step()
+            self.now, _seq, event = heappop(queue)
+            self.events_processed += 1
+            event._state = PROCESSED
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._exception is not None and not event.defused:
+                raise event._exception
+        if stop is not None:
+            return stop.value
         if until is not None and self.now < deadline:
             self.now = deadline
         return None

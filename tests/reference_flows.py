@@ -52,6 +52,8 @@ class DenseFlowScheduler:
     def transfer(self, nbytes, ports, latency=0.0, tag=None):
         if nbytes < 0:
             raise SimulationError("transfer of negative size")
+        if latency < 0:
+            raise SimulationError(f"negative transfer latency {latency!r}")
         for port in ports:
             if not port.enabled:
                 event = self.sim.event()

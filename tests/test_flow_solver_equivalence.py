@@ -18,7 +18,7 @@ from repro.cluster import Cluster
 from repro.common.errors import SimulationError
 from repro.experiments.scenarios.chaos import run_chaos
 from repro.sim import Simulator
-from repro.sim.flows import FlowScheduler, Port, TransferFailed
+from repro.sim.flows import FlowLost, FlowScheduler, Port, TransferFailed
 from tests.reference_flows import DenseFlowScheduler
 
 #: (reference, engine under test): every comparison runs both, in this order.
@@ -266,6 +266,16 @@ def _look(scheduler, ports, watch):
     """A step that only takes a snapshot."""
 
 
+def _look_bytes(charged):
+    """A step that appends every port's cumulative bytes to ``charged``."""
+
+    def action(scheduler, ports, watch):
+        scheduler.active_flows()  # account the bytes moved up to now
+        charged.append([repr(scheduler.port_bytes.get(p, 0.0)) for p in ports])
+
+    return action
+
+
 def _assert_engines_agree(capacities, script):
     dense, incremental = (
         _run_script(engine, capacities, script) for engine in ENGINES
@@ -276,8 +286,10 @@ def _assert_engines_agree(capacities, script):
 
 class TestSolverFastPaths:
     """The trivial components of the incremental solver (a lone flow, a
-    solve with no flow left, a tie on the smallest share), rate for rate
-    and completion for completion against the dense reference."""
+    solve with no flow left, a tie on the smallest share) and the paths
+    that settle lone flows and emptied ports without a component walk,
+    rate for rate and completion for completion against the dense
+    reference."""
 
     def test_a_lone_flow_on_idle_ports_takes_its_tightest_port(self):
         snapshots, completions = _assert_engines_agree(
@@ -357,6 +369,98 @@ class TestSolverFastPaths:
             ],
         )
 
+    def test_a_lone_flow_listing_a_port_twice(self):
+        # Alone on p0 but listed there twice: its rate is p1's capacity
+        # and p0 is charged its bytes twice, as the reference charges
+        # every listed port.
+        charged = []
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 8e5],
+            [(0.0, _start("twice", 3e6, [0, 1, 0])), (5.0, _look_bytes(charged))],
+        )
+        assert snapshots[0][1] == [("twice", repr(3e6), repr(8e5))]
+        assert completions["twice"] == ("ok", repr(0.0), repr(3.75))
+        assert charged == [[repr(6e6), repr(3e6)]] * 2
+
+    def test_two_flows_enter_one_idle_port_in_one_instant(self):
+        # "x" and "y" share idle p0, so they water-fill together; "solo",
+        # started in the same instant, is alone on p3.
+        snapshots, _ = _assert_engines_agree(
+            [1e6, 3e5, 2e6, 5e5],
+            [
+                (0.0, _start("x", 2e6, [0, 1])),
+                (0.0, _start("y", 2e6, [2, 0])),
+                (0.0, _start("solo", 1e6, [3])),
+                (0.0, _look),
+                (2.0, _look),
+            ],
+        )
+        rates = {tag: rate for tag, _remaining, rate in snapshots[-2][1]}
+        assert rates == {"x": repr(3e5), "y": repr(7e5), "solo": repr(5e5)}
+
+    def test_a_completion_empties_a_port_and_a_transfer_takes_it_at_once(self):
+        # "first" drains p0 at t=1 exactly when "next" starts on p0 and
+        # p1, while "stay" runs on alone on p2.
+        charged = []
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 4e5, 1e6],
+            [
+                (0.0, _start("first", 1e6, [0])),
+                (0.0, _start("stay", 4e6, [2])),
+                (1.0, _start("next", 1e6, [0, 1])),
+                (1.5, _look_bytes(charged)),
+            ],
+        )
+        assert completions["first"][2] == repr(1.0)
+        rates = {tag: rate for tag, _remaining, rate in snapshots[-1][1]}
+        assert rates == {"stay": repr(1e6), "next": repr(4e5)}
+        assert charged == [[repr(1.2e6), repr(2e5), repr(1.5e6)]] * 2
+
+    def test_a_lone_flow_on_a_degraded_port_is_reallocated(self):
+        def slow(scheduler, ports, watch):
+            ports[0].degrade(capacity_scale=0.25)
+            scheduler.reallocate([ports[0]])
+
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 5e5],
+            [
+                (0.0, _start("lone", 2e6, [0])),
+                (0.0, _start("other", 1e6, [1])),
+                (1.0, slow),
+                (2.0, _look),
+            ],
+        )
+        rates = {tag: rate for tag, _remaining, rate in snapshots[-2][1]}
+        assert rates == {"lone": repr(2.5e5), "other": repr(5e5)}
+        assert completions["lone"][2] == repr(5.0)
+
+    def test_a_lone_flow_severed_by_a_partition_or_a_port_failure(self):
+        def sever(scheduler, ports, watch):
+            scheduler.fail_flows_matching(
+                lambda flow_ports: ports[0] in flow_ports,
+                lambda flow: FlowLost(flow.ports[0]),
+            )
+
+        def kill(scheduler, ports, watch):
+            scheduler.fail_ports([ports[2]])
+
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 5e5, 2e5, 1e6],
+            [
+                (0.0, _start("cut", 2e6, [0, 1])),
+                (0.0, _start("dead", 2e6, [2, 3])),
+                (1.0, sever),
+                (1.0, _start("after-cut", 1e6, [0, 1])),
+                (2.0, kill),
+                (2.0, _start("after-kill", 1e6, [3])),
+                (2.5, _look),
+            ],
+        )
+        assert completions["cut"] == ("fail", "FlowLost", repr(1.0))
+        assert completions["dead"] == ("fail", "PortFailed", repr(2.0))
+        rates = {tag: rate for tag, _remaining, rate in snapshots[-1][1]}
+        assert rates == {"after-cut": repr(5e5), "after-kill": repr(1e6)}
+
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_transfer_crossing_no_port_is_refused(engine):
@@ -364,6 +468,18 @@ def test_a_transfer_crossing_no_port_is_refused(engine):
     sim = Simulator()
     with pytest.raises(SimulationError, match="no port"):
         engine(sim).transfer(1e6, [])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_negative_latency_rejected(engine):
+    """It would land the transfer before it started: both engines raise."""
+    sim = Simulator()
+    scheduler = engine(sim)
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError, match="latency"):
+        scheduler.transfer(1e6, [Port("nic", 1e6)], latency=-3.0)
+    sim.run()
+    assert sim.now == 1.0
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -248,27 +248,34 @@ class TestIncrementalEngine:
     def test_component_local_solve_leaves_other_components_untouched(
         self, sim, scheduler
     ):
-        """A new flow on port B must not re-solve port A's component."""
+        """Two new flows on port B re-solve B's component, never port A's."""
         port_a = Port("a", 1e6)
         port_b = Port("b", 1e6)
-        scheduler.transfer(1e6, [port_a])
+        scheduler.transfer(1e6, [port_a], tag="a-flow")
         sim.run(until=0.1)
         solved = []
         original = scheduler._waterfill
 
         def recording(flows):
-            solved.extend(f.tag for f in flows)
+            solved.append(sorted(f.tag for f in flows))
             return original(flows)
 
         scheduler._waterfill = recording
-
-        def second():
-            yield scheduler.transfer(1e5, [port_b], tag="b-flow")
-
-        sim.process(second())
-        sim.run(until=0.2)
-        assert "b-flow" in solved
-        assert len(solved) == 1  # port A's flow was never re-solved
+        pair = [scheduler.transfer(1e5, [port_b], tag=f"b{i}") for i in range(2)]
+        sim.run(until=0.15)
+        assert solved == [["b0", "b1"]]  # port A's flow was never re-solved
+        assert {tag: rate for tag, _left, rate in scheduler.active_flows()} == {
+            "a-flow": 1e6,
+            "b0": 5e5,
+            "b1": 5e5,
+        }
+        sim.run(until=pair[1])
+        # Alone on B, a flow takes the whole port without water-filling.
+        solved.clear()
+        scheduler.transfer(1e5, [port_b], tag="lone")
+        assert scheduler.port_rate(port_b) == 1e6
+        assert scheduler.port_rate(port_a) == 1e6
+        assert solved == []
 
     def test_queries_flush_pending_solve_mid_instant(self, sim, scheduler):
         """active_flows()/port_rate() see current rates before instant end."""

@@ -34,6 +34,16 @@ class TestClockAndTimeouts:
         with pytest.raises(SimulationError):
             sim.timeout(-1)
 
+    def test_negative_event_delay_rejected(self, sim):
+        # Scheduling into the past would run the clock backwards.
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="negative"):
+            sim.event().succeed(delay=-1.0)
+        with pytest.raises(SimulationError, match="negative"):
+            sim.event().fail(ValueError("late"), delay=-1.0)
+        sim.run()
+        assert sim.now == 2.0
+
     def test_timeout_carries_value(self, sim):
         timeout = sim.timeout(1.0, value="payload")
         sim.run()
@@ -408,3 +418,76 @@ class TestEndOfInstantHooks:
         sim.process(proc())
         sim.run()
         assert sim.events_processed > before
+
+
+class TestDispatch:
+    """``run(until=time)`` and ``run(until=event)`` dispatch the same
+    events, in the same order, with the same count."""
+
+    @staticmethod
+    def _model(sim, log):
+        """Same-instant ties, an end-of-instant hook that schedules at its
+        own instant while later events wait, a failure a waiter handles and
+        one nobody does.  Returns the model's last event."""
+
+        def record(label):
+            log.append((sim.now, label))
+
+        def hook():
+            record("hook")
+            event = sim.event()
+            event.callbacks.append(lambda _event: record("hook-event"))
+            event.succeed()
+
+        def ticker(tag):
+            yield sim.timeout(1.0)
+            record(tag)
+            if tag == "a":
+                sim.at_instant_end(hook)
+
+        def catcher():
+            failure = sim.event()
+            failure.fail(ValueError("handled"), delay=2.0)
+            try:
+                yield failure
+            except ValueError:
+                record("caught")
+
+        def last():
+            yield sim.timeout(4.0)
+            record("last")
+
+        sim.timeout(2.0).callbacks.append(lambda _event: record("tick"))
+        for tag in ("a", "b"):
+            sim.process(ticker(tag))
+        sim.process(catcher())
+        sim.event().fail(RuntimeError("unhandled"), delay=3.0)
+        return sim.process(last())
+
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            lambda sim, _end: sim.run(until=10.0),
+            lambda sim, end: sim.run(until=end),
+        ],
+        ids=["until-time", "until-event"],
+    )
+    def test_run_until_time_and_until_event_dispatch_alike(self, drive):
+        sim = Simulator()
+        log = []
+        end = self._model(sim, log)
+        with pytest.raises(RuntimeError, match="unhandled"):
+            drive(sim, end)
+        assert log[-1] == (2.0, "caught")
+        drive(sim, end)
+        assert log == [
+            (1.0, "a"),
+            (1.0, "b"),
+            (1.0, "hook"),
+            (1.0, "hook-event"),
+            (2.0, "tick"),
+            (2.0, "caught"),
+            (4.0, "last"),
+        ]
+        assert end.processed
+        assert sim.events_processed == 15
