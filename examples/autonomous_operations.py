@@ -1,14 +1,14 @@
 """Autonomous operations: Rhino + automatic decision-makers.
 
 The paper positions Rhino as the *mechanism* and delegates decisions to
-monitors like Dhalion/DS2 (§3.3).  This example wires the included
-decision-makers to a running query and then misbehaves at it:
+monitors like Dhalion/DS2 (§3.3).  This example writes three such
+decision-makers as plain callbacks on a running query and then misbehaves
+at it:
 
-* a :class:`FailureController` recovers machine failures automatically;
-* a :class:`LoadBalanceController` detects key skew and rebalances
-  virtual nodes on its own;
-* an :class:`AdaptiveCheckpointScheduler` tunes the checkpoint interval
-  to the state churn.
+* a failure listener recovers every machine failure automatically;
+* a sampling loop detects key skew and rebalances virtual nodes on its own;
+* a checkpoint listener tunes the checkpoint interval to the state churn
+  (the paper's adaptive checkpointing future work, §5.6).
 
 No operator in the loop -- the cluster heals and balances itself.
 
@@ -16,9 +16,7 @@ Run:  python examples/autonomous_operations.py
 """
 
 from repro.common.rng import make_rng
-from repro.core.adaptive import AdaptiveCheckpointScheduler
 from repro.core.api import Rhino, RhinoConfig
-from repro.core.controller import FailureController, LoadBalanceController
 from repro.engine.graph import StreamGraph
 from repro.engine.job import Job, JobConfig
 from repro.engine.operators import StatefulCounterLogic
@@ -52,14 +50,67 @@ def main():
     job = Job(sim, cluster, graph, log, list(cluster), config=config).start()
     rhino = Rhino(job, cluster, RhinoConfig(scheduling_delay=0.2)).attach()
 
-    FailureController(rhino).attach()
-    balancer = LoadBalanceController(
-        rhino, "count", interval=10.0, skew_threshold=2.5, cooldown=30.0
-    )
-    balancer.start()
-    scheduler = AdaptiveCheckpointScheduler(
-        job, target_delta_bytes=512 * 1024
-    ).attach()
+    def recover(machine):
+        # Recover every failed machine that hosted an instance or a replica.
+        if any(i.machine is machine for i in job.all_instances()) or (
+            rhino.replication_manager.replicas_on(machine)
+        ):
+            rhino.reconfigure("failure", machine=machine).defused = True
+
+    job.failure_listeners.append(recover)
+
+    rebalances = []  # (time, origin index, target index, skew ratio)
+
+    def balance():
+        # Every 10 s, sample each live count instance's processing rate; when
+        # the hottest runs 2.5x the coldest (rates floored at 1 record/s),
+        # move half the hot one's virtual nodes to the cold one.  A 30 s
+        # cooldown after each move prevents oscillation.
+        seen, last_move = {}, float("-inf")
+        while True:
+            yield sim.timeout(10.0)
+            rates = {}
+            for instance in job.stateful_instances("count"):
+                if instance.machine.alive:
+                    count = instance.weighted_records_processed
+                    previous = seen.get(instance.instance_id, 0)
+                    rates[instance.index] = (count - previous) / 10.0
+                    seen[instance.instance_id] = count
+            if len(rates) < 2 or sim.now - last_move < 30.0:
+                continue
+            hot, cold = max(rates, key=rates.get), min(rates, key=rates.get)
+            ratio = rates[hot] / max(rates[cold], 1.0)
+            span = job.assignments["count"].ranges_of(hot).span()
+            if rates[hot] < 1.0 or ratio < 2.5 or span < 2:
+                continue
+            rebalances.append((sim.now, hot, cold, ratio))
+            last_move = sim.now
+            handover = rhino.reconfigure(
+                "rebalance", op_name="count", moves=[(hot, cold)]
+            )
+            handover.defused = True
+            yield handover
+
+    sim.process(balance(), name="balancer")
+
+    adjustments = []  # (time, old interval, new interval, largest delta)
+
+    def tune_interval(record):
+        # Keep the largest incremental-checkpoint delta near 512 KiB: halve
+        # the interval above it, grow it by a quarter below a quarter of it,
+        # within [10 s, 600 s].
+        delta = max(c.delta_bytes for c in record.checkpoints.values())
+        old = job.coordinator.interval
+        new = old
+        if delta > 512 * 1024:
+            new = max(10.0, old * 0.5)
+        elif delta < 128 * 1024:
+            new = min(600.0, old * 1.25)
+        if new != old:
+            job.coordinator.interval = new
+            adjustments.append((sim.now, old, new, delta))
+
+    job.coordinator.checkpoint_listeners.append(tune_interval)
 
     # A skewed workload: most records hit keys of one instance.
     rng = make_rng(11, "autonomous")
@@ -88,12 +139,12 @@ def main():
     sim.run(until=100.0)
 
     print("\n== what the autopilot did ==")
-    for when, origin, target, ratio in balancer.decisions:
+    for when, origin, target, ratio in rebalances:
         print(
             f"  t={when:5.1f}s load balance: count[{origin}] -> count[{target}] "
             f"(skew ratio {ratio:.1f}x)"
         )
-    for when, old, new, delta in scheduler.adjustments[:5]:
+    for when, old, new, delta in adjustments[:5]:
         print(
             f"  t={when:5.1f}s checkpoint interval {old:.1f}s -> {new:.1f}s "
             f"(max delta {delta} B)"
@@ -110,7 +161,7 @@ def main():
     print(
         f"\nresult integrity: {sum(finals.values())} events counted exactly "
         f"once across {len(finals)} keys, through a failure and "
-        f"{len(balancer.decisions)} rebalance(s)"
+        f"{len(rebalances)} rebalance(s)"
     )
     latency = job.metrics.latency
     print(

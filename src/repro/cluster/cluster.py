@@ -278,11 +278,6 @@ class Cluster:
             return True
         return self._partition.get(src.name, -1) == self._partition.get(dst.name, -1)
 
-    @property
-    def partitioned(self):
-        """True while a network partition is active."""
-        return bool(self._partition)
-
     # -- failure injection ---------------------------------------------------
 
     def kill(self, machine):

@@ -145,11 +145,6 @@ class Machine:
             if remaining <= 0:
                 break
 
-    @property
-    def disk_used(self):
-        """Bytes currently occupying this machine's disks."""
-        return sum(d.used for d in self.disks)
-
     # -- lifecycle ----------------------------------------------------------
 
     def register_process(self, process):

@@ -211,10 +211,6 @@ class FailureDetector:
         """Currently suspected machines, in suspicion order."""
         return list(self._suspected.values())
 
-    def is_suspected(self, machine):
-        """True while ``machine`` is under suspicion."""
-        return machine.name in self._suspected
-
     def _heartbeat_ok(self, machine):
         if not machine.alive:
             return False

@@ -68,9 +68,9 @@ class RhinoConfig:
         handover_retry_attempts=1,
         anti_entropy_interval=None,
     ):
-        if replication_factor < 0:
+        if replication_factor < 1:
             raise ProtocolError(
-                f"replication_factor must be >= 0, got {replication_factor}"
+                f"replication_factor must be >= 1, got {replication_factor}"
             )
         if block_size <= 0:
             raise ProtocolError(f"block_size must be > 0, got {block_size}")

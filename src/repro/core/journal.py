@@ -104,8 +104,8 @@ class RecoveredControlState:
 
     A pure value object: :meth:`to_dict` is canonical (sorted keys, plain
     containers only), so two replays of the same journal -- or a replay
-    and a live snapshot taken at the same instant -- compare bit-identical
-    through :meth:`to_json`.
+    and a live snapshot taken at the same instant -- compare equal
+    through it.
     """
 
     def __init__(self):
@@ -135,10 +135,6 @@ class RecoveredControlState:
             "epoch": self.epoch,
             "control_members": list(self.control_members),
         }
-
-    def to_json(self):
-        """Canonical JSON; bit-identical across equivalent states."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def __eq__(self, other):
         if not isinstance(other, RecoveredControlState):

@@ -6,7 +6,8 @@ instance's own) that will hold the secondary copies of its state.  The
 placement is a first-fit-decreasing bin packing on expected state bytes so
 replica load spreads evenly across the cluster -- the paper assumes equal
 worker capacities and uses all workers (§4.2 phase 2).  Once placed, a
-chain changes only when a member is lost (:meth:`repair_after_failure`).
+chain changes only when a member is lost or a recovery moves the primary
+onto a member's machine (:meth:`repair_after_failure`).
 """
 
 from repro.common.errors import ProtocolError
@@ -100,7 +101,9 @@ class ReplicationManager:
         ]
 
     def repair_after_failure(self, failed_worker, primaries):
-        """Replace ``failed_worker`` in every chain it belongs to.
+        """Replace ``failed_worker`` in every chain it belongs to, and every
+        member that is now its group's own primary machine (a recovery
+        moves a primary onto its replica's machine).
 
         ``primaries`` maps instance_id to its (current) primary machine.
         Returns the list of (instance_id, replacement_worker) repairs --
@@ -114,28 +117,17 @@ class ReplicationManager:
                 if worker.alive:
                     load[worker] = load.get(worker, 0) + 1
         for group in self.groups.values():
-            if failed_worker not in group.chain:
-                continue
             primary = primaries.get(group.instance_id)
-            occupied = set(group.chain) | ({primary} if primary else set())
-            candidates = [
-                w for w in load if w.alive and w not in occupied
-            ]
-            if not candidates:
-                raise ProtocolError(
-                    f"no replacement worker for group of {group.instance_id}"
-                )
-            candidates.sort(key=lambda w: (load[w], w.name))
-            replacement = candidates[0]
-            load[replacement] += 1
-            group.chain[group.chain.index(failed_worker)] = replacement
-            repairs.append((group.instance_id, replacement))
+            for lost in [w for w in group.chain if w in (failed_worker, primary)]:
+                occupied = set(group.chain) | {primary}
+                candidates = [w for w in load if w.alive and w not in occupied]
+                if not candidates:
+                    raise ProtocolError(
+                        f"no replacement worker for group of {group.instance_id}"
+                    )
+                candidates.sort(key=lambda w: (load[w], w.name))
+                replacement = candidates[0]
+                load[replacement] += 1
+                group.chain[group.chain.index(lost)] = replacement
+                repairs.append((group.instance_id, replacement))
         return repairs
-
-    def load_summary(self):
-        """{worker: number of replica groups it participates in}."""
-        summary = {}
-        for group in self.groups.values():
-            for worker in group.chain:
-                summary[worker] = summary.get(worker, 0) + 1
-        return summary

@@ -90,12 +90,3 @@ class DFSCheckpointStorage:
                 fetched += yield self.dfs.read(path, machine, parallelism=8)
         span.finish(bytes=fetched)
         return fetched
-
-    def local_bytes(self, machine, checkpoint):
-        """Bytes of the checkpoint already local to ``machine``."""
-        total = 0
-        for table in checkpoint.full_tables:
-            path = self.table_path(checkpoint.store_name, table.table_id)
-            if self.dfs.exists(path):
-                total += self.dfs.local_bytes(path, machine)
-        return total

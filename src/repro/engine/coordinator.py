@@ -59,7 +59,7 @@ class Coordinator:
 
     def start(self):
         """Start the background process; returns it."""
-        if self.interval is None or self.interval <= 0:
+        if self.interval is None:
             return None
         self._process = self.sim.process(self._run(), name="coordinator")
         return self._process

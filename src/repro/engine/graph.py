@@ -120,14 +120,6 @@ class StreamGraph:
         """Edges entering a vertex."""
         return [e for e in self.edges if e.downstream == name]
 
-    def outbound_edges(self, name):
-        """Edges leaving a vertex."""
-        return [e for e in self.edges if e.upstream == name]
-
-    def stateful_operators(self):
-        """All stateful operator vertices."""
-        return [op for op in self.operators.values() if op.stateful]
-
     def validate(self):
         """Check structural invariants; returns self."""
         if not self.sources:

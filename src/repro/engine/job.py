@@ -34,6 +34,19 @@ class JobConfig:
         source_idle_timeout=0.2,
         source_rate_limit=None,
     ):
+        if num_key_groups < 1:
+            raise EngineError(f"num_key_groups must be >= 1, got {num_key_groups}")
+        if virtual_node_count < 1:
+            raise EngineError(
+                f"virtual_node_count must be >= 1, got {virtual_node_count}"
+            )
+        if checkpoint_interval is not None and checkpoint_interval <= 0:
+            # None disables periodic checkpoints; there is no other off value.
+            raise EngineError(
+                f"checkpoint_interval must be > 0, got {checkpoint_interval}"
+            )
+        if source_rate_limit is not None and source_rate_limit <= 0:
+            raise EngineError(f"source_rate_limit must be > 0, got {source_rate_limit}")
         if exchange_interval <= 0:
             raise EngineError(f"exchange_interval must be > 0, got {exchange_interval}")
         if watermark_interval < 0:
@@ -271,10 +284,6 @@ class Job:
         for instance in self.operator_instances(sink_name):
             results.extend(instance.logic.results)
         return results
-
-    def total_state_bytes(self, op_name=None):
-        """Aggregate stateful bytes across the workload's operators."""
-        return sum(i.state.total_bytes for i in self.stateful_instances(op_name))
 
     def edge_runtimes(self, downstream=None, upstream=None):
         """Edge runtimes filtered by endpoint names."""

@@ -99,10 +99,6 @@ class RecordBatch:
         """Column view: the records' partitioning keys, in row order."""
         return [record.key for record in self.records]
 
-    def timestamps(self):
-        """Column view: the records' event-time timestamps, in row order."""
-        return [record.timestamp for record in self.records]
-
     @property
     def total_bytes(self):
         """Modeled bytes including the records each row stands for."""

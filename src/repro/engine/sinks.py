@@ -64,11 +64,6 @@ class TransactionalSinkLogic(OperatorLogic):
             self.committed.extend(results[:room])
 
     @property
-    def uncommitted_count(self):
-        """Results not yet externally visible."""
-        return len(self._pending) + sum(len(v) for v in self._prepared.values())
-
-    @property
     def results(self):
         """The externally visible output (committed only)."""
         return self.committed

@@ -334,12 +334,6 @@ class SutHandle:
         """The first (headline) stateful operator of the workload."""
         return self.spec.stateful_ops[0]
 
-    def total_state_bytes(self):
-        """Aggregate stateful bytes across the workload's operators."""
-        return sum(
-            self.job.total_state_bytes(op) for op in self.spec.stateful_ops
-        )
-
     def preload(self, total_bytes, checkpoint_id=0):
         """Install prior state + checkpoint artifacts for every stateful op."""
         per_op = total_bytes // len(self.spec.stateful_ops)

@@ -218,11 +218,7 @@ def _source_fed_expectations(handle, generator):
 def _uses_chains(rhino):
     """True when the SUT replicates through state-centric replica chains
     (RhinoDFS moves state through the DFS; the chain invariant is n/a)."""
-    return (
-        rhino is not None
-        and rhino.config.replication_factor > 0
-        and rhino.dfs_storage is None
-    )
+    return rhino is not None and rhino.dfs_storage is None
 
 
 def _replay_reason(scenario, handle):

@@ -276,12 +276,6 @@ class Scenario:
                 )
         return scenario
 
-    def save(self, path):
-        """Write the scenario to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
     @classmethod
     def load(cls, path):
         """Read one scenario from a JSON file."""

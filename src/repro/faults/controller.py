@@ -63,10 +63,6 @@ class ChaosController:
         """True once every event has been injected and reverted."""
         return self._process is not None and not self._process.is_alive
 
-    def quiesced(self):
-        """True when no injected fault is still active."""
-        return not self.active
-
     def _run(self):
         tracer = self.sim.tracer
         for index, event in enumerate(self.plan):

@@ -63,7 +63,8 @@ def check_exactly_once(job, expected, sink_name="out"):
 
 
 def check_replication_restored(rhino):
-    """Every replica chain holds complete copies on alive machines.
+    """Every replica chain holds complete copies on alive machines other
+    than its primary's own.
 
     A member counts only when its holding is complete at its live
     primary's latest checkpoint (``ChainReplicator.is_current``, the rule
@@ -73,8 +74,6 @@ def check_replication_restored(rhino):
     completed checkpoint anyway.
     """
     factor = rhino.config.replication_factor
-    if factor <= 0:
-        return
     for instance_id, group in sorted(rhino.replication_manager.groups.items()):
         chain = list(group.chain)
         if not chain:
@@ -87,6 +86,11 @@ def check_replication_restored(rhino):
         primary = rhino._live_primary(instance_id)
         if primary is None:
             raise InvariantViolation(f"{instance_id}: no live primary")
+        if primary.machine in chain:
+            raise InvariantViolation(
+                f"{instance_id}: replica chain names its primary's machine "
+                f"{primary.machine.name}"
+            )
         if primary.state.store.last_checkpoint_id is None:
             continue
         complete = [

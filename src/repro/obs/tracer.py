@@ -220,12 +220,6 @@ class Tracer:
             )
         return matches[0]
 
-    def durations(self, name, **tags):
-        """Durations of every *closed* span matching."""
-        return [
-            s.duration for s in self.find(name, **tags) if s.end is not None
-        ]
-
     def __repr__(self):
         return (
             f"<Tracer spans={len(self.spans)} events={len(self.events)} "

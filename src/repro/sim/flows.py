@@ -262,10 +262,6 @@ class FlowScheduler:
         flows = self._flows
         return sum(flows[fid].rate for fid in sorted(self._port_flows.get(port, ())))
 
-    def fail_port(self, port):
-        """Disable ``port`` and fail every flow crossing it."""
-        self.fail_ports([port])
-
     def fail_ports(self, ports):
         """Disable several ports at once, failing every crossing flow.
 

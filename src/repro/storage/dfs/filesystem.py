@@ -142,11 +142,6 @@ class DistributedFileSystem:
         """Size in bytes of a stored file."""
         return self.namenode.lookup(path).size
 
-    def local_bytes(self, path, machine):
-        """Bytes of ``path`` that have a replica local to ``machine``."""
-        meta = self.namenode.lookup(path)
-        return sum(b.size for b in meta.blocks if machine in b.alive_replicas())
-
     def _split(self, nbytes):
         # A zero-byte file still has one (empty) block.
         return split_bytes(nbytes, self.block_size) or [0]

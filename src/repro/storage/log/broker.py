@@ -145,7 +145,3 @@ class DurableLog:
     def cursor(self, topic, partition_index, consumer_machine=None):
         """A new consumer cursor for a partition."""
         return LogCursor(self, topic, partition_index, consumer_machine)
-
-    def end_offsets(self, topic):
-        """Per-partition end offsets of a topic."""
-        return [p.end_offset for p in self.topics[topic]]

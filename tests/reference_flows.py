@@ -85,9 +85,6 @@ class DenseFlowScheduler:
         self._advance()
         return sum(f.rate for f in self._flows.values() if port in f.ports)
 
-    def fail_port(self, port):
-        self.fail_ports([port])
-
     def fail_ports(self, ports):
         for port in ports:
             port.enabled = False

@@ -78,6 +78,7 @@ class TestRhinoConfig:
         "kwargs",
         [
             {"replication_factor": -1},
+            {"replication_factor": 0},
             {"block_size": 0},
             {"block_size": -5},
             {"credit_window_bytes": 0},
@@ -189,6 +190,14 @@ class TestJobConfig:
             ("watermark_interval", -1.0),
             ("exchange_interval", 0),
             ("exchange_interval", -0.25),
+            ("num_key_groups", 0),
+            ("virtual_node_count", 0),
+            # None disables checkpoints; a non-positive interval is an error.
+            ("checkpoint_interval", 0),
+            ("checkpoint_interval", -5),
+            # None means no cap; zero is not a rate.
+            ("source_rate_limit", 0),
+            ("source_rate_limit", -1.0),
         ],
     )
     def test_out_of_range_timing_is_a_typed_error(self, field, value):

@@ -241,7 +241,9 @@ class TestMegaphone:
         env.run(until=4.0)
         megaphone.account_memory()
         charged = sum(m.memory_used for m in env.machines)
-        assert charged == job.total_state_bytes("count")
+        assert charged == sum(
+            i.state.total_bytes for i in job.stateful_instances("count")
+        )
 
     def test_out_of_memory_kills_job(self):
         env, job, megaphone = self.make_setup(memory=4096)

@@ -144,7 +144,6 @@ class TestPartitions:
     def test_reachability_and_implicit_group(self, cluster):
         a, b, c = (make_machine(cluster, n) for n in "abc")
         cluster.partition([[a, b]])
-        assert cluster.partitioned
         assert cluster.reachable(a, b)
         assert not cluster.reachable(a, c)  # c falls in the implicit group
         cluster.heal()
@@ -363,8 +362,7 @@ class TestFailureDetector:
         assert not detector.suspected()
         cluster.kill(b)
         sim.run(until=4.0)
-        assert detector.is_suspected(b)
-        assert not detector.is_suspected(a)
+        assert detector.suspected() == [b]
         cluster.restart(b)
         sim.run(until=5.0)
         assert not detector.suspected()
@@ -383,11 +381,11 @@ class TestFailureDetector:
         detector.start()
         cluster.partition([[a], [b]])
         sim.run(until=2.0)
-        assert detector.is_suspected(b)
+        assert detector.suspected() == [b]
         assert b.alive  # false suspicion: the machine is fine
         cluster.heal()
         sim.run(until=3.0)
-        assert not detector.is_suspected(b)
+        assert detector.suspected() == []
 
     def test_callbacks_fire(self, sim, cluster):
         _a, b = make_machine(cluster, "a"), make_machine(cluster, "b")
@@ -492,7 +490,7 @@ class TestChaosController:
         assert not cluster.reachable(a, b)
         sim.run(until=6.0)
         assert cluster.reachable(a, b)
-        assert controller.done and controller.quiesced()
+        assert controller.done and not controller.active
         assert [(kind, action) for _t, kind, _targets, action in controller.log] == [
             ("crash-restart", "inject"),
             ("crash-restart", "revert"),

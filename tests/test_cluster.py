@@ -82,7 +82,7 @@ class TestDiskIO:
         event = machine.disk_write(250.0)
         sim.run(until=event)
         assert sim.now == pytest.approx(10.0)  # 250 B at 25 B/s
-        assert machine.disk_used == 250.0
+        assert sum(d.used for d in machine.disks) == 250.0
 
     def test_reads_round_robin_across_disks(self, sim, cluster):
         machine = make_machine(cluster)
@@ -98,7 +98,7 @@ class TestDiskIO:
         event = machine.disk_write(400.0)
         sim.run(until=event)
         machine.disk_free(150.0)
-        assert machine.disk_used == 250.0
+        assert sum(d.used for d in machine.disks) == 250.0
 
 
 class TestNetworkTransfers:

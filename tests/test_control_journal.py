@@ -1,6 +1,8 @@
 """Unit tests for the control journal, block checksums, and fault-plan
 validation."""
 
+import json
+
 import pytest
 
 from repro.cluster import Cluster
@@ -281,7 +283,8 @@ class TestControlJournal:
         journal.append("handover.marker", reconfig=1, handover=3)
         first = journal.replay()
         second = journal.replay()
-        assert first.to_json() == second.to_json()
+        canonical = [json.dumps(s.to_dict(), sort_keys=True) for s in (first, second)]
+        assert canonical[0] == canonical[1]
         assert first == second
 
     def test_commit_and_clear_remove_inflight_and_suspicion(self):

@@ -298,6 +298,16 @@ class TestTakeoverGolden:
     and the chain repair's copy after the failure now emits the pass's
     ``chaos.reconcile`` event too (seed 1: t = 11.3 s).  It moved no
     ``RESULT``.
+
+    ``TRACE[2]`` and ``TRACE[6]`` were re-captured when the chain repair
+    began replacing a member that a failure recovery had made the
+    group's own primary machine: ``count[3]``'s chain ``[w-0, w-1]``
+    with its primary on w-0 became ``[w-4, w-1]``, so each later
+    ``replicate`` of ``count[3]`` runs w-0 -> w-4 -> w-1 instead of a
+    zero-time hop on w-0 and ends ~0.5 ms later (seed 2: 11 spans,
+    seed 6: 2), and the ``replication.bytes`` / ``.checkpoints`` samples
+    of those instants reorder.  No span or event was added or removed,
+    and no ``RESULT`` moved.
     """
 
     RESULT = {
@@ -307,8 +317,8 @@ class TestTakeoverGolden:
     }
     TRACE = {
         1: "249605e266cdd15b75b424d7e18a8d3aa1a722235e71e9ffb841afd1c32c2984",
-        2: "c92f1044486fdf4512f4a013aa89f035c9cf0ec893aaf2e21ea8be658da961b1",
-        6: "64d4ffb9dbb9d875e191c2d674bb388d1c8a0555443ee91e953a5d3166ba2712",
+        2: "cd9e147f2409211a7d01622297ed0d4370827a518bee55dc72b0c9c9eba9022b",
+        6: "3324683d58a2c20ebf966c875cda0bbd080bd20c4d1ce901e045535f3b2c4250",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
 

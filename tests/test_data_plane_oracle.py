@@ -163,7 +163,7 @@ def run_pipeline(seed):
 
     # The pipeline has quiesced: every generated record must be consumed
     # and the data plane drained.
-    total_fed = sum(env.log.end_offsets("bids"))
+    total_fed = sum(p.end_offset for p in env.log.topics["bids"])
     assert total_fed > 0
     consumed = sum(s.cursor.offset for s in job.source_instances())
     assert consumed == total_fed

@@ -61,7 +61,7 @@ class TestWrite:
         _cluster, machines, dfs = setup
         write = dfs.write("/f", 200, machines[0])
         sim.run(until=write)
-        assert sum(m.disk_used for m in machines) == 400  # 2 replicas
+        assert sum(d.used for m in machines for d in m.disks) == 400  # 2 replicas
 
     def test_write_takes_disk_and_network_time(self, sim, setup):
         _cluster, machines, dfs = setup
@@ -144,7 +144,7 @@ class TestMetadata:
         sim.run(until=write)
         freed = dfs.delete("/f")
         assert freed == 200
-        assert sum(m.disk_used for m in machines) == 0
+        assert sum(d.used for m in machines for d in m.disks) == 0
         assert not dfs.exists("/f")
 
     def test_delete_missing_is_noop(self, setup):
@@ -155,7 +155,9 @@ class TestMetadata:
         _cluster, machines, dfs = setup
         write = dfs.write("/f", 300, machines[2])
         sim.run(until=write)
-        assert dfs.local_bytes("/f", machines[2]) == 300
+        # The writer holds the first replica of every block.
+        blocks = dfs.namenode.lookup("/f").blocks
+        assert sum(b.size for b in blocks if machines[2] in b.alive_replicas()) == 300
 
     def test_zero_byte_file(self, sim, setup):
         _cluster, machines, dfs = setup

@@ -122,7 +122,8 @@ class TestPipelines:
         job = env.job(graph).start()
         env.run(until=5.0)
         # Two keys, last write wins per key: 2 * 100 bytes of live state.
-        assert job.total_state_bytes("count") == 200
+        states = [i.state for i in job.stateful_instances("count")]
+        assert sum(state.total_bytes for state in states) == 200
 
 
 class TestWindows:

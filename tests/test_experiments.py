@@ -119,7 +119,7 @@ class TestPreload:
     def test_preload_installs_requested_bytes(self):
         _testbed, handle = self.make_handle()
         handle.preload(10 * GB)
-        total = handle.total_state_bytes()
+        total = sum(i.state.total_bytes for i in handle.job.stateful_instances())
         assert total == pytest.approx(10 * GB, rel=0.01)
 
     def test_preload_registers_completed_checkpoint(self):
@@ -142,7 +142,7 @@ class TestPreload:
         testbed, handle = self.make_handle("flink")
         handle.preload(4 * GB)
         assert testbed.dfs.namenode.paths()
-        used = sum(m.disk_used for m in testbed.workers)
+        used = sum(d.used for m in testbed.workers for d in m.disks)
         # live copy (4 GB) + two DFS replicas (8 GB)
         assert used == pytest.approx(12 * GB, rel=0.1)
 

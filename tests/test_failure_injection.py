@@ -158,6 +158,30 @@ class TestDoubleFailure:
             expected[key] = expected.get(key, 0) + 1
         assert final_counts(job) == expected
 
+    def test_a_recovered_primary_leaves_its_own_chain(self):
+        """Recovery moves count[2] onto its replica's machine; the chain
+        repair replaces that member, so the machine's death later still
+        finds a replica (it used to raise "no alive worker")."""
+        env, job, rhino = setup()
+        live_feeder(env, "events", KEYS, count=600, interval=0.02)
+        env.run(until=3.0)
+        first = job.instance("count", 2).machine
+        env.cluster.kill(first)
+        env.run(until=rhino.reconfigure("failure", machine=first))
+        env.run(until=env.sim.now + 3.0)
+        second = job.instance("count", 2).machine
+        chain = rhino.replication_manager.group_of("count[2]").chain
+        assert second not in chain
+        check_replication_restored(rhino)
+        env.cluster.kill(second)
+        env.run(until=rhino.reconfigure("failure", machine=second))
+        env.run(until=25.0)
+        expected = {}
+        for i in range(600):
+            key = KEYS[i % len(KEYS)]
+            expected[key] = expected.get(key, 0) + 1
+        assert final_counts(job) == expected
+
 
 class TestUnrecoverableSituations:
     def test_recover_unknown_machine_rejected(self):

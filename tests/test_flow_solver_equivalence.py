@@ -110,7 +110,7 @@ def _run_plan(port_specs, actions, engine):
                     port.restore()
                     scheduler.reallocate([port])
                 elif kind == "fail" and port.enabled:
-                    scheduler.fail_port(port)
+                    scheduler.fail_ports([port])
 
     sim.process(driver(), name="driver")
     sim.run(until=10_000.0)

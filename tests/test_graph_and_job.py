@@ -45,7 +45,7 @@ class TestGraphBuilder:
         )
         graph.sink("out", inputs=[("join", "forward")])
         assert len(graph.inbound_edges("join")) == 2
-        assert len(graph.outbound_edges("join")) == 1
+        assert [e.downstream for e in graph.edges if e.upstream == "join"] == ["out"]
         assert {e.input_index for e in graph.inbound_edges("join")} == {0, 1}
 
     def test_stateful_operators_listing(self):
@@ -55,7 +55,8 @@ class TestGraphBuilder:
         graph.operator(
             "b", StatefulCounterLogic, 1, inputs=[("src", "hash")], stateful=True
         )
-        assert [op.name for op in graph.stateful_operators()] == ["b"]
+        stateful = [op.name for op in graph.operators.values() if op.stateful]
+        assert stateful == ["b"]
 
     def test_vertex_lookup(self):
         graph = StreamGraph("g")
@@ -148,4 +149,5 @@ class TestDeployment:
             instance = job.instance("count", index)
             lo, hi = next(iter(instance.state.owned_ranges()))
             instance.state.put(lo, f"k{index}", 1, nbytes=25)
-        assert job.total_state_bytes("count") == 100
+        states = [i.state for i in job.stateful_instances("count")]
+        assert sum(state.total_bytes for state in states) == 100

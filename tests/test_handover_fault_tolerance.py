@@ -202,7 +202,7 @@ class TestPartitionMidHandover:
         report = handover.value
         assert report.total_seconds is not None
         # Suspicion was revoked once the partition healed.
-        assert not detector.is_suspected(target.machine)
+        assert target.machine not in detector.suspected()
 
     def test_exactly_once_across_abort_and_retry(self):
         env, job, _rhino, _detector, handover, _target = self.run_scenario()

@@ -148,4 +148,4 @@ class TestCursor:
         log.append("bids", 0, "a")
         log.append("bids", 0, "b")
         log.append("bids", 1, "c")
-        assert log.end_offsets("bids") == [2, 1]
+        assert [p.end_offset for p in log.topics["bids"]] == [2, 1]

@@ -114,7 +114,6 @@ class TestHorizontalScaling:
         )
         live_feeder(env, "events", KEYS, count=200, interval=0.02, nbytes=200)
         env.run(until=3.0)
-        state_before = job.total_state_bytes("count")
         process = rhino.reconfigure(
             "rescale", op_name="count", add_instances=1, machines=[cold]
         )

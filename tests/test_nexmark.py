@@ -102,8 +102,7 @@ class TestGenerator:
         sim, log, generator = self.make_generator()
         generator.start()
         sim.run(until=5.0)
-        offsets = log.end_offsets("bids")
-        assert all(offset > 0 for offset in offsets)
+        assert all(p.end_offset > 0 for p in log.topics["bids"])
 
     def test_timestamps_strictly_increase_per_partition(self):
         sim, log, generator = self.make_generator()
@@ -228,7 +227,7 @@ class TestQueryGraphs:
     def test_nbqx_has_five_stateful_subqueries(self):
         graph = nbqx(source_dop=2, stateful_dop=4)
         graph.validate()
-        stateful = graph.stateful_operators()
+        stateful = [op for op in graph.operators.values() if op.stateful]
         assert len(stateful) == 5
         gaps = []
         for op in stateful:

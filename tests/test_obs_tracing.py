@@ -94,7 +94,8 @@ class TestTracerCore:
         tracer = Tracer(clock)
         tracer.span("step").finish(end=2.0)
         tracer.span("step")  # still open
-        assert tracer.durations("step") == [2.0]
+        closed = [s.duration for s in tracer.find("step") if s.end is not None]
+        assert closed == [2.0]
 
     def test_counters_and_gauges(self):
         clock = FakeClock()
@@ -308,8 +309,8 @@ class TestEngineIntegration:
         transfer = tracer.one("handover.transfer", handover=report.handover_id)
         assert sched.duration == pytest.approx(report.scheduling_seconds)
         assert sched.duration + transfer.duration == pytest.approx(root.duration)
-        loading = tracer.durations("handover.loading", handover=report.handover_id)
-        assert max(loading) == pytest.approx(report.loading_seconds)
+        loading = tracer.find("handover.loading", handover=report.handover_id)
+        assert max(s.duration for s in loading) == pytest.approx(report.loading_seconds)
         spans = tracer.find(prefix="handover", handover=report.handover_id)
         assert root in spans and sched in spans and transfer in spans
 

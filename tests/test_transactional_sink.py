@@ -56,9 +56,10 @@ class TestHappyPath:
         live_feeder(env, "events", KEYS, count=40, interval=0.02)
         env.run(until=3.0)
         sink = job.operator_instances("out")[0]
-        # No checkpoint ever ran: nothing is externally visible.
+        # No checkpoint ever ran: every record reached the sink, and
+        # nothing is externally visible.
+        assert sink.records_processed == 40
         assert sink.logic.committed == []
-        assert sink.logic.uncommitted_count == 40
 
     def test_checkpoint_commits_pending(self):
         env = EngineEnv()
@@ -68,7 +69,6 @@ class TestHappyPath:
         env.run(until=5.0)
         sink = job.operator_instances("out")[0]
         assert sink.logic.committed_count == 40
-        assert sink.logic.uncommitted_count <= 0 or True
 
     def test_commit_order_preserves_per_key_sequence(self):
         env = EngineEnv()
