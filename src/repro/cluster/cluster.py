@@ -3,7 +3,7 @@
 from collections import deque
 
 from repro.common.errors import SimulationError
-from repro.faults.retry import with_retry
+from repro.faults.retry import BLOCK_RETRY, with_retry
 from repro.sim.flows import FlowScheduler, TransferFailed
 from repro.sim.resources import Store
 from repro.cluster.machine import Machine
@@ -24,10 +24,10 @@ class ChunkedTransfer:
     Replication (chain and star), replica-repair bulk copies, the fluid
     pre-copy and the handover cutover all ship through it.  Per block:
     acquire its credit from ``lease``; read it off ``src``'s disk
-    (``read_source``); transfer it under its own ``retry`` budget; raise
-    :class:`TransferFailed` if the destination died while it was in
-    flight; write it there (``write=False``: the caller writes the total
-    once); release its credit.
+    (``read_source``); transfer it under its own ``BLOCK_RETRY`` budget;
+    raise :class:`TransferFailed` if the destination died while it was
+    in flight; write it there (``write=False``: the caller writes the
+    total once); release its credit.
 
     ``streams`` worker processes pull blocks off one shared queue
     (work-stealing); with ``streams=1`` the stream runs inline in the
@@ -51,7 +51,6 @@ class ChunkedTransfer:
         dst,
         blocks,
         tag,
-        retry,
         describe=None,
         lease=None,
         read_source=False,
@@ -69,7 +68,6 @@ class ChunkedTransfer:
         self.first = dst[0] if chain else dst
         self.blocks = [int(size) for size in blocks]
         self.tag = tag
-        self.retry = retry
         describe = describe or tag
         self.send_describe = f"{describe}-send" if chain else describe
         self.hop_describe = f"{describe}-hop"
@@ -178,7 +176,7 @@ class ChunkedTransfer:
         return with_retry(
             self.cluster.sim,
             lambda: self.cluster.transfer(src, dst, size, tag=self.tag),
-            self.retry,
+            BLOCK_RETRY,
             describe=describe,
         )
 

@@ -30,10 +30,8 @@ import functools
 import inspect
 
 from repro.common.errors import ProtocolError
-from repro.common.rng import make_rng
 from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.instance import Frontier, ReplayFilter
-from repro.faults.retry import RetryPolicy
 from repro.core import migration, resolution
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
@@ -43,6 +41,8 @@ from repro.core.rollback import consumer_filter
 
 #: Pause before an aborted handover is re-planned and retried (seconds).
 HANDOVER_RETRY_DELAY = 0.5
+#: Executions one reconfiguration may run: the first and three re-runs.
+HANDOVER_ATTEMPTS = 4
 
 
 class RhinoConfig:
@@ -50,7 +50,9 @@ class RhinoConfig:
 
     All parameters are keyword-only and validated at construction, so a
     bad configuration fails where it is written, not when the library is
-    later attached to a job.
+    later attached to a job.  Retries are not a setting: every deployment
+    retries each state block under ``faults.retry.BLOCK_RETRY`` and
+    re-runs an aborted handover as ``resolution.rerun`` says.
     """
 
     def __init__(
@@ -63,9 +65,6 @@ class RhinoConfig:
         local_fetch_seconds=0.2,
         state_load_seconds=1.3,
         handover_timeout=3600.0,
-        retry_attempts=1,
-        retry_seed=0,
-        handover_retry_attempts=1,
         anti_entropy_interval=None,
     ):
         if replication_factor < 1:
@@ -87,8 +86,6 @@ class RhinoConfig:
                 raise ProtocolError(f"{name} must be >= 0, got {value}")
         if handover_timeout <= 0:
             raise ProtocolError(f"handover_timeout must be > 0, got {handover_timeout}")
-        if retry_attempts < 1 or handover_retry_attempts < 1:
-            raise ProtocolError("retry attempt counts must be >= 1")
         if anti_entropy_interval is not None and anti_entropy_interval <= 0:
             raise ProtocolError(
                 f"anti_entropy_interval must be > 0 or None, "
@@ -106,14 +103,6 @@ class RhinoConfig:
         #: Opening table files + manifest processing -- Table 1's ~1.3 s.
         self.state_load_seconds = state_load_seconds
         self.handover_timeout = handover_timeout
-        #: Hardening knobs.  All defaults leave behavior bit-identical to
-        #: pre-chaos: one attempt means no retry, no backoff, no RNG draws;
-        #: None runs no reconcile timer.  The backoff shape is
-        #: :class:`~repro.faults.retry.RetryPolicy`'s own.
-        self.retry_attempts = retry_attempts
-        self.retry_seed = retry_seed
-        #: Re-plan-and-retry budget for handovers aborted mid-flight.
-        self.handover_retry_attempts = handover_retry_attempts
         #: Period of the timer that also runs the replica reconciler, for
         #: gray failures no event reports (None = no timer).
         self.anti_entropy_interval = anti_entropy_interval
@@ -141,20 +130,11 @@ class Rhino:
         self.replication_manager = ReplicationManager(
             list(job.machines), self.config.replication_factor
         )
-        self.retry_policy = RetryPolicy(
-            attempts=self.config.retry_attempts,
-            rng=(
-                make_rng(self.config.retry_seed, "rhino-retry")
-                if self.config.retry_attempts > 1
-                else None
-            ),
-        )
         self.replicator = ChainReplicator(
             self.sim,
             cluster,
             block_size=self.config.block_size,
             credit_window_bytes=self.config.credit_window_bytes,
-            retry=self.retry_policy,
         )
         self.handover_manager = HandoverManager(self.sim, job, self)
         #: (instance_id, member_name) bulk copies the reconciler has in
@@ -318,7 +298,7 @@ class Rhino:
             name = "rhino-plans"
 
             def plan():
-                return plans, None, None
+                return plans, None
 
         else:
             kind = plan_or_kind
@@ -359,8 +339,8 @@ class Rhino:
         """The skeleton every reconfiguration runs, whatever its kind.
 
         A kind contributes only ``plan()``, which returns its handover
-        plans, how to re-plan them after an abort (or None), and what to do
-        once the handover has succeeded (``commit(token)``, or None).
+        plans and what to do once the handover has succeeded
+        (``commit(token)``, or None).
         Bookkeeping that outlives the handover -- parallelism, replica
         groups, chain repair -- belongs in that last step, so an aborted
         handover leaves none of it behind.
@@ -368,33 +348,34 @@ class Rhino:
         yield from self._await_control_plane()
         self._check_fence(token)
         trigger_time = self.sim.now
-        plans, replan, commit = plan()
+        plans, commit = plan()
         report = None
         if plans:
-            report = yield from self._execute_with_retry(
-                plans, trigger_time, replan
-            )
+            report = yield from self._execute_with_retry(plans, trigger_time)
         if commit is not None:
             commit(token)
         return report
 
-    def _execute_with_retry(self, plans, trigger_time, replan=None):
-        """Execute a handover; re-plan and retry after an abort.
+    def _execute_with_retry(self, plans, trigger_time):
+        """Execute a handover; re-plan and re-run it after an abort.
 
-        With ``handover_retry_attempts=1`` (the default) this is exactly
-        one attempt and :class:`HandoverAborted` propagates unchanged.
-        ``replan(plans)`` rebuilds plans whose targets are no longer
-        usable (dead machines after a failure-recovery abort).
+        An aborted execution runs again, up to :data:`HANDOVER_ATTEMPTS`
+        in all, only when ``resolution.rerun`` says so; otherwise
+        :class:`HandoverAborted` propagates.  A re-run re-plans the
+        failure recoveries whose target worker died
+        (:meth:`_replan_failure`).
         """
-        attempts = self.config.handover_retry_attempts
-        for attempt in range(1, attempts + 1):
+        for attempt in range(1, HANDOVER_ATTEMPTS + 1):
             try:
                 report = yield self.handover_manager.execute(
                     plans, trigger_time=trigger_time
                 )
                 return report
-            except HandoverAborted:
-                if attempt >= attempts:
+            except HandoverAborted as aborted:
+                facts = [self.handover_manager.plan_facts(p) for p in plans]
+                if attempt >= HANDOVER_ATTEMPTS or not resolution.rerun(
+                    aborted.machine.alive, facts
+                ):
                     raise
                 if self.sim.tracer.enabled:
                     self.sim.tracer.event(
@@ -404,8 +385,7 @@ class Rhino:
                         plans=len(plans),
                     )
                 yield self.sim.timeout(HANDOVER_RETRY_DELAY)
-                if replan is not None:
-                    plans = replan(plans)
+                plans = self._replan_failure(plans)
 
     def _plan_failure(self, machine):
         """Recover every instance the failed ``machine`` hosted."""
@@ -463,7 +443,7 @@ class Rhino:
             self._repair_chains(machine, token)
             self._reconcile()
 
-        return plans, self._replan_failure, commit
+        return plans, commit
 
     def _deploy_held_replacement(self, op_name, index, machine):
         """Deploy a stateful replacement that holds all records until the
@@ -536,7 +516,7 @@ class Rhino:
                     target_machine, share=share,
                 )
             )
-        return plans, None, functools.partial(self._commit_spawned, plans)
+        return plans, functools.partial(self._commit_spawned, plans)
 
     def _machine_with_replica(self, instance_id, fallback):
         group = self.replication_manager.groups.get(instance_id)
@@ -584,7 +564,7 @@ class Rhino:
                     spawn_target=True,
                 )
             )
-        return plans, None, functools.partial(self._commit_spawned, plans)
+        return plans, functools.partial(self._commit_spawned, plans)
 
     def _commit_spawned(self, plans, _token):
         """Count a succeeded handover's spawned targets into parallelism.
@@ -608,7 +588,7 @@ class Rhino:
             )
             for origin, target in moves
         ]
-        return plans, None, None
+        return plans, None
 
     #: kind -> (planner, process-name format).  ``reconfigure()`` binds its
     #: keyword arguments against the planner's signature, so a kind's

@@ -315,12 +315,11 @@ class FailoverManager:
             if resolved.resume:
                 plans = self.rhino._replan_failure(execution.plans)
                 try:
-                    yield from self.rhino._execute_with_retry(
-                        plans, self.sim.now, replan=self.rhino._replan_failure
-                    )
+                    yield from self.rhino._execute_with_retry(plans, self.sim.now)
                 except HandoverAborted:
-                    # Out of retries; the recovery driver (or the next
-                    # anti-entropy pass) picks the machine up again.
+                    # Out of attempts, or not re-runnable; the recovery
+                    # driver (or the next anti-entropy pass) picks the
+                    # machine up again.
                     pass
 
     def _repair_replication(self):

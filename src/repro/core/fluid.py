@@ -350,7 +350,6 @@ class _Precopy:
                 dst,
                 [chunk.nbytes for chunk in chunks],
                 tag=f"handover-{phase}",
-                retry=self.rhino.replicator.retry,
                 streams=PARALLEL_STREAMS,
                 block_span=lambda index, stream: tracer.span(
                     "handover.chunk",

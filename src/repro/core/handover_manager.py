@@ -342,12 +342,15 @@ class HandoverManager:
             ]
             if is_failure and instance.state is not None and not target_of:
                 # Survivors deduplicate the upcoming replay against their
-                # exact per-source progress frontier.  Refreshed on *every*
-                # failure: a stale filter from an earlier recovery would
-                # let a newer replay re-process records seen since.
+                # live per-source progress: a re-run recovery's replay can
+                # overlap the one its aborted attempt started, and the
+                # copy of a record that arrives second must read as seen
+                # (a snapshot taken here passes both).  Refreshed on
+                # *every* failure: a stale filter from an earlier recovery
+                # would let a newer replay re-process records seen since.
                 instance.replay_filter = ReplayFilter(
                     self.job.config.num_key_groups,
-                    Frontier(dict(instance.origin_progress), float("-inf")),
+                    Frontier(instance.origin_progress, float("-inf")),
                     epoch=self.sim.now,
                 )
             for plan in marker.plans:
@@ -439,7 +442,6 @@ class HandoverManager:
                             target_machine,
                             split_bytes(transferred, fluid.CHUNK_BYTES),
                             tag=tag,
-                            retry=self.rhino.replicator.retry,
                             write=False,
                         ).run()
                         yield target_machine.disk_write(

@@ -18,7 +18,6 @@ from collections import Counter
 from repro.common.errors import ProtocolError
 from repro.common.units import split_bytes
 from repro.core.flow_control import CreditLease, CreditWindow
-from repro.faults.retry import NO_RETRY
 from repro.storage.kvs.checkpoint import CheckpointManifest
 
 
@@ -151,7 +150,8 @@ class ReplicationStats:
 
 
 class ChainReplicator:
-    """Ships incremental checkpoints along replica chains."""
+    """Ships incremental checkpoints along replica chains, each block
+    through the cluster's one block stream and its retry policy."""
 
     def __init__(
         self,
@@ -160,14 +160,11 @@ class ChainReplicator:
         block_size=64 * 1024 * 1024,
         credit_window_bytes=256 * 1024 * 1024,
         topology="chain",
-        retry=None,
     ):
         if topology not in ("chain", "star"):
             raise ProtocolError(f"unknown replication topology {topology!r}")
         self.sim = sim
         self.cluster = cluster
-        #: Backoff policy for network hops (NO_RETRY = pre-chaos behavior).
-        self.retry = retry if retry is not None else NO_RETRY
         #: "chain" pipelines blocks member-to-member (the paper's choice,
         #: §4.2: parallel replication with high network throughput);
         #: "star" has the origin send to every member directly -- the
@@ -227,7 +224,6 @@ class ChainReplicator:
             # durable; a failed stream's lease returns what it still holds.
             options = dict(
                 tag="replication",
-                retry=self.retry,
                 lease=CreditLease(self._credit_for(origin)),
                 hop_span=lambda src, dst, nbytes: tracer.span(
                     "replicate.hop",
@@ -330,7 +326,6 @@ class ChainReplicator:
             target,
             split_bytes(lacking, self.block_size),
             tag="replica-repair",
-            retry=self.retry,
             describe="bulk-copy",
             read_source=from_primary,
             hop_span=lambda src, dst, nbytes: self.sim.tracer.span(

@@ -14,6 +14,7 @@ object, so a test can range over every case without a simulator:
 
 A rollback keeps one owner per key group, and a source that never
 rewired diverted nothing: its fresh frontier entry is the live progress.
+Whether a rolled-back reconfiguration then runs again is :func:`rerun`.
 """
 
 from collections import ChainMap, namedtuple
@@ -73,6 +74,15 @@ def retarget(facts):
     """True when a failure recovery's target worker (PlanFacts) is down:
     its retry is re-planned onto another live replica worker."""
     return facts.plan.reason == FAILURE and not facts.target.alive
+
+
+def rerun(up, plans):
+    """True when a reconfiguration aborted by a lost participant runs
+    again: the participant's machine is still ``up`` (a partition or a
+    false suspicion), or one of its ``plans`` (PlanFacts) is
+    :func:`retarget`-ed.  A rebalance, rescale or drain toward a dead
+    worker ends there: that worker's failure recovery owns its groups."""
+    return up or any(retarget(facts) for facts in plans)
 
 
 def _outcome(facts):

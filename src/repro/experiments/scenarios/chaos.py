@@ -1,8 +1,9 @@
 """Seeded chaos sweeps: every fault kind against a live pipeline.
 
 Each run builds a small counter pipeline (2 sources, 4 stateful
-counters, 1 sink on 6 workers), turns every hardening knob on (retries,
-handover re-plan, anti-entropy, heartbeat suspicion), generates a
+counters, 1 sink on 6 workers), turns on the hardening a deployment
+opts into (anti-entropy, heartbeat suspicion; block retries and the
+handover re-run rule are always on), generates a
 :class:`~repro.faults.plan.FaultPlan` from the seed, and lets the
 :class:`~repro.faults.controller.ChaosController` execute it while
 records flow.  After the plan completes and the system quiesces, the
@@ -10,9 +11,10 @@ invariant harness (:mod:`repro.faults.invariants`) must hold: exactly
 one count per record at the sink, replication redundancy restored, no
 leaked protocol processes, all queues drained.
 
-The same seed replays bit-identically -- the fault plan, the loss
-stream, and retry jitter all derive from it -- which is what makes a
-chaos *sweep* a regression suite rather than a flake generator.
+The same seed replays bit-identically -- the fault plan and the loss
+stream derive from it, and retries draw no random numbers -- which is
+what makes a chaos *sweep* a regression suite rather than a flake
+generator.
 """
 
 import json
@@ -217,9 +219,6 @@ def run_chaos(
             local_fetch_seconds=0.01,
             state_load_seconds=0.05,
             handover_timeout=60.0,
-            retry_attempts=6,
-            retry_seed=seed,
-            handover_retry_attempts=4,
             anti_entropy_interval=1.0,
         ),
     ).attach()
@@ -261,8 +260,9 @@ def run_chaos(
     detector.on_suspect.append(maybe_recover)
 
     def recovery_driver():
-        # One recovery at a time: the handover manager refuses concurrent
-        # handovers, and chaos suspicion can fire during a recovery.
+        # One recovery at a time: chaos suspicion can fire during a
+        # recovery, and the handover manager runs concurrent handovers
+        # side by side (nothing refuses them), so this driver queues.
         while True:
             yield sim.timeout(0.1)
             while pending:

@@ -9,13 +9,14 @@ invariant harness checks after every run that the system healed
 (exactly-once outputs, replication restored, no leaked processes, the
 simulation drained).
 
-The hardening half lives with the protocols it protects (per-block
-retries in the cluster's one block stream, suspicion in
-``cluster/monitor.py``, handover re-planning in ``core/api.py``);
-:mod:`repro.faults.retry` supplies the shared backoff policy.
+The hardening half lives with the protocols it protects: per-block
+retries in the cluster's one block stream and the handover re-run rule
+in ``core/resolution.py`` run in every deployment, suspicion in
+``cluster/monitor.py`` where a deployment wires a failure detector in;
+:mod:`repro.faults.retry` supplies the one block-retry policy.
 """
 
-from repro.faults.retry import RetryPolicy, NO_RETRY, with_retry
+from repro.faults.retry import BLOCK_RETRY, RetryPolicy, with_retry
 from repro.faults.plan import (
     ALL_KINDS,
     KNOWN_KINDS,
@@ -56,8 +57,8 @@ __all__ = [
     "CONTROL_CRASH",
     "CONTROL_PARTITION",
     "CONTROL_KINDS",
+    "BLOCK_RETRY",
     "RetryPolicy",
-    "NO_RETRY",
     "with_retry",
     "FaultEvent",
     "FaultPlan",

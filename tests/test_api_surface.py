@@ -136,18 +136,24 @@ class TestRhinoConfig:
             with pytest.raises(TypeError, match=removed):
                 RhinoConfig(**{removed: 1})
 
+    @pytest.mark.parametrize(
+        "removed", ["retry_attempts", "retry_seed", "handover_retry_attempts"]
+    )
+    def test_retries_are_not_a_setting(self, removed):
+        """Every deployment retries blocks and re-runs handovers by one
+        policy and one rule, so their former knobs are type errors."""
+        with pytest.raises(TypeError, match=removed):
+            RhinoConfig(**{removed: 1})
+
     def test_field_set_is_pinned(self):
         """A new knob is a reviewed decision: it has to edit this list."""
         assert sorted(vars(RhinoConfig())) == [
             "anti_entropy_interval",
             "block_size",
             "credit_window_bytes",
-            "handover_retry_attempts",
             "handover_timeout",
             "local_fetch_seconds",
             "replication_factor",
-            "retry_attempts",
-            "retry_seed",
             "scheduling_delay",
             "state_load_seconds",
         ]

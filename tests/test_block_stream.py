@@ -21,7 +21,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import fluid
 from repro.core.replication import ChainReplicator
-from repro.faults.retry import NO_RETRY
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator, TransferFailed
 from repro.storage.kvs import LSMStore
@@ -117,9 +116,7 @@ def bulk_copy(source):
 
 def fluid_ship():
     sim, cluster, machines, replicator = replication_env()
-    rhino = SimpleNamespace(
-        sim=sim, cluster=cluster, replicator=SimpleNamespace(retry=NO_RETRY)
-    )
+    rhino = SimpleNamespace(sim=sim, cluster=cluster)
     precopy = fluid._Precopy(rhino, "h-1", None)
     chunks = [fluid.StateChunk(group, group + 1, 64 * MB) for group in range(8)]
 

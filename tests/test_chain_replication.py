@@ -7,7 +7,6 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.common.units import GB, split_bytes
 from repro.core.flow_control import CreditLease
-from repro.faults.retry import NO_RETRY
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.cluster import Cluster
@@ -309,7 +308,6 @@ class TestChainReplication:
                 machines[2],
                 split_bytes(2 * GB, replicator.block_size),
                 tag="replication",
-                retry=NO_RETRY,
                 lease=CreditLease(credit),
                 streams=4,
             )

@@ -10,8 +10,8 @@ from repro.sim import Simulator, Interrupt
 from repro.sim.flows import FlowLost, FlowScheduler, PortFailed, TransferFailed
 from repro.cluster import Cluster, FailureDetector, NetworkPartitioned, ResourceMonitor
 from repro.faults import (
-    NO_RETRY,
     ALL_KINDS,
+    BLOCK_RETRY,
     ChaosController,
     FaultEvent,
     FaultPlan,
@@ -291,24 +291,22 @@ class TestCrashRestart:
 
 class TestRetryPolicy:
     def test_delays_are_exponential_and_capped(self):
-        policy = RetryPolicy(attempts=5, base_delay=0.1, max_delay=0.3, jitter=0.0)
+        policy = RetryPolicy(attempts=5, base_delay=0.1, max_delay=0.3)
         assert [policy.delay(i) for i in (1, 2, 3, 4)] == pytest.approx(
             [0.1, 0.2, 0.3, 0.3]
         )
 
-    def test_jitter_is_deterministic(self):
-        rng = make_rng(5, "retry")
-        policy = RetryPolicy(attempts=3, base_delay=0.1, jitter=0.5, rng=rng)
-        first = policy.delay(1)
-        assert 0.1 <= first <= 0.15
-        policy2 = RetryPolicy(
-            attempts=3, base_delay=0.1, jitter=0.5, rng=make_rng(5, "retry")
-        )
-        assert policy2.delay(1) == first
+    def test_the_block_policy_outlasts_a_fault_of_one_and_a_half_seconds(self):
+        """Six tries, backoff doubling from 50 ms: a block fails for good
+        only after 1.55 s of backoff, in every deployment."""
+        assert BLOCK_RETRY.attempts == 6
+        delays = [BLOCK_RETRY.delay(i) for i in range(1, BLOCK_RETRY.attempts)]
+        assert delays == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8])
+        assert sum(delays) == pytest.approx(1.55)
 
     def test_with_retry_recovers_from_transient_failure(self, sim, cluster):
         a, b = make_machine(cluster, "a"), make_machine(cluster, "b")
-        policy = RetryPolicy(attempts=4, base_delay=0.5, jitter=0.0)
+        policy = RetryPolicy(attempts=4, base_delay=0.5, max_delay=2.0)
         cluster.partition([[a], [b]])
         result = {}
 
@@ -332,7 +330,7 @@ class TestRetryPolicy:
     def test_with_retry_exhausts_and_raises(self, sim, cluster):
         a, b = make_machine(cluster, "a"), make_machine(cluster, "b")
         cluster.partition([[a], [b]])
-        policy = RetryPolicy(attempts=2, base_delay=0.1, jitter=0.0)
+        policy = RetryPolicy(attempts=2, base_delay=0.1, max_delay=2.0)
         result = {}
 
         def proc():
@@ -346,9 +344,20 @@ class TestRetryPolicy:
         sim.run()
         assert result["raised_at"] == pytest.approx(0.1)
 
-    def test_no_retry_is_single_shot(self):
-        assert NO_RETRY.attempts == 1
-        assert not NO_RETRY.enabled
+    def test_no_retry_is_single_shot(self, sim, cluster):
+        a, b = make_machine(cluster, "a"), make_machine(cluster, "b")
+        cluster.partition([[a], [b]])
+        policy = RetryPolicy(attempts=1, base_delay=0.1, max_delay=2.0)
+        tries = []
+
+        def attempt():
+            tries.append(sim.now)
+            return cluster.transfer(a, b, 1)
+
+        process = sim.process(with_retry(sim, attempt, policy))
+        process.defused = True
+        sim.run()
+        assert not process.ok and tries == [0.0]
 
 
 class TestFailureDetector:

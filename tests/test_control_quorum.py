@@ -308,6 +308,15 @@ class TestTakeoverGolden:
     seed 6: 2), and the ``replication.bytes`` / ``.checkpoints`` samples
     of those instants reorder.  No span or event was added or removed,
     and no ``RESULT`` moved.
+
+    ``TRACE[6]`` was re-captured when block retries lost their jitter
+    (one policy, no random draws, in every deployment): the five
+    ``chaos.retry`` events of ``count[0]``'s checkpoint-3 hop w-1 -> w-2
+    now wait exactly 0.05, 0.1, 0.2, 0.4 and 0.8 s, so that ``replicate``
+    span, its two ``replicate.hop`` spans and the one
+    ``replication.bytes`` / ``.checkpoints`` sample at their end moved
+    from t = 4.6456 s to 4.5735 s.  Nothing else moved, and no
+    ``RESULT`` did.
     """
 
     RESULT = {
@@ -318,7 +327,7 @@ class TestTakeoverGolden:
     TRACE = {
         1: "249605e266cdd15b75b424d7e18a8d3aa1a722235e71e9ffb841afd1c32c2984",
         2: "cd9e147f2409211a7d01622297ed0d4370827a518bee55dc72b0c9c9eba9022b",
-        6: "3324683d58a2c20ebf966c875cda0bbd080bd20c4d1ce901e045535f3b2c4250",
+        6: "53559336411a1b362d174deaf8e0c9b60798f36213fd142745e51440f71cb2a7",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
 

@@ -27,7 +27,7 @@ from repro.engine.operators import StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
 from repro.experiments.preload import preload_state
 from repro.experiments.scenarios.chaos import run_chaos, run_chaos_sweep
-from repro.faults.retry import NO_RETRY, RetryPolicy
+from repro.faults.retry import BLOCK_RETRY
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
 from repro.storage.kvs import LSMStore
@@ -193,7 +193,7 @@ def block_seconds(nbytes, nic=1e6):
 class TestChunkedTransfer:
     def test_delivers_all_chunks_and_reports_progress(self):
         sim, cluster, a, b = two_machines()
-        stream = cluster.chunked_transfer(a, b, [250_000] * 4, tag="t", retry=NO_RETRY)
+        stream = cluster.chunked_transfer(a, b, [250_000] * 4, tag="t")
         proc = sim.process(stream.run())
         sim.run(until=proc)
         assert proc.ok and proc.value == 1_000_000
@@ -202,13 +202,12 @@ class TestChunkedTransfer:
 
     def test_retry_resends_only_unfinished_chunks(self):
         sim, cluster, a, b = two_machines()
-        policy = RetryPolicy(attempts=2, base_delay=1.0, jitter=0.0)
-        stream = cluster.chunked_transfer(a, b, [1_000_000] * 4, tag="t", retry=policy)
+        stream = cluster.chunked_transfer(a, b, [1_000_000] * 4, tag="t")
         proc = sim.process(stream.run())
 
         def chaos():
             # Each block takes ~1 simulated second at 1 MB/s; the cut
-            # lands mid-block-2 and heals before its 1 s backoff ends.
+            # lands mid-block-2 and heals within the block's retry budget.
             yield sim.timeout(1.5)
             cluster.partition([[a.name], [b.name]])
             yield sim.timeout(0.5)
@@ -217,10 +216,12 @@ class TestChunkedTransfer:
         sim.process(chaos())
         sim.run(until=proc)
         assert proc.ok and proc.value == 4_000_000
-        # Block 1 is not sent again; block 2 restarts whole after the
-        # backoff, and blocks 3 and 4 follow it.
+        # Block 1 is not sent again; block 2 fails at the cut, its retries
+        # at 1.55, 1.65 and 1.85 s fail too, and the fourth, the first
+        # after the heal, restarts it whole; blocks 3 and 4 follow it.
+        resend = 1.5 + sum(BLOCK_RETRY.delay(retry) for retry in (1, 2, 3, 4))
         assert sum(disk.used for disk in b.disks) == 4_000_000
-        assert sim.now == pytest.approx(2.5 + 3 * block_seconds(1_000_000))
+        assert sim.now == pytest.approx(resend + 3 * block_seconds(1_000_000))
 
 
 # -- chunked extraction / ingest properties ----------------------------------
@@ -666,10 +667,11 @@ class TestDegradedPrecopy:
         env, job, rhino, tracer, origin, target, handover = start_cold_rebalance()
 
         def cut_and_heal():
-            # Half a second in, every stream has a chunk in flight.
+            # Half a second in, every stream has a chunk in flight.  The
+            # cut outlasts a block's retries (1.55 s of backoff).
             yield env.sim.timeout(0.5)
             env.cluster.partition([[origin.machine.name], [target.machine.name]])
-            yield env.sim.timeout(0.6)
+            yield env.sim.timeout(2.0)
             env.cluster.heal()
 
         env.sim.process(cut_and_heal())

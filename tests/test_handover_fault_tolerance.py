@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import FailureDetector
 from repro.core.api import Rhino, RhinoConfig
 from repro.core.handover import HandoverAborted, HandoverExecution
+from repro.core.migration import FAILURE, REBALANCE
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
@@ -67,12 +68,29 @@ def final_counts(job):
     return finals
 
 
+def count_executions(rhino, reason):
+    """The executions ``rhino`` runs for plans of ``reason``, as a list
+    that grows while the run goes on."""
+    manager = rhino.handover_manager
+    execute = manager.execute
+    runs = []
+
+    def counted(plans, trigger_time=None):
+        if plans[0].reason == reason:
+            runs.append(manager.sim.now)
+        return execute(plans, trigger_time)
+
+    manager.execute = counted
+    return runs
+
+
 class TestTargetDeathMidHandover:
     def run_scenario(self, kill_delay=0.7):
         env, job, rhino = setup()
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         target = job.instance("count", 1)
+        self.rebalances = count_executions(rhino, REBALANCE)
         handover = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
         handover.defused = True
 
@@ -89,6 +107,18 @@ class TestTargetDeathMidHandover:
         assert handover.triggered and not handover.ok
         with pytest.raises(HandoverAborted):
             handover.value
+
+    def test_a_rebalance_toward_a_dead_target_runs_once(self):
+        """The lost target is down and a rebalance does not re-plan, so
+        ``resolution.rerun`` ends it after its first execution; the
+        machine's failure recovery, not a re-run, owns its groups."""
+        env, _job, rhino, handover, target = self.run_scenario()
+        with pytest.raises(HandoverAborted):
+            handover.value
+        assert self.rebalances == [2.0]
+        env.sim.run(until=rhino.reconfigure("failure", machine=target.machine))
+        env.run(until=30.0)
+        assert self.rebalances == [2.0]
 
     def test_origin_reowns_its_vnodes(self):
         env, job, rhino, _handover, _target = self.run_scenario()
@@ -153,13 +183,37 @@ class TestDeathBeforePrepare:
         assert final_counts(job) == expected_counts()
 
 
+class TestRecoveryTargetDeath:
+    """The worker a failure recovery restores onto dies mid-recovery: the
+    recovery re-plans onto the instance's other replica worker and runs
+    again (``resolution.retarget``), and counting stays exactly-once."""
+
+    @pytest.mark.parametrize("kill_delay", [0.3, 1.0, 1.2])
+    def test_recovery_reruns_on_another_replica_worker(self, kill_delay):
+        env, job, rhino = setup(machines=6, replication_factor=2)
+        live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
+        env.run(until=3.0)
+        recoveries = count_executions(rhino, FAILURE)
+        victim = job.instance("count", 2).machine
+        env.cluster.kill(victim)
+        recovery = rhino.reconfigure("failure", machine=victim)
+        env.run(until=3.0 + kill_delay)
+        first = job.instance("count", 2).machine
+        env.cluster.kill(first)
+        env.sim.run(until=recovery)
+        assert len(recoveries) == 2
+        assert job.instance("count", 2).machine not in (victim, first)
+        env.run(until=40.0)
+        assert final_counts(job) == expected_counts()
+
+
 class TestPartitionMidHandover:
     """A network partition (not a death) interrupts a handover: the
     failure detector's suspicion aborts it, the retry loop re-executes
     after the heal, and counting stays exactly-once throughout."""
 
     def run_scenario(self):
-        env, job, rhino = setup(machines=6, handover_retry_attempts=6)
+        env, job, rhino = setup(machines=6)
         live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
         env.run(until=2.0)
         origin = job.instance("count", 0)

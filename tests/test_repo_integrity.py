@@ -242,6 +242,24 @@ def _reachability():
         unreached = found
 
 
+def _calls_in_src(name):
+    """``(path, line)`` of every call in ``src/`` to a function or method
+    named ``name``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                if called == name:
+                    yield path, node.lineno
+
+
+def _where(path, line):
+    return f"{path.relative_to(ROOT)}:{line}"
+
+
 class TestOneBlockStream:
     def test_only_the_block_stream_calls_with_retry(self):
         """State blocks move through ``cluster/cluster.py::ChunkedTransfer``
@@ -250,21 +268,32 @@ class TestOneBlockStream:
         leaked credit and wrote to dead machines -- so a ``with_retry`` call
         outside that file fails here, naming it."""
         stream = ROOT / "src" / "repro" / "cluster" / "cluster.py"
-        callers = []
-        for path in sorted((ROOT / "src").rglob("*.py")):
-            if path == stream:
-                continue
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(
-                        func, "attr", None
-                    )
-                    if name == "with_retry":
-                        callers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+        callers = [
+            _where(path, line)
+            for path, line in _calls_in_src("with_retry")
+            if path != stream
+        ]
         assert callers == [], (
             "with_retry called outside cluster/cluster.py; ship state blocks "
             f"through Cluster.chunked_transfer instead: {callers}"
+        )
+
+
+class TestOneRetryPolicy:
+    def test_only_faults_retry_builds_a_retry_policy(self):
+        """Every deployment retries a state block by the one
+        ``faults/retry.py::BLOCK_RETRY``.  A ``RetryPolicy`` built anywhere
+        else in ``src/`` would bring back a per-deployment budget, one no
+        test runs, so it fails here, naming file and line."""
+        policy = ROOT / "src" / "repro" / "faults" / "retry.py"
+        builders = [
+            _where(path, line)
+            for path, line in _calls_in_src("RetryPolicy")
+            if path != policy
+        ]
+        assert builders == [], (
+            "RetryPolicy built outside faults/retry.py; ship state blocks "
+            f"under faults.retry.BLOCK_RETRY instead: {builders}"
         )
 
 
@@ -283,19 +312,11 @@ class TestOneReconciler:
                 allowed.update(range(node.lineno, node.end_lineno + 1))
         assert allowed, "Rhino._reconcile not found in core/api.py"
         inside, outside = [], []
-        for path in sorted((ROOT / "src").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(
-                        func, "attr", None
-                    )
-                    if name == "bulk_copy":
-                        where = f"{path.relative_to(ROOT)}:{node.lineno}"
-                        if path == api and node.lineno in allowed:
-                            inside.append(where)
-                        else:
-                            outside.append(where)
+        for path, line in _calls_in_src("bulk_copy"):
+            if path == api and line in allowed:
+                inside.append(_where(path, line))
+            else:
+                outside.append(_where(path, line))
         assert outside == [], (
             "bulk_copy called outside Rhino._reconcile; run the reconcile "
             f"pass instead: {outside}"

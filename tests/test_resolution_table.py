@@ -194,3 +194,19 @@ def test_retarget_picks_a_failure_recovery_whose_target_is_down():
                 target_down = down and facts.lost == TARGET
                 expected = kind == "failure" and target_down
                 assert resolution.retarget(plan_facts) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("lost", ["origin", "target"])
+@pytest.mark.parametrize("down", [True, False], ids=["dead", "up"])
+def test_rerun_when_the_participant_is_up_or_the_kind_replans(kind, lost, down):
+    """A rolled-back reconfiguration runs again when its lost participant
+    is still up (a partition or a false suspicion), or when it re-plans
+    (a failure recovery whose target died, :func:`retarget`).  A
+    rebalance, rescale or drain that lost a dead worker does not."""
+    facts, _ = facts_for(kind, lost, PHASES[1], 0, down, False, {})
+    assert resolution.resolve(facts).outcome == resolution.ROLLBACK
+    replans = any(resolution.retarget(plan) for plan in facts.plans)
+    assert replans == (kind == "failure" and down)
+    expected = not down or replans
+    assert resolution.rerun(not down, facts.plans) == expected
