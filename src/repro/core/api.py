@@ -31,13 +31,11 @@ import inspect
 
 from repro.common.errors import ProtocolError
 from repro.engine.checkpointing import DFSCheckpointStorage
-from repro.engine.instance import Frontier, ReplayFilter
 from repro.core import migration, resolution
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
 from repro.core.replication import ChainReplicator
 from repro.core.replication_manager import ReplicationManager
-from repro.core.rollback import consumer_filter
 
 #: Pause before an aborted handover is re-planned and retried (seconds).
 HANDOVER_RETRY_DELAY = 0.5
@@ -427,12 +425,7 @@ class Rhino:
                 # offset: at the handover marker, or with no handover now,
                 # dropping what every consumer has already seen.
                 self._seek_to_latest(replacement)
-                if plans:
-                    replacement.paused = True
-                else:
-                    replacement.replay_filter = consumer_filter(
-                        self.job, [], self.sim.now
-                    )
+                replacement.paused = bool(plans)
             replacement.start()
 
         def commit(token):
@@ -446,13 +439,10 @@ class Rhino:
         return plans, commit
 
     def _deploy_held_replacement(self, op_name, index, machine):
-        """Deploy a stateful replacement that holds all records until the
+        """Deploy a stateful replacement that drops all records until the
         handover has loaded its state."""
         replacement = self.job.replace_instance(op_name, index, machine)
-        replacement.replay_filter = ReplayFilter(
-            self.job.config.num_key_groups, Frontier({}, float("inf"))
-        )
-        replacement.checkpoints_enabled = False
+        replacement.restoring = True
         replacement.start()
 
     def _replan_failure(self, plans):

@@ -231,10 +231,6 @@ class HandoverExecution:
         self.done = sim.event()
         #: id(plan) -> Event carrying the plan's ((kind, tables), frontier).
         self._state_ready = {}
-        #: Per-source emission frontier at rewire time: the exact boundary
-        #: between records routed with the old and the new configuration
-        #: (needed to roll a broken handover back without loss).
-        self.source_frontiers = {}
         #: The root trace span of this handover (NULL_SPAN when untraced);
         #: per-instance fetch/load spans nest under it.
         self.root_span = None

@@ -16,12 +16,7 @@ from repro.common.units import split_bytes
 from repro.obs import phase_span
 from repro.sim.flows import TransferFailed
 from repro.sim.kernel import Interrupt
-from repro.engine.instance import (
-    Frontier,
-    OperatorInstance,
-    ReplayFilter,
-    SourceInstance,
-)
+from repro.engine.instance import OperatorInstance, SourceInstance
 from repro.core import fluid, migration, resolution, restore, rollback
 from repro.core.handover import (
     ABORTED,
@@ -198,15 +193,12 @@ class HandoverManager:
             self._journal(execution, "handover.prepared", handover=handover_id)
 
             restore_offsets = None
-            source_filter = None
             if plans[0].reason == migration.FAILURE:
                 points = restore.publish(self.rhino, execution)
                 self._journal(
                     execution, "handover.state-shipped", handover=handover_id
                 )
-                restore_offsets, source_filter = restore.replay_start(
-                    self.rhino, plans, points
-                )
+                restore_offsets = restore.replay_start(self.rhino, points)
             scheduling_span.finish()
             transfer_span = execution.open_phase("handover.transfer")
 
@@ -219,9 +211,6 @@ class HandoverManager:
                 if source.machine.alive:
                     source.send_command("marker", marker)
                     if restore_offsets is not None:
-                        # Replay only what some consumer still needs: drop
-                        # replayed records every consumer has already seen.
-                        source.replay_filter = source_filter
                         offset = restore_offsets.get(source.instance_id)
                         if offset is not None:
                             source.send_command("seek", offset)
@@ -321,11 +310,6 @@ class HandoverManager:
         yield from instance.broadcast(marker)
         if isinstance(instance, SourceInstance):
             instance.paused = False  # replacement sources resume here
-            # Capture the exact old/new-epoch routing boundary for this
-            # source (abort rollback replays from here if needed).
-            execution.source_frontiers[instance.instance_id] = (
-                instance._last_emitted_ts
-            )
 
         if isinstance(instance, OperatorInstance):
             is_failure = any(p.reason == migration.FAILURE for p in marker.plans)
@@ -341,18 +325,9 @@ class HandoverManager:
                 )
             ]
             if is_failure and instance.state is not None and not target_of:
-                # Survivors deduplicate the upcoming replay against their
-                # live per-source progress: a re-run recovery's replay can
-                # overlap the one its aborted attempt started, and the
-                # copy of a record that arrives second must read as seen
-                # (a snapshot taken here passes both).  Refreshed on
-                # *every* failure: a stale filter from an earlier recovery
-                # would let a newer replay re-process records seen since.
-                instance.replay_filter = ReplayFilter(
-                    self.job.config.num_key_groups,
-                    Frontier(instance.origin_progress, float("-inf")),
-                    epoch=self.sim.now,
-                )
+                # What a survivor processes of the upcoming replay it had
+                # not seen: recovery work, not end-to-end latency.
+                instance.replay_epoch = self.sim.now
             for plan in marker.plans:
                 if plan.op_name != instance.op.name or instance.state is None:
                     continue
@@ -518,27 +493,19 @@ class HandoverManager:
             return  # the handover rolled back while the state loaded
         instance.state.store.ingest_tables(live_tables, ranges=plan.vnodes)
         # Incremental: the target keeps the indexes of the virtual nodes it
-        # already served and adds the migrated ones.
+        # already served and adds the migrated ones, whose replay progress
+        # is the frontier the state was captured with.
+        instance.progress.take(plan.vnodes, frontier)
         instance.adopt_groups(plan.vnodes)
         if plan.reason == migration.FAILURE:
-            # Fresh (restored) ranges replay from the checkpoint frontier.
-            # The default floor must stay open (-inf): a blanket "seen" floor
-            # would silently swallow records of key groups this instance
-            # adopts in a *later* reconfiguration.  The sampling epoch is
-            # the reconfiguration *trigger*: records created before the
-            # failure were measured in their original epoch; anything newer
-            # is live traffic whose delay (e.g. waiting for this restore)
-            # is real end-to-end latency.
-            instance.replay_filter = ReplayFilter(
-                self.job.config.num_key_groups,
-                Frontier(dict(instance.origin_progress), float("-inf")),
-                fresh_ranges=plan.vnodes,
-                fresh=frontier,
-                epoch=execution.report.triggered_at,
-            )
-            # The watermarks received so far precede that replay.
+            # The sampling epoch is the reconfiguration *trigger*: records
+            # created before the failure were measured in their original
+            # epoch; anything newer is live traffic whose delay (e.g.
+            # waiting for this restore) is real end-to-end latency.
+            instance.replay_epoch = execution.report.triggered_at
+            # The watermarks received so far precede the replay.
             instance.restart_frontier()
-        instance.checkpoints_enabled = True
+        instance.restoring = False
         load_span.finish(
             bytes=sum(t.size_bytes for t in live_tables),
             groups=plan.moved_groups,
@@ -577,13 +544,10 @@ class HandoverManager:
         """The ``resolution.Facts`` of ``execution`` (None: closed) when
         ``lost``, a worker's name or ``resolution.LEADER``, is lost."""
         if execution is None:
-            return resolution.Facts(lost, down, journaled, None, set(), set(), (), {})
+            return resolution.Facts(lost, down, journaled, None, set(), set(), ())
         plans = tuple(self.plan_facts(plan) for plan in execution.plans)
         phase, expected, acked = execution.phase, execution.expected, execution.acked
-        captured = dict(execution.source_frontiers)
-        return resolution.Facts(
-            lost, down, journaled, phase, expected, acked, plans, captured
-        )
+        return resolution.Facts(lost, down, journaled, phase, expected, acked, plans)
 
     def plan_facts(self, plan):
         """One plan's ``resolution.PlanFacts``, read off the live job."""
@@ -613,5 +577,4 @@ def _party(instance, machine, vnodes):
     )
     alive = machine is not None and machine.alive
     name = machine.name if machine is not None else None
-    progress = getattr(instance, "origin_progress", None)
-    return resolution.Party(name, alive, state is not None, holds, progress)
+    return resolution.Party(name, alive, state is not None, holds)

@@ -12,16 +12,14 @@ object, so a test can range over every case without a simulator:
 * a plan's origin or target worker lost (dead or suspected): *rollback*;
 * a bystander lost: *continue*, forgetting a dead one's acknowledgments.
 
-A rollback keeps one owner per key group, and a source that never
-rewired diverted nothing: its fresh frontier entry is the live progress.
-Whether a rolled-back reconfiguration then runs again is :func:`rerun`.
+A rollback keeps one owner per key group.  Whether a rolled-back
+reconfiguration then runs again is :func:`rerun`.
 """
 
-from collections import ChainMap, namedtuple
+from collections import namedtuple
 
 from repro.core.handover import PHASE_TABLE
 from repro.core.migration import FAILURE
-from repro.engine.instance import Frontier
 
 #: The participant lost when the control-plane leader is.
 LEADER = "leader"
@@ -36,25 +34,25 @@ CONTINUE = "continue"
 TAKEOVER_ROWS = (SETTLED, UNJOURNALED, ABANDON, COMMIT, ROLLBACK)
 
 #: An instance a plan names: its machine's name (None: none), whether it is
-#: up, whether the instance has keyed state, whether it owns any of the
-#: plan's key groups, and its live per-source progress.
-Party = namedtuple("Party", "machine alive state holds progress")
+#: up, whether the instance has keyed state, and whether it owns any of the
+#: plan's key groups.
+Party = namedtuple("Party", "machine alive state holds")
 #: A :class:`~repro.core.migration.HandoverPlan` and its two Parties.
 PlanFacts = namedtuple("PlanFacts", "plan origin target")
 #: ``lost``: :data:`LEADER` or a worker's machine name, ``down`` if known
 #: dead; ``journaled``: the replayed journal holds it open; ``phase``: the
-#: live phase (None: closed); ``captured``: source -> frontier at rewire.
-Facts = namedtuple("Facts", "lost down journaled phase expected acked plans captured")
+#: live phase (None: closed).
+Facts = namedtuple("Facts", "lost down journaled phase expected acked plans")
 #: One plan's end: the index its key groups route to (None: unchanged);
-#: whether the origin adopts them, the target fences off the records
-#: diverted to it and releases the groups it holds, a spawned target is
-#: removed; the fresh replay frontier of the rolled-back consumer.
-Settlement = namedtuple("Settlement", "owner adopt fence release remove frontier")
+#: whether the origin adopts them (resuming its own frontier for them),
+#: the target fences off the records diverted to it and releases the
+#: groups it holds, a spawned target is removed.
+Settlement = namedtuple("Settlement", "owner adopt fence release remove")
 #: ``forget``: drop the lost worker's acks; ``resume``: re-execute the
 #: failure recovery whose driver the lost leader took with it.
 Resolution = namedtuple("Resolution", "outcome settlements forget resume")
 
-_UNCHANGED = Settlement(None, False, False, False, False, None)
+_UNCHANGED = Settlement(None, False, False, False, False)
 
 
 def resolve(facts):
@@ -62,7 +60,7 @@ def resolve(facts):
     outcome = _outcome(facts)
     return Resolution(
         outcome,
-        tuple(_settle(plan, outcome, facts.captured) for plan in facts.plans),
+        tuple(_settle(plan, outcome) for plan in facts.plans),
         forget=outcome == CONTINUE and facts.down,
         resume=facts.lost == LEADER
         and outcome in (ABANDON, ROLLBACK)
@@ -98,7 +96,7 @@ def _outcome(facts):
     return ROLLBACK if facts.lost in machines else CONTINUE
 
 
-def _settle(facts, outcome, captured):
+def _settle(facts, outcome):
     plan, origin, target = facts
     if outcome == COMMIT:
         return _UNCHANGED._replace(owner=plan.target_index)
@@ -107,7 +105,7 @@ def _settle(facts, outcome, captured):
     if outcome != ROLLBACK:
         return _UNCHANGED
     # A failure recovery's empty replacement is its origin and its target:
-    # it keeps its hold-all filter until a retry restores it.
+    # it keeps waiting for its state until a retry restores it.
     fence = target.alive and target.state
     fence = fence and not (plan.spawn_target or plan.replace_origin)
     return Settlement(
@@ -116,8 +114,4 @@ def _settle(facts, outcome, captured):
         fence=fence,
         release=fence and target.holds,
         remove=plan.spawn_target,
-        # A dead origin's groups are left to its failure recovery.
-        frontier=Frontier(ChainMap(captured, origin.progress), float("-inf"))
-        if origin.alive
-        else None,
     )

@@ -6,7 +6,6 @@ since that checkpoint replay from upstream backup (§4.1.2, §4.2).
 """
 
 from repro.common.errors import ProtocolError
-from repro.core.rollback import consumer_filter
 
 
 def publish(rhino, execution):
@@ -15,7 +14,9 @@ def publish(rhino, execution):
     Returns each plan's restore point: (frontier, source), where the
     source is the DFS checkpoint's record or the replica holding's
     checkpoint id, and the frontier is the one the restored state was
-    captured with.
+    captured with.  The replacement takes that frontier for its ranges
+    now, while it still waits for the state: the replay's sources ask it
+    what it will have seen.
     """
     coordinator = rhino.job.coordinator
     if not coordinator.has_completed():
@@ -35,26 +36,18 @@ def publish(rhino, execution):
             source = holding.checkpoint_id
             frontier = holding.frontier
             payload = ("local", holding.live_tables())
+        replacement = rhino.job.instances[(plan.op_name, plan.target_index)]
+        replacement.progress.take(plan.vnodes, frontier)
         execution.publish_state(plan, payload, frontier)
         points.append((frontier, source))
     return points
 
 
-def replay_start(rhino, plans, points):
-    """The source offsets and source filter of the upcoming replay.
-
-    Replay starts at the offsets of the oldest checkpoint any plan
-    restores from, to cover every migrated range.  The filter maps every
-    key group to its consuming instances: recovered ones carry their
-    restored checkpoint's frontier, survivors are consulted live.
-    """
+def replay_start(rhino, points):
+    """The source offsets of the upcoming replay: those of the oldest
+    checkpoint any plan restores from, to cover every migrated range."""
     record = _oldest_restore_record(rhino, [source for _, source in points])
-    fresh = [
-        (plan.op_name, lo, hi, frontier)
-        for plan, (frontier, _source) in zip(plans, points)
-        for lo, hi in plan.vnodes
-    ]
-    return dict(record.offsets), consumer_filter(rhino.job, fresh, rhino.sim.now)
+    return dict(record.offsets)
 
 
 def _newest_record_with(coordinator, instance_id):
@@ -75,14 +68,14 @@ def _oldest_restore_record(rhino, sources):
         return min(sources, key=lambda r: r.checkpoint_id)
     # Handover checkpoints carry tuple ids and are not registered with the
     # coordinator; replaying from an older periodic checkpoint's offsets is
-    # safe (the replay filters deduplicate).
+    # safe (every consumer deduplicates the replay).
     ids = [source for source in sources if isinstance(source, int)]
     if not ids:
         return coordinator.latest_completed()
     # A holding may reference a checkpoint the coordinator aborted
     # (replication ships at instance-ack time): replay from the newest
     # *completed* checkpoint at or below it -- older offsets only mean
-    # more replay, which the filters deduplicate exactly.
+    # more replay, which the consumers deduplicate exactly.
     target = min(ids)
     eligible = [r for r in coordinator.completed if r.checkpoint_id <= target]
     if not eligible:

@@ -22,7 +22,6 @@ from bisect import bisect_right
 from collections import deque
 
 from repro.common.errors import EngineError
-from repro.common.ranges import RangeSet
 from repro.sim.kernel import Interrupt
 from repro.sim.resources import Store
 from repro.engine.operators import InstanceContext
@@ -41,100 +40,90 @@ MAX_POLL_RECORDS = 64
 
 
 class Frontier:
-    """How far a consumer has processed the records of each source partition.
+    """Replay progress per key-group range ("ignore seen records", §4.1.2).
 
-    ``by_origin`` maps an origin (a source partition) to the timestamp of
-    the last record processed from it.  Timestamps strictly increase per
-    origin and channels deliver prefixes, so these entries are exact.
-    ``floor`` decides every record of an origin the map does not hold, and
-    every record without an origin.
+    ``segments`` are disjoint ``(lo, hi, progress)`` key-group ranges in
+    ascending order; ``progress`` maps an origin (a source partition) to
+    the log position of the newest record of that range processed from it.
+    A source emits its partition in position order and a channel delivers
+    a prefix, so every record of the range at or behind that position was
+    processed, or was covered by the frontier the range was adopted with.
+    No two segments share a progress map.
     """
 
-    __slots__ = ("by_origin", "floor")
+    __slots__ = ("segments", "_starts")
 
-    def __init__(self, by_origin, floor):
-        self.by_origin = by_origin
-        self.floor = floor
+    def __init__(self, segments=()):
+        self.segments = list(segments)
+        self._starts = [lo for lo, _hi, _progress in self.segments]
 
-    def seen(self, record):
-        """True when ``record`` lies at or behind this frontier."""
-        progress = self.by_origin.get(record.origin)
-        if progress is None:
-            return record.timestamp <= self.floor
-        return record.timestamp <= progress
-
-
-class ReplayFilter:
-    """Deduplication of replayed records ("ignore seen records", §4.1.2).
-
-    A record is a duplicate when a :class:`Frontier` has seen it.  Records
-    of the *fresh* (migrated or rolled-back) key groups meet the ``fresh``
-    frontier -- the restored checkpoint's, or an abort's -- and every other
-    record meets the ``default`` frontier.
-    """
-
-    __slots__ = ("num_groups", "default", "fresh_ranges", "fresh", "epoch")
-
-    def __init__(self, num_groups, default, fresh_ranges=None, fresh=None, epoch=None):
-        self.num_groups = num_groups
-        self.default = default
-        self.fresh_ranges = RangeSet(fresh_ranges) if fresh_ranges else None
-        self.fresh = fresh
-        #: Simulated time the filter was installed: records older than this
-        #: are recovery reprocessing, not live traffic, and are excluded
-        #: from end-to-end latency sampling.
-        self.epoch = epoch
-
-    def should_process(self, record):
-        """False when the record is a replay duplicate to skip."""
-        if self.fresh_ranges is not None:
-            group = key_group_of(record.key, self.num_groups)
-            if group in self.fresh_ranges:
-                return not self.fresh.seen(record)
-        return not self.default.seen(record)
-
-
-class ConsumerDrivenReplayFilter:
-    """Source-side replay filter: re-ship a record iff a consumer needs it.
-
-    During upstream-backup replay, a record is worth re-shipping only when
-    the frontier of at least one consuming instance has not seen it:
-
-    * a *survivor*'s frontier is its live per-origin progress (a record
-      it lacks was lost in flight);
-    * a *recovered* instance's is its restored checkpoint's frontier, a
-      *rolled-back* one's what the aborted epoch had not diverted.
-
-    Reading live survivor progress keeps the filter exact and tight:
-    progress only advances, and anything re-shipped unnecessarily is still
-    deduplicated by the consumer's own :class:`ReplayFilter`.
-
-    ``segments`` are disjoint ``(lo, hi, consumers)`` key-group ranges in
-    ascending order, ``consumers`` the Frontier of each instance consuming
-    them; a group outside every segment has no consumer.
-    """
-
-    __slots__ = ("num_groups", "segments", "_starts", "epoch")
-
-    def __init__(self, num_groups, segments, epoch=None):
-        self.num_groups = num_groups
-        self.segments = segments
-        self._starts = [lo for lo, _hi, _consumers in segments]
-        self.epoch = epoch
-
-    def should_process(self, record):
-        """False when the record is a replay duplicate to skip."""
-        group = key_group_of(record.key, self.num_groups)
+    def progress_of(self, group):
+        """The progress map of ``group``'s range (None: no range holds it)."""
         index = bisect_right(self._starts, group) - 1
-        if index < 0:
-            return False
-        _lo, hi, consumers = self.segments[index]
-        if group >= hi:
-            return False  # nobody consumes this group: drop
-        for frontier in consumers:
-            if not frontier.seen(record):
-                return True
-        return False
+        if index >= 0:
+            _lo, hi, progress = self.segments[index]
+            if group < hi:
+                return progress
+        return None
+
+    def seen(self, record, group):
+        """True when ``record``, of key group ``group``, lies at or behind
+        this frontier."""
+        progress = self.progress_of(group)
+        return (
+            progress is not None
+            and record.position is not None
+            and record.position <= progress.get(record.origin, -1)
+        )
+
+    def take(self, ranges, other):
+        """Give each ``(lo, hi)`` of ``ranges`` a copy of ``other``'s
+        progress there (an empty map where ``other`` holds none)."""
+        for lo, hi in ranges:
+            pieces = []
+            cursor = lo
+            for p_lo, p_hi, progress in other.segments:
+                p_lo, p_hi = max(p_lo, lo), min(p_hi, hi)
+                if p_lo >= p_hi:
+                    continue
+                if cursor < p_lo:
+                    pieces.append((cursor, p_lo, {}))
+                pieces.append((p_lo, p_hi, dict(progress)))
+                cursor = p_hi
+            if cursor < hi:
+                pieces.append((cursor, hi, {}))
+            kept = []
+            for s_lo, s_hi, progress in self.segments:
+                if s_hi <= lo or hi <= s_lo:
+                    kept.append((s_lo, s_hi, progress))
+                    continue
+                # A split keeps one map per piece: each piece advances alone.
+                if s_lo < lo:
+                    kept.append((s_lo, lo, progress))
+                if hi < s_hi:
+                    kept.append((hi, s_hi, dict(progress) if s_lo < lo else progress))
+            self.segments = sorted(kept + pieces, key=lambda segment: segment[0])
+            self._starts = [s_lo for s_lo, _hi, _progress in self.segments]
+
+    def copy(self):
+        """A snapshot: the same ranges over copied progress maps."""
+        return Frontier((lo, hi, dict(progress)) for lo, hi, progress in self.segments)
+
+
+def seen_by_owners(job, record):
+    """True when ``record``'s key group has a stateful owner, and every
+    current owner, over every keyed operator, has processed the record --
+    or adopted a frontier covering it (a failure's replacement holds the
+    frontier it will restore).  With no owner, nobody can tell."""
+    group = key_group_of(record.key, job.config.num_key_groups)
+    owned = False
+    for op_name, assignment in job.assignments.items():
+        owner = job.instances.get((op_name, assignment.owner_of(group)))
+        if owner is not None and owner.state is not None:
+            if not owner.progress.seen(record, group):
+                return False
+            owned = True
+    return owned
 
 
 class InstanceBase:
@@ -234,16 +223,22 @@ class OperatorInstance(InstanceBase):
         self.records_processed = 0
         self.weighted_records_processed = 0
         self.records_misrouted = 0
-        self.last_record_ts = float("-inf")
-        #: Exact per-source-partition progress: origin -> last processed
-        #: timestamp (timestamps strictly increase per origin).
-        self.origin_progress = {}
-        self.replay_filter = None
-        #: False while this instance awaits a state restore (a replacement
-        #: spawned after a failure): it forwards barriers but must not
-        #: snapshot or acknowledge -- an empty snapshot would poison the
-        #: replicas of the state it is about to receive.
-        self.checkpoints_enabled = True
+        #: Replay progress of every key-group range this stateful instance
+        #: owns: a record it has seen there is a duplicate and skipped.
+        self.progress = None
+        if op.stateful:
+            if owned_ranges is None:
+                owned_ranges = [(0, job.config.num_key_groups)]
+            self.progress = Frontier((lo, hi, {}) for lo, hi in owned_ranges)
+        #: Records created at or before this simulated time were measured
+        #: in their original epoch: reprocessing them after a recovery or a
+        #: rollback is recovery work, not end-to-end latency.
+        self.replay_epoch = None
+        #: True while this instance awaits a state restore (a replacement
+        #: spawned after a failure): it drops records, forwards barriers,
+        #: and neither snapshots nor acknowledges -- an empty snapshot
+        #: would poison the replicas of the state it is about to receive.
+        self.restoring = False
 
     # -- inputs -----------------------------------------------------------
 
@@ -386,38 +381,12 @@ class OperatorInstance(InstanceBase):
         downstream emission happen once per batch.
         """
         records = batch.records
-        if self.replay_filter is not None:
-            should_process = self.replay_filter.should_process
-            kept = [r for r in records if should_process(r)]
-            if not kept:
+        if self.state is not None:
+            if self.restoring:
+                return  # the replay after the restore re-sends these
+            records, advanced = self._admit(records, channel is not None)
+            if not records:
                 return
-            records = kept
-        if self.state is not None and self.state.store.owned is not None:
-            owns = self.state.store.owns
-            num_groups = self.job.config.num_key_groups
-            misroute = self.job.misroute_handler
-            owned = []
-            # A batch's rows hit few distinct key groups; memoize the
-            # RangeSet lookup per group for the length of this batch.
-            owns_cache = {}
-            for record in records:
-                group = key_group_of(record.key, num_groups)
-                is_owned = owns_cache.get(group)
-                if is_owned is None:
-                    is_owned = owns_cache[group] = owns(group)
-                if is_owned:
-                    owned.append(record)
-                elif misroute is not None:
-                    # Transient misrouting: Megaphone's fluid migration
-                    # hands the record to its new owner; otherwise (an
-                    # aborted handover's epoch boundary) it is dropped and
-                    # recovered by the abort's replay.
-                    misroute(self, record)
-                else:
-                    self.records_misrouted += 1
-            if not owned:
-                return
-            records = owned
         work = batch if records is batch.records else RecordBatch(records)
         side = channel.input_index if channel is not None else 0
         outputs = self.logic.process_batch(work, side=side)
@@ -426,14 +395,11 @@ class OperatorInstance(InstanceBase):
             yield from self.machine.compute(cost)
         self.records_processed += len(records)
         self.weighted_records_processed += work.total_weight
-        if work.max_timestamp > self.last_record_ts:
-            self.last_record_ts = work.max_timestamp
-        origin_progress = self.origin_progress
-        for record in records:
-            # Rows arrive in per-origin timestamp order, so the last write
-            # per origin is that origin's exact frontier.
-            if record.origin is not None:
-                origin_progress[record.origin] = record.timestamp
+        if self.state is not None:
+            # Processed: each admitted record moves its range's frontier.
+            for record, progress in zip(records, advanced):
+                if progress is not None:
+                    progress[record.origin] = record.position
         if self.op.measure_latency:
             now = self.sim.now
             sample = self.job.metrics.sample_latency
@@ -451,14 +417,57 @@ class OperatorInstance(InstanceBase):
         if self.state is not None and self.state.store.needs_flush:
             yield from self.state.maintenance()
 
+    def _admit(self, records, delivered):
+        """The records of ``records`` this instance processes -- those of a
+        key group it owns that its range's frontier has not seen -- and,
+        for each, the progress map its processing advances (None: none).
+
+        A record a channel did not deliver (a migrator hands it over
+        directly) is out of position order: it is neither checked nor
+        counted.
+        """
+        owns = self.state.store.owns
+        progress_of = self.progress.progress_of
+        num_groups = self.job.config.num_key_groups
+        misroute = self.job.misroute_handler
+        admitted = []
+        advanced = []
+        admit, advance = admitted.append, advanced.append
+        # A batch's rows hit few distinct key groups; look each group's
+        # range up once for the length of this batch.
+        ranges = {}
+        for record in records:
+            group = key_group_of(record.key, num_groups)
+            progress = ranges.get(group)
+            if progress is None:
+                if not owns(group):
+                    if misroute is not None:
+                        # Transient misrouting: Megaphone's fluid migration
+                        # hands the record to its new owner; otherwise (an
+                        # aborted handover's epoch boundary) it is dropped
+                        # and recovered by the abort's replay.
+                        misroute(self, record)
+                    else:
+                        self.records_misrouted += 1
+                    continue
+                progress = progress_of(group)
+                if progress is None:
+                    progress = {}  # owned with no range frontier (a Megaphone bin)
+                ranges[group] = progress
+            position = record.position
+            if position is None or not delivered:
+                advance(None)
+            elif position > progress.get(record.origin, -1):
+                advance(progress)
+            else:
+                continue  # seen: a replayed duplicate
+            admit(record)
+        return admitted, advanced
+
     def _is_recovery_reprocessing(self, record):
         """Replayed records were measured in their original epoch; their
         reprocessing is recovery work, not end-to-end latency."""
-        return (
-            self.replay_filter is not None
-            and self.replay_filter.epoch is not None
-            and record.timestamp <= self.replay_filter.epoch
-        )
+        return self.replay_epoch is not None and record.timestamp <= self.replay_epoch
 
     def _handle_watermark(self, watermark):
         outputs = list(self.logic.on_watermark(watermark))
@@ -490,7 +499,7 @@ class OperatorInstance(InstanceBase):
         on_barrier = getattr(self.logic, "on_barrier", None)
         if on_barrier is not None:
             on_barrier(barrier.checkpoint_id)
-        if not self.checkpoints_enabled:
+        if self.restoring:
             return
         checkpoint = None
         if self.state is not None:
@@ -503,9 +512,8 @@ class OperatorInstance(InstanceBase):
     # -- introspection --------------------------------------------------------
 
     def frontier(self):
-        """A snapshot of this instance's replay frontier: its per-origin
-        progress over the timestamp of the newest record it processed."""
-        return Frontier(dict(self.origin_progress), self.last_record_ts)
+        """A snapshot of this instance's replay frontier, range by range."""
+        return self.progress.copy()
 
     @property
     def watermark(self):
@@ -520,14 +528,17 @@ class OperatorInstance(InstanceBase):
 
     def adopt_groups(self, ranges):
         """Take over the key-group ``ranges`` and index them (a handover
-        target, or an origin a rollback hands its groups back to)."""
+        target, or an origin a rollback hands its groups back to, which
+        resumes their replay progress where it released them)."""
         for lo, hi in ranges:
             self.state.adopt_groups(lo, hi)
         self.logic.absorb(ranges)
 
     def release_groups(self, ranges):
         """Give up the key-group ``ranges`` (a handover origin, or a target
-        a rollback takes them from); returns the modeled bytes released."""
+        a rollback takes them from); returns the modeled bytes released.
+        Their replay progress stays, split off the ranges it still owns."""
+        self.progress.take(ranges, self.progress)
         released = sum(self.state.drop_groups(lo, hi) for lo, hi in ranges)
         remaining = self.state.owned_ranges()
         self.logic.rebuild(remaining if remaining is not None else [])
@@ -582,15 +593,15 @@ class SourceInstance(InstanceBase):
         #: Bounds how fast upstream-backup replay can drain lag: the SPE
         #: catches up at its sustainable throughput, not instantly.
         self.rate_limit = rate_limit
-        #: Replay filter installed during fine-grained recovery: replayed
-        #: records outside the migrated key ranges are dropped at ingest
-        #: (Rhino replays only for the recovered partition; survivors'
-        #: traffic is not re-shipped through the dataflow).
-        self.replay_filter = None
+        #: Partition end at the last seek: a record before it may be a
+        #: replay, and one every owner of its key group has seen is dropped
+        #: at ingest (Rhino replays only for the recovered partition;
+        #: survivors' traffic is not re-shipped through the dataflow).
+        self._replay_end = 0
         self.records_dropped = 0
         #: A paused source only serves control commands (markers, seeks);
         #: replacements spawn paused so no records flow before the
-        #: handover marker establishes filters and offsets.
+        #: handover marker sets their offsets.
         self.paused = False
         self._last_watermark = float("-inf")
         self._last_emitted_ts = float("-inf")
@@ -678,11 +689,18 @@ class SourceInstance(InstanceBase):
         # The polled records travel downstream as ONE RecordBatch element
         # (generator batches): markers and watermarks are injected between
         # batches, so a batch never straddles a marker.
-        # Stamp first: the filter reads an unstamped record as an absent source's.
-        for record in batch:
-            record.origin = self.instance_id
-        if self.replay_filter is not None:
-            emitted = [r for r in batch if self.replay_filter.should_process(r)]
+        origin = self.instance_id
+        start = self.cursor.offset - len(batch)
+        for position, record in enumerate(batch, start):
+            record.origin = origin
+            record.position = position
+        if start < self._replay_end:
+            replay_end, job = self._replay_end, self.job
+            emitted = [
+                r
+                for r in batch
+                if r.position >= replay_end or not seen_by_owners(job, r)
+            ]
             self.records_dropped += len(batch) - len(emitted)
         else:
             emitted = batch
@@ -710,6 +728,7 @@ class SourceInstance(InstanceBase):
     def seek(self, offset):
         """Rewind the source's cursor (replay from upstream backup)."""
         self.cursor.seek(offset)
+        self._replay_end = self.cursor.partition.end_offset
         self._last_emitted_ts = float("-inf")
         self._last_watermark = float("-inf")
         # The replay's first batch is followed by its watermark.

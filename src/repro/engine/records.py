@@ -11,8 +11,8 @@ class Record:
     """One stream record r = (k, t, a) following Fernandez et al.'s model.
 
     * ``key`` -- the partitioning key (hashes to a key group).
-    * ``timestamp`` -- event-time creation timestamp (strictly increasing
-      per source partition).
+    * ``timestamp`` -- event-time creation timestamp (any order: replay
+      deduplication reads ``position``, never event time).
     * ``value`` -- the record's attributes.
     * ``nbytes`` -- modeled wire/state size of the record.
     * ``weight`` -- how many identical real-world records this simulated
@@ -21,19 +21,23 @@ class Record:
       scale while simulated record counts stay small.
     """
 
-    __slots__ = ("key", "timestamp", "value", "nbytes", "weight", "origin")
+    __slots__ = ("key", "timestamp", "value", "nbytes", "weight", "origin", "position")
 
-    def __init__(self, key, timestamp, value=None, nbytes=32, weight=1, origin=None):
+    def __init__(
+        self, key, timestamp, value=None, nbytes=32, weight=1, origin=None, position=None
+    ):
         self.key = key
         self.timestamp = timestamp
         self.value = value
         self.nbytes = nbytes
         self.weight = weight
-        #: The source instance that emitted the record.  Timestamps are
-        #: strictly increasing per source partition, so (origin, timestamp)
-        #: gives an exact per-channel progress frontier for replay
+        #: The source instance that emitted the record, and the record's
+        #: offset in that source's log partition.  A source emits its
+        #: partition in offset order and a channel delivers a prefix, so
+        #: (origin, position) gives an exact progress frontier for replay
         #: deduplication ("ignore seen records", §4.1.2).
         self.origin = origin
+        self.position = position
 
     @property
     def total_bytes(self):
@@ -56,9 +60,7 @@ class RecordBatch:
     * ``nbytes`` -- total modeled wire bytes (credit accounting is in
       bytes per batch);
     * ``total_weight`` -- sum of record weights (CPU is charged once per
-      batch);
-    * ``min_timestamp`` / ``max_timestamp`` -- the batch's event-time
-      span, usable as watermark metadata without touching the rows.
+      batch).
 
     **Marker alignment rule:** a batch holds records only -- watermarks
     and aligned markers are always separate stream elements, so a batch
@@ -69,25 +71,17 @@ class RecordBatch:
     subset build a new batch over the filtered rows.
     """
 
-    __slots__ = ("records", "nbytes", "total_weight", "min_timestamp", "max_timestamp")
+    __slots__ = ("records", "nbytes", "total_weight")
 
     def __init__(self, records):
         self.records = records
         nbytes = 0
         weight = 0
-        min_ts = float("inf")
-        max_ts = float("-inf")
         for record in records:
             nbytes += record.nbytes
             weight += record.weight
-            if record.timestamp < min_ts:
-                min_ts = record.timestamp
-            if record.timestamp > max_ts:
-                max_ts = record.timestamp
         self.nbytes = nbytes
         self.total_weight = weight
-        self.min_timestamp = min_ts
-        self.max_timestamp = max_ts
 
     def __len__(self):
         return len(self.records)
@@ -105,10 +99,7 @@ class RecordBatch:
         return sum(record.total_bytes for record in self.records)
 
     def __repr__(self):
-        return (
-            f"<RecordBatch n={len(self.records)} nbytes={self.nbytes} "
-            f"ts=[{self.min_timestamp:.3f}, {self.max_timestamp:.3f}]>"
-        )
+        return f"<RecordBatch n={len(self.records)} nbytes={self.nbytes}>"
 
 
 def element_record_count(element):

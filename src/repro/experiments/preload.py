@@ -76,7 +76,6 @@ def preload_state(
         instance.machine.pick_disk().used += table.size_bytes
         checkpoint, _flushed = instance.state.store.checkpoint(checkpoint_id, now=now)
         checkpoint.delta_tables = [table]  # the artifact that was persisted
-        instance.last_record_ts = max(instance.last_record_ts, now)
         checkpoint.frontier = instance.frontier()
         record.checkpoints[instance.instance_id] = checkpoint
         if rhino is not None:

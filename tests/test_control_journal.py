@@ -128,7 +128,7 @@ class TestReplicaVerifyOnRead:
         table = make_table()
         manifest = CheckpointManifest([table.table_id], table.size_bytes)
         store = ReplicaStore(_StubMachine())
-        store.ingest_full("count[0]", [table], manifest, 1, Frontier({}, 0.0))
+        store.ingest_full("count[0]", [table], manifest, 1, Frontier())
         assert store.holding_of("count[0]").is_complete
         table.entries[0].value = "corrupt"
         with pytest.raises(CorruptionError):

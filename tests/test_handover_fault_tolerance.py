@@ -5,6 +5,8 @@ handover may restart the protocol", §4.1.2); the reproduction implements
 the restartable protocol and these tests exercise it.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import FailureDetector
@@ -14,6 +16,7 @@ from repro.core.migration import FAILURE, REBALANCE
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.engine.records import Record
 from repro.faults import check_single_owner
 
 from tests.engine_fixtures import EngineEnv, live_feeder
@@ -396,3 +399,56 @@ class TestRescaleTargetDeath:
         env.sim.process(killer())
         report = env.sim.run(until=handover)
         assert report.total_seconds is not None
+
+
+class TestRollbackDuringRecovery:
+    """A rebalance rolls back while a failure recovery's replacement is
+    still loading its state: the rollback's replay reaches the replacement
+    through the frontier it is about to restore, and the rebalance
+    target's own recovery replays later.  Each consumer deduplicates
+    against its own ranges, so nothing is counted twice or lost."""
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    @pytest.mark.parametrize("kill_delay", [0.5, 0.8, 1.1])
+    def test_counts_stay_exact(self, kill_delay, replication_factor):
+        env, job, rhino = setup(machines=6, replication_factor=replication_factor)
+        live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
+        env.run(until=3.0)
+        failed = job.instance("count", 2).machine
+        env.cluster.kill(failed)
+        recovery = rhino.reconfigure("failure", machine=failed)
+        rebalance = rhino.reconfigure("rebalance", op_name="count", moves=[(0, 1)])
+        rebalance.defused = True
+        env.run(until=3.0 + kill_delay)
+        target = job.instance("count", 1).machine
+        env.cluster.kill(target)
+        env.sim.run(until=recovery)
+        env.run(until=12.0)
+        env.sim.run(until=rhino.reconfigure("failure", machine=target))
+        env.run(until=40.0)
+        assert final_counts(job) == expected_counts()
+
+
+class TestOutOfOrderEventTime:
+    """Event times lag their appends by a seeded 0-0.2 s, so they arrive
+    out of order within a partition.  Replay deduplication keys on log
+    position, never on event time, so a recovery loses nothing."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_recovery_stays_exact(self, seed):
+        env, job, rhino = setup()
+        rng = random.Random(seed)
+
+        def feeder():
+            for i in range(TOTAL):
+                yield env.sim.timeout(0.02)
+                lagged = env.sim.now - rng.uniform(0.0, 0.2)
+                env.log.append("events", i % 2, Record(KEYS[i % len(KEYS)], lagged))
+
+        env.sim.process(feeder())
+        env.run(until=3.0)
+        victim = job.instance("count", 2).machine
+        env.cluster.kill(victim)
+        env.sim.run(until=rhino.reconfigure("failure", machine=victim))
+        env.run(until=30.0)
+        assert final_counts(job) == expected_counts()

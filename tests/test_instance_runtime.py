@@ -1,20 +1,17 @@
 """Unit tests for instance-level machinery: alignment, watermarks, filters."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from repro.common.errors import EngineError
 from repro.core.api import Rhino, RhinoConfig
 from repro.engine.graph import StreamGraph
-from repro.engine.instance import (
-    ConsumerDrivenReplayFilter,
-    Frontier,
-    ReplayFilter,
-)
+from repro.engine.instance import Frontier, seen_by_owners
 from repro.engine.job import JobConfig
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
-from repro.engine.partitioning import key_group_of
+from repro.engine.partitioning import KeyGroupAssignment, key_group_of
 from repro.engine.records import (
     CheckpointBarrier,
     EndOfStream,
@@ -29,61 +26,73 @@ from tests.engine_fixtures import EngineEnv, live_feeder
 NUM_GROUPS = 16
 
 
-def floor(timestamp):
-    """A frontier that holds no origin: ``timestamp`` decides every record."""
-    return Frontier({}, timestamp)
+def at(position, key="k", origin="a"):
+    """A record ``origin`` stamped at log ``position``."""
+    return Record(key, 0.0, origin=origin, position=position)
 
 
 class TestReplayFilter:
+    """An instance skips a record its range's frontier has seen."""
+
     def test_default_cutoff_skips_old_records(self):
-        rf = ReplayFilter(NUM_GROUPS, floor(10.0))
-        assert not rf.should_process(Record("k", 9.0))
-        assert not rf.should_process(Record("k", 10.0))
-        assert rf.should_process(Record("k", 11.0))
+        frontier = Frontier([(0, NUM_GROUPS, {"a": 10})])
+        group = key_group_of("k", NUM_GROUPS)
+        assert frontier.seen(at(9), group)
+        assert frontier.seen(at(10), group)
+        assert not frontier.seen(at(11), group)
 
     def test_fresh_ranges_use_fresh_cutoff(self):
-        key = "k"
-        group = key_group_of(key, NUM_GROUPS)
-        rf = ReplayFilter(
-            NUM_GROUPS,
-            floor(float("inf")),
-            fresh_ranges=[(group, group + 1)],
-            fresh=floor(5.0),
-        )
-        assert rf.should_process(Record(key, 6.0))
-        assert not rf.should_process(Record(key, 5.0))
+        group = key_group_of("k", NUM_GROUPS)
+        frontier = Frontier([(0, NUM_GROUPS, {"a": 100})])
+        frontier.take([(group, group + 1)], Frontier([(0, NUM_GROUPS, {"a": 5})]))
+        assert not frontier.seen(at(6), group)
+        assert frontier.seen(at(5), group)
 
     def test_keys_outside_fresh_ranges_use_default(self):
-        key = "k"
-        group = key_group_of(key, NUM_GROUPS)
+        group = key_group_of("k", NUM_GROUPS)
         other = (group + 1) % NUM_GROUPS
-        rf = ReplayFilter(
-            NUM_GROUPS,
-            floor(100.0),
-            fresh_ranges=[(other, other + 1)],
-            fresh=floor(0.0),
-        )
-        assert not rf.should_process(Record(key, 50.0))
-        assert rf.should_process(Record(key, 150.0))
+        frontier = Frontier([(0, NUM_GROUPS, {"a": 100})])
+        frontier.take([(other, other + 1)], Frontier([(0, NUM_GROUPS, {"a": 0})]))
+        assert frontier.seen(at(50), group)
+        assert not frontier.seen(at(150), group)
 
-    def test_infinite_default_blocks_everything(self):
-        rf = ReplayFilter(NUM_GROUPS, floor(float("inf")))
-        assert not rf.should_process(Record("k", 1e12))
+    def test_a_restoring_instance_drops_everything(self):
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        instance = job.operator_instances("op")[0]
+        instance.restoring = True
+        live_feeder(env, "a", ["k"], count=4, interval=0.1)
+        env.run(until=1.0)
+        assert instance.records_processed == 0
+        group = key_group_of("k", job.config.num_key_groups)
+        assert instance.progress.progress_of(group) == {}
 
 
 class TestFrontier:
-    def test_a_held_origin_ignores_the_floor_in_both_directions(self):
-        # Above its entry but below the floor: not seen.
-        assert not Frontier({"a": 5.0}, 10.0).seen(Record("k", 7.0, origin="a"))
-        # At or below its entry but above the floor: seen.
-        assert Frontier({"a": 5.0}, 0.0).seen(Record("k", 3.0, origin="a"))
-        assert Frontier({"a": 5.0}, 0.0).seen(Record("k", 5.0, origin="a"))
+    def test_take_copies_the_other_frontier_and_splits_ranges(self):
+        frontier = Frontier([(0, 8, {"a": 1}), (8, 16, {"a": 2})])
+        other = Frontier([(4, 6, {"a": 9})])
+        frontier.take([(2, 10)], other)
+        assert [(lo, hi, dict(p)) for lo, hi, p in frontier.segments] == [
+            (0, 2, {"a": 1}),
+            (2, 4, {}),
+            (4, 6, {"a": 9}),
+            (6, 10, {}),
+            (10, 16, {"a": 2}),
+        ]
+        maps = [id(progress) for _lo, _hi, progress in frontier.segments]
+        assert len(set(maps)) == len(maps)  # every piece advances alone
+        assert frontier.progress_of(4) is not other.progress_of(4)
+        assert frontier.progress_of(16) is None
 
     @pytest.mark.parametrize("origin", ["b", None])
-    def test_an_origin_it_does_not_hold_falls_back_to_the_floor(self, origin):
-        frontier = Frontier({"a": 5.0}, 10.0)
-        assert frontier.seen(Record("k", 10.0, origin=origin))
-        assert not frontier.seen(Record("k", 10.5, origin=origin))
+    def test_an_unheld_origin_or_an_unstamped_record_is_unseen(self, origin):
+        frontier = Frontier([(0, NUM_GROUPS, {"a": 5})])
+        group = key_group_of("k", NUM_GROUPS)
+        assert not frontier.seen(at(0, origin=origin), group)
+        assert not frontier.seen(Record("k", 0.0, origin="a"), group)
 
     def test_the_snapshot_is_progress_over_the_newest_record(self):
         env = EngineEnv()
@@ -94,49 +103,49 @@ class TestFrontier:
         env.run(until=1.0)
         instance = job.operator_instances("op")[0]
         frontier = instance.frontier()
-        assert frontier.by_origin == {"a[0]": pytest.approx(0.4)}
-        assert frontier.floor == instance.last_record_ts == frontier.by_origin["a[0]"]
-        instance.origin_progress["a[0]"] = 9.0
-        assert frontier.by_origin["a[0]"] < 9.0
+        everything = (0, job.config.num_key_groups)
+        assert [(lo, hi) for lo, hi, _ in frontier.segments] == [everything]
+        assert frontier.progress_of(0) == {"a[0]": 3}
+        instance.progress.progress_of(0)["a[0]"] = 9
+        assert frontier.progress_of(0) == {"a[0]": 3}
+
+
+def owners_job(progress_by_op):
+    """A job whose every operator has one stateful owner of every group,
+    holding the progress map ``progress_by_op[op]``."""
+    return SimpleNamespace(
+        config=SimpleNamespace(num_key_groups=NUM_GROUPS),
+        assignments={op: KeyGroupAssignment(NUM_GROUPS, 1) for op in progress_by_op},
+        instances={
+            (op, 0): SimpleNamespace(
+                state=object(), progress=Frontier([(0, NUM_GROUPS, progress)])
+            )
+            for op, progress in progress_by_op.items()
+        },
+    )
 
 
 class TestConsumerDrivenReplayFilter:
-    def test_a_group_without_consumers_is_dropped(self):
-        key = "k"
-        group = key_group_of(key, NUM_GROUPS)
-        other = (group + 1) % NUM_GROUPS
-        rf = ConsumerDrivenReplayFilter(
-            NUM_GROUPS,
-            sorted([(other, other + 1, [floor(float("-inf"))]), (group, group + 1, [])]),
-        )
-        assert not rf.should_process(Record(key, 1.0, origin="a"))
+    """A source replays a record only if a current owner of its key
+    group has not processed it."""
+
+    def test_a_group_without_consumers_is_shipped(self):
+        """No stateful owner can tell the record was processed."""
+        job = owners_job({})
+        assert not seen_by_owners(job, at(1))
 
     def test_a_record_ships_if_any_consumer_has_not_seen_it(self):
-        key = "k"
-        group = key_group_of(key, NUM_GROUPS)
-        behind = Frontier({"a": 2.0}, float("inf"))
-        ahead = Frontier({"a": 8.0}, float("-inf"))
-        record = Record(key, 5.0, origin="a")
-        ships = ConsumerDrivenReplayFilter(
-            NUM_GROUPS, [(group, group + 1, [ahead, behind])]
-        )
-        assert ships.should_process(record)
-        drops = ConsumerDrivenReplayFilter(
-            NUM_GROUPS, [(group, group + 1, [ahead, ahead])]
-        )
-        assert not drops.should_process(record)
+        record = at(5)
+        assert not seen_by_owners(owners_job({"x": {"a": 8}, "y": {"a": 2}}), record)
+        assert seen_by_owners(owners_job({"x": {"a": 8}, "y": {"a": 8}}), record)
 
     def test_a_live_frontier_reads_progress_made_after_it_was_built(self):
-        key = "k"
-        group = key_group_of(key, NUM_GROUPS)
         progress = {}
-        rf = ConsumerDrivenReplayFilter(
-            NUM_GROUPS, [(group, group + 1, [Frontier(progress, float("-inf"))])]
-        )
-        record = Record(key, 5.0, origin="a")
-        assert rf.should_process(record)
-        progress["a"] = 5.0
-        assert not rf.should_process(record)
+        job = owners_job({"x": progress})
+        record = at(5)
+        assert not seen_by_owners(job, record)
+        progress["a"] = 5
+        assert seen_by_owners(job, record)
 
 
 def two_source_job(env, logic_factory=PassThroughLogic, stateful=False):
@@ -587,7 +596,9 @@ class TestFrontierRestartsWithTheReplay:
         env.run(until=2.0)
         handover = rhino.reconfigure("rebalance", op_name="op", moves=[(0, 1)])
         handover.defused = True
+        owned = origin.state.store.owned.copy()
         env.run(until=2.5)  # the origin shipped its groups; the target is loading
+        moved = first_key(lambda g: g in owned and not origin.state.store.owns(g))
         channel_a, channel_b = self.channels(origin)
         channel_a.put(Watermark(8.3))
         channel_b.put(Watermark(8.1))
@@ -595,7 +606,6 @@ class TestFrontierRestartsWithTheReplay:
         env.cluster.kill(target.machine)
         env.run(until=3.0)
         assert handover.triggered and not handover.ok
-        moved = first_key(origin.replay_filter.fresh_ranges.__contains__)
         self.replay_arrives_channel_by_channel(env, origin, moved)
 
 
@@ -627,49 +637,50 @@ class TestSourcePause:
         env.run(until=4.0)
         assert source.records_emitted == 10
 
-    def test_source_replay_filter_drops_at_ingest(self):
-        env = EngineEnv()
+    def counted(self, env, count=10):
+        """src -> a keyed counter; ``count`` records already in the log."""
         env.topic("events", 1)
-        env.feed_sequence("events", keys=["k"], count=10, interval=0.0)
-        graph = StreamGraph("drop")
+        env.feed_sequence("events", keys=["k"], count=count, interval=0.0)
+        graph = StreamGraph("replay")
         graph.source("src", topic="events", parallelism=1)
-        graph.sink("out", inputs=[("src", "forward")])
+        graph.operator(
+            "count", StatefulCounterLogic, 1, inputs=[("src", "hash")], stateful=True
+        )
         job = env.job(graph)
         job.deploy()
-        source = job.source_instances()[0]
-        source.replay_filter = ReplayFilter(16, floor(float("inf")))
+        return job, job.source_instances()[0], job.operator_instances("count")[0]
+
+    def test_source_replay_filter_drops_at_ingest(self):
+        """A rewound source re-ships nothing every owner has processed."""
+        env = EngineEnv()
+        job, source, count = self.counted(env)
         job.start()
+        env.run(until=1.0)
+        assert (source.records_emitted, count.records_processed) == (10, 10)
+        source.send_command("seek", 0)
         env.run(until=2.0)
         assert source.records_dropped == 10
-        assert source.records_emitted == 0
+        assert source.records_emitted == 10
+        assert count.records_processed == 10
 
     @pytest.mark.parametrize(
-        "frontier_of, emitted", [("src[0]", 6), ("elsewhere[0]", 0)]
+        "frontier_of, emitted", [("src[0]", 6), ("elsewhere[0]", 10)]
     )
     def test_fresh_records_meet_their_own_source_frontier(self, frontier_of, emitted):
-        """An abort's source filter holds, per rolled-back group, the
-        rewire-time frontier of every rewired source and ``inf`` for "a
-        source absent from the frontiers".  A polled record is stamped
-        before it is filtered, so one this source never emitted compares
-        against *its* frontier instead of reading as the absent source."""
+        """A polled record is stamped with its origin and position before
+        the owners are asked, so it meets its own source's entry: one
+        held for another source says nothing about it."""
         env = EngineEnv()
-        env.topic("events", 1)
-        env.feed_sequence("events", keys=["k"], count=10, interval=0.01)
-        graph = StreamGraph("stamp")
-        graph.source("src", topic="events", parallelism=1)
-        graph.sink("out", inputs=[("src", "forward")])
-        job = env.job(graph)
-        job.deploy()
-        source = job.source_instances()[0]
+        job, source, count = self.counted(env)
         assert source.instance_id == "src[0]"
-        rolled_back = Frontier({frontier_of: 0.035}, float("inf"))
-        source.replay_filter = ConsumerDrivenReplayFilter(16, [(0, 16, [rolled_back])])
+        (_lo, _hi, progress), = count.progress.segments
+        progress[frontier_of] = 3  # positions 0 .. 3 already processed
+        source.seek(0)  # a replay of the whole partition
         job.start()
         env.run(until=2.0)
-        # Timestamps 0.00 .. 0.03 were emitted before the rewire; 0.04 ..
-        # 0.09 are fresh.  A source that never rewired diverted nothing.
         assert source.records_emitted == emitted
         assert source.records_dropped == 10 - emitted
+        assert count.records_processed == emitted
 
 
 class TestSourceWatermarkPacing:

@@ -1,20 +1,18 @@
-"""The source replay filter's consumer map, built from key-group ranges.
+"""The source's replay check, asked of each key group's current owners.
 
-``rollback.consumer_filter`` builds the map from each assignment's owner
-runs and the ``fresh`` range list.  The oracle below builds it the way
-the map is defined: key group by key group, one consumer per stateful
-operator whose owning instance exists and holds state, the last
-``fresh`` entry covering the group in place of that instance's live
-progress.  Both are compared consumer for consumer, and the filter's
-verdicts against the oracle's, on random assignments.
+``instance.seen_by_owners`` finds a record's owner in every assignment
+and asks that owner's range frontier (a bisect over its segments).  The
+oracle below answers the way the check is defined: key group by key
+group, one owner per operator whose instance exists and holds state, its
+segments scanned one by one.  Both are compared on random assignments,
+random range frontiers and random stamped records.
 """
 
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.rollback import consumer_filter
-from repro.engine.instance import Frontier
+from repro.engine.instance import Frontier, seen_by_owners
 from repro.engine.partitioning import KeyGroupAssignment, key_group_of
 from repro.engine.records import Record
 
@@ -23,25 +21,27 @@ OPS = ("join", "count", "window")
 ORIGINS = ("a", "b", None)
 KEYS = [f"k{i}" for i in range(160)]
 
-#: Shared ``fresh`` frontiers; the map must hold these very objects.
-FRESH_POOL = (
-    Frontier({"a": 3.0}, float("inf")),
-    Frontier({}, 4.0),
-    Frontier({"a": 1.0, "b": 6.0}, float("-inf")),
-)
-
-progress = st.dictionaries(
-    st.sampled_from(["a", "b"]), st.integers(0, 8).map(float), max_size=2
-)
+progress = st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 8), max_size=2)
 # An instance either holds state, exists with ``state`` None, or is missing.
 instance_kind = st.sampled_from(["stateful", "stateless", "missing"])
+
+
+@st.composite
+def frontiers(draw):
+    """Disjoint ascending segments over part of the key-group space."""
+    cuts = sorted(draw(st.sets(st.integers(0, NUM_GROUPS), max_size=8)))
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            segments.append((lo, hi, draw(progress)))
+    return Frontier(segments)
 
 
 @st.composite
 def jobs(draw):
     assignments = {}
     instances = {}
-    for op_name in OPS[: draw(st.integers(1, len(OPS)))]:
+    for op_name in OPS[: draw(st.integers(0, len(OPS)))]:
         parallelism = draw(st.integers(1, 4))
         assignment = KeyGroupAssignment(NUM_GROUPS, parallelism)
         for _ in range(draw(st.integers(0, 6))):
@@ -55,96 +55,76 @@ def jobs(draw):
             if kind != "missing":
                 instances[(op_name, index)] = SimpleNamespace(
                     state=object() if kind == "stateful" else None,
-                    origin_progress=draw(progress),
+                    progress=draw(frontiers()),
                 )
-    fresh = []
-    for _ in range(draw(st.integers(0, 6))):
-        lo = draw(st.integers(0, NUM_GROUPS - 1))
-        hi = draw(st.integers(lo + 1, NUM_GROUPS))
-        fresh.append(
-            (draw(st.sampled_from(OPS)), lo, hi, draw(st.sampled_from(FRESH_POOL)))
-        )
-    job = SimpleNamespace(
+    return SimpleNamespace(
         config=SimpleNamespace(num_key_groups=NUM_GROUPS),
         assignments=assignments,
         instances=instances,
     )
-    return job, fresh
 
 
-def per_group_consumers(job, fresh):
-    """The oracle: {group: [consumer, ...]}, one group at a time."""
-    fresh_of = {}
-    for op_name, lo, hi, frontier in fresh:
-        for group in range(lo, hi):
-            fresh_of[(op_name, group)] = frontier  # a later entry wins
-    consumers = {}
+def oracle(job, record):
+    """Shipped unless the group has a stateful owner and every one has
+    seen the record, reading each owner's segments one by one."""
+    group = key_group_of(record.key, NUM_GROUPS)
+    verdicts = []
     for op_name, assignment in job.assignments.items():
-        for group in range(NUM_GROUPS):
-            instance = job.instances.get((op_name, assignment.owner_of(group)))
-            if instance is None or instance.state is None:
-                continue
-            frontier = fresh_of.get((op_name, group))
-            if frontier is None:
-                frontier = Frontier(instance.origin_progress, float("-inf"))
-            consumers.setdefault(group, []).append(frontier)
-    return consumers
-
-
-def identity(frontier):
-    """A fresh frontier is itself; a live one is the progress dict it reads."""
-    if any(frontier is pooled for pooled in FRESH_POOL):
-        return ("fresh", id(frontier))
-    return ("live", id(frontier.by_origin), frontier.floor)
-
-
-def consumers_in(source_filter, group):
-    for lo, hi, consumers in source_filter.segments:
-        if lo <= group < hi:
-            return consumers
-    return []
+        instance = job.instances.get((op_name, assignment.owner_of(group)))
+        if instance is None or instance.state is None:
+            continue
+        held = [p for lo, hi, p in instance.progress.segments if lo <= group < hi]
+        verdicts.append(
+            bool(held)
+            and record.position is not None
+            and record.position <= held[0].get(record.origin, -1)
+        )
+    return bool(verdicts) and all(verdicts)
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=jobs(), records=st.lists(
-    st.tuples(st.sampled_from(KEYS), st.integers(0, 9), st.sampled_from(ORIGINS)),
-    max_size=30,
-))
-def test_the_range_built_map_equals_the_per_group_one(case, records):
-    job, fresh = case
-    source_filter = consumer_filter(job, fresh, epoch=1.0)
-    expected = per_group_consumers(job, fresh)
-
-    bounds = [(lo, hi) for lo, hi, _consumers in source_filter.segments]
-    assert bounds == sorted(bounds)
-    assert all(hi <= next_lo for (_, hi), (next_lo, _) in zip(bounds, bounds[1:]))
-    for group in range(NUM_GROUPS):
-        assert [identity(f) for f in consumers_in(source_filter, group)] == [
-            identity(f) for f in expected.get(group, [])
-        ]
-
-    for key, timestamp, origin in records:
-        record = Record(key, float(timestamp), origin=origin)
-        group = key_group_of(key, NUM_GROUPS)
-        wanted = any(not f.seen(record) for f in expected.get(group, []))
-        assert source_filter.should_process(record) == wanted
+@given(
+    job=jobs(),
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(KEYS),
+            st.one_of(st.none(), st.integers(0, 9)),
+            st.sampled_from(ORIGINS),
+        ),
+        max_size=30,
+    ),
+)
+def test_the_range_built_map_equals_the_per_group_one(job, records):
+    for key, position, origin in records:
+        record = Record(key, 0.0, origin=origin, position=position)
+        assert seen_by_owners(job, record) == oracle(job, record)
 
 
-def test_survivors_share_one_live_frontier_per_instance():
-    """An instance owning two runs is consulted through one Frontier."""
+def test_owners_are_consulted_live_range_by_range():
+    """An instance owning two runs answers for each from its own range's
+    map, including progress made after the question was first asked."""
     assignment = KeyGroupAssignment(NUM_GROUPS, 2)
     assignment.reassign(8, 16, 1)  # instance 0 now owns [0, 8) and [16, 24)
-    first, second = (
-        SimpleNamespace(state=object(), origin_progress={"a": 2.0}) for _ in range(2)
+    low, high = {"a": 2}, {"a": 2}
+    first = SimpleNamespace(
+        state=object(), progress=Frontier([(0, 8, low), (16, 24, high)])
     )
+    second = SimpleNamespace(state=object(), progress=Frontier([(8, 24, {"a": 9})]))
     job = SimpleNamespace(
         config=SimpleNamespace(num_key_groups=NUM_GROUPS),
         assignments={"count": assignment},
         instances={("count", 0): first, ("count", 1): second},
     )
-    segments = consumer_filter(job, [], epoch=None).segments
-    assert [(lo, hi) for lo, hi, _ in segments] == [(0, 8), (8, 16), (16, 24), (24, 48)]
-    (_, _, [a]), (_, _, [b]), (_, _, [c]), (_, _, [d]) = segments
-    assert a is c and b is d and a is not b
-    assert a.by_origin is first.origin_progress
-    assert b.by_origin is second.origin_progress
+    in_low = next(k for k in KEYS if key_group_of(k, NUM_GROUPS) < 8)
+    in_high = next(k for k in KEYS if 16 <= key_group_of(k, NUM_GROUPS) < 24)
+    in_second = next(k for k in KEYS if 8 <= key_group_of(k, NUM_GROUPS) < 16)
+
+    def at(key):
+        return Record(key, 0.0, origin="a", position=5)
+
+    assert not seen_by_owners(job, at(in_low))
+    assert not seen_by_owners(job, at(in_high))
+    assert seen_by_owners(job, at(in_second))
+    low["a"] = 5
+    assert seen_by_owners(job, at(in_low))
+    assert not seen_by_owners(job, at(in_high))

@@ -3,19 +3,16 @@
 ``resolution.resolve`` is a pure function of local facts, so this test
 ranges over every ``PHASE_TABLE`` phase x the participant lost (origin,
 target, control leader, bystander, one source) x the plan kind
-(rebalance, drain, rescale, failure) x 0, 1 or 2 sources rewired, for a
-death and for a mere suspicion, with and without every acknowledgment.
+(rebalance, drain, rescale, failure), for a death and for a mere
+suspicion, with and without every acknowledgment.
 Each resolution must keep:
 
 * one owner per key group: applied to a model of who holds the plan's
   groups in that phase, the adoptions, releases and removals leave at
   most one live holder, and it is the instance the groups route to;
-* a finite frontier for every source that did not rewire, read live;
 * commit only when every expected participant acked;
 * abandon touching nothing but spawned targets.
 """
-
-import math
 
 import pytest
 
@@ -24,7 +21,6 @@ from repro.core.handover import PHASE_TABLE
 from repro.core.migration import FAILURE, REBALANCE, RESCALE, HandoverPlan
 
 PHASES = tuple(step.phase for step in PHASE_TABLE if step.phase)
-SOURCES = ("events[0]", "events[1]")
 ORIGIN, TARGET, BYSTANDER, SOURCE = "w-2", "w-3", "w-1", "w-0"
 LOST = {
     "origin": ORIGIN,
@@ -63,7 +59,7 @@ def holders_before(plan, phase, all_acked):
     )
 
 
-def facts_for(kind, lost, phase, rewired, down, all_acked, progress):
+def facts_for(kind, lost, phase, down, all_acked):
     plan = make_plan(kind)
     holders = holders_before(plan, phase, all_acked)
     origin_machine = TARGET if plan.replace_origin else ORIGIN
@@ -76,9 +72,7 @@ def facts_for(kind, lost, phase, rewired, down, all_acked, progress):
             machine not in dead,
             True,
             role in holders,
-            progress,
         )
-    captured = {source: 10.0 + i for i, source in enumerate(SOURCES[:rewired])}
     facts = resolution.Facts(
         lost,
         down,
@@ -87,29 +81,24 @@ def facts_for(kind, lost, phase, rewired, down, all_acked, progress):
         set(EXPECTED),
         set(EXPECTED) if all_acked else {"events[0]"},
         (resolution.PlanFacts(plan, parties["origin"], parties["target"]),),
-        captured,
     )
     return facts, holders
 
 
 def cases():
     for phase in PHASES:
-        for rewired in range(len(SOURCES) + 1):
-            for down in (True, False):
-                for all_acked in (False, True) if phase == PHASES[-1] else (False,):
-                    yield phase, rewired, down, all_acked
+        for down in (True, False):
+            for all_acked in (False, True) if phase == PHASES[-1] else (False,):
+                yield phase, down, all_acked
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("lost", sorted(LOST))
 def test_every_interruption_resolves_safely(kind, lost):
-    for phase, rewired, down, all_acked in cases():
-        progress = {source: 3.0 + i for i, source in enumerate(SOURCES)}
-        facts, holders = facts_for(
-            kind, lost, phase, rewired, down, all_acked, progress
-        )
+    for phase, down, all_acked in cases():
+        facts, holders = facts_for(kind, lost, phase, down, all_acked)
         resolved = resolution.resolve(facts)
-        case = (kind, lost, phase, rewired, down, all_acked, resolved.outcome)
+        case = (kind, lost, phase, down, all_acked, resolved.outcome)
         (plan_facts,) = facts.plans
         (settlement,) = resolved.settlements
         plan = plan_facts.plan
@@ -125,12 +114,12 @@ def test_every_interruption_resolves_safely(kind, lost):
         # Abandon touches nothing but spawned targets.
         if resolved.outcome == resolution.ABANDON:
             assert settlement == (
-                plan.origin_index, False, False, False, plan.spawn_target, None
+                plan.origin_index, False, False, False, plan.spawn_target
             ), case
 
         # A bystander's (or a source's) loss leaves the handover alone.
         if resolved.outcome == resolution.CONTINUE:
-            assert settlement.owner is None and settlement.frontier is None, case
+            assert settlement.owner is None, case
             assert not (settlement.adopt or settlement.release or settlement.remove)
             assert resolved.forget == down, case
 
@@ -146,32 +135,19 @@ def test_every_interruption_resolves_safely(kind, lost):
         if owners and settlement.owner is not None:
             assert owners == {settlement.owner}, case
 
-        # Every source that did not rewire keeps a finite, live frontier.
-        frontier = settlement.frontier
-        if resolved.outcome == resolution.ROLLBACK and plan_facts.origin.alive:
-            assert frontier is not None, case
-            for source in SOURCES:
-                seen_up_to = frontier.by_origin.get(source, frontier.floor)
-                if source in facts.captured:
-                    assert seen_up_to == facts.captured[source], case
-                else:
-                    assert math.isfinite(seen_up_to), case
-                    progress[source] += 1.0
-                    assert frontier.by_origin[source] == progress[source], case
-
 
 def test_a_closed_execution_is_settled():
-    facts = resolution.Facts(resolution.LEADER, True, True, None, set(), set(), (), {})
+    facts = resolution.Facts(resolution.LEADER, True, True, None, set(), set(), ())
     assert resolution.resolve(facts) == (resolution.SETTLED, (), False, False)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_unjournaled_handover_is_dropped_untouched(kind):
-    facts, _holders = facts_for(kind, "leader", PHASES[0], 0, True, False, {})
+    facts, _holders = facts_for(kind, "leader", PHASES[0], True, False)
     facts = facts._replace(journaled=False)
     resolved = resolution.resolve(facts)
     assert resolved.outcome == resolution.UNJOURNALED
-    assert resolved.settlements == ((None, False, False, False, False, None),)
+    assert resolved.settlements == ((None, False, False, False, False),)
     assert not resolved.resume
 
 
@@ -179,7 +155,7 @@ def test_an_unjournaled_handover_is_dropped_untouched(kind):
 def test_a_takeover_re_executes_only_an_unfinished_failure_recovery(phase):
     for kind in KINDS:
         for all_acked in (False, True):
-            facts, _ = facts_for(kind, "leader", phase, 0, True, all_acked, {})
+            facts, _ = facts_for(kind, "leader", phase, True, all_acked)
             resolved = resolution.resolve(facts)
             unfinished = resolved.outcome in (resolution.ABANDON, resolution.ROLLBACK)
             assert resolved.resume == (kind == "failure" and unfinished)
@@ -189,7 +165,7 @@ def test_retarget_picks_a_failure_recovery_whose_target_is_down():
     for kind in ("rebalance", "failure"):
         for lost in ("origin", "target", "bystander"):
             for down in (True, False):
-                facts, _ = facts_for(kind, lost, PHASES[1], 0, down, False, {})
+                facts, _ = facts_for(kind, lost, PHASES[1], down, False)
                 (plan_facts,) = facts.plans
                 target_down = down and facts.lost == TARGET
                 expected = kind == "failure" and target_down
@@ -204,7 +180,7 @@ def test_rerun_when_the_participant_is_up_or_the_kind_replans(kind, lost, down):
     is still up (a partition or a false suspicion), or when it re-plans
     (a failure recovery whose target died, :func:`retarget`).  A
     rebalance, rescale or drain that lost a dead worker does not."""
-    facts, _ = facts_for(kind, lost, PHASES[1], 0, down, False, {})
+    facts, _ = facts_for(kind, lost, PHASES[1], down, False)
     assert resolution.resolve(facts).outcome == resolution.ROLLBACK
     replans = any(resolution.retarget(plan) for plan in facts.plans)
     assert replans == (kind == "failure" and down)

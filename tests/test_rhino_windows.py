@@ -5,6 +5,8 @@ counters keep no in-memory index; these tests rebalance and recover
 sliding-window jobs and compare results against an undisturbed run.
 """
 
+import functools
+
 import pytest
 
 from repro.engine.graph import StreamGraph
@@ -32,14 +34,22 @@ def window_graph():
     return graph
 
 
-def make_env():
-    env = EngineEnv(machines=4)
+def make_env(machines=4):
+    env = EngineEnv(machines=machines)
     env.topic("bids", 2)
     return env
 
 
-def run_windows(reconfigure=None, total=300, until=25.0, exchange_interval=0.05):
-    env = make_env()
+def run_windows(
+    reconfigure=None,
+    total=300,
+    until=25.0,
+    exchange_interval=0.05,
+    machines=4,
+    state_load_seconds=0.02,
+    keys=KEYS,
+):
+    env = make_env(machines)
     config = JobConfig(
         num_key_groups=32,
         virtual_node_count=4,
@@ -52,9 +62,13 @@ def run_windows(reconfigure=None, total=300, until=25.0, exchange_interval=0.05)
     rhino = Rhino(
         job,
         env.cluster,
-        RhinoConfig(scheduling_delay=0.1, local_fetch_seconds=0.01, state_load_seconds=0.02),
+        RhinoConfig(
+            scheduling_delay=0.1,
+            local_fetch_seconds=0.01,
+            state_load_seconds=state_load_seconds,
+        ),
     ).attach()
-    live_feeder(env, "bids", KEYS, count=total, interval=0.05)
+    live_feeder(env, "bids", keys, count=total, interval=0.05)
     if reconfigure is not None:
         env.sim.process(reconfigure(env, job, rhino))
     env.run(until=until)
@@ -130,6 +144,53 @@ class TestWindowRebalance:
         """The restored instance must not fire a window on a watermark it
         received before the replay (0.03 fired two windows short)."""
         self.test_failure_recovery_preserves_window_results(exchange_interval)
+
+
+#: The rolled-back-rebalance grid: 11 keys, 5 machines, a 1 s state load.
+GRID = dict(machines=5, state_load_seconds=1.0, keys=KEYS[:11])
+
+
+@functools.cache
+def undisturbed_grid_run():
+    return run_windows(**GRID)[0]
+
+
+def rebalance_then_kill_target(at, kill_delay):
+    """Rebalance ``agg`` 0 -> 3 at ``at``; ``kill_delay`` later, while the
+    target loads, kill its machine and recover it."""
+
+    def reconfigure(env, job, rhino):
+        yield env.sim.timeout(at)
+        handover = rhino.reconfigure("rebalance", op_name="agg", moves=[(0, 3)])
+        handover.defused = True
+        yield env.sim.timeout(kill_delay)
+        victim = job.instance("agg", 3).machine
+        env.cluster.kill(victim)
+        yield rhino.reconfigure("failure", machine=victim)
+
+    return reconfigure
+
+
+class TestRolledBackRebalanceGrid:
+    """The rebalance rolls back (its target died mid-load) and the
+    target's failure recovery replays: the origin re-adopts its groups
+    where it released them and every consumer skips what it has seen, so
+    no window counts a record twice."""
+
+    @pytest.mark.parametrize("at", [5.5, 6.0, 7.3])
+    def test_no_window_over_counts(self, at):
+        baseline = undisturbed_grid_run()
+        for step in range(20):
+            kill_delay = round(0.30 + 0.04 * step, 2)
+            observed, _job = run_windows(
+                rebalance_then_kill_target(at, kill_delay), **GRID
+            )
+            over = {
+                window: (baseline[window], value)
+                for window, value in observed.items()
+                if value > baseline.get(window, 0)
+            }
+            assert not over, (kill_delay, over)
 
 
 def run_join(reconfigure=None, exchange_interval=0.05):
