@@ -22,6 +22,12 @@ from repro.common.ranges import RangeSet
 from repro.engine.partitioning import key_group_of
 from repro.engine.records import RecordBatch
 
+#: Per-step scheduling cost (Megaphone "spends the majority of time to
+#: schedule migrations" for many small bins).
+SCHEDULE_OVERHEAD = 0.002
+#: State bytes -> resident memory multiplier.
+MEMORY_OVERHEAD = 1.0
+
 
 class MegaphoneConfig:
     """Megaphone model tunables."""
@@ -31,19 +37,12 @@ class MegaphoneConfig:
         serialize_throughput=400e6,
         deserialize_throughput=300e6,
         bin_batch_groups=8,
-        schedule_overhead=0.002,
-        memory_overhead=1.0,
     ):
         #: Bytes/second one core serializes state at (Rust + Abomonation).
         self.serialize_throughput = serialize_throughput
         self.deserialize_throughput = deserialize_throughput
         #: Key groups migrated per fluid step.
         self.bin_batch_groups = bin_batch_groups
-        #: Per-step scheduling cost (Megaphone "spends the majority of time
-        #: to schedule migrations" for many small bins).
-        self.schedule_overhead = schedule_overhead
-        #: State bytes -> resident memory multiplier.
-        self.memory_overhead = memory_overhead
 
 
 class MegaphoneReport:
@@ -120,9 +119,7 @@ class Megaphone:
         for instance in self.job.stateful_instances():
             if not instance.machine.alive:
                 continue
-            footprint = int(
-                instance.state.total_bytes * self.config.memory_overhead
-            )
+            footprint = int(instance.state.total_bytes * MEMORY_OVERHEAD)
             accounted = self._accounted.get(instance.instance_id, 0)
             if footprint > accounted:
                 instance.machine.allocate_memory(footprint - accounted)
@@ -177,7 +174,7 @@ class Megaphone:
 
     def _migrate_bins(self, origin, target, bins, assignment, report):
         config = self.config
-        yield self.sim.timeout(config.schedule_overhead)
+        yield self.sim.timeout(SCHEDULE_OVERHEAD)
         # Every per-range call below covers a contiguous run of the bins.
         runs = list(RangeSet((group, group + 1) for group in bins))
         nbytes = sum(origin.state.bytes_in_groups(lo, hi) for lo, hi in runs)

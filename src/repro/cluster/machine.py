@@ -118,19 +118,19 @@ class Machine:
         self._next_disk += 1
         return disk
 
-    def disk_write(self, nbytes, disk=None, tag=None):
+    def disk_write(self, nbytes, tag=None):
         """Returns a completion event for writing ``nbytes`` to local disk."""
         self._check_alive()
-        disk = disk or self.pick_disk()
+        disk = self.pick_disk()
         disk.used += nbytes
         return self.scheduler.transfer(
             nbytes, [disk.write_port], tag=tag or f"{self.name}.disk-write"
         )
 
-    def disk_read(self, nbytes, disk=None, tag=None):
+    def disk_read(self, nbytes, tag=None):
         """Returns a completion event for reading ``nbytes`` from local disk."""
         self._check_alive()
-        disk = disk or self.pick_disk()
+        disk = self.pick_disk()
         return self.scheduler.transfer(
             nbytes, [disk.read_port], tag=tag or f"{self.name}.disk-read"
         )

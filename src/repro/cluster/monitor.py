@@ -141,12 +141,12 @@ class ResourceMonitor:
         ]
         return sum(values) / len(values) if values else 0.0
 
-    def peak(self, field, start=None, end=None):
-        """Maximum of the sample field over [start, end]."""
+    def peak(self, field, end=None):
+        """Maximum of the sample field up to ``end``."""
         values = [
             getattr(s, field)
             for s in self.samples
-            if (start is None or s.time >= start) and (end is None or s.time <= end)
+            if end is None or s.time <= end
         ]
         return max(values) if values else 0.0
 

@@ -50,7 +50,9 @@ class RhinoConfig:
     bad configuration fails where it is written, not when the library is
     later attached to a job.  Retries are not a setting: every deployment
     retries each state block under ``faults.retry.BLOCK_RETRY`` and
-    re-runs an aborted handover as ``resolution.rerun`` says.
+    re-runs an aborted handover as ``resolution.rerun`` says.  Neither is
+    replica repair: every deployment reconciles once per completed
+    checkpoint (``Rhino._reconcile``).
     """
 
     def __init__(
@@ -62,8 +64,6 @@ class RhinoConfig:
         scheduling_delay=0.8,
         local_fetch_seconds=0.2,
         state_load_seconds=1.3,
-        handover_timeout=3600.0,
-        anti_entropy_interval=None,
     ):
         if replication_factor < 1:
             raise ProtocolError(
@@ -82,13 +82,6 @@ class RhinoConfig:
         ):
             if value < 0:
                 raise ProtocolError(f"{name} must be >= 0, got {value}")
-        if handover_timeout <= 0:
-            raise ProtocolError(f"handover_timeout must be > 0, got {handover_timeout}")
-        if anti_entropy_interval is not None and anti_entropy_interval <= 0:
-            raise ProtocolError(
-                f"anti_entropy_interval must be > 0 or None, "
-                f"got {anti_entropy_interval}"
-            )
         #: Secondary copies per instance.  1 mirrors the evaluation's
         #: "local primary + one remote secondary" (HDFS replication 2).
         self.replication_factor = replication_factor
@@ -100,10 +93,6 @@ class RhinoConfig:
         self.local_fetch_seconds = local_fetch_seconds
         #: Opening table files + manifest processing -- Table 1's ~1.3 s.
         self.state_load_seconds = state_load_seconds
-        self.handover_timeout = handover_timeout
-        #: Period of the timer that also runs the replica reconciler, for
-        #: gray failures no event reports (None = no timer).
-        self.anti_entropy_interval = anti_entropy_interval
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.__dict__.items()))
@@ -149,16 +138,17 @@ class Rhino:
     def attach(self):
         """Register Rhino's protocols with the host engine (once per Rhino)."""
         self.job.marker_handlers[HandoverMarker] = self.handover_manager.on_marker
+        coordinator = self.job.coordinator
         if self.dfs_storage is None:
-            self.job.coordinator.instance_checkpoint_listeners.append(
+            coordinator.instance_checkpoint_listeners.append(
                 self._on_instance_checkpoint
+            )
+            coordinator.checkpoint_listeners.append(
+                lambda _checkpoint: self._reconcile()
             )
         self.job.failure_listeners.append(self._on_machine_failure)
         for machine in self.job.machines:
             machine.on_restart(self._on_machine_restart)
-        if self.config.anti_entropy_interval is not None:
-            reconciler = self.sim.process(self._anti_entropy(), name="anti-entropy")
-            reconciler.defused = True
         self._place_replica_groups()
         return self
 
@@ -620,20 +610,19 @@ class Rhino:
 
     # -- the replica reconciler ----------------------------------------------------
 
-    def _anti_entropy(self):
-        """Reconcile every ``anti_entropy_interval`` seconds, for gray
-        failures no event reports (a chain hop out of retries, say)."""
-        while True:
-            yield self.sim.timeout(self.config.anti_entropy_interval)
-            self._reconcile()
-
     def _reconcile(self):
         """The one replica reconciler, and the only caller of ``bulk_copy``
         (DESIGN.md §8): forget every holding outside its chain (a running
         handover's pre-copy excepted), then start at once a copy to every
         live member lacking a complete holding of a primary that has a
         checkpoint and is not already replicating to it.  Returns at once;
-        each copy fails on its own and the next pass retries it."""
+        each copy fails on its own and the next pass retries it.
+
+        A pass runs after every completed checkpoint -- a replica *is* its
+        origin's incremental checkpoints (§4.2), so the checkpoint is the
+        clock that heals a holding a gray failure left incomplete (a chain
+        hop out of retries, a lost table) -- and after a failure's commit,
+        a takeover and a restart."""
         if self.dfs_storage is not None:
             return  # RhinoDFS keeps no replica holdings
         groups = self.replication_manager.groups

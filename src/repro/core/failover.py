@@ -318,8 +318,8 @@ class FailoverManager:
                     yield from self.rhino._execute_with_retry(plans, self.sim.now)
                 except HandoverAborted:
                     # Out of attempts, or not re-runnable; the recovery
-                    # driver (or the next anti-entropy pass) picks the
-                    # machine up again.
+                    # driver (or the reconcile pass after the next
+                    # checkpoint) picks the machine up again.
                     pass
 
     def _repair_replication(self):

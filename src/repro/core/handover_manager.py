@@ -33,6 +33,9 @@ from repro.core.journal import plan_to_dict
 #: Grace period for an in-flight checkpoint before a handover aborts it
 #: (it may be unable to complete after a failure).
 CHECKPOINT_DRAIN_TIMEOUT = 10.0
+#: Watchdog on a handover's marker round: a handover whose acks have not
+#: all landed this long after its marker raises ``ProtocolError``.
+HANDOVER_TIMEOUT = 3600.0
 
 
 class HandoverManager:
@@ -216,7 +219,7 @@ class HandoverManager:
                             source.send_command("seek", offset)
             self._journal(execution, "handover.marker", handover=handover_id)
 
-            deadline = self.sim.timeout(config.handover_timeout)
+            deadline = self.sim.timeout(HANDOVER_TIMEOUT)
             waiter = self.sim.any_of([execution.done, deadline])
             try:
                 winner = yield waiter

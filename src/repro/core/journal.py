@@ -53,12 +53,16 @@ def plan_to_dict(plan):
     }
 
 
+#: Modeled framing bytes of one journal record (the CRC included).
+RECORD_OVERHEAD = 64
+
+
 class JournalRecord:
     """One journaled control-plane transition."""
 
     __slots__ = ("seq", "time", "kind", "payload", "nbytes", "epoch", "crc32")
 
-    def __init__(self, seq, time, kind, payload, epoch, overhead=64):
+    def __init__(self, seq, time, kind, payload, epoch):
         self.seq = seq
         self.time = time
         self.kind = kind
@@ -69,7 +73,7 @@ class JournalRecord:
         #: canonical JSON length (deterministic, no wall-clock input).
         #: The CRC lives inside the fixed framing overhead, so enabling
         #: verification never changes a record's modeled size.
-        self.nbytes = overhead + len(
+        self.nbytes = RECORD_OVERHEAD + len(
             json.dumps(payload, sort_keys=True, default=str)
         )
         self.crc32 = self._checksum()
@@ -151,14 +155,13 @@ class RecoveredControlState:
 class ControlJournal:
     """Write-ahead log of control-plane state on simulated storage."""
 
-    def __init__(self, sim, cluster, group, record_overhead=64):
+    def __init__(self, sim, cluster, group):
         self.sim = sim
         self.cluster = cluster
         #: The :class:`~repro.core.quorum.ControlGroup` this journal
         #: replicates through: it stamps the epoch, names the leader and
         #: followers the flusher writes to, and owns the commit rule.
         self.group = group
-        self.record_overhead = record_overhead
         self.records = []
         #: Synchronous append listeners (fault injection hooks, tests).
         self.listeners = []
@@ -199,7 +202,6 @@ class ControlJournal:
             kind,
             payload,
             self.group.epoch,
-            overhead=self.record_overhead,
         )
         self.records.append(record)
         self.durable_bytes += record.nbytes

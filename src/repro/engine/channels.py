@@ -194,6 +194,10 @@ class _Shipment:
         self.fabric._shipped(self.src)
 
 
+#: Bytes one machine pair may have in flight before producers block.
+CREDIT_BYTES = 256 * 1024 * 1024
+
+
 class ExchangeFabric:
     """Aggregated data-plane transport between machines.
 
@@ -210,16 +214,15 @@ class ExchangeFabric:
     control and chaos invariants keep exact record counts.
 
     Backpressure: delivery blocks on a full (blocked) channel, and producers
-    block once a machine pair exceeds ``credit_bytes`` in flight --
+    block once a machine pair exceeds :data:`CREDIT_BYTES` in flight --
     credit-based flow control like the paper's replication runtime uses,
     applied to the data plane.  Credit is accounted in bytes per batch.
     """
 
-    def __init__(self, sim, cluster, interval=0.25, credit_bytes=256 * 1024 * 1024):
+    def __init__(self, sim, cluster, interval=0.25):
         self.sim = sim
         self.cluster = cluster
         self.interval = interval
-        self.credit_bytes = credit_bytes
         self._pending = {}  # src_machine -> dst_machine -> [(channel, element)]
         self._pending_bytes = {}  # (src, dst) -> bytes
         self._credit_waiters = {}  # (src, dst) -> [events]
@@ -255,7 +258,7 @@ class ExchangeFabric:
         if src not in self._agents:
             self._agents[src] = 0
             self._arm(src)
-        if self._pending_bytes[pair] <= self.credit_bytes:
+        if self._pending_bytes[pair] <= CREDIT_BYTES:
             return None
         credit = self.sim.event()
         self._credit_waiters.setdefault(pair, []).append(credit)
@@ -366,7 +369,7 @@ class ExchangeFabric:
         pair = (src, dst)
         self._pending_bytes[pair] = max(0, self._pending_bytes.get(pair, 0) - nbytes)
         waiters = self._credit_waiters.get(pair, [])
-        while waiters and self._pending_bytes[pair] <= self.credit_bytes:
+        while waiters and self._pending_bytes[pair] <= CREDIT_BYTES:
             waiter = waiters.pop(0)
             if not waiter.triggered:
                 waiter.succeed()

@@ -24,11 +24,13 @@ from repro.engine.operators import CollectSinkLogic, LogicalOperator
 class SourceSpec:
     """A logical source reading one topic (one instance per partition)."""
 
-    def __init__(self, name, topic, parallelism, cpu_per_record=2e-7):
+    #: Modeled CPU seconds to read and emit one record.
+    cpu_per_record = 2e-7
+
+    def __init__(self, name, topic, parallelism):
         self.name = name
         self.topic = topic
         self.parallelism = parallelism
-        self.cpu_per_record = cpu_per_record
         self.stateful = False
         self.measure_latency = False
 
@@ -57,10 +59,10 @@ class StreamGraph:
         self.edges = []  # EdgeSpec list, with .downstream set
         self.sinks = set()
 
-    def source(self, name, topic, parallelism, cpu_per_record=2e-7):
+    def source(self, name, topic, parallelism):
         """Add a source vertex reading one topic."""
         self._check_fresh(name)
-        self.sources[name] = SourceSpec(name, topic, parallelism, cpu_per_record)
+        self.sources[name] = SourceSpec(name, topic, parallelism)
         return self
 
     def operator(
@@ -91,11 +93,11 @@ class StreamGraph:
             self.edges.append(edge)
         return self
 
-    def sink(self, name, inputs, parallelism=1, keep=10_000):
+    def sink(self, name, inputs, parallelism=1):
         """Add a collecting sink vertex."""
         self.operator(
             name,
-            lambda: CollectSinkLogic(keep=keep),
+            CollectSinkLogic,
             parallelism,
             inputs,
             stateful=False,

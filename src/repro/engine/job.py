@@ -296,18 +296,16 @@ class Job:
 
     # -- reconfiguration primitives ------------------------------------------------
 
-    def spawn_operator_instance(self, op_name, index, machine, owned_ranges=()):
+    def spawn_operator_instance(self, op_name, index, machine):
         """Create, wire, and start a new instance of ``op_name`` at runtime.
 
-        The new instance starts with the given owned key-group ranges
-        (usually empty until a handover assigns it virtual nodes).
+        The new instance owns no key group until a handover assigns it
+        virtual nodes.
         """
         if (op_name, index) in self.instances:
             raise EngineError(f"instance {op_name}[{index}] already exists")
         op = self.graph.operators[op_name]
-        instance = self._create_operator_instance(
-            op, index, machine, owned_ranges=list(owned_ranges)
-        )
+        instance = self._create_operator_instance(op, index, machine, owned_ranges=[])
         self._watch_machine(machine)
         # Inbound: every upstream router connects a channel to it.
         for runtime in self.edge_runtimes(downstream=op_name):

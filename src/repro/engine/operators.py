@@ -158,8 +158,10 @@ class PassThroughLogic(OperatorLogic):
 class CollectSinkLogic(OperatorLogic):
     """Terminal operator: keeps a bounded sample of its results."""
 
-    def __init__(self, keep=10_000):
-        self.keep = keep
+    #: Results kept; later ones are dropped.
+    keep = 10_000
+
+    def __init__(self):
         self.results = []
 
     def process_batch(self, batch, side=0):

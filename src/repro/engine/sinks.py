@@ -22,9 +22,10 @@ class TransactionalSinkLogic(OperatorLogic):
     """
 
     cpu_per_record = 1e-7
+    #: Committed results kept; ``committed_count`` counts them all.
+    keep = 100_000
 
-    def __init__(self, keep=100_000):
-        self.keep = keep
+    def __init__(self):
         self.committed = []
         self.committed_count = 0
         self._pending = []  # current transaction

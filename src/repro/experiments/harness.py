@@ -187,11 +187,9 @@ class Testbed:
         generator.start()
         return generator
 
-    def start_monitor(self, interval=10.0):
+    def start_monitor(self):
         """Start sampling cluster resource utilization."""
-        self.monitor = ResourceMonitor(
-            self.sim, self.cluster, machines=self.workers, interval=interval
-        )
+        self.monitor = ResourceMonitor(self.sim, self.cluster, machines=self.workers)
         self.monitor.start()
         return self.monitor
 
@@ -219,7 +217,6 @@ class Testbed:
         checkpoint_interval=None,
         stateful_dop=None,
         replication_factor=1,
-        anti_entropy_interval=None,
     ):
         """Deploy a SUT running ``query_name``; returns its handle."""
         if checkpoint_interval is None:
@@ -258,7 +255,6 @@ class Testbed:
                     scheduling_delay=self.cal.rhino_scheduling_delay,
                     local_fetch_seconds=self.cal.rhino_local_fetch_seconds,
                     state_load_seconds=self.cal.rhino_state_load_seconds,
-                    anti_entropy_interval=anti_entropy_interval,
                 ),
             ).attach()
             return RhinoHandle(self, spec, rhino)
@@ -334,7 +330,7 @@ class SutHandle:
         """The first (headline) stateful operator of the workload."""
         return self.spec.stateful_ops[0]
 
-    def preload(self, total_bytes, checkpoint_id=0):
+    def preload(self, total_bytes):
         """Install prior state + checkpoint artifacts for every stateful op."""
         per_op = total_bytes // len(self.spec.stateful_ops)
         return [
@@ -342,7 +338,6 @@ class SutHandle:
                 self.job,
                 op_name,
                 per_op,
-                checkpoint_id=checkpoint_id,
                 **self._checkpoint_artifacts(),
             )
             for op_name in self.spec.stateful_ops

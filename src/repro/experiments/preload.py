@@ -22,8 +22,12 @@ from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.storage.kvs.memtable import Entry, PUT
 from repro.storage.kvs.sstable import SSTable
 
+#: The id of the completed checkpoint a preload registers: the one before
+#: the run's first.
+PRELOAD_CHECKPOINT_ID = 0
 
-def build_synthetic_table(instance, nbytes, entries_per_vnode=4, key_prefix="preload"):
+
+def build_synthetic_table(instance, nbytes, entries_per_vnode=4):
     """One SSTable covering an instance's owned ranges with ``nbytes``."""
     ranges = instance.state.owned_ranges()
     if ranges is None:
@@ -39,7 +43,7 @@ def build_synthetic_table(instance, nbytes, entries_per_vnode=4, key_prefix="pre
     per_entry = max(1, int(nbytes // len(groups)))
     items = []
     for seq, group in enumerate(sorted(groups), start=1):
-        key = (group, f"{key_prefix}-{group}")
+        key = (group, f"preload-{group}")
         items.append((key, Entry(PUT, seq, seq, per_entry)))
     return SSTable(items)
 
@@ -48,7 +52,6 @@ def preload_state(
     job,
     op_name,
     total_bytes,
-    checkpoint_id=0,
     rhino=None,
     dfs_storage=None,
     entries_per_vnode=4,
@@ -62,7 +65,7 @@ def preload_state(
     """
     instances = job.stateful_instances(op_name)
     now = job.sim.now
-    record = CompletedCheckpoint(checkpoint_id, triggered_at=now)
+    record = CompletedCheckpoint(PRELOAD_CHECKPOINT_ID, triggered_at=now)
     record.completed_at = now
     per_instance = total_bytes // max(1, len(instances))
     for instance in instances:
@@ -74,7 +77,9 @@ def preload_state(
         instance.state.store.ingest_tables([table])
         instance.state.store.uncheckpointed = []
         instance.machine.pick_disk().used += table.size_bytes
-        checkpoint, _flushed = instance.state.store.checkpoint(checkpoint_id, now=now)
+        checkpoint, _flushed = instance.state.store.checkpoint(
+            PRELOAD_CHECKPOINT_ID, now=now
+        )
         checkpoint.delta_tables = [table]  # the artifact that was persisted
         checkpoint.frontier = instance.frontier()
         record.checkpoints[instance.instance_id] = checkpoint
@@ -86,7 +91,7 @@ def preload_state(
                     instance.instance_id,
                     checkpoint.full_tables,
                     checkpoint.manifest,
-                    checkpoint_id,
+                    PRELOAD_CHECKPOINT_ID,
                     checkpoint.frontier,
                 )
                 member.pick_disk().used += table.size_bytes
@@ -95,7 +100,7 @@ def preload_state(
     for source in job.source_instances():
         record.offsets[source.instance_id] = source.cursor.offset
     job.coordinator.completed.append(record)
-    job.coordinator._next_id = max(job.coordinator._next_id, checkpoint_id)
+    job.coordinator._next_id = max(job.coordinator._next_id, PRELOAD_CHECKPOINT_ID)
     return record
 
 

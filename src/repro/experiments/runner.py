@@ -18,6 +18,7 @@ skipped):
   Skipped (reported as ``n/a``) when the scenario injects a ``failure``
   action, whose replay legitimately reprocesses records.
 * **no-misroutes** -- no record was dropped at an ownership check.
+* **single-owner** -- no key group is owned by two live instances.
 * **replication-restored** -- every replica chain is complete on alive
   machines (Rhino with replication only).
 * **no-leaked-processes** / **drained** -- the protocol quiesced and no
@@ -30,24 +31,24 @@ from repro.faults.invariants import (
     check_drained,
     check_no_leaked_processes,
     check_replication_restored,
+    check_single_owner,
 )
 from repro.experiments.harness import Testbed
 from repro.experiments.scenario import Scenario, build_keys, build_rate
 from repro.nexmark import StreamSpec
 
 
-#: Background reconciler period for scenario runs (seconds): frequent
-#: enough that a drained worker's replica chains heal within cooldown.
-ANTI_ENTROPY_INTERVAL = 5.0
+#: Points at which ``peak_rate`` samples a rate profile.
+PEAK_RATE_SAMPLES = 256
 
 
-def peak_rate(rate, horizon, samples=256):
+def peak_rate(rate, horizon):
     """The maximum bytes/s a rate profile reaches within ``horizon``."""
     if not callable(rate):
         return float(rate)
-    step = horizon / samples if horizon > 0 else 1.0
+    step = horizon / PEAK_RATE_SAMPLES if horizon > 0 else 1.0
     # Sample mid-interval so period-aligned profiles hit their plateaus.
-    return max(rate(step * (i + 0.5)) for i in range(samples))
+    return max(rate(step * (i + 0.5)) for i in range(PEAK_RATE_SAMPLES))
 
 
 class ScenarioResult:
@@ -277,6 +278,7 @@ def _check_invariants(result, testbed, handle, generator, replay_reason):
             raise InvariantViolation(f"{misrouted} records dropped at ownership checks")
 
     run_check("no-misroutes", check_misroutes)
+    run_check("single-owner", lambda: check_single_owner(job))
 
     rhino = getattr(handle, "rhino", None)
     if _uses_chains(rhino):
@@ -309,10 +311,6 @@ def run_scenario(scenario):
         scenario.query,
         checkpoint_interval=scenario.checkpoint_interval,
         replication_factor=scenario.replication_factor,
-        # Planned reconfigurations re-place replica groups; the background
-        # reconciler restores chain completeness during cooldown so the
-        # replication-restored invariant is checkable after any action.
-        anti_entropy_interval=ANTI_ENTROPY_INTERVAL if scenario.sut == "rhino" else None,
     )
     generator = testbed.start_workload(
         scenario.query, streams=_build_streams(testbed, scenario)

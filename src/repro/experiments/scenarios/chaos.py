@@ -1,9 +1,9 @@
 """Seeded chaos sweeps: every fault kind against a live pipeline.
 
 Each run builds a small counter pipeline (2 sources, 4 stateful
-counters, 1 sink on 6 workers), turns on the hardening a deployment
-opts into (anti-entropy, heartbeat suspicion; block retries and the
-handover re-run rule are always on), generates a
+counters, 1 sink on 6 workers), turns on heartbeat suspicion, the one
+hardening a deployment opts into (block retries, the handover re-run
+rule and the per-checkpoint replica reconciler are always on), generates a
 :class:`~repro.faults.plan.FaultPlan` from the seed, and lets the
 :class:`~repro.faults.controller.ChaosController` execute it while
 records flow.  After the plan completes and the system quiesces, the
@@ -218,8 +218,6 @@ def run_chaos(
             scheduling_delay=0.1,
             local_fetch_seconds=0.01,
             state_load_seconds=0.05,
-            handover_timeout=60.0,
-            anti_entropy_interval=1.0,
         ),
     ).attach()
 
@@ -543,13 +541,15 @@ CONTROL_SWEEP_PHASES = tuple(step.kind for step in PHASE_TABLE) + (
     "groups.assigned",
     "control.member-commit",
 )
+#: Virtual seconds within which every takeover of the control-quorum
+#: sweep must finish.
+CONTROL_SWEEP_MTTR_BOUND = 15.0
 
 
 def run_control_quorum_sweep(
     seeds,
     replicas=3,
     machines=None,
-    mttr_bound=15.0,
     artifacts_dir=None,
     **kwargs,
 ):
@@ -562,8 +562,8 @@ def run_control_quorum_sweep(
     sizes rotate through every minority up to
     ``(replicas - 1) // 2``.  A planned rebalance guarantees handover
     records exist for the kills to land on.  Beyond the per-run
-    invariants, every takeover must finish within ``mttr_bound`` virtual
-    seconds.
+    invariants, every takeover must finish within
+    :data:`CONTROL_SWEEP_MTTR_BOUND` virtual seconds.
 
     Writes an ``invariant-verdict-<replicas>r.json`` artifact (per-seed
     scenario + verdict rows) to ``artifacts_dir`` or
@@ -593,7 +593,7 @@ def run_control_quorum_sweep(
         )
         takeovers = [h["total"] for h in result.failover_stats if "total" in h]
         try:
-            check_bounded_mttr(takeovers, mttr_bound)
+            check_bounded_mttr(takeovers, CONTROL_SWEEP_MTTR_BOUND)
         except InvariantViolation as exc:
             result.violations.append(str(exc))
         results.append(result)
@@ -619,7 +619,7 @@ def run_control_quorum_sweep(
             json.dump(
                 {
                     "replicas": replicas,
-                    "mttr_bound": mttr_bound,
+                    "mttr_bound": CONTROL_SWEEP_MTTR_BOUND,
                     "seeds": len(rows),
                     "failures": sum(1 for row in rows if not row["ok"]),
                     "runs": rows,

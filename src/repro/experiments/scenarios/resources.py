@@ -27,10 +27,6 @@ class ResourceResult:
         self.latency_stats = None
         self.reconfig_time = None
 
-    def series(self, field):
-        """The (time, value) series of one sample field."""
-        return [(s.time, getattr(s, field)) for s in self.samples]
-
     def row(self):
         """The report-table row for this result."""
         return [
@@ -78,19 +74,15 @@ def run_resource_utilization(
     result = ResourceResult(handle.name, query)
     result.reconfig_time = run.event_time
     result.samples = monitor.samples
-    steady = [s for s in monitor.samples if s.time <= result.reconfig_time]
-    result.mean_cpu = _mean([s.cpu_fraction for s in steady])
-    result.mean_network = _mean([s.network_rate for s in steady])
-    result.peak_network = max((s.network_rate for s in steady), default=0.0)
-    result.mean_disk = _mean([s.disk_rate for s in steady])
-    result.peak_memory = max((s.memory_bytes for s in monitor.samples), default=0)
+    steady_end = result.reconfig_time
+    result.mean_cpu = monitor.mean("cpu_fraction", end=steady_end)
+    result.mean_network = monitor.mean("network_rate", end=steady_end)
+    result.peak_network = monitor.peak("network_rate", end=steady_end)
+    result.mean_disk = monitor.mean("disk_rate", end=steady_end)
+    result.peak_memory = monitor.peak("memory_bytes")
     result.transfer_rate = _transfer_rate(handle)
     result.latency_stats = LatencyStats(handle.metrics.latency, result.reconfig_time)
     return result
-
-
-def _mean(values):
-    return sum(values) / len(values) if values else 0.0
 
 
 def _transfer_rate(handle):

@@ -109,10 +109,9 @@ class TimelineResult:
 class LatencyStats:
     """Summary of one latency series around a reconfiguration event."""
 
-    def __init__(self, series, event_time, settle_threshold=None):
+    def __init__(self, series, event_time):
         self.series = series  # LatencySeries
         self.event_time = event_time
-        self.settle_threshold = settle_threshold
         self.before_mean = series.mean(end=event_time)
         self.before_p99 = series.percentile(0.99, end=event_time)
         self.after_mean = series.mean(start=event_time)
@@ -120,10 +119,10 @@ class LatencyStats:
         self.recovery_seconds = self._recovery_time()
 
     def _recovery_time(self):
-        """Seconds after the event until latency returns to steady state."""
-        threshold = self.settle_threshold
-        if threshold is None:
-            threshold = max(self.before_p99 * 2, self.before_mean * 4, 1e-3)
+        """Seconds after the event until latency returns to steady state:
+        the last sample above twice the pre-event p99, four times the
+        pre-event mean, or 1 ms, whichever is largest."""
+        threshold = max(self.before_p99 * 2, self.before_mean * 4, 1e-3)
         last_bad = None
         for t, latency, _weight in self.series.window(start=self.event_time):
             if latency > threshold:

@@ -42,22 +42,26 @@ PROTOCOL_PROCESS_PREFIXES = (
 )
 
 
-def final_counts(job, sink_name="out"):
-    """Final per-key counter values observed at a sink."""
+#: The sink the counter pipelines under test write to.
+SINK_NAME = "out"
+
+
+def final_counts(job):
+    """Final per-key counter values observed at the sink."""
     finals = {}
-    for key, _ts, value, _weight in job.sink_results(sink_name):
+    for key, _ts, value, _weight in job.sink_results(SINK_NAME):
         finals[key] = max(finals.get(key, 0), value)
     return finals
 
 
-def check_exactly_once(job, expected, sink_name="out"):
+def check_exactly_once(job, expected):
     """Sink outputs equal the fault-free expectation (no loss, no dupes)."""
-    actual = final_counts(job, sink_name)
+    actual = final_counts(job)
     if actual != expected:
         missing = {k: v for k, v in expected.items() if actual.get(k) != v}
         extra = {k: v for k, v in actual.items() if k not in expected}
         raise InvariantViolation(
-            f"exactly-once violated at sink {sink_name!r}: "
+            f"exactly-once violated at sink {SINK_NAME!r}: "
             f"wrong={missing} unexpected={extra}"
         )
 
@@ -123,12 +127,12 @@ def check_single_owner(job):
                 )
 
 
-def check_no_leaked_processes(sim, prefixes=PROTOCOL_PROCESS_PREFIXES):
+def check_no_leaked_processes(sim):
     """No protocol process survived the run."""
     leaked = [
         p.name
         for p in sim.alive_processes()
-        if any(p.name.startswith(prefix) for prefix in prefixes)
+        if p.name.startswith(PROTOCOL_PROCESS_PREFIXES)
     ]
     if leaked:
         raise InvariantViolation(f"leaked protocol processes: {leaked}")
@@ -284,12 +288,11 @@ def check_all(
     job,
     rhino,
     expected,
-    sink_name="out",
     fabric=None,
     control_group=None,
 ):
     """Run every invariant; raises on the first violation."""
-    check_exactly_once(job, expected, sink_name=sink_name)
+    check_exactly_once(job, expected)
     check_single_owner(job)
     check_replication_restored(rhino)
     check_control_plane_recovered(rhino)

@@ -46,12 +46,12 @@ class RetryPolicy:
 BLOCK_RETRY = RetryPolicy(attempts=6, base_delay=0.05, max_delay=2.0)
 
 
-def with_retry(sim, attempt, policy, retry_on=(TransferFailed,), describe=None):
+def with_retry(sim, attempt, policy, describe=None):
     """Run ``attempt()`` under ``policy``; a ``yield from``-able generator.
 
     ``attempt`` is a zero-argument callable returning a fresh event to
-    wait on (a transfer, a disk write).  Failures matching ``retry_on``
-    are retried after the policy's backoff; the last failure propagates
+    wait on (a transfer, a disk write).  A :class:`TransferFailed` is
+    retried after the policy's backoff; the last failure propagates
     when attempts are exhausted.  Usage inside a process::
 
         moved = yield from with_retry(
@@ -62,7 +62,7 @@ def with_retry(sim, attempt, policy, retry_on=(TransferFailed,), describe=None):
         try:
             result = yield attempt()
             return result
-        except retry_on as exc:
+        except TransferFailed as exc:
             if tries >= policy.attempts:
                 raise
             delay = policy.delay(tries)

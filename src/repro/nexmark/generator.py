@@ -267,7 +267,6 @@ class StreamSpec:
         rate,
         key_space=1_000_000,
         keys_per_tick=2,
-        value_factory=None,
         key_factory=None,
         key_distribution=None,
     ):
@@ -289,7 +288,6 @@ class StreamSpec:
         self.key_space = key_distribution.key_space if key_distribution else key_space
         #: Distinct keys emitted per partition per tick (weighted records).
         self.keys_per_tick = keys_per_tick
-        self.value_factory = value_factory
         #: Optional ``(partition, rng) -> key`` override.  The default
         #: draws uniform keys shared across partitions; tests that need a
         #: total per-key order use this to give each partition a disjoint
@@ -378,15 +376,11 @@ class NexmarkGenerator:
                 if weight <= 0:
                     continue
                 key = self._draw_key(spec, partition, rng, now)
-                value = (
-                    spec.value_factory(key, rng) if spec.value_factory else None
-                )
                 record = Record(
                     key,
                     # Spread timestamps inside the tick so they are
                     # strictly increasing per partition.
                     now - self.tick + (i + 1) * self.tick / keys,
-                    value=value,
                     nbytes=spec.record_bytes,
                     weight=weight,
                 )

@@ -1,4 +1,9 @@
-"""The paper's three NEXMark workloads as logical query graphs (§5.1.2)."""
+"""The paper's three NEXMark workloads as logical query graphs (§5.1.2).
+
+Each builder takes the source and stateful degrees of parallelism (the
+paper runs 32 source instances, one per Kafka partition, and 64 stateful
+instances, §5.1.5; the calibrated testbed scales both down).
+"""
 
 from repro.engine.graph import StreamGraph
 from repro.engine.windows import (
@@ -7,14 +12,17 @@ from repro.engine.windows import (
     TumblingWindowJoin,
 )
 
-#: The paper's degrees of parallelism: 32 source instances (one per Kafka
-#: partition), 64 stateful instances (§5.1.5).  Scaled-down runs override.
-DEFAULT_SOURCE_DOP = 32
-DEFAULT_STATEFUL_DOP = 64
+#: NBQ5's sliding window: 60 s long, sliding every 10 s.
+NBQ5_WINDOW = 60.0
+NBQ5_SLIDE = 10.0
+#: NBQ8's tumbling window (12 h).
+NBQ8_WINDOW = 12 * 3600.0
+#: NBQX's session gaps (30/60/90/120 min) and tumbling window (4 h).
+NBQX_SESSION_GAPS = (1800.0, 3600.0, 5400.0, 7200.0)
+NBQX_TUMBLING_WINDOW = 4 * 3600.0
 
 
-def nbq5(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
-         window=60.0, slide=10.0):
+def nbq5(source_dop, stateful_dop):
     """NBQ5: hot items -- bids per auction over a sliding window.
 
     Small state, read-modify-write updates (per-pane partial aggregates).
@@ -23,7 +31,7 @@ def nbq5(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
     graph.source("bids", topic="bids", parallelism=source_dop)
     graph.operator(
         "agg",
-        lambda: SlidingWindowAggregate(size=window, slide=slide),
+        lambda: SlidingWindowAggregate(size=NBQ5_WINDOW, slide=NBQ5_SLIDE),
         stateful_dop,
         inputs=[("bids", "hash")],
         stateful=True,
@@ -34,8 +42,7 @@ def nbq5(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
     return graph
 
 
-def nbq8(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
-         window=12 * 3600.0):
+def nbq8(source_dop, stateful_dop):
     """NBQ8: new users who opened auctions -- a 12 h tumbling-window join.
 
     Append-only state: with the 12-hour window, state accumulates for the
@@ -46,7 +53,7 @@ def nbq8(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
     graph.source("auctions", topic="auctions", parallelism=source_dop)
     graph.operator(
         "join",
-        lambda: TumblingWindowJoin(size=window),
+        lambda: TumblingWindowJoin(size=NBQ8_WINDOW),
         stateful_dop,
         inputs=[("persons", "hash"), ("auctions", "hash")],
         stateful=True,
@@ -57,8 +64,7 @@ def nbq8(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
     return graph
 
 
-def nbqx(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
-         session_gaps=(1800.0, 3600.0, 5400.0, 7200.0), tumbling_window=4 * 3600.0):
+def nbqx(source_dop, stateful_dop):
     """NBQX: five concurrent sub-queries over auctions and bids.
 
     Four session-window joins (30/60/90/120 min gaps) plus a 4 h tumbling
@@ -68,7 +74,7 @@ def nbqx(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
     graph = StreamGraph("nbqx")
     graph.source("auctions", topic="auctions", parallelism=source_dop)
     graph.source("bids", topic="bids", parallelism=source_dop)
-    for index, gap in enumerate(session_gaps):
+    for index, gap in enumerate(NBQX_SESSION_GAPS):
         name = f"session_join_{int(gap // 60)}m"
         graph.operator(
             name,
@@ -82,7 +88,7 @@ def nbqx(source_dop=DEFAULT_SOURCE_DOP, stateful_dop=DEFAULT_STATEFUL_DOP,
         graph.sink(f"out_{name}", inputs=[(name, "forward")])
     graph.operator(
         "tumbling_join",
-        lambda: TumblingWindowJoin(size=tumbling_window),
+        lambda: TumblingWindowJoin(size=NBQX_TUMBLING_WINDOW),
         stateful_dop,
         inputs=[("auctions", "hash"), ("bids", "hash")],
         stateful=True,

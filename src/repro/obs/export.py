@@ -8,6 +8,9 @@ microseconds.  Tracks (the tracer's ``track`` tag) become named threads.
 
 import json
 
+#: The one process id every event carries (one simulated run per trace).
+PID = 1
+
 
 def _track_ids(tracer):
     """Stable track -> tid mapping (registration order, default track 0)."""
@@ -26,7 +29,7 @@ def _jsonable(tags):
             for k, v in tags.items()}
 
 
-def chrome_trace(tracer, pid=1):
+def chrome_trace(tracer):
     """The trace as a Chrome ``trace_event`` document (a plain dict)."""
     tracks = _track_ids(tracer)
     events = []
@@ -35,7 +38,7 @@ def chrome_trace(tracer, pid=1):
             {
                 "ph": "M",
                 "name": "thread_name",
-                "pid": pid,
+                "pid": PID,
                 "tid": tid,
                 "args": {"name": track if track is not None else "main"},
             }
@@ -47,7 +50,7 @@ def chrome_trace(tracer, pid=1):
             {
                 "ph": "X",
                 "name": span.name,
-                "pid": pid,
+                "pid": PID,
                 "tid": tracks[span.track],
                 "ts": span.start * 1e6,
                 "dur": (end - span.start) * 1e6,
@@ -60,7 +63,7 @@ def chrome_trace(tracer, pid=1):
                 "ph": "i",
                 "s": "t",
                 "name": event.name,
-                "pid": pid,
+                "pid": PID,
                 "tid": tracks[event.track],
                 "ts": event.time * 1e6,
                 "args": _jsonable(event.tags),
@@ -72,7 +75,7 @@ def chrome_trace(tracer, pid=1):
                 {
                     "ph": "C",
                     "name": counter.name,
-                    "pid": pid,
+                    "pid": PID,
                     "tid": 0,
                     "ts": time * 1e6,
                     "args": {counter.name: total},
@@ -81,10 +84,10 @@ def chrome_trace(tracer, pid=1):
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer, path, pid=1):
+def write_chrome_trace(tracer, path):
     """Write the Chrome trace JSON to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(tracer, pid=pid), handle)
+        json.dump(chrome_trace(tracer), handle)
     return path
 
 

@@ -9,6 +9,8 @@ MERGE = 2  # append-merge operator (the paper's "append state update pattern")
 
 #: Sentinel stored as the value of deletions.
 TOMBSTONE = object()
+#: Modeled size of a tombstone entry.
+TOMBSTONE_BYTES = 8
 
 
 def order_key(composite):
@@ -142,9 +144,9 @@ class MemTable:
             seq += 1
         self.size_bytes += size_delta
 
-    def delete(self, group, key, seq, nbytes=8):
+    def delete(self, group, key, seq):
         """Delete a key (tombstone until compaction)."""
-        self._replace((group, key), Entry(DELETE, TOMBSTONE, seq, nbytes))
+        self._replace((group, key), Entry(DELETE, TOMBSTONE, seq, TOMBSTONE_BYTES))
 
     def append(self, group, key, element, seq, nbytes=None):
         """Merge-append ``element`` onto the key's value."""

@@ -82,11 +82,9 @@ class TestRhinoConfig:
             {"block_size": 0},
             {"block_size": -5},
             {"credit_window_bytes": 0},
-            {"anti_entropy_interval": 0},
             {"scheduling_delay": -0.1},
             {"local_fetch_seconds": -1},
             {"state_load_seconds": -1},
-            {"handover_timeout": 0},
         ],
     )
     def test_invalid_values_fail_at_construction(self, kwargs):
@@ -137,21 +135,28 @@ class TestRhinoConfig:
                 RhinoConfig(**{removed: 1})
 
     @pytest.mark.parametrize(
-        "removed", ["retry_attempts", "retry_seed", "handover_retry_attempts"]
+        "removed",
+        [
+            "retry_attempts",
+            "retry_seed",
+            "handover_retry_attempts",
+            "anti_entropy_interval",
+            "handover_timeout",
+        ],
     )
     def test_retries_are_not_a_setting(self, removed):
-        """Every deployment retries blocks and re-runs handovers by one
-        policy and one rule, so their former knobs are type errors."""
+        """Every deployment retries blocks, re-runs handovers, reconciles
+        replicas (once per completed checkpoint) and watches a handover
+        (``HANDOVER_TIMEOUT``) by one rule each, so their former knobs are
+        type errors."""
         with pytest.raises(TypeError, match=removed):
             RhinoConfig(**{removed: 1})
 
     def test_field_set_is_pinned(self):
         """A new knob is a reviewed decision: it has to edit this list."""
         assert sorted(vars(RhinoConfig())) == [
-            "anti_entropy_interval",
             "block_size",
             "credit_window_bytes",
-            "handover_timeout",
             "local_fetch_seconds",
             "replication_factor",
             "scheduling_delay",
@@ -230,7 +235,7 @@ class TestExperimentSurface:
         "Testbed.deploy": (
             Testbed.deploy,
             "self sut_name query_name checkpoint_interval stateful_dop "
-            "replication_factor anti_entropy_interval",
+            "replication_factor",
         ),
         "run_single_event": (
             run_single_event,

@@ -189,10 +189,10 @@ def landing_instant(build):
     landed = []
     write = scenario.victim.disk_write
 
-    def recording_write(nbytes, disk=None, tag=None):
+    def recording_write(nbytes, tag=None):
         if tag == scenario.tag and not landed:
             landed.append(scenario.sim.now)
-        return write(nbytes, disk=disk, tag=tag)
+        return write(nbytes, tag=tag)
 
     scenario.victim.disk_write = recording_write
     scenario.sim.run(until=scenario.start())

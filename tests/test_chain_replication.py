@@ -171,9 +171,9 @@ class TestChainReplication:
         written = []
         write = machines[2].disk_write
 
-        def recording_write(nbytes, disk=None, tag=None):
+        def recording_write(nbytes, tag=None):
             written.append((tag, nbytes))
-            return write(nbytes, disk=disk, tag=tag)
+            return write(nbytes, tag=tag)
 
         machines[2].disk_write = recording_write
         started = sim.now

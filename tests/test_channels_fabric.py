@@ -8,6 +8,7 @@ element per batch.  A channel delivers by direct call into its consumer's
 
 import pytest
 
+from repro.engine import channels
 from repro.engine.channels import (
     Channel,
     DEFAULT_CAPACITY_BATCHES,
@@ -238,9 +239,9 @@ class TestBlockRelease:
 
 
 class TestCredit:
-    def test_producer_blocks_beyond_credit(self, env):
+    def test_producer_blocks_beyond_credit(self, env, monkeypatch):
         sim, _cluster, machines, fabric = env
-        fabric.credit_bytes = 150
+        monkeypatch.setattr(channels, "CREDIT_BYTES", 150)
         src = FakeInstance("src[0]", 0, machines[0])
         dst = FakeInstance("dst[0]", 0, machines[1])
         channel = Channel(sim, "c", src, dst, capacity_batches=1000)
@@ -251,9 +252,9 @@ class TestCredit:
         sim.run(until=2.0)
         assert second.triggered  # flushed, credit released
 
-    def test_credit_is_charged_per_batch_in_bytes(self, env):
+    def test_credit_is_charged_per_batch_in_bytes(self, env, monkeypatch):
         sim, _cluster, machines, fabric = env
-        fabric.credit_bytes = 150
+        monkeypatch.setattr(channels, "CREDIT_BYTES", 150)
         src = FakeInstance("src[0]", 0, machines[0])
         dst = FakeInstance("dst[0]", 0, machines[1])
         channel = Channel(sim, "c", src, dst, capacity_batches=1000)
@@ -310,9 +311,11 @@ class TestHeldBatches:
         assert fabric.dropped_elements == 0
         assert fabric._pending_bytes[(machines[0], machines[1])] == 0
 
-    def test_a_replay_started_behind_the_partition_drops_the_held_batch(self, env):
+    def test_a_replay_started_behind_the_partition_drops_the_held_batch(
+        self, env, monkeypatch
+    ):
         sim, cluster, machines, fabric = env
-        fabric.credit_bytes = 150
+        monkeypatch.setattr(channels, "CREDIT_BYTES", 150)
         dst, _channel, _attempts, sent = self.start(env)
         credit = sent[2]
         assert credit is not None  # 200 B in flight

@@ -47,7 +47,6 @@ def setup(machines=5, checkpoint_interval=1.0, replication_factor=1):
             scheduling_delay=0.1,
             local_fetch_seconds=0.01,
             state_load_seconds=0.05,
-            handover_timeout=60.0,
         ),
     ).attach()
     return env, job, rhino

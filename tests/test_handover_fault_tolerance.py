@@ -177,7 +177,8 @@ class TestDeathBeforePrepare:
         env.sim.process(killer())
         env.run(until=4.0)
         # A dead origin used to strand the target waiting for its state
-        # until handover_timeout; a dead target got the groups committed.
+        # until the handover watchdog (HANDOVER_TIMEOUT); a dead target got
+        # the groups committed.
         assert handover.triggered and not handover.ok
         with pytest.raises(HandoverAborted):
             handover.value

@@ -297,14 +297,179 @@ class TestOneRetryPolicy:
         )
 
 
+#: Defaulted parameters in ``src/`` that no call in ``src/``, ``examples/``
+#: or ``benchmarks/`` sets, kept on purpose -- each with its reason.  Keyed
+#: ``"qualname(parameter)"``; anything else a caller never sets is a
+#: constant, not a parameter.
+PARAMETERS_KEPT_WITHOUT_CALLER = {
+    # The experiment surface: the ablation sweeps' axes and Figure 1's SUTs.
+    "ablate_virtual_nodes(counts)": "ablation sweep axis",
+    "ablate_virtual_nodes(state_bytes)": "ablation sweep input",
+    "ablate_virtual_nodes(seed)": "ablation sweep input",
+    "ablate_replication_factor(factors)": "ablation sweep axis",
+    "ablate_replication_factor(delta_bytes)": "ablation sweep input",
+    "ablate_incremental_checkpoints(total_bytes)": "ablation sweep input",
+    "ablate_incremental_checkpoints(delta_fraction)": "ablation sweep input",
+    "ablate_incremental_checkpoints(rounds)": "ablation sweep input",
+    "ablate_replication_topology(delta_bytes)": "ablation sweep input",
+    "ablate_replication_topology(factor)": "ablation sweep input",
+    "ablate_credit_window(windows)": "ablation sweep axis",
+    "ablate_credit_window(delta_bytes)": "ablation sweep input",
+    "ablate_delta_size(deltas_gb)": "ablation sweep axis",
+    "ablate_delta_size(checkpoint_interval)": "ablation sweep input",
+    "run_figure1(suts)": "Figure 1's SUT list, narrowed by the quick runs",
+    "run_control_quorum_sweep(replicas)": "CI's 3- and 5-replica sweeps",
+    "run_control_quorum_sweep(machines)": "CI's 5-replica sweep",
+    "run_control_quorum_sweep(artifacts_dir)": "CI's sweeps write verdicts there",
+    # Set by name through a call the scan cannot follow.
+    "Rhino._plan_rescale(machines)": "reconfigure() binds it by name",
+    "Rhino._plan_rescale(share)": "reconfigure() binds it by name",
+    "Rhino._plan_rebalance(node_count)": "reconfigure() binds it by name",
+    "JobMetrics.sample_latency(weight)": "called through a local alias",
+    "_Shipment._deliver(_room)": "an event callback: the kernel passes it",
+    "main(argv)": "None reads sys.argv; tests pass the arguments",
+    # Kernel calls whose optional value only a test reads.
+    "Event.fail(delay)": "mirrors succeed(delay=)",
+    "Simulator.timeout(value)": "the value a waiter receives",
+    "Simulator.at(value)": "the value a waiter receives",
+    # Sizes and hooks only the tests turn.
+    "LatencySeries.__init__(max_samples)": "tests reach downsampling quickly",
+    "KeyedStateBackend.__init__(memtable_limit)": "tests reach a flush quickly",
+    "KeyedStateBackend.__init__(compaction_trigger)": "tests reach compaction quickly",
+    "BloomFilter.__init__(false_positive_rate)": "tests check the sizing rule",
+    "SSTable.__init__(table_id)": "tests pin a table's id",
+    "Router.connect(capacity_batches)": "tests fill a channel quickly",
+    "LogCursor.poll(max_records)": "tests read small batches",
+    "DistributedFileSystem.write(parallelism)": "tests write one pipeline",
+    "ResourceMonitor.__init__(interval)": "tests sample every second",
+    "Megaphone.attach(monitor_interval)": "tests sample memory faster",
+    "ControlJournal.read_records(committed_seq)": "tests read below the floor",
+    "Cluster.__init__(scheduler)": "tests hand in the dense reference solver",
+    "StreamSpec.__init__(key_factory)": "tests give partitions disjoint keys",
+    "Record.__init__(origin)": "tests hand-build positioned records",
+    "Record.__init__(position)": "tests hand-build positioned records",
+    "FaultPlan.__init__(seed)": "tests replay a hand-written plan",
+    "Tracer.__init__(clock)": "tests trace without a simulator",
+    "text_timeline(include_events)": "README's documented debugging view",
+    "StreamGraph.sink(parallelism)": "tests build parallel sinks",
+}
+
+
+def _defaulted_parameters():
+    """``(key, callee, position, path, line)`` for every parameter with a
+    default of every function in ``src/``: ``key`` is ``"qualname(name)"``,
+    ``callee`` the name a call uses (the class for ``__init__``), and
+    ``position`` the index a positional argument binds (None when
+    keyword-only; a method's ``self`` or ``cls`` does not count)."""
+    found = []
+
+    def visit(node, prefix, cls, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + [child.name], child.name, path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in child.decorator_list
+                )
+                bound = 1 if cls is not None and not static else 0
+                callee = child.name
+                if cls is not None and callee == "__init__":
+                    callee = cls
+                qualname = ".".join(prefix + [child.name])
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], start=first):
+                    key = f"{qualname}({arg.arg})"
+                    found.append((key, callee, index - bound, path, arg.lineno))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append(
+                            (f"{qualname}({arg.arg})", callee, None, path, arg.lineno)
+                        )
+                visit(child, prefix + [child.name], None, path)
+            else:
+                visit(child, prefix, cls, path)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), [], None, path)
+    return found
+
+
+def _arguments_by_callee():
+    """Every call in ``src/``, ``examples/`` and ``benchmarks/``, pooled by
+    the called name: ``name -> [keywords, most positional arguments,
+    unpacks]``.  Same-named functions and methods count together; a call
+    that unpacks ``*`` or ``**`` sets every parameter, and
+    ``super().__init__`` calls the class's first base."""
+    pooled = {}
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            base_of = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef) and cls.bases:
+                    first = cls.bases[0]
+                    name = getattr(first, "id", getattr(first, "attr", None))
+                    base_of.update((id(node), name) for node in ast.walk(cls))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "__init__":
+                    name = base_of.get(id(node))
+                if name is None:
+                    continue
+                entry = pooled.setdefault(name, [set(), 0, False])
+                entry[0].update(k.arg for k in node.keywords if k.arg)
+                plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+                entry[1] = max(entry[1], len(plain))
+                entry[2] = entry[2] or len(plain) < len(node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+    return pooled
+
+
+class TestEveryParameterIsSet:
+    def test_every_defaulted_parameter_in_src_has_a_caller_that_sets_it(self):
+        """A default no caller in ``src/``, ``examples/`` or ``benchmarks/``
+        ever overrides is a setting nothing sets: make it a constant, or
+        pin it in :data:`PARAMETERS_KEPT_WITHOUT_CALLER` with its reason.
+        Fails naming file and line; a pinned parameter that a caller now
+        sets, or that is gone, fails too."""
+        pooled = _arguments_by_callee()
+        unset = {}
+        for key, callee, position, path, line in _defaulted_parameters():
+            keywords, most, unpacks = pooled.get(callee, (set(), 0, False))
+            name = key[key.index("(") + 1 : -1]
+            if not (
+                unpacks
+                or name in keywords
+                or (position is not None and most > position)
+            ):
+                unset[key] = _where(path, line)
+        missing = [
+            f"{where} {key}"
+            for key, where in unset.items()
+            if key not in PARAMETERS_KEPT_WITHOUT_CALLER
+        ]
+        assert missing == [], (
+            "defaulted parameters no caller sets; make each a constant or "
+            "pin it with its reason:\n" + "\n".join(missing)
+        )
+        assert sorted(set(PARAMETERS_KEPT_WITHOUT_CALLER) - set(unset)) == []
+
+
 class TestOneReconciler:
     def test_only_the_reconcile_pass_calls_bulk_copy(self):
         """Replica repair is decided in one place, ``Rhino._reconcile``:
-        chain repair, the control takeover, a restart and the timer all run
-        that pass.  A ``bulk_copy`` call anywhere else in ``src/`` would
-        bring back a second repair rule -- copies one after another, or
-        before the primary's first checkpoint -- so it fails here, naming
-        file and line."""
+        every completed checkpoint, chain repair, the control takeover and
+        a restart all run that pass.  A ``bulk_copy`` call anywhere else in
+        ``src/`` would bring back a second repair rule -- copies one after
+        another, or before the primary's first checkpoint -- so it fails
+        here, naming file and line."""
         api = ROOT / "src" / "repro" / "core" / "api.py"
         allowed = set()
         for node in ast.walk(ast.parse(api.read_text(), str(api))):

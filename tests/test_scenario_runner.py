@@ -84,8 +84,8 @@ class TestRunScenario:
         the sources' barrier injection.  The barrier of the (aborted)
         checkpoint used to reach the replacement instances, which had never
         been told to swallow it: they aligned on it forever and the
-        handover idled to ``handover_timeout`` (ProtocolError after 3,600
-        simulated seconds).  Same recovery time as a kill at 9.99 / 10.01.
+        handover idled to its watchdog, ``HANDOVER_TIMEOUT`` (ProtocolError
+        after 3,600 simulated seconds).  Same recovery time as a kill at 9.99 / 10.01.
         """
         result = run_scenario(
             {
@@ -212,6 +212,7 @@ class TestNbq8DrainRegression:
             for name in (
                 "exactly-once-weighted",
                 "no-misroutes",
+                "single-owner",
                 "replication-restored",
                 "no-leaked-processes",
                 "drained",
