@@ -128,10 +128,6 @@ class ResourceMonitor:
 
     # -- summaries -----------------------------------------------------------
 
-    def series(self, field):
-        """(time, value) series for a sample field name."""
-        return [(s.time, getattr(s, field)) for s in self.samples]
-
     def mean(self, field, start=None, end=None):
         """Mean of the sample field over [start, end]."""
         values = [

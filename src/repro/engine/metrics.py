@@ -58,10 +58,6 @@ class LatencySeries:
         """(latency, weight) pairs within [start, end]."""
         return [(latency, weight) for _t, latency, weight in self.window(start, end)]
 
-    def total_weight(self):
-        """Summed sample weights."""
-        return sum(weight for _t, _l, weight in self.samples)
-
     def mean(self, start=None, end=None):
         """Weighted mean latency over [start, end]."""
         pairs = self.weighted_values(start, end)

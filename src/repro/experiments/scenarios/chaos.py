@@ -444,6 +444,18 @@ def run_chaos(
     detector.stop()
     driver.interrupt("chaos-run-complete")
     sim.run(until=sim.now + 0.05)
+    # A record appended in that last step (``checkpoint.completed``) may
+    # still be on the wire: let the group settle it, for at most 1 s,
+    # before the quorum check reads it.  A tail still lagging then fails.
+    settle_until = sim.now + 1.0
+    while group is not None and sim.now < settle_until:
+        top = len(group.journal.records)
+        if group.committed_seq >= top and not any(
+            m.service_up and m.machine.alive and m.synced_seq < top
+            for m in group.members
+        ):
+            break
+        sim.run(until=sim.now + 0.05)
 
     # -- MTTR from the detector's vantage ---------------------------------
     suspected_at = {}

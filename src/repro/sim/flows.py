@@ -25,12 +25,18 @@ instead of leaking one kernel timeout per reallocation.
 
 Water-filling counts instead of intersecting: each port keeps its flow
 list and a count of unfrozen flows, decremented as flows freeze, so a
-lone flow closes in one round.  The commonest solves walk no component at
-all: a removal that empties a port drops its rate sum on the spot and
-leaves nothing to re-solve, and, while no port is dirty, a new flow that
-is alone on every port it crosses takes its tightest port's capacity
-directly -- what water-filling gives a one-flow component.  A
-positive-size transfer must cross at least one port.
+lone flow closes in one round.  A removal that empties a port drops its
+rate sum on the spot and leaves nothing to re-solve.  A positive-size
+transfer must cross at least one port.
+
+*Messages are not flows.*  A transfer that drains alone at its tightest
+port within :data:`MESSAGE_SECONDS` (``nbytes / min(effective_capacity)``)
+holds no rate and never enters the solver: one kernel event at ``now +
+drain``, shared by the messages draining then, charges ``port_bytes`` and
+lands each after its latency, as a finished flow lands.  Port failures and
+severs fail it in id order with the flows; ``active_flows()`` lists it.
+Over a stalled port it stays a flow and freezes.  Not modelled: a message
+takes no share from bulk flows, and one in flight ignores a later slow link.
 
 The oracle is a whole-graph solver kept apart from this module, in
 ``tests/reference_flows.py``: it re-solves every flow and port on every
@@ -47,6 +53,9 @@ from repro.common.errors import SimulationError
 
 #: Bytes below this are considered fully transferred (float tolerance).
 _EPSILON_BYTES = 1e-6
+
+#: Drain time at or below which a transfer is a message (module docstring).
+MESSAGE_SECONDS = 1e-3
 
 
 class Port:
@@ -170,6 +179,10 @@ class FlowScheduler:
     def __init__(self, sim):
         self.sim = sim
         self._flows = {}
+        #: In-flight messages by id (insertion, hence id, order), and by
+        #: drain time: messages draining at one instant share one event.
+        self._messages = {}
+        self._drains = {}
         self._ids = itertools.count()
         self._last_update = 0.0
         #: Cumulative bytes moved per port, for utilization accounting.
@@ -213,12 +226,14 @@ class FlowScheduler:
         if latency < 0:
             raise SimulationError(f"negative transfer latency {latency!r}")
         extra_latency = 0
+        capacity = float("inf")
         for port in ports:
             if not port.enabled:
                 event = self.sim.event()
                 event.fail(PortFailed(port))
                 return event
             extra_latency += port.extra_latency
+            capacity = min(capacity, port.effective_capacity)
         event = self.sim.event()
         if self.loss_rng is not None:
             for port in ports:
@@ -235,9 +250,17 @@ class FlowScheduler:
             # Nothing would bound its rate; only a zero-byte transfer
             # (a same-machine hand-off) may cross no port.
             raise SimulationError("flow crossing no port")
-        self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
         flow_id = flow.flow_id
+        if capacity > 0 and nbytes / capacity <= MESSAGE_SECONDS:
+            self._messages[flow_id] = flow
+            due = self.sim.now + nbytes / capacity
+            draining = self._drains.setdefault(due, [])
+            if not draining:
+                self.sim.at(due, due).callbacks.append(self._deliver)
+            draining.append(flow)
+            return event
+        self._advance()
         self._flows[flow_id] = flow
         port_flows = self._port_flows
         for port in flow.ports:
@@ -250,10 +273,14 @@ class FlowScheduler:
         return event
 
     def active_flows(self):
-        """Snapshot of in-flight flows as (tag, remaining, rate) tuples."""
+        """Snapshot of in-flight flows as (tag, remaining, rate) tuples,
+        then in-flight messages as (tag, nbytes, 0.0)."""
         self._advance()
         self._flush()
-        return [(f.tag, f.remaining, f.rate) for f in self._flows.values()]
+        return [
+            (f.tag, f.remaining, f.rate)
+            for f in itertools.chain(self._flows.values(), self._messages.values())
+        ]
 
     def port_rate(self, port):
         """Current aggregate allocated rate on ``port`` (bytes/second)."""
@@ -263,7 +290,7 @@ class FlowScheduler:
         return sum(flows[fid].rate for fid in sorted(self._port_flows.get(port, ())))
 
     def fail_ports(self, ports):
-        """Disable several ports at once, failing every crossing flow.
+        """Disable several ports at once, failing what crosses them.
 
         One advance and one (deferred) re-solve cover the whole batch --
         a machine death takes down six ports in a single pass instead of
@@ -272,43 +299,30 @@ class FlowScheduler:
         for port in ports:
             port.enabled = False
         self._advance()
-        failed_any = False
         for port in ports:
-            ids = sorted(self._port_flows.get(port, ()))
-            failed = [self._flows[fid] for fid in ids]
-            for flow in failed:
-                failed_any = True
-                self._remove_flow(flow)
-                if not flow.event.triggered:
-                    # Defused: a live waiter still receives the exception; a
-                    # transfer orphaned by its owner's death must not crash
-                    # the simulation.
-                    flow.event.defused = True
-                    flow.event.fail(PortFailed(port))
-        if failed_any:
-            self._request_solve()
+            self._fail(
+                [self._flows[fid] for fid in sorted(self._port_flows.get(port, ()))],
+                lambda crossed: port in crossed,
+                lambda _flow: PortFailed(port),
+            )
 
     def enable_port(self, port):
         """Re-enable a disabled port."""
         port.enabled = True
 
     def fail_flows_matching(self, predicate, make_exception):
-        """Fail every in-flight flow whose port set satisfies ``predicate``.
+        """Fail every flow and message whose ports satisfy ``predicate``.
 
         Used by :meth:`Cluster.partition` to sever cross-group transfers
         already on the wire.  ``predicate(ports)`` selects flows;
         ``make_exception(flow)`` builds the failure each waiter receives.
         """
         self._advance()
-        doomed = [f for f in self._flows.values() if predicate(f.ports)]
-        for flow in doomed:
-            self._remove_flow(flow)
-            if not flow.event.triggered:
-                flow.event.defused = True
-                flow.event.fail(make_exception(flow))
-        if doomed:
-            self._request_solve()
-        return len(doomed)
+        return self._fail(
+            [f for f in self._flows.values() if predicate(f.ports)],
+            predicate,
+            make_exception,
+        )
 
     def reallocate(self, ports):
         """Recompute allocations after port capacities changed externally.
@@ -324,6 +338,32 @@ class FlowScheduler:
         self._request_solve()
 
     # -- internals -------------------------------------------------------
+
+    def _fail(self, flows, predicate, make_exception):
+        """Fail ``flows`` and the messages whose ports satisfy ``predicate``,
+        in id order, defused (a live waiter still receives the exception; an
+        orphaned transfer must not crash the run); returns how many failed."""
+        messages = [m for m in self._messages.values() if predicate(m.ports)]
+        if messages:
+            flows = sorted(flows + messages, key=lambda f: f.flow_id)
+        for flow in flows:
+            if self._messages.pop(flow.flow_id, None) is None:
+                self._remove_flow(flow)
+                self._request_solve()
+            if not flow.event.triggered:
+                flow.event.defused = True
+                flow.event.fail(make_exception(flow))
+        return len(flows)
+
+    def _deliver(self, wakeup):
+        """Messages drained: charge their ports, land each after its latency."""
+        port_bytes = self.port_bytes
+        for message in self._drains.pop(wakeup.value):
+            if self._messages.pop(message.flow_id, None) is None:
+                continue  # failed in flight
+            for port in message.ports:
+                port_bytes[port] = port_bytes.get(port, 0.0) + message.remaining
+            message.event.succeed(0.0, delay=message.latency)
 
     def _advance(self):
         """Account bytes moved since the last update at current rates."""
@@ -409,10 +449,6 @@ class FlowScheduler:
         rates are unique, and the per-component arithmetic is identical to
         a full solve restricted to that component)."""
         self._solve_pending = False
-        if not self._dirty_ports:
-            self._solve_lone_flows()
-            if not self._dirty_flows:
-                return
         flows, touched_ports = self._collect_components()
         rate_sum = self._port_rate_sum
         if not flows:
@@ -440,42 +476,6 @@ class FlowScheduler:
                 rate_sum[port] = total
             else:
                 rate_sum.pop(port, None)
-
-    def _solve_lone_flows(self):
-        """Settle, without a component walk, every dirty flow that is the
-        only member of each port it crosses, and drop it from the dirty set.
-
-        Only called when no port is dirty, so such a flow is a component
-        of its own.  Water-filling gives it the smallest share
-        ``effective_capacity / 1`` among its ports, which is the smallest
-        capacity itself; its rate is charged once per listed port, as a
-        solve sums it.
-        """
-        flows_by_id = self._flows
-        port_flows = self._port_flows
-        rate_sum = self._port_rate_sum
-        dirty = self._dirty_flows
-        lone = []
-        for flow_id in dirty:
-            flow = flows_by_id[flow_id]
-            rate = None
-            for port in flow.ports:
-                if len(port_flows[port]) > 1:
-                    break
-                capacity = port.effective_capacity
-                if rate is None or capacity < rate:
-                    rate = capacity
-            else:
-                lone.append(flow_id)
-                flow.rate = rate
-                if rate:
-                    for port in flow.ports:
-                        rate_sum[port] = rate_sum.get(port, 0.0) + rate
-                else:
-                    # Stalled: frozen until a reallocate() heals the port.
-                    for port in flow.ports:
-                        rate_sum.pop(port, None)
-        dirty.difference_update(lone)
 
     def _collect_components(self):
         """Flows of every connected component touched by a dirty flow or

@@ -8,8 +8,10 @@ with the engine under test: it has its own water-filling loop (the same
 arithmetic in the same iteration order, which is what makes the two
 bit-identical rather than merely close), its own byte accounting and its
 own wake-up scheduling (one guarded kernel timeout per reallocation).
-Only the vocabulary callers exchange with a scheduler is imported: ``Port``
-and the ``TransferFailed`` family.
+Only the vocabulary callers exchange with a scheduler is imported: ``Port``,
+the ``TransferFailed`` family and ``MESSAGE_SECONDS``, the drain time under
+which a transfer is a message: it takes no part in water-filling and lands
+one timeout after it starts, unless a port failure or a sever fails it.
 
 Tests hand an instance to ``Cluster(sim, scheduler=...)``; the whole-run
 chaos comparison monkeypatches ``repro.cluster.cluster.FlowScheduler``.
@@ -18,7 +20,7 @@ chaos comparison monkeypatches ``repro.cluster.cluster.FlowScheduler``.
 import itertools
 
 from repro.common.errors import SimulationError
-from repro.sim.flows import FlowLost, PortFailed
+from repro.sim.flows import MESSAGE_SECONDS, FlowLost, PortFailed
 
 #: Bytes below this are considered fully transferred (float tolerance).
 EPSILON_BYTES = 1e-6
@@ -41,6 +43,7 @@ class DenseFlowScheduler:
     def __init__(self, sim):
         self.sim = sim
         self._flows = {}
+        self._messages = {}
         self._ids = itertools.count()
         self._wakeup = None  # guard: only the newest timeout may fire
         self._last_update = 0.0
@@ -71,15 +74,32 @@ class DenseFlowScheduler:
         if nbytes <= EPSILON_BYTES:
             self._complete_after(event, latency, nbytes)
             return event
-        self._advance()
         flow = _Flow(next(self._ids), nbytes, list(ports), event, latency, tag)
+        capacity = min((p.effective_capacity for p in ports), default=0.0)
+        if capacity > 0 and nbytes / capacity <= MESSAGE_SECONDS:
+            self._messages[flow.flow_id] = flow
+
+            def deliver(_timer):
+                if self._messages.pop(flow.flow_id, None) is not None:
+                    for port in flow.ports:
+                        self.port_bytes[port] = (
+                            self.port_bytes.get(port, 0.0) + flow.remaining
+                        )
+                    self._complete_after(event, latency, 0.0)
+
+            self.sim.timeout(nbytes / capacity).callbacks.append(deliver)
+            return event
+        self._advance()
         self._flows[flow.flow_id] = flow
         self._reallocate()
         return event
 
     def active_flows(self):
         self._advance()
-        return [(f.tag, f.remaining, f.rate) for f in self._flows.values()]
+        return [
+            (f.tag, f.remaining, f.rate)
+            for f in [*self._flows.values(), *self._messages.values()]
+        ]
 
     def port_rate(self, port):
         self._advance()
@@ -91,7 +111,7 @@ class DenseFlowScheduler:
         self._advance()
         failed_any = False
         for port in ports:
-            for flow in [f for f in self._flows.values() if port in f.ports]:
+            for flow in self._doomed(lambda crossed: port in crossed):
                 failed_any = True
                 self._fail(flow, PortFailed(port))
         if failed_any:
@@ -102,7 +122,7 @@ class DenseFlowScheduler:
 
     def fail_flows_matching(self, predicate, make_exception):
         self._advance()
-        doomed = [f for f in self._flows.values() if predicate(f.ports)]
+        doomed = self._doomed(predicate)
         for flow in doomed:
             self._fail(flow, make_exception(flow))
         if doomed:
@@ -115,11 +135,23 @@ class DenseFlowScheduler:
 
     # -- internals -------------------------------------------------------
 
-    def _fail(self, flow, exception):
-        del self._flows[flow.flow_id]
-        if not flow.event.triggered:
-            flow.event.defused = True
-            flow.event.fail(exception)
+    def _doomed(self, predicate):
+        """Flows and messages whose ports satisfy ``predicate``, by id."""
+        return sorted(
+            (
+                f
+                for f in [*self._flows.values(), *self._messages.values()]
+                if predicate(f.ports)
+            ),
+            key=lambda f: f.flow_id,
+        )
+
+    def _fail(self, transfer, exception):
+        if self._flows.pop(transfer.flow_id, None) is None:
+            del self._messages[transfer.flow_id]
+        if not transfer.event.triggered:
+            transfer.event.defused = True
+            transfer.event.fail(exception)
 
     def _complete_after(self, event, latency, nbytes):
         def complete(_timer=None):

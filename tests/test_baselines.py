@@ -317,7 +317,7 @@ class TestMegaphone:
         assert origin.state.owned_ranges() == []
         assert target.state.owned_ranges() == [(0, 20)]
         assert (report.migrated_bytes, report.bins_migrated) == (9800, 12)
-        assert repr(report.total_seconds) == "0.00756726666666685"
+        assert repr(report.total_seconds) == "0.007566966666666897"
         held = [
             (0, 13), (0, 24), (1, 34), (1, 7), (2, 0), (2, 33), (3, 14),
             (3, 23), (5, 43), (6, 44), (6, 9), (8, 18), (9, 41), (10, 38),

@@ -213,9 +213,7 @@ class TestMonitor:
         cluster.transfer(src, dst, 500.0)
         sim.run(until=10.0)
         # 500 B moved in the first 5 s through 2 NIC ports = 1000 port-bytes.
-        assert sum(rate for _, rate in monitor.series("network_rate")) == pytest.approx(
-            1000.0
-        )
+        assert sum(s.network_rate for s in monitor.samples) == pytest.approx(1000.0)
 
     def test_monitor_tracks_cpu(self, sim, cluster):
         machine = make_machine(cluster, cores=4)

@@ -317,17 +317,25 @@ class TestTakeoverGolden:
     ``replication.bytes`` / ``.checkpoints`` sample at their end moved
     from t = 4.6456 s to 4.5735 s.  Nothing else moved, and no
     ``RESULT`` did.
+
+    All six were re-captured when transfers that drain within
+    ``flows.MESSAGE_SECONDS`` became messages (a model change): the
+    takeover ``replay`` phase moved by tens of nanoseconds (seed 1:
+    2.6825e-6 -> 2.7025e-6 s) and the replayed checkpoints'
+    ``completed_at`` by up to 6 ms (seed 6, checkpoint 4: 5.07204 ->
+    5.07801 s).  Counts, MTTR samples, duration and control stats did not
+    move.
     """
 
     RESULT = {
-        1: "cb5024cd4a975d636b51b4da1e5e391a85304ffed536bfe38b40a7cab00b4960",
-        2: "880290418a5345a5b9192502ca4745408d9d347db3c080cfa5a4004520460052",
-        6: "14ba04e35946a0d2c48ad39a38c06f907c1693fb93606ba7fbab1b90e1ae47fc",
+        1: "55b02fb04bafc56a9d6008f8106d282c410ac93ab0b1ecf44faa2253f3a12f53",
+        2: "15def1d5bd44aa1307410cb6d69c91edca615f7d3cc5fdc1ade20ddcf0f50a6e",
+        6: "53d0290f189dde58f77ddd6dee972f37ee3cb234a0e1c0d0301cb6c72251cda7",
     }
     TRACE = {
-        1: "249605e266cdd15b75b424d7e18a8d3aa1a722235e71e9ffb841afd1c32c2984",
-        2: "cd9e147f2409211a7d01622297ed0d4370827a518bee55dc72b0c9c9eba9022b",
-        6: "53559336411a1b362d174deaf8e0c9b60798f36213fd142745e51440f71cb2a7",
+        1: "3c9f1c7d884d5553213aa7065c0f3f39d55b91fd6550e348ae14a640e8e04e85",
+        2: "8c33c7f82ae16d8cd3a93648434382e3a8e902acfa13957361da6b60e75dc142",
+        6: "13075c67be624c4dc9b80629cb1af370f82dc01063a26dc55212289d8c04fda0",
     }
     TAKEOVERS = {1: 1, 2: 2, 6: 1}
 
@@ -404,6 +412,20 @@ class TestQuiescencePoll:
         )
         assert result.violations == []
         assert result.duration < 40.0
+
+    def test_plan_seed_174_settles_its_last_journal_record(self):
+        # Drains at t = 33.0; the coordinator journals checkpoint.completed
+        # (seq 94) in the teardown's last 0.05 s step, so the quorum check
+        # used to read the group while one member still lacked it.
+        result = run_chaos(
+            174,
+            control_replicas=3,
+            records=600,
+            rebalance_at=8.0,
+            max_sim_time=40.0,
+        )
+        assert result.violations == []
+        assert result.duration == 33.0
 
 
 # -- satellite (c): stale-leader exactly-once -------------------------------

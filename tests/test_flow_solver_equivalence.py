@@ -18,7 +18,13 @@ from repro.cluster import Cluster
 from repro.common.errors import SimulationError
 from repro.experiments.scenarios.chaos import run_chaos
 from repro.sim import Simulator
-from repro.sim.flows import FlowLost, FlowScheduler, Port, TransferFailed
+from repro.sim.flows import (
+    MESSAGE_SECONDS,
+    FlowLost,
+    FlowScheduler,
+    Port,
+    TransferFailed,
+)
 from tests.reference_flows import DenseFlowScheduler
 
 #: (reference, engine under test): every comparison runs both, in this order.
@@ -460,6 +466,118 @@ class TestSolverFastPaths:
         assert completions["dead"] == ("fail", "PortFailed", repr(2.0))
         rates = {tag: rate for tag, _remaining, rate in snapshots[-1][1]}
         assert rates == {"after-cut": repr(5e5), "after-kill": repr(1e6)}
+
+
+class TestMessages:
+    """A transfer that drains alone at its tightest port within
+    ``MESSAGE_SECONDS`` is a message: no rate, no solve, one landing.  It
+    keeps a flow's failure contract, and both engines agree on it."""
+
+    def test_a_message_takes_no_share_and_lands_after_its_drain(self):
+        # 500 B on a 1e6 B/s port drains in 0.5 ms: a message beside a
+        # bulk flow that keeps the whole port.
+        assert 500 / 1e6 <= MESSAGE_SECONDS < 2e3 / 1e6
+        charged = []
+        snapshots, completions = _assert_engines_agree(
+            [1e6, 4e6],
+            [
+                (0.0, _start("bulk", 4e6, [0, 1])),
+                (0.0, _start("msg", 500.0, [0, 1])),
+                (0.0, _start("twin", 500.0, [0])),  # drains at the same instant
+                (0.0, _start("fluid", 2e3, [1])),
+                (0.001, _look_bytes(charged)),
+            ],
+        )
+        flows = dict((tag, (rest, rate)) for tag, rest, rate in snapshots[3][1])
+        assert flows["msg"] == (repr(500.0), repr(0.0))
+        assert flows["bulk"][1] == repr(1e6)  # no share went to the message
+        assert completions["msg"] == ("ok", repr(0.0), repr(500 / 1e6))
+        assert completions["twin"] == completions["msg"]
+        # A message's bytes are charged to each port it crosses.
+        assert charged[0][0] == repr(1e6 * 0.001 + 500.0 + 500.0)
+
+    def test_a_message_and_flows_on_a_failed_port_fail_in_id_order(self):
+        def kill(scheduler, ports, watch):
+            scheduler.fail_ports([ports[0]])
+
+        orders = []
+        for engine in ENGINES:
+            _snapshots, completions = _run_script(
+                engine,
+                [1e6, 1e6],
+                [
+                    (0.0, _start("first", 1e6, [0])),
+                    (0.0, _start("msg", 500.0, [1, 0])),
+                    (0.0, _start("last", 1e6, [0, 1])),
+                    (0.0002, kill),
+                ],
+            )
+            orders.append(list(completions.items()))
+        assert orders[0] == orders[1]
+        assert orders[1] == [
+            (tag, ("fail", "PortFailed", repr(0.0002)))
+            for tag in ("first", "msg", "last")
+        ]
+
+    def test_a_small_transfer_over_a_stalled_port_freezes_until_heal(self):
+        def stall(scheduler, ports, watch):
+            ports[0].degrade(capacity_scale=0.0)
+            scheduler.reallocate([ports[0]])
+
+        def heal(scheduler, ports, watch):
+            ports[0].restore()
+            scheduler.reallocate([ports[0]])
+
+        snapshots, completions = _assert_engines_agree(
+            [1e6],
+            [(0.0, stall), (0.0, _start("small", 500.0, [0])), (2.0, heal)],
+        )
+        assert snapshots[1][1] == [("small", repr(500.0), repr(0.0))]
+        # A flow: it lands when the solver drains it, with a float residue.
+        kind, _residue, at = completions["small"]
+        assert (kind, at) == ("ok", repr(2.0 + 500 / 1e6))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_machine_messages_fail_on_a_partition_and_a_disk_stall_freezes_them(engine):
+    """On a ``Cluster``: ``active_flows()`` lists a message in flight, a
+    partition fails it with ``NetworkPartitioned``, a port failure with
+    ``PortFailed``, and a small write to a stalled disk lands on heal."""
+    sim = Simulator()
+    cluster = Cluster(sim, scheduler=engine(sim))
+    a, b, c = cluster.add_machines(3)
+    log = {}
+
+    def watch(name, event):
+        def proc():
+            try:
+                yield event
+            except TransferFailed as exc:
+                log[name] = (type(exc).__name__, sim.now)
+            else:
+                log[name] = ("ok", sim.now)
+
+        sim.process(proc(), name=name)
+
+    def driver():
+        watch("cut", cluster.transfer(a, b, 1000, tag="cut"))
+        watch("dead", cluster.transfer(a, c, 1000, tag="dead"))
+        in_flight = cluster.scheduler.active_flows()
+        assert sorted(tag for tag, _rest, _rate in in_flight) == ["cut", "dead"]
+        yield sim.timeout(4e-7)  # both still draining (8e-7 s at 1.25 GB/s)
+        cluster.partition([[a, c], [b]])
+        c.fail()
+        cluster.heal()
+        cluster.stall_disk(a)
+        watch("write", a.disk_write(1000, tag="write"))
+        yield sim.timeout(1.0)
+        cluster.heal_disk(a)
+
+    sim.process(driver(), name="driver")
+    sim.run()
+    assert log["cut"] == ("NetworkPartitioned", 4e-7)
+    assert log["dead"] == ("PortFailed", 4e-7)
+    assert log["write"] == ("ok", 4e-7 + 1.0 + 1000 / 280e6)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -59,7 +59,7 @@ class TestLatencySeries:
         series.record(0.0, 0.1, weight=99)
         series.record(1.0, 10.0, weight=1)
         assert series.mean() == pytest.approx((0.1 * 99 + 10.0) / 100)
-        assert series.total_weight() == 100
+        assert sum(w for _l, w in series.weighted_values()) == 100
 
     def test_weighted_p99_under_skew(self):
         # 9 heavy fast samples (weight 1000 each) + 90 light slow ones:
@@ -79,7 +79,7 @@ class TestLatencySeries:
         series = LatencySeries()
         series.record(0.0, 1.0)
         assert series.samples == [(0.0, 1.0, 1)]
-        assert series.total_weight() == 1
+        assert sum(w for _l, w in series.weighted_values()) == 1
 
     def test_empty_series_summaries_are_zero(self):
         series = LatencySeries()
@@ -115,5 +115,5 @@ class TestJobMetrics:
     def test_sample_latency_forwards_weight(self):
         metrics = JobMetrics()
         metrics.sample_latency(1.0, 0.5, "join", weight=7)
-        assert metrics.latency.total_weight() == 7
-        assert metrics.latency_by_operator["join"].total_weight() == 7
+        for series in (metrics.latency, metrics.latency_by_operator["join"]):
+            assert sum(w for _l, w in series.weighted_values()) == 7

@@ -331,7 +331,6 @@ PARAMETERS_KEPT_WITHOUT_CALLER = {
     # Kernel calls whose optional value only a test reads.
     "Event.fail(delay)": "mirrors succeed(delay=)",
     "Simulator.timeout(value)": "the value a waiter receives",
-    "Simulator.at(value)": "the value a waiter receives",
     # Sizes and hooks only the tests turn.
     "LatencySeries.__init__(max_samples)": "tests reach downsampling quickly",
     "KeyedStateBackend.__init__(memtable_limit)": "tests reach a flush quickly",

@@ -270,12 +270,13 @@ class TestIncrementalEngine:
             "b1": 5e5,
         }
         sim.run(until=pair[1])
-        # Alone on B, a flow takes the whole port without water-filling.
+        # Alone on B, a flow is a one-flow component: it takes the whole
+        # port, and port A's flow is still not re-solved.
         solved.clear()
         scheduler.transfer(1e5, [port_b], tag="lone")
         assert scheduler.port_rate(port_b) == 1e6
         assert scheduler.port_rate(port_a) == 1e6
-        assert solved == []
+        assert solved == [["lone"]]
 
     def test_queries_flush_pending_solve_mid_instant(self, sim, scheduler):
         """active_flows()/port_rate() see current rates before instant end."""
