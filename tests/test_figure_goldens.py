@@ -117,16 +117,21 @@ SCRIPTS = {
 #: transfers that drain within ``flows.MESSAGE_SECONDS`` became messages
 #: (a model change: a message takes no share of a port from bulk flows and
 #: lands at ``now + nbytes / capacity``, without the solver's 1 us clamp).
+#: rescale/rhinodfs and drain-triangular/rhinodfs were captured at 43e68bc
+#: to pin RhinoDFS's handover path (origin DFS persist, target DFS fetch),
+#: which failure/rhinodfs does not reach.
 GOLDEN = {
     "failure/rhino": "03527ef4b015ff2b214a1d50da5fb7ab82a0299d6c059e83372feea9f73b6842",
     "failure/rhinodfs": "53727c5f45ff6651ba2e01d439db20312f153b41f365679295e591dc4b2c5d80",
     "failure/flink": "42660a186c96a1e692496aef07d955f43856fb1251c9b85ea7f462d20d9a1ff8",
     "rescale/rhino": "e8342e26b44668213dfdda046183a699c785330283a36b56ae8a01ef779b687a",
+    "rescale/rhinodfs": "798b9c513a02a352bfcb5d53dec9bde8725a32d582801fb211c0e8f061832fa0",
     "rescale/flink": "da481327c1c277a7f4224d32e1a77e6d71c87bb6099db581494d7f6dc4bd4b8e",
     "rebalance/rhino": "66e2e5306d546579a6fd595c4d2cc533c03e52931a20caf4c14cf70190dd2863",
     "rebalance/megaphone": "bc3cd0e506579fcbc38dae8c0c725aff5dde3a070513ca75c592f33b18cb9aca",
     "rebalance/flink": "da481327c1c277a7f4224d32e1a77e6d71c87bb6099db581494d7f6dc4bd4b8e",
     "drain-triangular/rhino": "9c36a09e7fff540e4007b4cb91300103584a9fef24561981bdd6ae108b84c608",
+    "drain-triangular/rhinodfs": "c6b893fd2605a2d39a39c941323986b8f4c5ad0deb9c3f81f5da7bd537b3bb11",
     "drain-triangular/flink": "31b2668e50cd23df00391bae275e2f46980898de87a6dfd27b3bf223d6273895",
     "figure5/rhino": "3ad4c8b9498b44a1c00c82c4bc4df39830c684c13b86606fb09d1e7aa68f30ff",
     "figure5/megaphone": "2fc8d5f02d4c4d3881458f30b570f345206e01feaee0cee73298e68dc0e5f205",
