@@ -16,14 +16,11 @@ from repro.engine.checkpointing import DFSCheckpointStorage
 def make_rhinodfs(job, cluster, dfs, **config_overrides):
     """Attach a RhinoDFS runtime to ``job``.
 
-    The job must have been created with a
-    :class:`DFSCheckpointStorage` so periodic checkpoints land on the DFS;
-    this helper builds one (under ``/rhinodfs``) when the job still uses
-    local storage.  That storage is what selects the DFS path.
+    The job's checkpoint storage becomes a :class:`DFSCheckpointStorage`
+    (built under ``/rhinodfs`` unless the job was created with one), so
+    checkpoints land on the DFS and ``Rhino.attach`` keeps it instead of
+    installing replica chains: this is where RhinoDFS is chosen.
     """
-    storage = job.checkpoint_storage
-    if not isinstance(storage, DFSCheckpointStorage):
-        storage = DFSCheckpointStorage(job.sim, dfs, prefix="/rhinodfs")
-        job.checkpoint_storage = storage
-        job.coordinator.storage = storage
+    if not isinstance(job.checkpoint_storage, DFSCheckpointStorage):
+        job.checkpoint_storage = DFSCheckpointStorage(job.sim, dfs, prefix="/rhinodfs")
     return Rhino(job, cluster, RhinoConfig(**config_overrides)).attach()

@@ -21,20 +21,20 @@ simulator, the handover's spans are
 ``sim.tracer.find(prefix="handover", handover=report.handover_id)``.
 
 On attach, Rhino registers its handover-marker handler with the engine,
-builds replica groups through the Replication Manager, and hooks the
-coordinator so every completed incremental checkpoint is replicated along
-its chain (proactive state migration, §3.2).
+builds replica groups through the Replication Manager, and makes the
+chains the job's checkpoint storage, so every incremental checkpoint is
+replicated along its chain (proactive state migration, §3.2).
 """
 
 import functools
 import inspect
 
 from repro.common.errors import ProtocolError
-from repro.engine.checkpointing import DFSCheckpointStorage
+from repro.engine.checkpointing import LocalCheckpointStorage
 from repro.core import migration, resolution
 from repro.core.handover import HandoverAborted, HandoverMarker
 from repro.core.handover_manager import HandoverManager
-from repro.core.replication import ChainReplicator
+from repro.core.replication import ChainReplicator, ReplicaChains
 from repro.core.replication_manager import ReplicationManager
 
 #: Pause before an aborted handover is re-planned and retried (seconds).
@@ -107,13 +107,6 @@ class Rhino:
         self.cluster = cluster
         self.sim = job.sim
         self.config = config or RhinoConfig()
-        #: The RhinoDFS variant runs when the job checkpoints to the DFS:
-        #: state then moves through that storage instead of the
-        #: state-centric replica chains.
-        storage = job.checkpoint_storage
-        self.dfs_storage = (
-            storage if isinstance(storage, DFSCheckpointStorage) else None
-        )
         self.replication_manager = ReplicationManager(
             list(job.machines), self.config.replication_factor
         )
@@ -138,14 +131,14 @@ class Rhino:
     def attach(self):
         """Register Rhino's protocols with the host engine (once per Rhino)."""
         self.job.marker_handlers[HandoverMarker] = self.handover_manager.on_marker
-        coordinator = self.job.coordinator
-        if self.dfs_storage is None:
-            coordinator.instance_checkpoint_listeners.append(
-                self._on_instance_checkpoint
-            )
-            coordinator.checkpoint_listeners.append(
-                lambda _checkpoint: self._reconcile()
-            )
+        # A job that checkpoints to durable storage (RhinoDFS's DFS files)
+        # keeps it; one that keeps checkpoints where they were taken gets
+        # the replica chains.
+        if isinstance(self.job.checkpoint_storage, LocalCheckpointStorage):
+            self.job.checkpoint_storage = ReplicaChains(self)
+        self.job.coordinator.checkpoint_listeners.append(
+            lambda _checkpoint: self._reconcile()
+        )
         self.job.failure_listeners.append(self._on_machine_failure)
         for machine in self.job.machines:
             machine.on_restart(self._on_machine_restart)
@@ -179,12 +172,12 @@ class Rhino:
         its verdicts are journaled too, so a new leader inherits the
         suspicion state.  Returns the ControlGroup.
 
-        Not supported by the RhinoDFS variant (a job that checkpoints to
-        the DFS): its restore path reads per-instance checkpoint handles
-        out of the coordinator's completed records, which only journal
-        metadata (source offsets and timestamps).
+        Needs the replica chains as the job's checkpoint storage, so not
+        RhinoDFS: the DFS restore path reads per-instance checkpoint
+        handles out of the coordinator's completed records, which only
+        journal metadata (source offsets and timestamps).
         """
-        if self.dfs_storage is not None:
+        if not isinstance(self.job.checkpoint_storage, ReplicaChains):
             raise ProtocolError(
                 "a control group is not supported by RhinoDFS "
                 "(the job checkpoints to the DFS)"
@@ -234,20 +227,6 @@ class Rhino:
         group = self.control_group
         while group is not None and group.failover.down:
             yield group.failover.available
-
-    # -- proactive replication ----------------------------------------------------
-
-    def _on_instance_checkpoint(self, instance, checkpoint):
-        if not instance.machine.alive:
-            return
-        if instance.instance_id not in self.replication_manager.groups:
-            self._place_replica_groups()
-        group = self.replication_manager.group_of(instance.instance_id)
-        chain = [m for m in group.chain if m.alive]
-        if not chain:
-            return
-        process = self.replicator.replicate(instance.machine, chain, checkpoint)
-        process.defused = True  # chain failures are handled by repair
 
     # -- reconfigurations (§3.5) ------------------------------------------------------
 
@@ -622,9 +601,9 @@ class Rhino:
         origin's incremental checkpoints (§4.2), so the checkpoint is the
         clock that heals a holding a gray failure left incomplete (a chain
         hop out of retries, a lost table) -- and after a failure's commit,
-        a takeover and a restart."""
-        if self.dfs_storage is not None:
-            return  # RhinoDFS keeps no replica holdings
+        a takeover and a restart.  Under RhinoDFS every member ``holds``
+        the state (every machine reads the DFS), so nothing is copied."""
+        storage = self.job.checkpoint_storage
         groups = self.replication_manager.groups
         running = self.handover_manager.running
         for machine, store in self.replicator.stores.items():
@@ -646,7 +625,7 @@ class Rhino:
                 if not member.alive or member is primary.machine or (
                     key in self._reconciling
                     or self.replicator.shipping[instance_id, member]
-                    or self.replicator.store_on(member).has_complete(instance_id)
+                    or storage.holds(member, instance_id)
                 ):
                     continue
                 self._reconciling.add(key)

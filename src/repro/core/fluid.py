@@ -175,13 +175,13 @@ def precopy(rhino, handover_id, plans, root):
     whether any background phase ran at all.
 
     Nothing is pre-copied for failure recovery (the origin is dead; state
-    restores from a replica), the DFS variant (state moves through the
-    DFS), a same-machine move (tables are shared on disk), or a target
-    that already holds a complete replica (proactive replication already
-    paid: only the last delta is missing).
+    restores from the checkpoint storage), a same-machine move (tables are
+    shared on disk), or a target the job's checkpoint storage says holds
+    the origin's state (a complete replica: proactive replication already
+    paid, only the last delta is missing; or a DFS every machine reads).
     """
     sim, job = rhino.sim, rhino.job
-    if rhino.dfs_storage is not None or plans[0].reason == migration.FAILURE:
+    if plans[0].reason == migration.FAILURE:
         return {}, False
     run = _Precopy(rhino, handover_id, root)
     cold = []  # (origin, plan) of every plan whose target is cold
@@ -195,9 +195,7 @@ def precopy(rhino, handover_id, plans, root):
             or target_machine is None
             or target_machine is origin.machine
             or not target_machine.alive
-            or rhino.replicator.store_on(target_machine).has_complete(
-                origin.instance_id
-            )
+            or job.checkpoint_storage.holds(target_machine, origin.instance_id)
         ):
             continue
         cold.append((origin, plan))

@@ -254,17 +254,18 @@ class HandoverExecution:
         return span
 
     def state_ready_event(self, plan):
-        """The rendezvous event carrying the plan's restore payload."""
+        """The rendezvous event carrying the checkpoint the plan's target
+        fetches (its ``frontier`` is the replay progress it restores)."""
         event = self._state_ready.get(id(plan))
         if event is None:
             event = self._state_ready[id(plan)] = self.sim.event()
         return event
 
-    def publish_state(self, plan, payload, frontier):
-        """Resolve the plan's state rendezvous with (payload, frontier)."""
+    def publish_state(self, plan, checkpoint):
+        """Resolve the plan's state rendezvous with ``checkpoint``."""
         event = self.state_ready_event(plan)
         if not event.triggered:
-            event.succeed((payload, frontier))
+            event.succeed(checkpoint)
 
     def ack(self, instance_id):
         """Record one participant's acknowledgment; completes when all arrive."""

@@ -74,14 +74,14 @@ def plan_failure_recovery(job, rhino, op_name, failed_index):
     """All virtual nodes of the failed instance move to a replica worker."""
     instance_id = f"{op_name}[{failed_index}]"
     group = rhino.replication_manager.group_of(instance_id)
-    # Prefer an alive chain member that actually holds a *complete* copy:
-    # after gray failures (wiped restarts, interrupted repairs) some
-    # members may be alive but behind, and restoring needs the state.
+    # Prefer an alive chain member the job's checkpoint storage says holds
+    # the state: after gray failures (wiped restarts, interrupted repairs)
+    # some members may be alive but behind, and restoring needs the state.
     target_machine = next(
         (
             m
             for m in group.chain
-            if m.alive and rhino.replicator.store_on(m).has_complete(instance_id)
+            if m.alive and job.checkpoint_storage.holds(m, instance_id)
         ),
         None,
     )

@@ -1,18 +1,42 @@
-"""Checkpoint persistence strategies.
+"""Checkpoint storage: where a job's incremental checkpoints become durable.
 
-The engine snapshots state locally (incremental LSM checkpoints); *where*
-the snapshot's delta bytes go is the strategy:
+The engine snapshots state locally (incremental LSM checkpoints); the
+job's ``checkpoint_storage`` decides where each snapshot's bytes go.
+Every storage has ``persist(instance, checkpoint)`` (the Process the
+checkpoint's completion waits for, or None) and ``persist_timings``
+((bytes, seconds) per non-empty persist).  A storage Rhino runs on also
+has, for one instance's state (its ``store_name``):
 
-* :class:`LocalCheckpointStorage` -- nowhere (tests; also the substrate of
-  Rhino, which layers its own chain replication on top).
-* :class:`DFSCheckpointStorage` -- each new SSTable is uploaded once to the
-  DFS (Flink + HDFS of §5.1.1); restore reads the manifest's live tables
-  back, paying block locality.
+* ``hand_over(instance, checkpoint, plan, execution, dirty)`` -- a
+  generator behind a handover's barrier that makes the origin's
+  checkpoint fetchable by the plan's target; returns the bytes moved,
+  None if the target was lost;
+* ``restore_point(coordinator, store_name, machine)`` -- the newest
+  durable checkpoint a failure recovery onto ``machine`` restores, with
+  the ``frontier`` and ``checkpoint_id`` its replay starts from;
+* ``fetch(machine, checkpoint)`` -- an event whose value is the bytes
+  moved to put the checkpoint's tables on ``machine`` (``fetch_source``
+  names it in the target's ``handover.fetching`` span);
+* ``holds(machine, store_name)`` -- whether ``machine`` needs no copy
+  before it can take the state over;
+* ``install(instance, checkpoint)`` -- a preloaded checkpoint, persisted
+  in zero simulated time.
+
+Table 1's Rhino-vs-RhinoDFS gap is the difference between the two that
+do: :class:`DFSCheckpointStorage` (block-centric DFS files, also Flink +
+HDFS of §5.1.1) and ``repro.core.replication.ReplicaChains`` (state-centric
+chains, §4.2), which ``Rhino.attach`` installs on a job that keeps its
+checkpoints where they were taken (:class:`LocalCheckpointStorage`).
 """
+
+from repro.common.errors import ProtocolError
 
 
 class LocalCheckpointStorage:
     """Keep checkpoints on the producing worker only."""
+
+    #: Nothing is persisted, so nothing is timed.
+    persist_timings = ()
 
     def persist(self, instance, checkpoint):
         """Persist a checkpoint's deltas; returns a Process or None."""
@@ -27,6 +51,8 @@ class DFSCheckpointStorage:
     reads every live table of the manifest -- remote blocks cross the
     network, which is the dominant "state fetching" cost of Table 1.
     """
+
+    fetch_source = "dfs"
 
     def __init__(self, sim, dfs, prefix="/checkpoints"):
         self.sim = sim
@@ -66,6 +92,31 @@ class DFSCheckpointStorage:
         span.finish(bytes=uploaded)
         if uploaded:
             self.persist_timings.append((uploaded, self.sim.now - started))
+
+    def hand_over(self, instance, checkpoint, plan, execution, dirty):
+        """Upload the checkpoint; any target reads it from the DFS."""
+        yield self.persist(instance, checkpoint)
+        return checkpoint.delta_bytes
+
+    def restore_point(self, coordinator, store_name, machine):
+        """From the newest completed checkpoint that covers the store (one
+        completed after the failure excludes the dead instance)."""
+        for record in reversed(coordinator.completed):
+            checkpoint = record.checkpoints.get(store_name)
+            if checkpoint is not None:
+                return checkpoint
+        raise ProtocolError(f"no completed checkpoint covers {store_name}")
+
+    def holds(self, machine, store_name):
+        """Always: every machine reads every checkpoint from the DFS."""
+        return True
+
+    def install(self, instance, checkpoint):
+        """Register the live tables as files the instance's machine wrote."""
+        for table in checkpoint.full_tables:
+            path = self.table_path(checkpoint.store_name, table.table_id)
+            if not self.dfs.exists(path):
+                self.dfs.register(path, table.size_bytes, instance.machine)
 
     def fetch(self, machine, checkpoint):
         """Returns a Process reading every live table of ``checkpoint`` to

@@ -38,14 +38,12 @@ class _PendingCheckpoint:
 class Coordinator:
     """Triggers checkpoints and tracks their completion."""
 
-    def __init__(self, sim, job, interval, storage):
+    def __init__(self, sim, job, interval):
         self.sim = sim
         self.job = job
         self.interval = interval
-        self.storage = storage
         self.completed = []  # CompletedCheckpoint, oldest first
         self.checkpoint_listeners = []  # callbacks(completed_checkpoint)
-        self.instance_checkpoint_listeners = []  # callbacks(instance, checkpoint)
         self._pending = {}
         self._next_id = 0
         self._process = None
@@ -147,9 +145,7 @@ class Coordinator:
             )
         if checkpoint is not None:
             pending.record.checkpoints[instance.instance_id] = checkpoint
-            for listener in self.instance_checkpoint_listeners:
-                listener(instance, checkpoint)
-            persist = self.storage.persist(instance, checkpoint)
+            persist = self.job.checkpoint_storage.persist(instance, checkpoint)
             if persist is not None:
                 pending.persists.append(persist)
         if offset is not None:

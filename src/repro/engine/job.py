@@ -103,9 +103,7 @@ class Job:
             sim, cluster, interval=self.config.exchange_interval
         )
         self.checkpoint_storage = checkpoint_storage or LocalCheckpointStorage()
-        self.coordinator = Coordinator(
-            sim, self, self.config.checkpoint_interval, self.checkpoint_storage
-        )
+        self.coordinator = Coordinator(sim, self, self.config.checkpoint_interval)
         self.marker_handlers = {}
         #: Optional hook(instance, record) for records arriving at an
         #: instance that no longer owns their key group.  Rhino's aligned

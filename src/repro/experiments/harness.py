@@ -20,7 +20,6 @@ from repro.baselines.rhinodfs import make_rhinodfs
 from repro.cluster import Cluster, ResourceMonitor
 from repro.common.errors import OutOfMemoryError, ReproError
 from repro.core.api import Rhino, RhinoConfig
-from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.job import Job, JobConfig
 from repro.experiments.calibration import Calibration
 from repro.experiments import preload as preload_module
@@ -241,10 +240,20 @@ class Testbed:
             ).start()
             return FlinkHandle(self, spec, runtime)
         graph = spec.builder(self.cal.source_dop, dop)
-        if sut_name == "rhino":
+        if sut_name in ("rhino", "rhinodfs"):
             job = Job(
                 self.sim, self.cluster, graph, self.log, self.workers, config=config
             ).start()
+            if sut_name == "rhinodfs":
+                rhino = make_rhinodfs(
+                    job,
+                    self.cluster,
+                    self.dfs,
+                    scheduling_delay=self.cal.rhino_scheduling_delay,
+                    local_fetch_seconds=self.cal.rhino_local_fetch_seconds,
+                    state_load_seconds=self.cal.rhino_state_load_seconds,
+                )
+                return RhinoHandle(self, spec, rhino, name="rhinodfs")
             rhino = Rhino(
                 job,
                 self.cluster,
@@ -258,26 +267,6 @@ class Testbed:
                 ),
             ).attach()
             return RhinoHandle(self, spec, rhino)
-        if sut_name == "rhinodfs":
-            storage = DFSCheckpointStorage(self.sim, self.dfs, prefix="/rhinodfs")
-            job = Job(
-                self.sim,
-                self.cluster,
-                graph,
-                self.log,
-                self.workers,
-                config=config,
-                checkpoint_storage=storage,
-            ).start()
-            rhino = make_rhinodfs(
-                job,
-                self.cluster,
-                self.dfs,
-                scheduling_delay=self.cal.rhino_scheduling_delay,
-                local_fetch_seconds=self.cal.rhino_local_fetch_seconds,
-                state_load_seconds=self.cal.rhino_state_load_seconds,
-            )
-            return RhinoHandle(self, spec, rhino, name="rhinodfs")
         if sut_name == "megaphone":
             config.checkpoint_interval = None  # Megaphone has no checkpoints
             job = Job(
@@ -338,15 +327,15 @@ class SutHandle:
                 self.job,
                 op_name,
                 per_op,
-                **self._checkpoint_artifacts(),
+                storage=self._checkpoint_storage(),
             )
             for op_name in self.spec.stateful_ops
         ]
 
-    def _checkpoint_artifacts(self):
-        """Where this SUT keeps a completed checkpoint, as ``preload_state``
-        keywords (``rhino=`` replicas, ``dfs_storage=`` files)."""
-        raise NotImplementedError
+    def _checkpoint_storage(self):
+        """Where this SUT keeps a completed checkpoint (replica chains or
+        DFS files): the job's checkpoint storage."""
+        return self.job.checkpoint_storage
 
     def check_memory(self):
         """The out-of-memory error if preloaded state does not fit, else
@@ -406,11 +395,6 @@ class RhinoHandle(SutHandle):
         self.rhino = rhino
         self.name = name
 
-    def _checkpoint_artifacts(self):
-        if self.rhino.dfs_storage is not None:
-            return {"dfs_storage": self.rhino.dfs_storage}
-        return {"rhino": self.rhino}
-
     killed_by = ("failure",)
 
     def _vacate(self, kind, machine):
@@ -442,9 +426,6 @@ class FlinkHandle(SutHandle):
         """The runtime's metric registry (it outlives each restarted job)."""
         return self.runtime.metrics
 
-    def _checkpoint_artifacts(self):
-        return {"dfs_storage": self.runtime.storage}
-
     # Flink's only mechanism is the restart path: retire the machine.
     killed_by = ("failure", "drain")
 
@@ -465,8 +446,8 @@ class MegaphoneHandle(SutHandle):
         super().__init__(testbed, spec, megaphone)
         self.megaphone = megaphone
 
-    def _checkpoint_artifacts(self):
-        return {}  # no checkpoints, no replicas: only the in-memory state
+    def _checkpoint_storage(self):
+        return None  # no checkpoints, no replicas: only the in-memory state
 
     def check_memory(self):
         """Charge preloaded state; returns the OOM error if it does not fit."""

@@ -8,9 +8,10 @@ directly:
 * per-instance keyed state (synthetic SSTables spread across the
   instance's virtual nodes, with the requested modeled bytes),
 * a completed coordinator checkpoint referencing those tables,
-* the checkpoint's persistence artifacts -- replica-store holdings for
-  Rhino, DFS files for Flink/RhinoDFS -- with disk occupancy charged but
-  no simulated transfer (it happened "in the past"),
+* the checkpoint's persistence artifacts, which the job's checkpoint
+  storage installs itself -- replica-store holdings for Rhino, DFS files
+  for Flink/RhinoDFS -- with disk occupancy charged but no simulated
+  transfer (it happened "in the past"),
 * source offsets so replay after a failure starts from the checkpoint.
 
 Everything after the preload (the failure, the handover, the fetches) runs
@@ -18,7 +19,6 @@ through the ordinary simulation paths.
 """
 
 from repro.engine.coordinator import CompletedCheckpoint
-from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.storage.kvs.memtable import Entry, PUT
 from repro.storage.kvs.sstable import SSTable
 
@@ -52,13 +52,12 @@ def preload_state(
     job,
     op_name,
     total_bytes,
-    rhino=None,
-    dfs_storage=None,
+    storage=None,
     entries_per_vnode=4,
 ):
     """Install ``total_bytes`` of state for ``op_name`` plus a completed
-    checkpoint, replicas (when ``rhino`` is given), and DFS files (when
-    ``dfs_storage`` is given).
+    checkpoint, which ``storage`` (a checkpoint storage, see
+    ``engine/checkpointing.py``) records as persisted when given.
 
     Returns the :class:`CompletedCheckpoint` record registered with the
     coordinator.
@@ -83,31 +82,11 @@ def preload_state(
         checkpoint.delta_tables = [table]  # the artifact that was persisted
         checkpoint.frontier = instance.frontier()
         record.checkpoints[instance.instance_id] = checkpoint
-        if rhino is not None:
-            group = rhino.replication_manager.group_of(instance.instance_id)
-            for member in group.chain:
-                store = rhino.replicator.store_on(member)
-                store.ingest_full(
-                    instance.instance_id,
-                    checkpoint.full_tables,
-                    checkpoint.manifest,
-                    PRELOAD_CHECKPOINT_ID,
-                    checkpoint.frontier,
-                )
-                member.pick_disk().used += table.size_bytes
-        if dfs_storage is not None:
-            _register_tables(dfs_storage, instance, checkpoint)
+        if storage is not None:
+            storage.install(instance, checkpoint)
     for source in job.source_instances():
         record.offsets[source.instance_id] = source.cursor.offset
     job.coordinator.completed.append(record)
     job.coordinator._next_id = max(job.coordinator._next_id, PRELOAD_CHECKPOINT_ID)
     return record
 
-
-def _register_tables(storage, instance, checkpoint):
-    if not isinstance(storage, DFSCheckpointStorage):
-        raise TypeError("dfs_storage must be a DFSCheckpointStorage")
-    for table in checkpoint.full_tables:
-        path = storage.table_path(checkpoint.store_name, table.table_id)
-        if not storage.dfs.exists(path):
-            storage.dfs.register(path, table.size_bytes, instance.machine)

@@ -26,6 +26,7 @@ skipped):
 """
 
 from repro.core.handover import HandoverReport
+from repro.core.replication import ReplicaChains
 from repro.faults.invariants import (
     InvariantViolation,
     check_drained,
@@ -217,9 +218,10 @@ def _source_fed_expectations(handle, generator):
 
 
 def _uses_chains(rhino):
-    """True when the SUT replicates through state-centric replica chains
-    (RhinoDFS moves state through the DFS; the chain invariant is n/a)."""
-    return rhino is not None and rhino.dfs_storage is None
+    """True when the SUT's checkpoint storage is Rhino's replica chains
+    (RhinoDFS keeps its checkpoints in DFS files: the chain invariant is
+    n/a)."""
+    return rhino is not None and isinstance(rhino.job.checkpoint_storage, ReplicaChains)
 
 
 def _replay_reason(scenario, handle):

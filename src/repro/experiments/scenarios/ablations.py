@@ -62,7 +62,7 @@ def ablate_virtual_nodes(counts=(1, 2, 4, 8, 16), state_bytes=64 * GB, seed=42):
             handle.job,
             "join",
             state_bytes,
-            rhino=handle.rhino,
+            storage=handle.job.checkpoint_storage,
             entries_per_vnode=4 * count,
         )
         plan = migration.plan_rebalance(handle.job, handle.rhino, "join", 0, 1, 1)

@@ -87,13 +87,7 @@ def run_resource_utilization(
 
 def _transfer_rate(handle):
     """Effective bytes/second of state persistence (replication or DFS)."""
-    timings = []
-    if hasattr(handle, "rhino") and handle.rhino.dfs_storage is None:
-        timings = handle.rhino.replicator.stats.timings
-    elif hasattr(handle, "rhino"):
-        timings = handle.rhino.dfs_storage.persist_timings
-    elif hasattr(handle, "runtime"):
-        timings = handle.runtime.storage.persist_timings
+    timings = handle.job.checkpoint_storage.persist_timings
     total_bytes = sum(b for b, _s in timings)
     total_seconds = sum(s for _b, s in timings)
     if total_seconds <= 0:

@@ -56,11 +56,6 @@ class Span:
             depth, span = depth + 1, span.parent
         return depth
 
-    def annotate(self, **tags):
-        """Merge tags into the span; returns the span."""
-        self.tags.update(tags)
-        return self
-
     def finish(self, end=None, **tags):
         """Close the span at ``end`` (default: the tracer's clock now)."""
         if self.end is None:
@@ -241,9 +236,6 @@ class _NullSpan:
     is_open = False
     duration = 0.0
     depth = 0
-
-    def annotate(self, **tags):
-        return self
 
     def finish(self, end=None, **tags):
         return self

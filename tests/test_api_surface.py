@@ -9,6 +9,8 @@ from repro.baselines.rhinodfs import make_rhinodfs
 from repro.common.errors import EngineError, ProtocolError
 from repro.core.api import Rhino, RhinoConfig
 from repro.core.handover import HandoverMarker
+from repro.core.replication import ReplicaChains
+from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.graph import StreamGraph
 from repro.engine.job import JobConfig
 from repro.engine.operators import StatefulCounterLogic
@@ -92,20 +94,22 @@ class TestRhinoConfig:
             RhinoConfig(**kwargs)
 
     def test_make_rhinodfs_selects_the_dfs_path(self):
-        """The DFS path follows from the job's checkpoint storage:
-        ``make_rhinodfs`` installs a DFS one, a plain ``Rhino`` on a
-        locally checkpointing job has none, and a control group still
-        refuses the DFS variant."""
+        """The durability path is the job's checkpoint storage: attaching
+        a plain ``Rhino`` to a locally checkpointing job installs its
+        replica chains, ``make_rhinodfs`` installs DFS files that attach
+        keeps, and a control group still refuses the DFS variant."""
         env = make_env()
-        assert make_rhino(env, start_job(env)).dfs_storage is None
+        chained = start_job(env)
+        rhino = make_rhino(env, chained).attach()
+        assert isinstance(chained.checkpoint_storage, ReplicaChains)
+        assert chained.checkpoint_storage.rhino is rhino
         job = start_job(env)
         rhino = make_rhinodfs(job, env.cluster, make_dfs(env))
-        assert rhino.dfs_storage is job.checkpoint_storage
-        # No chain replication: the checkpoint listener stays unregistered.
-        assert (
-            rhino._on_instance_checkpoint
-            not in job.coordinator.instance_checkpoint_listeners
-        )
+        assert isinstance(job.checkpoint_storage, DFSCheckpointStorage)
+        # No chain replication: completed checkpoints replicate nothing.
+        env.run(until=2.5)
+        assert job.coordinator.completed
+        assert rhino.replicator.stats.checkpoints_replicated == 0
         with pytest.raises(ProtocolError, match="RhinoDFS"):
             rhino.enable_control_group(env.machines[:3])
 
@@ -346,6 +350,12 @@ class TestAttach:
         rhino = make_rhino(env, job)
         assert rhino.attach() is rhino
         assert job.marker_handlers[HandoverMarker] == rhino.handover_manager.on_marker
-        listeners = job.coordinator.instance_checkpoint_listeners
-        assert listeners.count(rhino._on_instance_checkpoint) == 1
+        # The replica chains are the job's checkpoint storage, installed
+        # once: each instance's checkpoint replicates exactly once.
+        assert isinstance(job.checkpoint_storage, ReplicaChains)
+        env.run(until=1.5)
+        [completed] = job.coordinator.completed
+        assert rhino.replicator.stats.checkpoints_replicated == len(
+            completed.checkpoints
+        )
         assert job.failure_listeners.count(rhino._on_machine_failure) == 1

@@ -214,14 +214,20 @@ class TestRhinoDFS:
         assert final_counts(job.sink_results("out")) == expected_counts(240)
 
     def test_make_rhinodfs_installs_dfs_storage(self):
+        """``make_rhinodfs`` on a locally checkpointing job installs DFS
+        files as its checkpoint storage: checkpoints upload, and nothing
+        replicates along a chain."""
         env = EngineEnv(machines=4)
         env.topic("events", 2)
         dfs = make_dfs(env)
-        job = env.job(counter_graph_factory()())
+        job = env.job(counter_graph_factory()(), config=job_config()).start()
         rhino = make_rhinodfs(job, env.cluster, dfs)
-        assert rhino.dfs_storage is job.checkpoint_storage
         assert isinstance(job.checkpoint_storage, DFSCheckpointStorage)
-        assert job.coordinator.storage is job.checkpoint_storage
+        live_feeder(env, "events", KEYS, count=40, interval=0.02, nbytes=200)
+        env.run(until=3.0)
+        assert job.coordinator.completed
+        assert job.checkpoint_storage.uploaded_bytes > 0
+        assert rhino.replicator.stats.checkpoints_replicated == 0
 
 
 class TestMegaphone:

@@ -533,7 +533,7 @@ def abort_setup(tracer=None):
             state_load_seconds=0.2,
         ),
     ).attach()
-    preload_state(job, "count", PRELOAD_BYTES, rhino=rhino)
+    preload_state(job, "count", PRELOAD_BYTES, storage=job.checkpoint_storage)
     return env, job, rhino
 
 

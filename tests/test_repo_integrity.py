@@ -330,7 +330,6 @@ PARAMETERS_KEPT_WITHOUT_CALLER = {
     "main(argv)": "None reads sys.argv; tests pass the arguments",
     # Kernel calls whose optional value only a test reads.
     "Event.fail(delay)": "mirrors succeed(delay=)",
-    "Simulator.timeout(value)": "the value a waiter receives",
     # Sizes and hooks only the tests turn.
     "LatencySeries.__init__(max_samples)": "tests reach downsampling quickly",
     "KeyedStateBackend.__init__(memtable_limit)": "tests reach a flush quickly",
@@ -486,6 +485,34 @@ class TestOneReconciler:
             f"pass instead: {outside}"
         )
         assert len(inside) == 1, inside
+
+
+class TestOneDurabilityChoice:
+    def test_core_never_names_the_dfs_storage(self):
+        """Where a checkpoint becomes durable -- Rhino's replica chains or
+        RhinoDFS's DFS files -- is chosen once, where the deployment is
+        built (``Rhino.attach``, ``make_rhinodfs``); ``core/`` asks the
+        job's checkpoint storage.  A module under ``src/repro/core/`` that
+        names ``DFSCheckpointStorage`` or reads a ``dfs_storage`` attribute
+        would bring a second durability path back, so it fails here,
+        naming file and line."""
+        core = ROOT / "src" / "repro" / "core"
+        found = []
+        for path in sorted(core.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = []
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+                if {"DFSCheckpointStorage", "dfs_storage"} & set(names):
+                    found.append(_where(path, node.lineno))
+        assert found == [], (
+            "core/ branches on the DFS storage; ask the job's checkpoint "
+            f"storage instead: {found}"
+        )
 
 
 class TestExamplesSmoke:

@@ -309,12 +309,15 @@ class TestRestorePoint:
 
     def recover(self, monkeypatch, env, job, rhino):
         captured = {}  # (instance_id, checkpoint_id) -> barrier-time frontier
-        job.coordinator.instance_checkpoint_listeners.append(
-            lambda instance, checkpoint: captured.__setitem__(
-                (instance.instance_id, checkpoint.checkpoint_id),
-                checkpoint.frontier,
-            )
-        )
+        storage = job.checkpoint_storage
+        persist = storage.persist
+
+        def persist_spy(instance, checkpoint):
+            key = (instance.instance_id, checkpoint.checkpoint_id)
+            captured[key] = checkpoint.frontier
+            return persist(instance, checkpoint)
+
+        monkeypatch.setattr(storage, "persist", persist_spy)
         points = []
         publish = restore.publish
 
@@ -356,8 +359,9 @@ class TestRestorePoint:
             scheduling_delay=0.1,
             state_load_seconds=0.05,
         )
-        captured, frontier, record = self.recover(monkeypatch, env, job, rhino)
-        assert frontier is captured[("count[2]", record.checkpoint_id)]
+        captured, frontier, source = self.recover(monkeypatch, env, job, rhino)
+        assert isinstance(source, int)
+        assert frontier is captured[("count[2]", source)]
 
 
 class TestDrain:

@@ -37,7 +37,7 @@ def quorum_job(preload_bytes=0):
     job = make_job(env, graph=counter_graph()).start()
     rhino = make_rhino(env, job)
     if preload_bytes:
-        preload_state(job, "count", preload_bytes, rhino=rhino)
+        preload_state(job, "count", preload_bytes, storage=job.checkpoint_storage)
     machines = env.machines
     group = rhino.enable_control_group([machines[4], machines[5], machines[0]])
     live_feeder(env, "events", KEYS, count=TOTAL, interval=0.02)
