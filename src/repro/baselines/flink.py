@@ -16,6 +16,7 @@ old checkpoint whose key-group range overlaps its new range.
 """
 
 from repro.common.errors import EngineError
+from repro.common.ranges import RangeSet
 from repro.engine.checkpointing import DFSCheckpointStorage
 from repro.engine.instance import SourceInstance
 from repro.engine.job import Job
@@ -236,6 +237,6 @@ class FlinkRuntime:
         lo, hi = split_key_groups(
             instance.job.config.num_key_groups, instance.op.parallelism
         )[instance.index]
-        instance.state.restore(tables, owned_ranges=[(lo, hi)])
+        instance.state.restore(tables, owned=RangeSet([(lo, hi)]))
         # Auxiliary indexes rebuild when the instance opens (it has not
         # started yet at this point).

@@ -180,7 +180,7 @@ class Megaphone:
         nbytes = sum(origin.state.bytes_in_groups(lo, hi) for lo, hi in runs)
         pairs = []
         for lo, hi in runs:
-            pairs.extend(origin.state.store.extract_groups(lo, hi))
+            pairs.extend(origin.state.extract_groups(lo, hi))
         if nbytes > 0:
             # Serialize on the origin, move, deserialize on the target.
             yield from origin.machine.compute(nbytes / config.serialize_throughput)
@@ -192,7 +192,7 @@ class Megaphone:
             origin.state.drop_groups(lo, hi)
             target.state.adopt_groups(lo, hi)
         per_pair = nbytes // len(pairs) if pairs else 0
-        target.state.store.ingest_pairs(pairs, nbytes_per_pair=max(1, per_pair))
+        target.state.ingest_pairs(pairs, nbytes_per_pair=max(1, per_pair))
         target.logic.absorb(runs)
         # The origin's window/session indexes must forget the moved bins,
         # or a later watermark would fire against state it no longer owns.

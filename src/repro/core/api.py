@@ -520,7 +520,6 @@ class Rhino:
                     ranges,
                     migration.RESCALE,
                     target_machine=target_machine,
-                    spawn_target=True,
                 )
             )
         return plans, functools.partial(self._commit_spawned, plans)
@@ -618,7 +617,7 @@ class Rhino:
                     store.drop(instance_id)
         for instance_id, group in sorted(groups.items()):
             primary = self._live_primary(instance_id)
-            if primary is None or primary.state.store.last_checkpoint_id is None:
+            if primary is None or primary.state.last_checkpoint_id is None:
                 continue
             for member in group.chain:
                 key = (instance_id, member.name)

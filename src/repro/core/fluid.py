@@ -237,7 +237,7 @@ class _Precopy:
 
     def plan(self, plan, origin):
         sim, handover_id = self.sim, self.handover_id
-        store = origin.state.store
+        store = origin.state
         target_machine = plan.target_machine
         replica = self.rhino.replicator.store_on(target_machine)
         span = sim.tracer.span(
@@ -372,7 +372,7 @@ def _snapshot_origin(origin, tag):
     origin processes while the write is in flight land beyond the
     returned sequence number and frontier (in the next snapshot's delta).
     """
-    store = origin.state.store
+    store = origin.state
     if not origin.machine.alive:
         raise TransferFailed(f"origin {origin.machine.name} is dead")
     cutoff_seq = store.current_seq

@@ -321,11 +321,6 @@ class HandoverManager:
                 for plan in marker.plans
                 if plan.op_name == instance.op.name
                 and plan.target_index == instance.index
-                and (
-                    plan.spawn_target
-                    or plan.replace_origin
-                    or plan.reason == migration.REBALANCE
-                )
             ]
             if is_failure and instance.state is not None and not target_of:
                 # What a survivor processes of the upcoming replay it had
@@ -351,15 +346,13 @@ class HandoverManager:
         if outcome is not None:
             # Measured *at barrier entry*: what the migrating ranges
             # dirtied since the last pre-copy/delta snapshot.
-            store = instance.state.store
             dirty = sum(
-                store.dirty_bytes_in_groups(lo, hi, outcome.cutoff_seq)
+                instance.state.dirty_bytes_in_groups(lo, hi, outcome.cutoff_seq)
                 for lo, hi in plan.vnodes
             )
-        checkpoint = yield from instance.state.checkpoint(
+        checkpoint = yield from instance.snapshot_state(
             ("handover", execution.handover_id, instance.index)
         )
-        checkpoint.frontier = instance.frontier()
         fetch_span = execution.open_phase(
             "handover.fetching",
             role="origin",
@@ -419,7 +412,7 @@ class HandoverManager:
         if execution.done.triggered and not execution.done.ok:
             load_span.finish(status="aborted")
             return  # the handover rolled back while the state loaded
-        instance.state.store.ingest_tables(checkpoint.full_tables, ranges=plan.vnodes)
+        instance.state.ingest_tables(checkpoint.full_tables, ranges=plan.vnodes)
         # Incremental: the target keeps the indexes of the virtual nodes it
         # already served and adds the migrated ones, whose replay progress
         # is the frontier the state was captured with.
@@ -499,7 +492,7 @@ class HandoverManager:
 
 def _party(instance, machine, vnodes):
     state = getattr(instance, "state", None)
-    owned = state.store.owned if state is not None else None
+    owned = state.owned if state is not None else None
     holds = state is not None and (
         owned is None or any(owned.intersects(lo, hi) for lo, hi in vnodes)
     )

@@ -32,8 +32,6 @@ class HandoverPlan:
         vnodes,
         reason,
         target_machine=None,
-        spawn_target=False,
-        replace_origin=False,
     ):
         if not vnodes:
             raise ProtocolError("handover plan with no virtual nodes")
@@ -43,8 +41,16 @@ class HandoverPlan:
         self.vnodes = [(lo, hi) for lo, hi in vnodes]
         self.reason = reason
         self.target_machine = target_machine
-        self.spawn_target = spawn_target
-        self.replace_origin = replace_origin
+
+    @property
+    def spawn_target(self):
+        """True when the target is a new instance (rescale and drain)."""
+        return self.reason == RESCALE
+
+    @property
+    def replace_origin(self):
+        """True when the target replaces a failed origin."""
+        return self.reason == FAILURE
 
     @property
     def moved_groups(self):
@@ -97,7 +103,6 @@ def plan_failure_recovery(job, rhino, op_name, failed_index):
         list(ranges),
         FAILURE,
         target_machine=target_machine,
-        replace_origin=True,
     )
 
 
@@ -113,7 +118,6 @@ def plan_rescale(job, rhino, op_name, origin_index, new_index, target_machine, s
         moved,
         RESCALE,
         target_machine=target_machine,
-        spawn_target=True,
     )
 
 

@@ -280,7 +280,7 @@ class ChainReplicator:
         return (
             holding is not None
             and holding.is_complete
-            and holding.checkpoint_id == primary.state.store.last_checkpoint_id
+            and holding.checkpoint_id == primary.state.last_checkpoint_id
         )
 
     def bulk_copy(self, primary, target):
@@ -305,7 +305,7 @@ class ChainReplicator:
         from_primary = source is None
         if from_primary:
             source = primary.machine
-            store = primary.state.store
+            store = primary.state
             flushed = store.flush()
             if flushed is not None:
                 yield source.disk_write(flushed.size_bytes, tag="repair-flush")

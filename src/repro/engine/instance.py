@@ -22,6 +22,7 @@ from bisect import bisect_right
 from collections import deque
 
 from repro.common.errors import EngineError
+from repro.common.ranges import RangeSet
 from repro.sim.kernel import Interrupt
 from repro.sim.resources import Store
 from repro.engine.operators import InstanceContext
@@ -33,7 +34,7 @@ from repro.engine.records import (
     RecordBatch,
     Watermark,
 )
-from repro.engine.state import KeyedStateBackend
+from repro.storage.kvs import LSMStore
 
 #: Records a source takes from its log partition per poll (one batch).
 MAX_POLL_RECORDS = 64
@@ -212,13 +213,15 @@ class OperatorInstance(InstanceBase):
         self._watermark = float("-inf")
         self._alignments = {}
         self._cancelled_markers = set()
+        #: Keyed state (R3 of §3.4): the instance's LSM store, None when
+        #: stateless.  Its flushes and compactions charge this machine's
+        #: disks through :meth:`maintain_state` and :meth:`snapshot_state`.
         self.state = None
+        self._compacting = False
         if op.stateful:
-            self.state = KeyedStateBackend(
-                sim,
-                machine,
-                name=self.instance_id,
-                owned_ranges=owned_ranges,
+            self.state = LSMStore(
+                self.instance_id,
+                owned=RangeSet(owned_ranges) if owned_ranges is not None else None,
             )
         self.records_processed = 0
         self.weighted_records_processed = 0
@@ -351,7 +354,7 @@ class OperatorInstance(InstanceBase):
 
     def _run(self):
         self.logic.open(InstanceContext(self))
-        if self.state is not None and self.state.store.tables:
+        if self.state is not None and self.state.tables:
             # Starting over restored state (a restart-based recovery):
             # re-derive the logic's in-memory indexes from keyed state.
             ranges = self.state.owned_ranges()
@@ -414,8 +417,8 @@ class OperatorInstance(InstanceBase):
                 )
             if len(outputs):
                 yield from self.emit_batch(outputs)
-        if self.state is not None and self.state.store.needs_flush:
-            yield from self.state.maintenance()
+        if self.state is not None and self.state.needs_flush:
+            yield from self.maintain_state()
 
     def _admit(self, records, delivered):
         """The records of ``records`` this instance processes -- those of a
@@ -426,7 +429,7 @@ class OperatorInstance(InstanceBase):
         directly) is out of position order: it is neither checked nor
         counted.
         """
-        owns = self.state.store.owns
+        owns = self.state.owns
         progress_of = self.progress.progress_of
         num_groups = self.job.config.num_key_groups
         misroute = self.job.misroute_handler
@@ -475,9 +478,9 @@ class OperatorInstance(InstanceBase):
             yield from self.emit(outputs)
         yield from self.broadcast(Watermark(watermark.timestamp))
         if self.state is not None and (
-            self.state.store.needs_flush or self.state.store.needs_compaction
+            self.state.needs_flush or self.state.needs_compaction
         ):
-            yield from self.state.maintenance()
+            yield from self.maintain_state()
 
     def _handle_marker(self, marker):
         if isinstance(marker, CheckpointBarrier):
@@ -503,11 +506,57 @@ class OperatorInstance(InstanceBase):
             return
         checkpoint = None
         if self.state is not None:
-            checkpoint = yield from self.state.checkpoint(barrier.checkpoint_id)
-            checkpoint.frontier = self.frontier()
+            checkpoint = yield from self.snapshot_state(barrier.checkpoint_id)
         self.job.coordinator.ack_checkpoint(
             barrier.checkpoint_id, self, checkpoint=checkpoint
         )
+
+    # -- state I/O (charged to this machine's disks) --------------------------
+
+    def maintain_state(self):
+        """Process generator: flush and compact when thresholds are hit.
+
+        The flush is synchronous (a RocksDB write stall); compaction I/O
+        runs in a background process like RocksDB's compaction threads --
+        a multi-gigabyte merge must not stall record processing.
+        """
+        state, machine = self.state, self.machine
+        if state.needs_flush:
+            table = state.flush()
+            if table is not None:
+                yield machine.disk_write(table.size_bytes, tag="state-flush")
+        if state.needs_compaction and not self._compacting:
+            result = state.compact()
+            if result is not None:
+                self._compacting = True
+                io_process = self.sim.process(
+                    self._compaction_io(result),
+                    name=f"compaction:{state.name}",
+                )
+                # Dies silently with its machine.
+                io_process.defused = True
+                machine.register_process(io_process)
+
+    def _compaction_io(self, result):
+        try:
+            yield self.machine.disk_read(result.read_bytes, tag="compaction")
+            yield self.machine.disk_write(result.write_bytes, tag="compaction")
+        finally:
+            self._compacting = False
+
+    def snapshot_state(self, checkpoint_id):
+        """Process generator: synchronous phase of an incremental checkpoint.
+
+        Flushes the memtable (this is the pause that produces the paper's
+        checkpoint-time latency spikes) and returns the Checkpoint, stamped
+        with this instance's replay frontier, whose ``delta_tables`` the
+        checkpoint storage persists asynchronously.
+        """
+        checkpoint, flushed = self.state.checkpoint(checkpoint_id, now=self.sim.now)
+        if flushed is not None:
+            yield self.machine.disk_write(flushed.size_bytes, tag="ckpt-flush")
+        checkpoint.frontier = self.frontier()
+        return checkpoint
 
     # -- introspection --------------------------------------------------------
 

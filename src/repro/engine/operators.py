@@ -189,7 +189,7 @@ class StatefulCounterLogic(OperatorLogic):
 
         Repeated keys inside the batch read from a local cache instead of
         the LSM store; every intermediate version is still written through
-        :meth:`~repro.engine.state.KeyedStateBackend.put_batch`, so the
+        :meth:`~repro.storage.kvs.lsm.LSMStore.put_batch`, so the
         state entries (values, sequence numbers, byte accounting) are
         those of one ``put`` per row.
         """

@@ -131,7 +131,7 @@ class SlidingWindowAggregate(OperatorLogic):
     def absorb(self, group_ranges):
         """Incrementally index newly adopted key-group ranges."""
         for lo, hi in group_ranges:
-            for _group, state_key, value in self.ctx.state.store.extract_groups(lo, hi):
+            for _group, state_key, value in self.ctx.state.extract_groups(lo, hi):
                 if not (isinstance(state_key, tuple) and len(state_key) == 3):
                     continue  # foreign entry (e.g. preloaded synthetic state)
                 key, kind, pane_start = state_key
@@ -209,7 +209,7 @@ class TumblingWindowJoin(OperatorLogic):
     def absorb(self, group_ranges):
         """Incrementally index newly adopted key-group ranges."""
         for lo, hi in group_ranges:
-            for _group, state_key, _value in self.ctx.state.store.extract_groups(lo, hi):
+            for _group, state_key, _value in self.ctx.state.extract_groups(lo, hi):
                 if not (isinstance(state_key, tuple) and len(state_key) == 3):
                     continue  # foreign entry (e.g. preloaded synthetic state)
                 key, _side, window_start = state_key
@@ -281,7 +281,7 @@ class SessionWindowJoin(OperatorLogic):
     def absorb(self, group_ranges):
         """Incrementally index newly adopted key-group ranges."""
         for lo, hi in group_ranges:
-            for _group, state_key, value in self.ctx.state.store.extract_groups(lo, hi):
+            for _group, state_key, value in self.ctx.state.extract_groups(lo, hi):
                 if not (isinstance(state_key, tuple) and len(state_key) == 3):
                     continue  # foreign entry (e.g. preloaded synthetic state)
                 key, _side, session_start = state_key

@@ -73,10 +73,10 @@ def preload_state(
         )
         if table is None:
             continue
-        instance.state.store.ingest_tables([table])
-        instance.state.store.uncheckpointed = []
+        instance.state.ingest_tables([table])
+        instance.state.uncheckpointed = []
         instance.machine.pick_disk().used += table.size_bytes
-        checkpoint, _flushed = instance.state.store.checkpoint(
+        checkpoint, _flushed = instance.state.checkpoint(
             PRELOAD_CHECKPOINT_ID, now=now
         )
         checkpoint.delta_tables = [table]  # the artifact that was persisted

@@ -95,7 +95,7 @@ def check_replication_restored(rhino):
                 f"{instance_id}: replica chain names its primary's machine "
                 f"{primary.machine.name}"
             )
-        if primary.state.store.last_checkpoint_id is None:
+        if primary.state.last_checkpoint_id is None:
             continue
         complete = [
             m.name for m in chain if rhino.replicator.is_current(m, primary)

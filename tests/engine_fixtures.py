@@ -3,7 +3,9 @@
 from repro.sim import Simulator
 from repro.cluster import Cluster
 from repro.storage.log import DurableLog
+from repro.engine.instance import OperatorInstance
 from repro.engine.job import Job, JobConfig
+from repro.engine.operators import LogicalOperator, OperatorLogic
 from repro.engine.records import Record
 
 
@@ -125,3 +127,14 @@ def make_dfs(env, block_size=4 * 1024 * 1024, replication=2, seed=11):
         replication=replication,
         seed=seed,
     )
+
+
+def stateful_instance(sim, machine, owned_ranges, memtable_limit, compaction_trigger):
+    """A stateful ``OperatorInstance`` on ``machine`` outside any job: its
+    LSM store (with the given flush and compaction thresholds) and the
+    steps that charge its I/O to the machine's disks, nothing else."""
+    op = LogicalOperator("op", OperatorLogic, 1, stateful=True)
+    instance = OperatorInstance(sim, None, op, 0, machine, owned_ranges)
+    instance.state.memtable_limit = memtable_limit
+    instance.state.compaction_trigger = compaction_trigger
+    return instance

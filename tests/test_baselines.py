@@ -330,7 +330,7 @@ class TestMegaphone:
             (10, 46), (11, 28), (12, 11), (12, 26), (13, 36), (13, 5),
             (14, 2), (14, 31), (15, 16), (15, 21), (16, 45), (16, 8), (19, 42),
         ]
-        assert target.state.store.extract_groups(0, 32) == [
+        assert target.state.extract_groups(0, 32) == [
             (group, f"user-{user}", 5) for group, user in held
         ]
 

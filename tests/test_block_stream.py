@@ -88,7 +88,7 @@ def bulk_copy(source):
         primary = SimpleNamespace(
             instance_id="s0",
             machine=machines[0],
-            state=SimpleNamespace(store=store),
+            state=store,
             frontier=lambda: None,
         )
         if source == "peer":

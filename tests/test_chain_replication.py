@@ -45,7 +45,7 @@ def primary_of(store, machine):
     return SimpleNamespace(
         instance_id=store.name,
         machine=machine,
-        state=SimpleNamespace(store=store),
+        state=store,
         frontier=lambda: None,
     )
 

@@ -309,8 +309,6 @@ class TestControlJournal:
             [(0, 4), (8, 12)],
             FAILURE,
             target_machine=machines[1],
-            spawn_target=True,
-            replace_origin=True,
         )
         as_dict = plan_to_dict(plan)
         assert as_dict == {
@@ -320,6 +318,6 @@ class TestControlJournal:
             "vnodes": [[0, 4], [8, 12]],
             "reason": FAILURE,
             "machine": "j-1",
-            "spawn": True,
+            "spawn": False,
             "replace": True,
         }

@@ -210,7 +210,7 @@ def state_fingerprint(job, completed):
         job.stateful_instances(), key=lambda i: i.instance_id
     ):
         pairs = sorted(
-            instance.state.store.extract_groups(0, NUM_KEY_GROUPS), key=repr
+            instance.state.extract_groups(0, NUM_KEY_GROUPS), key=repr
         )
         parts.append(f"{instance.instance_id}:{pairs!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -238,7 +238,7 @@ class TestDataPlaneOracle:
         state = [
             pair
             for instance in run.job.stateful_instances()
-            for pair in instance.state.store.extract_groups(0, NUM_KEY_GROUPS)
+            for pair in instance.state.extract_groups(0, NUM_KEY_GROUPS)
         ]
         assert sorted(state, key=repr) == expected_state
 

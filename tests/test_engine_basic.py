@@ -205,8 +205,8 @@ class TestWindows:
         instance = job.stateful_instances("join")[0]
         # Window [0,5) fired and its entries were deleted; after compaction
         # the live bytes shrink to just the un-fired window of key "z".
-        instance.state.store.flush()
-        instance.state.store.compact()
+        instance.state.flush()
+        instance.state.compact()
         assert instance.state.total_bytes < 200
 
     def test_session_window_join(self):

@@ -131,7 +131,7 @@ class TestReplicaChainFailure:
         check_replication_restored(rhino)
         primary = job.instance("count", 1)
         member = rhino.replication_manager.group_of(primary.instance_id).chain[0]
-        primary.state.store.checkpoint(99)  # taken, never replicated
+        primary.state.checkpoint(99)  # taken, never replicated
         assert rhino.replicator.store_on(member).has_complete(primary.instance_id)
         with pytest.raises(InvariantViolation, match=r"count\[1\]: only 0/1"):
             check_replication_restored(rhino)

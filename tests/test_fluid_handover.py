@@ -569,7 +569,7 @@ def final_counts(job):
     sink may have restarted empty when its machine was the victim)."""
     finals = {}
     for instance in job.stateful_instances("count"):
-        for _group, key, value in instance.state.store.extract_groups(
+        for _group, key, value in instance.state.extract_groups(
             0, job.config.num_key_groups
         ):
             if key in KEYS:

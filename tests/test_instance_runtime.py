@@ -574,7 +574,7 @@ class TestFrontierRestartsWithTheReplay:
     def test_failure_restore(self):
         env, job, rhino = self.two_instance_job()
         victim = job.instance("op", 1)
-        key = first_key(victim.state.store.owns)
+        key = first_key(victim.state.owns)
         self.channels(victim)[0].put(self.replayed(key, 0.1, "a[0]"))
         env.run(until=2.0)  # checkpointed and replicated
         env.cluster.kill(victim.machine)
@@ -596,9 +596,9 @@ class TestFrontierRestartsWithTheReplay:
         env.run(until=2.0)
         handover = rhino.reconfigure("rebalance", op_name="op", moves=[(0, 1)])
         handover.defused = True
-        owned = origin.state.store.owned.copy()
+        owned = origin.state.owned.copy()
         env.run(until=2.5)  # the origin shipped its groups; the target is loading
-        moved = first_key(lambda g: g in owned and not origin.state.store.owns(g))
+        moved = first_key(lambda g: g in owned and not origin.state.owns(g))
         channel_a, channel_b = self.channels(origin)
         channel_a.put(Watermark(8.3))
         channel_b.put(Watermark(8.1))

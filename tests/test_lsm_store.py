@@ -313,6 +313,27 @@ class TestOwnership:
         store.put(12, "k", "v")
         assert store.get(12, "k") == "v"
 
+    def test_adopt_and_drop_round_trip(self):
+        store = self.make_store()
+        store.adopt_groups(8, 12)
+        store.put(10, "k", "v", nbytes=40)
+        assert store.bytes_in_groups(8, 12) == 40
+        released = store.drop_groups(8, 12)
+        assert released == 40
+        assert store.total_bytes == 0
+
+    def test_restore_resets_contents(self):
+        store = self.make_store()
+        store.put(1, "a", "x", nbytes=10)
+        store.flush()
+        fresh = self.make_store()
+        fresh.put(2, "b", "y", nbytes=20)  # replaced by the restore
+        fresh.restore(list(store.tables), owned=RangeSet([(0, 8)]))
+        assert fresh.get(1, "a") == "x"
+        assert fresh.get(2, "b") is None
+        assert fresh.total_bytes == 10
+        assert fresh.owned_ranges() == [(0, 8)]
+
     def test_compaction_discards_unowned_entries(self):
         store = self.make_store()
         store.put(1, "a", "x", nbytes=10)

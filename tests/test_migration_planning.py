@@ -145,7 +145,6 @@ class TestHorizontalScaling:
             list(job.assignments["count"].ranges_of(0)),
             migration.RESCALE,
             target_machine=outsider,
-            spawn_target=True,
         )
         process = rhino.handover_manager.execute([plan])
         report = env.sim.run(until=process)

@@ -165,7 +165,7 @@ class RangeTableMachine(RuleBasedStateMachine):
     def ownership_is_the_stores(self):
         if not hasattr(self, "instance"):
             return
-        store = self.instance.state.store
+        store = self.instance.state
         for group in range(NUM_GROUPS):
             assert store.owns(group) == (self.owner[group] is not None)
 

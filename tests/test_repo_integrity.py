@@ -46,6 +46,38 @@ class TestDocumentation:
             source = bench.read_text()
             compile(source, str(bench), "exec")
 
+    def test_design_layout_is_the_tree(self):
+        """DESIGN.md §5 names only paths that exist, and every module under
+        ``src/repro/`` (package ``__init__.py`` files aside).  A line whose
+        first word ends in ``/`` opens a directory (indented: under
+        ``src/repro/``); every ``*.py`` word after it is a file there."""
+        design = (ROOT / "DESIGN.md").read_text()
+        section = design[design.index("## 5. Repository layout") :]
+        block = section.split("```")[1]
+        named, missing = set(), []
+        base = ROOT
+        for line in block.splitlines():
+            words = line.split()
+            if not words:
+                continue
+            if words[0].endswith("/"):
+                base = (ROOT / "src" / "repro" if line[0] == " " else ROOT) / words[0]
+                if not base.is_dir():
+                    missing.append(str(base.relative_to(ROOT)))
+            for name in re.findall(r"\b\w+\.py\b", line):
+                path = base / name
+                named.add(path)
+                if not path.is_file():
+                    missing.append(str(path.relative_to(ROOT)))
+        modules = {
+            path
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        unnamed = sorted(str(p.relative_to(ROOT)) for p in modules - named)
+        assert missing == [], f"DESIGN.md §5 names paths that do not exist: {missing}"
+        assert unnamed == [], f"modules missing from DESIGN.md §5: {unnamed}"
+
     def test_all_paper_experiments_have_benches(self):
         names = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
         assert names >= {
@@ -332,8 +364,6 @@ PARAMETERS_KEPT_WITHOUT_CALLER = {
     "Event.fail(delay)": "mirrors succeed(delay=)",
     # Sizes and hooks only the tests turn.
     "LatencySeries.__init__(max_samples)": "tests reach downsampling quickly",
-    "KeyedStateBackend.__init__(memtable_limit)": "tests reach a flush quickly",
-    "KeyedStateBackend.__init__(compaction_trigger)": "tests reach compaction quickly",
     "BloomFilter.__init__(false_positive_rate)": "tests check the sizing rule",
     "SSTable.__init__(table_id)": "tests pin a table's id",
     "Router.connect(capacity_batches)": "tests fill a channel quickly",
@@ -512,6 +542,66 @@ class TestOneDurabilityChoice:
         assert found == [], (
             "core/ branches on the DFS storage; ask the job's checkpoint "
             f"storage instead: {found}"
+        )
+
+
+def _forwarded_member(function):
+    """``(attribute, member)`` when ``function``'s whole body (a docstring
+    aside) calls or reads ``self.<attribute>.<member>`` with ``member``
+    the function's own name, else None."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], (ast.Expr, ast.Return)):
+        return None
+    value = body[0].value
+    if isinstance(value, ast.Call):
+        value = value.func
+    if (
+        isinstance(value, ast.Attribute)
+        and value.attr == function.name
+        and isinstance(value.value, ast.Attribute)
+        and isinstance(value.value.value, ast.Name)
+        and value.value.value.id == "self"
+    ):
+        return value.value.attr, value.attr
+    return None
+
+
+class TestNoForwardingLayer:
+    def test_no_class_mostly_forwards_to_one_attribute(self):
+        """A class whose public methods mostly hand the call on to the
+        same-named member of one attribute is a layer its callers must
+        still see through: they reach past it, and every method of the
+        object behind it needs a copy.  A class in ``src/`` with 5 or more
+        such methods, making up at least half of its public methods and
+        properties, fails here, naming file and line."""
+        found = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                public = [
+                    node
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                ]
+                by_attribute = {}
+                for function in public:
+                    forwarded = _forwarded_member(function)
+                    if forwarded is not None:
+                        by_attribute.setdefault(forwarded[0], []).append(function.name)
+                for attribute, names in sorted(by_attribute.items()):
+                    if len(names) >= 5 and 2 * len(names) >= len(public):
+                        found.append(
+                            f"{_where(path, cls.lineno)} {cls.name}: "
+                            f"{len(names)} of {len(public)} public methods "
+                            f"forward to self.{attribute} ({', '.join(names)})"
+                        )
+        assert found == [], (
+            "forwarding layers; let callers hold the object behind them:\n"
+            + "\n".join(found)
         )
 
 

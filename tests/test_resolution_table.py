@@ -37,12 +37,12 @@ def make_plan(kind):
     if kind == "rebalance":
         return HandoverPlan("count", 2, 3, [(16, 20)], REBALANCE)
     if kind == "rescale":
-        return HandoverPlan("count", 2, 4, [(16, 20)], RESCALE, spawn_target=True)
+        return HandoverPlan("count", 2, 4, [(16, 20)], RESCALE)
     if kind == "drain":  # every group of the origin moves to a spawned target
-        return HandoverPlan("count", 2, 4, [(16, 24)], RESCALE, spawn_target=True)
+        return HandoverPlan("count", 2, 4, [(16, 24)], RESCALE)
     # The empty replacement keeps the dead instance's index on the target
     # worker: it is both the plan's origin and its target.
-    return HandoverPlan("count", 2, 2, [(16, 24)], FAILURE, replace_origin=True)
+    return HandoverPlan("count", 2, 2, [(16, 24)], FAILURE)
 
 
 def holders_before(plan, phase, all_acked):

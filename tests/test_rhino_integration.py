@@ -334,7 +334,7 @@ class TestRestorePoint:
         restored = job.instance("count", 2)
         for lo, hi, progress in frontier.segments:
             for group in range(lo, hi):
-                if restored.state.store.owns(group):
+                if restored.state.owns(group):
                     taken = restored.progress.progress_of(group)
                     assert taken is not progress
                     assert all(taken[o] >= p for o, p in progress.items())

@@ -1,10 +1,11 @@
-"""Unit tests for the keyed state backend (disk charging, compaction)."""
+"""Unit tests for an instance's keyed-state I/O: flush stalls, background
+compaction and checkpoint flushes, charged to its machine's disks."""
 
 import pytest
 
-from repro.engine.state import KeyedStateBackend
 from repro.sim import Simulator
 from repro.cluster import Cluster
+from tests.engine_fixtures import stateful_instance
 
 
 @pytest.fixture
@@ -23,11 +24,10 @@ def env():
     return sim, machine
 
 
-def make_backend(sim, machine, memtable_limit=100, compaction_trigger=3):
-    return KeyedStateBackend(
+def make_instance(sim, machine, memtable_limit=100, compaction_trigger=3):
+    return stateful_instance(
         sim,
         machine,
-        name="test-backend",
         owned_ranges=[(0, 8)],
         memtable_limit=memtable_limit,
         compaction_trigger=compaction_trigger,
@@ -37,86 +37,66 @@ def make_backend(sim, machine, memtable_limit=100, compaction_trigger=3):
 class TestMaintenance:
     def test_flush_charges_disk_time(self, env):
         sim, machine = env
-        backend = make_backend(sim, machine)
-        backend.put(0, "k", "v", nbytes=200)  # over the memtable limit
-        assert backend.store.needs_flush
-        process = sim.process(backend.maintenance())
+        instance = make_instance(sim, machine)
+        instance.state.put(0, "k", "v", nbytes=200)  # over the memtable limit
+        assert instance.state.needs_flush
+        process = sim.process(instance.maintain_state())
         sim.run(until=process)
         assert sim.now == pytest.approx(2.0)  # 200 B at 100 B/s
-        assert backend.disk_write_bytes == 200
 
     def test_no_flush_below_threshold(self, env):
         sim, machine = env
-        backend = make_backend(sim, machine)
-        backend.put(0, "k", "v", nbytes=10)
-        process = sim.process(backend.maintenance())
+        instance = make_instance(sim, machine)
+        instance.state.put(0, "k", "v", nbytes=10)
+        process = sim.process(instance.maintain_state())
         sim.run(until=process)
         assert sim.now == 0.0
-        assert backend.store.memtable.size_bytes == 10
+        assert instance.state.memtable.size_bytes == 10
 
     def test_compaction_runs_in_background(self, env):
         """Compaction I/O must not block the maintenance caller."""
         sim, machine = env
-        backend = make_backend(sim, machine, memtable_limit=10, compaction_trigger=3)
+        instance = make_instance(sim, machine, memtable_limit=10, compaction_trigger=3)
         for i in range(3):
-            backend.put(0, f"k{i}", i, nbytes=50)
-            flush = sim.process(backend.maintenance())
+            instance.state.put(0, f"k{i}", i, nbytes=50)
+            flush = sim.process(instance.maintain_state())
             sim.run(until=flush)
         # The third maintenance call flushed (0.5 s each) and kicked the
         # merge off in the background: the calls themselves only paid for
         # the three flushes.
         assert sim.now == pytest.approx(1.5)
-        assert backend._compacting
+        assert instance._compacting
         sim.run()
-        assert not backend._compacting
-        assert len(backend.store.tables) == 1
+        assert not instance._compacting
+        assert len(instance.state.tables) == 1
 
     def test_single_compaction_at_a_time(self, env):
         sim, machine = env
-        backend = make_backend(sim, machine, memtable_limit=10, compaction_trigger=2)
+        instance = make_instance(sim, machine, memtable_limit=10, compaction_trigger=2)
         for i in range(4):
-            backend.put(0, f"k{i}", i, nbytes=50)
-            process = sim.process(backend.maintenance())
+            instance.state.put(0, f"k{i}", i, nbytes=50)
+            process = sim.process(instance.maintain_state())
             sim.run(until=process)
-        # Multiple triggers while compacting must not stack processes.
-        first = sim.process(backend.maintenance())
-        second = sim.process(backend.maintenance())
+        # Multiple triggers while compacting must not stack processes: the
+        # second put's merge is still writing when the last two flushes
+        # land, so they stay unmerged beside its output.
+        first = sim.process(instance.maintain_state())
+        second = sim.process(instance.maintain_state())
         sim.run()
-        assert len(backend.store.tables) >= 1
+        assert len(instance.state.tables) == 3
 
     def test_checkpoint_charges_sync_flush(self, env):
         sim, machine = env
-        backend = make_backend(sim, machine)
-        backend.put(0, "k", "v", nbytes=300)
+        instance = make_instance(sim, machine)
+        instance.state.put(0, "k", "v", nbytes=300)
 
         def run():
-            checkpoint = yield from backend.checkpoint(1)
+            checkpoint = yield from instance.snapshot_state(1)
             return checkpoint
 
         process = sim.process(run())
         checkpoint = sim.run(until=process)
         assert sim.now == pytest.approx(3.0)  # synchronous 300 B write
         assert checkpoint.delta_bytes == 300
-
-
-class TestOwnershipHelpers:
-    def test_adopt_and_drop_round_trip(self, env):
-        sim, machine = env
-        backend = make_backend(sim, machine)
-        backend.adopt_groups(8, 12)
-        backend.put(10, "k", "v", nbytes=40)
-        assert backend.bytes_in_groups(8, 12) == 40
-        released = backend.drop_groups(8, 12)
-        assert released == 40
-        assert backend.total_bytes == 0
-
-    def test_restore_resets_contents(self, env):
-        sim, machine = env
-        backend = make_backend(sim, machine)
-        backend.put(1, "a", "x", nbytes=10)
-        backend.store.flush()
-        tables = list(backend.store.tables)
-        fresh = make_backend(sim, machine)
-        fresh.restore(tables, owned_ranges=[(0, 8)])
-        assert fresh.get(1, "a") == "x"
-        assert fresh.total_bytes == 10
+        # Stamped with the replay frontier of the instance's one range.
+        assert [(lo, hi) for lo, hi, _ in checkpoint.frontier.segments] == [(0, 8)]

@@ -14,28 +14,9 @@ from repro.engine.windows import (
 from repro.storage.kvs import LSMStore
 
 
-class FakeState:
-    """KeyedStateBackend lookalike over a plain LSM store."""
-
-    def __init__(self):
-        self.store = LSMStore("fake")
-
-    def get(self, group, key):
-        return self.store.get(group, key)
-
-    def put(self, group, key, value, nbytes=None):
-        self.store.put(group, key, value, nbytes=nbytes)
-
-    def append(self, group, key, element, nbytes=None):
-        self.store.append(group, key, element, nbytes=nbytes)
-
-    def delete(self, group, key):
-        self.store.delete(group, key)
-
-
 class FakeContext:
     def __init__(self, num_groups=16):
-        self.state = FakeState()
+        self.state = LSMStore("fake")
         self.num_key_groups = num_groups
 
     def key_group(self, key):
@@ -208,11 +189,11 @@ class FullWalk(SlidingWindowAggregate):
         return outputs
 
 
-class RecordingState(FakeState):
-    """A FakeState that logs every call the logic makes on it."""
+class RecordingState(LSMStore):
+    """An LSM store that logs every get, put and delete the logic makes."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__("recording")
         self.log = []
 
     def get(self, group, key):
@@ -273,14 +254,17 @@ class TestWatermarkSkip:
                 elif kind == "migrate-in":
                     # A pane arrives by handover, with or without the
                     # emission frontier of an origin whose watermark ran
-                    # ahead: written below the logic, indexed from the store.
+                    # ahead: written below the logic (unlogged), indexed from
+                    # the store.
                     key, timestamp, frontier = args
                     group = logic.ctx.key_group(key)
                     pane_start = (timestamp * slide / 4 // slide) * slide
-                    store = logic.ctx.state.store
-                    store.put(group, (key, "pane", pane_start), 1)
+                    store = logic.ctx.state
+                    LSMStore.put(store, group, (key, "pane", pane_start), 1)
                     if frontier is not None:
-                        store.put(group, (key, "emitted", 0), frontier * slide)
+                        LSMStore.put(
+                            store, group, (key, "emitted", 0), frontier * slide
+                        )
                     logic.absorb([(group, group + 1)])
                 elif kind == "rebuild":
                     logic.rebuild([(0, logic.ctx.num_key_groups)])
